@@ -14,14 +14,14 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from .errors import ConfigurationError, ParameterError, UndefinedRateError
 from .ga import GaParams, run_ga
 from .hqm import HqmParams, RunHistory, run_hqm
-from .instance import GeneratorConfig, assign_customers, generate_instance
+from .instance import GeneratorConfig, Instance, assign_customers, generate_instance
 from .routing import AdjustmentPolicy, compute_delay
-from .taskgen import build_tasks
+from .taskgen import TaskPool, build_tasks
 
 SWEEP_FACTORS = (
     "T_s", "T_p", "Q", "V_l", "num_spaces", "locations_per_space", "rho_l", "rho_c",
@@ -67,15 +67,7 @@ class GridConfig:
             raise ConfigurationError("grid axes must be non-empty")
         if not self.policies or not self.solvers:
             raise ConfigurationError("policies and solvers must be non-empty")
-        if self.replications < 1:
-            raise ConfigurationError("replications must be >= 1")
-        if self.seeds is not None and len(self.seeds) != self.replications:
-            raise ConfigurationError("seeds must provide one seed per replication")
-
-    def replication_seeds(self) -> tuple[int, ...]:
-        if self.seeds is not None:
-            return self.seeds
-        return tuple(self.base_config.seed + r for r in range(self.replications))
+        _replication_seeds(self)
 
 
 @dataclass(frozen=True)
@@ -122,22 +114,7 @@ class GridResult:
     rows: tuple[CellOutcome, ...]
 
     def cell_aggregates(self) -> list[CellAggregate]:
-        groups: dict[tuple, list[CellOutcome]] = {}
-        for row in self.rows:
-            groups.setdefault((row.spaces, row.locations, row.solver, row.policy), []).append(row)
-        out = []
-        for (spaces, locations, solver, policy), rows in sorted(groups.items()):
-            lockers = _mean([r.lockers for r in rows])
-            out.append(CellAggregate(
-                spaces=spaces, locations=locations, solver=solver, policy=policy,
-                lockers_mean=lockers,
-                lockers_mean_rounded_up=math.ceil(lockers),
-                distance_mean=_mean([r.distance_km for r in rows]),
-                delay_mean=_mean([r.avg_delay_min for r in rows]),
-                reward_mean=_mean([r.reward for r in rows]),
-                improvement_mean=_mean([r.improvement_pct for r in rows]),
-            ))
-        return out
+        return _group_means(self.rows, lambda r: (r.spaces, r.locations, r.solver, r.policy))
 
     def reward_gaps(self) -> list[GapEntry]:
         """Mean reward under the depot strategy minus the holding strategy, per cell."""
@@ -153,22 +130,7 @@ class GridResult:
 
     def block_means(self) -> list[CellAggregate]:
         """Means over all location settings and replications of one spaces count."""
-        groups: dict[tuple, list[CellOutcome]] = {}
-        for row in self.rows:
-            groups.setdefault((row.spaces, row.solver, row.policy), []).append(row)
-        out = []
-        for (spaces, solver, policy), rows in sorted(groups.items()):
-            lockers = _mean([r.lockers for r in rows])
-            out.append(CellAggregate(
-                spaces=spaces, locations=0, solver=solver, policy=policy,
-                lockers_mean=lockers,
-                lockers_mean_rounded_up=math.ceil(lockers),
-                distance_mean=_mean([r.distance_km for r in rows]),
-                delay_mean=_mean([r.avg_delay_min for r in rows]),
-                reward_mean=_mean([r.reward for r in rows]),
-                improvement_mean=_mean([r.improvement_pct for r in rows]),
-            ))
-        return out
+        return _group_means(self.rows, lambda r: (r.spaces, 0, r.solver, r.policy))
 
 
 @dataclass(frozen=True)
@@ -187,15 +149,7 @@ class SweepConfig:
                 f"unknown sweep factor {self.factor!r}; expected one of {SWEEP_FACTORS}")
         if not self.values:
             raise ConfigurationError("sweep values must be non-empty")
-        if self.replications < 1:
-            raise ConfigurationError("replications must be >= 1")
-        if self.seeds is not None and len(self.seeds) != self.replications:
-            raise ConfigurationError("seeds must provide one seed per replication")
-
-    def replication_seeds(self) -> tuple[int, ...]:
-        if self.seeds is not None:
-            return self.seeds
-        return tuple(self.base_config.seed + r for r in range(self.replications))
+        _replication_seeds(self)
 
 
 @dataclass(frozen=True)
@@ -218,6 +172,51 @@ def _stderr(values: Sequence[float]) -> float:
     m = _mean(values)
     var = sum((v - m) ** 2 for v in values) / (n - 1)
     return math.sqrt(var / n)
+
+
+def _replication_seeds(config: Union[GridConfig, SweepConfig]) -> tuple[int, ...]:
+    """One solver/generator seed per replication, counting up from the base seed."""
+    if config.replications < 1:
+        raise ConfigurationError("replications must be >= 1")
+    if config.seeds is None:
+        return tuple(config.base_config.seed + r for r in range(config.replications))
+    if len(config.seeds) != config.replications:
+        raise ConfigurationError("seeds must provide one seed per replication")
+    return config.seeds
+
+
+def _group_means(rows: Sequence[CellOutcome], key: Callable) -> list[CellAggregate]:
+    """Per-group means of replication records; ``key`` gives (spaces, locations, solver, policy)."""
+    groups: dict[tuple, list[CellOutcome]] = {}
+    for row in rows:
+        groups.setdefault(key(row), []).append(row)
+    out = []
+    for (spaces, locations, solver, policy), members in sorted(groups.items()):
+        lockers = _mean([r.lockers for r in members])
+        out.append(CellAggregate(
+            spaces=spaces, locations=locations, solver=solver, policy=policy,
+            lockers_mean=lockers,
+            lockers_mean_rounded_up=math.ceil(lockers),
+            distance_mean=_mean([r.distance_km for r in members]),
+            delay_mean=_mean([r.avg_delay_min for r in members]),
+            reward_mean=_mean([r.reward for r in members]),
+            improvement_mean=_mean([r.improvement_pct for r in members]),
+        ))
+    return out
+
+
+def _map(fn: Callable, units: list, jobs: int) -> list:
+    """``fn`` over ``units`` in order, across ``jobs`` processes when there is more than one."""
+    if jobs > 1 and len(units) > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as executor:
+            return list(executor.map(fn, units))
+    return [fn(u) for u in units]
+
+
+def _generated_pool(config: GeneratorConfig) -> tuple[Instance, TaskPool]:
+    """Generate an instance and build its task pool: (instance, pool)."""
+    instance = generate_instance(config)
+    return instance, build_tasks(instance, assign_customers(instance))
 
 
 # ---------------------------------------------------------------------------
@@ -244,16 +243,22 @@ def reward_gap(reward_btd: float, reward_hcps: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _solve_one(pool, instance, solver: str, policy_name: str, budget: BudgetProfile,
-               seed: int):
-    policy = AdjustmentPolicy.parse(policy_name)
+def solve(pool: TaskPool, instance: Instance, solver: str, policy: AdjustmentPolicy,
+          budget: BudgetProfile, seed: int, gamma: float = HqmParams.gamma,
+          tol: float = HqmParams.tol):
+    """Run HQM or the GA on one task pool; returns (best state, plan, history).
+
+    The one entry point for either solver: ``mplq solve``, the grid and the
+    factor sweeps all come through here. ``gamma`` and ``tol`` apply to HQM
+    only. The GA keeps an elite fraction of 5%, but at least one individual.
+    """
     if solver == "hqm":
-        params = HqmParams(agents=budget.agents, timesteps=budget.iterations, seed=seed)
+        params = HqmParams(agents=budget.agents, timesteps=budget.iterations, gamma=gamma,
+                           tol=tol, seed=seed)
         return run_hqm(pool, instance, policy, params)
     if solver == "ga":
-        elite = max(0.05, 1.0 / budget.agents)  # keep >= 1 elite at tiny populations
         params = GaParams(population=budget.agents, generations=budget.iterations,
-                          elite_fraction=elite, seed=seed)
+                          elite_fraction=max(0.05, 1.0 / budget.agents), seed=seed)
         return run_ga(pool, instance, policy, params)
     raise ConfigurationError(f"unknown solver {solver!r}; expected hqm or ga")
 
@@ -261,14 +266,13 @@ def _solve_one(pool, instance, solver: str, policy_name: str, budget: BudgetProf
 def _run_cell_replication(args: tuple) -> list[CellOutcome]:
     """One (cell, replication): every solver x policy on the identical instance."""
     spaces, locations, rep, seed, base_config, solvers, policies, budget = args
-    config = replace(base_config, num_spaces=spaces, locations_per_space=locations, seed=seed)
-    instance = generate_instance(config)
-    assignment = assign_customers(instance)
-    pool = build_tasks(instance, assignment)
+    instance, pool = _generated_pool(
+        replace(base_config, num_spaces=spaces, locations_per_space=locations, seed=seed))
     rows = []
     for solver in solvers:
         for policy_name in policies:
-            best, plan, history = _solve_one(pool, instance, solver, policy_name, budget, seed)
+            best, plan, history = solve(pool, instance, solver,
+                                        AdjustmentPolicy.parse(policy_name), budget, seed)
             _, avg_delay = compute_delay(plan)
             rows.append(CellOutcome(
                 spaces=spaces, locations=locations, solver=solver, policy=policy_name,
@@ -284,7 +288,7 @@ def _run_cell_replication(args: tuple) -> list[CellOutcome]:
 
 def run_grid(grid: GridConfig, jobs: int = 1) -> GridResult:
     """Run the full grid; every solver/policy pair sees identical instances."""
-    seeds = grid.replication_seeds()
+    seeds = _replication_seeds(grid)
     units = [
         (spaces, locations, rep, seeds[rep], grid.base_config,
          grid.solvers, grid.policies, grid.budget)
@@ -292,12 +296,7 @@ def run_grid(grid: GridConfig, jobs: int = 1) -> GridResult:
         for locations in grid.locations_counts
         for rep in range(grid.replications)
     ]
-    if jobs > 1 and len(units) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(_run_cell_replication, units))
-    else:
-        chunks = [_run_cell_replication(u) for u in units]
-    rows = [row for chunk in chunks for row in chunk]
+    rows = [row for chunk in _map(_run_cell_replication, units, jobs) for row in chunk]
     rows.sort(key=lambda r: (r.spaces, r.locations, r.replication, r.solver, r.policy))
     return GridResult(rows=tuple(rows))
 
@@ -335,16 +334,12 @@ def apply_factor(base: GeneratorConfig, factor: str, value: float) -> GeneratorC
 
 def _run_sweep_point(args: tuple) -> SweepPoint:
     factor, value, base_config, policy_name, budget, seeds = args
+    policy = AdjustmentPolicy.parse(policy_name)
     delays = []
     for seed in seeds:
-        config = apply_factor(replace(base_config, seed=seed), factor, value)
-        instance = generate_instance(config)
-        assignment = assign_customers(instance)
-        pool = build_tasks(instance, assignment)
-        policy = AdjustmentPolicy.parse(policy_name)
-        params = HqmParams(agents=budget.agents, timesteps=budget.iterations,
-                           seed=seed)
-        _, plan, _ = run_hqm(pool, instance, policy, params)
+        instance, pool = _generated_pool(apply_factor(replace(base_config, seed=seed),
+                                                      factor, value))
+        _, plan, _ = solve(pool, instance, "hqm", policy, budget, seed)
         _, avg_delay = compute_delay(plan)
         delays.append(avg_delay)
     return SweepPoint(factor=factor, value=value, mean_delay=_mean(delays),
@@ -353,17 +348,12 @@ def _run_sweep_point(args: tuple) -> SweepPoint:
 
 def sweep_factor(sweep: SweepConfig, jobs: int = 1) -> list[SweepPoint]:
     """Delay response of one factor across its axis values; seeds pair across values."""
-    seeds = sweep.replication_seeds()
+    seeds = _replication_seeds(sweep)
     units = [
         (sweep.factor, value, sweep.base_config, sweep.policy, sweep.budget, seeds)
         for value in sweep.values
     ]
-    if jobs > 1 and len(units) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            points = list(pool.map(_run_sweep_point, units))
-    else:
-        points = [_run_sweep_point(u) for u in units]
-    return points
+    return _map(_run_sweep_point, units, jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -401,12 +391,16 @@ def write_grid_csv(result: GridResult, path: Union[str, Path],
                              repr(a.improvement_mean), ""])
 
 
+def _csv_records(path: Union[str, Path]) -> list[dict[str, str]]:
+    """The records of a CSV file written here, skipping its ``# config`` header."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.DictReader([ln for ln in fh if not ln.startswith("#")]))
+
+
 def read_grid_rows(path: Union[str, Path]) -> list[CellOutcome]:
     """Parse the replication records back out of a grid CSV."""
     rows = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        lines = [ln for ln in fh if not ln.startswith("#")]
-    for rec in csv.DictReader(lines):
+    for rec in _csv_records(path):
         if rec["kind"] != "rep":
             continue
         rows.append(CellOutcome(
@@ -432,15 +426,10 @@ def write_sweep_csv(points: Sequence[SweepPoint], path: Union[str, Path],
 
 
 def read_sweep_points(path: Union[str, Path]) -> list[SweepPoint]:
-    points = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        lines = [ln for ln in fh if not ln.startswith("#")]
-    for rec in csv.DictReader(lines):
-        points.append(SweepPoint(
-            factor=rec["factor"], value=float(rec["value"]),
-            mean_delay=float(rec["mean_delay_min"]), stderr=float(rec["stderr"]),
-            replications=int(rec["replications"])))
-    return points
+    return [SweepPoint(factor=rec["factor"], value=float(rec["value"]),
+                       mean_delay=float(rec["mean_delay_min"]), stderr=float(rec["stderr"]),
+                       replications=int(rec["replications"]))
+            for rec in _csv_records(path)]
 
 
 def write_plotdata(result_or_points, out_dir: Union[str, Path]) -> list[Path]:
@@ -457,25 +446,23 @@ def write_plotdata(result_or_points, out_dir: Union[str, Path]) -> list[Path]:
         }
         aggregates = result_or_points.cell_aggregates()
         for name, getter in metrics.items():
-            p = out_dir / f"grid_{name}.csv"
-            with open(p, "w", newline="", encoding="utf-8") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["x", "y", "series"])
-                for a in aggregates:
-                    writer.writerow([a.locations, repr(float(getter(a))),
-                                     f"{a.solver}-{a.policy}-spaces{a.spaces}"])
-            written.append(p)
+            written.append(_write_series(out_dir / f"grid_{name}.csv", [
+                [a.locations, repr(float(getter(a))), f"{a.solver}-{a.policy}-spaces{a.spaces}"]
+                for a in aggregates]))
     else:
         points = list(result_or_points)
         if points:
-            p = out_dir / f"sweep_{points[0].factor}.csv"
-            with open(p, "w", newline="", encoding="utf-8") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["x", "y", "series"])
-                for pt in points:
-                    writer.writerow([repr(pt.value), repr(pt.mean_delay), pt.factor])
-            written.append(p)
+            written.append(_write_series(out_dir / f"sweep_{points[0].factor}.csv", [
+                [repr(pt.value), repr(pt.mean_delay), pt.factor] for pt in points]))
     return written
+
+
+def _write_series(path: Path, rows: Sequence[list]) -> Path:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["x", "y", "series"])
+        writer.writerows(rows)
+    return path
 
 
 __all__ = [
@@ -490,6 +477,7 @@ __all__ = [
     "SweepPoint",
     "improvement_rate",
     "reward_gap",
+    "solve",
     "apply_factor",
     "run_grid",
     "sweep_factor",

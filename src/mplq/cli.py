@@ -24,8 +24,10 @@ import numpy as np
 from . import bench
 from .errors import (ConfigurationError, InstanceFormatError, MplqError,
                      SearchSpaceLimitError)
-from .ga import GaParams, run_ga
-from .hqm import HqmParams, effective_locker_count, run_hqm, write_history_csv
+# run_hqm and run_ga are called only through bench.solve; perfbench/layers.py
+# still wraps these two bindings by name, so they stay imported here.
+from .ga import run_ga  # noqa: F401
+from .hqm import HqmParams, effective_locker_count, run_hqm, write_history_csv  # noqa: F401
 from .instance import (GeneratorConfig, assign_customers, generate_instance,
                        load_instance, save_instance, validate_instance,
                        write_assignment_csv)
@@ -104,11 +106,15 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _prepare(instance_path: str):
-    instance = load_instance(instance_path)
+def _prepare(instance):
+    """Assign customers and build the task pool: (assignment, pool)."""
     assignment = assign_customers(instance)
-    pool = build_tasks(instance, assignment)
-    return instance, assignment, pool
+    return assignment, build_tasks(instance, assignment)
+
+
+# Solver config file keys and the type each value must convert to.
+_SOLVER_CONFIG_KEYS = {"agents": int, "timesteps": int, "gamma": float, "tol": float,
+                       "seed": int, "policy": str}
 
 
 def _load_solver_config(path: Optional[str]) -> dict:
@@ -122,41 +128,42 @@ def _load_solver_config(path: Optional[str]) -> dict:
     except json.JSONDecodeError as exc:
         raise InstanceFormatError(
             f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}")
-    known = {"agents", "timesteps", "gamma", "tol", "seed", "policy"}
-    unknown = sorted(set(data) - known)
+    if not isinstance(data, dict):
+        raise InstanceFormatError(f"{path}: solver config must be a JSON object")
+    unknown = sorted(set(data) - set(_SOLVER_CONFIG_KEYS))
     if unknown:
         raise InstanceFormatError(f"{path}: unknown solver config keys {unknown}")
-    return data
+    try:
+        return {key: _SOLVER_CONFIG_KEYS[key](value) for key, value in data.items()}
+    except (TypeError, ValueError) as exc:
+        raise InstanceFormatError(f"{path}: bad solver config value: {exc}")
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     file_cfg = _load_solver_config(args.config)
-    seed = args.seed if args.seed is not None else file_cfg.get("seed")
-    seed = _resolve_seed(seed)
-    agents = args.agents if args.agents is not None else int(file_cfg.get("agents", 20))
-    iters = args.iters if args.iters is not None else int(file_cfg.get("timesteps", 200))
-    gamma = args.gamma if args.gamma is not None else float(file_cfg.get("gamma", 0.9))
-    tol = args.tol if args.tol is not None else float(file_cfg.get("tol", 1e-8))
-    policy_name = args.policy if args.policy is not None \
-        else str(file_cfg.get("policy", "hcps"))
 
-    instance, assignment, pool = _prepare(args.instance)
-    policy = AdjustmentPolicy.parse(policy_name)
-    noise = TravelNoise(sigma=args.noise_sigma, seed=seed) if args.noise_sigma > 0 else None
+    def pick(flag, key, default):  # explicit flag, else config file, else default
+        return flag if flag is not None else file_cfg.get(key, default)
 
-    if args.solver == "hqm":
-        params = HqmParams(agents=agents, timesteps=iters, gamma=gamma, tol=tol,
-                           seed=seed)
-        best, plan, history = run_hqm(pool, instance, policy, params)
-    elif args.solver == "ga":
-        elite = max(0.05, 1.0 / agents)
-        params = GaParams(population=agents, generations=iters,
-                          elite_fraction=elite, seed=seed)
-        best, plan, history = run_ga(pool, instance, policy, params)
-    else:
-        raise ConfigurationError(f"unknown solver {args.solver!r}")
+    seed = _resolve_seed(pick(args.seed, "seed", None))
+    desk = bench.BudgetProfile.desk()
+    budget = bench.BudgetProfile(agents=pick(args.agents, "agents", desk.agents),
+                                 iterations=pick(args.iters, "timesteps", desk.iterations))
 
-    if noise is not None:
+    instance = load_instance(args.instance)
+    assignment, pool = _prepare(instance)
+    for task_id, task in enumerate(pool.tasks):
+        if task.demand > instance.fleet.capacity:
+            raise MplqError(f"task {task_id} (space {task.space_id}) demands {task.demand} "
+                            f"parcels, above the locker capacity {instance.fleet.capacity}; "
+                            "no plan can serve it")
+    policy = AdjustmentPolicy.parse(pick(args.policy, "policy", "hcps"))
+
+    best, plan, history = bench.solve(pool, instance, args.solver, policy, budget, seed,
+                                      gamma=pick(args.gamma, "gamma", HqmParams.gamma),
+                                      tol=pick(args.tol, "tol", HqmParams.tol))
+    if args.noise_sigma > 0:
+        noise = TravelNoise(sigma=args.noise_sigma, seed=seed)
         plan, _ = evaluate_solution(best, pool, instance, policy, noise=noise)
 
     feasibility = check_feasibility(plan, best, pool, instance)
@@ -215,8 +222,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
             policy = AdjustmentPolicy.parse(data.get("policy", "hcps"))
         except (OSError, ValueError, KeyError) as exc:
             raise InstanceFormatError(f"cannot parse solution file {args.solution}: {exc}")
-        assignment = assign_customers(instance)
-        pool = build_tasks(instance, assignment)
+        _, pool = _prepare(instance)
         state = SearchState(x1=x1, x2=x2)
         plan, cost = evaluate_solution(state, pool, instance, policy)
         feasibility = check_feasibility(plan, state, pool, instance)
@@ -235,7 +241,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
-    instance, _, pool = _prepare(args.instance)
+    instance = load_instance(args.instance)
+    _, pool = _prepare(instance)
     policy = AdjustmentPolicy.parse(args.policy)
     lockers = args.max_lockers
     if lockers is None:

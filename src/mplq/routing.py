@@ -25,7 +25,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, ShapeError
 from .instance import Instance, Position, TimeWindow
 from .state import SearchState, validate_state
 from .taskgen import Task, TaskPool
@@ -366,14 +366,10 @@ def check_feasibility(plan: RoutePlan, state: SearchState, pool: TaskPool,
     def hard(constraint: str, entity: str, description: str) -> None:
         out.append(ConstraintViolation(constraint, entity, description, "hard"))
 
-    if state.x1.shape != (n,) or state.x2.shape != (n,):
-        hard("2-3", "state", "allocation/sequence vectors do not match the task pool size")
-        return FeasibilityReport(tuple(out))
-    if n and (state.x1.min() < 0 or state.x1.max() >= instance.fleet.max_lockers):
-        hard("2-3", "state", "allocation references a locker outside the fleet")
-    counts = np.bincount(state.x2, minlength=n) if n else np.zeros(0, dtype=int)
-    for task_id in np.nonzero(counts != 1)[0].tolist():
-        hard("2-3", f"task {task_id}", f"task appears {int(counts[task_id])} times in the execution sequence")
+    try:
+        validate_state(state, n, instance.fleet.max_lockers)
+    except ShapeError as exc:
+        hard("2-3", "state", str(exc))
 
     seen: dict[int, int] = {}
     for route in plan.routes:

@@ -1,3 +1,4 @@
+import csv
 import math
 
 import pytest
@@ -105,6 +106,26 @@ def test_grid_csv_roundtrip(tmp_path):
     assert tuple(back) == result.rows
 
 
+def test_grid_csv_block_means_match_rep_rows(tmp_path):
+    result = run_grid(_tiny_grid(locations_counts=(3, 4), replications=2))
+    path = tmp_path / "grid.csv"
+    write_grid_csv(result, path)
+    with open(path, newline="") as fh:
+        records = list(csv.DictReader(fh))
+    blocks = [r for r in records if r["kind"] == "block_mean"]
+    assert len(blocks) == 4  # one spaces count x 2 solvers x 2 policies
+    for block in blocks:
+        reps = [r for r in records if r["kind"] == "rep"
+                and (r["spaces"], r["solver"], r["policy"])
+                == (block["spaces"], block["solver"], block["policy"])]
+        assert len(reps) == 4  # 2 location settings x 2 replications
+        for column in ("distance_km", "avg_delay_min", "reward", "improvement_pct"):
+            assert float(block[column]) == pytest.approx(
+                sum(float(r[column]) for r in reps) / len(reps))
+        assert int(block["lockers"]) == math.ceil(
+            sum(int(r["lockers"]) for r in reps) / len(reps))
+
+
 def test_grid_same_seed_reproducible():
     r1 = run_grid(_tiny_grid())
     r2 = run_grid(_tiny_grid())
@@ -179,6 +200,15 @@ def test_sweep_config_validation():
         SweepConfig(factor="bogus", values=(1.0,))
     with pytest.raises(ConfigurationError):
         SweepConfig(factor="Q", values=())
+    with pytest.raises(ConfigurationError):
+        SweepConfig(factor="Q", values=(20.0,), replications=2, seeds=(1,))
+    with pytest.raises(ConfigurationError):
+        SweepConfig(factor="Q", values=(20.0,), replications=0)
+
+
+def test_sweep_parallel_matches_serial():
+    sweep = _tiny_sweep("Q", (15.0, 20.0))
+    assert sweep_factor(sweep, jobs=2) == sweep_factor(sweep, jobs=1)
 
 
 def test_plotdata_files(tmp_path):

@@ -2,8 +2,9 @@ import json
 
 import pytest
 
+from mplq.bench import BudgetProfile, GridConfig, run_grid
 from mplq.cli import run_cli
-from mplq.instance import load_instance, save_instance
+from mplq.instance import GeneratorConfig, load_instance, save_instance
 from helpers import make_customer, make_instance, make_space
 
 
@@ -91,6 +92,46 @@ def test_solve_rejects_unknown_config_keys(instance_file, tmp_path, capsys):
     code = run_cli(["solve", "--instance", str(instance_file),
                     "--config", str(cfg), "--out-dir", str(tmp_path / "cfg")])
     assert code == 2
+
+
+def test_solve_rejects_non_numeric_config_values(instance_file, tmp_path, capsys):
+    cfg = tmp_path / "solver.json"
+    cfg.write_text(json.dumps({"agents": "many"}))
+    code = run_cli(["solve", "--instance", str(instance_file),
+                    "--config", str(cfg), "--out-dir", str(tmp_path / "cfg")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "cfg").exists()
+
+
+def test_solve_refuses_task_above_capacity(tmp_path, capsys):
+    sp = make_space(1, 1.0, 0.0, window=(600, 660), service_time=60.0)
+    cust = make_customer(0, 25, [(1.0, 0.1, (600, 660), 0.5)])
+    inst_path = tmp_path / "inst.json"
+    save_instance(make_instance([sp], [cust], capacity=20.0, max_lockers=2), inst_path)
+    out_dir = tmp_path / "out"
+    code = run_cli(["solve", "--instance", str(inst_path), "--out-dir", str(out_dir)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error: task 0 ")
+    assert "25" in captured.err and "20.0" in captured.err
+    assert "RESULT" not in captured.out
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("solver", ["hqm", "ga"])
+def test_solve_reward_matches_grid_row(instance_file, tmp_path, capsys, solver):
+    # instance_file is generator seed 3 at 2 spaces x 3 locations; solving it
+    # with solver seed 3 at the desk budget is what the grid does for that cell
+    code = run_cli(["solve", "--instance", str(instance_file), "--solver", solver,
+                    "--policy", "hcps", "--seed", "3", "--out-dir", str(tmp_path / "s")])
+    assert code == 0
+    line = _result_line(capsys)
+    grid = GridConfig(spaces_counts=(2,), locations_counts=(3,), solvers=(solver,),
+                      policies=("hcps",), base_config=GeneratorConfig(seed=3),
+                      budget=BudgetProfile.desk())
+    (row,) = run_grid(grid).rows
+    assert f"reward={row.reward!r}" in line.split()
 
 
 def test_solve_with_travel_noise_is_reproducible(instance_file, tmp_path, capsys):

@@ -407,6 +407,16 @@ def test_feasibility_flags_duplicate_sequence_entries():
     assert any(v.constraint == "2-3" for v in report.violations)
 
 
+def test_feasibility_reports_malformed_state_once():
+    inst, pool = _two_task_setup()
+    state = make_state([0, 1], [0, 1])
+    plan, _ = evaluate_solution(state, pool, inst, AdjustmentPolicy.HCPS)
+    for bad in (make_state([0], [0]), make_state([0, 99], [0, 1])):
+        report = check_feasibility(plan, bad, pool, inst)
+        assert [(v.constraint, v.entity, v.severity) for v in report.violations] \
+            == [("2-3", "state", "hard")]
+
+
 def test_feasibility_soft_lateness_matches_recorded():
     spaces = [make_space(1, 1.0, 0.0, window=(0, 10), service_time=10.0),
               make_space(2, 1.0, 8.0, window=(10, 20), service_time=10.0)]
