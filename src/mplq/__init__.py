@@ -17,13 +17,13 @@ from .taskgen import SubInterval, Task, TaskPool, build_tasks, partition_subinte
 from .routing import (AdjustmentPolicy, Adjustment, CostBreakdown, FeasibilityReport,
                       RoutePlan, TravelNoise, VisitRecord, apply_btd, apply_hcps,
                       check_feasibility, compute_delay, earliest_schedule,
-                      evaluate_solution, schedule_route, travel_time)
+                      evaluate_solution, hold_can_apply, schedule_route, travel_time)
 from .state import SearchState
 from .hqm import (Agent, HqmParams, QMatrices, RunHistory, global_construct,
                   has_converged, init_agents, local_move, normalize_q, run_hqm,
                   update_q)
 from .ga import GaParams, next_generation, run_ga
-from .oracle import OracleLimit, brute_force_best
+from .oracle import brute_force_best
 from .bench import (BudgetProfile, GridConfig, GridResult, SweepConfig, SweepPoint,
                     improvement_rate, reward_gap, run_grid, sweep_factor)
 

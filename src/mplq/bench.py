@@ -20,7 +20,7 @@ from .errors import ConfigurationError, ParameterError, UndefinedRateError
 from .ga import GaParams, run_ga
 from .hqm import HqmParams, RunHistory, run_hqm
 from .instance import GeneratorConfig, Instance, assign_customers, generate_instance
-from .routing import AdjustmentPolicy, compute_delay
+from .routing import AdjustmentPolicy, compute_delay, hold_can_apply
 from .taskgen import TaskPool, build_tasks
 
 SWEEP_FACTORS = (
@@ -34,6 +34,10 @@ class BudgetProfile:
 
     agents: int
     iterations: int
+
+    def __post_init__(self) -> None:
+        if self.agents < 1 or self.iterations < 1:
+            raise ConfigurationError(f"budget agents and iterations must be >= 1: {self}")
 
     @classmethod
     def desk(cls) -> "BudgetProfile":
@@ -59,7 +63,6 @@ class GridConfig:
     solvers: tuple[str, ...] = ("hqm", "ga")
     replications: int = 1
     base_config: GeneratorConfig = field(default_factory=GeneratorConfig)
-    seeds: Optional[tuple[int, ...]] = None
     budget: BudgetProfile = field(default_factory=BudgetProfile.desk)
 
     def __post_init__(self) -> None:
@@ -112,6 +115,7 @@ class GapEntry:
 @dataclass(frozen=True)
 class GridResult:
     rows: tuple[CellOutcome, ...]
+    hold_pools: int  # (cell, replication) pools a hold can apply to; see hold_can_apply
 
     def cell_aggregates(self) -> list[CellAggregate]:
         return _group_means(self.rows, lambda r: (r.spaces, r.locations, r.solver, r.policy))
@@ -141,7 +145,6 @@ class SweepConfig:
     base_config: GeneratorConfig = field(default_factory=GeneratorConfig)
     policy: str = "hcps"
     budget: BudgetProfile = field(default_factory=BudgetProfile.desk)
-    seeds: Optional[tuple[int, ...]] = None
 
     def __post_init__(self) -> None:
         if self.factor not in SWEEP_FACTORS:
@@ -178,11 +181,7 @@ def _replication_seeds(config: Union[GridConfig, SweepConfig]) -> tuple[int, ...
     """One solver/generator seed per replication, counting up from the base seed."""
     if config.replications < 1:
         raise ConfigurationError("replications must be >= 1")
-    if config.seeds is None:
-        return tuple(config.base_config.seed + r for r in range(config.replications))
-    if len(config.seeds) != config.replications:
-        raise ConfigurationError("seeds must provide one seed per replication")
-    return config.seeds
+    return tuple(config.base_config.seed + r for r in range(config.replications))
 
 
 def _group_means(rows: Sequence[CellOutcome], key: Callable) -> list[CellAggregate]:
@@ -250,29 +249,38 @@ def solve(pool: TaskPool, instance: Instance, solver: str, policy: AdjustmentPol
 
     The one entry point for either solver: ``mplq solve``, the grid and the
     factor sweeps all come through here. ``gamma`` and ``tol`` apply to HQM
-    only. The GA keeps an elite fraction of 5%, but at least one individual.
+    only.
     """
     if solver == "hqm":
         params = HqmParams(agents=budget.agents, timesteps=budget.iterations, gamma=gamma,
                            tol=tol, seed=seed)
         return run_hqm(pool, instance, policy, params)
     if solver == "ga":
-        params = GaParams(population=budget.agents, generations=budget.iterations,
-                          elite_fraction=max(0.05, 1.0 / budget.agents), seed=seed)
+        params = GaParams(population=budget.agents, generations=budget.iterations, seed=seed)
         return run_ga(pool, instance, policy, params)
     raise ConfigurationError(f"unknown solver {solver!r}; expected hqm or ga")
 
 
-def _run_cell_replication(args: tuple) -> list[CellOutcome]:
-    """One (cell, replication): every solver x policy on the identical instance."""
+def _run_cell_replication(args: tuple) -> tuple[list[CellOutcome], bool]:
+    """One (cell, replication): every solver x policy on the identical instance.
+
+    Also returns whether a hold can apply to the pool; if not, HCPS plans equal
+    BTD plans, so each solver runs once, under BTD, and its hcps rows reuse it.
+    """
     spaces, locations, rep, seed, base_config, solvers, policies, budget = args
     instance, pool = _generated_pool(
         replace(base_config, num_spaces=spaces, locations_per_space=locations, seed=seed))
+    hold = hold_can_apply(pool, instance)
     rows = []
     for solver in solvers:
+        runs = {}
         for policy_name in policies:
-            best, plan, history = solve(pool, instance, solver,
-                                        AdjustmentPolicy.parse(policy_name), budget, seed)
+            policy = AdjustmentPolicy.parse(policy_name)
+            if not hold:
+                policy = AdjustmentPolicy.BTD
+            if policy not in runs:
+                runs[policy] = solve(pool, instance, solver, policy, budget, seed)
+            best, plan, history = runs[policy]
             _, avg_delay = compute_delay(plan)
             rows.append(CellOutcome(
                 spaces=spaces, locations=locations, solver=solver, policy=policy_name,
@@ -283,7 +291,7 @@ def _run_cell_replication(args: tuple) -> list[CellOutcome]:
                 reward=best.reward,
                 improvement_pct=improvement_rate(history),
             ))
-    return rows
+    return rows, hold
 
 
 def run_grid(grid: GridConfig, jobs: int = 1) -> GridResult:
@@ -296,9 +304,10 @@ def run_grid(grid: GridConfig, jobs: int = 1) -> GridResult:
         for locations in grid.locations_counts
         for rep in range(grid.replications)
     ]
-    rows = [row for chunk in _map(_run_cell_replication, units, jobs) for row in chunk]
+    outcomes = _map(_run_cell_replication, units, jobs)
+    rows = [row for chunk, _ in outcomes for row in chunk]
     rows.sort(key=lambda r: (r.spaces, r.locations, r.replication, r.solver, r.policy))
-    return GridResult(rows=tuple(rows))
+    return GridResult(rows=tuple(rows), hold_pools=sum(hold for _, hold in outcomes))
 
 
 # ---------------------------------------------------------------------------

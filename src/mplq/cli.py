@@ -27,14 +27,14 @@ from .errors import (ConfigurationError, InstanceFormatError, MplqError,
 # run_hqm and run_ga are called only through bench.solve; perfbench/layers.py
 # still wraps these two bindings by name, so they stay imported here.
 from .ga import run_ga  # noqa: F401
-from .hqm import HqmParams, effective_locker_count, run_hqm, write_history_csv  # noqa: F401
+from .hqm import HqmParams, run_hqm, write_history_csv  # noqa: F401
 from .instance import (GeneratorConfig, assign_customers, generate_instance,
                        load_instance, save_instance, validate_instance,
                        write_assignment_csv)
-from .oracle import OracleLimit, brute_force_best, search_space_size
+from .oracle import MAX_ENUMERATIONS, brute_force_best, search_space_size
 from .routing import (AdjustmentPolicy, TravelNoise, check_feasibility,
                       compute_delay, evaluate_solution, write_plan_csv)
-from .state import SearchState
+from .state import SearchState, effective_locker_count
 from .taskgen import build_tasks, write_taskpool_csv
 
 EXIT_OK = 0
@@ -62,6 +62,13 @@ def _config_line(args: argparse.Namespace, seed: int) -> str:
 
 def _print_result(**pairs) -> None:
     print("RESULT " + " ".join(f"{k}={v}" for k, v in pairs.items()))
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -244,12 +251,9 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     instance = load_instance(args.instance)
     _, pool = _prepare(instance)
     policy = AdjustmentPolicy.parse(args.policy)
-    lockers = args.max_lockers
-    if lockers is None:
-        lockers = effective_locker_count(instance.fleet.max_lockers, len(pool))
+    lockers = effective_locker_count(instance.fleet.max_lockers, len(pool))
     try:
-        best, reward = brute_force_best(pool, instance, policy, lockers,
-                                        OracleLimit(max_enumerations=args.limit))
+        best, reward = brute_force_best(pool, instance, policy, limit=args.limit)
     except SearchSpaceLimitError as exc:
         print(f"refused: {exc.cardinality} states exceed the limit {exc.limit}",
               file=sys.stderr)
@@ -280,7 +284,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     bench.write_plotdata(result, out_dir / "plotdata")
     _print_result(command="bench", seed=seed, cells=len(args.spaces) * len(args.locations),
                   replications=args.replications, rows=len(result.rows),
-                  out=str(out_dir / "grid.csv"))
+                  hold_pools=result.hold_pools, out=str(out_dir / "grid.csv"))
     return EXIT_OK
 
 
@@ -353,8 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="exact optimum of a tiny instance")
     p.add_argument("--instance", required=True)
     p.add_argument("--policy", choices=("btd", "hcps"), default="hcps")
-    p.add_argument("--max-lockers", type=int, default=None)
-    p.add_argument("--limit", type=int, default=10_000_000)
+    p.add_argument("--limit", type=_positive_int, default=MAX_ENUMERATIONS)
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=_cmd_oracle)
 

@@ -15,8 +15,8 @@ import numpy as np
 from .errors import NothingToSolveError, ParameterError
 from .instance import Instance
 from .routing import AdjustmentPolicy, RoutePlan
-from .hqm import Evaluator, RunHistory, effective_locker_count
-from .state import SearchState
+from .hqm import Evaluator, RunHistory
+from .state import SearchState, effective_locker_count
 from .taskgen import TaskPool
 
 
@@ -24,7 +24,6 @@ from .taskgen import TaskPool
 class GaParams:
     population: int = 100
     generations: int = 1000
-    elite_fraction: float = 0.05
     crossover_prob: float = 0.5
     mutation_rate: float = 0.05
     seed: int = 0
@@ -36,12 +35,11 @@ class GaParams:
             raise ParameterError("generations must be >= 1")
         if not (0.0 <= self.crossover_prob <= 1.0 and 0.0 <= self.mutation_rate <= 1.0):
             raise ParameterError("probabilities must lie in [0, 1]")
-        if self.elite_fraction * self.population < 1:
-            raise ParameterError("elite_fraction * population must be >= 1")
 
     @property
     def elite_count(self) -> int:
-        return max(1, int(self.elite_fraction * self.population))
+        """The top 5% of the population pass to the next generation, but at least one."""
+        return max(1, int(0.05 * self.population))
 
 
 def _select_index(rewards: np.ndarray, rng: np.random.Generator) -> int:

@@ -19,36 +19,34 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import NothingToSolveError, ShapeError
+from .errors import NothingToSolveError, ParameterError, ShapeError
 from .instance import Instance
 from .routing import AdjustmentPolicy, RoutePlan, evaluate_solution
-from .state import SearchState
+from .state import SearchState, effective_locker_count
 from .taskgen import TaskPool
 
 
 @dataclass
 class HqmParams:
-    """Solver parameters.
-
-    ``epsilon=None`` redraws the greedy threshold uniformly from (0, 1) at
-    every single selection; a float pins it. The learning rate follows the
-    schedule alpha(t) = 0.9 * exp(-t / timesteps).
+    """Solver parameters. The greedy threshold is redrawn from U(0, 1) at every
+    selection; the learning rate follows alpha(t) = 0.9 * exp(-t / timesteps).
     """
 
     agents: int = 100
     timesteps: int = 1000
     gamma: float = 0.9
-    epsilon: Optional[float] = None
     tol: float = 1e-8
     seed: int = 0
 
     def __post_init__(self) -> None:
         if self.agents < 1:
-            raise ValueError("agents must be >= 1")
+            raise ParameterError("agents must be >= 1")
         if self.timesteps < 1:
-            raise ValueError("timesteps must be >= 1")
-        if self.tol <= 0:
-            raise ValueError("tol must be > 0")
+            raise ParameterError("timesteps must be >= 1")
+        if not 0.0 <= self.gamma <= 1.0:
+            raise ParameterError(f"gamma must lie in [0, 1], got {self.gamma}")
+        if not self.tol > 0:
+            raise ParameterError(f"tol must be > 0, got {self.tol}")
 
     def alpha(self, t: int) -> float:
         return 0.9 * math.exp(-t / self.timesteps)
@@ -77,14 +75,12 @@ class QMatrices:
 
 @dataclass
 class Agent:
-    """One solution holder: its accepted states (most recent last) and RNG stream."""
+    """One solution holder: its best accepted state and its RNG stream."""
 
-    states: list[SearchState]
     best: SearchState
     rng: np.random.Generator
 
     def accept(self, state: SearchState) -> None:
-        self.states.append(state)
         self.best = state
 
 
@@ -109,11 +105,6 @@ def write_history_csv(history: RunHistory, path: Union[str, Path],
     for t, r in enumerate(history.best_per_step, start=1):
         lines.append(f"{t},{r!r}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def effective_locker_count(max_lockers: int, num_tasks: int) -> int:
-    """Lockers worth distinguishing: never more than one per task."""
-    return max(1, min(max_lockers, num_tasks))
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +161,7 @@ def init_agents(pool: TaskPool, max_lockers: int, params: HqmParams,
         rng = np.random.default_rng(s)
         state = SearchState(x1=rng.integers(0, lockers, size=n),
                             x2=rng.permutation(n))
-        agents.append(Agent(states=[state], best=state, rng=rng))
+        agents.append(Agent(best=state, rng=rng))
     return agents, QMatrices.zeros(lockers, n)
 
 
@@ -208,14 +199,14 @@ def _pick_from_row(row: np.ndarray, candidates: np.ndarray, epsilon: Optional[fl
 
 
 def global_construct(agent: Agent, qmats: QMatrices, epsilon: Optional[float] = None,
-                     rng: Optional[np.random.Generator] = None) -> SearchState:
+                     ) -> SearchState:
     """Build a full state by walking both chains of the normalized tables.
 
     The allocation vector is filled task by task, each locker drawn from the
     row of its predecessor (virtual start row first). The permutation is built
     the same way with already-used tasks masked out and the row renormalized.
     """
-    rng = rng if rng is not None else agent.rng
+    rng = agent.rng
     n_lockers = qmats.q1.shape[1]
     n_tasks = qmats.q2.shape[1]
 
@@ -241,14 +232,13 @@ def global_construct(agent: Agent, qmats: QMatrices, epsilon: Optional[float] = 
 
 
 def local_move(state: SearchState, neighbor: SearchState, omega: Optional[float] = None,
-               rng: Optional[np.random.Generator] = None,
-               max_lockers: Optional[int] = None) -> SearchState:
+               rng: Optional[np.random.Generator] = None, *, max_lockers: int) -> SearchState:
     """Differential step: new = state + omega * (state - neighbor), repaired.
 
     The allocation vector is repaired by rounding and wrapping modulo
-    ``max_lockers`` (inferred from the parents when omitted); the permutation
-    by rank-ordering the raw values (stable ties). omega defaults to a fresh
-    U(-1, 1) draw; omega = 0 returns an exact copy.
+    ``max_lockers``; the permutation by rank-ordering the raw values (stable
+    ties). omega defaults to a fresh U(-1, 1) draw; omega = 0 returns an exact
+    copy.
     """
     if state.x1.shape != neighbor.x1.shape or state.x2.shape != neighbor.x2.shape:
         raise ShapeError("states come from different task pools")
@@ -257,11 +247,8 @@ def local_move(state: SearchState, neighbor: SearchState, omega: Optional[float]
             raise ValueError("either omega or rng must be provided")
         omega = float(rng.uniform(-1.0, 1.0))
 
-    lockers = max_lockers
-    if lockers is None:
-        lockers = int(max(state.x1.max(initial=0), neighbor.x1.max(initial=0))) + 1
     raw1 = state.x1 + omega * (state.x1 - neighbor.x1)
-    x1 = np.mod(np.rint(raw1).astype(np.int64), lockers)
+    x1 = np.mod(np.rint(raw1).astype(np.int64), max_lockers)
 
     raw2 = state.x2 + omega * (state.x2 - neighbor.x2)
     order = np.argsort(raw2, kind="stable")
@@ -331,7 +318,7 @@ def run_hqm(pool: TaskPool, instance: Instance, policy: AdjustmentPolicy,
         normalized = QMatrices(q1=normalize_q(qmats.q1), q2=normalize_q(qmats.q2))
 
         for agent in agents:
-            candidate = global_construct(agent, normalized, params.epsilon)
+            candidate = global_construct(agent, normalized)
             if evaluator.reward(candidate) > agent.best.reward:
                 agent.accept(candidate)
 
@@ -368,7 +355,6 @@ __all__ = [
     "Agent",
     "RunHistory",
     "Evaluator",
-    "effective_locker_count",
     "init_agents",
     "normalize_q",
     "global_construct",

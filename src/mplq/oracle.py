@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -18,17 +17,10 @@ import numpy as np
 from .errors import NothingToSolveError, SearchSpaceLimitError
 from .instance import Instance
 from .routing import AdjustmentPolicy, evaluate_solution
-from .state import SearchState
+from .state import SearchState, effective_locker_count
 from .taskgen import TaskPool
 
-
-@dataclass(frozen=True)
-class OracleLimit:
-    max_enumerations: int = 10_000_000
-
-    def __post_init__(self) -> None:
-        if self.max_enumerations <= 0:
-            raise ValueError("max_enumerations must be > 0")
+MAX_ENUMERATIONS = 10_000_000
 
 
 def search_space_size(num_tasks: int, max_lockers: int) -> int:
@@ -36,21 +28,21 @@ def search_space_size(num_tasks: int, max_lockers: int) -> int:
 
 
 def brute_force_best(pool: TaskPool, instance: Instance, policy: AdjustmentPolicy,
-                     max_lockers: int, limit: Optional[OracleLimit] = None,
-                     ) -> tuple[SearchState, float]:
+                     limit: int = MAX_ENUMERATIONS) -> tuple[SearchState, float]:
     """Enumerate all (allocation, permutation) pairs and return the best.
 
-    Refuses (with the computed cardinality) when the space exceeds the limit.
-    Ties break toward the lexicographically smallest pair; no randomness is
-    involved.
+    Allocations range over ``effective_locker_count`` lockers, as the solvers'
+    do. Refuses (with the computed cardinality) when the space holds more than
+    ``limit`` states. Ties break toward the lexicographically smallest pair; no
+    randomness is involved.
     """
     n = len(pool)
     if n == 0:
         raise NothingToSolveError("task pool is empty")
-    limit = limit or OracleLimit()
+    max_lockers = effective_locker_count(instance.fleet.max_lockers, n)
     cardinality = search_space_size(n, max_lockers)
-    if cardinality > limit.max_enumerations:
-        raise SearchSpaceLimitError(cardinality, limit.max_enumerations)
+    if cardinality > limit:
+        raise SearchSpaceLimitError(cardinality, limit)
 
     best_state: Optional[SearchState] = None
     best_reward = -math.inf
@@ -68,4 +60,4 @@ def brute_force_best(pool: TaskPool, instance: Instance, policy: AdjustmentPolic
     return best_state, best_reward
 
 
-__all__ = ["OracleLimit", "search_space_size", "brute_force_best"]
+__all__ = ["MAX_ENUMERATIONS", "search_space_size", "brute_force_best"]

@@ -112,8 +112,6 @@ class RoutePlan:
     routes: tuple[LockerRoute, ...]
     total_distance: float
     lockers_dispatched: int
-    total_lateness: float
-    average_lateness: float
 
     def all_visits(self) -> list[VisitRecord]:
         return [v for route in self.routes for v in route.visits]
@@ -121,8 +119,6 @@ class RoutePlan:
 
 @dataclass(frozen=True)
 class CostBreakdown:
-    fleet_term: float
-    travel_term: float
     objective: float
     reward: float
 
@@ -283,12 +279,10 @@ def schedule_route(tasks: Sequence[Task], instance: Instance, policy: Adjustment
 def compute_cost(lockers_dispatched: int, total_distance: float, instance: Instance) -> CostBreakdown:
     """Weighted fleet-size plus travel objective and its reciprocal reward."""
     w1, w2 = instance.weights
-    fleet_term = w1 * instance.fleet.fixed_cost * lockers_dispatched
-    travel_term = w2 * instance.fleet.unit_travel_cost * total_distance
-    objective = fleet_term + travel_term
+    objective = (w1 * instance.fleet.fixed_cost * lockers_dispatched
+                 + w2 * instance.fleet.unit_travel_cost * total_distance)
     reward = 1.0 / objective if objective > 0 else math.inf
-    return CostBreakdown(fleet_term=fleet_term, travel_term=travel_term,
-                         objective=objective, reward=reward)
+    return CostBreakdown(objective=objective, reward=reward)
 
 
 def evaluate_solution(state: SearchState, pool: TaskPool, instance: Instance,
@@ -296,9 +290,9 @@ def evaluate_solution(state: SearchState, pool: TaskPool, instance: Instance,
                       ) -> tuple[RoutePlan, CostBreakdown]:
     """Score one candidate solution.
 
-    Tasks are partitioned by ``x1``, each locker's list is ordered by ``x2``
-    priority and then stably sorted by window start, and every route is
-    scheduled under ``policy``. Pure in (state, pool, instance, policy, noise
+    Tasks are partitioned by ``x1``, each locker's list is ordered by window
+    start with ``x2`` priority breaking ties, and every route is scheduled
+    under ``policy``. Pure in (state, pool, instance, policy, noise
     seed); safe to call in parallel.
     """
     n = len(pool)
@@ -314,28 +308,35 @@ def evaluate_solution(state: SearchState, pool: TaskPool, instance: Instance,
     timer = TravelTimer(instance.fleet.speed, noise)
     routes = []
     total_distance = 0.0
-    total_lateness = 0.0
-    visit_count = 0
     for locker in sorted(by_locker):
-        ids = sorted(by_locker[locker], key=lambda t: priority[t])
-        ids.sort(key=lambda t: pool.tasks[t].window.start)  # stable: x2 breaks ties
+        ids = sorted(by_locker[locker], key=lambda t: (pool.tasks[t].window.start, priority[t]))
         tasks = [pool.tasks[t] for t in ids]
         route = schedule_route(tasks, instance, policy,
                                locker_id=locker, task_ids=ids, timer=timer)
         routes.append(route)
         total_distance += route.distance_km
-        total_lateness += sum(v.lateness for v in route.visits)
-        visit_count += len(route.visits)
 
-    plan = RoutePlan(
-        routes=tuple(routes),
-        total_distance=total_distance,
-        lockers_dispatched=len(routes),
-        total_lateness=total_lateness,
-        average_lateness=total_lateness / visit_count if visit_count else 0.0,
-    )
+    plan = RoutePlan(routes=tuple(routes), total_distance=total_distance,
+                     lockers_dispatched=len(routes))
     cost = compute_cost(plan.lockers_dispatched, plan.total_distance, instance)
     return plan, cost
+
+
+def hold_can_apply(pool: TaskPool, instance: Instance) -> bool:
+    """Whether HCPS can ever plan differently from BTD on ``pool``.
+
+    True when some task's window outlasts its start plus its space's service
+    time by more than 1e-10. Otherwise no hold can apply: a locker leaves a
+    task no earlier than its window start plus the service time, so holding
+    until the window ends never reaches the next opening within the
+    ``_EPS`` early-arrival margin, HCPS falls back to the depot detour at
+    every early arrival, and its plans equal BTD's for every state, with or
+    without travel noise. The 1e-10 absorbs the 1-ulp rounding of the
+    ``build_tasks`` slices, which last exactly one service time.
+    """
+    return any(task.window.end
+               > task.window.start + instance.space_by_id(task.space_id).service_time + 1e-10
+               for task in pool.tasks)
 
 
 def compute_delay(plan: RoutePlan) -> tuple[float, float]:
@@ -470,6 +471,7 @@ __all__ = [
     "schedule_route",
     "compute_cost",
     "evaluate_solution",
+    "hold_can_apply",
     "compute_delay",
     "check_feasibility",
     "write_plan_csv",

@@ -33,6 +33,11 @@ class SearchState:
         return self.x1.tobytes(), self.x2.tobytes()
 
 
+def effective_locker_count(max_lockers: int, num_tasks: int) -> int:
+    """Lockers worth distinguishing, and so the range of x1: never more than one per task."""
+    return max(1, min(max_lockers, num_tasks))
+
+
 def validate_state(state: SearchState, num_tasks: int, max_lockers: int) -> None:
     """Raise ShapeError unless ``state`` is a well-formed point of the search space."""
     if state.x1.shape != (num_tasks,) or state.x2.shape != (num_tasks,):
@@ -48,4 +53,4 @@ def validate_state(state: SearchState, num_tasks: int, max_lockers: int) -> None
         raise ShapeError("x2 is not a permutation of the task ids")
 
 
-__all__ = ["SearchState", "validate_state"]
+__all__ = ["SearchState", "effective_locker_count", "validate_state"]

@@ -11,8 +11,7 @@ import pytest
 from mplq.bench import improvement_rate, reward_gap
 from mplq.cli import run_cli
 from mplq.ga import GaParams, run_ga
-from mplq.hqm import (HqmParams, QMatrices, effective_locker_count, has_converged,
-                      run_hqm, update_q)
+from mplq.hqm import HqmParams, QMatrices, has_converged, run_hqm, update_q
 from mplq.instance import (GeneratorConfig, Position, assign_customers,
                            generate_instance)
 from mplq.oracle import brute_force_best
@@ -52,8 +51,7 @@ def tiny_suite():
         if not (1 <= len(pool) <= 4):
             continue
         policy = AdjustmentPolicy.HCPS
-        lockers = effective_locker_count(instance.fleet.max_lockers, len(pool))
-        oracle_state, oracle_reward = brute_force_best(pool, instance, policy, lockers)
+        oracle_state, oracle_reward = brute_force_best(pool, instance, policy)
         hqm_best, hqm_plan, hqm_hist = run_hqm(
             pool, instance, policy,
             HqmParams(agents=DESK_AGENTS, timesteps=DESK_TIMESTEPS_TINY, seed=cfg.seed))

@@ -1,8 +1,10 @@
 import csv
 import math
+from dataclasses import replace
 
 import pytest
 
+from mplq import bench
 from mplq.bench import (BudgetProfile, GridConfig, SweepConfig, apply_factor,
                         improvement_rate, read_grid_rows, read_sweep_points,
                         reward_gap, run_grid, sweep_factor, write_grid_csv,
@@ -10,6 +12,7 @@ from mplq.bench import (BudgetProfile, GridConfig, SweepConfig, apply_factor,
 from mplq.errors import ConfigurationError, ParameterError, UndefinedRateError
 from mplq.hqm import RunHistory
 from mplq.instance import GeneratorConfig
+from mplq.routing import AdjustmentPolicy
 
 
 def test_improvement_rate_formula():
@@ -126,6 +129,41 @@ def test_grid_csv_block_means_match_rep_rows(tmp_path):
             sum(int(r["lockers"]) for r in reps) / len(reps))
 
 
+def _count_solves(monkeypatch):
+    calls = []
+    real_solve = bench.solve
+
+    def counting_solve(pool, instance, solver, policy, *args):
+        calls.append((solver, policy))
+        return real_solve(pool, instance, solver, policy, *args)
+
+    monkeypatch.setattr(bench, "solve", counting_solve)
+    return calls
+
+
+def test_grid_solves_once_per_solver_when_no_hold_can_apply(monkeypatch):
+    calls = _count_solves(monkeypatch)
+    result = run_grid(_tiny_grid(locations_counts=(3, 4), replications=2))
+    assert result.hold_pools == 0
+    assert len(calls) == 2 * 2 * 2  # (cell, replication) pools x solvers
+    assert {policy for _, policy in calls} == {AdjustmentPolicy.BTD}
+    rows = {(r.spaces, r.locations, r.replication, r.solver, r.policy): r for r in result.rows}
+    hcps = [key for key in rows if key[-1] == "hcps"]
+    assert len(hcps) == 8
+    for key in hcps:
+        assert replace(rows[key], policy="btd") == rows[key[:-1] + ("btd",)]
+
+
+def test_grid_solves_both_policies_when_a_hold_can_apply(monkeypatch):
+    calls = _count_solves(monkeypatch)
+    monkeypatch.setattr(bench, "hold_can_apply", lambda pool, instance: True)
+    result = run_grid(_tiny_grid())
+    assert result.hold_pools == 1
+    assert len(calls) == 4
+    assert set(calls) == {(solver, policy) for solver in ("hqm", "ga")
+                          for policy in (AdjustmentPolicy.BTD, AdjustmentPolicy.HCPS)}
+
+
 def test_grid_same_seed_reproducible():
     r1 = run_grid(_tiny_grid())
     r2 = run_grid(_tiny_grid())
@@ -140,8 +178,6 @@ def test_grid_parallel_matches_serial():
 def test_grid_config_validation():
     with pytest.raises(ConfigurationError):
         GridConfig(spaces_counts=())
-    with pytest.raises(ConfigurationError):
-        GridConfig(replications=2, seeds=(1,))
 
 
 def test_budget_profiles():
@@ -149,6 +185,9 @@ def test_budget_profiles():
     assert BudgetProfile.named("paper") == BudgetProfile(agents=100, iterations=1000)
     with pytest.raises(ConfigurationError):
         BudgetProfile.named("weekend")
+    for agents, iterations in ((0, 200), (20, 0), (-1, 5)):
+        with pytest.raises(ConfigurationError):
+            BudgetProfile(agents=agents, iterations=iterations)
 
 
 def test_apply_factor_mappings():
@@ -200,8 +239,6 @@ def test_sweep_config_validation():
         SweepConfig(factor="bogus", values=(1.0,))
     with pytest.raises(ConfigurationError):
         SweepConfig(factor="Q", values=())
-    with pytest.raises(ConfigurationError):
-        SweepConfig(factor="Q", values=(20.0,), replications=2, seeds=(1,))
     with pytest.raises(ConfigurationError):
         SweepConfig(factor="Q", values=(20.0,), replications=0)
 

@@ -134,6 +134,40 @@ def test_solve_reward_matches_grid_row(instance_file, tmp_path, capsys, solver):
     assert f"reward={row.reward!r}" in line.split()
 
 
+@pytest.mark.parametrize("flags", [["--agents", "0"], ["--iters", "0"],
+                                   ["--solver", "ga", "--agents", "0"],
+                                   ["--solver", "ga", "--iters", "-3"]])
+def test_solve_rejects_non_positive_budget(instance_file, tmp_path, capsys, flags):
+    out_dir = tmp_path / "out"
+    code = run_cli(["solve", "--instance", str(instance_file), *flags,
+                    "--out-dir", str(out_dir)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: budget ")
+    assert not out_dir.exists()
+
+
+def test_solve_rejects_non_positive_budget_in_config(instance_file, tmp_path, capsys):
+    cfg = tmp_path / "solver.json"
+    cfg.write_text(json.dumps({"agents": 0}))
+    code = run_cli(["solve", "--instance", str(instance_file), "--config", str(cfg),
+                    "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: budget ")
+
+
+@pytest.mark.parametrize("flags, message", [(["--tol", "0"], "tol"),
+                                            (["--tol", "nan"], "tol"),
+                                            (["--gamma", "50"], "gamma"),
+                                            (["--gamma", "-0.1"], "gamma")])
+def test_solve_rejects_bad_hqm_parameters(instance_file, tmp_path, capsys, flags, message):
+    out_dir = tmp_path / "out"
+    code = run_cli(["solve", "--instance", str(instance_file), "--agents", "4",
+                    "--iters", "5", *flags, "--out-dir", str(out_dir)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: {message} must ")
+    assert not out_dir.exists()
+
+
 def test_solve_with_travel_noise_is_reproducible(instance_file, tmp_path, capsys):
     args = ["solve", "--instance", str(instance_file), "--agents", "6",
             "--iters", "20", "--seed", "4", "--noise-sigma", "0.3",
@@ -176,6 +210,15 @@ def test_oracle_refuses_above_limit(instance_file, capsys):
     err = capsys.readouterr().err
     assert code == 1
     assert "refused" in err and "exceed" in err
+
+
+@pytest.mark.parametrize("flags", [["--limit", "0"], ["--limit", "-5"],
+                                   ["--limit", "many"], ["--max-lockers", "2"]])
+def test_oracle_rejects_bad_flags_at_parse_time(instance_file, capsys, flags):
+    code = run_cli(["oracle", "--instance", str(instance_file), *flags])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("usage: mplq") and "RESULT" not in captured.out
 
 
 def test_unknown_flag_exits_2(capsys):

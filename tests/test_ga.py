@@ -25,10 +25,9 @@ def test_params_validation():
     with pytest.raises(ParameterError):
         GaParams(population=1)
     with pytest.raises(ParameterError):
-        GaParams(population=10, elite_fraction=0.05)  # 0.5 elite < 1
-    with pytest.raises(ParameterError):
         GaParams(crossover_prob=1.5)
     assert GaParams(population=100).elite_count == 5
+    assert GaParams(population=10).elite_count == 1  # 0.5 elite rounds up to one
 
 
 def test_elites_pass_through_unchanged():
@@ -65,7 +64,7 @@ def test_population_size_constant_and_children_valid():
 def test_next_generation_requires_two_individuals():
     pop = _evaluated_population(2, 3, 2)
     with pytest.raises(ParameterError):
-        next_generation(pop[:1], GaParams(population=2, elite_fraction=0.5),
+        next_generation(pop[:1], GaParams(population=2),
                         np.random.default_rng(0), max_lockers=2)
 
 
@@ -73,7 +72,7 @@ def test_next_generation_requires_evaluated_population():
     pop = _evaluated_population(4, 3, 2)
     pop[2].reward = None
     with pytest.raises(ParameterError):
-        next_generation(pop, GaParams(population=4, elite_fraction=0.25),
+        next_generation(pop, GaParams(population=4),
                         np.random.default_rng(0), max_lockers=2)
 
 
@@ -95,7 +94,7 @@ def _tiny_pool():
 
 def test_run_ga_elitism_monotone():
     pool, inst = _tiny_pool()
-    params = GaParams(population=12, generations=40, elite_fraction=0.1, seed=5)
+    params = GaParams(population=12, generations=40, seed=5)
     best, plan, history = run_ga(pool, inst, AdjustmentPolicy.HCPS, params)
     assert history.final_best >= history.initial_best
     assert all(y >= x for x, y in zip(history.best_per_step, history.best_per_step[1:]))
@@ -105,7 +104,7 @@ def test_run_ga_elitism_monotone():
 
 def test_run_ga_deterministic():
     pool, inst = _tiny_pool()
-    params = GaParams(population=10, generations=25, elite_fraction=0.1, seed=9)
+    params = GaParams(population=10, generations=25, seed=9)
     b1, _, h1 = run_ga(pool, inst, AdjustmentPolicy.BTD, params)
     b2, _, h2 = run_ga(pool, inst, AdjustmentPolicy.BTD, params)
     assert h1.best_per_step == h2.best_per_step

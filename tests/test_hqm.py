@@ -3,13 +3,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mplq.errors import NothingToSolveError, ShapeError
-from mplq.hqm import (Agent, HqmParams, QMatrices, effective_locker_count,
-                      global_construct, has_converged, init_agents, local_move,
-                      normalize_q, run_hqm, update_q, write_history_csv)
+from mplq.hqm import (Agent, HqmParams, QMatrices, global_construct, has_converged,
+                      init_agents, local_move, normalize_q, run_hqm, update_q,
+                      write_history_csv)
 from mplq.hqm import _pick_from_row
 from mplq.instance import GeneratorConfig, assign_customers, generate_instance
 from mplq.oracle import brute_force_best
 from mplq.routing import AdjustmentPolicy
+from mplq.state import effective_locker_count
 from mplq.taskgen import TaskPool, build_tasks
 from helpers import make_pool, make_state, make_task
 
@@ -45,7 +46,7 @@ def test_normalize_rejects_non_finite():
 
 
 def _empty_pool_agent(seed=0):
-    return Agent(states=[], best=make_state([], []), rng=np.random.default_rng(seed))
+    return Agent(best=make_state([], []), rng=np.random.default_rng(seed))
 
 
 def test_greedy_branch_follows_argmax():
@@ -106,7 +107,7 @@ def test_construct_always_yields_permutation():
 def test_local_move_zero_omega_is_identity():
     s = make_state([1, 0, 1], [2, 0, 1])
     n = make_state([0, 1, 1], [0, 1, 2])
-    out = local_move(s, n, omega=0.0)
+    out = local_move(s, n, omega=0.0, max_lockers=2)
     assert out.x1.tolist() == s.x1.tolist()
     assert out.x2.tolist() == s.x2.tolist()
 
@@ -114,7 +115,7 @@ def test_local_move_zero_omega_is_identity():
 def test_local_move_rank_repair():
     s = make_state([0, 0, 0], [0, 1, 2])
     n = make_state([0, 0, 0], [2, 1, 0])
-    out = local_move(s, n, omega=1.0)
+    out = local_move(s, n, omega=1.0, max_lockers=1)
     assert out.x2.tolist() == [0, 1, 2]  # raw [-2, 1, 4] keeps the ordering
 
 
@@ -127,7 +128,8 @@ def test_local_move_modular_wrap():
 
 def test_local_move_shape_mismatch():
     with pytest.raises(ShapeError):
-        local_move(make_state([0], [0]), make_state([0, 0], [0, 1]), omega=0.5)
+        local_move(make_state([0], [0]), make_state([0, 0], [0, 1]), omega=0.5,
+                   max_lockers=1)
 
 
 @settings(max_examples=60)
@@ -247,8 +249,7 @@ def test_effective_locker_count():
 def test_run_hqm_reaches_oracle_on_tiny_instance():
     pool, inst = _pool_and_instance(seed=3)
     assert 1 <= len(pool) <= 5
-    m = effective_locker_count(inst.fleet.max_lockers, len(pool))
-    _, opt = brute_force_best(pool, inst, AdjustmentPolicy.HCPS, m)
+    _, opt = brute_force_best(pool, inst, AdjustmentPolicy.HCPS)
     best, plan, history = run_hqm(pool, inst, AdjustmentPolicy.HCPS,
                                   HqmParams(agents=15, timesteps=300, seed=5))
     assert best.reward == pytest.approx(opt, rel=1e-12)

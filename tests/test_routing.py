@@ -2,12 +2,15 @@ import numpy as np
 import pytest
 
 from mplq.errors import ParameterError, ShapeError
-from mplq.instance import Position, TimeWindow
+from mplq.instance import (GeneratorConfig, Position, TimeWindow, assign_customers,
+                           generate_instance)
 from mplq.routing import (Adjustment, AdjustmentPolicy, LockerRoute, RoutePlan,
                           TravelNoise, VisitRecord, apply_btd, apply_hcps,
                           check_feasibility, compute_delay, earliest_schedule,
-                          evaluate_solution, schedule_route, travel_time,
-                          write_plan_csv)
+                          evaluate_solution, hold_can_apply, schedule_route,
+                          travel_time, write_plan_csv)
+from mplq.state import effective_locker_count
+from mplq.taskgen import build_tasks
 from helpers import make_instance, make_pool, make_space, make_state, make_task
 
 
@@ -150,6 +153,51 @@ def test_hcps_escalates_to_btd_when_holding_cannot_reach_window():
     assert second.adjustment is Adjustment.BTD
     assert second.service_start == pytest.approx(500.0)
     assert second.arrival <= second.service_start
+
+
+def test_hold_can_apply_when_a_window_outlasts_its_service_time():
+    spaces = [make_space(1, 1.0, 0.0, window=(0, 200), service_time=10.0),
+              make_space(2, 2.0, 0.0, window=(150, 350), service_time=10.0)]
+    inst = make_instance(spaces, speed=1.0, max_lockers=1)
+    pool = make_pool([make_task(1, window=(0, 200)), make_task(2, window=(150, 350))])
+    assert hold_can_apply(pool, inst)
+    state = make_state([0, 0], [0, 1])
+    hold, _ = evaluate_solution(state, pool, inst, AdjustmentPolicy.HCPS)
+    detour, _ = evaluate_solution(state, pool, inst, AdjustmentPolicy.BTD)
+    assert hold != detour
+
+
+def _generated_pools():
+    for spaces, locations in ((2, 3), (5, 5), (6, 10), (8, 15)):
+        for seed in range(6):
+            inst = generate_instance(GeneratorConfig(num_spaces=spaces,
+                                                     locations_per_space=locations, seed=seed))
+            yield inst, build_tasks(inst, assign_customers(inst))
+
+
+def test_hold_cannot_apply_on_generated_pools():
+    pools = list(_generated_pools())
+    assert not any(hold_can_apply(pool, inst) for inst, pool in pools)
+    # Rounding leaves some slices one ulp longer than the service time.
+    assert any(t.window.start + inst.space_by_id(t.space_id).service_time < t.window.end
+               for inst, pool in pools for t in pool.tasks)
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.5])
+def test_generated_pools_plan_identically_under_both_policies(sigma):
+    rng = np.random.default_rng(0)
+    detours = 0
+    for inst, pool in _generated_pools():
+        n = len(pool)
+        lockers = min(3, effective_locker_count(inst.fleet.max_lockers, n))
+        noise = TravelNoise(sigma=sigma, seed=1) if sigma else None
+        for _ in range(5):
+            state = make_state(rng.integers(0, lockers, size=n), rng.permutation(n))
+            btd = evaluate_solution(state, pool, inst, AdjustmentPolicy.BTD, noise=noise)
+            hcps = evaluate_solution(state, pool, inst, AdjustmentPolicy.HCPS, noise=noise)
+            assert hcps == btd
+            detours += sum(v.adjustment is Adjustment.BTD for v in btd[0].all_visits())
+    assert detours > 0
 
 
 def test_lateness_recorded_when_service_starts_after_window_end():
@@ -358,9 +406,7 @@ def _plan_with_lateness(values):
         for k, v in enumerate(values))
     route = LockerRoute(locker_id=0, visits=visits, depot_departure=0.0,
                         depot_return=1.0, distance_km=0.0)
-    return RoutePlan(routes=(route,), total_distance=0.0, lockers_dispatched=1,
-                     total_lateness=sum(values),
-                     average_lateness=sum(values) / len(values) if values else 0.0)
+    return RoutePlan(routes=(route,), total_distance=0.0, lockers_dispatched=1)
 
 
 def test_compute_delay_zero_when_on_time():
@@ -376,8 +422,7 @@ def test_compute_delay_average():
 
 
 def test_compute_delay_empty_plan():
-    plan = RoutePlan(routes=(), total_distance=0.0, lockers_dispatched=0,
-                     total_lateness=0.0, average_lateness=0.0)
+    plan = RoutePlan(routes=(), total_distance=0.0, lockers_dispatched=0)
     assert compute_delay(plan) == (0.0, 0.0)
 
 
@@ -424,7 +469,7 @@ def test_feasibility_soft_lateness_matches_recorded():
     pool = make_pool([make_task(1, window=(0, 10)), make_task(2, window=(10, 20))])
     state = make_state([0, 0], [0, 1])
     plan, _ = evaluate_solution(state, pool, inst, AdjustmentPolicy.HCPS)
-    assert plan.total_lateness > 0
+    assert compute_delay(plan)[0] > 0
     report = check_feasibility(plan, state, pool, inst)
     assert not report.hard()
     recorded = {v.task_id: v.lateness for v in plan.all_visits() if v.lateness > 0}
