@@ -11,8 +11,7 @@ from .errors import (ConfigurationError, InstanceFormatError, MplqError,
 from .instance import (Assignment, Customer, CustomerLocation, FleetSpec,
                        GeneratorConfig, Instance, ParkingSpace, Position,
                        TimeWindow, assign_customers, generate_instance,
-                       load_instance, roundtrip_instance, save_instance,
-                       validate_instance)
+                       load_instance, save_instance, validate_instance)
 from .taskgen import SubInterval, Task, TaskPool, build_tasks, partition_subintervals, reduce_availability
 from .routing import (AdjustmentPolicy, Adjustment, CostBreakdown, FeasibilityReport,
                       RoutePlan, TravelNoise, VisitRecord, apply_btd, apply_hcps,

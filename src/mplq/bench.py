@@ -16,7 +16,8 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
 
-from .errors import ConfigurationError, ParameterError, UndefinedRateError
+from .errors import (ConfigurationError, NothingToSolveError, ParameterError,
+                     UndefinedRateError)
 from .ga import GaParams, run_ga
 from .hqm import HqmParams, RunHistory, run_hqm
 from .instance import GeneratorConfig, Instance, assign_customers, generate_instance
@@ -96,7 +97,6 @@ class CellAggregate:
     locations: int
     solver: str
     policy: str
-    lockers_mean: float
     lockers_mean_rounded_up: int
     distance_mean: float
     delay_mean: float
@@ -116,6 +116,7 @@ class GapEntry:
 class GridResult:
     rows: tuple[CellOutcome, ...]
     hold_pools: int  # (cell, replication) pools a hold can apply to; see hold_can_apply
+    empty_pools: int  # (cell, replication) pools with no task, which are skipped
 
     def cell_aggregates(self) -> list[CellAggregate]:
         return _group_means(self.rows, lambda r: (r.spaces, r.locations, r.solver, r.policy))
@@ -161,7 +162,7 @@ class SweepPoint:
     value: float
     mean_delay: float
     stderr: float
-    replications: int
+    replications: int  # replications solved; those whose pool held no task are left out
 
 
 def _mean(values: Sequence[float]) -> float:
@@ -191,11 +192,9 @@ def _group_means(rows: Sequence[CellOutcome], key: Callable) -> list[CellAggrega
         groups.setdefault(key(row), []).append(row)
     out = []
     for (spaces, locations, solver, policy), members in sorted(groups.items()):
-        lockers = _mean([r.lockers for r in members])
         out.append(CellAggregate(
             spaces=spaces, locations=locations, solver=solver, policy=policy,
-            lockers_mean=lockers,
-            lockers_mean_rounded_up=math.ceil(lockers),
+            lockers_mean_rounded_up=math.ceil(_mean([r.lockers for r in members])),
             distance_mean=_mean([r.distance_km for r in members]),
             delay_mean=_mean([r.avg_delay_min for r in members]),
             reward_mean=_mean([r.reward for r in members]),
@@ -266,10 +265,13 @@ def _run_cell_replication(args: tuple) -> tuple[list[CellOutcome], bool]:
 
     Also returns whether a hold can apply to the pool; if not, HCPS plans equal
     BTD plans, so each solver runs once, under BTD, and its hcps rows reuse it.
+    A pool with no task gives no rows.
     """
     spaces, locations, rep, seed, base_config, solvers, policies, budget = args
     instance, pool = _generated_pool(
         replace(base_config, num_spaces=spaces, locations_per_space=locations, seed=seed))
+    if len(pool) == 0:
+        return [], False
     hold = hold_can_apply(pool, instance)
     rows = []
     for solver in solvers:
@@ -295,7 +297,10 @@ def _run_cell_replication(args: tuple) -> tuple[list[CellOutcome], bool]:
 
 
 def run_grid(grid: GridConfig, jobs: int = 1) -> GridResult:
-    """Run the full grid; every solver/policy pair sees identical instances."""
+    """Run the full grid; every solver/policy pair sees identical instances.
+
+    Pools with no task are skipped and counted in ``empty_pools``.
+    """
     seeds = _replication_seeds(grid)
     units = [
         (spaces, locations, rep, seeds[rep], grid.base_config,
@@ -307,7 +312,8 @@ def run_grid(grid: GridConfig, jobs: int = 1) -> GridResult:
     outcomes = _map(_run_cell_replication, units, jobs)
     rows = [row for chunk, _ in outcomes for row in chunk]
     rows.sort(key=lambda r: (r.spaces, r.locations, r.replication, r.solver, r.policy))
-    return GridResult(rows=tuple(rows), hold_pools=sum(hold for _, hold in outcomes))
+    return GridResult(rows=tuple(rows), hold_pools=sum(hold for _, hold in outcomes),
+                      empty_pools=sum(not chunk for chunk, _ in outcomes))
 
 
 # ---------------------------------------------------------------------------
@@ -342,17 +348,22 @@ def apply_factor(base: GeneratorConfig, factor: str, value: float) -> GeneratorC
 
 
 def _run_sweep_point(args: tuple) -> SweepPoint:
+    """Mean delay over the replications whose pool holds at least one task."""
     factor, value, base_config, policy_name, budget, seeds = args
     policy = AdjustmentPolicy.parse(policy_name)
     delays = []
     for seed in seeds:
         instance, pool = _generated_pool(apply_factor(replace(base_config, seed=seed),
                                                       factor, value))
+        if len(pool) == 0:
+            continue
         _, plan, _ = solve(pool, instance, "hqm", policy, budget, seed)
         _, avg_delay = compute_delay(plan)
         delays.append(avg_delay)
+    if not delays:
+        raise NothingToSolveError(f"sweep point {factor}={value}: every task pool is empty")
     return SweepPoint(factor=factor, value=value, mean_delay=_mean(delays),
-                      stderr=_stderr(delays), replications=len(seeds))
+                      stderr=_stderr(delays), replications=len(delays))
 
 
 def sweep_factor(sweep: SweepConfig, jobs: int = 1) -> list[SweepPoint]:

@@ -1,12 +1,14 @@
 """Command-line driver: generate, solve, validate, oracle, bench, sweep.
 
-Every command honors --seed (falling back to the MPLQ_SEED environment
-variable) and writes outputs whose first line records the resolved
-configuration, so any run can be reproduced from its artifacts. A final
-machine-readable RESULT line of key=value pairs is printed on success.
+generate, solve, bench and sweep take --seed (falling back to the MPLQ_SEED
+environment variable, then 0); the other two commands draw no random numbers.
+solve's plan.csv, history.csv, metrics.txt and solution.json, bench's
+grid.csv and sweep's sweep.csv record the resolved configuration, so any run
+can be reproduced from its artifacts. A final machine-readable RESULT line of
+key=value pairs is printed on success.
 
-Exit codes: 0 success, 1 infeasible result or refused computation, 2 usage or
-file-parse error.
+Exit codes: 0 success, 1 infeasible result or refused computation, 2 usage,
+file-parse or invalid-instance error.
 """
 
 from __future__ import annotations
@@ -113,6 +115,16 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _load_valid_instance(path: str):
+    """Load an instance and refuse it, naming every violation, unless it is sound."""
+    instance = load_instance(path)
+    report = validate_instance(instance)
+    if not report.ok:
+        raise InstanceFormatError(f"{path}: invalid instance: " + "; ".join(
+            f"{v.entity}: {v.rule}" for v in report.violations))
+    return instance
+
+
 def _prepare(instance):
     """Assign customers and build the task pool: (assignment, pool)."""
     assignment = assign_customers(instance)
@@ -157,7 +169,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     budget = bench.BudgetProfile(agents=pick(args.agents, "agents", desk.agents),
                                  iterations=pick(args.iters, "timesteps", desk.iterations))
 
-    instance = load_instance(args.instance)
+    instance = _load_valid_instance(args.instance)
     assignment, pool = _prepare(instance)
     for task_id, task in enumerate(pool.tasks):
         if task.demand > instance.fleet.capacity:
@@ -221,13 +233,13 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         print(f"instance violation: {v.entity}: {v.rule}")
         violations += 1
 
-    if args.solution:
+    if args.solution and report.ok:
         try:
             data = json.loads(Path(args.solution).read_text(encoding="utf-8"))
             x1 = np.array(data["x1"], dtype=np.int64)
             x2 = np.array(data["x2"], dtype=np.int64)
             policy = AdjustmentPolicy.parse(data.get("policy", "hcps"))
-        except (OSError, ValueError, KeyError) as exc:
+        except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
             raise InstanceFormatError(f"cannot parse solution file {args.solution}: {exc}")
         _, pool = _prepare(instance)
         state = SearchState(x1=x1, x2=x2)
@@ -241,6 +253,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
                       hard_violations=len(feasibility.hard()),
                       soft_violations=len(feasibility.soft()))
     else:
+        if args.solution:
+            print("solution not audited: the instance has violations")
         _print_result(command="validate", instance=args.instance,
                       instance_violations=len(report.violations))
 
@@ -248,7 +262,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
-    instance = load_instance(args.instance)
+    instance = _load_valid_instance(args.instance)
     _, pool = _prepare(instance)
     policy = AdjustmentPolicy.parse(args.policy)
     lockers = effective_locker_count(instance.fleet.max_lockers, len(pool))
@@ -284,7 +298,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     bench.write_plotdata(result, out_dir / "plotdata")
     _print_result(command="bench", seed=seed, cells=len(args.spaces) * len(args.locations),
                   replications=args.replications, rows=len(result.rows),
-                  hold_pools=result.hold_pools, out=str(out_dir / "grid.csv"))
+                  hold_pools=result.hold_pools, empty_pools=result.empty_pools,
+                  out=str(out_dir / "grid.csv"))
     return EXIT_OK
 
 
@@ -351,14 +366,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="validate an instance and optionally a solution")
     p.add_argument("--instance", required=True)
     p.add_argument("--solution", default=None)
-    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("oracle", help="exact optimum of a tiny instance")
     p.add_argument("--instance", required=True)
     p.add_argument("--policy", choices=("btd", "hcps"), default="hcps")
     p.add_argument("--limit", type=_positive_int, default=MAX_ENUMERATIONS)
-    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("bench", help="run the experiment grid")

@@ -19,13 +19,14 @@ from .hqm import Evaluator, RunHistory
 from .state import SearchState, effective_locker_count
 from .taskgen import TaskPool
 
+CROSSOVER_PROB = 0.5  # chance that two parents are crossed rather than cloned
+MUTATION_RATE = 0.05  # per-gene chance of a locker reassignment or a position swap
+
 
 @dataclass
 class GaParams:
     population: int = 100
     generations: int = 1000
-    crossover_prob: float = 0.5
-    mutation_rate: float = 0.05
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -33,8 +34,6 @@ class GaParams:
             raise ParameterError("population must be >= 2")
         if self.generations < 1:
             raise ParameterError("generations must be >= 1")
-        if not (0.0 <= self.crossover_prob <= 1.0 and 0.0 <= self.mutation_rate <= 1.0):
-            raise ParameterError("probabilities must lie in [0, 1]")
 
     @property
     def elite_count(self) -> int:
@@ -105,12 +104,12 @@ def next_generation(population: list[SearchState], params: GaParams,
     while len(out) < len(population):
         pa = population[_select_index(rewards, rng)]
         pb = population[_select_index(rewards, rng)]
-        if rng.uniform() < params.crossover_prob:
+        if rng.uniform() < CROSSOVER_PROB:
             x1 = _uniform_crossover(pa.x1, pb.x1, rng)
             x2 = _order_crossover(pa.x2, pb.x2, rng)
         else:
             x1, x2 = pa.x1.copy(), pa.x2.copy()
-        x1, x2 = _mutate(x1, x2, params.mutation_rate, max_lockers, rng)
+        x1, x2 = _mutate(x1, x2, MUTATION_RATE, max_lockers, rng)
         out.append(SearchState(x1=x1, x2=x2))
     return out
 

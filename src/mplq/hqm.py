@@ -122,10 +122,8 @@ class Evaluator:
         self.instance = instance
         self.policy = policy
         self._cache: dict[tuple[bytes, bytes], float] = {}
-        self.calls = 0
 
     def reward(self, state: SearchState) -> float:
-        self.calls += 1
         key = state.key()
         hit = self._cache.get(key)
         if hit is not None:
@@ -231,21 +229,16 @@ def global_construct(agent: Agent, qmats: QMatrices, epsilon: Optional[float] = 
     return SearchState(x1=x1, x2=x2)
 
 
-def local_move(state: SearchState, neighbor: SearchState, omega: Optional[float] = None,
-               rng: Optional[np.random.Generator] = None, *, max_lockers: int) -> SearchState:
+def local_move(state: SearchState, neighbor: SearchState, omega: float, *,
+               max_lockers: int) -> SearchState:
     """Differential step: new = state + omega * (state - neighbor), repaired.
 
     The allocation vector is repaired by rounding and wrapping modulo
     ``max_lockers``; the permutation by rank-ordering the raw values (stable
-    ties). omega defaults to a fresh U(-1, 1) draw; omega = 0 returns an exact
-    copy.
+    ties). omega = 0 returns an exact copy.
     """
     if state.x1.shape != neighbor.x1.shape or state.x2.shape != neighbor.x2.shape:
         raise ShapeError("states come from different task pools")
-    if omega is None:
-        if rng is None:
-            raise ValueError("either omega or rng must be provided")
-        omega = float(rng.uniform(-1.0, 1.0))
 
     raw1 = state.x1 + omega * (state.x1 - neighbor.x1)
     x1 = np.mod(np.rint(raw1).astype(np.int64), max_lockers)
@@ -298,10 +291,10 @@ def run_hqm(pool: TaskPool, instance: Instance, policy: AdjustmentPolicy,
     """Full solver run; deterministic per seed.
 
     Per timestep every agent proposes one globally constructed state and one
-    local differential move against another agent's best, accepting each only
-    on strict reward improvement; the tables are then updated from every
-    agent's current best and the loop stops at the step budget or once the
-    tables stop moving.
+    local differential move (omega drawn from U(-1, 1)) against another agent's
+    best, accepting each only on strict reward improvement; the tables are then
+    updated from every agent's current best and the loop stops at the step
+    budget or once the tables stop moving.
     """
     evaluator = Evaluator(pool, instance, policy)
     agents, qmats = init_agents(pool, instance.fleet.max_lockers, params)
@@ -330,7 +323,8 @@ def run_hqm(pool: TaskPool, instance: Instance, policy: AdjustmentPolicy,
                 neighbor = agents[j].best
             else:
                 neighbor = agent.best
-            moved = local_move(agent.best, neighbor, rng=agent.rng, max_lockers=lockers)
+            omega = float(agent.rng.uniform(-1.0, 1.0))
+            moved = local_move(agent.best, neighbor, omega, max_lockers=lockers)
             if evaluator.reward(moved) > agent.best.reward:
                 agent.accept(moved)
 

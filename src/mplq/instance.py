@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -54,9 +54,6 @@ class TimeWindow:
     def overlap(self, other: "TimeWindow") -> float:
         """Length of the intersection with ``other`` (negative if disjoint)."""
         return min(self.end, other.end) - max(self.start, other.start)
-
-    def contains(self, other: "TimeWindow") -> bool:
-        return self.start <= other.start and other.end <= self.end
 
 
 @dataclass(frozen=True)
@@ -120,34 +117,32 @@ class Instance:
         raise KeyError(f"unknown customer id {customer_id}")
 
 
+# Generator settings that no sweep or command varies: the standard comparison setup.
+LOCATIONS_PER_CUSTOMER = (1, 4)    # (min, max) stops in one customer's day
+WORKING_HOURS = TimeWindow(540.0, 1080.0)
+DEMAND_RANGE = (1, 4)              # parcels per customer, inclusive
+SERVICE_TIME_RANGE = (15.0, 25.0)  # minutes a locker serves at a space
+FIXED_COST = 1.0                   # per dispatched locker
+UNIT_TRAVEL_COST = 1.0             # per km
+WEIGHTS = (5.0, 1.0)               # objective weights of fleet and travel cost
+
+
 @dataclass(frozen=True)
 class GeneratorConfig:
-    """Knobs for the seeded instance generator.
-
-    The trailing block (service_time_range onwards) covers parameters the
-    benchmark sweeps vary per axis; they default to the standard comparison
-    settings so plain generation needs only the leading fields.
-    """
+    """Knobs for the seeded instance generator: the settings the sweeps and
+    ``mplq generate`` vary. The rest of the setup is the constants above."""
 
     num_spaces: int = 5
     locations_per_space: int = 5
     service_radius: float = 5.0
-    locations_per_customer_range: tuple[int, int] = (1, 4)
-    working_hours: TimeWindow = field(default_factory=lambda: TimeWindow(540.0, 1080.0))
-    demand_range: tuple[int, int] = (1, 4)
-    walk_speed: float = 0.08
     walk_range: tuple[float, float] = (0.1, 1.0)
     customer_span_range: tuple[float, float] = (30.0, 90.0)
     parking_span_range: tuple[float, float] = (30.0, 70.0)
     seed: int = 0
-    service_time_range: tuple[float, float] = (15.0, 25.0)
     capacity: float = 20.0
     locker_speed: float = 0.7
-    fixed_cost: float = 1.0
-    unit_travel_cost: float = 1.0
     max_lockers: Optional[int] = None
     buffer_min: float = 10.0
-    weights: tuple[float, float] = (5.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -166,9 +161,6 @@ class Assignment:
 class Violation:
     entity: str
     rule: str
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return f"{self.entity}: {self.rule}"
 
 
 @dataclass(frozen=True)
@@ -197,31 +189,15 @@ def _validate_config(config: GeneratorConfig) -> None:
         raise ConfigurationError("locations_per_space must be >= 0")
     if config.service_radius <= 0:
         raise ConfigurationError("service_radius must be > 0")
-    _check_range("locations_per_customer_range", config.locations_per_customer_range)
-    if config.locations_per_customer_range[0] < 1:
-        raise ConfigurationError("locations_per_customer_range minimum must be >= 1")
-    _check_range("demand_range", config.demand_range)
-    if config.demand_range[0] < 1:
-        raise ConfigurationError("demand_range minimum must be >= 1")
     _check_range("walk_range", config.walk_range)
     if config.walk_range[0] <= 0:
         raise ConfigurationError("walk_range minimum must be > 0")
     _check_range("customer_span_range", config.customer_span_range)
     _check_range("parking_span_range", config.parking_span_range)
-    _check_range("service_time_range", config.service_time_range)
-    if config.service_time_range[0] <= 0:
-        raise ConfigurationError("service_time_range minimum must be > 0")
-    wh = config.working_hours
-    if not (0 <= wh.start <= wh.end <= MINUTES_PER_DAY):
-        raise ConfigurationError(f"working_hours must lie inside [0, {MINUTES_PER_DAY}]")
-    if config.parking_span_range[1] > wh.span:
+    if config.parking_span_range[1] > WORKING_HOURS.span:
         raise ConfigurationError("parking spans cannot exceed the working hours span")
     if config.capacity <= 0 or config.locker_speed <= 0:
         raise ConfigurationError("capacity and locker_speed must be > 0")
-    if config.fixed_cost < 0 or config.unit_travel_cost < 0:
-        raise ConfigurationError("costs must be >= 0")
-    if config.weights[0] <= 0 or config.weights[1] <= 0:
-        raise ConfigurationError("objective weights must be strictly positive")
     if config.buffer_min < 0:
         raise ConfigurationError("buffer_min must be >= 0")
 
@@ -266,7 +242,7 @@ def generate_instance(config: GeneratorConfig) -> Instance:
     (origin). Each space receives ``locations_per_space`` customer-location
     points inside the walking reach of that space. The location pool is then
     grouped into customers, each visiting between 1 and
-    ``locations_per_customer_range[1]`` of the points with pairwise-disjoint
+    ``LOCATIONS_PER_CUSTOMER[1]`` of the points with pairwise-disjoint
     presence windows inside working hours.
     """
     _validate_config(config)
@@ -277,8 +253,8 @@ def generate_instance(config: GeneratorConfig) -> Instance:
     for i in range(1, config.num_spaces + 1):
         px, py = _uniform_in_disk(rng, config.service_radius)
         span = rng.uniform(*config.parking_span_range)
-        window = _space_window(rng, span, config.working_hours)
-        service_time = rng.uniform(*config.service_time_range)
+        window = _space_window(rng, span, WORKING_HOURS)
+        service_time = rng.uniform(*SERVICE_TIME_RANGE)
         spaces.append(
             ParkingSpace(
                 id=i,
@@ -301,20 +277,20 @@ def generate_instance(config: GeneratorConfig) -> Instance:
     customers = []
     cursor = 0
     cid = 0
-    lo, hi = config.locations_per_customer_range
+    lo, hi = LOCATIONS_PER_CUSTOMER
     while cursor < len(stubs):
         k = int(rng.integers(lo, hi + 1))
         k = min(k, len(stubs) - cursor)
         group = sorted(stubs[cursor:cursor + k], key=lambda s: s[0].window.start)
         cursor += k
         locations = []
-        floor = config.working_hours.start
+        floor = WORKING_HOURS.start
         for sp, pos, walk in group:
             span = rng.uniform(*config.customer_span_range)
-            win = _correlated_window(rng, sp, span, floor, config.working_hours)
+            win = _correlated_window(rng, sp, span, floor, WORKING_HOURS)
             locations.append(CustomerLocation(position=pos, window=win, max_walk=walk))
             floor = win.end
-        demand = int(rng.integers(config.demand_range[0], config.demand_range[1] + 1))
+        demand = int(rng.integers(DEMAND_RANGE[0], DEMAND_RANGE[1] + 1))
         customers.append(Customer(id=cid, demand=demand, locations=tuple(locations)))
         cid += 1
 
@@ -325,8 +301,8 @@ def generate_instance(config: GeneratorConfig) -> Instance:
         max_lockers=max_lockers,
         capacity=config.capacity,
         speed=config.locker_speed,
-        fixed_cost=config.fixed_cost,
-        unit_travel_cost=config.unit_travel_cost,
+        fixed_cost=FIXED_COST,
+        unit_travel_cost=UNIT_TRAVEL_COST,
     )
     return Instance(
         depot=depot,
@@ -334,7 +310,7 @@ def generate_instance(config: GeneratorConfig) -> Instance:
         customers=tuple(customers),
         fleet=fleet,
         buffer=config.buffer_min,
-        weights=config.weights,
+        weights=WEIGHTS,
     )
 
 
@@ -412,7 +388,7 @@ def validate_instance(instance: Instance) -> ValidationReport:
         check_window(ent, sp.window)
         if sp.window.end <= sp.window.start:
             bad(ent, "empty availability window")
-        if sp.service_time <= 0:
+        if not sp.service_time > 0:
             bad(ent, "non-positive service time")
 
     seen_cust_ids = set()
@@ -430,7 +406,7 @@ def validate_instance(instance: Instance) -> ValidationReport:
             if not (math.isfinite(loc.position.x) and math.isfinite(loc.position.y)):
                 bad(lent, "non-finite position")
             check_window(lent, loc.window)
-            if loc.max_walk <= 0:
+            if not loc.max_walk > 0:
                 bad(lent, "non-positive max_walk")
         for a in range(len(cust.locations)):
             for b in range(a + 1, len(cust.locations)):
@@ -439,17 +415,19 @@ def validate_instance(instance: Instance) -> ValidationReport:
 
     if instance.fleet.max_lockers < 1:
         bad("fleet", "max_lockers below 1")
-    if instance.fleet.capacity <= 0:
+    if not instance.fleet.capacity > 0:
         bad("fleet", "non-positive capacity")
-    if instance.fleet.speed <= 0:
+    if not instance.fleet.speed > 0:
         bad("fleet", "non-positive speed")
-    if instance.fleet.fixed_cost < 0:
+    if not instance.fleet.fixed_cost >= 0:
         bad("fleet", "negative fixed cost")
-    if instance.fleet.unit_travel_cost < 0:
+    if not instance.fleet.unit_travel_cost >= 0:
         bad("fleet", "negative unit travel cost")
-    if instance.weights[0] <= 0 or instance.weights[1] <= 0:
+    if instance.fleet.fixed_cost == 0 and instance.fleet.unit_travel_cost == 0:
+        bad("fleet", "fixed and unit travel costs are both zero, so every plan costs nothing")
+    if not (instance.weights[0] > 0 and instance.weights[1] > 0):
         bad("weights", "objective weights must be strictly positive")
-    if instance.buffer < 0:
+    if not instance.buffer >= 0:
         bad("buffer", "negative buffer time")
 
     return ValidationReport(violations=tuple(violations))
@@ -506,10 +484,28 @@ def save_instance(instance: Instance, path: Union[str, Path]) -> None:
     Path(path).write_text(text + "\n", encoding="utf-8")
 
 
-def _require(mapping: dict, key: str, context: str):
+_NOT_A_NUMBER = (TypeError, ValueError, OverflowError)
+
+
+def _require(mapping: dict, key: str, context: str, kind=None):
+    """``mapping[key]``, converted by ``kind`` (int or float) when one is given."""
     if key not in mapping:
         raise InstanceFormatError(f"{context}: missing required field '{key}'")
-    return mapping[key]
+    if kind is None:
+        return mapping[key]
+    try:
+        return kind(mapping[key])
+    except _NOT_A_NUMBER as exc:
+        raise InstanceFormatError(
+            f"{context}: field '{key}' must be a number, got {mapping[key]!r}") from exc
+
+
+def _objects(mapping: dict, key: str, context: str) -> list[dict]:
+    """``mapping[key]``, which must be a list of JSON objects."""
+    value = _require(mapping, key, context)
+    if not isinstance(value, list) or not all(isinstance(v, dict) for v in value):
+        raise InstanceFormatError(f"{context}: field '{key}' must be a list of objects")
+    return value
 
 
 def _as_pair(value, context: str) -> tuple[float, float]:
@@ -517,7 +513,7 @@ def _as_pair(value, context: str) -> tuple[float, float]:
         raise InstanceFormatError(f"{context}: expected a [a, b] pair, got {value!r}")
     try:
         return float(value[0]), float(value[1])
-    except (TypeError, ValueError) as exc:
+    except _NOT_A_NUMBER as exc:
         raise InstanceFormatError(f"{context}: non-numeric pair {value!r}") from exc
 
 
@@ -535,26 +531,26 @@ def instance_from_dict(data: dict) -> Instance:
     dx, dy = _as_pair(_require(data, "depot", "instance"), "depot")
 
     spaces = []
-    for n, raw in enumerate(_require(data, "spaces", "instance")):
+    for n, raw in enumerate(_objects(data, "spaces", "instance")):
         ctx = f"spaces[{n}]"
         _warn_unknown(raw, {"id", "position", "window", "service_time"}, ctx)
         px, py = _as_pair(_require(raw, "position", ctx), f"{ctx}.position")
         ws, we = _as_pair(_require(raw, "window", ctx), f"{ctx}.window")
         spaces.append(
             ParkingSpace(
-                id=int(_require(raw, "id", ctx)),
+                id=_require(raw, "id", ctx, int),
                 position=Position(px, py),
                 window=TimeWindow(ws, we),
-                service_time=float(_require(raw, "service_time", ctx)),
+                service_time=_require(raw, "service_time", ctx, float),
             )
         )
 
     customers = []
-    for n, raw in enumerate(_require(data, "customers", "instance")):
+    for n, raw in enumerate(_objects(data, "customers", "instance")):
         ctx = f"customers[{n}]"
         _warn_unknown(raw, {"id", "demand", "locations"}, ctx)
         locations = []
-        for k, lraw in enumerate(_require(raw, "locations", ctx)):
+        for k, lraw in enumerate(_objects(raw, "locations", ctx)):
             lctx = f"{ctx}.locations[{k}]"
             _warn_unknown(lraw, {"position", "window", "max_walk"}, lctx)
             lx, ly = _as_pair(_require(lraw, "position", lctx), f"{lctx}.position")
@@ -563,25 +559,27 @@ def instance_from_dict(data: dict) -> Instance:
                 CustomerLocation(
                     position=Position(lx, ly),
                     window=TimeWindow(ls, le),
-                    max_walk=float(_require(lraw, "max_walk", lctx)),
+                    max_walk=_require(lraw, "max_walk", lctx, float),
                 )
             )
         customers.append(
             Customer(
-                id=int(_require(raw, "id", ctx)),
-                demand=int(_require(raw, "demand", ctx)),
+                id=_require(raw, "id", ctx, int),
+                demand=_require(raw, "demand", ctx, int),
                 locations=tuple(locations),
             )
         )
 
     fraw = _require(data, "fleet", "instance")
+    if not isinstance(fraw, dict):
+        raise InstanceFormatError("instance: field 'fleet' must be an object")
     _warn_unknown(fraw, {"max_lockers", "capacity", "speed", "fixed_cost", "unit_travel_cost"}, "fleet")
     fleet = FleetSpec(
-        max_lockers=int(_require(fraw, "max_lockers", "fleet")),
-        capacity=float(_require(fraw, "capacity", "fleet")),
-        speed=float(_require(fraw, "speed", "fleet")),
-        fixed_cost=float(_require(fraw, "fixed_cost", "fleet")),
-        unit_travel_cost=float(_require(fraw, "unit_travel_cost", "fleet")),
+        max_lockers=_require(fraw, "max_lockers", "fleet", int),
+        capacity=_require(fraw, "capacity", "fleet", float),
+        speed=_require(fraw, "speed", "fleet", float),
+        fixed_cost=_require(fraw, "fixed_cost", "fleet", float),
+        unit_travel_cost=_require(fraw, "unit_travel_cost", "fleet", float),
     )
 
     w1, w2 = _as_pair(_require(data, "weights", "instance"), "weights")
@@ -590,7 +588,7 @@ def instance_from_dict(data: dict) -> Instance:
         spaces=tuple(spaces),
         customers=tuple(customers),
         fleet=fleet,
-        buffer=float(_require(data, "buffer_min", "instance")),
+        buffer=_require(data, "buffer_min", "instance", float),
         weights=(w1, w2),
     )
 
@@ -607,12 +605,6 @@ def load_instance(path: Union[str, Path]) -> Instance:
             f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
     return instance_from_dict(data)
-
-
-def roundtrip_instance(instance: Instance, path: Union[str, Path]) -> Instance:
-    """Save then reload ``instance``; the result equals the original field-by-field."""
-    save_instance(instance, path)
-    return load_instance(path)
 
 
 __all__ = [
@@ -635,5 +627,4 @@ __all__ = [
     "instance_from_dict",
     "save_instance",
     "load_instance",
-    "roundtrip_instance",
 ]

@@ -20,7 +20,6 @@ from .instance import Assignment, Instance, ParkingSpace, TimeWindow
 class SubInterval:
     """The a-th service-time-length slice of a space's availability (a is 1-based)."""
 
-    space_id: int
     index: int
     window: TimeWindow
 
@@ -43,10 +42,9 @@ class Task:
 
 @dataclass(frozen=True)
 class TaskPool:
-    """Ordered task list plus the customer membership index."""
+    """Ordered task list plus the customers no task could take."""
 
     tasks: tuple[Task, ...]
-    customer_task: dict[int, int]
     unservable: tuple[int, ...]
 
     def __len__(self) -> int:
@@ -70,8 +68,7 @@ def reduce_availability(space: ParkingSpace,
     return TimeWindow(lo, hi)
 
 
-def partition_subintervals(avail: TimeWindow, service_time: float,
-                           space_id: int = 0) -> list[SubInterval]:
+def partition_subintervals(avail: TimeWindow, service_time: float) -> list[SubInterval]:
     """Cut ``avail`` into floor(span / service_time) slices of exactly ``service_time``.
 
     The a-th slice is [start + (a-1)*S, start + a*S]; any trailing remainder
@@ -82,7 +79,6 @@ def partition_subintervals(avail: TimeWindow, service_time: float,
     count = int(math.floor(avail.span / service_time))
     return [
         SubInterval(
-            space_id=space_id,
             index=a,
             window=TimeWindow(avail.start + (a - 1) * service_time,
                               avail.start + a * service_time),
@@ -104,7 +100,6 @@ def build_tasks(instance: Instance, assignment: Assignment) -> TaskPool:
         per_space.setdefault(space_id, []).append(cid)
 
     tasks: list[Task] = []
-    customer_task: dict[int, int] = {}
     unservable: list[int] = []
 
     for sp in instance.spaces:
@@ -116,7 +111,7 @@ def build_tasks(instance: Instance, assignment: Assignment) -> TaskPool:
             _, loc_idx = assignment.assigned[cid]
             windows.append(instance.customer_by_id(cid).locations[loc_idx].window)
         avail = reduce_availability(sp, windows)
-        subs = partition_subintervals(avail, sp.service_time, sp.id) if avail else []
+        subs = partition_subintervals(avail, sp.service_time) if avail else []
 
         buckets: dict[int, list[tuple[int, float]]] = {}
         for cid, win in zip(cids, windows):
@@ -134,7 +129,6 @@ def build_tasks(instance: Instance, assignment: Assignment) -> TaskPool:
             if not members:
                 continue
             demand = sum(instance.customer_by_id(cid).demand for cid, _ in members)
-            task_id = len(tasks)
             tasks.append(
                 Task(
                     space_id=sp.id,
@@ -144,11 +138,8 @@ def build_tasks(instance: Instance, assignment: Assignment) -> TaskPool:
                     members=tuple(members),
                 )
             )
-            for cid, _ in members:
-                customer_task[cid] = task_id
 
-    return TaskPool(tasks=tuple(tasks), customer_task=customer_task,
-                    unservable=tuple(sorted(unservable)))
+    return TaskPool(tasks=tuple(tasks), unservable=tuple(sorted(unservable)))
 
 
 def write_taskpool_csv(pool: TaskPool, path: Union[str, Path]) -> None:

@@ -48,11 +48,7 @@ def make_task(space_id: int, a: int = 1, demand: int = 1,
 
 
 def make_pool(tasks: Sequence[Task]) -> TaskPool:
-    customer_task = {}
-    for tid, task in enumerate(tasks):
-        for cid, _ in task.members:
-            customer_task[cid] = tid
-    return TaskPool(tasks=tuple(tasks), customer_task=customer_task, unservable=())
+    return TaskPool(tasks=tuple(tasks), unservable=())
 
 
 def make_state(x1: Sequence[int], x2: Sequence[int]) -> SearchState:

@@ -9,7 +9,8 @@ from mplq.bench import (BudgetProfile, GridConfig, SweepConfig, apply_factor,
                         improvement_rate, read_grid_rows, read_sweep_points,
                         reward_gap, run_grid, sweep_factor, write_grid_csv,
                         write_plotdata, write_sweep_csv)
-from mplq.errors import ConfigurationError, ParameterError, UndefinedRateError
+from mplq.errors import (ConfigurationError, NothingToSolveError, ParameterError,
+                         UndefinedRateError)
 from mplq.hqm import RunHistory
 from mplq.instance import GeneratorConfig
 from mplq.routing import AdjustmentPolicy
@@ -232,6 +233,29 @@ def test_sweep_csv_roundtrip(tmp_path):
     path = tmp_path / "sweep.csv"
     write_sweep_csv(points, path, header_comment="config test")
     assert read_sweep_points(path) == points
+
+
+def test_grid_skips_empty_pools():
+    # generator seed 1 at 2 spaces x 5 locations builds no task; seed 0 builds one
+    result = run_grid(_tiny_grid(locations_counts=(5,), replications=2))
+    assert result.empty_pools == 1
+    assert len(result.rows) == 4 and {r.seed for r in result.rows} == {0}
+    solved = run_grid(_tiny_grid(locations_counts=(5,)))
+    assert solved.empty_pools == 0
+    assert result.rows == solved.rows
+    assert result.cell_aggregates() == solved.cell_aggregates()
+
+
+def test_sweep_point_averages_over_solved_pools():
+    (point,) = sweep_factor(_tiny_sweep("locations_per_space", (5.0,)))
+    (seed0,) = sweep_factor(_tiny_sweep("locations_per_space", (5.0,), replications=1))
+    assert point.replications == 1
+    assert point == seed0
+
+
+def test_sweep_point_with_no_solved_pool_is_refused():
+    with pytest.raises(NothingToSolveError, match="every task pool is empty"):
+        sweep_factor(_tiny_sweep("num_spaces", (0.0,)))
 
 
 def test_sweep_config_validation():

@@ -213,7 +213,8 @@ def test_oracle_refuses_above_limit(instance_file, capsys):
 
 
 @pytest.mark.parametrize("flags", [["--limit", "0"], ["--limit", "-5"],
-                                   ["--limit", "many"], ["--max-lockers", "2"]])
+                                   ["--limit", "many"], ["--max-lockers", "2"],
+                                   ["--seed", "1"]])
 def test_oracle_rejects_bad_flags_at_parse_time(instance_file, capsys, flags):
     code = run_cli(["oracle", "--instance", str(instance_file), *flags])
     captured = capsys.readouterr()
@@ -260,3 +261,96 @@ def test_sweep_command(tmp_path, capsys):
     assert code == 0
     assert (out_dir / "sweep.csv").exists()
     assert (out_dir / "plotdata" / "sweep_Q.csv").exists()
+
+
+def _set(*path_and_value):
+    """A mutation that sets the field at ``path`` of an instance document."""
+    *path, key, value = path_and_value
+
+    def mutate(doc):
+        for step in path:
+            doc = doc[step]
+        doc[key] = value
+    return mutate
+
+
+_INVALID_INSTANCES = {
+    "zero service time": _set("spaces", 0, "service_time", 0),
+    "NaN window": _set("spaces", 0, "window", [float("nan"), 700.0]),
+    "no lockers": _set("fleet", "max_lockers", 0),
+    "zero objective": lambda doc: doc["fleet"].update(fixed_cost=0, unit_travel_cost=0),
+    "non-numeric space id": _set("spaces", 0, "id", "abc"),
+    "spaces not a list": _set("spaces", 5),
+}
+
+
+@pytest.mark.parametrize("command", ["solve", "oracle"])
+@pytest.mark.parametrize("mutation", sorted(_INVALID_INSTANCES))
+def test_invalid_instance_is_refused(instance_file, tmp_path, capsys, command, mutation):
+    doc = json.loads(instance_file.read_text())
+    _INVALID_INSTANCES[mutation](doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    out_dir = tmp_path / "out"
+    solve_flags = ["--agents", "4", "--iters", "5", "--out-dir", str(out_dir)]
+    code = run_cli([command, "--instance", str(bad), *(solve_flags if command == "solve" else [])])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+    assert "RESULT" not in captured.out
+    assert not out_dir.exists()
+
+
+def test_validate_reports_invalid_instance_without_auditing_the_solution(instance_file,
+                                                                        tmp_path, capsys):
+    assert run_cli(["solve", "--instance", str(instance_file), "--agents", "4",
+                    "--iters", "5", "--out-dir", str(tmp_path / "s")]) == 0
+    doc = json.loads(instance_file.read_text())
+    _INVALID_INSTANCES["NaN window"](doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    code = run_cli(["validate", "--instance", str(bad),
+                    "--solution", str(tmp_path / "s" / "solution.json")])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "instance violation: space 1: non-finite window bounds" in out
+    assert "solution not audited" in out
+    assert out.splitlines()[-1].endswith("instance_violations=1")
+
+
+@pytest.mark.parametrize("solution", ["[1, 2]", '{"x1": [0], "x2": [0], "policy": 5}'])
+def test_validate_rejects_malformed_solution_file(instance_file, tmp_path, capsys, solution):
+    sol_path = tmp_path / "solution.json"
+    sol_path.write_text(solution)
+    code = run_cli(["validate", "--instance", str(instance_file), "--solution", str(sol_path)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: cannot parse solution file ")
+
+
+def test_validate_takes_no_seed(instance_file, capsys):
+    assert run_cli(["validate", "--instance", str(instance_file), "--seed", "1"]) == 2
+    assert capsys.readouterr().err.startswith("usage: mplq")
+
+
+def test_bench_skips_empty_pools(tmp_path, capsys):
+    # generator seed 1 at 2 spaces x 5 locations builds no task; seed 0 builds one
+    out_dir = tmp_path / "bench"
+    code = run_cli(["bench", "--spaces", "2", "--locations", "5", "--replications", "2",
+                    "--seed", "0", "--out-dir", str(out_dir)])
+    assert code == 0
+    assert "rows=4 hold_pools=0 empty_pools=1" in _result_line(capsys)
+    rows = [ln for ln in (out_dir / "grid.csv").read_text().splitlines()
+            if ln.startswith("rep,")]
+    assert len(rows) == 4 and all(row.split(",")[6] == "0" for row in rows)
+
+
+def test_sweep_with_no_solvable_pool_exits_cleanly(tmp_path, capsys):
+    out_dir = tmp_path / "sweep"
+    code = run_cli(["sweep", "--factor", "num_spaces", "--values", "0", "--replications", "2",
+                    "--seed", "0", "--out-dir", str(out_dir)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error: sweep point num_spaces=0.0: ")
+    assert "RESULT" not in captured.out
+    assert not out_dir.exists()

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mplq import ga
 from mplq.errors import ParameterError
 from mplq.ga import GaParams, next_generation, run_ga, _order_crossover
 from mplq.instance import GeneratorConfig, assign_customers, generate_instance
@@ -24,8 +25,6 @@ def _evaluated_population(n_states, n_tasks, lockers, seed=0):
 def test_params_validation():
     with pytest.raises(ParameterError):
         GaParams(population=1)
-    with pytest.raises(ParameterError):
-        GaParams(crossover_prob=1.5)
     assert GaParams(population=100).elite_count == 5
     assert GaParams(population=10).elite_count == 1  # 0.5 elite rounds up to one
 
@@ -42,9 +41,11 @@ def test_elites_pass_through_unchanged():
         assert nxt[k].reward == ranked[k].reward
 
 
-def test_no_variation_yields_parent_clones():
+def test_no_variation_yields_parent_clones(monkeypatch):
+    monkeypatch.setattr(ga, "CROSSOVER_PROB", 0.0)
+    monkeypatch.setattr(ga, "MUTATION_RATE", 0.0)
     pop = _evaluated_population(20, 5, 2)
-    params = GaParams(population=20, crossover_prob=0.0, mutation_rate=0.0, seed=2)
+    params = GaParams(population=20, seed=2)
     nxt = next_generation(pop, params, np.random.default_rng(2), max_lockers=2)
     genotypes = {(tuple(s.x1.tolist()), tuple(s.x2.tolist())) for s in pop}
     for child in nxt:

@@ -235,7 +235,7 @@ def test_init_agents_deterministic():
 
 
 def test_init_agents_empty_pool():
-    empty = TaskPool(tasks=(), customer_task={}, unservable=())
+    empty = TaskPool(tasks=(), unservable=())
     with pytest.raises(NothingToSolveError):
         init_agents(empty, 2, HqmParams(agents=5))
 

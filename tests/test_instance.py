@@ -6,16 +6,14 @@ from dataclasses import replace
 import pytest
 
 from mplq.errors import ConfigurationError, InstanceFormatError
-from mplq.instance import (GeneratorConfig, TimeWindow, assign_customers,
+from mplq.instance import (WORKING_HOURS, GeneratorConfig, assign_customers,
                            generate_instance, instance_to_dict, load_instance,
-                           roundtrip_instance, save_instance, validate_instance,
-                           write_assignment_csv)
+                           save_instance, validate_instance, write_assignment_csv)
 from helpers import make_customer, make_instance, make_space
 
 TABLE_CONFIG = GeneratorConfig(
     num_spaces=5, locations_per_space=5, service_radius=5.0,
-    locations_per_customer_range=(1, 4), working_hours=TimeWindow(540, 1080),
-    demand_range=(1, 4), walk_range=(0.1, 1.0), customer_span_range=(30, 90),
+    walk_range=(0.1, 1.0), customer_span_range=(30, 90),
     parking_span_range=(30, 70), seed=42,
 )
 
@@ -41,7 +39,7 @@ def test_generate_zero_locations_gives_zero_customers():
 
 def test_generate_rejects_bad_ranges():
     with pytest.raises(ConfigurationError):
-        generate_instance(replace(TABLE_CONFIG, demand_range=(4, 1)))
+        generate_instance(replace(TABLE_CONFIG, customer_span_range=(90, 30)))
     with pytest.raises(ConfigurationError):
         generate_instance(replace(TABLE_CONFIG, walk_range=(0.0, 1.0)))
 
@@ -51,7 +49,7 @@ def test_generated_invariants(seed):
     cfg = replace(TABLE_CONFIG, seed=seed)
     inst = generate_instance(cfg)
     assert validate_instance(inst).ok
-    hours = cfg.working_hours
+    hours = WORKING_HOURS
     for cust in inst.customers:
         wins = [loc.window for loc in cust.locations]
         for w in wins:
@@ -113,6 +111,14 @@ def test_validate_flags_nonpositive_service_time():
     assert any("service time" in v.rule for v in report.violations)
 
 
+def test_validate_flags_zero_objective_and_nan_service_time():
+    sp = make_space(1, 0.0, 0.0, service_time=float("nan"))
+    report = validate_instance(make_instance([sp], fixed_cost=0.0, unit_travel_cost=0.0))
+    rules = [v.rule for v in report.violations]
+    assert "non-positive service time" in rules
+    assert any("costs are both zero" in rule for rule in rules)
+
+
 def test_validate_clean_instance():
     inst = generate_instance(TABLE_CONFIG)
     assert validate_instance(inst).violations == ()
@@ -120,8 +126,8 @@ def test_validate_clean_instance():
 
 def test_roundtrip_identity(tmp_path):
     inst = generate_instance(TABLE_CONFIG)
-    back = roundtrip_instance(inst, tmp_path / "inst.json")
-    assert back == inst
+    save_instance(inst, tmp_path / "inst.json")
+    assert load_instance(tmp_path / "inst.json") == inst
 
 
 def test_load_truncated_file_raises(tmp_path):

@@ -76,6 +76,6 @@ def test_oracle_dominates_any_state():
 
 def test_empty_pool_rejected():
     inst = make_instance([make_space(1, 1.0, 0.0)])
-    empty = TaskPool(tasks=(), customer_task={}, unservable=())
+    empty = TaskPool(tasks=(), unservable=())
     with pytest.raises(NothingToSolveError):
         brute_force_best(empty, inst, AdjustmentPolicy.BTD)

@@ -31,7 +31,7 @@ def test_reduce_no_customers_is_empty():
 
 
 def test_partition_exact_division():
-    subs = partition_subintervals(TimeWindow(0, 60), 20.0, space_id=1)
+    subs = partition_subintervals(TimeWindow(0, 60), 20.0)
     assert [(s.window.start, s.window.end) for s in subs] == [(0, 20), (20, 40), (40, 60)]
     assert [s.index for s in subs] == [1, 2, 3]
 
@@ -54,11 +54,10 @@ def test_partition_rejects_nonpositive_service_time():
 @given(start=st.floats(0, 1000), span=st.floats(0, 400), service=st.floats(1, 120))
 def test_partition_properties(start, span, service):
     avail = TimeWindow(start, start + span)
-    subs = partition_subintervals(avail, service, space_id=3)
+    subs = partition_subintervals(avail, service)
     assert len(subs) == int(avail.span // service)
     for k, sub in enumerate(subs, start=1):
         assert sub.index == k
-        assert sub.space_id == 3
         assert sub.window.start == pytest.approx(start + (k - 1) * service)
         assert sub.window.span == pytest.approx(service)
         assert avail.start <= sub.window.start and sub.window.end <= avail.end + 1e-9
@@ -78,7 +77,6 @@ def test_build_places_customer_in_earliest_overlapping_slice():
     task = pool.tasks[0]
     assert task.sub_index == 1 and task.demand == 3
     assert task.members == ((0, 620.0),)
-    assert pool.customer_task == {0: 0}
 
 
 def test_build_merges_demand_within_one_slice():
@@ -129,8 +127,6 @@ def test_build_conservation_and_window_shape(seed):
             windows.append(inst.customer_by_id(cid).locations[loc_idx].window)
         for w in windows:
             assert task.window.overlap(w) >= inst.buffer - 1e-9
-    for cid, tid in pool.customer_task.items():
-        assert any(c == cid for c, _ in pool.tasks[tid].members)
 
 
 def test_build_deterministic():
