@@ -14,9 +14,9 @@ from .instance import (Assignment, Customer, CustomerLocation, FleetSpec,
                        load_instance, save_instance, validate_instance)
 from .taskgen import SubInterval, Task, TaskPool, build_tasks, partition_subintervals, reduce_availability
 from .routing import (AdjustmentPolicy, Adjustment, CostBreakdown, FeasibilityReport,
-                      RoutePlan, TravelNoise, VisitRecord, apply_btd, apply_hcps,
-                      check_feasibility, compute_delay, earliest_schedule,
-                      evaluate_solution, hold_can_apply, schedule_route, travel_time)
+                      RoutePlan, TravelNoise, VisitRecord, check_feasibility,
+                      compute_delay, evaluate_solution, hold_can_apply, schedule_route,
+                      travel_time)
 from .state import SearchState
 from .hqm import (Agent, HqmParams, QMatrices, RunHistory, global_construct,
                   has_converged, init_agents, local_move, normalize_q, run_hqm,

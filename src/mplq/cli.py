@@ -147,6 +147,8 @@ def _load_solver_config(path: Optional[str]) -> dict:
     except json.JSONDecodeError as exc:
         raise InstanceFormatError(
             f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}")
+    except ValueError as exc:  # an integer literal too long to convert
+        raise InstanceFormatError(f"{path}: invalid JSON: {exc}")
     if not isinstance(data, dict):
         raise InstanceFormatError(f"{path}: solver config must be a JSON object")
     unknown = sorted(set(data) - set(_SOLVER_CONFIG_KEYS))

@@ -27,6 +27,8 @@ from .errors import ConfigurationError, InstanceFormatError
 logger = logging.getLogger("mplq.instance")
 
 MINUTES_PER_DAY = 1440.0
+# Largest customer demand: loads are floats, which count parcels exactly up to 2**53.
+MAX_DEMAND = 2 ** 53
 
 
 @dataclass(frozen=True)
@@ -368,6 +370,12 @@ def validate_instance(instance: Instance) -> ValidationReport:
     def bad(entity: str, rule: str) -> None:
         violations.append(Violation(entity, rule))
 
+    def check_number(entity: str, what: str, value: float, zero_ok: bool = False) -> None:
+        if not (value >= 0 if zero_ok else value > 0):  # NaN fails both comparisons
+            bad(entity, f"{'negative' if zero_ok else 'non-positive'} {what}")
+        elif not math.isfinite(value):
+            bad(entity, f"non-finite {what}")
+
     def check_window(entity: str, win: TimeWindow) -> None:
         if not (math.isfinite(win.start) and math.isfinite(win.end)):
             bad(entity, "non-finite window bounds")
@@ -388,8 +396,7 @@ def validate_instance(instance: Instance) -> ValidationReport:
         check_window(ent, sp.window)
         if sp.window.end <= sp.window.start:
             bad(ent, "empty availability window")
-        if not sp.service_time > 0:
-            bad(ent, "non-positive service time")
+        check_number(ent, "service time", sp.service_time)
 
     seen_cust_ids = set()
     for cust in instance.customers:
@@ -399,6 +406,8 @@ def validate_instance(instance: Instance) -> ValidationReport:
         seen_cust_ids.add(cust.id)
         if cust.demand < 1:
             bad(ent, "demand below 1")
+        elif cust.demand > MAX_DEMAND:
+            bad(ent, f"demand above {MAX_DEMAND}, the largest count a float load holds exactly")
         if not cust.locations:
             bad(ent, "no locations")
         for k, loc in enumerate(cust.locations):
@@ -406,8 +415,7 @@ def validate_instance(instance: Instance) -> ValidationReport:
             if not (math.isfinite(loc.position.x) and math.isfinite(loc.position.y)):
                 bad(lent, "non-finite position")
             check_window(lent, loc.window)
-            if not loc.max_walk > 0:
-                bad(lent, "non-positive max_walk")
+            check_number(lent, "max_walk", loc.max_walk)
         for a in range(len(cust.locations)):
             for b in range(a + 1, len(cust.locations)):
                 if cust.locations[a].window.overlap(cust.locations[b].window) > 0:
@@ -415,20 +423,15 @@ def validate_instance(instance: Instance) -> ValidationReport:
 
     if instance.fleet.max_lockers < 1:
         bad("fleet", "max_lockers below 1")
-    if not instance.fleet.capacity > 0:
-        bad("fleet", "non-positive capacity")
-    if not instance.fleet.speed > 0:
-        bad("fleet", "non-positive speed")
-    if not instance.fleet.fixed_cost >= 0:
-        bad("fleet", "negative fixed cost")
-    if not instance.fleet.unit_travel_cost >= 0:
-        bad("fleet", "negative unit travel cost")
+    check_number("fleet", "capacity", instance.fleet.capacity)
+    check_number("fleet", "speed", instance.fleet.speed)
+    check_number("fleet", "fixed cost", instance.fleet.fixed_cost, zero_ok=True)
+    check_number("fleet", "unit travel cost", instance.fleet.unit_travel_cost, zero_ok=True)
     if instance.fleet.fixed_cost == 0 and instance.fleet.unit_travel_cost == 0:
         bad("fleet", "fixed and unit travel costs are both zero, so every plan costs nothing")
-    if not (instance.weights[0] > 0 and instance.weights[1] > 0):
-        bad("weights", "objective weights must be strictly positive")
-    if not instance.buffer >= 0:
-        bad("buffer", "negative buffer time")
+    for weight in instance.weights:
+        check_number("weights", "objective weight", weight)
+    check_number("buffer", "buffer time", instance.buffer, zero_ok=True)
 
     return ValidationReport(violations=tuple(violations))
 
@@ -604,6 +607,8 @@ def load_instance(path: Union[str, Path]) -> Instance:
         raise InstanceFormatError(
             f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except ValueError as exc:  # an integer literal too long to convert
+        raise InstanceFormatError(f"{path}: invalid JSON: {exc}") from exc
     return instance_from_dict(data)
 
 

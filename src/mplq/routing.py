@@ -1,18 +1,27 @@
 """Route construction, adjustment strategies, cost and feasibility checks.
 
-A locker's task list is scheduled with an earliest-start policy: arrive as
-soon as the sub-interval and travel allow, serve as soon as the last-arriving
-member customer permits, and leave one service time later. When the natural
-arrival at the next space would precede that sub-interval's opening, one of
-two adjustment strategies postpones it:
+A locker's task list, sorted by window start, is scheduled by one visit rule.
+The locker starts at the depot with ``leave = 0``. Each visit measures the
+leg from the current position to its parking space once, turns it into
+``travel`` minutes, and takes its arrival from one of three cases:
 
-* back-to-depot (BTD): detour via the depot, which also empties the locker;
-* hold-at-current-parking-space (HCPS): wait at the current space until its
-  slice closes, then drive on.
+* plain: ``max(leave + travel, window.start)``. The first visit is always
+  plain, so it waits at its space for the window to open.
+* hold at the current parking space (HCPS): the locker would arrive early
+  (``leave + travel`` before the window opens), the load fits, the policy is
+  HCPS, and holding until the previous slice closes reaches the opening
+  (``prev.window.end + travel >= window.start``). It arrives at
+  ``prev.window.end + travel``.
+* back to depot (BTD): the load overflows the capacity, or the locker would
+  arrive early and cannot hold. It detours via the depot and arrives at
+  ``leave + minutes(here -> depot) + minutes(depot -> space)``; the detour
+  empties the locker and its two legs are the visit's distance.
 
-Capacity overruns always force a depot return regardless of the selected
-strategy. Arrivals later than a slice's closing time are allowed but recorded
-as lateness (a soft violation), never repaired.
+Every visit then serves at ``max(arrival, window.start, *member pickups)``
+and leaves one service time later. A service start after the window closes
+is recorded as lateness (a soft violation), never repaired. The locker
+leaves the depot at the first arrival minus the first travel time and
+returns from its last space after the last leave.
 """
 
 from __future__ import annotations
@@ -66,7 +75,7 @@ class TravelNoise:
 
 
 class TravelTimer:
-    """Turns leg geometry into minutes, optionally perturbed by seeded noise.
+    """Turns leg distances into minutes, optionally perturbed by seeded noise.
 
     Noise affects travel *times* only; leg *distances* (and therefore cost)
     stay geometric.
@@ -79,8 +88,8 @@ class TravelTimer:
         self._sigma = noise.sigma if noise else 0.0
         self._rng = np.random.default_rng(noise.seed) if noise and noise.sigma > 0 else None
 
-    def minutes(self, a: Position, b: Position) -> float:
-        t = a.distance_to(b) / self.speed
+    def minutes(self, km: float) -> float:
+        t = km / self.speed
         if self._rng is not None:
             factor = 1.0 + float(self._rng.uniform(-self._sigma, self._sigma))
             t *= max(0.0, factor)
@@ -148,7 +157,7 @@ class FeasibilityReport:
 
 
 # ---------------------------------------------------------------------------
-# Elementary timing rules
+# Route scheduling
 # ---------------------------------------------------------------------------
 
 
@@ -159,41 +168,6 @@ def travel_time(a: Position, b: Position, speed: float) -> float:
     return a.distance_to(b) / speed
 
 
-def earliest_schedule(prev_leave: Optional[float], travel: float, window: TimeWindow,
-                      pickups: Sequence[float], service_time: float,
-                      ) -> tuple[float, float, float]:
-    """Earliest-start recurrence for one visit.
-
-    The first visit of a route (``prev_leave is None``) arrives at
-    max(window start, travel-from-depot time); later visits at
-    max(previous leave + travel, window start). Service starts once the
-    locker is there and the last-arriving member customer is available, and
-    the locker leaves one service time later.
-    """
-    if prev_leave is None:
-        arrival = max(window.start, travel)
-    else:
-        arrival = max(prev_leave + travel, window.start)
-    service_start = max(arrival, max(pickups)) if pickups else arrival
-    leave = service_start + service_time
-    return arrival, service_start, leave
-
-
-def apply_btd(prev_arrival: float, service_time: float, to_depot: float, from_depot: float) -> float:
-    """Arrival at the next space after a depot detour; the detour empties the locker."""
-    return prev_arrival + service_time + to_depot + from_depot
-
-
-def apply_hcps(prev_window_end: float, travel: float) -> float:
-    """Arrival at the next space after holding at the current one until its slice closes."""
-    return prev_window_end + travel
-
-
-# ---------------------------------------------------------------------------
-# Route scheduling
-# ---------------------------------------------------------------------------
-
-
 def schedule_route(tasks: Sequence[Task], instance: Instance, policy: AdjustmentPolicy,
                    *, locker_id: int = 0, task_ids: Optional[Sequence[int]] = None,
                    timer: Optional[TravelTimer] = None) -> Optional[LockerRoute]:
@@ -201,7 +175,7 @@ def schedule_route(tasks: Sequence[Task], instance: Instance, policy: Adjustment
 
     Returns None for an empty list (the locker is not dispatched). The route
     starts and ends at the depot; distance covers every leg including depot
-    detours and the final return.
+    detours and the final return. Visits follow the module docstring's rule.
     """
     if not tasks:
         return None
@@ -213,67 +187,46 @@ def schedule_route(tasks: Sequence[Task], instance: Instance, policy: Adjustment
     depot = instance.depot
     capacity = instance.fleet.capacity
     visits: list[VisitRecord] = []
-    distance = 0.0
-    load = 0.0
-    depot_departure = 0.0
-    prev_task: Optional[Task] = None
-    prev_space = None
-    prev_service_start = 0.0
-    prev_leave = 0.0
+    here = depot
+    prev_window: Optional[TimeWindow] = None
+    distance = load = leave = depot_departure = 0.0
 
-    for k, task in enumerate(tasks):
+    for task_id, task in zip(task_ids, tasks):
         sp = instance.space_by_id(task.space_id)
-        pickups = [earliest for _, earliest in task.members]
-        if k == 0:
-            t0 = timer.minutes(depot, sp.position)
-            arrival, service_start, leave = earliest_schedule(
-                None, t0, task.window, pickups, sp.service_time)
-            adjustment = Adjustment.NONE
-            distance += depot.distance_to(sp.position)
-            depot_departure = arrival - t0
+        window = task.window
+        km = here.distance_to(sp.position)
+        travel = timer.minutes(km)
+        arrival = max(leave + travel, window.start)
+        adjustment = Adjustment.NONE
+        if not visits:
+            depot_departure = arrival - travel
         else:
-            t_ij = timer.minutes(prev_space.position, sp.position)
-            natural = prev_leave + t_ij
+            early = leave + travel < window.start - _EPS
             overflow = load + task.demand > capacity + _EPS
-            early = natural < task.window.start - _EPS
-            hold_suffices = prev_task.window.end + t_ij >= task.window.start
-            use_hcps = (early and not overflow
-                        and policy is AdjustmentPolicy.HCPS and hold_suffices)
-            use_btd = overflow or (early and not use_hcps)
-            if use_btd:
-                t_i0 = timer.minutes(prev_space.position, depot)
-                t_0j = timer.minutes(depot, sp.position)
-                arrival = apply_btd(prev_service_start, prev_space.service_time, t_i0, t_0j)
-                adjustment = Adjustment.BTD
-                distance += prev_space.position.distance_to(depot) + depot.distance_to(sp.position)
-                load = 0.0
-            elif use_hcps:
-                arrival = apply_hcps(prev_task.window.end, t_ij)
+            if (early and not overflow and policy is AdjustmentPolicy.HCPS
+                    and prev_window.end + travel >= window.start):
+                arrival = prev_window.end + travel
                 adjustment = Adjustment.HCPS
-                distance += prev_space.position.distance_to(sp.position)
-            else:
-                arrival, service_start, leave = earliest_schedule(
-                    prev_leave, t_ij, task.window, pickups, sp.service_time)
-                adjustment = Adjustment.NONE
-                distance += prev_space.position.distance_to(sp.position)
-            if adjustment is not Adjustment.NONE:
-                service_start = max(arrival, task.window.start, *pickups) if pickups \
-                    else max(arrival, task.window.start)
-                leave = service_start + sp.service_time
-
+            elif early or overflow:
+                to_depot, from_depot = here.distance_to(depot), depot.distance_to(sp.position)
+                km = to_depot + from_depot
+                arrival = leave + timer.minutes(to_depot) + timer.minutes(from_depot)
+                adjustment = Adjustment.BTD
+                load = 0.0
+        service_start = max(arrival, window.start, *[p for _, p in task.members])
+        leave = service_start + sp.service_time
         load += task.demand
-        lateness = max(0.0, service_start - task.window.end)
+        distance += km
         visits.append(VisitRecord(
-            task_id=task_ids[k], arrival=arrival, service_start=service_start,
-            leave=leave, load_after=load, adjustment=adjustment, lateness=lateness))
-        prev_task, prev_space = task, sp
-        prev_service_start, prev_leave = service_start, leave
+            task_id=task_id, arrival=arrival, service_start=service_start, leave=leave,
+            load_after=load, adjustment=adjustment,
+            lateness=max(0.0, service_start - window.end)))
+        here, prev_window = sp.position, window
 
-    distance += prev_space.position.distance_to(depot)
-    depot_return = prev_leave + timer.minutes(prev_space.position, depot)
+    km = here.distance_to(depot)
     return LockerRoute(
         locker_id=locker_id, visits=tuple(visits), depot_departure=depot_departure,
-        depot_return=depot_return, distance_km=distance)
+        depot_return=leave + timer.minutes(km), distance_km=distance + km)
 
 
 def compute_cost(lockers_dispatched: int, total_distance: float, instance: Instance) -> CostBreakdown:
@@ -295,21 +248,20 @@ def evaluate_solution(state: SearchState, pool: TaskPool, instance: Instance,
     under ``policy``. Pure in (state, pool, instance, policy, noise
     seed); safe to call in parallel.
     """
-    n = len(pool)
-    validate_state(state, n, instance.fleet.max_lockers)
+    validate_state(state, len(pool), instance.fleet.max_lockers)
 
-    priority = np.empty(n, dtype=np.int64)
-    priority[state.x2] = np.arange(n)
-
+    # x2 lists the tasks in priority order, so a stable sort by window start
+    # breaks equal starts by priority; dealing in that order sorts every locker.
+    x1 = state.x1.tolist()
     by_locker: dict[int, list[int]] = {}
-    for task_id, locker in enumerate(state.x1.tolist()):
-        by_locker.setdefault(locker, []).append(task_id)
+    for task_id in sorted(state.x2.tolist(), key=lambda t: pool.tasks[t].window.start):
+        by_locker.setdefault(x1[task_id], []).append(task_id)
 
     timer = TravelTimer(instance.fleet.speed, noise)
     routes = []
     total_distance = 0.0
     for locker in sorted(by_locker):
-        ids = sorted(by_locker[locker], key=lambda t: (pool.tasks[t].window.start, priority[t]))
+        ids = by_locker[locker]
         tasks = [pool.tasks[t] for t in ids]
         route = schedule_route(tasks, instance, policy,
                                locker_id=locker, task_ids=ids, timer=timer)
@@ -465,9 +417,6 @@ __all__ = [
     "ConstraintViolation",
     "FeasibilityReport",
     "travel_time",
-    "earliest_schedule",
-    "apply_btd",
-    "apply_hcps",
     "schedule_route",
     "compute_cost",
     "evaluate_solution",

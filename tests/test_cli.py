@@ -104,6 +104,15 @@ def test_solve_rejects_non_numeric_config_values(instance_file, tmp_path, capsys
     assert not (tmp_path / "cfg").exists()
 
 
+def test_solve_rejects_a_config_integer_too_long_to_parse(instance_file, tmp_path, capsys):
+    cfg = tmp_path / "solver.json"
+    cfg.write_text('{"agents": 1' + "0" * 5000 + "}")
+    code = run_cli(["solve", "--instance", str(instance_file),
+                    "--config", str(cfg), "--out-dir", str(tmp_path / "cfg")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: {cfg}: invalid JSON: ")
+
+
 def test_solve_refuses_task_above_capacity(tmp_path, capsys):
     sp = make_space(1, 1.0, 0.0, window=(600, 660), service_time=60.0)
     cust = make_customer(0, 25, [(1.0, 0.1, (600, 660), 0.5)])
@@ -281,6 +290,10 @@ _INVALID_INSTANCES = {
     "zero objective": lambda doc: doc["fleet"].update(fixed_cost=0, unit_travel_cost=0),
     "non-numeric space id": _set("spaces", 0, "id", "abc"),
     "spaces not a list": _set("spaces", 5),
+    "infinite fixed cost": _set("fleet", "fixed_cost", float("inf")),
+    "infinite weight": _set("weights", [float("inf"), 1.0]),
+    "infinite service time": _set("spaces", 0, "service_time", float("inf")),
+    "oversized demand": _set("customers", 0, "demand", 10 ** 400),
 }
 
 
@@ -299,6 +312,21 @@ def test_invalid_instance_is_refused(instance_file, tmp_path, capsys, command, m
     assert captured.err.startswith("error: ") and "Traceback" not in captured.err
     assert "RESULT" not in captured.out
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "oracle", "validate"])
+def test_oversized_demand_names_the_customer(instance_file, tmp_path, capsys, command):
+    doc = json.loads(instance_file.read_text())
+    doc["customers"][1]["demand"] = 10 ** 400
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code = run_cli([command, "--instance", str(bad)])
+    captured = capsys.readouterr()
+    rule = f"customer {doc['customers'][1]['id']}: demand above 9007199254740992"
+    if command == "validate":
+        assert code == 1 and f"instance violation: {rule}" in captured.out
+    else:
+        assert code == 2 and captured.err.startswith("error: ") and rule in captured.err
 
 
 def test_validate_reports_invalid_instance_without_auditing_the_solution(instance_file,

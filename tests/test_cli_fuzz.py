@@ -1,0 +1,70 @@
+"""Property test: no single-field corruption of an instance file crashes the CLI."""
+
+import contextlib
+import io
+import json
+import math
+import tempfile
+from pathlib import Path
+
+from hypothesis import given, settings, strategies as st
+
+from mplq.cli import run_cli
+from mplq.instance import GeneratorConfig, generate_instance, instance_to_dict
+
+# A valid 2-space instance with a 3-task pool, small enough for the oracle.
+TINY = instance_to_dict(generate_instance(
+    GeneratorConfig(num_spaces=2, locations_per_space=3, seed=3)))
+
+DELETE = object()
+VALUES = (0, -1, math.nan, math.inf, -math.inf, 10 ** 400, "x", [1, 2], None, DELETE)
+
+
+def _paths(node, prefix=()):
+    """Every key or index path into ``node``, containers included."""
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+PATHS = list(_paths(TINY))
+
+
+def _mutated(path, value):
+    doc = json.loads(json.dumps(TINY))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run_cli(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(path=st.sampled_from(PATHS), value=st.sampled_from(VALUES))
+def test_cli_survives_any_single_field_corruption(path, value):
+    with tempfile.TemporaryDirectory() as tmp:
+        instance = Path(tmp) / "instance.json"
+        instance.write_text(json.dumps(_mutated(path, value)))
+        for argv in (["solve", "--agents", "2", "--iters", "2", "--out-dir", f"{tmp}/out"],
+                     ["oracle"]):
+            code, out, err = _run([*argv, "--instance", str(instance)])
+            assert code in (0, 1, 2)
+            if code:
+                assert any(line.startswith(("error:", "refused:"))
+                           for line in err.splitlines()), (argv[0], code, out, err)
+            else:
+                result = [ln for ln in out.splitlines() if ln.startswith("RESULT ")][-1]
+                reward = float(dict(p.split("=", 1) for p in result.split()[1:])["reward"])
+                assert math.isfinite(reward) and reward > 0, (argv[0], result)

@@ -119,6 +119,38 @@ def test_validate_flags_zero_objective_and_nan_service_time():
     assert any("costs are both zero" in rule for rule in rules)
 
 
+@pytest.mark.parametrize("field", ["service_time", "max_walk", "capacity", "speed",
+                                   "fixed_cost", "unit_travel_cost", "weight", "buffer"])
+def test_validate_flags_infinite_numbers(field):
+    def value(name, default):
+        return math.inf if name == field else default
+
+    sp = make_space(1, 0.0, 0.0, service_time=value("service_time", 30.0))
+    cust = make_customer(0, 1, [(0.1, 0.0, (600, 700), value("max_walk", 1.0))])
+    inst = make_instance([sp], [cust], capacity=value("capacity", 20.0),
+                         speed=value("speed", 0.7), fixed_cost=value("fixed_cost", 1.0),
+                         unit_travel_cost=value("unit_travel_cost", 1.0),
+                         weights=(value("weight", 5.0), 1.0), buffer=value("buffer", 10.0))
+    rules = [v.rule for v in validate_instance(inst).violations]
+    assert len(rules) == 1 and rules[0].startswith("non-finite ")
+
+
+def test_validate_flags_demand_too_large_for_a_float_load():
+    sp = make_space(1, 0.0, 0.0)
+    at_limit = make_customer(0, 2 ** 53, [(0.1, 0.0, (600, 700), 1.0)])
+    above = make_customer(1, 2 ** 53 + 1, [(0.1, 0.0, (800, 900), 1.0)])
+    report = validate_instance(make_instance([sp], [at_limit, above]))
+    assert [(v.entity, v.rule.split(" ")[0]) for v in report.violations] \
+        == [("customer 1", "demand")]
+
+
+def test_load_refuses_an_integer_too_long_to_parse(tmp_path):
+    path = tmp_path / "inst.json"
+    path.write_text('{"depot": [1' + "0" * 5000 + ', 0]}')
+    with pytest.raises(InstanceFormatError):
+        load_instance(path)
+
+
 def test_validate_clean_instance():
     inst = generate_instance(TABLE_CONFIG)
     assert validate_instance(inst).violations == ()

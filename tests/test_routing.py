@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 from mplq.errors import ParameterError, ShapeError
-from mplq.instance import (GeneratorConfig, Position, TimeWindow, assign_customers,
+from mplq.instance import (GeneratorConfig, Position, assign_customers,
                            generate_instance)
 from mplq.routing import (Adjustment, AdjustmentPolicy, LockerRoute, RoutePlan,
-                          TravelNoise, VisitRecord, apply_btd, apply_hcps,
-                          check_feasibility, compute_delay, earliest_schedule,
+                          TravelNoise, VisitRecord, check_feasibility, compute_delay,
                           evaluate_solution, hold_can_apply, schedule_route,
                           travel_time, write_plan_csv)
 from mplq.state import effective_locker_count
@@ -35,41 +34,6 @@ def test_travel_time_symmetric():
 def test_travel_time_rejects_nonpositive_speed():
     with pytest.raises(ParameterError):
         travel_time(Position(0, 0), Position(1, 1), 0.0)
-
-
-def test_earliest_schedule_first_visit_waits_for_window():
-    arrival, _, _ = earliest_schedule(None, 30.0, TimeWindow(600, 660), [], 30.0)
-    assert arrival == 600.0
-
-
-def test_earliest_schedule_leave_waits_for_pickup():
-    _, start, leave = earliest_schedule(None, 600.0, TimeWindow(600, 660), [610.0], 30.0)
-    assert start == 610.0 and leave == 640.0
-
-
-def test_earliest_schedule_subsequent_visit():
-    arrival, _, _ = earliest_schedule(640.0, 50.0, TimeWindow(660, 720), [], 30.0)
-    assert arrival == 690.0
-
-
-def test_apply_btd_sums_detour():
-    assert apply_btd(700.0, 30.0, 10.0, 15.0) == 755.0
-
-
-def test_apply_btd_identity_with_zero_legs():
-    assert apply_btd(700.0, 0.0, 0.0, 0.0) == 700.0
-
-
-def test_apply_btd_never_decreases_arrival():
-    rng = np.random.default_rng(1)
-    for _ in range(200):
-        a, s, t0, t1 = rng.uniform(0, 500, size=4)
-        assert apply_btd(a, s, t0, t1) >= a
-
-
-def test_apply_hcps_is_window_end_plus_travel():
-    assert apply_hcps(760.0, 20.0) == 780.0
-    assert apply_hcps(760.0, 0.0) == 760.0
 
 
 # ---------------------------------------------------------------------------
@@ -242,26 +206,93 @@ def _random_adjustment_free_case(rng):
     return inst, tasks
 
 
-def _replay_recurrences(inst, tasks):
-    """Independent earliest-start replay of a task list."""
-    speed = inst.fleet.speed
-    out = []
-    prev_leave = None
-    prev_pos = inst.depot
+def _random_adjusted_case(rng):
+    """Single-locker task list whose windows outlast the service time.
+
+    Windows open at scattered times and stay open up to an hour past the
+    service time, and demands fill a small capacity, so the scheduler meets
+    holds, capacity detours, early detours and first visits that wait.
+    """
+    speed = float(rng.uniform(0.2, 1.0))
+    count = int(rng.integers(1, 8))
+    spaces = [make_space(k + 1, float(rng.uniform(-8, 8)), float(rng.uniform(-8, 8)),
+                         service_time=float(rng.uniform(5, 25)))
+              for k in range(int(rng.integers(1, 5)))]
+    tasks = []
+    for _ in range(count):
+        sp = spaces[int(rng.integers(len(spaces)))]
+        start = float(rng.uniform(0, 400))
+        end = start + sp.service_time + float(rng.uniform(0, 60))
+        members = tuple((cid, float(rng.uniform(0, start + 20)))
+                        for cid in range(int(rng.integers(0, 3))))
+        tasks.append(make_task(sp.id, demand=int(rng.integers(1, 7)),
+                               window=(start, end), members=members))
+    tasks.sort(key=lambda t: t.window.start)
+    inst = make_instance(spaces, capacity=float(rng.choice([8.0, 12.0, 1e9])),
+                         speed=speed, max_lockers=1)
+    return inst, tasks
+
+
+def _replay_recurrences(inst, tasks, policy):
+    """Independent replay of a task list, adjustments included, on ``travel_time``.
+
+    Returns one (arrival, service start, leave, load, adjustment, lateness)
+    tuple per visit, the route's (depot departure, depot return, distance),
+    and the reason each visit took its arrival.
+    """
+    speed, depot, capacity = inst.fleet.speed, inst.depot, inst.fleet.capacity
+    visits, reasons = [], []
+    prev_task = prev_leave = None
+    prev_pos = depot
+    load = distance = departure = 0.0
     for task in tasks:
         sp = inst.space_by_id(task.space_id)
         t_leg = travel_time(prev_pos, sp.position, speed)
+        leg_km = prev_pos.distance_to(sp.position)
+        adjustment = Adjustment.NONE
         if prev_leave is None:
             arrival = max(task.window.start, t_leg)
+            departure = arrival - t_leg
+            reasons.append("first-waits" if arrival > t_leg else "first")
         else:
-            arrival = max(prev_leave + t_leg, task.window.start)
-        pickups = [p for _, p in task.members]
-        start = max(arrival, max(pickups)) if pickups else arrival
+            early = prev_leave + t_leg < task.window.start - 1e-9
+            overflow = load + task.demand > capacity + 1e-9
+            if (early and not overflow and policy is AdjustmentPolicy.HCPS
+                    and prev_task.window.end + t_leg >= task.window.start):
+                arrival = prev_task.window.end + t_leg
+                adjustment = Adjustment.HCPS
+                reasons.append("hold")
+            elif overflow or early:
+                arrival = (prev_leave + travel_time(prev_pos, depot, speed)
+                           + travel_time(depot, sp.position, speed))
+                leg_km = prev_pos.distance_to(depot) + depot.distance_to(sp.position)
+                adjustment = Adjustment.BTD
+                load = 0.0
+                reasons.append("capacity" if overflow else "early")
+            else:
+                arrival = max(prev_leave + t_leg, task.window.start)
+                reasons.append("plain")
+        start = max([arrival, task.window.start] + [p for _, p in task.members])
         leave = start + sp.service_time
-        out.append((arrival, leave))
-        prev_leave = leave
-        prev_pos = sp.position
-    return out
+        load += task.demand
+        distance += leg_km
+        visits.append((arrival, start, leave, load, adjustment,
+                       max(0.0, start - task.window.end)))
+        prev_task, prev_leave, prev_pos = task, leave, sp.position
+    distance += prev_pos.distance_to(depot)
+    route = (departure, prev_leave + travel_time(prev_pos, depot, speed), distance)
+    return visits, route, reasons
+
+
+def _assert_replayed(route, inst, tasks, policy):
+    visits, (departure, depot_return, distance), reasons = \
+        _replay_recurrences(inst, tasks, policy)
+    assert [(v.arrival, v.service_start, v.leave, v.load_after, v.adjustment, v.lateness)
+            for v in route.visits] == visits
+    assert route.depot_departure == departure
+    assert route.depot_return == depot_return
+    assert route.distance_km == distance
+    return reasons
 
 
 @pytest.mark.parametrize("policy", [AdjustmentPolicy.BTD, AdjustmentPolicy.HCPS])
@@ -271,10 +302,21 @@ def test_earliest_start_recurrence_matches_scheduler(policy):
         inst, tasks = _random_adjustment_free_case(rng)
         route = schedule_route(tasks, inst, policy, task_ids=list(range(len(tasks))))
         assert all(v.adjustment is Adjustment.NONE for v in route.visits)
-        expected = _replay_recurrences(inst, tasks)
-        for v, (arrival, leave) in zip(route.visits, expected):
-            assert v.arrival == arrival
-            assert v.leave == leave
+        _assert_replayed(route, inst, tasks, policy)
+
+
+@pytest.mark.parametrize("policy", [AdjustmentPolicy.BTD, AdjustmentPolicy.HCPS])
+def test_adjusted_visits_match_independent_replay(policy):
+    rng = np.random.default_rng(11)
+    reasons = set()
+    for _ in range(300):
+        inst, tasks = _random_adjusted_case(rng)
+        route = schedule_route(tasks, inst, policy, task_ids=list(range(len(tasks))))
+        reasons.update(_assert_replayed(route, inst, tasks, policy))
+    expected = {"first", "first-waits", "plain", "capacity", "early"}
+    if policy is AdjustmentPolicy.HCPS:
+        expected.add("hold")
+    assert reasons == expected
 
 
 # ---------------------------------------------------------------------------
