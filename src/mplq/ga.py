@@ -15,7 +15,7 @@ import numpy as np
 from .errors import NothingToSolveError, ParameterError
 from .instance import Instance
 from .routing import AdjustmentPolicy, RoutePlan
-from .hqm import Evaluator, RunHistory
+from .hqm import Evaluator, RunHistory, roulette
 from .state import SearchState, effective_locker_count
 from .taskgen import TaskPool
 
@@ -45,7 +45,7 @@ def _select_index(rewards: np.ndarray, rng: np.random.Generator) -> int:
     total = rewards.sum()
     if total <= 0:
         return int(rng.integers(len(rewards)))
-    return int(rng.choice(len(rewards), p=rewards / total))
+    return roulette(rewards, total, rng)
 
 
 def _uniform_crossover(a: np.ndarray, b: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -73,10 +73,10 @@ def _mutate(x1: np.ndarray, x2: np.ndarray, rate: float, max_lockers: int,
             rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     n = len(x1)
     for k in range(n):
-        if rng.uniform() < rate:
+        if rng.random() < rate:
             x1[k] = rng.integers(max_lockers)
     for k in range(n):
-        if rng.uniform() < rate and n > 1:
+        if rng.random() < rate and n > 1:
             j = int(rng.integers(n - 1))
             if j >= k:
                 j += 1
@@ -104,7 +104,7 @@ def next_generation(population: list[SearchState], params: GaParams,
     while len(out) < len(population):
         pa = population[_select_index(rewards, rng)]
         pb = population[_select_index(rewards, rng)]
-        if rng.uniform() < CROSSOVER_PROB:
+        if rng.random() < CROSSOVER_PROB:
             x1 = _uniform_crossover(pa.x1, pb.x1, rng)
             x2 = _order_crossover(pa.x2, pb.x2, rng)
         else:

@@ -113,7 +113,7 @@ def write_history_csv(history: RunHistory, path: Union[str, Path],
 
 
 class Evaluator:
-    """Caches rewards of previously scored states (evaluation is pure)."""
+    """Caches rewards of previously scored states and their routes (evaluation is pure)."""
 
     _CACHE_LIMIT = 150_000
 
@@ -122,6 +122,7 @@ class Evaluator:
         self.instance = instance
         self.policy = policy
         self._cache: dict[tuple[bytes, bytes], float] = {}
+        self._routes: dict = {}  # route memo of this pool, instance and policy
 
     def reward(self, state: SearchState) -> float:
         key = state.key()
@@ -129,7 +130,8 @@ class Evaluator:
         if hit is not None:
             state.reward = hit
             return hit
-        _, cost = evaluate_solution(state, self.pool, self.instance, self.policy)
+        _, cost = evaluate_solution(state, self.pool, self.instance, self.policy,
+                                    memo=self._routes)
         if len(self._cache) >= self._CACHE_LIMIT:
             self._cache.clear()
         self._cache[key] = cost.reward
@@ -137,7 +139,8 @@ class Evaluator:
         return cost.reward
 
     def plan(self, state: SearchState) -> RoutePlan:
-        plan, _ = evaluate_solution(state, self.pool, self.instance, self.policy)
+        plan, _ = evaluate_solution(state, self.pool, self.instance, self.policy,
+                                    memo=self._routes)
         return plan
 
 
@@ -177,6 +180,20 @@ def normalize_q(q: np.ndarray) -> np.ndarray:
     return out
 
 
+def roulette(scores: np.ndarray, total: float, rng: np.random.Generator) -> int:
+    """Index ``k`` drawn with probability ``scores[k] / total``, for a positive ``total``.
+
+    The inverse-CDF draw that ``Generator.choice`` makes for a 1-D ``p``: it
+    consumes the same single double and returns the same index, without
+    choice's per-call checks. Like choice, it refuses non-finite scores.
+    """
+    if not total < math.inf:  # NaN or infinity among the scores
+        raise ValueError(f"scores sum to {total}, not a finite number")
+    cdf = (scores / total).cumsum()
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
 def _pick_from_row(row: np.ndarray, candidates: np.ndarray, epsilon: Optional[float],
                    rng: np.random.Generator) -> int:
     """Epsilon-greedy pick among ``candidates`` scored by ``row``.
@@ -186,14 +203,14 @@ def _pick_from_row(row: np.ndarray, candidates: np.ndarray, epsilon: Optional[fl
     the restricted row sums to zero. When epsilon is None a fresh threshold is
     drawn for this one selection.
     """
-    eps = rng.uniform() if epsilon is None else epsilon
+    eps = rng.random() if epsilon is None else epsilon
     scores = row[candidates]
-    if rng.uniform() < eps:
-        return int(candidates[int(np.argmax(scores))])
+    if rng.random() < eps:
+        return int(candidates[scores.argmax()])
     total = scores.sum()
     if total <= 0.0:
         return int(candidates[rng.integers(len(candidates))])
-    return int(candidates[rng.choice(len(candidates), p=scores / total)])
+    return int(candidates[roulette(scores, total, rng)])
 
 
 def global_construct(agent: Agent, qmats: QMatrices, epsilon: Optional[float] = None,
@@ -220,7 +237,7 @@ def global_construct(agent: Agent, qmats: QMatrices, epsilon: Optional[float] = 
     unused = np.ones(n_tasks, dtype=bool)
     prev = n_tasks
     for t in range(n_tasks):
-        candidates = np.nonzero(unused)[0]
+        candidates = unused.nonzero()[0]
         nxt = _pick_from_row(qmats.q2[prev], candidates, epsilon, rng)
         x2[t] = nxt
         unused[nxt] = False
@@ -250,12 +267,6 @@ def local_move(state: SearchState, neighbor: SearchState, omega: float, *,
     return SearchState(x1=x1, x2=x2)
 
 
-def _chain_pairs(values: np.ndarray, start_row: int) -> list[tuple[int, int]]:
-    pairs = [(start_row, int(values[0]))]
-    pairs.extend((int(values[k - 1]), int(values[k])) for k in range(1, len(values)))
-    return pairs
-
-
 def update_q(qmats: QMatrices, state: SearchState, reward: float, alpha: float,
              gamma: float) -> QMatrices:
     """One-step value update along both chains of an accepted state.
@@ -267,8 +278,12 @@ def update_q(qmats: QMatrices, state: SearchState, reward: float, alpha: float,
     for q, values in ((qmats.q1, state.x1), (qmats.q2, state.x2)):
         if len(values) == 0:
             continue
-        for a, b in _chain_pairs(values, q.shape[0] - 1):
-            q[a, b] += alpha * (reward + gamma * q[b].max() - q[a, b])
+        rows = q.tolist()  # Python floats: the same IEEE operations, without numpy's per-call cost
+        a = len(rows) - 1  # the virtual start row
+        for b in values.tolist():
+            rows[a][b] += alpha * (reward + gamma * max(rows[b]) - rows[a][b])
+            a = b
+        q[...] = rows
     return qmats
 
 
@@ -351,6 +366,7 @@ __all__ = [
     "Evaluator",
     "init_agents",
     "normalize_q",
+    "roulette",
     "global_construct",
     "local_move",
     "update_q",

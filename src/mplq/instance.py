@@ -388,6 +388,8 @@ def validate_instance(instance: Instance) -> ValidationReport:
     seen_space_ids = set()
     for sp in instance.spaces:
         ent = f"space {sp.id}"
+        if sp.id < 1:
+            bad(ent, "space id below 1; plan.csv writes the depot as node 0")
         if sp.id in seen_space_ids:
             bad(ent, "duplicate space id")
         seen_space_ids.add(sp.id)
@@ -432,8 +434,30 @@ def validate_instance(instance: Instance) -> ValidationReport:
     for weight in instance.weights:
         check_number("weights", "objective weight", weight)
     check_number("buffer", "buffer time", instance.buffer, zero_ok=True)
+    if not violations and not math.isfinite(_objective_bound(instance)):
+        bad("objective", "the objective of some plan overflows a float; "
+                         "costs, weights or coordinates are too large")
 
     return ValidationReport(violations=tuple(violations))
+
+
+def _objective_bound(instance: Instance) -> float:
+    """An upper bound on the objective of every plan, with a margin for rounding.
+
+    Each task holds at least one customer, so a plan serves at most one task
+    per customer and dispatches at most min(max_lockers, customers) lockers.
+    A route over k tasks drives at most 2k legs (one into each space, one to
+    the depot before each detour, and the return), and no leg is longer than
+    the diagonal of the box around the depot and the spaces.
+    """
+    xs = [instance.depot.x] + [sp.position.x for sp in instance.spaces]
+    ys = [instance.depot.y] + [sp.position.y for sp in instance.spaces]
+    diagonal = math.hypot(max(xs) - min(xs), max(ys) - min(ys))
+    customers = len(instance.customers)
+    w1, w2 = instance.weights
+    bound = (w1 * instance.fleet.fixed_cost * min(instance.fleet.max_lockers, customers)
+             + w2 * instance.fleet.unit_travel_cost * (2 * customers * diagonal))
+    return bound * (1.0 + 1e-6)
 
 
 # ---------------------------------------------------------------------------

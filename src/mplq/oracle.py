@@ -46,13 +46,14 @@ def brute_force_best(pool: TaskPool, instance: Instance, policy: AdjustmentPolic
 
     best_state: Optional[SearchState] = None
     best_reward = -math.inf
+    routes: dict = {}  # route memo of this pool, instance and policy
     # itertools yields both coordinates in lexicographic order, so keeping the
     # first strict maximum realises the lexicographic tie-break.
     for x1 in itertools.product(range(max_lockers), repeat=n):
         for x2 in itertools.permutations(range(n)):
             state = SearchState(x1=np.array(x1, dtype=np.int64),
                                 x2=np.array(x2, dtype=np.int64))
-            _, cost = evaluate_solution(state, pool, instance, policy)
+            _, cost = evaluate_solution(state, pool, instance, policy, memo=routes)
             if cost.reward > best_reward:
                 best_reward = cost.reward
                 state.reward = cost.reward

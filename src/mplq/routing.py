@@ -40,6 +40,8 @@ from .state import SearchState, validate_state
 from .taskgen import Task, TaskPool
 
 _EPS = 1e-9
+# Routes a route memo holds before it is emptied; bounds the memory of a solve.
+_ROUTE_MEMO_LIMIT = 1024
 
 
 class AdjustmentPolicy(enum.Enum):
@@ -170,17 +172,31 @@ def travel_time(a: Position, b: Position, speed: float) -> float:
 
 def schedule_route(tasks: Sequence[Task], instance: Instance, policy: AdjustmentPolicy,
                    *, locker_id: int = 0, task_ids: Optional[Sequence[int]] = None,
-                   timer: Optional[TravelTimer] = None) -> Optional[LockerRoute]:
+                   timer: Optional[TravelTimer] = None,
+                   memo: Optional[dict] = None) -> Optional[LockerRoute]:
     """Schedule one locker's task list, already sorted by window start.
 
     Returns None for an empty list (the locker is not dispatched). The route
     starts and ends at the depot; distance covers every leg including depot
     detours and the final return. Visits follow the module docstring's rule.
+
+    ``memo`` caches routes by the ordered ``task_ids`` tuple; a hit under
+    another locker id comes back with ``locker_id``. One memo must serve one
+    task pool, instance and policy, and a timer without noise. It is emptied
+    when it holds ``_ROUTE_MEMO_LIMIT`` routes.
     """
     if not tasks:
         return None
     if task_ids is None:
         task_ids = list(range(len(tasks)))
+    if memo is not None:
+        key = tuple(task_ids)
+        route = memo.get(key)
+        if route is not None:
+            if route.locker_id != locker_id:
+                route = LockerRoute(locker_id, route.visits, route.depot_departure,
+                                    route.depot_return, route.distance_km)
+            return route
     if timer is None:
         timer = TravelTimer(instance.fleet.speed)
 
@@ -224,9 +240,14 @@ def schedule_route(tasks: Sequence[Task], instance: Instance, policy: Adjustment
         here, prev_window = sp.position, window
 
     km = here.distance_to(depot)
-    return LockerRoute(
+    route = LockerRoute(
         locker_id=locker_id, visits=tuple(visits), depot_departure=depot_departure,
         depot_return=leave + timer.minutes(km), distance_km=distance + km)
+    if memo is not None:
+        if len(memo) >= _ROUTE_MEMO_LIMIT:
+            memo.clear()
+        memo[key] = route
+    return route
 
 
 def compute_cost(lockers_dispatched: int, total_distance: float, instance: Instance) -> CostBreakdown:
@@ -240,14 +261,18 @@ def compute_cost(lockers_dispatched: int, total_distance: float, instance: Insta
 
 def evaluate_solution(state: SearchState, pool: TaskPool, instance: Instance,
                       policy: AdjustmentPolicy, noise: Optional[TravelNoise] = None,
-                      ) -> tuple[RoutePlan, CostBreakdown]:
+                      memo: Optional[dict] = None) -> tuple[RoutePlan, CostBreakdown]:
     """Score one candidate solution.
 
     Tasks are partitioned by ``x1``, each locker's list is ordered by window
     start with ``x2`` priority breaking ties, and every route is scheduled
     under ``policy``. Pure in (state, pool, instance, policy, noise
-    seed); safe to call in parallel.
+    seed); safe to call in parallel. ``memo`` is a route memo for
+    ``schedule_route`` that only this pool, instance and policy use; it is
+    refused with ``noise``, which draws on every leg.
     """
+    if memo is not None and noise is not None:
+        raise ParameterError("a route memo cannot be used with travel noise")
     validate_state(state, len(pool), instance.fleet.max_lockers)
 
     # x2 lists the tasks in priority order, so a stable sort by window start
@@ -264,7 +289,7 @@ def evaluate_solution(state: SearchState, pool: TaskPool, instance: Instance,
         ids = by_locker[locker]
         tasks = [pool.tasks[t] for t in ids]
         route = schedule_route(tasks, instance, policy,
-                               locker_id=locker, task_ids=ids, timer=timer)
+                               locker_id=locker, task_ids=ids, timer=timer, memo=memo)
         routes.append(route)
         total_distance += route.distance_km
 

@@ -294,6 +294,9 @@ _INVALID_INSTANCES = {
     "infinite weight": _set("weights", [float("inf"), 1.0]),
     "infinite service time": _set("spaces", 0, "service_time", float("inf")),
     "oversized demand": _set("customers", 0, "demand", 10 ** 400),
+    "overflowing fixed cost": _set("fleet", "fixed_cost", 1e308),
+    "overflowing legs": _set("depot", [1e308, 0.0]),
+    "space id 0": _set("spaces", 0, "id", 0),
 }
 
 
@@ -323,6 +326,22 @@ def test_oversized_demand_names_the_customer(instance_file, tmp_path, capsys, co
     code = run_cli([command, "--instance", str(bad)])
     captured = capsys.readouterr()
     rule = f"customer {doc['customers'][1]['id']}: demand above 9007199254740992"
+    if command == "validate":
+        assert code == 1 and f"instance violation: {rule}" in captured.out
+    else:
+        assert code == 2 and captured.err.startswith("error: ") and rule in captured.err
+
+
+@pytest.mark.parametrize("command", ["solve", "oracle", "validate"])
+def test_space_id_zero_names_the_space(instance_file, tmp_path, capsys, command):
+    doc = json.loads(instance_file.read_text())
+    doc["spaces"][0]["id"] = 0
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code = run_cli([command, "--instance", str(bad), "--out-dir", str(tmp_path / "out")]
+                   if command == "solve" else [command, "--instance", str(bad)])
+    captured = capsys.readouterr()
+    rule = "space 0: space id below 1"
     if command == "validate":
         assert code == 1 and f"instance violation: {rule}" in captured.out
     else:

@@ -17,7 +17,7 @@ TINY = instance_to_dict(generate_instance(
     GeneratorConfig(num_spaces=2, locations_per_space=3, seed=3)))
 
 DELETE = object()
-VALUES = (0, -1, math.nan, math.inf, -math.inf, 10 ** 400, "x", [1, 2], None, DELETE)
+VALUES = (0, -1, 1e308, math.nan, math.inf, -math.inf, 10 ** 400, "x", [1, 2], None, DELETE)
 
 
 def _paths(node, prefix=()):

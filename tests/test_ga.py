@@ -22,6 +22,38 @@ def _evaluated_population(n_states, n_tasks, lockers, seed=0):
     return pop
 
 
+def _choice_select(rewards, rng):
+    """The selection as written with ``Generator.choice``: the reference stream."""
+    total = rewards.sum()
+    if total <= 0:
+        return int(rng.integers(len(rewards)))
+    return int(rng.choice(len(rewards), p=rewards / total))
+
+
+def test_select_index_draws_what_generator_choice_drew():
+    for seed in range(300):
+        maker = np.random.default_rng(seed)
+        size = int(maker.integers(1, 40))
+        kind = seed % 4
+        rewards = (maker.uniform(1e-3, 0.1, size) if kind == 0
+                   else maker.choice([0.01, 0.02], size=size) if kind == 1  # ties
+                   else np.zeros(size) if kind == 2
+                   else np.full(1, 0.05))  # one candidate
+        ours, ref = np.random.default_rng(seed + 1000), np.random.default_rng(seed + 1000)
+        for _ in range(5):
+            assert ga._select_index(rewards, ours) == _choice_select(rewards, ref)
+            assert ours.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_select_index_refuses_non_finite_rewards_like_generator_choice(bad):
+    rewards = np.array([0.01, bad, 0.02])
+    with pytest.raises(ValueError), np.errstate(invalid="ignore"):
+        _choice_select(rewards, np.random.default_rng(0))
+    with pytest.raises(ValueError):
+        ga._select_index(rewards, np.random.default_rng(0))
+
+
 def test_params_validation():
     with pytest.raises(ParameterError):
         GaParams(population=1)

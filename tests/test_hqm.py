@@ -75,6 +75,62 @@ def test_sampling_branch_uniform_on_zero_row():
         assert draws.count(k) / len(draws) == pytest.approx(1 / 3, abs=0.03)
 
 
+def _choice_pick(row, candidates, epsilon, rng):
+    """The pick as written with ``Generator.choice``: the reference stream."""
+    eps = rng.uniform() if epsilon is None else epsilon
+    scores = row[candidates]
+    if rng.uniform() < eps:
+        return int(candidates[int(np.argmax(scores))])
+    total = scores.sum()
+    if total <= 0.0:
+        return int(candidates[rng.integers(len(candidates))])
+    return int(candidates[rng.choice(len(candidates), p=scores / total)])
+
+
+def _random_row(rng):
+    """A normalized-looking row: spread, tied, all-zero or one-hot."""
+    width = int(rng.integers(1, 20))
+    kind = int(rng.integers(4))
+    if kind == 0:
+        return rng.random(width)
+    if kind == 1:
+        return rng.choice([0.0, 0.5, 1.0], size=width)
+    if kind == 2:
+        return np.zeros(width)
+    row = np.zeros(width)
+    row[int(rng.integers(width))] = 1.0
+    return row
+
+
+@pytest.mark.parametrize("epsilon", [None, 0.0, 0.3])
+def test_pick_draws_what_generator_choice_drew(epsilon):
+    kinds = set()
+    for seed in range(300):
+        maker = np.random.default_rng(seed)
+        row = _random_row(maker)
+        width = len(row)
+        candidates = (np.arange(width) if maker.random() < 0.5
+                      else np.sort(maker.choice(width, size=int(maker.integers(1, width + 1)),
+                                                replace=False)))
+        kinds.add("single" if len(candidates) == 1 else
+                  "zero" if row[candidates].sum() == 0 else "spread")
+        ours, ref = np.random.default_rng(seed + 1000), np.random.default_rng(seed + 1000)
+        for _ in range(5):
+            assert _pick_from_row(row, candidates, epsilon, ours) == \
+                _choice_pick(row, candidates, epsilon, ref)
+            assert ours.bit_generator.state == ref.bit_generator.state
+    assert kinds == {"single", "zero", "spread"}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_pick_refuses_non_finite_scores_like_generator_choice(bad):
+    row = np.array([0.2, bad, 0.5])
+    with pytest.raises(ValueError), np.errstate(invalid="ignore"):
+        _choice_pick(row, np.arange(3), 0.0, np.random.default_rng(0))
+    with pytest.raises(ValueError):
+        _pick_from_row(row, np.arange(3), 0.0, np.random.default_rng(0))
+
+
 def test_construct_reproduces_unique_chain_under_full_greed():
     # q2 encodes start->2->0->1; q1 start->1, then 1->0, 0->0
     q = QMatrices.zeros(2, 3)
@@ -180,6 +236,29 @@ def test_update_q_fixed_point():
     q.q2[:] = 10.0
     update_q(q, make_state([0], [0]), reward=1.0, alpha=0.8, gamma=0.9)
     assert np.allclose(q.q1, 10.0) and np.allclose(q.q2, 10.0)
+
+
+def _numpy_update_q(qmats, state, reward, alpha, gamma):
+    """The update as written on the arrays, entry by entry: the reference."""
+    for q, values in ((qmats.q1, state.x1), (qmats.q2, state.x2)):
+        a = q.shape[0] - 1
+        for b in values.tolist():
+            q[a, b] += alpha * (reward + gamma * q[b].max() - q[a, b])
+            a = b
+
+
+def test_update_q_matches_the_array_update_bit_for_bit():
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        lockers, tasks = int(rng.integers(1, 5)), int(rng.integers(1, 12))
+        ours = QMatrices(q1=rng.random((lockers + 1, lockers)), q2=rng.random((tasks + 1, tasks)))
+        ref = ours.copy()
+        for _ in range(3):  # repeated lockers give self-transitions and revisited rows
+            state = make_state(rng.integers(0, lockers, size=tasks), rng.permutation(tasks))
+            reward, alpha = float(rng.random()), float(rng.random())
+            update_q(ours, state, reward, alpha, 0.9)
+            _numpy_update_q(ref, state, reward, alpha, 0.9)
+            assert np.array_equal(ours.q1, ref.q1) and np.array_equal(ours.q2, ref.q2)
 
 
 def test_has_converged_thresholds():

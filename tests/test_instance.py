@@ -144,6 +144,35 @@ def test_validate_flags_demand_too_large_for_a_float_load():
         == [("customer 1", "demand")]
 
 
+@pytest.mark.parametrize("space_id", [0, -3])
+def test_validate_flags_space_ids_below_one(space_id):
+    report = validate_instance(make_instance([make_space(space_id, 1.0, 0.0)]))
+    assert [(v.entity, v.rule.split(";")[0]) for v in report.violations] \
+        == [(f"space {space_id}", "space id below 1")]
+
+
+@pytest.mark.parametrize("field", ["fixed_cost", "unit_travel_cost", "weight", "position"])
+def test_validate_flags_an_objective_that_overflows(field):
+    def value(name, default):
+        return 1e308 if name == field else default
+
+    sp = make_space(1, value("position", 3.0), 0.0)
+    cust = make_customer(0, 1, [(3.0, 0.0, (600, 700), 1.0)])
+    inst = make_instance([sp], [cust, make_customer(1, 1, [(3.0, 0.0, (800, 900), 1.0)])],
+                         fixed_cost=value("fixed_cost", 1.0),
+                         unit_travel_cost=value("unit_travel_cost", 1.0),
+                         weights=(value("weight", 5.0), 1.0))
+    report = validate_instance(inst)
+    assert [v.entity for v in report.violations] == ["objective"]
+
+
+def test_validate_accepts_a_large_finite_objective():
+    sp = make_space(1, 1e300, 0.0)
+    cust = make_customer(0, 1, [(1e300, 0.0, (600, 700), 1.0)])
+    inst = make_instance([sp], [cust], fixed_cost=1e300, weights=(5.0, 1.0))
+    assert validate_instance(inst).ok
+
+
 def test_load_refuses_an_integer_too_long_to_parse(tmp_path):
     path = tmp_path / "inst.json"
     path.write_text('{"depot": [1' + "0" * 5000 + ', 0]}')

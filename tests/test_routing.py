@@ -437,6 +437,87 @@ def test_travel_noise_is_seeded_and_leaves_cost_geometric():
 
 
 # ---------------------------------------------------------------------------
+# Route memo
+# ---------------------------------------------------------------------------
+
+
+def _random_hold_pool(rng):
+    """A three-locker pool whose windows outlast the service time by up to an hour.
+
+    Windows open on a 50-minute grid, so tasks at different spaces often open
+    together and the x2 priority orders them; holds and detours both occur.
+    """
+    spaces = [make_space(k + 1, float(rng.uniform(-8, 8)), float(rng.uniform(-8, 8)),
+                         service_time=float(rng.uniform(5, 25)))
+              for k in range(int(rng.integers(2, 5)))]
+    tasks = []
+    for _ in range(int(rng.integers(4, 10))):
+        sp = spaces[int(rng.integers(len(spaces)))]
+        start = 50.0 * int(rng.integers(0, 6))
+        end = start + sp.service_time + float(rng.uniform(0, 60))
+        tasks.append(make_task(sp.id, demand=int(rng.integers(1, 7)), window=(start, end),
+                               members=((0, float(rng.uniform(0, start + 20))),)))
+    inst = make_instance(spaces, capacity=float(rng.choice([8.0, 12.0, 1e9])),
+                         speed=float(rng.uniform(0.2, 1.0)), max_lockers=3)
+    return inst, make_pool(tasks)
+
+
+def _next_state(rng, states, n, lockers):
+    """A fresh random state, or an earlier one with one task moved or its lockers relabelled."""
+    kind = int(rng.integers(3)) if states else 0
+    if kind == 0:
+        return make_state(rng.integers(0, lockers, size=n), rng.permutation(n))
+    base = states[int(rng.integers(len(states)))]
+    x1 = base.x1.copy()
+    if kind == 1:
+        x1[int(rng.integers(n))] = rng.integers(lockers)
+    else:
+        x1 = rng.permutation(lockers)[x1]
+    return make_state(x1, base.x2)
+
+
+@pytest.mark.parametrize("policy", [AdjustmentPolicy.BTD, AdjustmentPolicy.HCPS])
+def test_route_memo_returns_the_memo_free_plan(policy):
+    rng = np.random.default_rng(17)
+    generated = list(_generated_pools())
+    cases = [(inst, pool, 12) for inst, pool in generated]
+    cases += [(*_random_hold_pool(rng), 12) for _ in range(24)]
+    # The largest pool schedules enough distinct routes to pass the memo's bound.
+    cases.append((*max(generated, key=lambda case: len(case[1])), 800))
+    evaluations = relabelled = clears = 0
+    orders: dict = {}
+    for inst, pool, count in cases:
+        n = len(pool)
+        lockers = min(4, effective_locker_count(inst.fleet.max_lockers, n))
+        memo: dict = {}
+        states: list = []
+        for _ in range(count):
+            state = _next_state(rng, states, n, lockers)
+            states.append(state)
+            before = {key: route.locker_id for key, route in memo.items()}
+            got = evaluate_solution(state, pool, inst, policy, memo=memo)
+            assert got == evaluate_solution(state, pool, inst, policy)
+            evaluations += 1
+            clears += len(memo) < len(before)
+            for route in got[0].routes:
+                key = tuple(v.task_id for v in route.visits)
+                relabelled += before.get(key, route.locker_id) != route.locker_id
+                orders.setdefault((id(pool), frozenset(key)), set()).add(key)
+    assert evaluations >= 300
+    assert relabelled > 0 and clears > 0
+    # Some task set was scheduled in two orders, so a key that ignored the
+    # order would have returned a wrong route.
+    assert any(len(keys) > 1 for keys in orders.values())
+
+
+def test_route_memo_is_refused_with_travel_noise():
+    inst, pool = _two_task_setup()
+    with pytest.raises(ParameterError):
+        evaluate_solution(make_state([0, 0], [0, 1]), pool, inst, AdjustmentPolicy.HCPS,
+                          noise=TravelNoise(sigma=0.5, seed=9), memo={})
+
+
+# ---------------------------------------------------------------------------
 # Delay and feasibility
 # ---------------------------------------------------------------------------
 
