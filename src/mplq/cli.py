@@ -1,7 +1,8 @@
 """Command-line driver: generate, solve, validate, oracle, bench, sweep.
 
-generate, solve, bench and sweep take --seed (falling back to the MPLQ_SEED
-environment variable, then 0); the other two commands draw no random numbers.
+generate, solve, bench and sweep take a non-negative --seed (falling back to
+the MPLQ_SEED environment variable, then 0); the other two commands draw no
+random numbers.
 solve's plan.csv, history.csv, metrics.txt and solution.json, bench's
 grid.csv and sweep's sweep.csv record the resolved configuration, so any run
 can be reproduced from its artifacts. A final machine-readable RESULT line of
@@ -33,7 +34,7 @@ from .hqm import HqmParams, run_hqm, write_history_csv  # noqa: F401
 from .instance import (GeneratorConfig, assign_customers, generate_instance,
                        load_instance, save_instance, validate_instance,
                        write_assignment_csv)
-from .oracle import MAX_ENUMERATIONS, brute_force_best, search_space_size
+from .oracle import brute_force_best, search_space_size
 from .routing import (AdjustmentPolicy, TravelNoise, check_feasibility,
                       compute_delay, evaluate_solution, write_plan_csv)
 from .state import SearchState, effective_locker_count
@@ -44,16 +45,20 @@ EXIT_INFEASIBLE = 1
 EXIT_USAGE = 2
 
 
-def _resolve_seed(value: Optional[int]) -> int:
-    if value is not None:
-        return value
-    env = os.environ.get("MPLQ_SEED")
-    if env is not None:
+def _resolve_seed(value: Optional[int], source: str = "--seed") -> int:
+    """``value`` (named ``source`` in errors), else MPLQ_SEED, else 0."""
+    if value is None:
+        env = os.environ.get("MPLQ_SEED")
+        if env is None:
+            return 0
+        source = "MPLQ_SEED"
         try:
-            return int(env)
+            value = int(env)
         except ValueError:
             raise ConfigurationError(f"MPLQ_SEED must be an integer, got {env!r}")
-    return 0
+    if value < 0:
+        raise ConfigurationError(f"{source} must be a non-negative integer, got {value}")
+    return value
 
 
 def _config_line(args: argparse.Namespace, seed: int) -> str:
@@ -64,13 +69,6 @@ def _config_line(args: argparse.Namespace, seed: int) -> str:
 
 def _print_result(**pairs) -> None:
     print("RESULT " + " ".join(f"{k}={v}" for k, v in pairs.items()))
-
-
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
-    return value
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -166,7 +164,10 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     def pick(flag, key, default):  # explicit flag, else config file, else default
         return flag if flag is not None else file_cfg.get(key, default)
 
-    seed = _resolve_seed(pick(args.seed, "seed", None))
+    if args.seed is None and "seed" in file_cfg:
+        seed = _resolve_seed(file_cfg["seed"], f"{args.config}: seed")
+    else:
+        seed = _resolve_seed(args.seed)
     desk = bench.BudgetProfile.desk()
     budget = bench.BudgetProfile(agents=pick(args.agents, "agents", desk.agents),
                                  iterations=pick(args.iters, "timesteps", desk.iterations))
@@ -269,7 +270,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     policy = AdjustmentPolicy.parse(args.policy)
     lockers = effective_locker_count(instance.fleet.max_lockers, len(pool))
     try:
-        best, reward = brute_force_best(pool, instance, policy, limit=args.limit)
+        best, reward = brute_force_best(pool, instance, policy)
     except SearchSpaceLimitError as exc:
         print(f"refused: {exc.cardinality} states exceed the limit {exc.limit}",
               file=sys.stderr)
@@ -373,7 +374,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="exact optimum of a tiny instance")
     p.add_argument("--instance", required=True)
     p.add_argument("--policy", choices=("btd", "hcps"), default="hcps")
-    p.add_argument("--limit", type=_positive_int, default=MAX_ENUMERATIONS)
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("bench", help="run the experiment grid")

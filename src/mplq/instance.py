@@ -29,6 +29,9 @@ logger = logging.getLogger("mplq.instance")
 MINUTES_PER_DAY = 1440.0
 # Largest customer demand: loads are floats, which count parcels exactly up to 2**53.
 MAX_DEMAND = 2 ** 53
+# Latest time a plan may record: float spacing there is 2.4e-7 min, so
+# leave - start keeps a service time within the audit's 1e-6 tolerance.
+MAX_PLAN_MINUTES = 2 ** 30
 
 
 @dataclass(frozen=True)
@@ -437,8 +440,18 @@ def validate_instance(instance: Instance) -> ValidationReport:
     if not violations and not math.isfinite(_objective_bound(instance)):
         bad("objective", "the objective of some plan overflows a float; "
                          "costs, weights or coordinates are too large")
+    if not violations and not _time_bound(instance) <= MAX_PLAN_MINUTES:
+        bad("fleet", f"some plan runs past {MAX_PLAN_MINUTES} minutes, where rounding "
+                     "swamps service times; speed is too small or service times too large")
 
     return ValidationReport(violations=tuple(violations))
+
+
+def _box_diagonal(instance: Instance) -> float:
+    """The diagonal of the box around the depot and the spaces: the longest leg."""
+    xs = [instance.depot.x] + [sp.position.x for sp in instance.spaces]
+    ys = [instance.depot.y] + [sp.position.y for sp in instance.spaces]
+    return math.hypot(max(xs) - min(xs), max(ys) - min(ys))
 
 
 def _objective_bound(instance: Instance) -> float:
@@ -450,13 +463,24 @@ def _objective_bound(instance: Instance) -> float:
     the depot before each detour, and the return), and no leg is longer than
     the diagonal of the box around the depot and the spaces.
     """
-    xs = [instance.depot.x] + [sp.position.x for sp in instance.spaces]
-    ys = [instance.depot.y] + [sp.position.y for sp in instance.spaces]
-    diagonal = math.hypot(max(xs) - min(xs), max(ys) - min(ys))
+    diagonal = _box_diagonal(instance)
     customers = len(instance.customers)
     w1, w2 = instance.weights
     bound = (w1 * instance.fleet.fixed_cost * min(instance.fleet.max_lockers, customers)
              + w2 * instance.fleet.unit_travel_cost * (2 * customers * diagonal))
+    return bound * (1.0 + 1e-6)
+
+
+def _time_bound(instance: Instance) -> float:
+    """An upper bound on every time a plan records, with a margin for rounding.
+
+    Built like ``_objective_bound``: no visit waits past the end of the day,
+    each of at most one task per customer adds two legs no longer than the
+    box diagonal and a service time, and the route ends with the return leg.
+    """
+    leg = _box_diagonal(instance) / instance.fleet.speed
+    service = max((sp.service_time for sp in instance.spaces), default=0.0)
+    bound = MINUTES_PER_DAY + len(instance.customers) * (2 * leg + service) + leg
     return bound * (1.0 + 1e-6)
 
 

@@ -1,9 +1,8 @@
 """Exhaustive solver for tiny task pools.
 
-Enumerates every allocation vector and every execution permutation, scoring
-each with the same scheduler the heuristic solvers use. The result certifies
-the best reward reachable through this encoding, which is the right yardstick
-for solver-quality tests.
+Scores each distinct plan of the (x1, x2) encoding once, with the same
+scheduler the heuristic solvers use. The result certifies the best reward
+reachable through this encoding, the yardstick for solver-quality tests.
 """
 
 from __future__ import annotations
@@ -27,30 +26,38 @@ def search_space_size(num_tasks: int, max_lockers: int) -> int:
     return max_lockers ** num_tasks * math.factorial(num_tasks)
 
 
-def brute_force_best(pool: TaskPool, instance: Instance, policy: AdjustmentPolicy,
-                     limit: int = MAX_ENUMERATIONS) -> tuple[SearchState, float]:
-    """Enumerate all (allocation, permutation) pairs and return the best.
+def brute_force_best(pool: TaskPool, instance: Instance,
+                     policy: AdjustmentPolicy) -> tuple[SearchState, float]:
+    """Return the best state and its reward, scoring each distinct plan once.
 
     Allocations range over ``effective_locker_count`` lockers, as the solvers'
-    do. Refuses (with the computed cardinality) when the space holds more than
-    ``limit`` states. Ties break toward the lexicographically smallest pair; no
-    randomness is involved.
+    do, in first-use form: renaming lockers leaves the plan alone. Orders only
+    permute tasks that share a window start, since the decode sorts by start.
+    Refuses when the full encoding holds more than ``MAX_ENUMERATIONS``
+    states. Ties break toward the lexicographically smallest scored pair.
+    Renaming lockers reorders the sum of route lengths, so with three or more
+    lockers a skipped renaming could differ in the reward's last bit.
     """
     n = len(pool)
     if n == 0:
         raise NothingToSolveError("task pool is empty")
     max_lockers = effective_locker_count(instance.fleet.max_lockers, n)
     cardinality = search_space_size(n, max_lockers)
-    if cardinality > limit:
-        raise SearchSpaceLimitError(cardinality, limit)
+    if cardinality > MAX_ENUMERATIONS:
+        raise SearchSpaceLimitError(cardinality, MAX_ENUMERATIONS)
 
+    starts = [task.window.start for task in pool.tasks]
+    orders = [x2 for x2 in itertools.permutations(range(n))
+              if all(starts[t] == starts[k] for k, t in enumerate(x2))]
     best_state: Optional[SearchState] = None
     best_reward = -math.inf
     routes: dict = {}  # route memo of this pool, instance and policy
     # itertools yields both coordinates in lexicographic order, so keeping the
     # first strict maximum realises the lexicographic tie-break.
     for x1 in itertools.product(range(max_lockers), repeat=n):
-        for x2 in itertools.permutations(range(n)):
+        if any(x1[t] > max(x1[:t], default=-1) + 1 for t in range(n)):
+            continue  # renames the lockers of a first-use allocation
+        for x2 in orders:
             state = SearchState(x1=np.array(x1, dtype=np.int64),
                                 x2=np.array(x2, dtype=np.int64))
             _, cost = evaluate_solution(state, pool, instance, policy, memo=routes)

@@ -110,8 +110,7 @@ class VisitRecord:
 
 
 @dataclass(frozen=True)
-class LockerRoute:
-    locker_id: int
+class LockerRoute:  # which locker drives it is in RoutePlan.lockers
     visits: tuple[VisitRecord, ...]
     depot_departure: float
     depot_return: float
@@ -120,9 +119,13 @@ class LockerRoute:
 
 @dataclass(frozen=True)
 class RoutePlan:
+    lockers: tuple[int, ...]  # the locker id of each route
     routes: tuple[LockerRoute, ...]
     total_distance: float
-    lockers_dispatched: int
+
+    @property
+    def lockers_dispatched(self) -> int:
+        return len(self.routes)
 
     def all_visits(self) -> list[VisitRecord]:
         return [v for route in self.routes for v in route.visits]
@@ -171,7 +174,7 @@ def travel_time(a: Position, b: Position, speed: float) -> float:
 
 
 def schedule_route(tasks: Sequence[Task], instance: Instance, policy: AdjustmentPolicy,
-                   *, locker_id: int = 0, task_ids: Optional[Sequence[int]] = None,
+                   *, task_ids: Optional[Sequence[int]] = None,
                    timer: Optional[TravelTimer] = None,
                    memo: Optional[dict] = None) -> Optional[LockerRoute]:
     """Schedule one locker's task list, already sorted by window start.
@@ -180,8 +183,8 @@ def schedule_route(tasks: Sequence[Task], instance: Instance, policy: Adjustment
     starts and ends at the depot; distance covers every leg including depot
     detours and the final return. Visits follow the module docstring's rule.
 
-    ``memo`` caches routes by the ordered ``task_ids`` tuple; a hit under
-    another locker id comes back with ``locker_id``. One memo must serve one
+    ``memo`` caches routes by the ordered ``task_ids`` tuple; a route names
+    no locker, so a hit is the stored route itself. One memo must serve one
     task pool, instance and policy, and a timer without noise. It is emptied
     when it holds ``_ROUTE_MEMO_LIMIT`` routes.
     """
@@ -193,9 +196,6 @@ def schedule_route(tasks: Sequence[Task], instance: Instance, policy: Adjustment
         key = tuple(task_ids)
         route = memo.get(key)
         if route is not None:
-            if route.locker_id != locker_id:
-                route = LockerRoute(locker_id, route.visits, route.depot_departure,
-                                    route.depot_return, route.distance_km)
             return route
     if timer is None:
         timer = TravelTimer(instance.fleet.speed)
@@ -241,7 +241,7 @@ def schedule_route(tasks: Sequence[Task], instance: Instance, policy: Adjustment
 
     km = here.distance_to(depot)
     route = LockerRoute(
-        locker_id=locker_id, visits=tuple(visits), depot_departure=depot_departure,
+        visits=tuple(visits), depot_departure=depot_departure,
         depot_return=leave + timer.minutes(km), distance_km=distance + km)
     if memo is not None:
         if len(memo) >= _ROUTE_MEMO_LIMIT:
@@ -283,18 +283,17 @@ def evaluate_solution(state: SearchState, pool: TaskPool, instance: Instance,
         by_locker.setdefault(x1[task_id], []).append(task_id)
 
     timer = TravelTimer(instance.fleet.speed, noise)
+    lockers = tuple(sorted(by_locker))
     routes = []
-    total_distance = 0.0
-    for locker in sorted(by_locker):
+    total_distance = 0.0  # added left to right: sum() compensates from Python 3.12 on
+    for locker in lockers:
         ids = by_locker[locker]
         tasks = [pool.tasks[t] for t in ids]
-        route = schedule_route(tasks, instance, policy,
-                               locker_id=locker, task_ids=ids, timer=timer, memo=memo)
+        route = schedule_route(tasks, instance, policy, task_ids=ids, timer=timer, memo=memo)
         routes.append(route)
         total_distance += route.distance_km
 
-    plan = RoutePlan(routes=tuple(routes), total_distance=total_distance,
-                     lockers_dispatched=len(routes))
+    plan = RoutePlan(lockers=lockers, routes=tuple(routes), total_distance=total_distance)
     cost = compute_cost(plan.lockers_dispatched, plan.total_distance, instance)
     return plan, cost
 
@@ -358,8 +357,8 @@ def check_feasibility(plan: RoutePlan, state: SearchState, pool: TaskPool,
         if c != 1:
             hard("2-3", f"task {task_id}", f"visited {c} times across all routes")
 
-    for route in plan.routes:
-        ent = f"locker {route.locker_id}"
+    for locker, route in zip(plan.lockers, plan.routes):
+        ent = f"locker {locker}"
         if not route.visits:
             hard("4-5", ent, "dispatched locker has no visits")
             continue
@@ -373,7 +372,7 @@ def check_feasibility(plan: RoutePlan, state: SearchState, pool: TaskPool,
         for v in route.visits:
             task = pool.tasks[v.task_id]
             sp = instance.space_by_id(task.space_id)
-            vent = f"locker {route.locker_id} task {v.task_id}"
+            vent = f"locker {locker} task {v.task_id}"
             if v.load_after > instance.fleet.capacity + _EPS:
                 hard("6", vent,
                      f"load {v.load_after} exceeds capacity {instance.fleet.capacity}")
@@ -411,22 +410,22 @@ def write_plan_csv(plan: RoutePlan, pool: TaskPool, path: Union[str, Path],
         lines.append(f"# {header_comment}")
     lines.append("locker_id,leg_index,from_node,to_node,arrive_min,start_min,leave_min,"
                  "load,adjustment,lateness_min")
-    for route in plan.routes:
+    for locker, route in zip(plan.lockers, plan.routes):
         leg = 0
         prev_node = 0
         for v in route.visits:
             node = pool.tasks[v.task_id].space_id
             if v.adjustment is Adjustment.BTD and leg > 0:
-                lines.append(f"{route.locker_id},{leg},{prev_node},0,,,,0,btd,")
+                lines.append(f"{locker},{leg},{prev_node},0,,,,0,btd,")
                 leg += 1
                 prev_node = 0
             lines.append(
-                f"{route.locker_id},{leg},{prev_node},{node},{v.arrival!r},"
+                f"{locker},{leg},{prev_node},{node},{v.arrival!r},"
                 f"{v.service_start!r},{v.leave!r},{v.load_after!r},"
                 f"{v.adjustment.value},{v.lateness!r}")
             leg += 1
             prev_node = node
-        lines.append(f"{route.locker_id},{leg},{prev_node},0,{route.depot_return!r},,,,none,")
+        lines.append(f"{locker},{leg},{prev_node},0,{route.depot_return!r},,,,none,")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

@@ -10,7 +10,7 @@ from helpers import make_customer, make_instance, make_space
 
 @pytest.fixture()
 def instance_file(tmp_path):
-    # seed 3 yields a 3-task pool: big enough to exercise the oracle limit
+    # seed 3 yields a 3-task pool, small enough for the oracle
     path = tmp_path / "inst.json"
     code = run_cli(["generate", "--out", str(path), "--spaces", "2",
                     "--locations", "3", "--seed", "3"])
@@ -214,11 +214,16 @@ def test_oracle_prints_optimum(instance_file, capsys):
     assert "reward=" in line and "states=" in line
 
 
-def test_oracle_refuses_above_limit(instance_file, capsys):
-    code = run_cli(["oracle", "--instance", str(instance_file), "--limit", "1"])
-    err = capsys.readouterr().err
-    assert code == 1
-    assert "refused" in err and "exceed" in err
+def test_oracle_refuses_above_limit(tmp_path, capsys):
+    # seed 2 yields 6 tasks on 20 lockers: 6**6 * 6! = 33,592,320 encoding states
+    path = tmp_path / "inst.json"
+    assert run_cli(["generate", "--out", str(path), "--spaces", "4", "--locations", "5",
+                    "--seed", "2"]) == 0
+    capsys.readouterr()
+    code = run_cli(["oracle", "--instance", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1 and "RESULT" not in captured.out
+    assert captured.err == "refused: 33592320 states exceed the limit 10000000\n"
 
 
 @pytest.mark.parametrize("flags", [["--limit", "0"], ["--limit", "-5"],
@@ -229,6 +234,41 @@ def test_oracle_rejects_bad_flags_at_parse_time(instance_file, capsys, flags):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err.startswith("usage: mplq") and "RESULT" not in captured.out
+
+
+_SEEDED_COMMANDS = {
+    "generate": lambda tmp, inst: ["generate", "--out", str(tmp / "out" / "inst.json")],
+    "solve": lambda tmp, inst: ["solve", "--instance", str(inst), "--agents", "2",
+                                "--iters", "2", "--out-dir", str(tmp / "out")],
+    "bench": lambda tmp, inst: ["bench", "--spaces", "2", "--locations", "3",
+                                "--out-dir", str(tmp / "out")],
+    "sweep": lambda tmp, inst: ["sweep", "--factor", "Q", "--values", "15",
+                                "--replications", "1", "--out-dir", str(tmp / "out")],
+}
+
+
+@pytest.mark.parametrize("command, source",
+                         [(c, s) for c in sorted(_SEEDED_COMMANDS) for s in ("flag", "env")]
+                         + [("solve", "config")])
+def test_negative_seed_is_refused(instance_file, tmp_path, capsys, monkeypatch,
+                                  command, source):
+    argv = _SEEDED_COMMANDS[command](tmp_path, instance_file)
+    if source == "flag":
+        argv += ["--seed", "-1"]
+        named = "--seed"
+    elif source == "env":
+        monkeypatch.setenv("MPLQ_SEED", "-1")
+        named = "MPLQ_SEED"
+    else:
+        config = tmp_path / "solver.json"
+        config.write_text(json.dumps({"seed": -1}))
+        argv += ["--config", str(config)]
+        named = f"{config}: seed"
+    code = run_cli(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and "RESULT" not in captured.out
+    assert captured.err == f"error: {named} must be a non-negative integer, got -1\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_unknown_flag_exits_2(capsys):
@@ -297,6 +337,7 @@ _INVALID_INSTANCES = {
     "overflowing fixed cost": _set("fleet", "fixed_cost", 1e308),
     "overflowing legs": _set("depot", [1e308, 0.0]),
     "space id 0": _set("spaces", 0, "id", 0),
+    "crawling speed": _set("fleet", "speed", 1e-300),
 }
 
 

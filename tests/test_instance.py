@@ -167,10 +167,20 @@ def test_validate_flags_an_objective_that_overflows(field):
 
 
 def test_validate_accepts_a_large_finite_objective():
+    # The speed keeps the 1e300 km leg to about a minute, so plan times stay sound.
+    sp = make_space(1, 1e300, 0.0)
+    cust = make_customer(0, 1, [(1e300, 0.0, (600, 700), 1.0)])
+    inst = make_instance([sp], [cust], fixed_cost=1e300, speed=1e300, weights=(5.0, 1.0))
+    assert validate_instance(inst).ok
+
+
+def test_validate_flags_plan_times_that_swamp_service_times():
+    # At speed 0.7 the 1e300 km leg takes about 1.4e300 minutes, where adding a
+    # 30-minute service time changes nothing.
     sp = make_space(1, 1e300, 0.0)
     cust = make_customer(0, 1, [(1e300, 0.0, (600, 700), 1.0)])
     inst = make_instance([sp], [cust], fixed_cost=1e300, weights=(5.0, 1.0))
-    assert validate_instance(inst).ok
+    assert [v.entity for v in validate_instance(inst).violations] == ["fleet"]
 
 
 def test_load_refuses_an_integer_too_long_to_parse(tmp_path):

@@ -1,9 +1,16 @@
+import itertools
+import math
+
+import numpy as np
 import pytest
 
+from mplq import oracle
 from mplq.errors import NothingToSolveError, SearchSpaceLimitError
+from mplq.instance import GeneratorConfig, assign_customers, generate_instance
 from mplq.oracle import brute_force_best, search_space_size
 from mplq.routing import AdjustmentPolicy, evaluate_solution
-from mplq.taskgen import TaskPool
+from mplq.state import effective_locker_count
+from mplq.taskgen import TaskPool, build_tasks
 from helpers import make_instance, make_pool, make_space, make_state, make_task
 
 
@@ -22,14 +29,16 @@ def test_single_task_single_locker():
     assert reward == pytest.approx(1 / (5 + 2 * 5.0))
 
 
-def test_cardinality_is_exactly_the_limit_boundary():
+def test_cardinality_is_exactly_the_limit_boundary(monkeypatch):
     spaces = [make_space(1, 1.0, 0.0), make_space(2, 2.0, 0.0)]
     inst = make_instance(spaces, max_lockers=2)
     pool = make_pool([make_task(1, window=(0, 720)), make_task(2, window=(720, 1440))])
+    monkeypatch.setattr(oracle, "MAX_ENUMERATIONS", 7)
     with pytest.raises(SearchSpaceLimitError) as err:
-        brute_force_best(pool, inst, AdjustmentPolicy.BTD, limit=7)
-    assert err.value.cardinality == 8
-    best, _ = brute_force_best(pool, inst, AdjustmentPolicy.BTD, limit=8)
+        brute_force_best(pool, inst, AdjustmentPolicy.BTD)
+    assert (err.value.cardinality, err.value.limit) == (8, 7)
+    monkeypatch.setattr(oracle, "MAX_ENUMERATIONS", 8)
+    best, _ = brute_force_best(pool, inst, AdjustmentPolicy.BTD)
     assert best is not None
 
 
@@ -79,3 +88,103 @@ def test_empty_pool_rejected():
     empty = TaskPool(tasks=(), unservable=())
     with pytest.raises(NothingToSolveError):
         brute_force_best(empty, inst, AdjustmentPolicy.BTD)
+
+
+# ---------------------------------------------------------------------------
+# Cross-check against the full enumeration
+# ---------------------------------------------------------------------------
+
+
+def _reference_best(pool, inst, policy, orders=None):
+    """Every one of the L^n * n! states, first strict maximum kept."""
+    n = len(pool)
+    lockers = effective_locker_count(inst.fleet.max_lockers, n)
+    best, best_reward = None, -math.inf
+    memo: dict = {}
+    for x1 in itertools.product(range(lockers), repeat=n):
+        for x2 in orders or itertools.permutations(range(n)):
+            _, cost = evaluate_solution(make_state(x1, x2), pool, inst, policy, memo=memo)
+            if cost.reward > best_reward:
+                best, best_reward = (x1, tuple(x2)), cost.reward
+    return best, best_reward
+
+
+def _distinct_plans(pool, inst):
+    """Groupings into at most L lockers, times the orders of tasks sharing a start."""
+    n = len(pool)
+    lockers = effective_locker_count(inst.fleet.max_lockers, n)
+    groupings = set()
+    for x1 in itertools.product(range(lockers), repeat=n):
+        first_use: dict = {}
+        groupings.add(tuple(first_use.setdefault(locker, len(first_use)) for locker in x1))
+    ties = [task.window.start for task in pool.tasks]
+    return len(groupings) * math.prod(math.factorial(ties.count(s)) for s in set(ties))
+
+
+def _generated_pools():
+    """Every generated pool of 1 to 4 tasks from a few small instance families."""
+    for spaces, locations, max_lockers, seeds in ((3, 5, 3, range(40)), (2, 3, 3, range(15)),
+                                                  (2, 4, 2, range(15)), (1, 5, 3, range(10))):
+        for seed in seeds:
+            inst = generate_instance(GeneratorConfig(num_spaces=spaces,
+                                                     locations_per_space=locations,
+                                                     max_lockers=max_lockers, seed=seed))
+            pool = build_tasks(inst, assign_customers(inst))
+            if 1 <= len(pool) <= 4:
+                yield inst, pool
+
+
+def _hand_built_pool(rng):
+    """2 to 4 tasks whose starts often tie, with long windows and tight capacity."""
+    spaces = [make_space(k + 1, float(rng.uniform(-6, 6)), float(rng.uniform(-6, 6)),
+                         service_time=float(rng.uniform(5, 40)))
+              for k in range(int(rng.integers(1, 4)))]
+    tasks = []
+    for _ in range(int(rng.integers(2, 5))):
+        sp = spaces[int(rng.integers(len(spaces)))]
+        start = 60.0 * int(rng.integers(0, 3))
+        end = start + sp.service_time + float(rng.choice([0.0, rng.uniform(0, 90), 600.0]))
+        tasks.append(make_task(sp.id, demand=int(rng.integers(1, 5)), window=(start, end),
+                               members=((0, float(rng.uniform(0, start + 30))),)))
+    inst = make_instance(spaces, capacity=float(rng.choice([4.0, 6.0, 1e9])),
+                         speed=float(rng.uniform(0.1, 1.0)),
+                         max_lockers=int(rng.integers(1, 4)))
+    return inst, make_pool(tasks)
+
+
+def _tied(pool):
+    starts = [task.window.start for task in pool.tasks]
+    return len(set(starts)) < len(starts)
+
+
+def test_oracle_matches_the_full_enumeration(monkeypatch):
+    rng = np.random.default_rng(5)
+    cases = list(_generated_pools()) + [_hand_built_pool(rng) for _ in range(70)]
+    scored = []
+    counting = lambda *args, **kwargs: scored.append(1) or evaluate_solution(*args, **kwargs)
+    monkeypatch.setattr(oracle, "evaluate_solution", counting)
+    for inst, pool in cases:
+        for policy in AdjustmentPolicy:
+            scored.clear()
+            best, reward = brute_force_best(pool, inst, policy)
+            assert len(scored) == _distinct_plans(pool, inst)
+            pair, ref_reward = _reference_best(pool, inst, policy)
+            assert reward == ref_reward
+            if not _tied(pool):
+                assert (tuple(best.x1.tolist()), tuple(best.x2.tolist())) == pair
+    tied = sum(_tied(pool) for _, pool in cases)
+    assert tied >= 30 and len(cases) - tied >= 60
+
+
+def test_tied_starts_are_ordered_by_the_oracle():
+    # Three tasks open together and one locker serves them: the identity order
+    # drives far, near, far, while serving both far tasks in a row is shorter.
+    spaces = [make_space(1, 1.0, 0.0), make_space(2, 10.0, 0.0)]
+    inst = make_instance(spaces, max_lockers=1)
+    pool = make_pool([make_task(2, window=(0, 1440)), make_task(1, window=(0, 1440)),
+                      make_task(2, a=2, window=(0, 1440))])
+    best, reward = brute_force_best(pool, inst, AdjustmentPolicy.BTD)
+    _, full = _reference_best(pool, inst, AdjustmentPolicy.BTD)
+    _, identity_only = _reference_best(pool, inst, AdjustmentPolicy.BTD, orders=[(0, 1, 2)])
+    assert identity_only < reward == full
+    assert best.x2.tolist() != [0, 1, 2]

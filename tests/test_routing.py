@@ -338,7 +338,7 @@ def test_evaluate_partitions_by_allocation():
     plan, cost = evaluate_solution(make_state([0, 1], [0, 1]), pool, inst,
                                    AdjustmentPolicy.HCPS)
     assert plan.lockers_dispatched == 2
-    assert [r.locker_id for r in plan.routes] == [0, 1]
+    assert plan.lockers == (0, 1)
     assert plan.total_distance == pytest.approx(2.0 + 4.0)
     assert cost.objective == pytest.approx(5 * 2 + 6.0)
 
@@ -490,18 +490,25 @@ def test_route_memo_returns_the_memo_free_plan(policy):
         n = len(pool)
         lockers = min(4, effective_locker_count(inst.fleet.max_lockers, n))
         memo: dict = {}
+        drivers: dict = {}  # route key -> the locker that last drove it
         states: list = []
         for _ in range(count):
             state = _next_state(rng, states, n, lockers)
             states.append(state)
-            before = {key: route.locker_id for key, route in memo.items()}
+            before = dict(memo)
             got = evaluate_solution(state, pool, inst, policy, memo=memo)
             assert got == evaluate_solution(state, pool, inst, policy)
             evaluations += 1
-            clears += len(memo) < len(before)
-            for route in got[0].routes:
+            cleared = len(memo) < len(before)
+            clears += cleared
+            for locker, route in zip(got[0].lockers, got[0].routes):
                 key = tuple(v.task_id for v in route.visits)
-                relabelled += before.get(key, route.locker_id) != route.locker_id
+                if key in before and not cleared:
+                    # a route names no locker: a hit under another locker is
+                    # the stored route itself
+                    assert route is before[key]
+                    relabelled += drivers[key] != locker
+                drivers[key] = locker
                 orders.setdefault((id(pool), frozenset(key)), set()).add(key)
     assert evaluations >= 300
     assert relabelled > 0 and clears > 0
@@ -527,9 +534,9 @@ def _plan_with_lateness(values):
         VisitRecord(task_id=k, arrival=0.0, service_start=0.0, leave=1.0,
                     load_after=0.0, adjustment=Adjustment.NONE, lateness=v)
         for k, v in enumerate(values))
-    route = LockerRoute(locker_id=0, visits=visits, depot_departure=0.0,
-                        depot_return=1.0, distance_km=0.0)
-    return RoutePlan(routes=(route,), total_distance=0.0, lockers_dispatched=1)
+    route = LockerRoute(visits=visits, depot_departure=0.0, depot_return=1.0,
+                        distance_km=0.0)
+    return RoutePlan(lockers=(0,), routes=(route,), total_distance=0.0)
 
 
 def test_compute_delay_zero_when_on_time():
@@ -545,7 +552,7 @@ def test_compute_delay_average():
 
 
 def test_compute_delay_empty_plan():
-    plan = RoutePlan(routes=(), total_distance=0.0, lockers_dispatched=0)
+    plan = RoutePlan(lockers=(), routes=(), total_distance=0.0)
     assert compute_delay(plan) == (0.0, 0.0)
 
 
