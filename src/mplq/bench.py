@@ -24,6 +24,11 @@ from .instance import GeneratorConfig, Instance, assign_customers, generate_inst
 from .routing import AdjustmentPolicy, compute_delay, hold_can_apply
 from .taskgen import TaskPool, build_tasks
 
+# The largest budget a solve accepts: 100 times the paper profile's agents and
+# iterations. A larger count would exhaust memory or run for days.
+MAX_AGENTS = 10_000
+MAX_ITERATIONS = 100_000
+
 SWEEP_FACTORS = (
     "T_s", "T_p", "Q", "V_l", "num_spaces", "locations_per_space", "rho_l", "rho_c",
 )
@@ -39,6 +44,9 @@ class BudgetProfile:
     def __post_init__(self) -> None:
         if self.agents < 1 or self.iterations < 1:
             raise ConfigurationError(f"budget agents and iterations must be >= 1: {self}")
+        if self.agents > MAX_AGENTS or self.iterations > MAX_ITERATIONS:
+            raise ConfigurationError(f"budget agents and iterations must be at most "
+                                     f"{MAX_AGENTS} and {MAX_ITERATIONS}: {self}")
 
     @classmethod
     def desk(cls) -> "BudgetProfile":

@@ -154,7 +154,7 @@ def _load_solver_config(path: Optional[str]) -> dict:
         raise InstanceFormatError(f"{path}: unknown solver config keys {unknown}")
     try:
         return {key: _SOLVER_CONFIG_KEYS[key](value) for key, value in data.items()}
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InstanceFormatError(f"{path}: bad solver config value: {exc}")
 
 

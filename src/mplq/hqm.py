@@ -13,9 +13,10 @@ greedily and the accepted states feed the table updates.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -180,6 +181,15 @@ def normalize_q(q: np.ndarray) -> np.ndarray:
     return out
 
 
+def _cdf(scores: np.ndarray, total: float) -> np.ndarray:
+    """The roulette CDF of ``scores`` summing to a positive ``total``, ending at exactly 1."""
+    if not total < math.inf:  # NaN or infinity among the scores
+        raise ValueError(f"scores sum to {total}, not a finite number")
+    cdf = (scores / total).cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
 def roulette(scores: np.ndarray, total: float, rng: np.random.Generator) -> int:
     """Index ``k`` drawn with probability ``scores[k] / total``, for a positive ``total``.
 
@@ -187,11 +197,7 @@ def roulette(scores: np.ndarray, total: float, rng: np.random.Generator) -> int:
     consumes the same single double and returns the same index, without
     choice's per-call checks. Like choice, it refuses non-finite scores.
     """
-    if not total < math.inf:  # NaN or infinity among the scores
-        raise ValueError(f"scores sum to {total}, not a finite number")
-    cdf = (scores / total).cumsum()
-    cdf /= cdf[-1]
-    return int(cdf.searchsorted(rng.random(), side="right"))
+    return int(_cdf(scores, total).searchsorted(rng.random(), side="right"))
 
 
 def _pick_from_row(row: np.ndarray, candidates: np.ndarray, epsilon: Optional[float],
@@ -213,32 +219,58 @@ def _pick_from_row(row: np.ndarray, candidates: np.ndarray, epsilon: Optional[fl
     return int(candidates[roulette(scores, total, rng)])
 
 
-def global_construct(agent: Agent, qmats: QMatrices, epsilon: Optional[float] = None,
-                     ) -> SearchState:
+class PickTable:
+    """``_pick_from_row`` over every column, precomputed for each row of a fixed table.
+
+    Each row keeps its argmax, and the roulette CDF as a Python list, built
+    with the ops ``roulette`` uses from numpy's ``row.sum()`` (None when that
+    total is not positive). A pick then draws the same doubles and returns
+    the same index as ``_pick_from_row(rows[r], np.arange(width), ...)``.
+    """
+
+    def __init__(self, rows: np.ndarray):
+        self.width = rows.shape[1]
+        self.argmax = rows.argmax(axis=1).tolist()
+        self.cdfs: list[Optional[list[float]]] = []
+        for row in rows:
+            total = row.sum()
+            self.cdfs.append(None if total <= 0.0 else _cdf(row, total).tolist())
+
+    def pick(self, r: int, epsilon: Optional[float], rng: np.random.Generator) -> int:
+        eps = rng.random() if epsilon is None else epsilon
+        if rng.random() < eps:
+            return self.argmax[r]
+        cdf = self.cdfs[r]
+        if cdf is None:
+            return int(rng.integers(self.width))
+        return bisect_right(cdf, rng.random())
+
+
+def global_construct(agent: Agent, q1: PickTable, q2: np.ndarray,
+                     epsilon: Optional[float] = None) -> SearchState:
     """Build a full state by walking both chains of the normalized tables.
 
-    The allocation vector is filled task by task, each locker drawn from the
-    row of its predecessor (virtual start row first). The permutation is built
-    the same way with already-used tasks masked out and the row renormalized.
+    The allocation vector is filled task by task, each locker drawn through
+    ``q1``, the ``PickTable`` of the normalized locker table, from the row of
+    its predecessor (virtual start row first). The permutation is built the
+    same way from the normalized task table ``q2``, with already-used tasks
+    masked out and the row renormalized.
     """
     rng = agent.rng
-    n_lockers = qmats.q1.shape[1]
-    n_tasks = qmats.q2.shape[1]
+    n_tasks = q2.shape[1]
 
-    x1 = np.empty(n_tasks, dtype=np.int64)
-    prev = n_lockers  # virtual start row
-    all_lockers = np.arange(n_lockers)
-    for t in range(n_tasks):
-        nxt = _pick_from_row(qmats.q1[prev], all_lockers, epsilon, rng)
-        x1[t] = nxt
-        prev = nxt
+    x1 = []
+    prev = q1.width  # virtual start row
+    for _ in range(n_tasks):
+        prev = q1.pick(prev, epsilon, rng)
+        x1.append(prev)
 
     x2 = np.empty(n_tasks, dtype=np.int64)
     unused = np.ones(n_tasks, dtype=bool)
     prev = n_tasks
     for t in range(n_tasks):
         candidates = unused.nonzero()[0]
-        nxt = _pick_from_row(qmats.q2[prev], candidates, epsilon, rng)
+        nxt = _pick_from_row(q2[prev], candidates, epsilon, rng)
         x2[t] = nxt
         unused[nxt] = False
         prev = nxt
@@ -267,22 +299,23 @@ def local_move(state: SearchState, neighbor: SearchState, omega: float, *,
     return SearchState(x1=x1, x2=x2)
 
 
-def update_q(qmats: QMatrices, state: SearchState, reward: float, alpha: float,
-             gamma: float) -> QMatrices:
-    """One-step value update along both chains of an accepted state.
+def update_q(qmats: QMatrices, states: Sequence[SearchState], rewards: Sequence[float],
+             alpha: float, gamma: float) -> QMatrices:
+    """One-step value update along both chains of each accepted state, in turn.
 
     Every adjacent pair (including the virtual start transition) receives
     Q <- Q + alpha * (reward + gamma * max(next row) - Q), applied
-    sequentially in chain order. Mutates and returns ``qmats``.
+    sequentially in chain order, state after state. Mutates and returns
+    ``qmats``.
     """
-    for q, values in ((qmats.q1, state.x1), (qmats.q2, state.x2)):
-        if len(values) == 0:
-            continue
+    for q, chains in ((qmats.q1, [s.x1 for s in states]), (qmats.q2, [s.x2 for s in states])):
         rows = q.tolist()  # Python floats: the same IEEE operations, without numpy's per-call cost
-        a = len(rows) - 1  # the virtual start row
-        for b in values.tolist():
-            rows[a][b] += alpha * (reward + gamma * max(rows[b]) - rows[a][b])
-            a = b
+        start = len(rows) - 1  # the virtual start row
+        for values, reward in zip(chains, rewards):
+            a = start
+            for b in values.tolist():
+                rows[a][b] += alpha * (reward + gamma * max(rows[b]) - rows[a][b])
+                a = b
         q[...] = rows
     return qmats
 
@@ -323,10 +356,10 @@ def run_hqm(pool: TaskPool, instance: Instance, policy: AdjustmentPolicy,
     for t in range(1, params.timesteps + 1):
         alpha = params.alpha(t)
         snapshot = qmats.copy()
-        normalized = QMatrices(q1=normalize_q(qmats.q1), q2=normalize_q(qmats.q2))
+        q1, q2 = PickTable(normalize_q(qmats.q1)), normalize_q(qmats.q2)
 
         for agent in agents:
-            candidate = global_construct(agent, normalized)
+            candidate = global_construct(agent, q1, q2)
             if evaluator.reward(candidate) > agent.best.reward:
                 agent.accept(candidate)
 
@@ -343,8 +376,8 @@ def run_hqm(pool: TaskPool, instance: Instance, policy: AdjustmentPolicy,
             if evaluator.reward(moved) > agent.best.reward:
                 agent.accept(moved)
 
-        for agent in agents:
-            update_q(qmats, agent.best, agent.best.reward, alpha, params.gamma)
+        update_q(qmats, [a.best for a in agents], [a.best.reward for a in agents],
+                 alpha, params.gamma)
 
         best = max(a.best.reward for a in agents)
         history.best_per_step.append(best)
@@ -367,6 +400,7 @@ __all__ = [
     "init_agents",
     "normalize_q",
     "roulette",
+    "PickTable",
     "global_construct",
     "local_move",
     "update_q",

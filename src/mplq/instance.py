@@ -17,6 +17,7 @@ import json
 import logging
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -32,6 +33,9 @@ MAX_DEMAND = 2 ** 53
 # Latest time a plan may record: float spacing there is 2.4e-7 min, so
 # leave - start keeps a service time within the audit's 1e-6 tolerance.
 MAX_PLAN_MINUTES = 2 ** 30
+# Most service-time slices one space's window may be cut into: a service time
+# of 0.144 min over a whole day. Bounds the work and memory of build_tasks.
+MAX_SLICES_PER_SPACE = 10_000
 
 
 @dataclass(frozen=True)
@@ -110,10 +114,18 @@ class Instance:
     weights: tuple[float, float]
 
     def space_by_id(self, space_id: int) -> ParkingSpace:
+        try:
+            return self._spaces_by_id[space_id]
+        except KeyError:
+            raise KeyError(f"unknown parking space id {space_id}") from None
+
+    @cached_property
+    def _spaces_by_id(self) -> dict[int, ParkingSpace]:
+        """Id -> space, built on first use; a duplicated id keeps its first space."""
+        index: dict[int, ParkingSpace] = {}
         for sp in self.spaces:
-            if sp.id == space_id:
-                return sp
-        raise KeyError(f"unknown parking space id {space_id}")
+            index.setdefault(sp.id, sp)
+        return index
 
     def customer_by_id(self, customer_id: int) -> Customer:
         for cust in self.customers:
@@ -402,6 +414,10 @@ def validate_instance(instance: Instance) -> ValidationReport:
         if sp.window.end <= sp.window.start:
             bad(ent, "empty availability window")
         check_number(ent, "service time", sp.service_time)
+        if (0 < sp.service_time < math.inf and math.isfinite(sp.window.span)
+                and sp.window.span / sp.service_time > MAX_SLICES_PER_SPACE):
+            bad(ent, f"window span over service time exceeds {MAX_SLICES_PER_SPACE} "
+                     "slices; the service time is too small")
 
     seen_cust_ids = set()
     for cust in instance.customers:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -24,6 +24,28 @@ MAX_ENUMERATIONS = 10_000_000
 
 def search_space_size(num_tasks: int, max_lockers: int) -> int:
     return max_lockers ** num_tasks * math.factorial(num_tasks)
+
+
+def tie_orders(starts: Sequence[float]) -> list[tuple[int, ...]]:
+    """Every order ``x2`` with ``starts[x2[k]] == starts[k]`` at each position, sorted.
+
+    Such an order only permutes tasks that share a window start among their
+    own positions, so the orders are the product of each tie class's
+    permutations.
+    """
+    classes: dict[float, list[int]] = {}
+    for t, start in enumerate(starts):
+        classes.setdefault(start, []).append(t)
+    ties = [ids for ids in classes.values() if len(ids) > 1]
+    orders = []
+    for perms in itertools.product(*(itertools.permutations(ids) for ids in ties)):
+        x2 = list(range(len(starts)))
+        for ids, perm in zip(ties, perms):
+            for k, t in zip(ids, perm):
+                x2[k] = t
+        orders.append(tuple(x2))
+    orders.sort()
+    return orders
 
 
 def brute_force_best(pool: TaskPool, instance: Instance,
@@ -46,9 +68,7 @@ def brute_force_best(pool: TaskPool, instance: Instance,
     if cardinality > MAX_ENUMERATIONS:
         raise SearchSpaceLimitError(cardinality, MAX_ENUMERATIONS)
 
-    starts = [task.window.start for task in pool.tasks]
-    orders = [x2 for x2 in itertools.permutations(range(n))
-              if all(starts[t] == starts[k] for k, t in enumerate(x2))]
+    orders = tie_orders(pool.starts)
     best_state: Optional[SearchState] = None
     best_reward = -math.inf
     routes: dict = {}  # route memo of this pool, instance and policy
@@ -68,4 +88,4 @@ def brute_force_best(pool: TaskPool, instance: Instance,
     return best_state, best_reward
 
 
-__all__ = ["MAX_ENUMERATIONS", "search_space_size", "brute_force_best"]
+__all__ = ["MAX_ENUMERATIONS", "search_space_size", "tie_orders", "brute_force_best"]

@@ -17,9 +17,10 @@ leg from the current position to its parking space once, turns it into
   ``leave + minutes(here -> depot) + minutes(depot -> space)``; the detour
   empties the locker and its two legs are the visit's distance.
 
-Every visit then serves at ``max(arrival, window.start, *member pickups)``
-and leaves one service time later. A service start after the window closes
-is recorded as lateness (a soft violation), never repaired. The locker
+Every visit then serves at ``max(arrival, task.ready)``, where ``task.ready``
+is the latest of the window start and the member pickups, and leaves one
+service time later. A service start after the window closes is recorded as
+lateness (a soft violation), never repaired. The locker
 leaves the depot at the first arrival minus the first travel time and
 returns from its last space after the last leave.
 """
@@ -40,7 +41,8 @@ from .state import SearchState, validate_state
 from .taskgen import Task, TaskPool
 
 _EPS = 1e-9
-# Routes a route memo holds before it is emptied; bounds the memory of a solve.
+# Routes a route memo holds; the least recently used one makes room for a new
+# one. Bounds the memory of a solve.
 _ROUTE_MEMO_LIMIT = 1024
 
 
@@ -185,8 +187,10 @@ def schedule_route(tasks: Sequence[Task], instance: Instance, policy: Adjustment
 
     ``memo`` caches routes by the ordered ``task_ids`` tuple; a route names
     no locker, so a hit is the stored route itself. One memo must serve one
-    task pool, instance and policy, and a timer without noise. It is emptied
-    when it holds ``_ROUTE_MEMO_LIMIT`` routes.
+    task pool, instance and policy, and a timer without noise. It holds at
+    most ``_ROUTE_MEMO_LIMIT`` routes in least-recently-used order (a dict's
+    insertion order): a hit moves its route to the end, and a new route
+    evicts the first.
     """
     if not tasks:
         return None
@@ -194,8 +198,9 @@ def schedule_route(tasks: Sequence[Task], instance: Instance, policy: Adjustment
         task_ids = list(range(len(tasks)))
     if memo is not None:
         key = tuple(task_ids)
-        route = memo.get(key)
+        route = memo.pop(key, None)
         if route is not None:
+            memo[key] = route
             return route
     if timer is None:
         timer = TravelTimer(instance.fleet.speed)
@@ -229,7 +234,7 @@ def schedule_route(tasks: Sequence[Task], instance: Instance, policy: Adjustment
                 arrival = leave + timer.minutes(to_depot) + timer.minutes(from_depot)
                 adjustment = Adjustment.BTD
                 load = 0.0
-        service_start = max(arrival, window.start, *[p for _, p in task.members])
+        service_start = max(arrival, task.ready)
         leave = service_start + sp.service_time
         load += task.demand
         distance += km
@@ -245,7 +250,7 @@ def schedule_route(tasks: Sequence[Task], instance: Instance, policy: Adjustment
         depot_return=leave + timer.minutes(km), distance_km=distance + km)
     if memo is not None:
         if len(memo) >= _ROUTE_MEMO_LIMIT:
-            memo.clear()
+            del memo[next(iter(memo))]
         memo[key] = route
     return route
 
@@ -279,7 +284,7 @@ def evaluate_solution(state: SearchState, pool: TaskPool, instance: Instance,
     # breaks equal starts by priority; dealing in that order sorts every locker.
     x1 = state.x1.tolist()
     by_locker: dict[int, list[int]] = {}
-    for task_id in sorted(state.x2.tolist(), key=lambda t: pool.tasks[t].window.start):
+    for task_id in sorted(state.x2.tolist(), key=pool.starts.__getitem__):
         by_locker.setdefault(x1[task_id], []).append(task_id)
 
     timer = TravelTimer(instance.fleet.speed, noise)

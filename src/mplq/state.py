@@ -47,9 +47,10 @@ def validate_state(state: SearchState, num_tasks: int, max_lockers: int) -> None
         )
     if num_tasks == 0:
         return
-    if state.x1.min() < 0 or state.x1.max() >= max_lockers:
+    x1 = state.x1.tolist()
+    if min(x1) < 0 or max(x1) >= max_lockers:
         raise ShapeError(f"x1 references lockers outside 0..{max_lockers - 1}")
-    if not np.array_equal(np.sort(state.x2), np.arange(num_tasks)):
+    if sorted(state.x2.tolist()) != list(range(num_tasks)):
         raise ShapeError("x2 is not a permutation of the task ids")
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -39,6 +40,11 @@ class Task:
     window: TimeWindow
     members: tuple[tuple[int, float], ...]
 
+    @cached_property
+    def ready(self) -> float:
+        """Earliest service start: the window start or a later member pickup."""
+        return max([self.window.start, *(p for _, p in self.members)])
+
 
 @dataclass(frozen=True)
 class TaskPool:
@@ -49,6 +55,11 @@ class TaskPool:
 
     def __len__(self) -> int:
         return len(self.tasks)
+
+    @cached_property
+    def starts(self) -> tuple[float, ...]:
+        """Each task's window start, by task id: the decode's sort key."""
+        return tuple(task.window.start for task in self.tasks)
 
 
 def reduce_availability(space: ParkingSpace,

@@ -326,14 +326,14 @@ def test_criterion_8_monotonicity_and_determinism(tiny_suite, cell_suite, tmp_pa
 def test_criterion_9_q_update_units():
     q = QMatrices.zeros(1, 1)
     q.q1[0, 0] = 2.0
-    update_q(q, make_state([0], [0]), reward=1.0, alpha=0.5, gamma=0.9)
+    update_q(q, [make_state([0], [0])], rewards=[1.0], alpha=0.5, gamma=0.9)
     unit_ok = q.q1[1, 0] == pytest.approx(1.4, abs=1e-15)
 
     q2 = QMatrices.zeros(2, 3)
     q2.q1 += 0.37
     q2.q2 += 0.91
     before = q2.copy()
-    update_q(q2, make_state([0, 1, 0], [2, 0, 1]), reward=3.0, alpha=0.0, gamma=0.9)
+    update_q(q2, [make_state([0, 1, 0], [2, 0, 1])], rewards=[3.0], alpha=0.0, gamma=0.9)
     identity_ok = (np.array_equal(q2.q1, before.q1)
                    and np.array_equal(q2.q2, before.q2))
 

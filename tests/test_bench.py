@@ -5,10 +5,10 @@ from dataclasses import replace
 import pytest
 
 from mplq import bench
-from mplq.bench import (BudgetProfile, GridConfig, SweepConfig, apply_factor,
-                        improvement_rate, read_grid_rows, read_sweep_points,
-                        reward_gap, run_grid, sweep_factor, write_grid_csv,
-                        write_plotdata, write_sweep_csv)
+from mplq.bench import (MAX_AGENTS, MAX_ITERATIONS, BudgetProfile, GridConfig,
+                        SweepConfig, apply_factor, improvement_rate, read_grid_rows,
+                        read_sweep_points, reward_gap, run_grid, sweep_factor,
+                        write_grid_csv, write_plotdata, write_sweep_csv)
 from mplq.errors import (ConfigurationError, NothingToSolveError, ParameterError,
                          UndefinedRateError)
 from mplq.hqm import RunHistory
@@ -184,9 +184,11 @@ def test_grid_config_validation():
 def test_budget_profiles():
     assert BudgetProfile.named("desk") == BudgetProfile(agents=20, iterations=200)
     assert BudgetProfile.named("paper") == BudgetProfile(agents=100, iterations=1000)
+    BudgetProfile(agents=MAX_AGENTS, iterations=MAX_ITERATIONS)
     with pytest.raises(ConfigurationError):
         BudgetProfile.named("weekend")
-    for agents, iterations in ((0, 200), (20, 0), (-1, 5)):
+    for agents, iterations in ((0, 200), (20, 0), (-1, 5), (MAX_AGENTS + 1, 200),
+                               (20, MAX_ITERATIONS + 1), (10 ** 400, 200)):
         with pytest.raises(ConfigurationError):
             BudgetProfile(agents=agents, iterations=iterations)
 

@@ -338,6 +338,7 @@ _INVALID_INSTANCES = {
     "overflowing legs": _set("depot", [1e308, 0.0]),
     "space id 0": _set("spaces", 0, "id", 0),
     "crawling speed": _set("fleet", "speed", 1e-300),
+    "tiny service time": _set("spaces", 0, "service_time", 1e-300),
 }
 
 

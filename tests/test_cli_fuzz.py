@@ -17,7 +17,7 @@ TINY = instance_to_dict(generate_instance(
     GeneratorConfig(num_spaces=2, locations_per_space=3, seed=3)))
 
 DELETE = object()
-VALUES = (0, -1, 1e308, math.nan, math.inf, -math.inf, 10 ** 400, "x", [1, 2], None, DELETE)
+VALUES = (0, -1, 1e308, 1e-300, math.nan, math.inf, -math.inf, 10 ** 400, "x", [1, 2], None, DELETE)
 
 
 def _paths(node, prefix=()):
@@ -68,3 +68,30 @@ def test_cli_survives_any_single_field_corruption(path, value):
                 result = [ln for ln in out.splitlines() if ln.startswith("RESULT ")][-1]
                 reward = float(dict(p.split("=", 1) for p in result.split()[1:])["reward"])
                 assert math.isfinite(reward) and reward > 0, (argv[0], result)
+
+
+# A valid solver config small enough to solve TINY in well under a second.
+SOLVER_CONFIG = {"agents": 2, "timesteps": 2, "gamma": 0.9, "tol": 1e-8, "seed": 0,
+                 "policy": "hcps"}
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(key=st.sampled_from(sorted(SOLVER_CONFIG)), value=st.sampled_from(VALUES))
+def test_solve_survives_any_single_solver_config_corruption(key, value):
+    config = dict(SOLVER_CONFIG)
+    if value is DELETE:
+        del config[key]
+    else:
+        config[key] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        instance, solver_config = Path(tmp) / "instance.json", Path(tmp) / "solver.json"
+        instance.write_text(json.dumps(TINY))
+        solver_config.write_text(json.dumps(config))
+        code, out, err = _run(["solve", "--instance", str(instance), "--config",
+                               str(solver_config), "--out-dir", f"{tmp}/out"])
+        assert code in (0, 1, 2)
+        if code:
+            assert any(line.startswith("error:") for line in err.splitlines()), \
+                (key, value, code, out, err)
+        else:
+            assert "RESULT " in out

@@ -6,7 +6,7 @@ from mplq.errors import NothingToSolveError, ShapeError
 from mplq.hqm import (Agent, HqmParams, QMatrices, global_construct, has_converged,
                       init_agents, local_move, normalize_q, run_hqm, update_q,
                       write_history_csv)
-from mplq.hqm import _pick_from_row
+from mplq.hqm import PickTable, _pick_from_row
 from mplq.instance import GeneratorConfig, assign_customers, generate_instance
 from mplq.oracle import brute_force_best
 from mplq.routing import AdjustmentPolicy
@@ -122,6 +122,27 @@ def test_pick_draws_what_generator_choice_drew(epsilon):
     assert kinds == {"single", "zero", "spread"}
 
 
+@pytest.mark.parametrize("epsilon", [None, 0.0, 1.0])
+def test_pick_table_draws_what_pick_from_row_drew(epsilon):
+    kinds = set()
+    for seed in range(200):
+        maker = np.random.default_rng(seed)
+        width = int(maker.integers(1, 20))
+        rows = [maker.random(width), np.full(width, 0.25), np.zeros(width)]
+        if width > 1:
+            rows.append(normalize_q(maker.random((1, width)))[0])  # a 0 and a 1 in every row
+        rows = np.array(rows)
+        table = PickTable(rows)
+        everyone = np.arange(width)
+        ours, ref = np.random.default_rng(seed + 1000), np.random.default_rng(seed + 1000)
+        for _ in range(10):
+            r = int(maker.integers(len(rows)))
+            kinds.add(r)
+            assert table.pick(r, epsilon, ours) == _pick_from_row(rows[r], everyone, epsilon, ref)
+            assert ours.bit_generator.state == ref.bit_generator.state
+    assert kinds == {0, 1, 2, 3}
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_pick_refuses_non_finite_scores_like_generator_choice(bad):
     row = np.array([0.2, bad, 0.5])
@@ -139,18 +160,18 @@ def test_construct_reproduces_unique_chain_under_full_greed():
     q.q2[0, 1] = 1.0
     q.q1[2, 1] = 1.0
     q.q1[1, 0] = 1.0
-    normalized = QMatrices(q1=normalize_q(q.q1), q2=normalize_q(q.q2))
-    state = global_construct(_empty_pool_agent(), normalized, epsilon=1.0)
+    state = global_construct(_empty_pool_agent(), PickTable(normalize_q(q.q1)),
+                             normalize_q(q.q2), epsilon=1.0)
     assert state.x2.tolist() == [2, 0, 1]
     assert state.x1.tolist() == [1, 0, 0]
 
 
 def test_construct_always_yields_permutation():
     q = QMatrices.zeros(3, 6)
-    normalized = QMatrices(q1=normalize_q(q.q1), q2=normalize_q(q.q2))
+    q1, q2 = PickTable(normalize_q(q.q1)), normalize_q(q.q2)
     agent = _empty_pool_agent(seed=42)
     for _ in range(25):
-        state = global_construct(agent, normalized, epsilon=None)
+        state = global_construct(agent, q1, q2, epsilon=None)
         assert sorted(state.x2.tolist()) == list(range(6))
         assert all(0 <= v < 3 for v in state.x1.tolist())
 
@@ -209,7 +230,7 @@ def test_local_move_preserves_permutation(data, n, omega):
 def test_update_q_single_step_value():
     q = QMatrices.zeros(1, 1)
     q.q1[0, 0] = 2.0  # next-row maximum seen from the start transition
-    update_q(q, make_state([0], [0]), reward=1.0, alpha=0.5, gamma=0.9)
+    update_q(q, [make_state([0], [0])], rewards=[1.0], alpha=0.5, gamma=0.9)
     assert q.q1[1, 0] == pytest.approx(1.4)
 
 
@@ -218,13 +239,13 @@ def test_update_q_alpha_zero_is_identity():
     q.q1 += 0.7
     q.q2 += 0.3
     before = q.copy()
-    update_q(q, make_state([0, 1, 1], [2, 0, 1]), reward=5.0, alpha=0.0, gamma=0.9)
+    update_q(q, [make_state([0, 1, 1], [2, 0, 1])], rewards=[5.0], alpha=0.0, gamma=0.9)
     assert np.array_equal(q.q1, before.q1) and np.array_equal(q.q2, before.q2)
 
 
 def test_update_q_gamma_zero_alpha_one_writes_reward():
     q = QMatrices.zeros(1, 1)
-    update_q(q, make_state([0], [0]), reward=0.25, alpha=1.0, gamma=0.0)
+    update_q(q, [make_state([0], [0])], rewards=[0.25], alpha=1.0, gamma=0.0)
     assert q.q1[1, 0] == 0.25
     assert q.q2[1, 0] == 0.25
 
@@ -234,7 +255,7 @@ def test_update_q_fixed_point():
     q = QMatrices.zeros(1, 1)
     q.q1[:] = 10.0
     q.q2[:] = 10.0
-    update_q(q, make_state([0], [0]), reward=1.0, alpha=0.8, gamma=0.9)
+    update_q(q, [make_state([0], [0])], rewards=[1.0], alpha=0.8, gamma=0.9)
     assert np.allclose(q.q1, 10.0) and np.allclose(q.q2, 10.0)
 
 
@@ -254,11 +275,33 @@ def test_update_q_matches_the_array_update_bit_for_bit():
         ours = QMatrices(q1=rng.random((lockers + 1, lockers)), q2=rng.random((tasks + 1, tasks)))
         ref = ours.copy()
         for _ in range(3):  # repeated lockers give self-transitions and revisited rows
-            state = make_state(rng.integers(0, lockers, size=tasks), rng.permutation(tasks))
-            reward, alpha = float(rng.random()), float(rng.random())
-            update_q(ours, state, reward, alpha, 0.9)
-            _numpy_update_q(ref, state, reward, alpha, 0.9)
+            agents = int(rng.integers(1, 6))
+            states = [make_state(rng.integers(0, lockers, size=tasks), rng.permutation(tasks))
+                      for _ in range(agents)]
+            rewards = rng.random(agents).tolist()
+            alpha = float(rng.random())
+            update_q(ours, states, rewards, alpha, 0.9)
+            for state, reward in zip(states, rewards):  # one agent after another
+                _numpy_update_q(ref, state, reward, alpha, 0.9)
             assert np.array_equal(ours.q1, ref.q1) and np.array_equal(ours.q2, ref.q2)
+
+
+def test_one_update_per_step_equals_per_agent_updates():
+    # The states a solve feeds its step's update: every agent's best, some shared.
+    rng = np.random.default_rng(8)
+    for _ in range(100):
+        lockers, tasks = int(rng.integers(1, 6)), int(rng.integers(1, 20))
+        ours = QMatrices(q1=rng.random((lockers + 1, lockers)), q2=rng.random((tasks + 1, tasks)))
+        ref = ours.copy()
+        pool = [make_state(rng.integers(0, lockers, size=tasks), rng.permutation(tasks))
+                for _ in range(4)]
+        states = [pool[int(k)] for k in rng.integers(0, len(pool), size=20)]
+        rewards = [float(rng.random()) for _ in states]
+        alpha = float(rng.random())
+        update_q(ours, states, rewards, alpha, 0.9)
+        for state, reward in zip(states, rewards):
+            update_q(ref, [state], [reward], alpha, 0.9)
+        assert ours.q1.tobytes() == ref.q1.tobytes() and ours.q2.tobytes() == ref.q2.tobytes()
 
 
 def test_has_converged_thresholds():

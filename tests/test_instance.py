@@ -6,9 +6,10 @@ from dataclasses import replace
 import pytest
 
 from mplq.errors import ConfigurationError, InstanceFormatError
-from mplq.instance import (WORKING_HOURS, GeneratorConfig, assign_customers,
-                           generate_instance, instance_to_dict, load_instance,
-                           save_instance, validate_instance, write_assignment_csv)
+from mplq.instance import (MAX_SLICES_PER_SPACE, WORKING_HOURS, GeneratorConfig,
+                           assign_customers, generate_instance, instance_to_dict,
+                           load_instance, save_instance, validate_instance,
+                           write_assignment_csv)
 from helpers import make_customer, make_instance, make_space
 
 TABLE_CONFIG = GeneratorConfig(
@@ -181,6 +182,19 @@ def test_validate_flags_plan_times_that_swamp_service_times():
     cust = make_customer(0, 1, [(1e300, 0.0, (600, 700), 1.0)])
     inst = make_instance([sp], [cust], fixed_cost=1e300, weights=(5.0, 1.0))
     assert [v.entity for v in validate_instance(inst).violations] == ["fleet"]
+
+
+@pytest.mark.parametrize("service_time", [1e-300, 5e-324, 1440.0 / (MAX_SLICES_PER_SPACE + 1)])
+def test_validate_flags_a_window_cut_into_too_many_slices(service_time):
+    sp = make_space(1, 1.0, 0.0, service_time=service_time)
+    report = validate_instance(make_instance([sp]))
+    assert [(v.entity, v.rule.split(";")[0]) for v in report.violations] \
+        == [("space 1", f"window span over service time exceeds {MAX_SLICES_PER_SPACE} slices")]
+
+
+def test_validate_accepts_a_window_cut_into_the_most_slices():
+    sp = make_space(1, 1.0, 0.0, service_time=1440.0 / MAX_SLICES_PER_SPACE)
+    assert validate_instance(make_instance([sp])).ok
 
 
 def test_load_refuses_an_integer_too_long_to_parse(tmp_path):

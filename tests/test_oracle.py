@@ -7,7 +7,7 @@ import pytest
 from mplq import oracle
 from mplq.errors import NothingToSolveError, SearchSpaceLimitError
 from mplq.instance import GeneratorConfig, assign_customers, generate_instance
-from mplq.oracle import brute_force_best, search_space_size
+from mplq.oracle import brute_force_best, search_space_size, tie_orders
 from mplq.routing import AdjustmentPolicy, evaluate_solution
 from mplq.state import effective_locker_count
 from mplq.taskgen import TaskPool, build_tasks
@@ -174,6 +174,21 @@ def test_oracle_matches_the_full_enumeration(monkeypatch):
                 assert (tuple(best.x1.tolist()), tuple(best.x2.tolist())) == pair
     tied = sum(_tied(pool) for _, pool in cases)
     assert tied >= 30 and len(cases) - tied >= 60
+
+
+def test_tie_orders_equal_the_filtered_permutations():
+    rng = np.random.default_rng(11)
+    tied = untied = 0
+    for _ in range(300):
+        n = int(rng.integers(0, 8))
+        # Few distinct starts make ties; many make them rare.
+        starts = (60.0 * rng.integers(0, int(rng.integers(1, 2 * n + 2)), size=n)).tolist()
+        filtered = [x2 for x2 in itertools.permutations(range(n))
+                    if all(starts[t] == starts[k] for k, t in enumerate(x2))]
+        assert tie_orders(starts) == filtered
+        tied += len(set(starts)) < n
+        untied += len(set(starts)) == n
+    assert tied >= 100 and untied >= 50
 
 
 def test_tied_starts_are_ordered_by_the_oracle():

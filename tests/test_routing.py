@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mplq import routing
 from mplq.errors import ParameterError, ShapeError
 from mplq.instance import (GeneratorConfig, Position, assign_customers,
                            generate_instance)
@@ -8,6 +9,7 @@ from mplq.routing import (Adjustment, AdjustmentPolicy, LockerRoute, RoutePlan,
                           TravelNoise, VisitRecord, check_feasibility, compute_delay,
                           evaluate_solution, hold_can_apply, schedule_route,
                           travel_time, write_plan_csv)
+from mplq.routing import _ROUTE_MEMO_LIMIT
 from mplq.state import effective_locker_count
 from mplq.taskgen import build_tasks
 from helpers import make_instance, make_pool, make_space, make_state, make_task
@@ -484,7 +486,7 @@ def test_route_memo_returns_the_memo_free_plan(policy):
     cases += [(*_random_hold_pool(rng), 12) for _ in range(24)]
     # The largest pool schedules enough distinct routes to pass the memo's bound.
     cases.append((*max(generated, key=lambda case: len(case[1])), 800))
-    evaluations = relabelled = clears = 0
+    evaluations = relabelled = evictions = 0
     orders: dict = {}
     for inst, pool, count in cases:
         n = len(pool)
@@ -499,11 +501,12 @@ def test_route_memo_returns_the_memo_free_plan(policy):
             got = evaluate_solution(state, pool, inst, policy, memo=memo)
             assert got == evaluate_solution(state, pool, inst, policy)
             evaluations += 1
-            cleared = len(memo) < len(before)
-            clears += cleared
+            assert len(memo) <= _ROUTE_MEMO_LIMIT
+            evicted = sum(memo.get(key) is not route for key, route in before.items())
+            evictions += evicted
             for locker, route in zip(got[0].lockers, got[0].routes):
                 key = tuple(v.task_id for v in route.visits)
-                if key in before and not cleared:
+                if key in before and not evicted:
                     # a route names no locker: a hit under another locker is
                     # the stored route itself
                     assert route is before[key]
@@ -511,10 +514,35 @@ def test_route_memo_returns_the_memo_free_plan(policy):
                 drivers[key] = locker
                 orders.setdefault((id(pool), frozenset(key)), set()).add(key)
     assert evaluations >= 300
-    assert relabelled > 0 and clears > 0
+    assert relabelled > 0 and evictions > 0
     # Some task set was scheduled in two orders, so a key that ignored the
     # order would have returned a wrong route.
     assert any(len(keys) > 1 for keys in orders.values())
+
+
+def test_route_memo_evicts_the_least_recently_used_route(monkeypatch):
+    monkeypatch.setattr(routing, "_ROUTE_MEMO_LIMIT", 4)
+    spaces = [make_space(k + 1, float(k), 1.0) for k in range(6)]
+    inst = make_instance(spaces)
+    tasks = [make_task(k + 1, window=(60.0 * k, 60.0 * k + 30.0)) for k in range(6)]
+
+    def schedule(ids):
+        return schedule_route([tasks[t] for t in ids], inst, AdjustmentPolicy.BTD,
+                              task_ids=ids, memo=memo)
+
+    memo: dict = {}
+    keys = [(k,) for k in range(6)]
+    routes = {key: schedule(list(key)) for key in keys[:4]}
+    assert list(memo) == keys[:4]
+    # Hit the oldest route just before the bound: it becomes the most recent.
+    assert schedule([0]) is routes[(0,)]
+    schedule([4])
+    assert len(memo) == 4 and list(memo) == [(2,), (3,), (0,), (4,)]
+    assert schedule([0]) is routes[(0,)]  # survived the eviction of (1,)
+    for key in keys:
+        schedule(list(key))
+        assert len(memo) == 4
+    assert schedule([1]) == routes[(1,)]  # an evicted route is scheduled again, equal
 
 
 def test_route_memo_is_refused_with_travel_noise():
