@@ -8,14 +8,16 @@ position swap), and elitism.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from .errors import NothingToSolveError, ParameterError
 from .instance import Instance
 from .routing import AdjustmentPolicy, RoutePlan
-from .hqm import Evaluator, RunHistory, roulette
+from .hqm import Evaluator, RunHistory, roulette_cdf
 from .state import SearchState, effective_locker_count
 from .taskgen import TaskPool
 
@@ -41,11 +43,11 @@ class GaParams:
         return max(1, int(0.05 * self.population))
 
 
-def _select_index(rewards: np.ndarray, rng: np.random.Generator) -> int:
-    total = rewards.sum()
-    if total <= 0:
-        return int(rng.integers(len(rewards)))
-    return roulette(rewards, total, rng)
+def _select_index(cdf: Optional[list[float]], size: int, rng: np.random.Generator) -> int:
+    """Fitness-proportional pick through a generation's ``roulette_cdf``; uniform when it is None."""
+    if cdf is None:
+        return int(rng.integers(size))
+    return bisect_right(cdf, rng.random())
 
 
 def _uniform_crossover(a: np.ndarray, b: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -99,11 +101,12 @@ def next_generation(population: list[SearchState], params: GaParams,
 
     ranked = sorted(population, key=lambda s: s.reward, reverse=True)
     out: list[SearchState] = [s.copy() for s in ranked[:params.elite_count]]
-    rewards = np.array([s.reward for s in population])
+    size = len(population)
+    cdf = roulette_cdf([s.reward for s in population])
 
-    while len(out) < len(population):
-        pa = population[_select_index(rewards, rng)]
-        pb = population[_select_index(rewards, rng)]
+    while len(out) < size:
+        pa = population[_select_index(cdf, size, rng)]
+        pb = population[_select_index(cdf, size, rng)]
         if rng.random() < CROSSOVER_PROB:
             x1 = _uniform_crossover(pa.x1, pb.x1, rng)
             x2 = _order_crossover(pa.x2, pb.x2, rng)

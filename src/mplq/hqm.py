@@ -181,60 +181,78 @@ def normalize_q(q: np.ndarray) -> np.ndarray:
     return out
 
 
-def _cdf(scores: np.ndarray, total: float) -> np.ndarray:
-    """The roulette CDF of ``scores`` summing to a positive ``total``, ending at exactly 1."""
+def _pairwise_sum(values: Sequence[float]) -> float:
+    """``np.add.reduce`` of a float64 vector, bit for bit, on Python floats.
+
+    numpy sums by pairwise summation: a plain loop under 8 values; up to 128
+    values eight running accumulators, combined in a fixed tree, then the
+    remainder one by one; above that the two halves (split at a multiple of 8)
+    summed separately and added.
+    """
+    n = len(values)
+    if n < 8:
+        res = 0.0
+        for v in values:
+            res += v
+        return res
+    if n <= 128:
+        r0, r1, r2, r3, r4, r5, r6, r7 = values[:8]
+        stop = n - n % 8
+        for i in range(8, stop, 8):
+            r0 += values[i]
+            r1 += values[i + 1]
+            r2 += values[i + 2]
+            r3 += values[i + 3]
+            r4 += values[i + 4]
+            r5 += values[i + 5]
+            r6 += values[i + 6]
+            r7 += values[i + 7]
+        res = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+        for v in values[stop:]:
+            res += v
+        return res
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
+
+
+def roulette_cdf(scores: Sequence[float]) -> Optional[list[float]]:
+    """The roulette CDF of ``scores`` as a Python list, or None when they sum to at most 0.
+
+    The ops of the inverse-CDF draw that ``Generator.choice`` makes for a 1-D
+    ``p``: numpy's pairwise total, each score over the total, a running sum,
+    each entry over the last. ``bisect_right(cdf, rng.random())`` then
+    consumes the same double and returns the same index as choice, and like
+    choice a non-finite total raises ``ValueError``.
+    """
+    total = _pairwise_sum(scores)
+    if total <= 0.0:
+        return None
     if not total < math.inf:  # NaN or infinity among the scores
         raise ValueError(f"scores sum to {total}, not a finite number")
-    cdf = (scores / total).cumsum()
-    cdf /= cdf[-1]
-    return cdf
-
-
-def roulette(scores: np.ndarray, total: float, rng: np.random.Generator) -> int:
-    """Index ``k`` drawn with probability ``scores[k] / total``, for a positive ``total``.
-
-    The inverse-CDF draw that ``Generator.choice`` makes for a 1-D ``p``: it
-    consumes the same single double and returns the same index, without
-    choice's per-call checks. Like choice, it refuses non-finite scores.
-    """
-    return int(_cdf(scores, total).searchsorted(rng.random(), side="right"))
-
-
-def _pick_from_row(row: np.ndarray, candidates: np.ndarray, epsilon: Optional[float],
-                   rng: np.random.Generator) -> int:
-    """Epsilon-greedy pick among ``candidates`` scored by ``row``.
-
-    With probability epsilon the best-scored candidate wins (first index on
-    ties); otherwise one is sampled proportionally to its score, uniformly if
-    the restricted row sums to zero. When epsilon is None a fresh threshold is
-    drawn for this one selection.
-    """
-    eps = rng.random() if epsilon is None else epsilon
-    scores = row[candidates]
-    if rng.random() < eps:
-        return int(candidates[scores.argmax()])
-    total = scores.sum()
-    if total <= 0.0:
-        return int(candidates[rng.integers(len(candidates))])
-    return int(candidates[roulette(scores, total, rng)])
+    cdf = []
+    acc = 0.0  # cumsum starts at the first term; 0.0 + x differs from x only in a zero's sign
+    for s in scores:
+        acc += s / total
+        cdf.append(acc)
+    last = cdf[-1]
+    return [c / last for c in cdf]
 
 
 class PickTable:
-    """``_pick_from_row`` over every column, precomputed for each row of a fixed table.
+    """Epsilon-greedy picks over every column of a fixed table, precomputed per row.
 
-    Each row keeps its argmax, and the roulette CDF as a Python list, built
-    with the ops ``roulette`` uses from numpy's ``row.sum()`` (None when that
-    total is not positive). A pick then draws the same doubles and returns
-    the same index as ``_pick_from_row(rows[r], np.arange(width), ...)``.
+    Each row keeps its first argmax and its ``roulette_cdf`` (None when the
+    row sums to at most 0). A pick draws a threshold (when epsilon is None)
+    and one double; with probability epsilon it returns the argmax, otherwise
+    a column sampled proportionally to its score, uniformly (one
+    ``rng.integers``) on a row that sums to zero.
     """
 
     def __init__(self, rows: np.ndarray):
         self.width = rows.shape[1]
         self.argmax = rows.argmax(axis=1).tolist()
-        self.cdfs: list[Optional[list[float]]] = []
-        for row in rows:
-            total = row.sum()
-            self.cdfs.append(None if total <= 0.0 else _cdf(row, total).tolist())
+        self.cdfs = [roulette_cdf(row) for row in rows.tolist()]
 
     def pick(self, r: int, epsilon: Optional[float], rng: np.random.Generator) -> int:
         eps = rng.random() if epsilon is None else epsilon
@@ -246,18 +264,19 @@ class PickTable:
         return bisect_right(cdf, rng.random())
 
 
-def global_construct(agent: Agent, q1: PickTable, q2: np.ndarray,
+def global_construct(agent: Agent, q1: PickTable, q2: list[list[float]],
                      epsilon: Optional[float] = None) -> SearchState:
     """Build a full state by walking both chains of the normalized tables.
 
     The allocation vector is filled task by task, each locker drawn through
     ``q1``, the ``PickTable`` of the normalized locker table, from the row of
     its predecessor (virtual start row first). The permutation is built the
-    same way from the normalized task table ``q2``, with already-used tasks
-    masked out and the row renormalized.
+    same way from ``q2``, the normalized task table as nested lists, over the
+    unused tasks only: the same epsilon-greedy pick as ``PickTable.pick``,
+    with the roulette renormalized over the unused tasks' scores.
     """
     rng = agent.rng
-    n_tasks = q2.shape[1]
+    n_tasks = len(q2) - 1
 
     x1 = []
     prev = q1.width  # virtual start row
@@ -265,15 +284,21 @@ def global_construct(agent: Agent, q1: PickTable, q2: np.ndarray,
         prev = q1.pick(prev, epsilon, rng)
         x1.append(prev)
 
-    x2 = np.empty(n_tasks, dtype=np.int64)
-    unused = np.ones(n_tasks, dtype=bool)
-    prev = n_tasks
-    for t in range(n_tasks):
-        candidates = unused.nonzero()[0]
-        nxt = _pick_from_row(q2[prev], candidates, epsilon, rng)
-        x2[t] = nxt
-        unused[nxt] = False
-        prev = nxt
+    x2 = []
+    unused = list(range(n_tasks))  # ascending task ids
+    prev = n_tasks  # virtual start row
+    for _ in range(n_tasks):
+        row = q2[prev]
+        scores = [row[c] for c in unused]
+        eps = rng.random() if epsilon is None else epsilon
+        if rng.random() < eps:
+            k = scores.index(max(scores))
+        else:
+            cdf = roulette_cdf(scores)
+            k = (int(rng.integers(len(unused))) if cdf is None
+                 else bisect_right(cdf, rng.random()))
+        prev = unused.pop(k)
+        x2.append(prev)
 
     return SearchState(x1=x1, x2=x2)
 
@@ -356,7 +381,7 @@ def run_hqm(pool: TaskPool, instance: Instance, policy: AdjustmentPolicy,
     for t in range(1, params.timesteps + 1):
         alpha = params.alpha(t)
         snapshot = qmats.copy()
-        q1, q2 = PickTable(normalize_q(qmats.q1)), normalize_q(qmats.q2)
+        q1, q2 = PickTable(normalize_q(qmats.q1)), normalize_q(qmats.q2).tolist()
 
         for agent in agents:
             candidate = global_construct(agent, q1, q2)
@@ -399,7 +424,7 @@ __all__ = [
     "Evaluator",
     "init_agents",
     "normalize_q",
-    "roulette",
+    "roulette_cdf",
     "PickTable",
     "global_construct",
     "local_move",

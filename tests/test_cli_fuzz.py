@@ -7,6 +7,7 @@ import math
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from mplq.cli import run_cli
@@ -18,6 +19,8 @@ TINY = instance_to_dict(generate_instance(
 
 DELETE = object()
 VALUES = (0, -1, 1e308, 1e-300, math.nan, math.inf, -math.inf, 10 ** 400, "x", [1, 2], None, DELETE)
+VALUE_IDS = ("0", "-1", "1e308", "1e-300", "nan", "inf", "-inf", "10**400", "str", "list",
+             "null", "delete")
 
 
 def _paths(node, prefix=()):
@@ -51,9 +54,8 @@ def _run(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-@settings(derandomize=True, deadline=None, max_examples=200)
-@given(path=st.sampled_from(PATHS), value=st.sampled_from(VALUES))
-def test_cli_survives_any_single_field_corruption(path, value):
+def _check_cli_survives(path, value):
+    """``solve`` and ``oracle`` on TINY with one field replaced: a result or a clean error."""
     with tempfile.TemporaryDirectory() as tmp:
         instance = Path(tmp) / "instance.json"
         instance.write_text(json.dumps(_mutated(path, value)))
@@ -68,6 +70,23 @@ def test_cli_survives_any_single_field_corruption(path, value):
                 result = [ln for ln in out.splitlines() if ln.startswith("RESULT ")][-1]
                 reward = float(dict(p.split("=", 1) for p in result.split()[1:])["reward"])
                 assert math.isfinite(reward) and reward > 0, (argv[0], result)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(path=st.sampled_from(PATHS), value=st.sampled_from(VALUES))
+def test_cli_survives_any_single_field_corruption(path, value):
+    _check_cli_survives(path, value)
+
+
+# The fields the slice bound guards: every value at each space's service time and window ends.
+SLICE_FIELDS = [("spaces", i, *field) for i in range(len(TINY["spaces"]))
+                for field in (("service_time",), ("window", 0), ("window", 1))]
+
+
+@pytest.mark.parametrize("value", VALUES, ids=VALUE_IDS)
+@pytest.mark.parametrize("path", SLICE_FIELDS, ids=lambda path: ".".join(map(str, path)))
+def test_cli_survives_every_value_in_a_slice_field(path, value):
+    _check_cli_survives(path, value)
 
 
 # A valid solver config small enough to solve TINY in well under a second.

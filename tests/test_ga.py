@@ -5,9 +5,11 @@ from hypothesis import given, settings, strategies as st
 from mplq import ga
 from mplq.errors import ParameterError
 from mplq.ga import GaParams, next_generation, run_ga, _order_crossover
+from mplq.hqm import roulette_cdf
 from mplq.instance import GeneratorConfig, assign_customers, generate_instance
 from mplq.routing import AdjustmentPolicy
 from mplq.taskgen import build_tasks
+from mplq.state import SearchState
 from helpers import make_state
 
 
@@ -30,18 +32,21 @@ def _choice_select(rewards, rng):
     return int(rng.choice(len(rewards), p=rewards / total))
 
 
+def _rewards(maker, size, kind):
+    return (maker.uniform(1e-3, 0.1, size) if kind == 0
+            else maker.choice([0.01, 0.02], size=size) if kind == 1  # ties
+            else np.zeros(size) if kind == 2
+            else np.full(1, 0.05))  # one candidate
+
+
 def test_select_index_draws_what_generator_choice_drew():
     for seed in range(300):
         maker = np.random.default_rng(seed)
-        size = int(maker.integers(1, 40))
-        kind = seed % 4
-        rewards = (maker.uniform(1e-3, 0.1, size) if kind == 0
-                   else maker.choice([0.01, 0.02], size=size) if kind == 1  # ties
-                   else np.zeros(size) if kind == 2
-                   else np.full(1, 0.05))  # one candidate
+        rewards = _rewards(maker, int(maker.integers(1, 40)), seed % 4)
+        cdf = roulette_cdf(rewards.tolist())
         ours, ref = np.random.default_rng(seed + 1000), np.random.default_rng(seed + 1000)
         for _ in range(5):
-            assert ga._select_index(rewards, ours) == _choice_select(rewards, ref)
+            assert ga._select_index(cdf, len(rewards), ours) == _choice_select(rewards, ref)
             assert ours.bit_generator.state == ref.bit_generator.state
 
 
@@ -51,7 +56,47 @@ def test_select_index_refuses_non_finite_rewards_like_generator_choice(bad):
     with pytest.raises(ValueError), np.errstate(invalid="ignore"):
         _choice_select(rewards, np.random.default_rng(0))
     with pytest.raises(ValueError):
-        ga._select_index(rewards, np.random.default_rng(0))
+        roulette_cdf(rewards.tolist())
+    pop = _evaluated_population(3, 4, 2)
+    pop[1].reward = float(bad)
+    with pytest.raises(ValueError):
+        next_generation(pop, GaParams(population=3), np.random.default_rng(0), max_lockers=2)
+
+
+def _choice_next_generation(population, params, rng, max_lockers):
+    """``next_generation`` as written with ``_choice_select``: the reference stream."""
+    ranked = sorted(population, key=lambda s: s.reward, reverse=True)
+    out = [s.copy() for s in ranked[:params.elite_count]]
+    rewards = np.array([s.reward for s in population])
+    while len(out) < len(population):
+        pa = population[_choice_select(rewards, rng)]
+        pb = population[_choice_select(rewards, rng)]
+        if rng.random() < ga.CROSSOVER_PROB:
+            x1 = ga._uniform_crossover(pa.x1, pb.x1, rng)
+            x2 = ga._order_crossover(pa.x2, pb.x2, rng)
+        else:
+            x1, x2 = pa.x1.copy(), pa.x2.copy()
+        x1, x2 = ga._mutate(x1, x2, ga.MUTATION_RATE, max_lockers, rng)
+        out.append(SearchState(x1=x1, x2=x2))
+    return out
+
+
+def test_next_generation_draws_what_choice_selection_drew():
+    # sizes past 128 take numpy's pairwise sum into its split branch
+    for seed, size in enumerate((2, 3, 7, 8, 9, 20, 100, 129, 150, 300)):
+        maker = np.random.default_rng(seed)
+        n_tasks, lockers = int(maker.integers(1, 9)), int(maker.integers(1, 4))
+        pop = _evaluated_population(size, n_tasks, lockers, seed=seed)
+        for state, reward in zip(pop, _rewards(maker, size, seed % 3)):
+            state.reward = float(reward)
+        params = GaParams(population=size, seed=seed)
+        ours, ref = np.random.default_rng(seed + 1000), np.random.default_rng(seed + 1000)
+        for _ in range(2):
+            got = next_generation(pop, params, ours, max_lockers=lockers)
+            expected = _choice_next_generation(pop, params, ref, max_lockers=lockers)
+            assert [(s.x1.tolist(), s.x2.tolist(), s.reward) for s in got] == \
+                [(s.x1.tolist(), s.x2.tolist(), s.reward) for s in expected]
+            assert ours.bit_generator.state == ref.bit_generator.state
 
 
 def test_params_validation():

@@ -6,7 +6,7 @@ from mplq.errors import NothingToSolveError, ShapeError
 from mplq.hqm import (Agent, HqmParams, QMatrices, global_construct, has_converged,
                       init_agents, local_move, normalize_q, run_hqm, update_q,
                       write_history_csv)
-from mplq.hqm import PickTable, _pick_from_row
+from mplq.hqm import PickTable, _pairwise_sum, roulette_cdf
 from mplq.instance import GeneratorConfig, assign_customers, generate_instance
 from mplq.oracle import brute_force_best
 from mplq.routing import AdjustmentPolicy
@@ -49,30 +49,41 @@ def _empty_pool_agent(seed=0):
     return Agent(best=make_state([], []), rng=np.random.default_rng(seed))
 
 
+def _one_locker_table():
+    return PickTable(normalize_q(np.zeros((2, 1))))
+
+
 def test_greedy_branch_follows_argmax():
-    row = np.array([0.0, 1.0, 0.0])
+    table = PickTable(np.array([[0.0, 1.0, 1.0]]))
     rng = np.random.default_rng(0)
-    picks = {_pick_from_row(row, np.arange(3), 1.0, rng) for _ in range(20)}
-    assert picks == {1}
+    assert {table.pick(0, 1.0, rng) for _ in range(20)} == {1}  # first index on ties
+    # every unused task ties, so full greed walks them in id order
+    state = global_construct(_empty_pool_agent(), _one_locker_table(),
+                             np.full((5, 4), 0.25).tolist(), epsilon=1.0)
+    assert state.x2.tolist() == [0, 1, 2, 3]
 
 
 def test_sampling_branch_renormalizes_masked_row():
-    # used task 1 removed; scores 0.2 / 0.6 renormalize to 0.25 / 0.75
-    row = np.array([0.2, 0.9, 0.6])
-    candidates = np.array([0, 2])
-    rng = np.random.default_rng(123)
-    draws = [_pick_from_row(row, candidates, 0.0, rng) for _ in range(4000)]
+    # the start row forces task 1 first; row 1's scores 0.2 / 0.6 over the
+    # unused tasks 0 and 2 renormalize to 0.25 / 0.75
+    q2 = [[0.0, 0.0, 0.0], [0.2, 0.9, 0.6], [0.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
+    q1 = _one_locker_table()
+    agent = _empty_pool_agent(seed=123)
+    draws = [global_construct(agent, q1, q2, epsilon=0.0).x2[1] for _ in range(4000)]
     freq0 = draws.count(0) / len(draws)
     assert freq0 == pytest.approx(0.25, abs=0.02)
     assert set(draws) == {0, 2}
 
 
 def test_sampling_branch_uniform_on_zero_row():
-    row = np.zeros(3)
     rng = np.random.default_rng(5)
-    draws = [_pick_from_row(row, np.arange(3), 0.0, rng) for _ in range(3000)]
-    for k in range(3):
-        assert draws.count(k) / len(draws) == pytest.approx(1 / 3, abs=0.03)
+    table = PickTable(np.zeros((1, 3)))
+    agent = _empty_pool_agent(seed=5)
+    for draws in ([table.pick(0, 0.0, rng) for _ in range(3000)],
+                  [global_construct(agent, _one_locker_table(), np.zeros((4, 3)).tolist(),
+                                    epsilon=0.0).x2[0] for _ in range(3000)]):
+        for k in range(3):
+            assert draws.count(k) / len(draws) == pytest.approx(1 / 3, abs=0.03)
 
 
 def _choice_pick(row, candidates, epsilon, rng):
@@ -87,43 +98,66 @@ def _choice_pick(row, candidates, epsilon, rng):
     return int(candidates[rng.choice(len(candidates), p=scores / total)])
 
 
-def _random_row(rng):
-    """A normalized-looking row: spread, tied, all-zero or one-hot."""
-    width = int(rng.integers(1, 20))
-    kind = int(rng.integers(4))
-    if kind == 0:
-        return rng.random(width)
-    if kind == 1:
-        return rng.choice([0.0, 0.5, 1.0], size=width)
-    if kind == 2:
-        return np.zeros(width)
-    row = np.zeros(width)
-    row[int(rng.integers(width))] = 1.0
-    return row
+def _choice_construct(rng, q1, q2, epsilon):
+    """``global_construct`` as written with ``_choice_pick`` on arrays: the reference.
+
+    Returns the state and the kinds of masked q2 rows it sampled from.
+    """
+    lockers, n_tasks = q1.shape[1], q2.shape[1]
+    x1, prev = [], lockers
+    for _ in range(n_tasks):
+        prev = _choice_pick(q1[prev], np.arange(lockers), epsilon, rng)
+        x1.append(prev)
+    x2, kinds, unused, prev = [], set(), np.ones(n_tasks, dtype=bool), n_tasks
+    for _ in range(n_tasks):
+        candidates = unused.nonzero()[0]
+        total = q2[prev][candidates].sum()
+        kinds.add("single" if len(candidates) == 1 else "zero" if total == 0 else
+                  "pairwise" if len(candidates) >= 8 else "spread")
+        prev = _choice_pick(q2[prev], candidates, epsilon, rng)
+        x2.append(prev)
+        unused[prev] = False
+    return make_state(x1, x2), kinds
 
 
-@pytest.mark.parametrize("epsilon", [None, 0.0, 0.3])
+def _random_table(rng, rows, width):
+    """A normalized table whose rows are spread, tied, constant or one-hot before scaling."""
+    raw = []
+    for _ in range(rows):
+        kind = int(rng.integers(4))
+        row = (rng.random(width) if kind == 0 else
+               rng.choice([0.0, 0.5, 1.0], size=width) if kind == 1 else
+               np.full(width, 0.3) if kind == 2 else
+               np.eye(width)[int(rng.integers(width))])
+        raw.append(row)
+    return normalize_q(np.array(raw))
+
+
+@pytest.mark.parametrize("epsilon", [None, 0.0, 0.3, 1.0])
 def test_pick_draws_what_generator_choice_drew(epsilon):
+    # global_construct against the reference construct: same state, same stream
     kinds = set()
-    for seed in range(300):
+    for seed in range(120):
         maker = np.random.default_rng(seed)
-        row = _random_row(maker)
-        width = len(row)
-        candidates = (np.arange(width) if maker.random() < 0.5
-                      else np.sort(maker.choice(width, size=int(maker.integers(1, width + 1)),
-                                                replace=False)))
-        kinds.add("single" if len(candidates) == 1 else
-                  "zero" if row[candidates].sum() == 0 else "spread")
-        ours, ref = np.random.default_rng(seed + 1000), np.random.default_rng(seed + 1000)
-        for _ in range(5):
-            assert _pick_from_row(row, candidates, epsilon, ours) == \
-                _choice_pick(row, candidates, epsilon, ref)
-            assert ours.bit_generator.state == ref.bit_generator.state
-    assert kinds == {"single", "zero", "spread"}
+        n_tasks = int(maker.integers(1, 20))
+        lockers = effective_locker_count(int(maker.integers(1, 6)), n_tasks)
+        q1 = _random_table(maker, lockers + 1, lockers)
+        q2 = _random_table(maker, n_tasks + 1, n_tasks)
+        agent = _empty_pool_agent(seed + 1000)
+        ref = np.random.default_rng(seed + 1000)
+        table, rows = PickTable(q1), q2.tolist()
+        for _ in range(3):
+            state = global_construct(agent, table, rows, epsilon)
+            expected, seen = _choice_construct(ref, q1, q2, epsilon)
+            kinds |= seen
+            assert state.x1.tolist() == expected.x1.tolist()
+            assert state.x2.tolist() == expected.x2.tolist()
+            assert agent.rng.bit_generator.state == ref.bit_generator.state
+    assert kinds == {"single", "zero", "spread", "pairwise"}
 
 
 @pytest.mark.parametrize("epsilon", [None, 0.0, 1.0])
-def test_pick_table_draws_what_pick_from_row_drew(epsilon):
+def test_pick_table_draws_what_generator_choice_drew(epsilon):
     kinds = set()
     for seed in range(200):
         maker = np.random.default_rng(seed)
@@ -138,18 +172,49 @@ def test_pick_table_draws_what_pick_from_row_drew(epsilon):
         for _ in range(10):
             r = int(maker.integers(len(rows)))
             kinds.add(r)
-            assert table.pick(r, epsilon, ours) == _pick_from_row(rows[r], everyone, epsilon, ref)
+            assert table.pick(r, epsilon, ours) == _choice_pick(rows[r], everyone, epsilon, ref)
             assert ours.bit_generator.state == ref.bit_generator.state
     assert kinds == {0, 1, 2, 3}
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_pick_refuses_non_finite_scores_like_generator_choice(bad):
-    row = np.array([0.2, bad, 0.5])
+    row = [0.2, bad, 0.5]
     with pytest.raises(ValueError), np.errstate(invalid="ignore"):
-        _choice_pick(row, np.arange(3), 0.0, np.random.default_rng(0))
+        _choice_pick(np.array(row), np.arange(3), 0.0, np.random.default_rng(0))
     with pytest.raises(ValueError):
-        _pick_from_row(row, np.arange(3), 0.0, np.random.default_rng(0))
+        roulette_cdf(row)
+    with pytest.raises(ValueError):
+        PickTable(np.array([row]))
+    with pytest.raises(ValueError):
+        global_construct(_empty_pool_agent(), _one_locker_table(),
+                         [[0.0] * 3, [0.0] * 3, [0.0] * 3, row], epsilon=0.0)
+
+
+def test_pairwise_sum_is_numpy_add_reduce_bit_for_bit():
+    rng = np.random.default_rng(17)
+    for n in range(1, 1001):
+        for values in (rng.random(n),
+                       rng.choice([0.0, 0.25, 1 / 3], size=n),  # ties
+                       np.zeros(n),
+                       rng.random(n) * 10.0 ** rng.integers(-300, 300, size=n)):
+            assert np.float64(_pairwise_sum(values.tolist())).tobytes() == \
+                np.add.reduce(values).tobytes(), n
+
+
+def test_roulette_cdf_is_the_choice_cdf_bit_for_bit():
+    # the CDF Generator.choice builds for p = scores / scores.sum()
+    rng = np.random.default_rng(23)
+    for n in range(1, 300):
+        for scores in (rng.random(n), rng.choice([0.0, 0.5, 1.0], size=n),
+                       rng.uniform(1e-3, 0.1, n)):
+            total = scores.sum()
+            if total <= 0.0:
+                assert roulette_cdf(scores.tolist()) is None
+                continue
+            cdf = (scores / total).cumsum()
+            cdf /= cdf[-1]
+            assert roulette_cdf(scores.tolist()) == cdf.tolist(), n
 
 
 def test_construct_reproduces_unique_chain_under_full_greed():
@@ -161,14 +226,14 @@ def test_construct_reproduces_unique_chain_under_full_greed():
     q.q1[2, 1] = 1.0
     q.q1[1, 0] = 1.0
     state = global_construct(_empty_pool_agent(), PickTable(normalize_q(q.q1)),
-                             normalize_q(q.q2), epsilon=1.0)
+                             normalize_q(q.q2).tolist(), epsilon=1.0)
     assert state.x2.tolist() == [2, 0, 1]
     assert state.x1.tolist() == [1, 0, 0]
 
 
 def test_construct_always_yields_permutation():
     q = QMatrices.zeros(3, 6)
-    q1, q2 = PickTable(normalize_q(q.q1)), normalize_q(q.q2)
+    q1, q2 = PickTable(normalize_q(q.q1)), normalize_q(q.q2).tolist()
     agent = _empty_pool_agent(seed=42)
     for _ in range(25):
         state = global_construct(agent, q1, q2, epsilon=None)
