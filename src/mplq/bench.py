@@ -16,8 +16,8 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
 
-from .errors import (ConfigurationError, NothingToSolveError, ParameterError,
-                     UndefinedRateError)
+from .errors import (ConfigurationError, NothingToSolveError, OverCapacityError,
+                     ParameterError, UndefinedRateError)
 from .ga import GaParams, run_ga
 from .hqm import HqmParams, RunHistory, run_hqm
 from .instance import GeneratorConfig, Instance, assign_customers, generate_instance
@@ -125,6 +125,7 @@ class GridResult:
     rows: tuple[CellOutcome, ...]
     hold_pools: int  # (cell, replication) pools a hold can apply to; see hold_can_apply
     empty_pools: int  # (cell, replication) pools with no task, which are skipped
+    over_capacity_pools: int  # pools with a task no locker can carry, also skipped
 
     def cell_aggregates(self) -> list[CellAggregate]:
         return _group_means(self.rows, lambda r: (r.spaces, r.locations, r.solver, r.policy))
@@ -170,7 +171,8 @@ class SweepPoint:
     value: float
     mean_delay: float
     stderr: float
-    replications: int  # replications solved; those whose pool held no task are left out
+    replications: int  # replications solved; empty and over-capacity pools are left out
+    over_capacity_pools: int  # replications skipped for a task no locker can carry
 
 
 def _mean(values: Sequence[float]) -> float:
@@ -219,6 +221,16 @@ def _map(fn: Callable, units: list, jobs: int) -> list:
     return [fn(u) for u in units]
 
 
+def over_capacity_task(pool: TaskPool, instance: Instance) -> Optional[int]:
+    """The first task whose demand exceeds the locker capacity, or None.
+
+    No plan serves such a task: ``solve`` refuses its pool, and the grid and
+    the sweeps skip it and count it.
+    """
+    capacity = instance.fleet.capacity
+    return next((t for t, task in enumerate(pool.tasks) if task.demand > capacity), None)
+
+
 def _generated_pool(config: GeneratorConfig) -> tuple[Instance, TaskPool]:
     """Generate an instance and build its task pool: (instance, pool)."""
     instance = generate_instance(config)
@@ -256,8 +268,14 @@ def solve(pool: TaskPool, instance: Instance, solver: str, policy: AdjustmentPol
 
     The one entry point for either solver: ``mplq solve``, the grid and the
     factor sweeps all come through here. ``gamma`` and ``tol`` apply to HQM
-    only.
+    only. A pool with a task above the locker capacity is refused.
     """
+    task_id = over_capacity_task(pool, instance)
+    if task_id is not None:
+        task = pool.tasks[task_id]
+        raise OverCapacityError(
+            f"task {task_id} (space {task.space_id}) demands {task.demand} parcels, above "
+            f"the locker capacity {instance.fleet.capacity}; no plan can serve it")
     if solver == "hqm":
         params = HqmParams(agents=budget.agents, timesteps=budget.iterations, gamma=gamma,
                            tol=tol, seed=seed)
@@ -268,18 +286,21 @@ def solve(pool: TaskPool, instance: Instance, solver: str, policy: AdjustmentPol
     raise ConfigurationError(f"unknown solver {solver!r}; expected hqm or ga")
 
 
-def _run_cell_replication(args: tuple) -> tuple[list[CellOutcome], bool]:
+def _run_cell_replication(args: tuple) -> tuple[list[CellOutcome], bool, Optional[str]]:
     """One (cell, replication): every solver x policy on the identical instance.
 
     Also returns whether a hold can apply to the pool; if not, HCPS plans equal
     BTD plans, so each solver runs once, under BTD, and its hcps rows reuse it.
-    A pool with no task gives no rows.
+    A pool with no task, or with a task above the locker capacity, gives no
+    rows; the third item names why ("empty" or "over_capacity"), else None.
     """
     spaces, locations, rep, seed, base_config, solvers, policies, budget = args
     instance, pool = _generated_pool(
         replace(base_config, num_spaces=spaces, locations_per_space=locations, seed=seed))
     if len(pool) == 0:
-        return [], False
+        return [], False, "empty"
+    if over_capacity_task(pool, instance) is not None:
+        return [], False, "over_capacity"
     hold = hold_can_apply(pool, instance)
     rows = []
     for solver in solvers:
@@ -301,13 +322,14 @@ def _run_cell_replication(args: tuple) -> tuple[list[CellOutcome], bool]:
                 reward=best.reward,
                 improvement_pct=improvement_rate(history),
             ))
-    return rows, hold
+    return rows, hold, None
 
 
 def run_grid(grid: GridConfig, jobs: int = 1) -> GridResult:
     """Run the full grid; every solver/policy pair sees identical instances.
 
-    Pools with no task are skipped and counted in ``empty_pools``.
+    Pools with no task are skipped and counted in ``empty_pools``, pools with a
+    task above the locker capacity in ``over_capacity_pools``.
     """
     seeds = _replication_seeds(grid)
     units = [
@@ -318,10 +340,12 @@ def run_grid(grid: GridConfig, jobs: int = 1) -> GridResult:
         for rep in range(grid.replications)
     ]
     outcomes = _map(_run_cell_replication, units, jobs)
-    rows = [row for chunk, _ in outcomes for row in chunk]
+    rows = [row for chunk, _, _ in outcomes for row in chunk]
     rows.sort(key=lambda r: (r.spaces, r.locations, r.replication, r.solver, r.policy))
-    return GridResult(rows=tuple(rows), hold_pools=sum(hold for _, hold in outcomes),
-                      empty_pools=sum(not chunk for chunk, _ in outcomes))
+    skipped = [skip for _, _, skip in outcomes]
+    return GridResult(rows=tuple(rows), hold_pools=sum(hold for _, hold, _ in outcomes),
+                      empty_pools=skipped.count("empty"),
+                      over_capacity_pools=skipped.count("over_capacity"))
 
 
 # ---------------------------------------------------------------------------
@@ -356,22 +380,28 @@ def apply_factor(base: GeneratorConfig, factor: str, value: float) -> GeneratorC
 
 
 def _run_sweep_point(args: tuple) -> SweepPoint:
-    """Mean delay over the replications whose pool holds at least one task."""
+    """Mean delay over the replications whose pool holds tasks a locker can carry."""
     factor, value, base_config, policy_name, budget, seeds = args
     policy = AdjustmentPolicy.parse(policy_name)
     delays = []
+    over_capacity = 0
     for seed in seeds:
         instance, pool = _generated_pool(apply_factor(replace(base_config, seed=seed),
                                                       factor, value))
         if len(pool) == 0:
             continue
+        if over_capacity_task(pool, instance) is not None:
+            over_capacity += 1
+            continue
         _, plan, _ = solve(pool, instance, "hqm", policy, budget, seed)
         _, avg_delay = compute_delay(plan)
         delays.append(avg_delay)
     if not delays:
-        raise NothingToSolveError(f"sweep point {factor}={value}: every task pool is empty")
+        raise NothingToSolveError(f"sweep point {factor}={value}: every task pool is empty "
+                                  "or holds a task above the locker capacity")
     return SweepPoint(factor=factor, value=value, mean_delay=_mean(delays),
-                      stderr=_stderr(delays), replications=len(delays))
+                      stderr=_stderr(delays), replications=len(delays),
+                      over_capacity_pools=over_capacity)
 
 
 def sweep_factor(sweep: SweepConfig, jobs: int = 1) -> list[SweepPoint]:
@@ -447,16 +477,18 @@ def write_sweep_csv(points: Sequence[SweepPoint], path: Union[str, Path],
         if header_comment:
             fh.write(f"# {header_comment}\n")
         writer = csv.writer(fh)
-        writer.writerow(["factor", "value", "mean_delay_min", "stderr", "replications"])
+        writer.writerow(["factor", "value", "mean_delay_min", "stderr", "replications",
+                         "over_capacity_pools"])
         for p in points:
             writer.writerow([p.factor, repr(p.value), repr(p.mean_delay),
-                             repr(p.stderr), p.replications])
+                             repr(p.stderr), p.replications, p.over_capacity_pools])
 
 
 def read_sweep_points(path: Union[str, Path]) -> list[SweepPoint]:
     return [SweepPoint(factor=rec["factor"], value=float(rec["value"]),
                        mean_delay=float(rec["mean_delay_min"]), stderr=float(rec["stderr"]),
-                       replications=int(rec["replications"]))
+                       replications=int(rec["replications"]),
+                       over_capacity_pools=int(rec["over_capacity_pools"]))
             for rec in _csv_records(path)]
 
 
@@ -505,6 +537,7 @@ __all__ = [
     "SweepPoint",
     "improvement_rate",
     "reward_gap",
+    "over_capacity_task",
     "solve",
     "apply_factor",
     "run_grid",

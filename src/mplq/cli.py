@@ -22,8 +22,6 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Optional, Sequence
 
-import numpy as np
-
 from . import bench
 from .errors import (ConfigurationError, InstanceFormatError, MplqError,
                      SearchSpaceLimitError)
@@ -174,11 +172,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
     instance = _load_valid_instance(args.instance)
     assignment, pool = _prepare(instance)
-    for task_id, task in enumerate(pool.tasks):
-        if task.demand > instance.fleet.capacity:
-            raise MplqError(f"task {task_id} (space {task.space_id}) demands {task.demand} "
-                            f"parcels, above the locker capacity {instance.fleet.capacity}; "
-                            "no plan can serve it")
     policy = AdjustmentPolicy.parse(pick(args.policy, "policy", "hcps"))
 
     best, plan, history = bench.solve(pool, instance, args.solver, policy, budget, seed,
@@ -203,8 +196,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         "solver": args.solver,
         "policy": policy.value,
         "seed": seed,
-        "x1": best.x1.tolist(),
-        "x2": best.x2.tolist(),
+        "x1": list(best.x1),
+        "x2": list(best.x2),
         "reward": best.reward,
     }
     (out_dir / "solution.json").write_text(json.dumps(solution, indent=2) + "\n",
@@ -228,6 +221,13 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     return EXIT_OK if not feasibility.hard() else EXIT_INFEASIBLE
 
 
+def _int_vector(values, name: str) -> tuple[int, ...]:
+    """A solution vector: a JSON list of integers, never a bool, float or string."""
+    if not isinstance(values, list) or any(type(v) is not int for v in values):
+        raise ValueError(f"{name} must be a list of integers, got {values!r:.80}")
+    return tuple(values)
+
+
 def _cmd_validate(args: argparse.Namespace) -> int:
     instance = load_instance(args.instance)
     report = validate_instance(instance)
@@ -239,13 +239,12 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     if args.solution and report.ok:
         try:
             data = json.loads(Path(args.solution).read_text(encoding="utf-8"))
-            x1 = np.array(data["x1"], dtype=np.int64)
-            x2 = np.array(data["x2"], dtype=np.int64)
+            state = SearchState(x1=_int_vector(data["x1"], "x1"),
+                                x2=_int_vector(data["x2"], "x2"))
             policy = AdjustmentPolicy.parse(data.get("policy", "hcps"))
         except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
             raise InstanceFormatError(f"cannot parse solution file {args.solution}: {exc}")
         _, pool = _prepare(instance)
-        state = SearchState(x1=x1, x2=x2)
         plan, cost = evaluate_solution(state, pool, instance, policy)
         feasibility = check_feasibility(plan, state, pool, instance)
         for v in feasibility.violations:
@@ -277,8 +276,8 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         return EXIT_INFEASIBLE
     _print_result(command="oracle", policy=args.policy, tasks=len(pool),
                   lockers=lockers, states=search_space_size(len(pool), lockers),
-                  reward=repr(reward), x1=",".join(map(str, best.x1.tolist())),
-                  x2=",".join(map(str, best.x2.tolist())))
+                  reward=repr(reward), x1=",".join(map(str, best.x1)),
+                  x2=",".join(map(str, best.x2)))
     return EXIT_OK
 
 
@@ -302,6 +301,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     _print_result(command="bench", seed=seed, cells=len(args.spaces) * len(args.locations),
                   replications=args.replications, rows=len(result.rows),
                   hold_pools=result.hold_pools, empty_pools=result.empty_pools,
+                  over_capacity_pools=result.over_capacity_pools,
                   out=str(out_dir / "grid.csv"))
     return EXIT_OK
 
@@ -322,8 +322,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     header = _config_line(args, seed)
     bench.write_sweep_csv(points, out_dir / "sweep.csv", header_comment=header)
     bench.write_plotdata(points, out_dir / "plotdata")
-    _print_result(command="sweep", seed=seed, factor=args.factor,
-                  points=len(points), out=str(out_dir / "sweep.csv"))
+    _print_result(command="sweep", seed=seed, factor=args.factor, points=len(points),
+                  over_capacity_pools=sum(p.over_capacity_pools for p in points),
+                  out=str(out_dir / "sweep.csv"))
     return EXIT_OK
 
 
@@ -420,6 +421,10 @@ def run_cli(argv: Optional[Sequence[str]] = None) -> int:
 
 def main() -> None:  # pragma: no cover - thin wrapper
     sys.exit(run_cli())
+
+
+if __name__ == "__main__":
+    main()
 
 
 __all__ = ["run_cli", "main", "build_parser"]

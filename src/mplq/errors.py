@@ -25,6 +25,10 @@ class NothingToSolveError(MplqError):
     """The task pool is empty, so there is no allocation/sequencing problem."""
 
 
+class OverCapacityError(MplqError):
+    """A task demands more parcels than a locker holds, so no plan can serve its pool."""
+
+
 class SearchSpaceLimitError(MplqError):
     """Exhaustive enumeration was refused because the space is too large."""
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -50,33 +50,32 @@ def _select_index(cdf: Optional[list[float]], size: int, rng: np.random.Generato
     return bisect_right(cdf, rng.random())
 
 
-def _uniform_crossover(a: np.ndarray, b: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    mask = rng.integers(0, 2, size=a.shape[0]).astype(bool)
-    return np.where(mask, a, b)
+def _uniform_crossover(a: Sequence[int], b: Sequence[int],
+                       rng: np.random.Generator) -> list[int]:
+    mask = rng.integers(0, 2, size=len(a)).tolist()
+    return [x if m else y for x, y, m in zip(a, b, mask)]
 
 
-def _order_crossover(a: np.ndarray, b: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+def _order_crossover(a: Sequence[int], b: Sequence[int],
+                     rng: np.random.Generator) -> list[int]:
     """Keep a slice of ``a`` in place, fill the rest in ``b``'s order."""
     n = len(a)
     if n == 1:
-        return a.copy()
+        return list(a)
     c1, c2 = sorted(rng.choice(n + 1, size=2, replace=False).tolist())
-    child = np.full(n, -1, dtype=np.int64)
-    child[c1:c2] = a[c1:c2]
-    used = set(a[c1:c2].tolist())
-    fill = [v for v in b.tolist() if v not in used]
-    slots = [k for k in range(n) if not (c1 <= k < c2)]
-    for k, v in zip(slots, fill):
-        child[k] = v
-    return child
+    kept = list(a[c1:c2])
+    used = set(kept)
+    fill = [v for v in b if v not in used]
+    return fill[:c1] + kept + fill[c1:]
 
 
-def _mutate(x1: np.ndarray, x2: np.ndarray, rate: float, max_lockers: int,
-            rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+def _mutate(x1: list[int], x2: list[int], rate: float, max_lockers: int,
+            rng: np.random.Generator) -> tuple[list[int], list[int]]:
+    """Mutate both lists in place: per-gene locker reassignments, then position swaps."""
     n = len(x1)
     for k in range(n):
         if rng.random() < rate:
-            x1[k] = rng.integers(max_lockers)
+            x1[k] = int(rng.integers(max_lockers))
     for k in range(n):
         if rng.random() < rate and n > 1:
             j = int(rng.integers(n - 1))
@@ -100,7 +99,7 @@ def next_generation(population: list[SearchState], params: GaParams,
         raise ParameterError("population must be evaluated before breeding")
 
     ranked = sorted(population, key=lambda s: s.reward, reverse=True)
-    out: list[SearchState] = [s.copy() for s in ranked[:params.elite_count]]
+    out: list[SearchState] = ranked[:params.elite_count]
     size = len(population)
     cdf = roulette_cdf([s.reward for s in population])
 
@@ -111,9 +110,9 @@ def next_generation(population: list[SearchState], params: GaParams,
             x1 = _uniform_crossover(pa.x1, pb.x1, rng)
             x2 = _order_crossover(pa.x2, pb.x2, rng)
         else:
-            x1, x2 = pa.x1.copy(), pa.x2.copy()
+            x1, x2 = list(pa.x1), list(pa.x2)
         x1, x2 = _mutate(x1, x2, MUTATION_RATE, max_lockers, rng)
-        out.append(SearchState(x1=x1, x2=x2))
+        out.append(SearchState(x1=tuple(x1), x2=tuple(x2)))
     return out
 
 
@@ -128,7 +127,8 @@ def run_ga(pool: TaskPool, instance: Instance, policy: AdjustmentPolicy,
     evaluator = Evaluator(pool, instance, policy)
 
     population = [
-        SearchState(x1=rng.integers(0, lockers, size=n), x2=rng.permutation(n))
+        SearchState(x1=tuple(rng.integers(0, lockers, size=n).tolist()),
+                    x2=tuple(rng.permutation(n).tolist()))
         for _ in range(params.population)
     ]
     for state in population:

@@ -114,7 +114,7 @@ def write_history_csv(history: RunHistory, path: Union[str, Path],
 
 
 class Evaluator:
-    """Caches rewards of previously scored states and their routes (evaluation is pure)."""
+    """Caches rewards of previously scored (x1, x2) pairs and their routes (evaluation is pure)."""
 
     _CACHE_LIMIT = 150_000
 
@@ -122,11 +122,11 @@ class Evaluator:
         self.pool = pool
         self.instance = instance
         self.policy = policy
-        self._cache: dict[tuple[bytes, bytes], float] = {}
+        self._cache: dict[tuple[tuple[int, ...], tuple[int, ...]], float] = {}
         self._routes: dict = {}  # route memo of this pool, instance and policy
 
     def reward(self, state: SearchState) -> float:
-        key = state.key()
+        key = (state.x1, state.x2)
         hit = self._cache.get(key)
         if hit is not None:
             state.reward = hit
@@ -161,8 +161,8 @@ def init_agents(pool: TaskPool, max_lockers: int, params: HqmParams,
     agents = []
     for s in seeds:
         rng = np.random.default_rng(s)
-        state = SearchState(x1=rng.integers(0, lockers, size=n),
-                            x2=rng.permutation(n))
+        state = SearchState(x1=tuple(rng.integers(0, lockers, size=n).tolist()),
+                            x2=tuple(rng.permutation(n).tolist()))
         agents.append(Agent(best=state, rng=rng))
     return agents, QMatrices.zeros(lockers, n)
 
@@ -300,28 +300,29 @@ def global_construct(agent: Agent, q1: PickTable, q2: list[list[float]],
         prev = unused.pop(k)
         x2.append(prev)
 
-    return SearchState(x1=x1, x2=x2)
+    return SearchState(x1=tuple(x1), x2=tuple(x2))
 
 
 def local_move(state: SearchState, neighbor: SearchState, omega: float, *,
                max_lockers: int) -> SearchState:
     """Differential step: new = state + omega * (state - neighbor), repaired.
 
-    The allocation vector is repaired by rounding and wrapping modulo
-    ``max_lockers``; the permutation by rank-ordering the raw values (stable
-    ties). omega = 0 returns an exact copy.
+    The allocation vector is repaired by rounding half to even and wrapping
+    modulo ``max_lockers``; the permutation by rank-ordering the raw values
+    (stable ties). omega = 0 returns an exact copy.
     """
-    if state.x1.shape != neighbor.x1.shape or state.x2.shape != neighbor.x2.shape:
+    n = len(state.x2)
+    if len(state.x1) != len(neighbor.x1) or n != len(neighbor.x2):
         raise ShapeError("states come from different task pools")
 
-    raw1 = state.x1 + omega * (state.x1 - neighbor.x1)
-    x1 = np.mod(np.rint(raw1).astype(np.int64), max_lockers)
+    x1 = tuple(round(a + omega * (a - b)) % max_lockers
+               for a, b in zip(state.x1, neighbor.x1))
 
-    raw2 = state.x2 + omega * (state.x2 - neighbor.x2)
-    order = np.argsort(raw2, kind="stable")
-    x2 = np.empty_like(state.x2)
-    x2[order] = np.arange(len(raw2))
-    return SearchState(x1=x1, x2=x2)
+    raw2 = [a + omega * (a - b) for a, b in zip(state.x2, neighbor.x2)]
+    x2 = [0] * n
+    for rank, t in enumerate(sorted(range(n), key=raw2.__getitem__)):
+        x2[t] = rank
+    return SearchState(x1=x1, x2=tuple(x2))
 
 
 def update_q(qmats: QMatrices, states: Sequence[SearchState], rewards: Sequence[float],
@@ -338,7 +339,7 @@ def update_q(qmats: QMatrices, states: Sequence[SearchState], rewards: Sequence[
         start = len(rows) - 1  # the virtual start row
         for values, reward in zip(chains, rewards):
             a = start
-            for b in values.tolist():
+            for b in values:
                 rows[a][b] += alpha * (reward + gamma * max(rows[b]) - rows[a][b])
                 a = b
         q[...] = rows

@@ -11,8 +11,6 @@ import itertools
 import math
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .errors import NothingToSolveError, SearchSpaceLimitError
 from .instance import Instance
 from .routing import AdjustmentPolicy, evaluate_solution
@@ -78,8 +76,7 @@ def brute_force_best(pool: TaskPool, instance: Instance,
         if any(x1[t] > max(x1[:t], default=-1) + 1 for t in range(n)):
             continue  # renames the lockers of a first-use allocation
         for x2 in orders:
-            state = SearchState(x1=np.array(x1, dtype=np.int64),
-                                x2=np.array(x2, dtype=np.int64))
+            state = SearchState(x1=x1, x2=x2)
             _, cost = evaluate_solution(state, pool, instance, policy, memo=routes)
             if cost.reward > best_reward:
                 best_reward = cost.reward

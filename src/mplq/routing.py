@@ -282,9 +282,9 @@ def evaluate_solution(state: SearchState, pool: TaskPool, instance: Instance,
 
     # x2 lists the tasks in priority order, so a stable sort by window start
     # breaks equal starts by priority; dealing in that order sorts every locker.
-    x1 = state.x1.tolist()
+    x1 = state.x1
     by_locker: dict[int, list[int]] = {}
-    for task_id in sorted(state.x2.tolist(), key=pool.starts.__getitem__):
+    for task_id in sorted(state.x2, key=pool.starts.__getitem__):
         by_locker.setdefault(x1[task_id], []).append(task_id)
 
     timer = TravelTimer(instance.fleet.speed, noise)

@@ -14,7 +14,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
-from .instance import Assignment, Instance, ParkingSpace, TimeWindow
+from .instance import MAX_SLICES_PER_SPACE, Assignment, Instance, ParkingSpace, TimeWindow
 
 
 @dataclass(frozen=True)
@@ -83,11 +83,16 @@ def partition_subintervals(avail: TimeWindow, service_time: float) -> list[SubIn
     """Cut ``avail`` into floor(span / service_time) slices of exactly ``service_time``.
 
     The a-th slice is [start + (a-1)*S, start + a*S]; any trailing remainder
-    shorter than the service time is dropped.
+    shorter than the service time is dropped. More than ``MAX_SLICES_PER_SPACE``
+    slices are refused, as ``validate_instance`` refuses them.
     """
     if service_time <= 0:
         raise ValueError("service_time must be > 0")
-    count = int(math.floor(avail.span / service_time))
+    slices = avail.span / service_time
+    if slices > MAX_SLICES_PER_SPACE:
+        raise ValueError(f"{avail.span} min over a service time of {service_time} min "
+                         f"exceeds {MAX_SLICES_PER_SPACE} slices")
+    count = int(math.floor(slices))
     return [
         SubInterval(
             index=a,

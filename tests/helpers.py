@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-import numpy as np
-
 from mplq.instance import (Customer, CustomerLocation, FleetSpec, Instance,
                            ParkingSpace, Position, TimeWindow)
 from mplq.state import SearchState
@@ -52,4 +50,4 @@ def make_pool(tasks: Sequence[Task]) -> TaskPool:
 
 
 def make_state(x1: Sequence[int], x2: Sequence[int]) -> SearchState:
-    return SearchState(x1=np.array(x1, dtype=np.int64), x2=np.array(x2, dtype=np.int64))
+    return SearchState(x1=tuple(map(int, x1)), x2=tuple(map(int, x2)))

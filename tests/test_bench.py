@@ -9,8 +9,8 @@ from mplq.bench import (MAX_AGENTS, MAX_ITERATIONS, BudgetProfile, GridConfig,
                         SweepConfig, apply_factor, improvement_rate, read_grid_rows,
                         read_sweep_points, reward_gap, run_grid, sweep_factor,
                         write_grid_csv, write_plotdata, write_sweep_csv)
-from mplq.errors import (ConfigurationError, NothingToSolveError, ParameterError,
-                         UndefinedRateError)
+from mplq.errors import (ConfigurationError, NothingToSolveError, OverCapacityError,
+                         ParameterError, UndefinedRateError)
 from mplq.hqm import RunHistory
 from mplq.instance import GeneratorConfig
 from mplq.routing import AdjustmentPolicy
@@ -246,6 +246,33 @@ def test_grid_skips_empty_pools():
     assert solved.empty_pools == 0
     assert result.rows == solved.rows
     assert result.cell_aggregates() == solved.cell_aggregates()
+
+
+def test_grid_skips_pools_with_a_task_above_capacity():
+    # at a capacity of 5, generator seed 2 at 2 spaces x 3 locations holds a task
+    # demanding 8 parcels; seeds 0 and 1 demand at most 3
+    low = replace(GeneratorConfig(num_spaces=2, locations_per_space=3, seed=0), capacity=5.0)
+    result = run_grid(_tiny_grid(base_config=low, replications=3))
+    assert (result.over_capacity_pools, result.empty_pools) == (1, 0)
+    assert {r.seed for r in result.rows} == {0, 1}
+    assert result.rows == run_grid(_tiny_grid(base_config=low, replications=2)).rows
+    assert run_grid(_tiny_grid(replications=3)).over_capacity_pools == 0
+
+
+def test_solve_refuses_a_pool_with_a_task_above_capacity():
+    low = replace(GeneratorConfig(num_spaces=2, locations_per_space=3, seed=2), capacity=5.0)
+    instance, pool = bench._generated_pool(low)
+    assert bench.over_capacity_task(pool, instance) == 0
+    with pytest.raises(OverCapacityError, match="task 0 .* demands 8 parcels"):
+        bench.solve(pool, instance, "ga", AdjustmentPolicy.BTD,
+                    BudgetProfile(agents=2, iterations=1), seed=0)
+
+
+def test_sweep_skips_and_counts_pools_above_capacity():
+    (point,) = sweep_factor(_tiny_sweep("Q", (5.0,), replications=3))
+    assert (point.replications, point.over_capacity_pools) == (2, 1)
+    with pytest.raises(NothingToSolveError, match="above the locker capacity"):
+        sweep_factor(_tiny_sweep("Q", (1.0,), replications=1))
 
 
 def test_sweep_point_averages_over_solved_pools():

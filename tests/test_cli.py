@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import mplq
 
 from mplq.bench import BudgetProfile, GridConfig, run_grid
 from mplq.cli import run_cli
@@ -415,6 +421,43 @@ def test_validate_rejects_malformed_solution_file(instance_file, tmp_path, capsy
     code = run_cli(["validate", "--instance", str(instance_file), "--solution", str(sol_path)])
     assert code == 2
     assert capsys.readouterr().err.startswith("error: cannot parse solution file ")
+
+
+@pytest.mark.parametrize("x1,x2", [
+    ([0, 0, 0, 0], [0.5, 1, 2, 3]),
+    ([0, 0, 0, 0], [0.0, 1, 2, 3]),
+    (["0", 0, 0, 0], [0, 1, 2, 3]),
+    ([True, 0, 0, 0], [0, 1, 2, 3]),
+    ([1e20, 0, 0, 0], [0, 1, 2, 3]),
+    (0, [0, 1, 2, 3]),
+    ([0, 0, 0, 0], None),
+], ids=["half x2", "float x2", "string x1", "bool x1", "1e20 x1", "scalar x1", "null x2"])
+def test_validate_accepts_only_integer_lists_as_solution_vectors(tmp_path, capsys, x1, x2):
+    inst_path = tmp_path / "inst.json"
+    assert run_cli(["generate", "--out", str(inst_path), "--spaces", "3",
+                    "--locations", "4", "--seed", "3"]) == 0  # a 4-task pool
+    sol_path = tmp_path / "solution.json"
+    sol_path.write_text(json.dumps({"x1": [0, 0, 0, 0], "x2": [0, 1, 2, 3]}))
+    assert run_cli(["validate", "--instance", str(inst_path), "--solution", str(sol_path)]) == 0
+    capsys.readouterr()
+    sol_path.write_text(json.dumps({"x1": x1, "x2": x2}))
+    code = run_cli(["validate", "--instance", str(inst_path), "--solution", str(sol_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: cannot parse solution file ")
+    assert "must be a list of integers" in captured.err
+    assert "RESULT" not in captured.out
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    out = tmp_path / "x.json"
+    env = dict(os.environ)
+    src = str(Path(mplq.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "mplq.cli", "generate", "--out", str(out)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert out.is_file() and "RESULT command=generate" in proc.stdout
 
 
 def test_validate_takes_no_seed(instance_file, capsys):

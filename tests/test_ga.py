@@ -63,22 +63,79 @@ def test_select_index_refuses_non_finite_rewards_like_generator_choice(bad):
         next_generation(pop, GaParams(population=3), np.random.default_rng(0), max_lockers=2)
 
 
+def _np_uniform_crossover(a, b, rng):
+    """The uniform crossover on int64 arrays: the reference for the list operator."""
+    mask = rng.integers(0, 2, size=a.shape[0]).astype(bool)
+    return np.where(mask, a, b)
+
+
+def _np_order_crossover(a, b, rng):
+    """The order crossover on int64 arrays: the reference for the list operator."""
+    n = len(a)
+    if n == 1:
+        return a.copy()
+    c1, c2 = sorted(rng.choice(n + 1, size=2, replace=False).tolist())
+    child = np.full(n, -1, dtype=np.int64)
+    child[c1:c2] = a[c1:c2]
+    used = set(a[c1:c2].tolist())
+    fill = [v for v in b.tolist() if v not in used]
+    slots = [k for k in range(n) if not (c1 <= k < c2)]
+    for k, v in zip(slots, fill):
+        child[k] = v
+    return child
+
+
+def _np_mutate(x1, x2, rate, max_lockers, rng):
+    """The mutation with item writes into int64 arrays: the reference for the list operator."""
+    n = len(x1)
+    for k in range(n):
+        if rng.random() < rate:
+            x1[k] = rng.integers(max_lockers)
+    for k in range(n):
+        if rng.random() < rate and n > 1:
+            j = int(rng.integers(n - 1))
+            if j >= k:
+                j += 1
+            x2[k], x2[j] = x2[j], x2[k]
+    return x1, x2
+
+
 def _choice_next_generation(population, params, rng, max_lockers):
-    """``next_generation`` as written with ``_choice_select``: the reference stream."""
+    """``next_generation`` on int64 arrays with ``_choice_select``: the reference stream."""
     ranked = sorted(population, key=lambda s: s.reward, reverse=True)
-    out = [s.copy() for s in ranked[:params.elite_count]]
+    out = ranked[:params.elite_count]
     rewards = np.array([s.reward for s in population])
     while len(out) < len(population):
         pa = population[_choice_select(rewards, rng)]
         pb = population[_choice_select(rewards, rng)]
+        a1, a2, b1, b2 = (np.array(v, dtype=np.int64) for v in (pa.x1, pa.x2, pb.x1, pb.x2))
         if rng.random() < ga.CROSSOVER_PROB:
-            x1 = ga._uniform_crossover(pa.x1, pb.x1, rng)
-            x2 = ga._order_crossover(pa.x2, pb.x2, rng)
+            x1 = _np_uniform_crossover(a1, b1, rng)
+            x2 = _np_order_crossover(a2, b2, rng)
         else:
-            x1, x2 = pa.x1.copy(), pa.x2.copy()
-        x1, x2 = ga._mutate(x1, x2, ga.MUTATION_RATE, max_lockers, rng)
-        out.append(SearchState(x1=x1, x2=x2))
+            x1, x2 = a1, a2
+        x1, x2 = _np_mutate(x1, x2, ga.MUTATION_RATE, max_lockers, rng)
+        out.append(SearchState(x1=tuple(x1.tolist()), x2=tuple(x2.tolist())))
     return out
+
+
+def test_list_operators_match_the_array_operators():
+    for seed in range(400):
+        maker = np.random.default_rng(seed)
+        n, lockers = int(maker.integers(1, 20)), int(maker.integers(1, 6))
+        a1, b1 = (maker.integers(0, lockers, size=n) for _ in range(2))
+        a2, b2 = maker.permutation(n), maker.permutation(n)
+        rate = (0.05, 0.5, 1.0)[seed % 3]
+        ours, ref = np.random.default_rng(seed + 1000), np.random.default_rng(seed + 1000)
+        assert ga._uniform_crossover(a1.tolist(), b1.tolist(), ours) == \
+            _np_uniform_crossover(a1, b1, ref).tolist()
+        assert ga._order_crossover(tuple(a2.tolist()), tuple(b2.tolist()), ours) == \
+            _np_order_crossover(a2, b2, ref).tolist()
+        got = ga._mutate(a1.tolist(), a2.tolist(), rate, lockers, ours)
+        expected = _np_mutate(a1.copy(), a2.copy(), rate, lockers, ref)
+        assert got == tuple(v.tolist() for v in expected)
+        assert all(type(v) is int for v in got[0] + got[1])
+        assert ours.bit_generator.state == ref.bit_generator.state
 
 
 def test_next_generation_draws_what_choice_selection_drew():
@@ -94,8 +151,8 @@ def test_next_generation_draws_what_choice_selection_drew():
         for _ in range(2):
             got = next_generation(pop, params, ours, max_lockers=lockers)
             expected = _choice_next_generation(pop, params, ref, max_lockers=lockers)
-            assert [(s.x1.tolist(), s.x2.tolist(), s.reward) for s in got] == \
-                [(s.x1.tolist(), s.x2.tolist(), s.reward) for s in expected]
+            assert [(list(s.x1), list(s.x2), s.reward) for s in got] == \
+                [(list(s.x1), list(s.x2), s.reward) for s in expected]
             assert ours.bit_generator.state == ref.bit_generator.state
 
 
@@ -113,8 +170,8 @@ def test_elites_pass_through_unchanged():
     nxt = next_generation(pop, params, rng, max_lockers=3)
     ranked = sorted(pop, key=lambda s: s.reward, reverse=True)
     for k in range(params.elite_count):
-        assert nxt[k].x1.tolist() == ranked[k].x1.tolist()
-        assert nxt[k].x2.tolist() == ranked[k].x2.tolist()
+        assert list(nxt[k].x1) == list(ranked[k].x1)
+        assert list(nxt[k].x2) == list(ranked[k].x2)
         assert nxt[k].reward == ranked[k].reward
 
 
@@ -124,9 +181,9 @@ def test_no_variation_yields_parent_clones(monkeypatch):
     pop = _evaluated_population(20, 5, 2)
     params = GaParams(population=20, seed=2)
     nxt = next_generation(pop, params, np.random.default_rng(2), max_lockers=2)
-    genotypes = {(tuple(s.x1.tolist()), tuple(s.x2.tolist())) for s in pop}
+    genotypes = {(tuple(s.x1), tuple(s.x2)) for s in pop}
     for child in nxt:
-        assert (tuple(child.x1.tolist()), tuple(child.x2.tolist())) in genotypes
+        assert (tuple(child.x1), tuple(child.x2)) in genotypes
 
 
 def test_population_size_constant_and_children_valid():
@@ -135,8 +192,8 @@ def test_population_size_constant_and_children_valid():
     nxt = next_generation(pop, params, np.random.default_rng(3), max_lockers=4)
     assert len(nxt) == 30
     for child in nxt:
-        assert sorted(child.x2.tolist()) == list(range(8))
-        assert all(0 <= v < 4 for v in child.x1.tolist())
+        assert sorted(child.x2) == list(range(8))
+        assert all(0 <= v < 4 for v in child.x1)
 
 
 def test_next_generation_requires_two_individuals():
@@ -157,10 +214,10 @@ def test_next_generation_requires_evaluated_population():
 @settings(max_examples=50)
 @given(data=st.data(), n=st.integers(2, 9))
 def test_order_crossover_yields_permutation(data, n):
-    a = np.array(data.draw(st.permutations(range(n))), dtype=np.int64)
-    b = np.array(data.draw(st.permutations(range(n))), dtype=np.int64)
+    a = data.draw(st.permutations(range(n)))
+    b = data.draw(st.permutations(range(n)))
     child = _order_crossover(a, b, np.random.default_rng(data.draw(st.integers(0, 999))))
-    assert sorted(child.tolist()) == list(range(n))
+    assert sorted(child) == list(range(n))
 
 
 def _tiny_pool():
@@ -186,4 +243,4 @@ def test_run_ga_deterministic():
     b1, _, h1 = run_ga(pool, inst, AdjustmentPolicy.BTD, params)
     b2, _, h2 = run_ga(pool, inst, AdjustmentPolicy.BTD, params)
     assert h1.best_per_step == h2.best_per_step
-    assert b1.x1.tolist() == b2.x1.tolist() and b1.x2.tolist() == b2.x2.tolist()
+    assert list(b1.x1) == list(b2.x1) and list(b1.x2) == list(b2.x2)

@@ -60,7 +60,7 @@ def test_greedy_branch_follows_argmax():
     # every unused task ties, so full greed walks them in id order
     state = global_construct(_empty_pool_agent(), _one_locker_table(),
                              np.full((5, 4), 0.25).tolist(), epsilon=1.0)
-    assert state.x2.tolist() == [0, 1, 2, 3]
+    assert list(state.x2) == [0, 1, 2, 3]
 
 
 def test_sampling_branch_renormalizes_masked_row():
@@ -150,8 +150,8 @@ def test_pick_draws_what_generator_choice_drew(epsilon):
             state = global_construct(agent, table, rows, epsilon)
             expected, seen = _choice_construct(ref, q1, q2, epsilon)
             kinds |= seen
-            assert state.x1.tolist() == expected.x1.tolist()
-            assert state.x2.tolist() == expected.x2.tolist()
+            assert list(state.x1) == list(expected.x1)
+            assert list(state.x2) == list(expected.x2)
             assert agent.rng.bit_generator.state == ref.bit_generator.state
     assert kinds == {"single", "zero", "spread", "pairwise"}
 
@@ -227,8 +227,8 @@ def test_construct_reproduces_unique_chain_under_full_greed():
     q.q1[1, 0] = 1.0
     state = global_construct(_empty_pool_agent(), PickTable(normalize_q(q.q1)),
                              normalize_q(q.q2).tolist(), epsilon=1.0)
-    assert state.x2.tolist() == [2, 0, 1]
-    assert state.x1.tolist() == [1, 0, 0]
+    assert list(state.x2) == [2, 0, 1]
+    assert list(state.x1) == [1, 0, 0]
 
 
 def test_construct_always_yields_permutation():
@@ -237,8 +237,8 @@ def test_construct_always_yields_permutation():
     agent = _empty_pool_agent(seed=42)
     for _ in range(25):
         state = global_construct(agent, q1, q2, epsilon=None)
-        assert sorted(state.x2.tolist()) == list(range(6))
-        assert all(0 <= v < 3 for v in state.x1.tolist())
+        assert sorted(state.x2) == list(range(6))
+        assert all(0 <= v < 3 for v in state.x1)
 
 
 # ---------------------------------------------------------------------------
@@ -250,28 +250,62 @@ def test_local_move_zero_omega_is_identity():
     s = make_state([1, 0, 1], [2, 0, 1])
     n = make_state([0, 1, 1], [0, 1, 2])
     out = local_move(s, n, omega=0.0, max_lockers=2)
-    assert out.x1.tolist() == s.x1.tolist()
-    assert out.x2.tolist() == s.x2.tolist()
+    assert list(out.x1) == list(s.x1)
+    assert list(out.x2) == list(s.x2)
 
 
 def test_local_move_rank_repair():
     s = make_state([0, 0, 0], [0, 1, 2])
     n = make_state([0, 0, 0], [2, 1, 0])
     out = local_move(s, n, omega=1.0, max_lockers=1)
-    assert out.x2.tolist() == [0, 1, 2]  # raw [-2, 1, 4] keeps the ordering
+    assert list(out.x2) == [0, 1, 2]  # raw [-2, 1, 4] keeps the ordering
 
 
 def test_local_move_modular_wrap():
     s = make_state([1, 0], [0, 1])
     n = make_state([0, 1], [0, 1])
     out = local_move(s, n, omega=1.0, max_lockers=2)
-    assert out.x1.tolist() == [0, 1]  # raw [2, -1] wrapped modulo 2
+    assert list(out.x1) == [0, 1]  # raw [2, -1] wrapped modulo 2
 
 
 def test_local_move_shape_mismatch():
     with pytest.raises(ShapeError):
         local_move(make_state([0], [0]), make_state([0, 0], [0, 1]), omega=0.5,
                    max_lockers=1)
+
+
+def _np_local_move(state, neighbor, omega, max_lockers):
+    """The local move on int64 arrays (rint, mod, stable argsort): the reference."""
+    s1, s2, n1, n2 = (np.array(v, dtype=np.int64)
+                      for v in (state.x1, state.x2, neighbor.x1, neighbor.x2))
+    x1 = np.mod(np.rint(s1 + omega * (s1 - n1)).astype(np.int64), max_lockers)
+    raw2 = s2 + omega * (s2 - n2)
+    x2 = np.empty_like(s2)
+    x2[np.argsort(raw2, kind="stable")] = np.arange(len(raw2))
+    return x1.tolist(), x2.tolist()
+
+
+def test_local_move_matches_the_array_reference():
+    # omega = +-0.5 puts odd differences half-way between integers (rint and
+    # round both go to even), omega = +-1 and 0.5 make tied raw priorities, and
+    # lockers up to 7 give raw allocations far below zero to wrap.
+    omegas = (-1.0, -0.5, 0.5, 1.0, 0.0, -0.0, 1 / 3, -0.25)
+    halfway = ties = negative = 0
+    for seed in range(300):
+        rng = np.random.default_rng(seed)
+        n, lockers = int(rng.integers(1, 20)), int(rng.integers(1, 8))
+        s = make_state(rng.integers(0, lockers, size=n), rng.permutation(n))
+        v = make_state(rng.integers(0, lockers, size=n), rng.permutation(n))
+        for omega in omegas + (float(rng.uniform(-1.0, 1.0)),):
+            out = local_move(s, v, omega, max_lockers=lockers)
+            assert (list(out.x1), list(out.x2)) == _np_local_move(s, v, omega, lockers)
+            assert all(type(x) is int for x in out.x1 + out.x2)
+            raw1 = [a + omega * (a - b) for a, b in zip(s.x1, v.x1)]
+            raw2 = [a + omega * (a - b) for a, b in zip(s.x2, v.x2)]
+            halfway += any(r % 1 == 0.5 for r in raw1)
+            negative += any(r < -0.5 for r in raw1)
+            ties += len(set(raw2)) < n
+    assert halfway and ties and negative
 
 
 @settings(max_examples=60)
@@ -283,8 +317,8 @@ def test_local_move_preserves_permutation(data, n, omega):
     v = make_state(data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)),
                    data.draw(perm))
     out = local_move(s, v, omega=omega, max_lockers=4)
-    assert sorted(out.x2.tolist()) == list(range(n))
-    assert all(0 <= x < 4 for x in out.x1.tolist())
+    assert sorted(out.x2) == list(range(n))
+    assert all(0 <= x < 4 for x in out.x1)
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +362,7 @@ def _numpy_update_q(qmats, state, reward, alpha, gamma):
     """The update as written on the arrays, entry by entry: the reference."""
     for q, values in ((qmats.q1, state.x1), (qmats.q2, state.x2)):
         a = q.shape[0] - 1
-        for b in values.tolist():
+        for b in list(values):
             q[a, b] += alpha * (reward + gamma * q[b].max() - q[a, b])
             a = b
 
@@ -402,8 +436,8 @@ def test_init_agents_shapes():
     assert len(agents) == 10
     assert q.q1.shape == (3, 2) and q.q2.shape == (4, 3)
     for a in agents:
-        assert set(a.best.x1.tolist()) <= {0, 1}
-        assert sorted(a.best.x2.tolist()) == [0, 1, 2]
+        assert set(a.best.x1) <= {0, 1}
+        assert sorted(a.best.x2) == [0, 1, 2]
 
 
 def test_init_agents_population_size_default():
@@ -417,8 +451,8 @@ def test_init_agents_deterministic():
     a1, _ = init_agents(pool, 2, HqmParams(agents=5, seed=7))
     a2, _ = init_agents(pool, 2, HqmParams(agents=5, seed=7))
     for x, y in zip(a1, a2):
-        assert x.best.x1.tolist() == y.best.x1.tolist()
-        assert x.best.x2.tolist() == y.best.x2.tolist()
+        assert list(x.best.x1) == list(y.best.x1)
+        assert list(x.best.x2) == list(y.best.x2)
 
 
 def test_init_agents_empty_pool():
@@ -449,7 +483,7 @@ def test_run_hqm_history_monotone_and_deterministic():
     b1, _, h1 = run_hqm(pool, inst, AdjustmentPolicy.BTD, params)
     b2, _, h2 = run_hqm(pool, inst, AdjustmentPolicy.BTD, params)
     assert h1.best_per_step == h2.best_per_step
-    assert b1.x1.tolist() == b2.x1.tolist() and b1.x2.tolist() == b2.x2.tolist()
+    assert list(b1.x1) == list(b2.x1) and list(b1.x2) == list(b2.x2)
     assert all(y >= x for x, y in zip(h1.best_per_step, h1.best_per_step[1:]))
     assert h1.best_per_step[0] >= h1.initial_best
 

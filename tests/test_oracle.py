@@ -25,7 +25,7 @@ def test_single_task_single_locker():
     inst = make_instance([sp], max_lockers=1)
     pool = make_pool([make_task(1, window=(0, 1440))])
     best, reward = brute_force_best(pool, inst, AdjustmentPolicy.HCPS)
-    assert best.x1.tolist() == [0] and best.x2.tolist() == [0]
+    assert list(best.x1) == [0] and list(best.x2) == [0]
     assert reward == pytest.approx(1 / (5 + 2 * 5.0))
 
 
@@ -47,7 +47,7 @@ def test_line_instance_prefers_single_locker():
     inst = make_instance(spaces, max_lockers=2)
     pool = make_pool([make_task(k, window=(0, 1440)) for k in (1, 2, 3)])
     best, reward = brute_force_best(pool, inst, AdjustmentPolicy.HCPS)
-    assert len(set(best.x1.tolist())) == 1
+    assert len(set(best.x1)) == 1
     # one locker sweeping 0 -> 1 -> 2 -> 3 -> 0 travels 6 km
     assert reward == pytest.approx(1 / (5 + 6.0))
 
@@ -66,7 +66,7 @@ def test_tie_break_is_lexicographically_smallest():
             _, cost = evaluate_solution(state, pool, inst, AdjustmentPolicy.HCPS)
             if cost.reward == reward:
                 equal.append((x1, tuple(x2)))
-    assert (tuple(best.x1.tolist()), tuple(best.x2.tolist())) == min(equal)
+    assert (tuple(best.x1), tuple(best.x2)) == min(equal)
 
 
 def test_oracle_dominates_any_state():
@@ -171,7 +171,7 @@ def test_oracle_matches_the_full_enumeration(monkeypatch):
             pair, ref_reward = _reference_best(pool, inst, policy)
             assert reward == ref_reward
             if not _tied(pool):
-                assert (tuple(best.x1.tolist()), tuple(best.x2.tolist())) == pair
+                assert (tuple(best.x1), tuple(best.x2)) == pair
     tied = sum(_tied(pool) for _, pool in cases)
     assert tied >= 30 and len(cases) - tied >= 60
 
@@ -202,4 +202,4 @@ def test_tied_starts_are_ordered_by_the_oracle():
     _, full = _reference_best(pool, inst, AdjustmentPolicy.BTD)
     _, identity_only = _reference_best(pool, inst, AdjustmentPolicy.BTD, orders=[(0, 1, 2)])
     assert identity_only < reward == full
-    assert best.x2.tolist() != [0, 1, 2]
+    assert list(best.x2) != [0, 1, 2]

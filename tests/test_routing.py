@@ -470,7 +470,7 @@ def _next_state(rng, states, n, lockers):
     if kind == 0:
         return make_state(rng.integers(0, lockers, size=n), rng.permutation(n))
     base = states[int(rng.integers(len(states)))]
-    x1 = base.x1.copy()
+    x1 = list(base.x1)
     if kind == 1:
         x1[int(rng.integers(n))] = rng.integers(lockers)
     else:

@@ -58,5 +58,5 @@ def test_solver_stream_is_pinned(cell, policy, solver):
     else:
         best, _, history = run_ga(pool, instance, AdjustmentPolicy(policy),
                                   GaParams(population=10, generations=30, seed=seed))
-    assert (repr(best.reward), best.x1.tolist(), best.x2.tolist(),
+    assert (repr(best.reward), list(best.x1), list(best.x2),
             len(history.best_per_step)) == (repr(reward), x1, x2, steps)

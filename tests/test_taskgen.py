@@ -3,7 +3,8 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, strategies as st
 
-from mplq.instance import GeneratorConfig, TimeWindow, assign_customers, generate_instance
+from mplq.instance import (MAX_SLICES_PER_SPACE, GeneratorConfig, TimeWindow, assign_customers,
+                           generate_instance)
 from mplq.taskgen import build_tasks, partition_subintervals, reduce_availability
 from helpers import make_customer, make_instance, make_space
 
@@ -49,6 +50,18 @@ def test_partition_span_below_service_time():
 def test_partition_rejects_nonpositive_service_time():
     with pytest.raises(ValueError):
         partition_subintervals(TimeWindow(0, 15), 0.0)
+
+
+@pytest.mark.parametrize("service_time", [1e-300, 5e-324, 1440.0 / (MAX_SLICES_PER_SPACE + 1)])
+def test_partition_refuses_more_slices_than_the_bound(service_time):
+    # Without the bound, 1e-300 would ask for about 1.4e303 slices and never return.
+    with pytest.raises(ValueError, match=f"exceeds {MAX_SLICES_PER_SPACE} slices"):
+        partition_subintervals(TimeWindow(0.0, 1440.0), service_time)
+
+
+def test_partition_builds_slices_up_to_the_bound():
+    subs = partition_subintervals(TimeWindow(0.0, 1440.0), 1440.0 / MAX_SLICES_PER_SPACE)
+    assert MAX_SLICES_PER_SPACE - 1 <= len(subs) <= MAX_SLICES_PER_SPACE
 
 
 @given(start=st.floats(0, 1000), span=st.floats(0, 400), service=st.floats(1, 120))
