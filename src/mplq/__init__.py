@@ -2,7 +2,7 @@
 
 Instance generation, task-pool construction, route scheduling with two
 adjustment strategies, a hybrid Q-learning solver, a genetic-algorithm
-baseline, a brute-force oracle for tiny instances, and a benchmark harness.
+baseline, an exact set-partition oracle for small pools, and a benchmark harness.
 """
 
 from .errors import (ConfigurationError, InstanceFormatError, MplqError,

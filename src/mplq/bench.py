@@ -16,12 +16,13 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
 
-from .errors import (ConfigurationError, NothingToSolveError, OverCapacityError,
-                     ParameterError, UndefinedRateError)
+from .errors import (ConfigurationError, NothingToSolveError, ParameterError,
+                     UndefinedRateError)
 from .ga import GaParams, run_ga
 from .hqm import HqmParams, RunHistory, run_hqm
 from .instance import GeneratorConfig, Instance, assign_customers, generate_instance
-from .routing import AdjustmentPolicy, compute_delay, hold_can_apply
+from .routing import (AdjustmentPolicy, compute_delay, hold_can_apply, over_capacity_task,
+                      refuse_over_capacity)
 from .taskgen import TaskPool, build_tasks
 
 # The largest budget a solve accepts: 100 times the paper profile's agents and
@@ -162,6 +163,8 @@ class SweepConfig:
                 f"unknown sweep factor {self.factor!r}; expected one of {SWEEP_FACTORS}")
         if not self.values:
             raise ConfigurationError("sweep values must be non-empty")
+        if not all(map(math.isfinite, self.values)):
+            raise ConfigurationError(f"sweep values must be finite, got {self.values}")
         _replication_seeds(self)
 
 
@@ -221,16 +224,6 @@ def _map(fn: Callable, units: list, jobs: int) -> list:
     return [fn(u) for u in units]
 
 
-def over_capacity_task(pool: TaskPool, instance: Instance) -> Optional[int]:
-    """The first task whose demand exceeds the locker capacity, or None.
-
-    No plan serves such a task: ``solve`` refuses its pool, and the grid and
-    the sweeps skip it and count it.
-    """
-    capacity = instance.fleet.capacity
-    return next((t for t, task in enumerate(pool.tasks) if task.demand > capacity), None)
-
-
 def _generated_pool(config: GeneratorConfig) -> tuple[Instance, TaskPool]:
     """Generate an instance and build its task pool: (instance, pool)."""
     instance = generate_instance(config)
@@ -270,12 +263,7 @@ def solve(pool: TaskPool, instance: Instance, solver: str, policy: AdjustmentPol
     factor sweeps all come through here. ``gamma`` and ``tol`` apply to HQM
     only. A pool with a task above the locker capacity is refused.
     """
-    task_id = over_capacity_task(pool, instance)
-    if task_id is not None:
-        task = pool.tasks[task_id]
-        raise OverCapacityError(
-            f"task {task_id} (space {task.space_id}) demands {task.demand} parcels, above "
-            f"the locker capacity {instance.fleet.capacity}; no plan can serve it")
+    refuse_over_capacity(pool, instance)
     if solver == "hqm":
         params = HqmParams(agents=budget.agents, timesteps=budget.iterations, gamma=gamma,
                            tol=tol, seed=seed)
@@ -537,7 +525,6 @@ __all__ = [
     "SweepPoint",
     "improvement_rate",
     "reward_gap",
-    "over_capacity_task",
     "solve",
     "apply_factor",
     "run_grid",

@@ -32,7 +32,7 @@ from .hqm import HqmParams, run_hqm, write_history_csv  # noqa: F401
 from .instance import (GeneratorConfig, assign_customers, generate_instance,
                        load_instance, save_instance, validate_instance,
                        write_assignment_csv)
-from .oracle import brute_force_best, search_space_size
+from .oracle import brute_force_best
 from .routing import (AdjustmentPolicy, TravelNoise, check_feasibility,
                       compute_delay, evaluate_solution, write_plan_csv)
 from .state import SearchState, effective_locker_count
@@ -71,6 +71,13 @@ def _print_result(**pairs) -> None:
 
 def _int_list(text: str) -> tuple[int, ...]:
     return tuple(int(v) for v in text.split(","))
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _float_list(text: str) -> tuple[float, ...]:
@@ -271,11 +278,9 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     try:
         best, reward = brute_force_best(pool, instance, policy)
     except SearchSpaceLimitError as exc:
-        print(f"refused: {exc.cardinality} states exceed the limit {exc.limit}",
-              file=sys.stderr)
+        print(f"refused: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    _print_result(command="oracle", policy=args.policy, tasks=len(pool),
-                  lockers=lockers, states=search_space_size(len(pool), lockers),
+    _print_result(command="oracle", policy=args.policy, tasks=len(pool), lockers=lockers,
                   reward=repr(reward), x1=",".join(map(str, best.x1)),
                   x2=",".join(map(str, best.x2)))
     return EXIT_OK
@@ -372,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--solution", default=None)
     p.set_defaults(func=_cmd_validate)
 
-    p = sub.add_parser("oracle", help="exact optimum of a tiny instance")
+    p = sub.add_parser("oracle", help="exact optimum of a small instance")
     p.add_argument("--instance", required=True)
     p.add_argument("--policy", choices=("btd", "hcps"), default="hcps")
     p.set_defaults(func=_cmd_oracle)
@@ -384,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--policies", type=_str_list, default=("btd", "hcps"))
     p.add_argument("--replications", type=int, default=1)
     p.add_argument("--budget", choices=("desk", "paper"), default="desk")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out-dir", default="bench_out")
     p.set_defaults(func=_cmd_bench)
@@ -395,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--replications", type=int, default=10)
     p.add_argument("--policy", choices=("btd", "hcps"), default="hcps")
     p.add_argument("--budget", choices=("desk", "paper"), default="desk")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out-dir", default="sweep_out")
     p.set_defaults(func=_cmd_sweep)

@@ -30,14 +30,7 @@ class OverCapacityError(MplqError):
 
 
 class SearchSpaceLimitError(MplqError):
-    """Exhaustive enumeration was refused because the space is too large."""
-
-    def __init__(self, cardinality: int, limit: int):
-        self.cardinality = cardinality
-        self.limit = limit
-        super().__init__(
-            f"search space holds {cardinality} states, above the enumeration limit {limit}"
-        )
+    """The exact oracle was refused: the pool's task sets need too many route schedules."""
 
 
 class UndefinedRateError(MplqError):

@@ -200,6 +200,10 @@ def _check_range(name: str, rng_pair: Sequence[float]) -> None:
 
 
 def _validate_config(config: GeneratorConfig) -> None:
+    floats = (config.service_radius, *config.walk_range, *config.customer_span_range,
+              *config.parking_span_range, config.capacity, config.locker_speed, config.buffer_min)
+    if not all(map(math.isfinite, floats)):
+        raise ConfigurationError(f"generator settings must be finite: {config}")
     if config.num_spaces < 0:
         raise ConfigurationError("num_spaces must be >= 0")
     if config.locations_per_space < 0:

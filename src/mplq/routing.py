@@ -35,7 +35,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import ParameterError, ShapeError
+from .errors import OverCapacityError, ParameterError, ShapeError
 from .instance import Instance, Position, TimeWindow
 from .state import SearchState, validate_state
 from .taskgen import Task, TaskPool
@@ -320,6 +320,26 @@ def hold_can_apply(pool: TaskPool, instance: Instance) -> bool:
                for task in pool.tasks)
 
 
+def over_capacity_task(pool: TaskPool, instance: Instance) -> Optional[int]:
+    """The first task whose demand exceeds the locker capacity, or None.
+
+    No plan serves such a task: every solve path refuses its pool through
+    ``refuse_over_capacity``, and the grid and the sweeps skip it and count it.
+    """
+    capacity = instance.fleet.capacity
+    return next((t for t, task in enumerate(pool.tasks) if task.demand > capacity), None)
+
+
+def refuse_over_capacity(pool: TaskPool, instance: Instance) -> None:
+    """Raise OverCapacityError naming the first task above the locker capacity, if any."""
+    task_id = over_capacity_task(pool, instance)
+    if task_id is not None:
+        task = pool.tasks[task_id]
+        raise OverCapacityError(
+            f"task {task_id} (space {task.space_id}) demands {task.demand} parcels, above "
+            f"the locker capacity {instance.fleet.capacity}; no plan can serve it")
+
+
 def compute_delay(plan: RoutePlan) -> tuple[float, float]:
     """Total and per-visit average lateness of a scheduled plan, in minutes."""
     visits = plan.all_visits()
@@ -450,6 +470,8 @@ __all__ = [
     "compute_cost",
     "evaluate_solution",
     "hold_can_apply",
+    "over_capacity_task",
+    "refuse_over_capacity",
     "compute_delay",
     "check_feasibility",
     "write_plan_csv",

@@ -8,7 +8,7 @@ import pytest
 
 import mplq
 
-from mplq.bench import BudgetProfile, GridConfig, run_grid
+from mplq.bench import SWEEP_FACTORS, BudgetProfile, GridConfig, run_grid
 from mplq.cli import run_cli
 from mplq.instance import GeneratorConfig, load_instance, save_instance
 from helpers import make_customer, make_instance, make_space
@@ -217,19 +217,39 @@ def test_oracle_prints_optimum(instance_file, capsys):
     code = run_cli(["oracle", "--instance", str(instance_file), "--policy", "hcps"])
     assert code == 0
     line = _result_line(capsys)
-    assert "reward=" in line and "states=" in line
+    keys = [pair.split("=")[0] for pair in line.split()[1:]]
+    assert keys == ["command", "policy", "tasks", "lockers", "reward", "x1", "x2"]
 
 
-def test_oracle_refuses_above_limit(tmp_path, capsys):
-    # seed 2 yields 6 tasks on 20 lockers: 6**6 * 6! = 33,592,320 encoding states
+def _oracle_on_generated(tmp_path, capsys, *generate_flags):
     path = tmp_path / "inst.json"
-    assert run_cli(["generate", "--out", str(path), "--spaces", "4", "--locations", "5",
-                    "--seed", "2"]) == 0
+    assert run_cli(["generate", "--out", str(path), *generate_flags]) == 0
     capsys.readouterr()
     code = run_cli(["oracle", "--instance", str(path)])
-    captured = capsys.readouterr()
+    return code, capsys.readouterr()
+
+
+def test_oracle_solves_the_six_task_pool(tmp_path, capsys):
+    # 6 tasks on 20 lockers: 6**6 * 6! = 33,592,320 encoding states
+    code, captured = _oracle_on_generated(tmp_path, capsys, "--spaces", "4", "--locations", "5",
+                                          "--seed", "2")
+    assert code == 0 and "tasks=6 lockers=6 " in captured.out
+
+
+def test_oracle_refuses_above_max_tasks(tmp_path, capsys):
+    code, captured = _oracle_on_generated(tmp_path, capsys, "--spaces", "8", "--locations", "10",
+                                          "--seed", "1")
     assert code == 1 and "RESULT" not in captured.out
-    assert captured.err == "refused: 33592320 states exceed the limit 10000000\n"
+    assert captured.err == ("refused: the pool holds 14 tasks, whose sets need 16384 route "
+                            "schedules, above the limit of 8192\n")
+
+
+def test_oracle_refuses_a_task_above_capacity(tmp_path, capsys):
+    # task 0 demands 8 parcels of lockers that hold 5; mplq solve refuses it too
+    code, captured = _oracle_on_generated(tmp_path, capsys, "--spaces", "2", "--locations", "3",
+                                          "--seed", "2", "--capacity", "5")
+    assert code == 1 and "RESULT" not in captured.out
+    assert captured.err.startswith("error: task 0 (space ") and "demands 8 parcels" in captured.err
 
 
 @pytest.mark.parametrize("flags", [["--limit", "0"], ["--limit", "-5"],
@@ -475,6 +495,27 @@ def test_bench_skips_empty_pools(tmp_path, capsys):
     rows = [ln for ln in (out_dir / "grid.csv").read_text().splitlines()
             if ln.startswith("rep,")]
     assert len(rows) == 4 and all(row.split(",")[6] == "0" for row in rows)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("factor", SWEEP_FACTORS)
+def test_sweep_refuses_non_finite_values(tmp_path, capsys, factor, value):
+    out_dir = tmp_path / "sweep"
+    code = run_cli(["sweep", "--factor", factor, f"--values={value}", "--replications", "1",
+                    "--out-dir", str(out_dir)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.err.startswith("error: sweep values must be finite")
+    assert "RESULT" not in captured.out and not out_dir.exists()
+
+
+@pytest.mark.parametrize("command", ["bench", "sweep"])
+@pytest.mark.parametrize("jobs", ["0", "-3", "two"])
+def test_jobs_below_one_is_a_usage_error(tmp_path, capsys, command, jobs):
+    args = _SEEDED_COMMANDS[command](tmp_path, None)
+    code = run_cli([*args, "--jobs", jobs])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.err.startswith("usage: mplq")
+    assert "RESULT" not in captured.out and not (tmp_path / "out").exists()
 
 
 def test_sweep_with_no_solvable_pool_exits_cleanly(tmp_path, capsys):

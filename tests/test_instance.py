@@ -45,6 +45,16 @@ def test_generate_rejects_bad_ranges():
         generate_instance(replace(TABLE_CONFIG, walk_range=(0.0, 1.0)))
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field, build", [
+    ("service_radius", lambda v: v), ("walk_range", lambda v: (0.1, v)),
+    ("customer_span_range", lambda v: (30.0, v)), ("parking_span_range", lambda v: (v, 70.0)),
+    ("capacity", lambda v: v), ("locker_speed", lambda v: v), ("buffer_min", lambda v: v)])
+def test_generate_rejects_non_finite_settings(field, build, value):
+    with pytest.raises(ConfigurationError, match="must be finite"):
+        generate_instance(replace(TABLE_CONFIG, **{field: build(value)}))
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_generated_invariants(seed):
     cfg = replace(TABLE_CONFIG, seed=seed)

@@ -5,19 +5,13 @@ import numpy as np
 import pytest
 
 from mplq import oracle
-from mplq.errors import NothingToSolveError, SearchSpaceLimitError
+from mplq.errors import NothingToSolveError, OverCapacityError, SearchSpaceLimitError
 from mplq.instance import GeneratorConfig, assign_customers, generate_instance
-from mplq.oracle import brute_force_best, search_space_size, tie_orders
+from mplq.oracle import brute_force_best, tie_orders
 from mplq.routing import AdjustmentPolicy, evaluate_solution
 from mplq.state import effective_locker_count
 from mplq.taskgen import TaskPool, build_tasks
 from helpers import make_instance, make_pool, make_space, make_state, make_task
-
-
-def test_search_space_size():
-    assert search_space_size(2, 2) == 8
-    assert search_space_size(3, 2) == 48
-    assert search_space_size(1, 1) == 1
 
 
 def test_single_task_single_locker():
@@ -29,17 +23,48 @@ def test_single_task_single_locker():
     assert reward == pytest.approx(1 / (5 + 2 * 5.0))
 
 
-def test_cardinality_is_exactly_the_limit_boundary(monkeypatch):
-    spaces = [make_space(1, 1.0, 0.0), make_space(2, 2.0, 0.0)]
-    inst = make_instance(spaces, max_lockers=2)
-    pool = make_pool([make_task(1, window=(0, 720)), make_task(2, window=(720, 1440))])
-    monkeypatch.setattr(oracle, "MAX_ENUMERATIONS", 7)
-    with pytest.raises(SearchSpaceLimitError) as err:
+def _generated(spaces, locations, seed, **overrides):
+    inst = generate_instance(GeneratorConfig(num_spaces=spaces, locations_per_space=locations,
+                                             seed=seed, **overrides))
+    return inst, build_tasks(inst, assign_customers(inst))
+
+
+def test_oracle_accepts_max_tasks():
+    inst, pool = _generated(8, 10, 3)
+    assert len(pool) == oracle.MAX_TASKS
+    best, reward = brute_force_best(pool, inst, AdjustmentPolicy.HCPS)
+    _, cost = evaluate_solution(best, pool, inst, AdjustmentPolicy.HCPS)
+    assert best.reward == reward == cost.reward
+    n = len(pool)
+    for x1 in ([0] * n, list(range(n))):  # one locker, and one locker per task
+        _, other = evaluate_solution(make_state(x1, range(n)), pool, inst,
+                                     AdjustmentPolicy.HCPS)
+        assert other.reward <= reward
+
+
+def test_oracle_refuses_above_max_tasks():
+    inst, pool = _generated(8, 10, 1)
+    assert len(pool) == oracle.MAX_TASKS + 1
+    with pytest.raises(SearchSpaceLimitError, match="holds 14 tasks, whose sets need 16384 "):
         brute_force_best(pool, inst, AdjustmentPolicy.BTD)
-    assert (err.value.cardinality, err.value.limit) == (8, 7)
-    monkeypatch.setattr(oracle, "MAX_ENUMERATIONS", 8)
-    best, _ = brute_force_best(pool, inst, AdjustmentPolicy.BTD)
-    assert best is not None
+
+
+def test_oracle_counts_the_orders_of_tied_starts():
+    # n tasks sharing one start need sum_j n!/(n-j)! schedules: 1957 for 6, 13700 for 7.
+    spaces = [make_space(k, float(k), 1.0) for k in range(1, 8)]
+    inst = make_instance(spaces, max_lockers=2)
+    tied = make_pool([make_task(k, window=(0, 1440)) for k in range(1, 8)])
+    with pytest.raises(SearchSpaceLimitError, match="holds 7 tasks, whose sets need 13700 "):
+        brute_force_best(tied, inst, AdjustmentPolicy.BTD)
+    six = make_pool(tied.tasks[:6])
+    best, reward = brute_force_best(six, inst, AdjustmentPolicy.BTD)
+    assert reward == _first_use_enumeration(six, inst, AdjustmentPolicy.BTD)[1]
+
+
+def test_oracle_refuses_a_task_above_capacity():
+    inst, pool = _generated(2, 3, 2, capacity=5.0)
+    with pytest.raises(OverCapacityError, match="task 0 .* demands 8 parcels"):
+        brute_force_best(pool, inst, AdjustmentPolicy.BTD)
 
 
 def test_line_instance_prefers_single_locker():
@@ -109,16 +134,29 @@ def _reference_best(pool, inst, policy, orders=None):
     return best, best_reward
 
 
-def _distinct_plans(pool, inst):
-    """Groupings into at most L lockers, times the orders of tasks sharing a start."""
+def _first_use_enumeration(pool, inst, policy):
+    """The former oracle: each first-use allocation times each order of tied starts.
+
+    Allocations range over the lockers the solvers use, skipping those that
+    only rename lockers; orders only permute tasks that share a window start.
+    The first strict maximum is kept, so ties break toward the
+    lexicographically smallest scored pair.
+    """
     n = len(pool)
     lockers = effective_locker_count(inst.fleet.max_lockers, n)
-    groupings = set()
+    starts = pool.starts
+    orders = [x2 for x2 in itertools.permutations(range(n))
+              if all(starts[t] == starts[k] for k, t in enumerate(x2))]
+    best, best_reward = None, -math.inf
+    memo: dict = {}
     for x1 in itertools.product(range(lockers), repeat=n):
-        first_use: dict = {}
-        groupings.add(tuple(first_use.setdefault(locker, len(first_use)) for locker in x1))
-    ties = [task.window.start for task in pool.tasks]
-    return len(groupings) * math.prod(math.factorial(ties.count(s)) for s in set(ties))
+        if any(x1[t] > max(x1[:t], default=-1) + 1 for t in range(n)):
+            continue  # renames the lockers of a first-use allocation
+        for x2 in orders:
+            _, cost = evaluate_solution(make_state(x1, x2), pool, inst, policy, memo=memo)
+            if cost.reward > best_reward:
+                best, best_reward = (x1, x2), cost.reward
+    return best, best_reward
 
 
 def _generated_pools():
@@ -134,13 +172,13 @@ def _generated_pools():
                 yield inst, pool
 
 
-def _hand_built_pool(rng):
-    """2 to 4 tasks whose starts often tie, with long windows and tight capacity."""
+def _hand_built_pool(rng, sizes=(2, 4)):
+    """``sizes`` tasks whose starts often tie, with long windows and tight capacity."""
     spaces = [make_space(k + 1, float(rng.uniform(-6, 6)), float(rng.uniform(-6, 6)),
                          service_time=float(rng.uniform(5, 40)))
               for k in range(int(rng.integers(1, 4)))]
     tasks = []
-    for _ in range(int(rng.integers(2, 5))):
+    for _ in range(int(rng.integers(sizes[0], sizes[1] + 1))):
         sp = spaces[int(rng.integers(len(spaces)))]
         start = 60.0 * int(rng.integers(0, 3))
         end = start + sp.service_time + float(rng.choice([0.0, rng.uniform(0, 90), 600.0]))
@@ -157,23 +195,38 @@ def _tied(pool):
     return len(set(starts)) < len(starts)
 
 
-def test_oracle_matches_the_full_enumeration(monkeypatch):
+def test_oracle_matches_the_full_enumeration():
     rng = np.random.default_rng(5)
     cases = list(_generated_pools()) + [_hand_built_pool(rng) for _ in range(70)]
-    scored = []
-    counting = lambda *args, **kwargs: scored.append(1) or evaluate_solution(*args, **kwargs)
-    monkeypatch.setattr(oracle, "evaluate_solution", counting)
     for inst, pool in cases:
         for policy in AdjustmentPolicy:
-            scored.clear()
             best, reward = brute_force_best(pool, inst, policy)
-            assert len(scored) == _distinct_plans(pool, inst)
             pair, ref_reward = _reference_best(pool, inst, policy)
             assert reward == ref_reward
             if not _tied(pool):
                 assert (tuple(best.x1), tuple(best.x2)) == pair
     tied = sum(_tied(pool) for _, pool in cases)
     assert tied >= 30 and len(cases) - tied >= 60
+
+
+def test_oracle_matches_the_first_use_enumeration():
+    # 5 to 7 tasks, where the full L^n * n! enumeration is too slow.
+    rng = np.random.default_rng(7)
+    cases = [_generated(spaces, 5, seed, max_lockers=lockers)
+             for spaces, lockers, seeds in ((4, 3, range(100)), (5, 2, range(40)))
+             for seed in seeds]
+    cases = [(inst, pool) for inst, pool in cases if 5 <= len(pool) <= 7]
+    cases += [_hand_built_pool(rng, sizes=(5, 7)) for _ in range(20)]
+    for inst, pool in cases:
+        for policy in AdjustmentPolicy:
+            best, reward = brute_force_best(pool, inst, policy)
+            pair, ref_reward = _first_use_enumeration(pool, inst, policy)
+            assert reward == ref_reward and best.x1 == pair[0]
+            if not _tied(pool):
+                assert best.x2 == pair[1]
+    sizes = [len(pool) for _, pool in cases]
+    tied = sum(_tied(pool) for _, pool in cases)
+    assert tied >= 15 and len(cases) - tied >= 60 and sizes.count(7) >= 8
 
 
 def test_tie_orders_equal_the_filtered_permutations():
@@ -183,12 +236,14 @@ def test_tie_orders_equal_the_filtered_permutations():
         n = int(rng.integers(0, 8))
         # Few distinct starts make ties; many make them rare.
         starts = (60.0 * rng.integers(0, int(rng.integers(1, 2 * n + 2)), size=n)).tolist()
-        filtered = [x2 for x2 in itertools.permutations(range(n))
-                    if all(starts[t] == starts[k] for k, t in enumerate(x2))]
-        assert tie_orders(starts) == filtered
-        tied += len(set(starts)) < n
-        untied += len(set(starts)) == n
-    assert tied >= 100 and untied >= 50
+        ids = sorted(rng.permutation(n)[:int(rng.integers(0, n + 1))].tolist())
+        filtered = [order for order in itertools.permutations(ids)
+                    if all(starts[a] <= starts[b] for a, b in zip(order, order[1:]))]
+        assert tie_orders(ids, starts) == filtered
+        distinct = len({starts[t] for t in ids})
+        tied += distinct < len(ids)
+        untied += distinct == len(ids) >= 2
+    assert tied >= 60 and untied >= 45
 
 
 def test_tied_starts_are_ordered_by_the_oracle():
