@@ -173,6 +173,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         seed = _resolve_seed(file_cfg["seed"], f"{args.config}: seed")
     else:
         seed = _resolve_seed(args.seed)
+    noise = TravelNoise(sigma=args.noise_sigma, seed=seed)  # refuses a bad sigma before solving
     desk = bench.BudgetProfile.desk()
     budget = bench.BudgetProfile(agents=pick(args.agents, "agents", desk.agents),
                                  iterations=pick(args.iters, "timesteps", desk.iterations))
@@ -184,8 +185,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     best, plan, history = bench.solve(pool, instance, args.solver, policy, budget, seed,
                                       gamma=pick(args.gamma, "gamma", HqmParams.gamma),
                                       tol=pick(args.tol, "tol", HqmParams.tol))
-    if args.noise_sigma > 0:
-        noise = TravelNoise(sigma=args.noise_sigma, seed=seed)
+    if noise.sigma > 0:
         plan, _ = evaluate_solution(best, pool, instance, policy, noise=noise)
 
     feasibility = check_feasibility(plan, best, pool, instance)

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import NothingToSolveError, ParameterError
 from .instance import Instance
 from .routing import AdjustmentPolicy, RoutePlan
-from .hqm import Evaluator, RunHistory, roulette_cdf
+from .hqm import Evaluator, RunHistory, Stream, roulette_cdf
 from .state import SearchState, effective_locker_count
 from .taskgen import TaskPool
 
@@ -43,26 +43,23 @@ class GaParams:
         return max(1, int(0.05 * self.population))
 
 
-def _select_index(cdf: Optional[list[float]], size: int, rng: np.random.Generator) -> int:
+def _select_index(cdf: Optional[list[float]], size: int, rng: Stream) -> int:
     """Fitness-proportional pick through a generation's ``roulette_cdf``; uniform when it is None."""
     if cdf is None:
-        return int(rng.integers(size))
+        return rng.integers(size)
     return bisect_right(cdf, rng.random())
 
 
-def _uniform_crossover(a: Sequence[int], b: Sequence[int],
-                       rng: np.random.Generator) -> list[int]:
-    mask = rng.integers(0, 2, size=len(a)).tolist()
-    return [x if m else y for x, y, m in zip(a, b, mask)]
+def _uniform_crossover(a: Sequence[int], b: Sequence[int], rng: Stream) -> list[int]:
+    return [x if m else y for x, y, m in zip(a, b, rng.mask(len(a)))]
 
 
-def _order_crossover(a: Sequence[int], b: Sequence[int],
-                     rng: np.random.Generator) -> list[int]:
+def _order_crossover(a: Sequence[int], b: Sequence[int], rng: Stream) -> list[int]:
     """Keep a slice of ``a`` in place, fill the rest in ``b``'s order."""
     n = len(a)
     if n == 1:
         return list(a)
-    c1, c2 = sorted(rng.choice(n + 1, size=2, replace=False).tolist())
+    c1, c2 = sorted(rng.two_of(n + 1))
     kept = list(a[c1:c2])
     used = set(kept)
     fill = [v for v in b if v not in used]
@@ -70,15 +67,15 @@ def _order_crossover(a: Sequence[int], b: Sequence[int],
 
 
 def _mutate(x1: list[int], x2: list[int], rate: float, max_lockers: int,
-            rng: np.random.Generator) -> tuple[list[int], list[int]]:
+            rng: Stream) -> tuple[list[int], list[int]]:
     """Mutate both lists in place: per-gene locker reassignments, then position swaps."""
     n = len(x1)
     for k in range(n):
         if rng.random() < rate:
-            x1[k] = int(rng.integers(max_lockers))
+            x1[k] = rng.integers(max_lockers)
     for k in range(n):
         if rng.random() < rate and n > 1:
-            j = int(rng.integers(n - 1))
+            j = rng.integers(n - 1)
             if j >= k:
                 j += 1
             x2[k], x2[j] = x2[j], x2[k]
@@ -86,7 +83,7 @@ def _mutate(x1: list[int], x2: list[int], rate: float, max_lockers: int,
 
 
 def next_generation(population: list[SearchState], params: GaParams,
-                    rng: np.random.Generator, max_lockers: int) -> list[SearchState]:
+                    rng: Stream, max_lockers: int) -> list[SearchState]:
     """Produce the next population from an evaluated one.
 
     The top elite states pass through unchanged (rewards intact); the rest are
@@ -118,7 +115,11 @@ def next_generation(population: list[SearchState], params: GaParams,
 
 def run_ga(pool: TaskPool, instance: Instance, policy: AdjustmentPolicy,
            params: GaParams) -> tuple[SearchState, RoutePlan, RunHistory]:
-    """Full GA run on the shared encoding; deterministic per seed."""
+    """Full GA run on the shared encoding; deterministic per seed.
+
+    The initial population is the ``Generator``'s set-up draws; breeding
+    draws from the ``Stream`` that takes the generator over.
+    """
     n = len(pool)
     if n == 0:
         raise NothingToSolveError("task pool is empty")
@@ -131,6 +132,7 @@ def run_ga(pool: TaskPool, instance: Instance, policy: AdjustmentPolicy,
                     x2=tuple(rng.permutation(n).tolist()))
         for _ in range(params.population)
     ]
+    stream = Stream(rng)
     for state in population:
         evaluator.reward(state)
 
@@ -138,7 +140,7 @@ def run_ga(pool: TaskPool, instance: Instance, policy: AdjustmentPolicy,
     history = RunHistory(initial_best=best.reward)
 
     for _ in range(params.generations):
-        population = next_generation(population, params, rng, lockers)
+        population = next_generation(population, params, stream, lockers)
         for state in population:
             if state.reward is None:
                 evaluator.reward(state)

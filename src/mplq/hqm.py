@@ -13,6 +13,7 @@ greedily and the accepted states feed the table updates.
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -76,10 +77,10 @@ class QMatrices:
 
 @dataclass
 class Agent:
-    """One solution holder: its best accepted state and its RNG stream."""
+    """One solution holder: its best accepted state and its random stream."""
 
     best: SearchState
-    rng: np.random.Generator
+    rng: Stream
 
     def accept(self, state: SearchState) -> None:
         self.best = state
@@ -152,7 +153,11 @@ class Evaluator:
 
 def init_agents(pool: TaskPool, max_lockers: int, params: HqmParams,
                 ) -> tuple[list[Agent], QMatrices]:
-    """One uniformly random state per agent, plus all-zero value tables."""
+    """One uniformly random state per agent, plus all-zero value tables.
+
+    Each agent's state is its ``Generator``'s set-up draws; every later draw
+    comes from the ``Stream`` that takes the generator over.
+    """
     n = len(pool)
     if n == 0:
         raise NothingToSolveError("task pool is empty")
@@ -163,7 +168,7 @@ def init_agents(pool: TaskPool, max_lockers: int, params: HqmParams,
         rng = np.random.default_rng(s)
         state = SearchState(x1=tuple(rng.integers(0, lockers, size=n).tolist()),
                             x2=tuple(rng.permutation(n).tolist()))
-        agents.append(Agent(best=state, rng=rng))
+        agents.append(Agent(best=state, rng=Stream(rng)))
     return agents, QMatrices.zeros(lockers, n)
 
 
@@ -239,14 +244,102 @@ def roulette_cdf(scores: Sequence[float]) -> Optional[list[float]]:
     return [c / last for c in cdf]
 
 
+BLOCK = 64  # raw outputs a Stream pulls from its bit generator at a time
+
+
+class Stream:
+    """A default ``Generator``'s draws on Python ints, bit for bit, with no numpy call per draw.
+
+    ``Stream(rng)`` takes over a PCG64 ``Generator`` once its set-up draws are
+    done; ``rng`` must draw nothing after that. It reads the bit generator's
+    buffered 32-bit half once, then pulls raw 64-bit outputs ``BLOCK`` at a
+    time with ``random_raw`` (O'Neill, 2014) and serves each draw with the
+    operations numpy uses for the same call on ``rng``:
+
+    - ``random()``: the top 53 bits of one output, times 2**-53.
+    - ``integers(high)``: Lemire's (2019) bounded draw on 32-bit words, each
+      output split low half first, the high half kept for the next word;
+      ``high`` = 1 draws nothing.
+    - ``uniform(low, high)``: ``low + (high - low) * random()``.
+    - ``mask(n)``: n draws of ``integers(2)``, as ``integers(0, 2, size=n)``.
+    - ``two_of(m)``: ``choice(m, size=2, replace=False)``, Floyd's algorithm
+      followed by a shuffle of the pair.
+    """
+
+    __slots__ = ("_pull", "_raw", "_half")
+
+    def __init__(self, rng: np.random.Generator):
+        bitgen = rng.bit_generator
+        if not isinstance(bitgen, np.random.PCG64):
+            raise TypeError(f"a Stream reproduces PCG64 only, not {type(bitgen).__name__}")
+        state = bitgen.state
+        self._pull = bitgen.random_raw
+        self._raw: list[int] = []  # the pulled block, next output last
+        self._half = state["uinteger"] if state["has_uint32"] else None
+
+    def _refill(self) -> list[int]:
+        self._raw = raw = self._pull(BLOCK).tolist()
+        raw.reverse()
+        return raw
+
+    def _uint32(self) -> int:
+        half = self._half
+        if half is not None:
+            self._half = None
+            return half
+        raw = self._raw or self._refill()
+        out = raw.pop()
+        self._half = out >> 32
+        return out & 0xFFFFFFFF
+
+    def random(self) -> float:
+        raw = self._raw or self._refill()
+        return (raw.pop() >> 11) * 2 ** -53
+
+    def integers(self, high: int) -> int:
+        """A uniform int in [0, high), for ``high`` in [1, 2**32]."""
+        if type(high) is not int:
+            high = operator.index(high)
+        if not 1 <= high <= 2 ** 32:
+            raise ValueError(f"high must lie in [1, 2**32], got {high}")
+        if high == 1:
+            return 0
+        m = self._uint32() * high
+        if high == 2 ** 32:
+            return m >> 32
+        leftover = m & 0xFFFFFFFF
+        if leftover < high:
+            threshold = (2 ** 32 - high) % high
+            while leftover < threshold:
+                m = self._uint32() * high
+                leftover = m & 0xFFFFFFFF
+        return m >> 32
+
+    def uniform(self, low: float, high: float) -> float:
+        return low + (high - low) * self.random()
+
+    def mask(self, n: int) -> list[int]:
+        """n fair bits: ``integers(2)`` never rejects, so each is a word's top bit."""
+        word = self._uint32
+        return [word() >> 31 for _ in range(n)]
+
+    def two_of(self, m: int) -> tuple[int, int]:
+        """Two distinct ints of [0, m), in the order ``choice`` returns them."""
+        a = self.integers(m - 1)
+        b = self.integers(m)
+        if b == a:
+            b = m - 1
+        return (a, b) if self._uint32() >> 31 else (b, a)
+
+
 class PickTable:
     """Epsilon-greedy picks over every column of a fixed table, precomputed per row.
 
     Each row keeps its first argmax and its ``roulette_cdf`` (None when the
     row sums to at most 0). A pick draws a threshold (when epsilon is None)
-    and one double; with probability epsilon it returns the argmax, otherwise
-    a column sampled proportionally to its score, uniformly (one
-    ``rng.integers``) on a row that sums to zero.
+    and one double from the agent's ``Stream``; with probability epsilon it
+    returns the argmax, otherwise a column sampled proportionally to its
+    score, uniformly (one ``Stream.integers``) on a row that sums to zero.
     """
 
     def __init__(self, rows: np.ndarray):
@@ -254,13 +347,13 @@ class PickTable:
         self.argmax = rows.argmax(axis=1).tolist()
         self.cdfs = [roulette_cdf(row) for row in rows.tolist()]
 
-    def pick(self, r: int, epsilon: Optional[float], rng: np.random.Generator) -> int:
+    def pick(self, r: int, epsilon: Optional[float], rng: Stream) -> int:
         eps = rng.random() if epsilon is None else epsilon
         if rng.random() < eps:
             return self.argmax[r]
         cdf = self.cdfs[r]
         if cdf is None:
-            return int(rng.integers(self.width))
+            return rng.integers(self.width)
         return bisect_right(cdf, rng.random())
 
 
@@ -273,7 +366,8 @@ def global_construct(agent: Agent, q1: PickTable, q2: list[list[float]],
     its predecessor (virtual start row first). The permutation is built the
     same way from ``q2``, the normalized task table as nested lists, over the
     unused tasks only: the same epsilon-greedy pick as ``PickTable.pick``,
-    with the roulette renormalized over the unused tasks' scores.
+    with the roulette renormalized over the unused tasks' scores. Every draw
+    comes from the agent's ``Stream``.
     """
     rng = agent.rng
     n_tasks = len(q2) - 1
@@ -295,7 +389,7 @@ def global_construct(agent: Agent, q1: PickTable, q2: list[list[float]],
             k = scores.index(max(scores))
         else:
             cdf = roulette_cdf(scores)
-            k = (int(rng.integers(len(unused))) if cdf is None
+            k = (rng.integers(len(unused)) if cdf is None
                  else bisect_right(cdf, rng.random()))
         prev = unused.pop(k)
         x2.append(prev)
@@ -391,13 +485,13 @@ def run_hqm(pool: TaskPool, instance: Instance, policy: AdjustmentPolicy,
 
         for idx, agent in enumerate(agents):
             if n_agents > 1:
-                j = int(agent.rng.integers(n_agents - 1))
+                j = agent.rng.integers(n_agents - 1)
                 if j >= idx:
                     j += 1
                 neighbor = agents[j].best
             else:
                 neighbor = agent.best
-            omega = float(agent.rng.uniform(-1.0, 1.0))
+            omega = agent.rng.uniform(-1.0, 1.0)
             moved = local_move(agent.best, neighbor, omega, max_lockers=lockers)
             if evaluator.reward(moved) > agent.best.reward:
                 agent.accept(moved)
@@ -426,6 +520,7 @@ __all__ = [
     "init_agents",
     "normalize_q",
     "roulette_cdf",
+    "Stream",
     "PickTable",
     "global_construct",
     "local_move",

@@ -71,11 +71,16 @@ class TravelNoise:
     """Multiplicative noise on leg travel times: factor ~ U(1 - sigma, 1 + sigma).
 
     Shortened legs make the locker arrive before the next slice opens, which
-    is exactly what forces the adjustment strategies to act.
+    is exactly what forces the adjustment strategies to act. Sigma lies in
+    [0, 1]: above 1 a factor would be clipped to zero travel time.
     """
 
     sigma: float
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.sigma <= 1.0:  # also refuses NaN
+            raise ParameterError(f"noise sigma must lie in [0, 1], got {self.sigma}")
 
 
 class TravelTimer:

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
+import numpy as np
+
+from mplq.hqm import Stream
 from mplq.instance import (Customer, CustomerLocation, FleetSpec, Instance,
                            ParkingSpace, Position, TimeWindow)
 from mplq.state import SearchState
@@ -51,3 +54,19 @@ def make_pool(tasks: Sequence[Task]) -> TaskPool:
 
 def make_state(x1: Sequence[int], x2: Sequence[int]) -> SearchState:
     return SearchState(x1=tuple(map(int, x1)), x2=tuple(map(int, x2)))
+
+
+def stream_pair(seed) -> tuple[Stream, np.random.Generator]:
+    """A ``Stream`` and a ``Generator`` seeded alike: the same draws on both sides."""
+    return Stream(np.random.default_rng(seed)), np.random.default_rng(seed)
+
+
+def assert_same_continuation(stream: Stream, rng: np.random.Generator) -> None:
+    """The next 8 doubles and 8 ``integers(7)`` of both sides are equal.
+
+    A stream reads its bit generator ahead in blocks, so bit-generator states
+    cannot be compared; the doubles check the 64-bit position, the bounded
+    ints the buffered 32-bit half.
+    """
+    assert [stream.random() for _ in range(8)] == [rng.random() for _ in range(8)]
+    assert [stream.integers(7) for _ in range(8)] == [int(rng.integers(7)) for _ in range(8)]

@@ -183,6 +183,16 @@ def test_solve_rejects_bad_hqm_parameters(instance_file, tmp_path, capsys, flags
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("sigma", ["inf", "1e308", "nan", "-1"])
+def test_solve_refuses_bad_noise_sigma_before_solving(instance_file, tmp_path, capsys, sigma):
+    out_dir = tmp_path / "out"
+    code = run_cli(["solve", "--instance", str(instance_file), "--agents", "4",
+                    "--iters", "5", "--noise-sigma", sigma, "--out-dir", str(out_dir)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: noise sigma must lie in [0, 1], got ")
+    assert not out_dir.exists()
+
+
 def test_solve_with_travel_noise_is_reproducible(instance_file, tmp_path, capsys):
     args = ["solve", "--instance", str(instance_file), "--agents", "6",
             "--iters", "20", "--seed", "4", "--noise-sigma", "0.3",

@@ -5,12 +5,12 @@ from hypothesis import given, settings, strategies as st
 from mplq import ga
 from mplq.errors import ParameterError
 from mplq.ga import GaParams, next_generation, run_ga, _order_crossover
-from mplq.hqm import roulette_cdf
+from mplq.hqm import Stream, roulette_cdf
 from mplq.instance import GeneratorConfig, assign_customers, generate_instance
 from mplq.routing import AdjustmentPolicy
 from mplq.taskgen import build_tasks
 from mplq.state import SearchState
-from helpers import make_state
+from helpers import assert_same_continuation, make_state, stream_pair
 
 
 def _evaluated_population(n_states, n_tasks, lockers, seed=0):
@@ -44,10 +44,10 @@ def test_select_index_draws_what_generator_choice_drew():
         maker = np.random.default_rng(seed)
         rewards = _rewards(maker, int(maker.integers(1, 40)), seed % 4)
         cdf = roulette_cdf(rewards.tolist())
-        ours, ref = np.random.default_rng(seed + 1000), np.random.default_rng(seed + 1000)
+        ours, ref = stream_pair(seed + 1000)
         for _ in range(5):
             assert ga._select_index(cdf, len(rewards), ours) == _choice_select(rewards, ref)
-            assert ours.bit_generator.state == ref.bit_generator.state
+            assert_same_continuation(ours, ref)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -60,7 +60,8 @@ def test_select_index_refuses_non_finite_rewards_like_generator_choice(bad):
     pop = _evaluated_population(3, 4, 2)
     pop[1].reward = float(bad)
     with pytest.raises(ValueError):
-        next_generation(pop, GaParams(population=3), np.random.default_rng(0), max_lockers=2)
+        next_generation(pop, GaParams(population=3), Stream(np.random.default_rng(0)),
+                        max_lockers=2)
 
 
 def _np_uniform_crossover(a, b, rng):
@@ -126,7 +127,7 @@ def test_list_operators_match_the_array_operators():
         a1, b1 = (maker.integers(0, lockers, size=n) for _ in range(2))
         a2, b2 = maker.permutation(n), maker.permutation(n)
         rate = (0.05, 0.5, 1.0)[seed % 3]
-        ours, ref = np.random.default_rng(seed + 1000), np.random.default_rng(seed + 1000)
+        ours, ref = stream_pair(seed + 1000)
         assert ga._uniform_crossover(a1.tolist(), b1.tolist(), ours) == \
             _np_uniform_crossover(a1, b1, ref).tolist()
         assert ga._order_crossover(tuple(a2.tolist()), tuple(b2.tolist()), ours) == \
@@ -135,7 +136,7 @@ def test_list_operators_match_the_array_operators():
         expected = _np_mutate(a1.copy(), a2.copy(), rate, lockers, ref)
         assert got == tuple(v.tolist() for v in expected)
         assert all(type(v) is int for v in got[0] + got[1])
-        assert ours.bit_generator.state == ref.bit_generator.state
+        assert_same_continuation(ours, ref)
 
 
 def test_next_generation_draws_what_choice_selection_drew():
@@ -147,13 +148,13 @@ def test_next_generation_draws_what_choice_selection_drew():
         for state, reward in zip(pop, _rewards(maker, size, seed % 3)):
             state.reward = float(reward)
         params = GaParams(population=size, seed=seed)
-        ours, ref = np.random.default_rng(seed + 1000), np.random.default_rng(seed + 1000)
+        ours, ref = stream_pair(seed + 1000)
         for _ in range(2):
             got = next_generation(pop, params, ours, max_lockers=lockers)
             expected = _choice_next_generation(pop, params, ref, max_lockers=lockers)
             assert [(list(s.x1), list(s.x2), s.reward) for s in got] == \
                 [(list(s.x1), list(s.x2), s.reward) for s in expected]
-            assert ours.bit_generator.state == ref.bit_generator.state
+            assert_same_continuation(ours, ref)
 
 
 def test_params_validation():
@@ -166,8 +167,7 @@ def test_params_validation():
 def test_elites_pass_through_unchanged():
     pop = _evaluated_population(100, 6, 3)
     params = GaParams(population=100, seed=1)
-    rng = np.random.default_rng(1)
-    nxt = next_generation(pop, params, rng, max_lockers=3)
+    nxt = next_generation(pop, params, Stream(np.random.default_rng(1)), max_lockers=3)
     ranked = sorted(pop, key=lambda s: s.reward, reverse=True)
     for k in range(params.elite_count):
         assert list(nxt[k].x1) == list(ranked[k].x1)
@@ -180,7 +180,7 @@ def test_no_variation_yields_parent_clones(monkeypatch):
     monkeypatch.setattr(ga, "MUTATION_RATE", 0.0)
     pop = _evaluated_population(20, 5, 2)
     params = GaParams(population=20, seed=2)
-    nxt = next_generation(pop, params, np.random.default_rng(2), max_lockers=2)
+    nxt = next_generation(pop, params, Stream(np.random.default_rng(2)), max_lockers=2)
     genotypes = {(tuple(s.x1), tuple(s.x2)) for s in pop}
     for child in nxt:
         assert (tuple(child.x1), tuple(child.x2)) in genotypes
@@ -189,7 +189,7 @@ def test_no_variation_yields_parent_clones(monkeypatch):
 def test_population_size_constant_and_children_valid():
     pop = _evaluated_population(30, 8, 4)
     params = GaParams(population=30, seed=3)
-    nxt = next_generation(pop, params, np.random.default_rng(3), max_lockers=4)
+    nxt = next_generation(pop, params, Stream(np.random.default_rng(3)), max_lockers=4)
     assert len(nxt) == 30
     for child in nxt:
         assert sorted(child.x2) == list(range(8))
@@ -200,7 +200,7 @@ def test_next_generation_requires_two_individuals():
     pop = _evaluated_population(2, 3, 2)
     with pytest.raises(ParameterError):
         next_generation(pop[:1], GaParams(population=2),
-                        np.random.default_rng(0), max_lockers=2)
+                        Stream(np.random.default_rng(0)), max_lockers=2)
 
 
 def test_next_generation_requires_evaluated_population():
@@ -208,7 +208,7 @@ def test_next_generation_requires_evaluated_population():
     pop[2].reward = None
     with pytest.raises(ParameterError):
         next_generation(pop, GaParams(population=4),
-                        np.random.default_rng(0), max_lockers=2)
+                        Stream(np.random.default_rng(0)), max_lockers=2)
 
 
 @settings(max_examples=50)
@@ -216,7 +216,8 @@ def test_next_generation_requires_evaluated_population():
 def test_order_crossover_yields_permutation(data, n):
     a = data.draw(st.permutations(range(n)))
     b = data.draw(st.permutations(range(n)))
-    child = _order_crossover(a, b, np.random.default_rng(data.draw(st.integers(0, 999))))
+    rng = Stream(np.random.default_rng(data.draw(st.integers(0, 999))))
+    child = _order_crossover(a, b, rng)
     assert sorted(child) == list(range(n))
 
 

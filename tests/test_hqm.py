@@ -6,13 +6,14 @@ from mplq.errors import NothingToSolveError, ShapeError
 from mplq.hqm import (Agent, HqmParams, QMatrices, global_construct, has_converged,
                       init_agents, local_move, normalize_q, run_hqm, update_q,
                       write_history_csv)
-from mplq.hqm import PickTable, _pairwise_sum, roulette_cdf
+from mplq.hqm import PickTable, Stream, _pairwise_sum, roulette_cdf
 from mplq.instance import GeneratorConfig, assign_customers, generate_instance
 from mplq.oracle import brute_force_best
 from mplq.routing import AdjustmentPolicy
 from mplq.state import effective_locker_count
 from mplq.taskgen import TaskPool, build_tasks
-from helpers import make_pool, make_state, make_task
+from helpers import (assert_same_continuation, make_pool, make_state, make_task,
+                     stream_pair)
 
 
 # ---------------------------------------------------------------------------
@@ -46,7 +47,7 @@ def test_normalize_rejects_non_finite():
 
 
 def _empty_pool_agent(seed=0):
-    return Agent(best=make_state([], []), rng=np.random.default_rng(seed))
+    return Agent(best=make_state([], []), rng=Stream(np.random.default_rng(seed)))
 
 
 def _one_locker_table():
@@ -55,7 +56,7 @@ def _one_locker_table():
 
 def test_greedy_branch_follows_argmax():
     table = PickTable(np.array([[0.0, 1.0, 1.0]]))
-    rng = np.random.default_rng(0)
+    rng = Stream(np.random.default_rng(0))
     assert {table.pick(0, 1.0, rng) for _ in range(20)} == {1}  # first index on ties
     # every unused task ties, so full greed walks them in id order
     state = global_construct(_empty_pool_agent(), _one_locker_table(),
@@ -76,7 +77,7 @@ def test_sampling_branch_renormalizes_masked_row():
 
 
 def test_sampling_branch_uniform_on_zero_row():
-    rng = np.random.default_rng(5)
+    rng = Stream(np.random.default_rng(5))
     table = PickTable(np.zeros((1, 3)))
     agent = _empty_pool_agent(seed=5)
     for draws in ([table.pick(0, 0.0, rng) for _ in range(3000)],
@@ -152,7 +153,7 @@ def test_pick_draws_what_generator_choice_drew(epsilon):
             kinds |= seen
             assert list(state.x1) == list(expected.x1)
             assert list(state.x2) == list(expected.x2)
-            assert agent.rng.bit_generator.state == ref.bit_generator.state
+            assert_same_continuation(agent.rng, ref)
     assert kinds == {"single", "zero", "spread", "pairwise"}
 
 
@@ -168,12 +169,12 @@ def test_pick_table_draws_what_generator_choice_drew(epsilon):
         rows = np.array(rows)
         table = PickTable(rows)
         everyone = np.arange(width)
-        ours, ref = np.random.default_rng(seed + 1000), np.random.default_rng(seed + 1000)
+        ours, ref = stream_pair(seed + 1000)
         for _ in range(10):
             r = int(maker.integers(len(rows)))
             kinds.add(r)
             assert table.pick(r, epsilon, ours) == _choice_pick(rows[r], everyone, epsilon, ref)
-            assert ours.bit_generator.state == ref.bit_generator.state
+            assert_same_continuation(ours, ref)
     assert kinds == {0, 1, 2, 3}
 
 
