@@ -14,7 +14,7 @@ from .instance import (Assignment, Customer, CustomerLocation, FleetSpec,
                        load_instance, save_instance, validate_instance)
 from .taskgen import SubInterval, Task, TaskPool, build_tasks, partition_subintervals, reduce_availability
 from .routing import (AdjustmentPolicy, Adjustment, CostBreakdown, FeasibilityReport,
-                      RoutePlan, TravelNoise, VisitRecord, check_feasibility,
+                      RouteMemo, RoutePlan, TravelNoise, VisitRecord, check_feasibility,
                       compute_delay, evaluate_solution, hold_can_apply, schedule_route,
                       travel_time)
 from .state import SearchState

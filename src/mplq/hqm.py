@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import NothingToSolveError, ParameterError, ShapeError
 from .instance import Instance
-from .routing import AdjustmentPolicy, RoutePlan, evaluate_solution
+from .routing import AdjustmentPolicy, RouteMemo, RoutePlan, evaluate_solution
 from .state import SearchState, effective_locker_count
 from .taskgen import TaskPool
 
@@ -124,7 +124,7 @@ class Evaluator:
         self.instance = instance
         self.policy = policy
         self._cache: dict[tuple[tuple[int, ...], tuple[int, ...]], float] = {}
-        self._routes: dict = {}  # route memo of this pool, instance and policy
+        self._routes = RouteMemo(pool, instance, policy)
 
     def reward(self, state: SearchState) -> float:
         key = (state.x1, state.x2)
@@ -427,14 +427,26 @@ def update_q(qmats: QMatrices, states: Sequence[SearchState], rewards: Sequence[
     Q <- Q + alpha * (reward + gamma * max(next row) - Q), applied
     sequentially in chain order, state after state. Mutates and returns
     ``qmats``.
+
+    Each row's maximum is kept as it runs: a write above it raises it, and
+    the row is rescanned only when the entry that held it falls. On finite
+    tables that is ``max(row)`` at every read (a non-finite entry stops the
+    solve at the next ``normalize_q`` either way).
     """
     for q, chains in ((qmats.q1, [s.x1 for s in states]), (qmats.q2, [s.x2 for s in states])):
         rows = q.tolist()  # Python floats: the same IEEE operations, without numpy's per-call cost
+        tops = [max(row) for row in rows]
         start = len(rows) - 1  # the virtual start row
         for values, reward in zip(chains, rewards):
             a = start
             for b in values:
-                rows[a][b] += alpha * (reward + gamma * max(rows[b]) - rows[a][b])
+                row = rows[a]
+                old = row[b]
+                row[b] = new = old + alpha * (reward + gamma * tops[b] - old)
+                if new > tops[a]:
+                    tops[a] = new
+                elif new < old == tops[a]:
+                    tops[a] = max(row)
                 a = b
         q[...] = rows
     return qmats

@@ -13,7 +13,7 @@ from typing import Sequence
 
 from .errors import NothingToSolveError, SearchSpaceLimitError
 from .instance import Instance
-from .routing import (AdjustmentPolicy, compute_cost, evaluate_solution,
+from .routing import (AdjustmentPolicy, RouteMemo, compute_cost, evaluate_solution,
                       refuse_over_capacity, schedule_route)
 from .state import SearchState, effective_locker_count
 from .taskgen import TaskPool
@@ -55,9 +55,9 @@ def brute_force_best(pool: TaskPool, instance: Instance,
                                     f"route schedules, above the limit of {2 ** MAX_TASKS}")
     refuse_over_capacity(pool, instance)
     lockers = effective_locker_count(instance.fleet.max_lockers, n)
+    memo = RouteMemo(pool, instance, policy)
     routes = [(0.0, ())] + [min(  # (distance, order) of each task set; bit t is task t
-        ((schedule_route([pool.tasks[t] for t in order], instance, policy,
-                         task_ids=order).distance_km, order)
+        ((schedule_route(memo, task_ids=order).distance_km, order)
          for order in tie_orders([t for t in range(n) if group >> t & 1], pool.starts)),
         key=lambda route: route[0]) for group in range(1, 1 << n)]
 
@@ -88,7 +88,7 @@ def brute_force_best(pool: TaskPool, instance: Instance,
     for slot, t in zip(by_start, sorted(by_start, key=lambda t: (pool.starts[t], served[t]))):
         x2[slot] = t
     state = SearchState(x1=x1, x2=tuple(x2))
-    state.reward = evaluate_solution(state, pool, instance, policy)[1].reward
+    state.reward = evaluate_solution(state, pool, instance, policy, memo=memo)[1].reward
     return state, state.reward
 
 

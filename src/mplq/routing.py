@@ -31,14 +31,14 @@ import enum
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
 from .errors import OverCapacityError, ParameterError, ShapeError
-from .instance import Instance, Position, TimeWindow
+from .instance import Instance, Position
 from .state import SearchState, validate_state
-from .taskgen import Task, TaskPool
+from .taskgen import TaskPool
 
 _EPS = 1e-9
 # Routes a route memo holds; the least recently used one makes room for a new
@@ -105,8 +105,7 @@ class TravelTimer:
         return t
 
 
-@dataclass(frozen=True)
-class VisitRecord:
+class VisitRecord(NamedTuple):
     task_id: int
     arrival: float
     service_start: float
@@ -116,16 +115,14 @@ class VisitRecord:
     lateness: float
 
 
-@dataclass(frozen=True)
-class LockerRoute:  # which locker drives it is in RoutePlan.lockers
+class LockerRoute(NamedTuple):  # which locker drives it is in RoutePlan.lockers
     visits: tuple[VisitRecord, ...]
     depot_departure: float
     depot_return: float
     distance_km: float
 
 
-@dataclass(frozen=True)
-class RoutePlan:
+class RoutePlan(NamedTuple):
     lockers: tuple[int, ...]  # the locker id of each route
     routes: tuple[LockerRoute, ...]
     total_distance: float
@@ -138,8 +135,7 @@ class RoutePlan:
         return [v for route in self.routes for v in route.visits]
 
 
-@dataclass(frozen=True)
-class CostBreakdown:
+class CostBreakdown(NamedTuple):
     objective: float
     reward: float
 
@@ -180,83 +176,106 @@ def travel_time(a: Position, b: Position, speed: float) -> float:
     return a.distance_to(b) / speed
 
 
-def schedule_route(tasks: Sequence[Task], instance: Instance, policy: AdjustmentPolicy,
-                   *, task_ids: Optional[Sequence[int]] = None,
-                   timer: Optional[TravelTimer] = None,
-                   memo: Optional[dict] = None) -> Optional[LockerRoute]:
-    """Schedule one locker's task list, already sorted by window start.
+class RouteMemo:
+    """One task pool's visit data and route memo, for one instance and policy.
+
+    Built once per pool with one ``space_by_id`` per task: each task's space
+    x and y, its km from the depot, its window start and end, ``ready``,
+    demand and service time. ``routes`` caches every route scheduled with the
+    memo's own noise-free timer by its ordered task-id tuple; a route names no
+    locker, so a hit is the stored route itself. It holds at most
+    ``_ROUTE_MEMO_LIMIT`` routes in least-recently-used order (a dict's
+    insertion order): a hit moves its route to the end, and a new route
+    evicts the first.
+    """
+
+    __slots__ = ("pool", "instance", "policy", "visit_data", "capacity", "timer", "routes")
+
+    def __init__(self, pool: TaskPool, instance: Instance, policy: AdjustmentPolicy):
+        self.pool, self.instance, self.policy = pool, instance, policy
+        dx, dy = instance.depot.x, instance.depot.y
+        self.visit_data = []
+        for task in pool.tasks:
+            sp = instance.space_by_id(task.space_id)
+            x, y = sp.position.x, sp.position.y
+            self.visit_data.append((x, y, math.hypot(x - dx, y - dy), task.window.start,
+                                    task.window.end, task.ready, task.demand, sp.service_time))
+        self.capacity = instance.fleet.capacity + _EPS
+        self.timer = TravelTimer(instance.fleet.speed)
+        self.routes: dict[tuple[int, ...], LockerRoute] = {}
+
+    def serves(self, pool: TaskPool, instance: Instance, policy: AdjustmentPolicy) -> bool:
+        """Whether this memo's routes are the routes of ``pool``, ``instance`` and ``policy``."""
+        return (policy is self.policy and (pool is self.pool or pool == self.pool)
+                and (instance is self.instance or instance == self.instance))
+
+
+def schedule_route(memo: RouteMemo, *, task_ids: Sequence[int],
+                   timer: Optional[TravelTimer] = None) -> Optional[LockerRoute]:
+    """Schedule one locker's tasks of ``memo``'s pool, ``task_ids`` sorted by window start.
 
     Returns None for an empty list (the locker is not dispatched). The route
     starts and ends at the depot; distance covers every leg including depot
     detours and the final return. Visits follow the module docstring's rule.
-
-    ``memo`` caches routes by the ordered ``task_ids`` tuple; a route names
-    no locker, so a hit is the stored route itself. One memo must serve one
-    task pool, instance and policy, and a timer without noise. It holds at
-    most ``_ROUTE_MEMO_LIMIT`` routes in least-recently-used order (a dict's
-    insertion order): a hit moves its route to the end, and a new route
-    evicts the first.
+    Without ``timer`` the route is timed by the memo's noise-free timer and
+    goes through the memo's route cache; a noisy ``timer`` draws on every leg,
+    so its routes are never cached.
     """
-    if not tasks:
+    if not task_ids:
         return None
-    if task_ids is None:
-        task_ids = list(range(len(tasks)))
-    if memo is not None:
+    routes = memo.routes if timer is None else None
+    if routes is not None:
         key = tuple(task_ids)
-        route = memo.pop(key, None)
+        route = routes.pop(key, None)
         if route is not None:
-            memo[key] = route
+            routes[key] = route
             return route
-    if timer is None:
-        timer = TravelTimer(instance.fleet.speed)
+        timer = memo.timer
 
-    depot = instance.depot
-    capacity = instance.fleet.capacity
+    minutes, data, capacity = timer.minutes, memo.visit_data, memo.capacity
+    hcps = memo.policy is AdjustmentPolicy.HCPS
+    hypot = math.hypot
     visits: list[VisitRecord] = []
-    here = depot
-    prev_window: Optional[TimeWindow] = None
+    # The depot legs reuse each space's hypot(x - depot x, y - depot y): that
+    # is exact, since a - b == -(b - a) and hypot(-u, -v) == hypot(u, v).
+    px, py = memo.instance.depot.x, memo.instance.depot.y
+    prev_depot_km = prev_end = 0.0
     distance = load = leave = depot_departure = 0.0
-
-    for task_id, task in zip(task_ids, tasks):
-        sp = instance.space_by_id(task.space_id)
-        window = task.window
-        km = here.distance_to(sp.position)
-        travel = timer.minutes(km)
-        arrival = max(leave + travel, window.start)
+    for task_id in task_ids:
+        x, y, depot_km, start, end, ready, demand, service = data[task_id]
+        km = hypot(px - x, py - y)
+        travel = minutes(km)
+        reach = leave + travel
+        arrival = start if start > reach else reach  # max(reach, start)
         adjustment = Adjustment.NONE
         if not visits:
             depot_departure = arrival - travel
         else:
-            early = leave + travel < window.start - _EPS
-            overflow = load + task.demand > capacity + _EPS
-            if (early and not overflow and policy is AdjustmentPolicy.HCPS
-                    and prev_window.end + travel >= window.start):
-                arrival = prev_window.end + travel
+            early = reach < start - _EPS
+            overflow = load + demand > capacity
+            if early and not overflow and hcps and prev_end + travel >= start:
+                arrival = prev_end + travel
                 adjustment = Adjustment.HCPS
             elif early or overflow:
-                to_depot, from_depot = here.distance_to(depot), depot.distance_to(sp.position)
-                km = to_depot + from_depot
-                arrival = leave + timer.minutes(to_depot) + timer.minutes(from_depot)
+                km = prev_depot_km + depot_km
+                arrival = leave + minutes(prev_depot_km) + minutes(depot_km)
                 adjustment = Adjustment.BTD
                 load = 0.0
-        service_start = max(arrival, task.ready)
-        leave = service_start + sp.service_time
-        load += task.demand
+        service_start = ready if ready > arrival else arrival  # max(arrival, ready)
+        leave = service_start + service
+        load += demand
         distance += km
-        visits.append(VisitRecord(
-            task_id=task_id, arrival=arrival, service_start=service_start, leave=leave,
-            load_after=load, adjustment=adjustment,
-            lateness=max(0.0, service_start - window.end)))
-        here, prev_window = sp.position, window
+        late = service_start - end
+        visits.append(VisitRecord(task_id, arrival, service_start, leave, load, adjustment,
+                                  late if late > 0.0 else 0.0))
+        px, py, prev_depot_km, prev_end = x, y, depot_km, end
 
-    km = here.distance_to(depot)
-    route = LockerRoute(
-        visits=tuple(visits), depot_departure=depot_departure,
-        depot_return=leave + timer.minutes(km), distance_km=distance + km)
-    if memo is not None:
-        if len(memo) >= _ROUTE_MEMO_LIMIT:
-            del memo[next(iter(memo))]
-        memo[key] = route
+    route = LockerRoute(tuple(visits), depot_departure, leave + minutes(prev_depot_km),
+                        distance + prev_depot_km)
+    if routes is not None:
+        if len(routes) >= _ROUTE_MEMO_LIMIT:
+            del routes[next(iter(routes))]
+        routes[key] = route
     return route
 
 
@@ -271,18 +290,24 @@ def compute_cost(lockers_dispatched: int, total_distance: float, instance: Insta
 
 def evaluate_solution(state: SearchState, pool: TaskPool, instance: Instance,
                       policy: AdjustmentPolicy, noise: Optional[TravelNoise] = None,
-                      memo: Optional[dict] = None) -> tuple[RoutePlan, CostBreakdown]:
+                      memo: Optional[RouteMemo] = None) -> tuple[RoutePlan, CostBreakdown]:
     """Score one candidate solution.
 
     Tasks are partitioned by ``x1``, each locker's list is ordered by window
     start with ``x2`` priority breaking ties, and every route is scheduled
-    under ``policy``. Pure in (state, pool, instance, policy, noise
-    seed); safe to call in parallel. ``memo`` is a route memo for
-    ``schedule_route`` that only this pool, instance and policy use; it is
-    refused with ``noise``, which draws on every leg.
+    under ``policy``. Pure in (state, pool, instance, policy, noise seed).
+    ``memo`` is the ``RouteMemo`` of this pool, instance and policy; without
+    one, a memo is built for the call. A shared memo's route cache is mutated
+    by every call, so calls that share one must not run concurrently. A memo
+    built for another pool, instance or policy is refused, and so is any memo
+    with ``noise``, which draws on every leg.
     """
-    if memo is not None and noise is not None:
+    if memo is None:
+        memo = RouteMemo(pool, instance, policy)
+    elif noise is not None:
         raise ParameterError("a route memo cannot be used with travel noise")
+    elif not (isinstance(memo, RouteMemo) and memo.serves(pool, instance, policy)):
+        raise ParameterError("the route memo was built for another pool, instance or policy")
     validate_state(state, len(pool), instance.fleet.max_lockers)
 
     # x2 lists the tasks in priority order, so a stable sort by window start
@@ -292,14 +317,12 @@ def evaluate_solution(state: SearchState, pool: TaskPool, instance: Instance,
     for task_id in sorted(state.x2, key=pool.starts.__getitem__):
         by_locker.setdefault(x1[task_id], []).append(task_id)
 
-    timer = TravelTimer(instance.fleet.speed, noise)
+    timer = None if noise is None else TravelTimer(instance.fleet.speed, noise)
     lockers = tuple(sorted(by_locker))
     routes = []
     total_distance = 0.0  # added left to right: sum() compensates from Python 3.12 on
     for locker in lockers:
-        ids = by_locker[locker]
-        tasks = [pool.tasks[t] for t in ids]
-        route = schedule_route(tasks, instance, policy, task_ids=ids, timer=timer, memo=memo)
+        route = schedule_route(memo, task_ids=by_locker[locker], timer=timer)
         routes.append(route)
         total_distance += route.distance_km
 
@@ -471,6 +494,7 @@ __all__ = [
     "ConstraintViolation",
     "FeasibilityReport",
     "travel_time",
+    "RouteMemo",
     "schedule_route",
     "compute_cost",
     "evaluate_solution",

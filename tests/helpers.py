@@ -9,6 +9,7 @@ import numpy as np
 from mplq.hqm import Stream
 from mplq.instance import (Customer, CustomerLocation, FleetSpec, Instance,
                            ParkingSpace, Position, TimeWindow)
+from mplq.routing import AdjustmentPolicy, LockerRoute, RouteMemo, TravelTimer, schedule_route
 from mplq.state import SearchState
 from mplq.taskgen import Task, TaskPool
 
@@ -50,6 +51,17 @@ def make_task(space_id: int, a: int = 1, demand: int = 1,
 
 def make_pool(tasks: Sequence[Task]) -> TaskPool:
     return TaskPool(tasks=tuple(tasks), unservable=())
+
+
+def schedule_tasks(tasks: Sequence[Task], instance: Instance, policy: AdjustmentPolicy,
+                   timer: Optional[TravelTimer] = None) -> Optional[LockerRoute]:
+    """One locker's route over a hand-built task list, in list order.
+
+    The list becomes a pool of its own, so the route is that pool's task ids
+    0..n-1 scheduled through a fresh ``RouteMemo``.
+    """
+    memo = RouteMemo(make_pool(tasks), instance, policy)
+    return schedule_route(memo, task_ids=list(range(len(tasks))), timer=timer)
 
 
 def make_state(x1: Sequence[int], x2: Sequence[int]) -> SearchState:

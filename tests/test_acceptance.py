@@ -16,10 +16,10 @@ from mplq.instance import (GeneratorConfig, Position, assign_customers,
                            generate_instance)
 from mplq.oracle import brute_force_best
 from mplq.routing import (Adjustment, AdjustmentPolicy, check_feasibility,
-                          compute_delay, evaluate_solution, schedule_route,
-                          travel_time)
+                          compute_delay, evaluate_solution, travel_time)
 from mplq.taskgen import build_tasks
-from helpers import make_instance, make_pool, make_space, make_state, make_task
+from helpers import (make_instance, make_pool, make_space, make_state, make_task,
+                     schedule_tasks)
 
 DESK_AGENTS = 20
 DESK_TIMESTEPS_TINY = 1000
@@ -224,7 +224,7 @@ def test_criterion_4_earliest_start_recurrences():
     for _ in range(1000):
         inst, tasks = _adjustment_free_case(rng)
         policy = AdjustmentPolicy.HCPS if lists % 2 else AdjustmentPolicy.BTD
-        route = schedule_route(tasks, inst, policy, task_ids=list(range(len(tasks))))
+        route = schedule_tasks(tasks, inst, policy)
         lists += 1
         assert all(v.adjustment is Adjustment.NONE for v in route.visits)
         for v, (arrival, leave) in zip(route.visits, _replay(inst, tasks)):

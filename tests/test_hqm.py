@@ -350,6 +350,54 @@ def test_update_q_gamma_zero_alpha_one_writes_reward():
     assert q.q2[1, 0] == 0.25
 
 
+def _rescanning_update_q(qmats, states, rewards, alpha, gamma):
+    """Reference: ``update_q`` as it was, reading ``max(rows[b])`` afresh at every step.
+
+    Returns how many writes lowered the entry that held its row's maximum,
+    and how many of those left an equal maximum elsewhere in the row.
+    """
+    falls = tied = 0
+    for q, chains in ((qmats.q1, [s.x1 for s in states]), (qmats.q2, [s.x2 for s in states])):
+        rows = q.tolist()
+        start = len(rows) - 1
+        for values, reward in zip(chains, rewards):
+            a = start
+            for b in values:
+                top, old = max(rows[a]), rows[a][b]
+                rows[a][b] += alpha * (reward + gamma * max(rows[b]) - rows[a][b])
+                if old == top and rows[a][b] < old:
+                    falls += 1
+                    tied += max(rows[a]) == top
+                a = b
+        q[...] = rows
+    return falls, tied
+
+
+def test_update_q_running_maxima_match_the_rescanning_update():
+    rng = np.random.default_rng(23)
+    falls = tied = 0
+    for _ in range(300):
+        lockers, n = int(rng.integers(1, 5)), int(rng.integers(1, 9))
+        q = QMatrices.zeros(lockers, n)
+        # Entries from a few levels, so rows hold tied maxima.
+        levels = rng.uniform(-1.0, 2.0, size=3)
+        q.q1[:] = rng.choice(levels, size=q.q1.shape)
+        q.q2[:] = rng.choice(levels, size=q.q2.shape)
+        states = [make_state(rng.integers(0, lockers, size=n), rng.permutation(n))
+                  for _ in range(int(rng.integers(1, 6)))]
+        # Rewards below the levels pull maxima down; above them they raise them.
+        rewards = rng.uniform(-3.0, 3.0, size=len(states)).tolist()
+        alpha, gamma = float(rng.uniform(0.0, 1.0)), float(rng.choice([0.0, 0.5, 0.9, 1.0]))
+        reference = q.copy()
+        counts = _rescanning_update_q(reference, states, rewards, alpha, gamma)
+        falls, tied = falls + counts[0], tied + counts[1]
+        update_q(q, states, rewards, alpha, gamma)
+        for got, want in ((q.q1, reference.q1), (q.q2, reference.q2)):
+            assert [repr(v) for v in got.ravel().tolist()] \
+                == [repr(v) for v in want.ravel().tolist()]
+    assert falls > 0 and tied > 0
+
+
 def test_update_q_fixed_point():
     # If reward + gamma * max(next row) already equals Q, nothing moves.
     q = QMatrices.zeros(1, 1)

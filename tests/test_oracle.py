@@ -8,7 +8,7 @@ from mplq import oracle
 from mplq.errors import NothingToSolveError, OverCapacityError, SearchSpaceLimitError
 from mplq.instance import GeneratorConfig, assign_customers, generate_instance
 from mplq.oracle import brute_force_best, tie_orders
-from mplq.routing import AdjustmentPolicy, evaluate_solution
+from mplq.routing import AdjustmentPolicy, RouteMemo, evaluate_solution
 from mplq.state import effective_locker_count
 from mplq.taskgen import TaskPool, build_tasks
 from helpers import make_instance, make_pool, make_space, make_state, make_task
@@ -125,7 +125,7 @@ def _reference_best(pool, inst, policy, orders=None):
     n = len(pool)
     lockers = effective_locker_count(inst.fleet.max_lockers, n)
     best, best_reward = None, -math.inf
-    memo: dict = {}
+    memo = RouteMemo(pool, inst, policy)
     for x1 in itertools.product(range(lockers), repeat=n):
         for x2 in orders or itertools.permutations(range(n)):
             _, cost = evaluate_solution(make_state(x1, x2), pool, inst, policy, memo=memo)
@@ -148,7 +148,7 @@ def _first_use_enumeration(pool, inst, policy):
     orders = [x2 for x2 in itertools.permutations(range(n))
               if all(starts[t] == starts[k] for k, t in enumerate(x2))]
     best, best_reward = None, -math.inf
-    memo: dict = {}
+    memo = RouteMemo(pool, inst, policy)
     for x1 in itertools.product(range(lockers), repeat=n):
         if any(x1[t] > max(x1[:t], default=-1) + 1 for t in range(n)):
             continue  # renames the lockers of a first-use allocation

@@ -1,3 +1,5 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -5,14 +7,15 @@ from mplq import routing
 from mplq.errors import ParameterError, ShapeError
 from mplq.instance import (GeneratorConfig, Position, assign_customers,
                            generate_instance)
-from mplq.routing import (Adjustment, AdjustmentPolicy, LockerRoute, RoutePlan,
-                          TravelNoise, VisitRecord, check_feasibility, compute_delay,
-                          evaluate_solution, hold_can_apply, schedule_route,
+from mplq.routing import (Adjustment, AdjustmentPolicy, LockerRoute, RouteMemo, RoutePlan,
+                          TravelNoise, TravelTimer, VisitRecord, check_feasibility,
+                          compute_delay, evaluate_solution, hold_can_apply, schedule_route,
                           travel_time, write_plan_csv)
 from mplq.routing import _ROUTE_MEMO_LIMIT
 from mplq.state import effective_locker_count
 from mplq.taskgen import build_tasks
-from helpers import make_instance, make_pool, make_space, make_state, make_task
+from helpers import (make_instance, make_pool, make_space, make_state, make_task,
+                     schedule_tasks)
 
 
 # ---------------------------------------------------------------------------
@@ -45,7 +48,8 @@ def test_travel_time_rejects_nonpositive_speed():
 
 def test_schedule_empty_list_not_dispatched():
     inst = make_instance([make_space(1, 1.0, 0.0)])
-    assert schedule_route([], inst, AdjustmentPolicy.BTD) is None
+    memo = RouteMemo(make_pool([make_task(1)]), inst, AdjustmentPolicy.BTD)
+    assert schedule_route(memo, task_ids=[]) is None
 
 
 def test_single_task_route_cost():
@@ -78,8 +82,7 @@ def test_capacity_overflow_forces_depot_return():
     inst = make_instance(spaces, capacity=20.0, max_lockers=1)
     tasks = [make_task(1, demand=12, window=(0, 10)),
              make_task(2, demand=12, window=(20, 30))]
-    route = schedule_route(tasks, inst, AdjustmentPolicy.HCPS, timer=None,
-                           task_ids=[0, 1])
+    route = schedule_tasks(tasks, inst, AdjustmentPolicy.HCPS)
     first, second = route.visits
     assert first.load_after == 12
     assert second.adjustment is Adjustment.BTD
@@ -95,11 +98,11 @@ def test_scheduler_picks_strategy_per_policy_not_per_minimum():
     inst = make_instance(spaces, speed=1.0, max_lockers=1)
     tasks = [make_task(1, window=(0, 200)), make_task(2, window=(150, 350))]
 
-    hold = schedule_route(tasks, inst, AdjustmentPolicy.HCPS, task_ids=[0, 1])
+    hold = schedule_tasks(tasks, inst, AdjustmentPolicy.HCPS)
     assert hold.visits[1].adjustment is Adjustment.HCPS
     assert hold.visits[1].arrival == pytest.approx(200.0 + 1.0)  # window end + travel
 
-    detour = schedule_route(tasks, inst, AdjustmentPolicy.BTD, task_ids=[0, 1])
+    detour = schedule_tasks(tasks, inst, AdjustmentPolicy.BTD)
     assert detour.visits[1].adjustment is Adjustment.BTD
     assert detour.visits[1].arrival == pytest.approx(1.0 + 10.0 + 1.0 + 2.0)
     assert detour.visits[1].service_start == pytest.approx(150.0)  # waits for opening
@@ -114,7 +117,7 @@ def test_hcps_escalates_to_btd_when_holding_cannot_reach_window():
               make_space(2, 2.0, 0.0, window=(500, 600), service_time=10.0)]
     inst = make_instance(spaces, speed=1.0, max_lockers=1)
     tasks = [make_task(1, window=(0, 20)), make_task(2, window=(500, 600))]
-    route = schedule_route(tasks, inst, AdjustmentPolicy.HCPS, task_ids=[0, 1])
+    route = schedule_tasks(tasks, inst, AdjustmentPolicy.HCPS)
     second = route.visits[1]
     assert second.adjustment is Adjustment.BTD
     assert second.service_start == pytest.approx(500.0)
@@ -171,7 +174,7 @@ def test_lateness_recorded_when_service_starts_after_window_end():
               make_space(2, 1.0, 7.0, window=(30, 60), service_time=30.0)]
     inst = make_instance(spaces, speed=0.7, max_lockers=1)
     tasks = [make_task(1, window=(0, 30)), make_task(2, window=(30, 60))]
-    route = schedule_route(tasks, inst, AdjustmentPolicy.HCPS, task_ids=[0, 1])
+    route = schedule_tasks(tasks, inst, AdjustmentPolicy.HCPS)
     second = route.visits[1]
     # leave first at 30 + max(0, ...) service 30 -> 31.43 + 10 travel = 41.43 within window
     assert second.lateness == max(0.0, second.service_start - 60.0)
@@ -302,7 +305,7 @@ def test_earliest_start_recurrence_matches_scheduler(policy):
     rng = np.random.default_rng(7)
     for _ in range(50):
         inst, tasks = _random_adjustment_free_case(rng)
-        route = schedule_route(tasks, inst, policy, task_ids=list(range(len(tasks))))
+        route = schedule_tasks(tasks, inst, policy)
         assert all(v.adjustment is Adjustment.NONE for v in route.visits)
         _assert_replayed(route, inst, tasks, policy)
 
@@ -313,12 +316,179 @@ def test_adjusted_visits_match_independent_replay(policy):
     reasons = set()
     for _ in range(300):
         inst, tasks = _random_adjusted_case(rng)
-        route = schedule_route(tasks, inst, policy, task_ids=list(range(len(tasks))))
+        route = schedule_tasks(tasks, inst, policy)
         reasons.update(_assert_replayed(route, inst, tasks, policy))
     expected = {"first", "first-waits", "plain", "capacity", "early"}
     if policy is AdjustmentPolicy.HCPS:
         expected.add("hold")
     assert reasons == expected
+
+
+# ---------------------------------------------------------------------------
+# Reference scheduler
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _RefVisit:
+    task_id: int
+    arrival: float
+    service_start: float
+    leave: float
+    load_after: float
+    adjustment: Adjustment
+    lateness: float
+
+
+@dataclass(frozen=True)
+class _RefRoute:
+    visits: tuple
+    depot_departure: float
+    depot_return: float
+    distance_km: float
+
+
+def _reference_schedule(tasks, task_ids, instance, policy, timer):
+    """The scheduler as it was before per-task visit data: ``space_by_id`` and
+    ``distance_to`` at every visit, frozen-dataclass records, no memo."""
+    depot = instance.depot
+    capacity = instance.fleet.capacity
+    visits = []
+    here = depot
+    prev_window = None
+    distance = load = leave = depot_departure = 0.0
+    for task_id, task in zip(task_ids, tasks):
+        sp = instance.space_by_id(task.space_id)
+        window = task.window
+        km = here.distance_to(sp.position)
+        travel = timer.minutes(km)
+        arrival = max(leave + travel, window.start)
+        adjustment = Adjustment.NONE
+        if not visits:
+            depot_departure = arrival - travel
+        else:
+            early = leave + travel < window.start - 1e-9
+            overflow = load + task.demand > capacity + 1e-9
+            if (early and not overflow and policy is AdjustmentPolicy.HCPS
+                    and prev_window.end + travel >= window.start):
+                arrival = prev_window.end + travel
+                adjustment = Adjustment.HCPS
+            elif early or overflow:
+                to_depot, from_depot = here.distance_to(depot), depot.distance_to(sp.position)
+                km = to_depot + from_depot
+                arrival = leave + timer.minutes(to_depot) + timer.minutes(from_depot)
+                adjustment = Adjustment.BTD
+                load = 0.0
+        service_start = max(arrival, task.ready)
+        leave = service_start + sp.service_time
+        load += task.demand
+        distance += km
+        visits.append(_RefVisit(
+            task_id=task_id, arrival=arrival, service_start=service_start, leave=leave,
+            load_after=load, adjustment=adjustment,
+            lateness=max(0.0, service_start - window.end)))
+        here, prev_window = sp.position, window
+    km = here.distance_to(depot)
+    return _RefRoute(visits=tuple(visits), depot_departure=depot_departure,
+                     depot_return=leave + timer.minutes(km), distance_km=distance + km)
+
+
+def _reprs(route):
+    """Every field of a route and of its visits, as ``repr`` strings."""
+    visits = [[repr(getattr(v, f)) for f in VisitRecord._fields] for v in route.visits]
+    return visits, [repr(getattr(route, f)) for f in LockerRoute._fields if f != "visits"]
+
+
+def _reference_plan(state, pool, inst, policy, noise):
+    """Each locker's reference route, dealt and timed as ``evaluate_solution`` does."""
+    by_locker = {}
+    for t in sorted(state.x2, key=pool.starts.__getitem__):
+        by_locker.setdefault(state.x1[t], []).append(t)
+    timer = TravelTimer(inst.fleet.speed, noise)
+    return [_reference_schedule([pool.tasks[t] for t in by_locker[k]], by_locker[k], inst,
+                                policy, timer) for k in sorted(by_locker)]
+
+
+@pytest.mark.parametrize("policy", [AdjustmentPolicy.BTD, AdjustmentPolicy.HCPS])
+@pytest.mark.parametrize("sigma", [0.0, 0.3])
+def test_scheduler_matches_the_reference_on_generated_pools(policy, sigma):
+    rng = np.random.default_rng(31)
+    pools = list(_generated_pools()) + [_random_hold_pool(rng) for _ in range(12)]
+    adjustments = set()
+    for inst, pool in pools:
+        n = len(pool)
+        lockers = min(3, effective_locker_count(inst.fleet.max_lockers, n))
+        noise = TravelNoise(sigma=sigma, seed=5) if sigma else None
+        memo = None if noise else RouteMemo(pool, inst, policy)  # shared: hits included
+        for _ in range(8):
+            state = make_state(rng.integers(0, lockers, size=n), rng.permutation(n))
+            plan, _ = evaluate_solution(state, pool, inst, policy, noise=noise, memo=memo)
+            want = _reference_plan(state, pool, inst, policy, noise)
+            assert [_reprs(r) for r in plan.routes] == [_reprs(r) for r in want]
+            adjustments.update(v.adjustment for r in want for v in r.visits)
+    assert Adjustment.BTD in adjustments
+    assert (Adjustment.HCPS in adjustments) is (policy is AdjustmentPolicy.HCPS)
+
+
+def _hand_built_routes():
+    """(case, instance, tasks) of two-visit routes, each showing one case of the visit rule."""
+    hold_spaces = [make_space(1, 1.0, 0.0, window=(0, 200), service_time=10.0),
+                   make_space(2, 2.0, 0.0, window=(150, 350), service_time=10.0)]
+    hold_tasks = [make_task(1, window=(0, 200)), make_task(2, window=(150, 350))]
+    yield "hold", make_instance(hold_spaces, speed=1.0, max_lockers=1), hold_tasks
+    early_spaces = [make_space(1, 1.0, 0.0, window=(0, 20), service_time=10.0),
+                    make_space(2, -2.0, 3.0, window=(500, 600), service_time=10.0)]
+    early_tasks = [make_task(1, window=(0, 20)), make_task(2, window=(500, 600))]
+    yield "early", make_instance(early_spaces, speed=1.0, max_lockers=1), early_tasks
+    capacity_spaces = [make_space(1, 1.0, 0.5, service_time=10.0),
+                       make_space(2, 2.0, -1.5, service_time=10.0)]
+    capacity_tasks = [make_task(1, demand=12, window=(0, 10)),
+                      make_task(2, demand=12, window=(5, 30))]
+    yield "capacity", make_instance(capacity_spaces, capacity=20.0, max_lockers=1), \
+        capacity_tasks
+    late_spaces = [make_space(1, 1.0, 0.0, window=(0, 10), service_time=10.0),
+                   make_space(2, 1.0, 8.0, window=(10, 20), service_time=10.0)]
+    late_tasks = [make_task(1, window=(0, 10), members=((0, 3.0),)),
+                  make_task(2, window=(10, 20), members=((1, 12.5),))]
+    yield "late", make_instance(late_spaces, speed=0.7, max_lockers=1), late_tasks
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.4])
+def test_scheduler_matches_the_reference_on_hand_built_routes(sigma):
+    for case, inst, tasks in _hand_built_routes():
+        for policy in AdjustmentPolicy:
+            noise = TravelNoise(sigma=sigma, seed=3) if sigma else None
+            timer = TravelTimer(inst.fleet.speed, noise) if noise else None
+            route = schedule_tasks(tasks, inst, policy, timer=timer)
+            want = _reference_schedule(tasks, range(len(tasks)), inst, policy,
+                                       TravelTimer(inst.fleet.speed, noise))
+            assert _reprs(route) == _reprs(want)
+            if sigma:
+                continue
+            second = route.visits[1]
+            if case == "hold" and policy is AdjustmentPolicy.HCPS:
+                assert second.adjustment is Adjustment.HCPS
+            elif case in ("hold", "early"):  # arrives early, with room for the load
+                assert second.adjustment is Adjustment.BTD and second.load_after == 1
+            elif case == "capacity":  # on time, but the load overflows
+                here, there = (inst.space_by_id(t.space_id).position for t in tasks)
+                direct = route.visits[0].leave + travel_time(here, there, inst.fleet.speed)
+                assert second.adjustment is Adjustment.BTD
+                assert direct >= tasks[1].window.start
+            else:
+                assert second.adjustment is Adjustment.NONE and second.lateness > 0.0
+
+
+def test_scheduler_matches_the_reference_on_random_adjusted_lists():
+    rng = np.random.default_rng(13)
+    for k in range(200):
+        inst, tasks = _random_adjusted_case(rng)
+        noise = TravelNoise(sigma=0.5, seed=k) if k % 2 else None
+        for policy in AdjustmentPolicy:
+            timer = TravelTimer(inst.fleet.speed, noise) if noise else None
+            want = _reference_schedule(tasks, range(len(tasks)), inst, policy,
+                                       TravelTimer(inst.fleet.speed, noise))
+            assert _reprs(schedule_tasks(tasks, inst, policy, timer=timer)) == _reprs(want)
 
 
 # ---------------------------------------------------------------------------
@@ -491,18 +661,18 @@ def test_route_memo_returns_the_memo_free_plan(policy):
     for inst, pool, count in cases:
         n = len(pool)
         lockers = min(4, effective_locker_count(inst.fleet.max_lockers, n))
-        memo: dict = {}
+        memo = RouteMemo(pool, inst, policy)
         drivers: dict = {}  # route key -> the locker that last drove it
         states: list = []
         for _ in range(count):
             state = _next_state(rng, states, n, lockers)
             states.append(state)
-            before = dict(memo)
+            before = dict(memo.routes)
             got = evaluate_solution(state, pool, inst, policy, memo=memo)
             assert got == evaluate_solution(state, pool, inst, policy)
             evaluations += 1
-            assert len(memo) <= _ROUTE_MEMO_LIMIT
-            evicted = sum(memo.get(key) is not route for key, route in before.items())
+            assert len(memo.routes) <= _ROUTE_MEMO_LIMIT
+            evicted = sum(memo.routes.get(key) is not route for key, route in before.items())
             evictions += evicted
             for locker, route in zip(got[0].lockers, got[0].routes):
                 key = tuple(v.task_id for v in route.visits)
@@ -526,22 +696,22 @@ def test_route_memo_evicts_the_least_recently_used_route(monkeypatch):
     inst = make_instance(spaces)
     tasks = [make_task(k + 1, window=(60.0 * k, 60.0 * k + 30.0)) for k in range(6)]
 
-    def schedule(ids):
-        return schedule_route([tasks[t] for t in ids], inst, AdjustmentPolicy.BTD,
-                              task_ids=ids, memo=memo)
+    memo = RouteMemo(make_pool(tasks), inst, AdjustmentPolicy.BTD)
 
-    memo: dict = {}
+    def schedule(ids):
+        return schedule_route(memo, task_ids=ids)
+
     keys = [(k,) for k in range(6)]
     routes = {key: schedule(list(key)) for key in keys[:4]}
-    assert list(memo) == keys[:4]
+    assert list(memo.routes) == keys[:4]
     # Hit the oldest route just before the bound: it becomes the most recent.
     assert schedule([0]) is routes[(0,)]
     schedule([4])
-    assert len(memo) == 4 and list(memo) == [(2,), (3,), (0,), (4,)]
+    assert len(memo.routes) == 4 and list(memo.routes) == [(2,), (3,), (0,), (4,)]
     assert schedule([0]) is routes[(0,)]  # survived the eviction of (1,)
     for key in keys:
         schedule(list(key))
-        assert len(memo) == 4
+        assert len(memo.routes) == 4
     assert schedule([1]) == routes[(1,)]  # an evicted route is scheduled again, equal
 
 
@@ -549,7 +719,29 @@ def test_route_memo_is_refused_with_travel_noise():
     inst, pool = _two_task_setup()
     with pytest.raises(ParameterError):
         evaluate_solution(make_state([0, 0], [0, 1]), pool, inst, AdjustmentPolicy.HCPS,
-                          noise=TravelNoise(sigma=0.5, seed=9), memo={})
+                          noise=TravelNoise(sigma=0.5, seed=9),
+                          memo=RouteMemo(pool, inst, AdjustmentPolicy.HCPS))
+
+
+def test_route_memo_of_another_pool_instance_or_policy_is_refused():
+    inst, pool = _two_task_setup()
+    state = make_state([0, 0], [0, 1])
+    other_pool = make_pool([make_task(2, window=(0, 20)), make_task(1, window=(100, 120))])
+    other_inst = make_instance(inst.spaces, max_lockers=2, speed=0.5)
+    hcps = AdjustmentPolicy.HCPS
+    # A memo filled on another pool holds a different route under the same key.
+    shared = RouteMemo(other_pool, inst, hcps)
+    evaluate_solution(state, other_pool, inst, hcps, memo=shared)
+    assert shared.routes[(0, 1)] != evaluate_solution(state, pool, inst, hcps)[0].routes[0]
+    for memo in (shared, RouteMemo(pool, other_inst, hcps),
+                 RouteMemo(pool, inst, AdjustmentPolicy.BTD), {}):
+        with pytest.raises(ParameterError, match="route memo"):
+            evaluate_solution(state, pool, inst, hcps, memo=memo)
+    # An equal pool built anew is the same pool: its memo serves it.
+    twin = _two_task_setup()[1]
+    assert twin is not pool
+    assert (evaluate_solution(state, pool, inst, hcps, memo=RouteMemo(twin, inst, hcps))
+            == evaluate_solution(state, pool, inst, hcps))
 
 
 # ---------------------------------------------------------------------------
