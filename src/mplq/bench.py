@@ -22,7 +22,7 @@ from .ga import GaParams, run_ga
 from .hqm import HqmParams, RunHistory, run_hqm
 from .instance import GeneratorConfig, Instance, assign_customers, generate_instance
 from .routing import (AdjustmentPolicy, compute_delay, hold_can_apply, over_capacity_task,
-                      refuse_over_capacity)
+                      refuse_over_capacity, sum_in_order)
 from .taskgen import TaskPool, build_tasks
 
 # The largest budget a solve accepts: 100 times the paper profile's agents and
@@ -179,7 +179,7 @@ class SweepPoint:
 
 
 def _mean(values: Sequence[float]) -> float:
-    return sum(values) / len(values)
+    return sum_in_order(values) / len(values)
 
 
 def _stderr(values: Sequence[float]) -> float:
@@ -187,7 +187,7 @@ def _stderr(values: Sequence[float]) -> float:
     if n < 2:
         return 0.0
     m = _mean(values)
-    var = sum((v - m) ** 2 for v in values) / (n - 1)
+    var = sum_in_order((v - m) ** 2 for v in values) / (n - 1)
     return math.sqrt(var / n)
 
 

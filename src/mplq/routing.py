@@ -31,7 +31,7 @@ import enum
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -210,16 +210,66 @@ class RouteMemo:
                 and (instance is self.instance or instance == self.instance))
 
 
+def visit(memo: RouteMemo, minutes: Callable[[float], float], end: Optional[tuple],
+          task_id: int) -> tuple[tuple, VisitRecord]:
+    """One visit of the module docstring's rule: task ``task_id`` served from the open end ``end``.
+
+    An open end is where a route under construction stands after its last
+    visit, as the tuple ``(leave, load, x, y, depot_km, window_end, distance,
+    depot_departure)``: the last leave, the load on board, the last space's x
+    and y and its km from the depot, the last window's end, the km driven
+    without the return leg, and the depot departure. ``end`` is None before
+    the first visit, which starts at the depot with ``leave = 0``. ``minutes``
+    times a leg's km (``TravelTimer.minutes``); it is called once per leg, in
+    leg order. Returns the open end after the visit and the visit's record.
+    """
+    x, y, depot_km, start, window_end, ready, demand, service = memo.visit_data[task_id]
+    if end is None:
+        depot = memo.instance.depot
+        px, py = depot.x, depot.y
+        leave = load = distance = 0.0
+    else:
+        leave, load, px, py, prev_depot_km, prev_end, distance, departure = end
+    km = math.hypot(px - x, py - y)
+    travel = minutes(km)
+    reach = leave + travel
+    arrival = start if start > reach else reach  # max(reach, start)
+    adjustment = Adjustment.NONE
+    if end is None:
+        departure = arrival - travel
+    else:
+        early = reach < start - _EPS
+        overflow = load + demand > memo.capacity
+        if (early and not overflow and memo.policy is AdjustmentPolicy.HCPS
+                and prev_end + travel >= start):
+            arrival = prev_end + travel
+            adjustment = Adjustment.HCPS
+        elif early or overflow:
+            # The depot legs reuse each space's hypot(x - depot x, y - depot y):
+            # that is exact, since a - b == -(b - a) and hypot(-u, -v) == hypot(u, v).
+            km = prev_depot_km + depot_km
+            arrival = leave + minutes(prev_depot_km) + minutes(depot_km)
+            adjustment = Adjustment.BTD
+            load = 0.0
+    service_start = ready if ready > arrival else arrival  # max(arrival, ready)
+    leave = service_start + service
+    load += demand
+    late = service_start - window_end
+    return ((leave, load, x, y, depot_km, window_end, distance + km, departure),
+            VisitRecord(task_id, arrival, service_start, leave, load, adjustment,
+                        late if late > 0.0 else 0.0))
+
+
 def schedule_route(memo: RouteMemo, *, task_ids: Sequence[int],
                    timer: Optional[TravelTimer] = None) -> Optional[LockerRoute]:
     """Schedule one locker's tasks of ``memo``'s pool, ``task_ids`` sorted by window start.
 
     Returns None for an empty list (the locker is not dispatched). The route
     starts and ends at the depot; distance covers every leg including depot
-    detours and the final return. Visits follow the module docstring's rule.
-    Without ``timer`` the route is timed by the memo's noise-free timer and
-    goes through the memo's route cache; a noisy ``timer`` draws on every leg,
-    so its routes are never cached.
+    detours and the final return. Each task is one ``visit``. Without
+    ``timer`` the route is timed by the memo's noise-free timer and goes
+    through the memo's route cache; a noisy ``timer`` draws on every leg, so
+    its routes are never cached.
     """
     if not task_ids:
         return None
@@ -232,46 +282,15 @@ def schedule_route(memo: RouteMemo, *, task_ids: Sequence[int],
             return route
         timer = memo.timer
 
-    minutes, data, capacity = timer.minutes, memo.visit_data, memo.capacity
-    hcps = memo.policy is AdjustmentPolicy.HCPS
-    hypot = math.hypot
+    minutes = timer.minutes
     visits: list[VisitRecord] = []
-    # The depot legs reuse each space's hypot(x - depot x, y - depot y): that
-    # is exact, since a - b == -(b - a) and hypot(-u, -v) == hypot(u, v).
-    px, py = memo.instance.depot.x, memo.instance.depot.y
-    prev_depot_km = prev_end = 0.0
-    distance = load = leave = depot_departure = 0.0
+    end = None
     for task_id in task_ids:
-        x, y, depot_km, start, end, ready, demand, service = data[task_id]
-        km = hypot(px - x, py - y)
-        travel = minutes(km)
-        reach = leave + travel
-        arrival = start if start > reach else reach  # max(reach, start)
-        adjustment = Adjustment.NONE
-        if not visits:
-            depot_departure = arrival - travel
-        else:
-            early = reach < start - _EPS
-            overflow = load + demand > capacity
-            if early and not overflow and hcps and prev_end + travel >= start:
-                arrival = prev_end + travel
-                adjustment = Adjustment.HCPS
-            elif early or overflow:
-                km = prev_depot_km + depot_km
-                arrival = leave + minutes(prev_depot_km) + minutes(depot_km)
-                adjustment = Adjustment.BTD
-                load = 0.0
-        service_start = ready if ready > arrival else arrival  # max(arrival, ready)
-        leave = service_start + service
-        load += demand
-        distance += km
-        late = service_start - end
-        visits.append(VisitRecord(task_id, arrival, service_start, leave, load, adjustment,
-                                  late if late > 0.0 else 0.0))
-        px, py, prev_depot_km, prev_end = x, y, depot_km, end
-
-    route = LockerRoute(tuple(visits), depot_departure, leave + minutes(prev_depot_km),
-                        distance + prev_depot_km)
+        end, record = visit(memo, minutes, end, task_id)
+        visits.append(record)
+    leave, _, _, _, depot_km, _, distance, departure = end
+    route = LockerRoute(tuple(visits), departure, leave + minutes(depot_km),
+                        distance + depot_km)
     if routes is not None:
         if len(routes) >= _ROUTE_MEMO_LIMIT:
             del routes[next(iter(routes))]
@@ -368,12 +387,24 @@ def refuse_over_capacity(pool: TaskPool, instance: Instance) -> None:
             f"the locker capacity {instance.fleet.capacity}; no plan can serve it")
 
 
+def sum_in_order(values: Iterable[float]) -> float:
+    """``values`` added left to right from 0.0.
+
+    ``sum()`` compensates float additions from Python 3.12 on, so its result
+    would depend on the Python version.
+    """
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def compute_delay(plan: RoutePlan) -> tuple[float, float]:
     """Total and per-visit average lateness of a scheduled plan, in minutes."""
     visits = plan.all_visits()
     if not visits:
         return 0.0, 0.0
-    total = sum(v.lateness for v in visits)
+    total = sum_in_order(v.lateness for v in visits)
     return total, total / len(visits)
 
 
@@ -495,12 +526,14 @@ __all__ = [
     "FeasibilityReport",
     "travel_time",
     "RouteMemo",
+    "visit",
     "schedule_route",
     "compute_cost",
     "evaluate_solution",
     "hold_can_apply",
     "over_capacity_task",
     "refuse_over_capacity",
+    "sum_in_order",
     "compute_delay",
     "check_feasibility",
     "write_plan_csv",

@@ -91,6 +91,15 @@ def test_grid_aggregates_are_arithmetic_means():
             sum(r.lockers for r in rows) / len(rows))
 
 
+def test_means_add_left_to_right():
+    # A compensated sum (math.fsum, and sum() from Python 3.12 on) gives 1.0
+    # for these values and 0.012162606385262995 for their standard error.
+    values = [0.1] * 10 + [1e-17] * 3
+    assert math.fsum(values) == 1.0
+    assert bench._mean(values) == 0.9999999999999999 / 13
+    assert bench._stderr(values) == 0.012162606385262998
+
+
 def test_grid_reward_gap_rows():
     result = run_grid(_tiny_grid())
     gaps = result.reward_gaps()

@@ -8,6 +8,7 @@ import pytest
 
 import mplq
 
+from mplq import cli
 from mplq.bench import SWEEP_FACTORS, BudgetProfile, GridConfig, run_grid
 from mplq.cli import run_cli
 from mplq.instance import GeneratorConfig, load_instance, save_instance
@@ -479,7 +480,7 @@ def test_validate_accepts_only_integer_lists_as_solution_vectors(tmp_path, capsy
     assert "RESULT" not in captured.out
 
 
-def test_python_dash_m_runs_the_cli(tmp_path):
+def test_python_dash_m_runs_the_cli(tmp_path, capsys):
     out = tmp_path / "x.json"
     env = dict(os.environ)
     src = str(Path(mplq.__file__).resolve().parents[1])
@@ -488,6 +489,45 @@ def test_python_dash_m_runs_the_cli(tmp_path):
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert out.is_file() and "RESULT command=generate" in proc.stdout
+    # A fresh process builds its own parser and prints the in-process optimum.
+    proc = subprocess.run([sys.executable, "-m", "mplq.cli", "oracle", "--instance", str(out)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert run_cli(["oracle", "--instance", str(out)]) == 0
+    assert proc.stdout.splitlines()[-1] == _result_line(capsys)
+
+
+def test_run_cli_reuses_one_parser(tmp_path, capsys, monkeypatch):
+    small, large = tmp_path / "small.json", tmp_path / "large.json"
+    assert run_cli(["generate", "--out", str(small), "--spaces", "2", "--locations", "3",
+                    "--seed", "3"]) == 0
+    assert run_cli(["generate", "--out", str(large), "--spaces", "8", "--locations", "10",
+                    "--seed", "1"]) == 0  # a 14-task pool, which the oracle refuses
+    calls = [["oracle", "--instance", str(small), "--seed", "1"], ["--help"],
+             ["oracle", "--instance", str(small)],
+             ["solve", "--instance", str(small), "--agents", "2", "--iters", "3",
+              "--out-dir", str(tmp_path / "out")],
+             ["oracle", "--instance", str(large)]]
+
+    def run_all():
+        capsys.readouterr()
+        outcomes = []
+        for argv in calls:
+            code = run_cli(argv)
+            captured = capsys.readouterr()
+            outcomes.append((code, captured.out, captured.err))
+        return outcomes
+
+    build, built = cli.build_parser, []
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    reused = run_all()
+    assert len(built) == 1
+    monkeypatch.setattr(cli, "_parser", build)  # a fresh parser for every call
+    assert run_all() == reused
+    assert [code for code, _, _ in reused] == [2, 0, 0, 0, 1]
+    assert reused[0][2].startswith("usage: mplq") and reused[1][1].startswith("usage: mplq")
+    assert reused[4][2].startswith("refused: the pool holds 14 tasks")
 
 
 def test_validate_takes_no_seed(instance_file, capsys):

@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -7,8 +8,9 @@ import pytest
 from mplq import oracle
 from mplq.errors import NothingToSolveError, OverCapacityError, SearchSpaceLimitError
 from mplq.instance import GeneratorConfig, assign_customers, generate_instance
-from mplq.oracle import brute_force_best, tie_orders
-from mplq.routing import AdjustmentPolicy, RouteMemo, evaluate_solution
+from mplq.oracle import brute_force_best, set_routes
+from mplq.routing import (Adjustment, AdjustmentPolicy, RouteMemo, evaluate_solution,
+                          schedule_route)
 from mplq.state import effective_locker_count
 from mplq.taskgen import TaskPool, build_tasks
 from helpers import make_instance, make_pool, make_space, make_state, make_task
@@ -159,6 +161,22 @@ def _first_use_enumeration(pool, inst, policy):
     return best, best_reward
 
 
+def tie_orders(ids, starts):
+    """Every order of ``ids`` by window start, tasks sharing a start in each order, sorted."""
+    runs = itertools.groupby(sorted(ids, key=starts.__getitem__), key=starts.__getitem__)
+    perms = [list(itertools.permutations(run)) for _, run in runs]
+    return [sum(orders, ()) for orders in itertools.product(*perms)]
+
+
+def _per_set_routes(memo):
+    """The reference set routes: each order scheduled from scratch, first least distance kept."""
+    n = len(memo.pool)
+    return [(0.0, ())] + [min(
+        ((schedule_route(memo, task_ids=order).distance_km, order)
+         for order in tie_orders([t for t in range(n) if group >> t & 1], memo.pool.starts)),
+        key=lambda route: route[0]) for group in range(1, 1 << n)]
+
+
 def _generated_pools():
     """Every generated pool of 1 to 4 tasks from a few small instance families."""
     for spaces, locations, max_lockers, seeds in ((3, 5, 3, range(40)), (2, 3, 3, range(15)),
@@ -244,6 +262,29 @@ def test_tie_orders_equal_the_filtered_permutations():
         tied += distinct < len(ids)
         untied += distinct == len(ids) >= 2
     assert tied >= 60 and untied >= 45
+
+
+def test_set_routes_match_the_per_set_enumeration():
+    # Every (distance, order) bit-equal, on tied pools that hold, detour early
+    # and detour for capacity under both policies, and on a pool at the bound.
+    rng = np.random.default_rng(13)
+    cases = [_hand_built_pool(rng, sizes=(3, 7)) for _ in range(60)]
+    cases.append(_generated(8, 10, 3))
+    assert len(cases[-1][1]) == oracle.MAX_TASKS
+    seen = Counter()
+    for inst, pool in cases:
+        for policy in AdjustmentPolicy:
+            memo = RouteMemo(pool, inst, policy)
+            assert set_routes(memo) == _per_set_routes(memo)
+            for route in memo.routes.values():
+                load = 0.0
+                for v in route.visits:
+                    overflow = load + pool.tasks[v.task_id].demand > inst.fleet.capacity
+                    seen[v.adjustment, overflow] += 1
+                    load = v.load_after
+    assert sum(_tied(pool) for _, pool in cases) >= 50
+    assert seen[Adjustment.HCPS, False] >= 100 and seen[Adjustment.BTD, True] >= 100
+    assert seen[Adjustment.BTD, False] >= 100
 
 
 def test_tied_starts_are_ordered_by_the_oracle():

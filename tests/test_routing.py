@@ -1,3 +1,4 @@
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -774,6 +775,14 @@ def test_compute_delay_average():
 def test_compute_delay_empty_plan():
     plan = RoutePlan(lockers=(), routes=(), total_distance=0.0)
     assert compute_delay(plan) == (0.0, 0.0)
+
+
+def test_compute_delay_adds_left_to_right():
+    # A compensated sum (math.fsum, and sum() from Python 3.12 on) gives 1.0.
+    lateness = [0.1] * 10 + [1e-17] * 3
+    assert math.fsum(lateness) == 1.0
+    assert compute_delay(_plan_with_lateness(lateness)) == (0.9999999999999999,
+                                                            0.9999999999999999 / 13)
 
 
 def test_feasibility_clean_plan():
