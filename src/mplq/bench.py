@@ -33,6 +33,7 @@ MAX_ITERATIONS = 100_000
 SWEEP_FACTORS = (
     "T_s", "T_p", "Q", "V_l", "num_spaces", "locations_per_space", "rho_l", "rho_c",
 )
+COUNT_FACTORS = ("num_spaces", "locations_per_space")  # swept values must be whole numbers
 
 
 @dataclass(frozen=True)
@@ -165,6 +166,9 @@ class SweepConfig:
             raise ConfigurationError("sweep values must be non-empty")
         if not all(map(math.isfinite, self.values)):
             raise ConfigurationError(f"sweep values must be finite, got {self.values}")
+        if self.factor in COUNT_FACTORS and not all(float(v).is_integer() for v in self.values):
+            raise ConfigurationError(
+                f"sweep values of {self.factor} must be whole numbers, got {self.values}")
         _replication_seeds(self)
 
 
@@ -515,6 +519,7 @@ def _write_series(path: Path, rows: Sequence[list]) -> Path:
 
 __all__ = [
     "SWEEP_FACTORS",
+    "COUNT_FACTORS",
     "BudgetProfile",
     "GridConfig",
     "CellOutcome",

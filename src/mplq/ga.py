@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -43,13 +43,6 @@ class GaParams:
         return max(1, int(0.05 * self.population))
 
 
-def _select_index(cdf: Optional[list[float]], size: int, rng: Stream) -> int:
-    """Fitness-proportional pick through a generation's ``roulette_cdf``; uniform when it is None."""
-    if cdf is None:
-        return rng.integers(size)
-    return bisect_right(cdf, rng.random())
-
-
 def _uniform_crossover(a: Sequence[int], b: Sequence[int], rng: Stream) -> list[int]:
     return [x if m else y for x, y, m in zip(a, b, rng.mask(len(a)))]
 
@@ -60,22 +53,27 @@ def _order_crossover(a: Sequence[int], b: Sequence[int], rng: Stream) -> list[in
     if n == 1:
         return list(a)
     c1, c2 = sorted(rng.two_of(n + 1))
-    kept = list(a[c1:c2])
+    kept = a[c1:c2]
     used = set(kept)
-    fill = [v for v in b if v not in used]
-    return fill[:c1] + kept + fill[c1:]
+    child = [v for v in b if v not in used]
+    child[c1:c1] = kept
+    return child
 
 
 def _mutate(x1: list[int], x2: list[int], rate: float, max_lockers: int,
             rng: Stream) -> tuple[list[int], list[int]]:
-    """Mutate both lists in place: per-gene locker reassignments, then position swaps."""
+    """Mutate both lists in place: per-gene locker reassignments, then position swaps.
+
+    Each pass draws one ``random()`` per gene, compared with ``rate``; a hit
+    draws its reassignment or its swap partner before the next gene's double.
+    """
     n = len(x1)
-    for k in range(n):
-        if rng.random() < rate:
-            x1[k] = rng.integers(max_lockers)
-    for k in range(n):
-        if rng.random() < rate and n > 1:
-            j = rng.integers(n - 1)
+    integers = rng.integers
+    for k in rng.hits(n, rate):
+        x1[k] = integers(max_lockers)
+    for k in rng.hits(n, rate):
+        if n > 1:
+            j = integers(n - 1)
             if j >= k:
                 j += 1
             x2[k], x2[j] = x2[j], x2[k]
@@ -87,29 +85,37 @@ def next_generation(population: list[SearchState], params: GaParams,
     """Produce the next population from an evaluated one.
 
     The top elite states pass through unchanged (rewards intact); the rest are
-    bred by selection, crossover, and mutation. Children come back with
-    ``reward=None`` and must be evaluated by the caller.
+    bred by selection, crossover, and mutation. Each parent is a fitness-
+    proportional pick through the generation's ``roulette_cdf``, uniform when
+    the rewards sum to zero. Children come back with ``reward=None`` and must
+    be evaluated by the caller.
     """
     if len(population) < 2:
         raise ParameterError("population must hold at least 2 individuals")
-    if any(s.reward is None for s in population):
+    rewards = [s.reward for s in population]
+    if None in rewards:
         raise ParameterError("population must be evaluated before breeding")
 
     ranked = sorted(population, key=lambda s: s.reward, reverse=True)
     out: list[SearchState] = ranked[:params.elite_count]
     size = len(population)
-    cdf = roulette_cdf([s.reward for s in population])
+    cdf = roulette_cdf(rewards)
+    random, integers = rng.random, rng.integers
+    crossover_prob, rate = CROSSOVER_PROB, MUTATION_RATE
 
     while len(out) < size:
-        pa = population[_select_index(cdf, size, rng)]
-        pb = population[_select_index(cdf, size, rng)]
-        if rng.random() < CROSSOVER_PROB:
+        if cdf is None:
+            pa, pb = population[integers(size)], population[integers(size)]
+        else:
+            pa = population[bisect_right(cdf, random())]
+            pb = population[bisect_right(cdf, random())]
+        if random() < crossover_prob:
             x1 = _uniform_crossover(pa.x1, pb.x1, rng)
             x2 = _order_crossover(pa.x2, pb.x2, rng)
         else:
             x1, x2 = list(pa.x1), list(pa.x2)
-        x1, x2 = _mutate(x1, x2, MUTATION_RATE, max_lockers, rng)
-        out.append(SearchState(x1=tuple(x1), x2=tuple(x2)))
+        _mutate(x1, x2, rate, max_lockers, rng)
+        out.append(SearchState(tuple(x1), tuple(x2)))
     return out
 
 

@@ -17,7 +17,7 @@ import operator
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -261,7 +261,10 @@ class Stream:
       output split low half first, the high half kept for the next word;
       ``high`` = 1 draws nothing.
     - ``uniform(low, high)``: ``low + (high - low) * random()``.
-    - ``mask(n)``: n draws of ``integers(2)``, as ``integers(0, 2, size=n)``.
+    - ``hits(n, rate)``: the k < n whose k-th of n ``random()`` draws falls
+      below ``rate``, lazily, compared on the raw outputs.
+    - ``mask(n)``: n draws of ``integers(2)``, as ``integers(0, 2, size=n)``,
+      read from whole outputs.
     - ``two_of(m)``: ``choice(m, size=2, replace=False)``, Floyd's algorithm
       followed by a shuffle of the pair.
     """
@@ -318,10 +321,47 @@ class Stream:
     def uniform(self, low: float, high: float) -> float:
         return low + (high - low) * self.random()
 
+    def hits(self, n: int, rate: float) -> Iterator[int]:
+        """Each k < n whose k-th ``random()`` draw falls below ``rate``, as a lazy generator.
+
+        A double is an output's top 53 bits over 2**53, so it falls below
+        ``rate`` exactly when the output falls below ``ceil(rate * 2**53) << 11``.
+        The k-th output is read only when the generator is advanced past k - 1,
+        so a draw the caller makes between yields lands where it would between
+        ``random()`` calls.
+        """
+        below = math.ceil(rate * 2 ** 53) << 11
+        raw = self._raw
+        for k in range(n):
+            if not raw:  # a caller's draw may have refilled self._raw between yields
+                raw = self._raw or self._refill()
+            if raw.pop() < below:
+                yield k
+
     def mask(self, n: int) -> list[int]:
-        """n fair bits: ``integers(2)`` never rejects, so each is a word's top bit."""
-        word = self._uint32
-        return [word() >> 31 for _ in range(n)]
+        """n fair bits: ``integers(2)`` never rejects, so each is a 32-bit word's top bit.
+
+        A buffered half comes first; then each output gives its low half's top
+        bit (bit 31) and its high half's (bit 63). An odd last word leaves its
+        output's high half buffered.
+        """
+        out = []
+        if n and self._half is not None:
+            out.append(self._half >> 31)
+            self._half = None
+            n -= 1
+        raw = self._raw
+        for _ in range(n >> 1):
+            if not raw:
+                raw = self._refill()
+            word = raw.pop()
+            out.append((word >> 31) & 1)
+            out.append(word >> 63)
+        if n & 1:
+            word = (raw or self._refill()).pop()
+            out.append((word >> 31) & 1)
+            self._half = word >> 32
+        return out
 
     def two_of(self, m: int) -> tuple[int, int]:
         """Two distinct ints of [0, m), in the order ``choice`` returns them."""

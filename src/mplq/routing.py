@@ -304,7 +304,7 @@ def compute_cost(lockers_dispatched: int, total_distance: float, instance: Insta
     objective = (w1 * instance.fleet.fixed_cost * lockers_dispatched
                  + w2 * instance.fleet.unit_travel_cost * total_distance)
     reward = 1.0 / objective if objective > 0 else math.inf
-    return CostBreakdown(objective=objective, reward=reward)
+    return CostBreakdown(objective, reward)
 
 
 def evaluate_solution(state: SearchState, pool: TaskPool, instance: Instance,
@@ -327,14 +327,23 @@ def evaluate_solution(state: SearchState, pool: TaskPool, instance: Instance,
         raise ParameterError("a route memo cannot be used with travel noise")
     elif not (isinstance(memo, RouteMemo) and memo.serves(pool, instance, policy)):
         raise ParameterError("the route memo was built for another pool, instance or policy")
-    validate_state(state, len(pool), instance.fleet.max_lockers)
+    validate_state(state, len(pool.tasks), instance.fleet.max_lockers)
 
     # x2 lists the tasks in priority order, so a stable sort by window start
     # breaks equal starts by priority; dealing in that order sorts every locker.
+    # Without equal starts that sort is the pool's one start order, whatever x2.
+    order = pool.start_order
+    if order is None:
+        order = sorted(state.x2, key=pool.starts.__getitem__)
     x1 = state.x1
     by_locker: dict[int, list[int]] = {}
-    for task_id in sorted(state.x2, key=pool.starts.__getitem__):
-        by_locker.setdefault(x1[task_id], []).append(task_id)
+    for task_id in order:
+        locker = x1[task_id]
+        tasks = by_locker.get(locker)
+        if tasks is None:
+            by_locker[locker] = [task_id]
+        else:
+            tasks.append(task_id)
 
     timer = None if noise is None else TravelTimer(instance.fleet.speed, noise)
     lockers = tuple(sorted(by_locker))
@@ -345,9 +354,8 @@ def evaluate_solution(state: SearchState, pool: TaskPool, instance: Instance,
         routes.append(route)
         total_distance += route.distance_km
 
-    plan = RoutePlan(lockers=lockers, routes=tuple(routes), total_distance=total_distance)
-    cost = compute_cost(plan.lockers_dispatched, plan.total_distance, instance)
-    return plan, cost
+    plan = RoutePlan(lockers, tuple(routes), total_distance)
+    return plan, compute_cost(len(lockers), total_distance, instance)
 
 
 def hold_can_apply(pool: TaskPool, instance: Instance) -> bool:

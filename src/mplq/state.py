@@ -29,16 +29,17 @@ def effective_locker_count(max_lockers: int, num_tasks: int) -> int:
 
 def validate_state(state: SearchState, num_tasks: int, max_lockers: int) -> None:
     """Raise ShapeError unless ``state`` is a well-formed point of the search space."""
-    if len(state.x1) != num_tasks or len(state.x2) != num_tasks:
+    x1, x2 = state.x1, state.x2
+    if len(x1) != num_tasks or len(x2) != num_tasks:
         raise ShapeError(
             f"state vectors must both have length {num_tasks}, "
-            f"got x1 of {len(state.x1)} and x2 of {len(state.x2)}"
+            f"got x1 of {len(x1)} and x2 of {len(x2)}"
         )
     if num_tasks == 0:
         return
-    if min(state.x1) < 0 or max(state.x1) >= max_lockers:
+    if min(x1) < 0 or max(x1) >= max_lockers:
         raise ShapeError(f"x1 references lockers outside 0..{max_lockers - 1}")
-    if sorted(state.x2) != list(range(num_tasks)):
+    if sorted(x2) != list(range(num_tasks)):
         raise ShapeError("x2 is not a permutation of the task ids")
 
 

@@ -61,6 +61,19 @@ class TaskPool:
         """Each task's window start, by task id: the decode's sort key."""
         return tuple(task.window.start for task in self.tasks)
 
+    @cached_property
+    def start_order(self) -> Optional[tuple[int, ...]]:
+        """The task ids by window start, or None when two starts are equal (or one is NaN).
+
+        The decode orders equal starts by ``x2``; with every start distinct,
+        all states deal their tasks in this one order.
+        """
+        starts = self.starts
+        order = tuple(sorted(range(len(starts)), key=starts.__getitem__))
+        if all(starts[a] < starts[b] for a, b in zip(order, order[1:])):
+            return order
+        return None
+
 
 def reduce_availability(space: ParkingSpace,
                         assigned_windows: Sequence[TimeWindow]) -> Optional[TimeWindow]:

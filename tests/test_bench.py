@@ -305,6 +305,16 @@ def test_sweep_config_validation():
         SweepConfig(factor="Q", values=(20.0,), replications=0)
 
 
+@pytest.mark.parametrize("factor", bench.COUNT_FACTORS)
+def test_sweep_config_refuses_fractional_counts(factor):
+    for values in ((2.5,), (-0.5,), (3.0, 4.25)):
+        with pytest.raises(ConfigurationError, match=f"{factor} must be whole numbers"):
+            SweepConfig(factor=factor, values=values)
+    assert SweepConfig(factor=factor, values=(0.0, 2.0, 3)).values == (0.0, 2.0, 3)
+    # the other factors take any finite value
+    assert SweepConfig(factor="Q", values=(2.5, -0.5)).values == (2.5, -0.5)
+
+
 def test_sweep_parallel_matches_serial():
     sweep = _tiny_sweep("Q", (15.0, 20.0))
     assert sweep_factor(sweep, jobs=2) == sweep_factor(sweep, jobs=1)

@@ -558,6 +558,20 @@ def test_sweep_refuses_non_finite_values(tmp_path, capsys, factor, value):
     assert "RESULT" not in captured.out and not out_dir.exists()
 
 
+@pytest.mark.parametrize("factor, value", [("num_spaces", "2.5"), ("num_spaces", "-0.5"),
+                                           ("locations_per_space", "7.5"),
+                                           ("locations_per_space", "-0.5")])
+def test_sweep_refuses_fractional_counts(tmp_path, capsys, factor, value):
+    # int() would quietly solve 2 spaces for 2.5 and write the row under 2.5
+    out_dir = tmp_path / "sweep"
+    code = run_cli(["sweep", "--factor", factor, f"--values=3,{value}", "--replications", "1",
+                    "--seed", "0", "--out-dir", str(out_dir)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(f"error: sweep values of {factor} must be whole numbers")
+    assert "RESULT" not in captured.out and not out_dir.exists()
+
+
 @pytest.mark.parametrize("command", ["bench", "sweep"])
 @pytest.mark.parametrize("jobs", ["0", "-3", "two"])
 def test_jobs_below_one_is_a_usage_error(tmp_path, capsys, command, jobs):

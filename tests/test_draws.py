@@ -139,3 +139,45 @@ def test_integers_takes_numpy_ints():
         got = stream.integers(k)
         assert type(got) is int and got == int(ref.integers(k))
     assert_same_continuation(stream, ref)
+
+
+@pytest.mark.parametrize("rate", [0.0, 0.05, 0.5, 1.0])
+def test_hits_are_the_draws_below_rate(rate):
+    # each hit draws integers(k) before the next double, as the GA's mutation
+    # does; n runs past two blocks, so refills fall inside a call
+    for seed in range(8):
+        stream, ref = stream_pair(seed)
+        maker = np.random.default_rng(seed + 300)
+        for n in range(2 * BLOCK + 4):
+            bound = int(maker.integers(1, 12))
+            got = [(k, stream.integers(bound)) for k in stream.hits(n, rate)]
+            expected = [(k, int(ref.integers(bound))) for k in range(n) if ref.random() < rate]
+            assert got == expected, (seed, n)
+        assert_same_continuation(stream, ref)
+
+
+def test_hits_threshold_is_exact_at_the_drawn_double():
+    # the raw-output comparison is random() < rate: not <=, and exact for a
+    # rate between two multiples of 2**-53; the first output of seeds 4769
+    # and 4811 has its 11 low bits zero, so it equals the threshold for rate d
+    for seed in [*range(200), 4769, 4811]:
+        d = np.random.default_rng(seed).random()
+        for rate, expected in ((d, []), (np.nextafter(d, 1.0), [0]),
+                               (np.nextafter(d, 0.0), [])):
+            stream, ref = stream_pair(seed)
+            assert list(stream.hits(1, float(rate))) == expected
+            ref.random()
+            assert_same_continuation(stream, ref)
+
+
+@pytest.mark.parametrize("odd_words", [False, True])
+def test_bulk_mask_reads_whole_outputs(odd_words):
+    for seed in range(20):
+        stream, ref = stream_pair(seed)
+        if odd_words:  # one 32-bit word: its output's high half stays buffered
+            assert stream.integers(5) == int(ref.integers(5))
+        # odd and even lengths, past a block, with doubles moving the position
+        for n in (0, 1, 2, 3, 6, 7, 2 * BLOCK + 1, 2 * BLOCK + 2, 5, 4):
+            assert stream.mask(n) == ref.integers(0, 2, size=n).tolist(), (seed, n)
+            assert stream.random() == ref.random()
+        assert_same_continuation(stream, ref)

@@ -39,15 +39,27 @@ def _rewards(maker, size, kind):
             else np.full(1, 0.05))  # one candidate
 
 
-def test_select_index_draws_what_generator_choice_drew():
+def test_selection_draws_what_generator_choice_drew(monkeypatch):
+    # with no crossover and no mutation, each child is a clone of its first parent
+    monkeypatch.setattr(ga, "CROSSOVER_PROB", 0.0)
+    monkeypatch.setattr(ga, "MUTATION_RATE", 0.0)
     for seed in range(300):
         maker = np.random.default_rng(seed)
-        rewards = _rewards(maker, int(maker.integers(1, 40)), seed % 4)
-        cdf = roulette_cdf(rewards.tolist())
+        size, n_tasks = int(maker.integers(2, 40)), int(maker.integers(1, 6))
+        pop = _evaluated_population(size, n_tasks, 3, seed=seed)
+        rewards = _rewards(maker, size, seed % 3)
+        for state, reward in zip(pop, rewards):
+            state.reward = float(reward)
+        params = GaParams(population=size, seed=seed)
         ours, ref = stream_pair(seed + 1000)
-        for _ in range(5):
-            assert ga._select_index(cdf, len(rewards), ours) == _choice_select(rewards, ref)
-            assert_same_continuation(ours, ref)
+        children = next_generation(pop, params, ours, max_lockers=3)[params.elite_count:]
+        for child in children:
+            parent = pop[_choice_select(rewards, ref)]
+            _choice_select(rewards, ref)
+            for _ in range(1 + 2 * n_tasks):  # the crossover coin, then a double per gene twice
+                ref.random()
+            assert (child.x1, child.x2) == (parent.x1, parent.x2)
+        assert_same_continuation(ours, ref)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -431,6 +431,66 @@ def test_scheduler_matches_the_reference_on_generated_pools(policy, sigma):
     assert (Adjustment.HCPS in adjustments) is (policy is AdjustmentPolicy.HCPS)
 
 
+# Cells of the generated pools whose starts are all distinct, seeds 0-5.
+DISTINCT_START_CELLS = ((3, 5), (5, 5), (5, 10), (6, 10), (8, 15), (10, 5), (10, 20),
+                        (20, 10), (40, 20))
+
+
+def test_start_order_is_none_exactly_when_two_starts_are_equal():
+    rng = np.random.default_rng(7)
+    pools = [pool for _, pool in _generated_pools()]
+    pools += [_random_hold_pool(rng)[1] for _ in range(40)]
+    tied = 0
+    for pool in pools:
+        starts = pool.starts
+        if len(set(starts)) < len(starts):
+            tied += 1
+            assert pool.start_order is None
+        else:
+            assert pool.start_order == tuple(sorted(range(len(pool)), key=starts.__getitem__))
+    assert tied >= 30 and len(pools) - tied > 24  # a hold pool without ties is met too
+    for spaces, locations in DISTINCT_START_CELLS:
+        for seed in range(6):
+            inst = generate_instance(GeneratorConfig(num_spaces=spaces,
+                                                     locations_per_space=locations, seed=seed))
+            assert build_tasks(inst, assign_customers(inst)).start_order is not None
+
+
+@pytest.mark.parametrize("policy", [AdjustmentPolicy.BTD, AdjustmentPolicy.HCPS])
+def test_x2_orders_only_tied_starts(policy):
+    rng = np.random.default_rng(23)
+    # without tied starts, x2 changes no plan (the scheduler test above checks that plan)
+    for inst, pool in _generated_pools():
+        n = len(pool)
+        lockers = min(3, effective_locker_count(inst.fleet.max_lockers, n))
+        for _ in range(6):
+            x1 = rng.integers(0, lockers, size=n)
+            first = evaluate_solution(make_state(x1, rng.permutation(n)), pool, inst, policy)
+            for _ in range(3):
+                state = make_state(x1, rng.permutation(n))
+                assert evaluate_solution(state, pool, inst, policy) == first
+    # with tied starts, x2 still orders them: plans match the sorted decode and move with x2
+    tied = moved = 0
+    for _ in range(30):
+        inst, pool = _random_hold_pool(rng)
+        if pool.start_order is not None:
+            continue
+        tied += 1
+        n = len(pool)
+        memo = RouteMemo(pool, inst, policy)
+        for _ in range(6):
+            x1 = rng.integers(0, 3, size=n)
+            plans = []
+            for _ in range(2):
+                state = make_state(x1, rng.permutation(n))
+                plan, _ = evaluate_solution(state, pool, inst, policy, memo=memo)
+                want = _reference_plan(state, pool, inst, policy, None)
+                assert [_reprs(r) for r in plan.routes] == [_reprs(r) for r in want]
+                plans.append(plan)
+            moved += plans[0] != plans[1]
+    assert tied >= 15 and moved >= 20
+
+
 def _hand_built_routes():
     """(case, instance, tasks) of two-visit routes, each showing one case of the visit rule."""
     hold_spaces = [make_space(1, 1.0, 0.0, window=(0, 200), service_time=10.0),
