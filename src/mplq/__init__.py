@@ -15,8 +15,7 @@ from .instance import (Assignment, Customer, CustomerLocation, FleetSpec,
 from .taskgen import SubInterval, Task, TaskPool, build_tasks, partition_subintervals, reduce_availability
 from .routing import (AdjustmentPolicy, Adjustment, CostBreakdown, FeasibilityReport,
                       RouteMemo, RoutePlan, TravelNoise, VisitRecord, check_feasibility,
-                      compute_delay, evaluate_solution, hold_can_apply, schedule_route,
-                      travel_time)
+                      compute_delay, evaluate_solution, hold_can_apply, schedule_route)
 from .state import SearchState
 from .hqm import (Agent, HqmParams, QMatrices, RunHistory, global_construct,
                   has_converged, init_agents, local_move, normalize_q, run_hqm,

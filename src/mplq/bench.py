@@ -81,6 +81,14 @@ class GridConfig:
             raise ConfigurationError("grid axes must be non-empty")
         if not self.policies or not self.solvers:
             raise ConfigurationError("policies and solvers must be non-empty")
+        for solver in self.solvers:
+            if solver not in ("hqm", "ga"):
+                raise ConfigurationError(f"unknown solver {solver!r}; expected hqm or ga")
+        for policy in self.policies:
+            try:
+                AdjustmentPolicy.parse(policy)
+            except ParameterError as exc:
+                raise ConfigurationError(str(exc)) from None
         _replication_seeds(self)
 
 
@@ -441,28 +449,6 @@ def write_grid_csv(result: GridResult, path: Union[str, Path],
                              repr(a.improvement_mean), ""])
 
 
-def _csv_records(path: Union[str, Path]) -> list[dict[str, str]]:
-    """The records of a CSV file written here, skipping its ``# config`` header."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        return list(csv.DictReader([ln for ln in fh if not ln.startswith("#")]))
-
-
-def read_grid_rows(path: Union[str, Path]) -> list[CellOutcome]:
-    """Parse the replication records back out of a grid CSV."""
-    rows = []
-    for rec in _csv_records(path):
-        if rec["kind"] != "rep":
-            continue
-        rows.append(CellOutcome(
-            spaces=int(rec["spaces"]), locations=int(rec["locations"]),
-            solver=rec["solver"], policy=rec["policy"],
-            replication=int(rec["replication"]), seed=int(rec["seed"]),
-            lockers=int(rec["lockers"]), distance_km=float(rec["distance_km"]),
-            avg_delay_min=float(rec["avg_delay_min"]), reward=float(rec["reward"]),
-            improvement_pct=float(rec["improvement_pct"])))
-    return rows
-
-
 def write_sweep_csv(points: Sequence[SweepPoint], path: Union[str, Path],
                     header_comment: Optional[str] = None) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -474,14 +460,6 @@ def write_sweep_csv(points: Sequence[SweepPoint], path: Union[str, Path],
         for p in points:
             writer.writerow([p.factor, repr(p.value), repr(p.mean_delay),
                              repr(p.stderr), p.replications, p.over_capacity_pools])
-
-
-def read_sweep_points(path: Union[str, Path]) -> list[SweepPoint]:
-    return [SweepPoint(factor=rec["factor"], value=float(rec["value"]),
-                       mean_delay=float(rec["mean_delay_min"]), stderr=float(rec["stderr"]),
-                       replications=int(rec["replications"]),
-                       over_capacity_pools=int(rec["over_capacity_pools"]))
-            for rec in _csv_records(path)]
 
 
 def write_plotdata(result_or_points, out_dir: Union[str, Path]) -> list[Path]:
@@ -535,8 +513,6 @@ __all__ = [
     "run_grid",
     "sweep_factor",
     "write_grid_csv",
-    "read_grid_rows",
     "write_sweep_csv",
-    "read_sweep_points",
     "write_plotdata",
 ]

@@ -18,7 +18,7 @@ from .errors import NothingToSolveError, ParameterError
 from .instance import Instance
 from .routing import AdjustmentPolicy, RoutePlan
 from .hqm import Evaluator, RunHistory, Stream, roulette_cdf
-from .state import SearchState, effective_locker_count
+from .state import SearchState, effective_locker_count, random_state
 from .taskgen import TaskPool
 
 CROSSOVER_PROB = 0.5  # chance that two parents are crossed rather than cloned
@@ -133,11 +133,7 @@ def run_ga(pool: TaskPool, instance: Instance, policy: AdjustmentPolicy,
     rng = np.random.default_rng(params.seed)
     evaluator = Evaluator(pool, instance, policy)
 
-    population = [
-        SearchState(x1=tuple(rng.integers(0, lockers, size=n).tolist()),
-                    x2=tuple(rng.permutation(n).tolist()))
-        for _ in range(params.population)
-    ]
+    population = [random_state(rng, n, lockers) for _ in range(params.population)]
     stream = Stream(rng)
     for state in population:
         evaluator.reward(state)

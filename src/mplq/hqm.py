@@ -24,7 +24,7 @@ import numpy as np
 from .errors import NothingToSolveError, ParameterError, ShapeError
 from .instance import Instance
 from .routing import AdjustmentPolicy, RouteMemo, RoutePlan, evaluate_solution
-from .state import SearchState, effective_locker_count
+from .state import SearchState, effective_locker_count, random_state
 from .taskgen import TaskPool
 
 
@@ -58,21 +58,21 @@ class HqmParams:
 class QMatrices:
     """Adjacency-value tables for the two chains.
 
-    ``q1`` has shape (lockers + 1, lockers), ``q2`` shape (tasks + 1, tasks);
-    the extra last row of each is the virtual start row that scores first
-    elements.
+    Both are nested lists of Python floats: ``q1`` has lockers + 1 rows of
+    lockers entries, ``q2`` tasks + 1 rows of tasks entries; the extra last
+    row of each is the virtual start row that scores first elements.
     """
 
-    q1: np.ndarray
-    q2: np.ndarray
+    q1: list[list[float]]
+    q2: list[list[float]]
 
     @classmethod
     def zeros(cls, lockers: int, tasks: int) -> "QMatrices":
-        return cls(q1=np.zeros((lockers + 1, lockers)),
-                   q2=np.zeros((tasks + 1, tasks)))
+        return cls(q1=[[0.0] * lockers for _ in range(lockers + 1)],
+                   q2=[[0.0] * tasks for _ in range(tasks + 1)])
 
     def copy(self) -> "QMatrices":
-        return QMatrices(q1=self.q1.copy(), q2=self.q2.copy())
+        return QMatrices(q1=[row[:] for row in self.q1], q2=[row[:] for row in self.q2])
 
 
 @dataclass
@@ -162,27 +162,26 @@ def init_agents(pool: TaskPool, max_lockers: int, params: HqmParams,
     if n == 0:
         raise NothingToSolveError("task pool is empty")
     lockers = effective_locker_count(max_lockers, n)
-    seeds = np.random.SeedSequence(params.seed).spawn(params.agents)
     agents = []
-    for s in seeds:
+    for s in np.random.SeedSequence(params.seed).spawn(params.agents):
         rng = np.random.default_rng(s)
-        state = SearchState(x1=tuple(rng.integers(0, lockers, size=n).tolist()),
-                            x2=tuple(rng.permutation(n).tolist()))
-        agents.append(Agent(best=state, rng=Stream(rng)))
+        agents.append(Agent(best=random_state(rng, n, lockers), rng=Stream(rng)))
     return agents, QMatrices.zeros(lockers, n)
 
 
-def normalize_q(q: np.ndarray) -> np.ndarray:
-    """Row-wise min-max scaling to [0, 1]; constant rows become uniform."""
-    if not np.all(np.isfinite(q)):
-        raise ValueError("Q matrix contains non-finite entries")
-    lo = q.min(axis=1, keepdims=True)
-    hi = q.max(axis=1, keepdims=True)
-    span = hi - lo
-    out = np.empty_like(q, dtype=float)
-    flat = (span == 0.0).ravel()
-    np.divide(q - lo, span, out=out, where=~flat[:, None])
-    out[flat] = 1.0 / q.shape[1]
+def normalize_q(q: list[list[float]]) -> list[list[float]]:
+    """Row-wise min-max scaling to [0, 1], as a new table: ``(v - lo) / (hi - lo)`` per entry.
+
+    A constant row becomes uniform; a non-finite entry raises ``ValueError``.
+    """
+    out = []
+    for row in q:
+        if not all(map(math.isfinite, row)):
+            raise ValueError("Q matrix contains non-finite entries")
+        lo = min(row)
+        span = max(row) - lo
+        out.append([1.0 / len(row)] * len(row) if span == 0.0
+                   else [(v - lo) / span for v in row])
     return out
 
 
@@ -382,10 +381,10 @@ class PickTable:
     score, uniformly (one ``Stream.integers``) on a row that sums to zero.
     """
 
-    def __init__(self, rows: np.ndarray):
-        self.width = rows.shape[1]
-        self.argmax = rows.argmax(axis=1).tolist()
-        self.cdfs = [roulette_cdf(row) for row in rows.tolist()]
+    def __init__(self, rows: list[list[float]]):
+        self.width = len(rows[0])
+        self.argmax = [row.index(max(row)) for row in rows]
+        self.cdfs = [roulette_cdf(row) for row in rows]
 
     def pick(self, r: int, epsilon: Optional[float], rng: Stream) -> int:
         eps = rng.random() if epsilon is None else epsilon
@@ -473,8 +472,7 @@ def update_q(qmats: QMatrices, states: Sequence[SearchState], rewards: Sequence[
     tables that is ``max(row)`` at every read (a non-finite entry stops the
     solve at the next ``normalize_q`` either way).
     """
-    for q, chains in ((qmats.q1, [s.x1 for s in states]), (qmats.q2, [s.x2 for s in states])):
-        rows = q.tolist()  # Python floats: the same IEEE operations, without numpy's per-call cost
+    for rows, chains in ((qmats.q1, [s.x1 for s in states]), (qmats.q2, [s.x2 for s in states])):
         tops = [max(row) for row in rows]
         start = len(rows) - 1  # the virtual start row
         for values, reward in zip(chains, rewards):
@@ -488,17 +486,16 @@ def update_q(qmats: QMatrices, states: Sequence[SearchState], rewards: Sequence[
                 elif new < old == tops[a]:
                     tops[a] = max(row)
                 a = b
-        q[...] = rows
     return qmats
 
 
 def has_converged(prev: QMatrices, cur: QMatrices, tol: float) -> bool:
-    """True when every entry of both tables moved by strictly less than ``tol``."""
-    if prev.q1.shape != cur.q1.shape or prev.q2.shape != cur.q2.shape:
+    """True when every entry of both tables moved by strictly less than ``tol`` (never on a NaN)."""
+    pairs = ((prev.q1, cur.q1), (prev.q2, cur.q2))
+    if any(list(map(len, a)) != list(map(len, b)) for a, b in pairs):
         raise ShapeError("Q matrices have mismatched dimensions")
-    diff = max(np.abs(prev.q1 - cur.q1).max(initial=0.0),
-               np.abs(prev.q2 - cur.q2).max(initial=0.0))
-    return diff < tol
+    return all(abs(x - y) < tol
+               for a, b in pairs for row_a, row_b in zip(a, b) for x, y in zip(row_a, row_b))
 
 
 # ---------------------------------------------------------------------------
@@ -518,7 +515,7 @@ def run_hqm(pool: TaskPool, instance: Instance, policy: AdjustmentPolicy,
     """
     evaluator = Evaluator(pool, instance, policy)
     agents, qmats = init_agents(pool, instance.fleet.max_lockers, params)
-    lockers = qmats.q1.shape[1]
+    lockers = len(qmats.q1[0])
     for agent in agents:
         evaluator.reward(agent.best)
 
@@ -528,7 +525,7 @@ def run_hqm(pool: TaskPool, instance: Instance, policy: AdjustmentPolicy,
     for t in range(1, params.timesteps + 1):
         alpha = params.alpha(t)
         snapshot = qmats.copy()
-        q1, q2 = PickTable(normalize_q(qmats.q1)), normalize_q(qmats.q2).tolist()
+        q1, q2 = PickTable(normalize_q(qmats.q1)), normalize_q(qmats.q2)
 
         for agent in agents:
             candidate = global_construct(agent, q1, q2)

@@ -36,7 +36,7 @@ from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 import numpy as np
 
 from .errors import OverCapacityError, ParameterError, ShapeError
-from .instance import Instance, Position
+from .instance import Instance
 from .state import SearchState, validate_state
 from .taskgen import TaskPool
 
@@ -167,13 +167,6 @@ class FeasibilityReport:
 # ---------------------------------------------------------------------------
 # Route scheduling
 # ---------------------------------------------------------------------------
-
-
-def travel_time(a: Position, b: Position, speed: float) -> float:
-    """Euclidean distance over speed, in minutes."""
-    if speed <= 0:
-        raise ParameterError(f"speed must be > 0, got {speed}")
-    return a.distance_to(b) / speed
 
 
 class RouteMemo:
@@ -532,7 +525,6 @@ __all__ = [
     "CostBreakdown",
     "ConstraintViolation",
     "FeasibilityReport",
-    "travel_time",
     "RouteMemo",
     "visit",
     "schedule_route",

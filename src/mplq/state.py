@@ -27,6 +27,15 @@ def effective_locker_count(max_lockers: int, num_tasks: int) -> int:
     return max(1, min(max_lockers, num_tasks))
 
 
+def random_state(rng, num_tasks: int, lockers: int) -> SearchState:
+    """A numpy ``Generator``'s ``integers(0, lockers, size=num_tasks)``, then ``permutation(num_tasks)``.
+
+    The one set-up draw of an initial state, for HQM's agents and the GA's population alike.
+    """
+    return SearchState(x1=tuple(rng.integers(0, lockers, size=num_tasks).tolist()),
+                       x2=tuple(rng.permutation(num_tasks).tolist()))
+
+
 def validate_state(state: SearchState, num_tasks: int, max_lockers: int) -> None:
     """Raise ShapeError unless ``state`` is a well-formed point of the search space."""
     x1, x2 = state.x1, state.x2
@@ -43,4 +52,4 @@ def validate_state(state: SearchState, num_tasks: int, max_lockers: int) -> None
         raise ShapeError("x2 is not a permutation of the task ids")
 
 
-__all__ = ["SearchState", "effective_locker_count", "validate_state"]
+__all__ = ["SearchState", "effective_locker_count", "random_state", "validate_state"]

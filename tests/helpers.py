@@ -6,12 +6,20 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from mplq.errors import ParameterError
 from mplq.hqm import Stream
 from mplq.instance import (Customer, CustomerLocation, FleetSpec, Instance,
                            ParkingSpace, Position, TimeWindow)
 from mplq.routing import AdjustmentPolicy, LockerRoute, RouteMemo, TravelTimer, schedule_route
 from mplq.state import SearchState
 from mplq.taskgen import Task, TaskPool
+
+
+def travel_time(a: Position, b: Position, speed: float) -> float:
+    """Euclidean distance over speed, in minutes: the tests' reference replays' leg time."""
+    if speed <= 0:
+        raise ParameterError(f"speed must be > 0, got {speed}")
+    return a.distance_to(b) / speed
 
 
 def make_space(space_id: int, x: float, y: float, window: tuple[float, float] = (0.0, 1440.0),

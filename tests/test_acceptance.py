@@ -16,10 +16,10 @@ from mplq.instance import (GeneratorConfig, Position, assign_customers,
                            generate_instance)
 from mplq.oracle import brute_force_best
 from mplq.routing import (Adjustment, AdjustmentPolicy, check_feasibility,
-                          compute_delay, evaluate_solution, travel_time)
+                          compute_delay, evaluate_solution)
 from mplq.taskgen import build_tasks
 from helpers import (make_instance, make_pool, make_space, make_state, make_task,
-                     schedule_tasks)
+                     schedule_tasks, travel_time)
 
 DESK_AGENTS = 20
 DESK_TIMESTEPS_TINY = 1000
@@ -349,23 +349,20 @@ def test_criterion_8_monotonicity_and_determinism(tiny_suite, cell_suite, tmp_pa
 
 def test_criterion_9_q_update_units():
     q = QMatrices.zeros(1, 1)
-    q.q1[0, 0] = 2.0
+    q.q1[0][0] = 2.0
     update_q(q, [make_state([0], [0])], rewards=[1.0], alpha=0.5, gamma=0.9)
-    unit_ok = q.q1[1, 0] == pytest.approx(1.4, abs=1e-15)
+    unit_ok = q.q1[1][0] == pytest.approx(1.4, abs=1e-15)
 
-    q2 = QMatrices.zeros(2, 3)
-    q2.q1 += 0.37
-    q2.q2 += 0.91
+    q2 = QMatrices(q1=[[0.37] * 2 for _ in range(3)], q2=[[0.91] * 3 for _ in range(4)])
     before = q2.copy()
     update_q(q2, [make_state([0, 1, 0], [2, 0, 1])], rewards=[3.0], alpha=0.0, gamma=0.9)
-    identity_ok = (np.array_equal(q2.q1, before.q1)
-                   and np.array_equal(q2.q2, before.q2))
+    identity_ok = q2.q1 == before.q1 and q2.q2 == before.q2
 
     a = QMatrices.zeros(2, 2)
     b = a.copy()
-    b.q2[0, 0] = 9.999e-9
+    b.q2[0][0] = 9.999e-9
     below_ok = has_converged(a, b, 1e-8)
-    b.q2[0, 0] = 1e-8
+    b.q2[0][0] = 1e-8
     at_ok = not has_converged(a, b, 1e-8)
 
     ok = unit_ok and identity_ok and below_ok and at_ok

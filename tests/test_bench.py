@@ -5,10 +5,10 @@ from dataclasses import replace
 import pytest
 
 from mplq import bench
-from mplq.bench import (MAX_AGENTS, MAX_ITERATIONS, BudgetProfile, GridConfig,
-                        SweepConfig, apply_factor, improvement_rate, read_grid_rows,
-                        read_sweep_points, reward_gap, run_grid, sweep_factor,
-                        write_grid_csv, write_plotdata, write_sweep_csv)
+from mplq.bench import (MAX_AGENTS, MAX_ITERATIONS, BudgetProfile, CellOutcome, GridConfig,
+                        SweepConfig, SweepPoint, apply_factor, improvement_rate, reward_gap,
+                        run_grid, sweep_factor, write_grid_csv, write_plotdata,
+                        write_sweep_csv)
 from mplq.errors import (ConfigurationError, NothingToSolveError, OverCapacityError,
                          ParameterError, UndefinedRateError)
 from mplq.hqm import RunHistory
@@ -110,12 +110,25 @@ def test_grid_reward_gap_rows():
             aggs[(g.solver, "btd")] - aggs[(g.solver, "hcps")])
 
 
+def _csv_records(path):
+    """The records of a CSV file written by ``bench``, skipping its ``# config`` header."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.DictReader([ln for ln in fh if not ln.startswith("#")]))
+
+
 def test_grid_csv_roundtrip(tmp_path):
     result = run_grid(_tiny_grid(replications=2))
     path = tmp_path / "grid.csv"
     write_grid_csv(result, path, header_comment="config test")
     assert path.read_text().startswith("# config test")
-    back = read_grid_rows(path)
+    back = [CellOutcome(
+        spaces=int(rec["spaces"]), locations=int(rec["locations"]),
+        solver=rec["solver"], policy=rec["policy"],
+        replication=int(rec["replication"]), seed=int(rec["seed"]),
+        lockers=int(rec["lockers"]), distance_km=float(rec["distance_km"]),
+        avg_delay_min=float(rec["avg_delay_min"]), reward=float(rec["reward"]),
+        improvement_pct=float(rec["improvement_pct"]))
+        for rec in _csv_records(path) if rec["kind"] == "rep"]
     assert tuple(back) == result.rows
 
 
@@ -190,6 +203,15 @@ def test_grid_config_validation():
         GridConfig(spaces_counts=())
 
 
+def test_grid_config_refuses_unknown_solvers_and_policies():
+    for bad in (dict(solvers=("foo",)), dict(solvers=("hqm", "HQM")),
+                dict(policies=("foo",)), dict(policies=("btd", "foo"))):
+        with pytest.raises(ConfigurationError, match="unknown (solver|adjustment policy)"):
+            GridConfig(**bad)
+    # the policy names that AdjustmentPolicy.parse accepts, in any case
+    assert GridConfig(policies=("BTD", "Hcps")).policies == ("BTD", "Hcps")
+
+
 def test_budget_profiles():
     assert BudgetProfile.named("desk") == BudgetProfile(agents=20, iterations=200)
     assert BudgetProfile.named("paper") == BudgetProfile(agents=100, iterations=1000)
@@ -243,7 +265,12 @@ def test_sweep_csv_roundtrip(tmp_path):
     points = sweep_factor(_tiny_sweep("Q", (15.0, 20.0), replications=1))
     path = tmp_path / "sweep.csv"
     write_sweep_csv(points, path, header_comment="config test")
-    assert read_sweep_points(path) == points
+    back = [SweepPoint(factor=rec["factor"], value=float(rec["value"]),
+                       mean_delay=float(rec["mean_delay_min"]), stderr=float(rec["stderr"]),
+                       replications=int(rec["replications"]),
+                       over_capacity_pools=int(rec["over_capacity_pools"]))
+            for rec in _csv_records(path)]
+    assert back == points
 
 
 def test_grid_skips_empty_pools():

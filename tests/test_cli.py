@@ -8,7 +8,7 @@ import pytest
 
 import mplq
 
-from mplq import cli
+from mplq import bench, cli
 from mplq.bench import SWEEP_FACTORS, BudgetProfile, GridConfig, run_grid
 from mplq.cli import run_cli
 from mplq.instance import GeneratorConfig, load_instance, save_instance
@@ -337,6 +337,25 @@ def test_bench_command(tmp_path, capsys, instance_file):
     grid = out_dir / "grid.csv"
     assert grid.exists() and grid.read_text().startswith("# config ")
     assert (out_dir / "plotdata" / "grid_reward.csv").exists()
+
+
+@pytest.mark.parametrize("spaces", ["2", "0"])
+@pytest.mark.parametrize("flags, message", [
+    (["--policies", "foo"], "unknown adjustment policy 'foo'"),
+    (["--policies", "btd,foo"], "unknown adjustment policy 'foo'"),
+    (["--solvers", "foo"], "unknown solver 'foo'"),
+], ids=["policy", "policy-list", "solver"])
+def test_bench_refuses_unknown_names_before_solving(tmp_path, capsys, monkeypatch,
+                                                     spaces, flags, message):
+    solves = []
+    monkeypatch.setattr(bench, "solve", lambda *args: solves.append(args))
+    out_dir = tmp_path / "bench"
+    code = run_cli(["bench", "--spaces", spaces, "--locations", "3", *flags,
+                    "--out-dir", str(out_dir)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.err.startswith(f"error: {message}")
+    assert len(captured.err.splitlines()) == 1
+    assert not solves and "RESULT" not in captured.out and not out_dir.exists()
 
 
 def test_sweep_command(tmp_path, capsys):

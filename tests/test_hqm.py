@@ -10,7 +10,7 @@ from mplq.hqm import PickTable, Stream, _pairwise_sum, roulette_cdf
 from mplq.instance import GeneratorConfig, assign_customers, generate_instance
 from mplq.oracle import brute_force_best
 from mplq.routing import AdjustmentPolicy
-from mplq.state import effective_locker_count
+from mplq.state import SearchState, effective_locker_count, random_state
 from mplq.taskgen import TaskPool, build_tasks
 from helpers import (assert_same_continuation, make_pool, make_state, make_task,
                      stream_pair)
@@ -22,23 +22,77 @@ from helpers import (assert_same_continuation, make_pool, make_state, make_task,
 
 
 def test_normalize_min_max_row():
-    out = normalize_q(np.array([[0.0, 5.0, 10.0]]))
-    assert out.tolist() == [[0.0, 0.5, 1.0]]
+    assert normalize_q([[0.0, 5.0, 10.0]]) == [[0.0, 0.5, 1.0]]
 
 
 def test_normalize_constant_row_becomes_uniform():
-    out = normalize_q(np.array([[3.0, 3.0, 3.0]]))
-    assert out.tolist() == [[1 / 3, 1 / 3, 1 / 3]]
+    assert normalize_q([[3.0, 3.0, 3.0]]) == [[1 / 3, 1 / 3, 1 / 3]]
 
 
 def test_normalize_idempotent_on_spanning_rows():
-    row = np.array([[0.0, 0.25, 1.0], [1.0, 0.0, 0.5]])
-    assert np.array_equal(normalize_q(normalize_q(row)), normalize_q(row))
+    rows = [[0.0, 0.25, 1.0], [1.0, 0.0, 0.5]]
+    assert normalize_q(normalize_q(rows)) == normalize_q(rows)
 
 
 def test_normalize_rejects_non_finite():
-    with pytest.raises(ValueError):
-        normalize_q(np.array([[0.0, np.inf]]))
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError):
+            normalize_q([[0.0, 1.0], [0.0, bad]])
+
+
+def _np_normalize_q(q):
+    """``normalize_q`` as written on arrays: the reference."""
+    if not np.all(np.isfinite(q)):
+        raise ValueError("Q matrix contains non-finite entries")
+    lo = q.min(axis=1, keepdims=True)
+    hi = q.max(axis=1, keepdims=True)
+    span = hi - lo
+    out = np.empty_like(q, dtype=float)
+    flat = (span == 0.0).ravel()
+    np.divide(q - lo, span, out=out, where=~flat[:, None])
+    out[flat] = 1.0 / q.shape[1]
+    return out
+
+
+def _raw_table(rng, rows, width):
+    """An array table whose rows are spread, tied, constant or one-hot.
+
+    It holds no negative zero, and no update writes one into a table that
+    starts at zeros.
+    """
+    raw = []
+    for _ in range(rows):
+        kind = int(rng.integers(4))
+        row = (rng.random(width) if kind == 0 else
+               rng.choice([0.0, 0.5, 1.0], size=width) if kind == 1 else
+               np.full(width, 0.3) if kind == 2 else
+               np.eye(width)[int(rng.integers(width))])
+        raw.append(row)
+    return np.array(raw)
+
+
+def _hex(table):
+    """Every entry's exact bits (a negative zero included), row by row."""
+    return [[float(v).hex() for v in row] for row in table]
+
+
+def test_normalize_matches_the_array_version_bit_for_bit():
+    kinds = set()
+    for seed in range(400):
+        rng = np.random.default_rng(seed)
+        raw = _raw_table(rng, int(rng.integers(1, 8)), int(rng.integers(1, 12)))
+        # Adding the offset, even 0.0, turns the -0.0 that a negative scale makes of 0.0
+        # back into 0.0: numpy's row minimum of 0.0 and -0.0 may be either zero.
+        raw = raw * rng.choice([1.0, -3.0, 1e-9, 1e12]) + rng.choice([0.0, 0.1, -7.0])
+        want = _np_normalize_q(raw)
+        got = normalize_q(raw.tolist())
+        assert all(type(v) is float for row in got for v in row)
+        assert _hex(got) == _hex(want)
+        spans = raw.max(axis=1) - raw.min(axis=1)
+        kinds |= {"one column" if raw.shape[1] == 1 else "constant" if s == 0 else "spread"
+                  for s in spans}
+        kinds |= {"tied" for row in raw if (row == row.max()).sum() > 1 and row.min() < row.max()}
+    assert kinds == {"one column", "constant", "spread", "tied"}
 
 
 # ---------------------------------------------------------------------------
@@ -51,16 +105,16 @@ def _empty_pool_agent(seed=0):
 
 
 def _one_locker_table():
-    return PickTable(normalize_q(np.zeros((2, 1))))
+    return PickTable(normalize_q([[0.0], [0.0]]))
 
 
 def test_greedy_branch_follows_argmax():
-    table = PickTable(np.array([[0.0, 1.0, 1.0]]))
+    table = PickTable([[0.0, 1.0, 1.0]])
     rng = Stream(np.random.default_rng(0))
     assert {table.pick(0, 1.0, rng) for _ in range(20)} == {1}  # first index on ties
     # every unused task ties, so full greed walks them in id order
     state = global_construct(_empty_pool_agent(), _one_locker_table(),
-                             np.full((5, 4), 0.25).tolist(), epsilon=1.0)
+                             [[0.25] * 4 for _ in range(5)], epsilon=1.0)
     assert list(state.x2) == [0, 1, 2, 3]
 
 
@@ -78,10 +132,10 @@ def test_sampling_branch_renormalizes_masked_row():
 
 def test_sampling_branch_uniform_on_zero_row():
     rng = Stream(np.random.default_rng(5))
-    table = PickTable(np.zeros((1, 3)))
+    table = PickTable([[0.0] * 3])
     agent = _empty_pool_agent(seed=5)
     for draws in ([table.pick(0, 0.0, rng) for _ in range(3000)],
-                  [global_construct(agent, _one_locker_table(), np.zeros((4, 3)).tolist(),
+                  [global_construct(agent, _one_locker_table(), [[0.0] * 3 for _ in range(4)],
                                     epsilon=0.0).x2[0] for _ in range(3000)]):
         for k in range(3):
             assert draws.count(k) / len(draws) == pytest.approx(1 / 3, abs=0.03)
@@ -122,16 +176,8 @@ def _choice_construct(rng, q1, q2, epsilon):
 
 
 def _random_table(rng, rows, width):
-    """A normalized table whose rows are spread, tied, constant or one-hot before scaling."""
-    raw = []
-    for _ in range(rows):
-        kind = int(rng.integers(4))
-        row = (rng.random(width) if kind == 0 else
-               rng.choice([0.0, 0.5, 1.0], size=width) if kind == 1 else
-               np.full(width, 0.3) if kind == 2 else
-               np.eye(width)[int(rng.integers(width))])
-        raw.append(row)
-    return normalize_q(np.array(raw))
+    """A normalized array table whose rows are spread, tied, constant or one-hot before scaling."""
+    return _np_normalize_q(_raw_table(rng, rows, width))
 
 
 @pytest.mark.parametrize("epsilon", [None, 0.0, 0.3, 1.0])
@@ -146,7 +192,7 @@ def test_pick_draws_what_generator_choice_drew(epsilon):
         q2 = _random_table(maker, n_tasks + 1, n_tasks)
         agent = _empty_pool_agent(seed + 1000)
         ref = np.random.default_rng(seed + 1000)
-        table, rows = PickTable(q1), q2.tolist()
+        table, rows = PickTable(q1.tolist()), q2.tolist()
         for _ in range(3):
             state = global_construct(agent, table, rows, epsilon)
             expected, seen = _choice_construct(ref, q1, q2, epsilon)
@@ -165,9 +211,9 @@ def test_pick_table_draws_what_generator_choice_drew(epsilon):
         width = int(maker.integers(1, 20))
         rows = [maker.random(width), np.full(width, 0.25), np.zeros(width)]
         if width > 1:
-            rows.append(normalize_q(maker.random((1, width)))[0])  # a 0 and a 1 in every row
+            rows.append(_np_normalize_q(maker.random((1, width)))[0])  # a 0 and a 1 in the row
         rows = np.array(rows)
-        table = PickTable(rows)
+        table = PickTable(rows.tolist())
         everyone = np.arange(width)
         ours, ref = stream_pair(seed + 1000)
         for _ in range(10):
@@ -178,6 +224,32 @@ def test_pick_table_draws_what_generator_choice_drew(epsilon):
     assert kinds == {0, 1, 2, 3}
 
 
+def _np_pick_rows(rows):
+    """A ``PickTable`` on arrays: each row's first argmax and the CDF ``Generator.choice`` builds."""
+    cdfs = []
+    for row in rows:
+        total = row.sum()
+        if total <= 0.0:
+            cdfs.append(None)
+            continue
+        cdf = (row / total).cumsum()
+        cdf /= cdf[-1]
+        cdfs.append(_hex([cdf])[0])
+    return rows.argmax(axis=1).tolist(), cdfs
+
+
+def test_pick_table_matches_the_array_argmax_and_cdfs_bit_for_bit():
+    for seed in range(400):
+        rng = np.random.default_rng(seed)
+        raw = _raw_table(rng, int(rng.integers(1, 8)), int(rng.integers(1, 12)))
+        for rows in (raw, _np_normalize_q(raw)):
+            table = PickTable(rows.tolist())
+            argmax, cdfs = _np_pick_rows(rows)
+            assert table.width == rows.shape[1]
+            assert table.argmax == argmax
+            assert [None if c is None else _hex([c])[0] for c in table.cdfs] == cdfs
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_pick_refuses_non_finite_scores_like_generator_choice(bad):
     row = [0.2, bad, 0.5]
@@ -186,7 +258,7 @@ def test_pick_refuses_non_finite_scores_like_generator_choice(bad):
     with pytest.raises(ValueError):
         roulette_cdf(row)
     with pytest.raises(ValueError):
-        PickTable(np.array([row]))
+        PickTable([row])
     with pytest.raises(ValueError):
         global_construct(_empty_pool_agent(), _one_locker_table(),
                          [[0.0] * 3, [0.0] * 3, [0.0] * 3, row], epsilon=0.0)
@@ -221,20 +293,20 @@ def test_roulette_cdf_is_the_choice_cdf_bit_for_bit():
 def test_construct_reproduces_unique_chain_under_full_greed():
     # q2 encodes start->2->0->1; q1 start->1, then 1->0, 0->0
     q = QMatrices.zeros(2, 3)
-    q.q2[3, 2] = 1.0
-    q.q2[2, 0] = 1.0
-    q.q2[0, 1] = 1.0
-    q.q1[2, 1] = 1.0
-    q.q1[1, 0] = 1.0
+    q.q2[3][2] = 1.0
+    q.q2[2][0] = 1.0
+    q.q2[0][1] = 1.0
+    q.q1[2][1] = 1.0
+    q.q1[1][0] = 1.0
     state = global_construct(_empty_pool_agent(), PickTable(normalize_q(q.q1)),
-                             normalize_q(q.q2).tolist(), epsilon=1.0)
+                             normalize_q(q.q2), epsilon=1.0)
     assert list(state.x2) == [2, 0, 1]
     assert list(state.x1) == [1, 0, 0]
 
 
 def test_construct_always_yields_permutation():
     q = QMatrices.zeros(3, 6)
-    q1, q2 = PickTable(normalize_q(q.q1)), normalize_q(q.q2).tolist()
+    q1, q2 = PickTable(normalize_q(q.q1)), normalize_q(q.q2)
     agent = _empty_pool_agent(seed=42)
     for _ in range(25):
         state = global_construct(agent, q1, q2, epsilon=None)
@@ -329,25 +401,23 @@ def test_local_move_preserves_permutation(data, n, omega):
 
 def test_update_q_single_step_value():
     q = QMatrices.zeros(1, 1)
-    q.q1[0, 0] = 2.0  # next-row maximum seen from the start transition
+    q.q1[0][0] = 2.0  # next-row maximum seen from the start transition
     update_q(q, [make_state([0], [0])], rewards=[1.0], alpha=0.5, gamma=0.9)
-    assert q.q1[1, 0] == pytest.approx(1.4)
+    assert q.q1[1][0] == pytest.approx(1.4)
 
 
 def test_update_q_alpha_zero_is_identity():
-    q = QMatrices.zeros(2, 3)
-    q.q1 += 0.7
-    q.q2 += 0.3
+    q = QMatrices(q1=[[0.7] * 2 for _ in range(3)], q2=[[0.3] * 3 for _ in range(4)])
     before = q.copy()
     update_q(q, [make_state([0, 1, 1], [2, 0, 1])], rewards=[5.0], alpha=0.0, gamma=0.9)
-    assert np.array_equal(q.q1, before.q1) and np.array_equal(q.q2, before.q2)
+    assert q.q1 == before.q1 and q.q2 == before.q2
 
 
 def test_update_q_gamma_zero_alpha_one_writes_reward():
     q = QMatrices.zeros(1, 1)
     update_q(q, [make_state([0], [0])], rewards=[0.25], alpha=1.0, gamma=0.0)
-    assert q.q1[1, 0] == 0.25
-    assert q.q2[1, 0] == 0.25
+    assert q.q1[1][0] == 0.25
+    assert q.q2[1][0] == 0.25
 
 
 def _rescanning_update_q(qmats, states, rewards, alpha, gamma):
@@ -357,8 +427,7 @@ def _rescanning_update_q(qmats, states, rewards, alpha, gamma):
     and how many of those left an equal maximum elsewhere in the row.
     """
     falls = tied = 0
-    for q, chains in ((qmats.q1, [s.x1 for s in states]), (qmats.q2, [s.x2 for s in states])):
-        rows = q.tolist()
+    for rows, chains in ((qmats.q1, [s.x1 for s in states]), (qmats.q2, [s.x2 for s in states])):
         start = len(rows) - 1
         for values, reward in zip(chains, rewards):
             a = start
@@ -369,7 +438,6 @@ def _rescanning_update_q(qmats, states, rewards, alpha, gamma):
                     falls += 1
                     tied += max(rows[a]) == top
                 a = b
-        q[...] = rows
     return falls, tied
 
 
@@ -378,11 +446,10 @@ def test_update_q_running_maxima_match_the_rescanning_update():
     falls = tied = 0
     for _ in range(300):
         lockers, n = int(rng.integers(1, 5)), int(rng.integers(1, 9))
-        q = QMatrices.zeros(lockers, n)
         # Entries from a few levels, so rows hold tied maxima.
         levels = rng.uniform(-1.0, 2.0, size=3)
-        q.q1[:] = rng.choice(levels, size=q.q1.shape)
-        q.q2[:] = rng.choice(levels, size=q.q2.shape)
+        q = QMatrices(q1=rng.choice(levels, size=(lockers + 1, lockers)).tolist(),
+                      q2=rng.choice(levels, size=(n + 1, n)).tolist())
         states = [make_state(rng.integers(0, lockers, size=n), rng.permutation(n))
                   for _ in range(int(rng.integers(1, 6)))]
         # Rewards below the levels pull maxima down; above them they raise them.
@@ -393,23 +460,21 @@ def test_update_q_running_maxima_match_the_rescanning_update():
         falls, tied = falls + counts[0], tied + counts[1]
         update_q(q, states, rewards, alpha, gamma)
         for got, want in ((q.q1, reference.q1), (q.q2, reference.q2)):
-            assert [repr(v) for v in got.ravel().tolist()] \
-                == [repr(v) for v in want.ravel().tolist()]
+            assert [repr(v) for row in got for v in row] \
+                == [repr(v) for row in want for v in row]
     assert falls > 0 and tied > 0
 
 
 def test_update_q_fixed_point():
     # If reward + gamma * max(next row) already equals Q, nothing moves.
-    q = QMatrices.zeros(1, 1)
-    q.q1[:] = 10.0
-    q.q2[:] = 10.0
+    q = QMatrices(q1=[[10.0], [10.0]], q2=[[10.0], [10.0]])
     update_q(q, [make_state([0], [0])], rewards=[1.0], alpha=0.8, gamma=0.9)
     assert np.allclose(q.q1, 10.0) and np.allclose(q.q2, 10.0)
 
 
-def _numpy_update_q(qmats, state, reward, alpha, gamma):
-    """The update as written on the arrays, entry by entry: the reference."""
-    for q, values in ((qmats.q1, state.x1), (qmats.q2, state.x2)):
+def _numpy_update_q(tables, state, reward, alpha, gamma):
+    """The update as written on the (q1, q2) arrays, entry by entry: the reference."""
+    for q, values in zip(tables, (state.x1, state.x2)):
         a = q.shape[0] - 1
         for b in list(values):
             q[a, b] += alpha * (reward + gamma * q[b].max() - q[a, b])
@@ -417,11 +482,14 @@ def _numpy_update_q(qmats, state, reward, alpha, gamma):
 
 
 def test_update_q_matches_the_array_update_bit_for_bit():
+    # Random, tied, constant and one-hot rows; one locker gives one-column q1 tables.
     rng = np.random.default_rng(3)
+    widths = set()
     for _ in range(200):
         lockers, tasks = int(rng.integers(1, 5)), int(rng.integers(1, 12))
-        ours = QMatrices(q1=rng.random((lockers + 1, lockers)), q2=rng.random((tasks + 1, tasks)))
-        ref = ours.copy()
+        ref = (_raw_table(rng, lockers + 1, lockers), _raw_table(rng, tasks + 1, tasks))
+        ours = QMatrices(q1=ref[0].tolist(), q2=ref[1].tolist())
+        widths.add(min(lockers, tasks))
         for _ in range(3):  # repeated lockers give self-transitions and revisited rows
             agents = int(rng.integers(1, 6))
             states = [make_state(rng.integers(0, lockers, size=tasks), rng.permutation(tasks))
@@ -431,7 +499,10 @@ def test_update_q_matches_the_array_update_bit_for_bit():
             update_q(ours, states, rewards, alpha, 0.9)
             for state, reward in zip(states, rewards):  # one agent after another
                 _numpy_update_q(ref, state, reward, alpha, 0.9)
-            assert np.array_equal(ours.q1, ref.q1) and np.array_equal(ours.q2, ref.q2)
+            assert _hex(ours.q1) == _hex(ref[0]) and _hex(ours.q2) == _hex(ref[1])
+            assert all(type(v) is float for table in (ours.q1, ours.q2)
+                       for row in table for v in row)
+    assert 1 in widths
 
 
 def test_one_update_per_step_equals_per_agent_updates():
@@ -439,7 +510,8 @@ def test_one_update_per_step_equals_per_agent_updates():
     rng = np.random.default_rng(8)
     for _ in range(100):
         lockers, tasks = int(rng.integers(1, 6)), int(rng.integers(1, 20))
-        ours = QMatrices(q1=rng.random((lockers + 1, lockers)), q2=rng.random((tasks + 1, tasks)))
+        ours = QMatrices(q1=rng.random((lockers + 1, lockers)).tolist(),
+                         q2=rng.random((tasks + 1, tasks)).tolist())
         ref = ours.copy()
         pool = [make_state(rng.integers(0, lockers, size=tasks), rng.permutation(tasks))
                 for _ in range(4)]
@@ -449,22 +521,60 @@ def test_one_update_per_step_equals_per_agent_updates():
         update_q(ours, states, rewards, alpha, 0.9)
         for state, reward in zip(states, rewards):
             update_q(ref, [state], [reward], alpha, 0.9)
-        assert ours.q1.tobytes() == ref.q1.tobytes() and ours.q2.tobytes() == ref.q2.tobytes()
+        assert _hex(ours.q1) == _hex(ref.q1) and _hex(ours.q2) == _hex(ref.q2)
 
 
 def test_has_converged_thresholds():
     a = QMatrices.zeros(2, 3)
     b = a.copy()
     assert has_converged(a, b, 1e-8)
-    b.q2[0, 0] = 1e-7
+    b.q2[0][0] = 1e-7
     assert not has_converged(a, b, 1e-8)
-    b.q2[0, 0] = 9e-9
+    b.q2[0][0] = 9e-9
     assert has_converged(a, b, 1e-8)
 
 
 def test_has_converged_shape_mismatch():
     with pytest.raises(ShapeError):
         has_converged(QMatrices.zeros(2, 3), QMatrices.zeros(2, 4), 1e-8)
+    with pytest.raises(ShapeError):  # rows of equal width, one more of them
+        has_converged(QMatrices.zeros(1, 2),
+                      QMatrices(q1=[[0.0] for _ in range(3)], q2=[[0.0] * 2 for _ in range(3)]),
+                      1e-8)
+
+
+def _np_has_converged(prev, cur, tol):
+    """``has_converged`` as written on the (q1, q2) arrays: the reference."""
+    diff = max(np.abs(prev[0] - cur[0]).max(initial=0.0),
+               np.abs(prev[1] - cur[1]).max(initial=0.0))
+    return diff < tol
+
+
+def test_has_converged_matches_the_array_version():
+    # Finite moves just below, at and just above the threshold. A NaN move never
+    # converges; the array version's builtin max of the two tables' maxima
+    # dropped a NaN of q2 when it came second, so NaN is checked on its own.
+    rng = np.random.default_rng(11)
+    tol = 1e-8
+    moves = [0.0, 0.5 * tol, 0.9999 * tol, tol, 1.0001 * tol, -tol, 1.0]
+    outcomes = set()
+    for _ in range(400):
+        lockers, tasks = int(rng.integers(1, 5)), int(rng.integers(1, 12))
+        prev = (_raw_table(rng, lockers + 1, lockers), _raw_table(rng, tasks + 1, tasks))
+        cur = tuple(q.copy() for q in prev)
+        for _ in range(int(rng.integers(0, 3))):
+            q = cur[int(rng.integers(2))]
+            r, c = int(rng.integers(q.shape[0])), int(rng.integers(q.shape[1]))
+            q[r, c] += rng.choice(moves)
+        got = has_converged(QMatrices(*(q.tolist() for q in prev)),
+                            QMatrices(*(q.tolist() for q in cur)), tol)
+        assert got == _np_has_converged(prev, cur, tol)
+        outcomes.add(got)
+        k = int(rng.integers(2))
+        cur[k][int(rng.integers(cur[k].shape[0])), int(rng.integers(cur[k].shape[1]))] = np.nan
+        assert not has_converged(QMatrices(*(q.tolist() for q in prev)),
+                                 QMatrices(*(q.tolist() for q in cur)), tol)
+    assert outcomes == {True, False}
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +593,9 @@ def test_init_agents_shapes():
     pool = make_pool([make_task(1), make_task(1, a=2), make_task(1, a=3)])
     agents, q = init_agents(pool, 2, HqmParams(agents=10, seed=0))
     assert len(agents) == 10
-    assert q.q1.shape == (3, 2) and q.q2.shape == (4, 3)
+    assert q.q1 == [[0.0] * 2] * 3 and q.q2 == [[0.0] * 3] * 4
+    assert all(type(v) is float for table in (q.q1, q.q2) for row in table for v in row)
+    assert len({id(row) for row in q.q1 + q.q2}) == 7  # no row is shared
     for a in agents:
         assert set(a.best.x1) <= {0, 1}
         assert sorted(a.best.x2) == [0, 1, 2]
@@ -502,6 +614,21 @@ def test_init_agents_deterministic():
     for x, y in zip(a1, a2):
         assert list(x.best.x1) == list(y.best.x1)
         assert list(x.best.x2) == list(y.best.x2)
+
+
+def test_random_state_is_the_old_set_up_draw():
+    for seed in range(60):
+        n = seed % 20 + 1
+        lockers = effective_locker_count(seed % 7 + 1, n)
+        ours, old = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(3):
+            state = random_state(ours, n, lockers)
+            want = SearchState(x1=tuple(old.integers(0, lockers, size=n).tolist()),
+                               x2=tuple(old.permutation(n).tolist()))
+            assert (state.x1, state.x2) == (want.x1, want.x2)
+            assert all(type(v) is int for v in state.x1 + state.x2)
+        assert ours.bit_generator.state == old.bit_generator.state
+        assert ours.bit_generator.random_raw() == old.bit_generator.random_raw()
 
 
 def test_init_agents_empty_pool():

@@ -11,12 +11,12 @@ from mplq.instance import (GeneratorConfig, Position, assign_customers,
 from mplq.routing import (Adjustment, AdjustmentPolicy, LockerRoute, RouteMemo, RoutePlan,
                           TravelNoise, TravelTimer, VisitRecord, check_feasibility,
                           compute_delay, evaluate_solution, hold_can_apply, schedule_route,
-                          travel_time, write_plan_csv)
+                          write_plan_csv)
 from mplq.routing import _ROUTE_MEMO_LIMIT
 from mplq.state import effective_locker_count
 from mplq.taskgen import build_tasks
 from helpers import (make_instance, make_pool, make_space, make_state, make_task,
-                     schedule_tasks)
+                     schedule_tasks, travel_time)
 
 
 # ---------------------------------------------------------------------------
