@@ -16,13 +16,12 @@ from .taskgen import SubInterval, Task, TaskPool, build_tasks, partition_subinte
 from .routing import (AdjustmentPolicy, Adjustment, CostBreakdown, FeasibilityReport,
                       RouteMemo, RoutePlan, TravelNoise, VisitRecord, check_feasibility,
                       compute_delay, evaluate_solution, hold_can_apply, schedule_route)
-from .state import SearchState
-from .hqm import (Agent, HqmParams, QMatrices, RunHistory, global_construct,
-                  has_converged, init_agents, local_move, normalize_q, run_hqm,
-                  update_q)
-from .ga import GaParams, next_generation, run_ga
+from .state import BudgetProfile, SearchState
+from .hqm import (Agent, QMatrices, RunHistory, global_construct, has_converged,
+                  init_agents, local_move, normalize_q, run_hqm, update_q)
+from .ga import next_generation, run_ga
 from .oracle import brute_force_best
-from .bench import (BudgetProfile, GridConfig, GridResult, SweepConfig, SweepPoint,
-                    improvement_rate, reward_gap, run_grid, sweep_factor)
+from .bench import (GridConfig, GridResult, SweepConfig, SweepPoint, improvement_rate,
+                    reward_gap, run_grid, sweep_factor)
 
 __version__ = "0.1.0"

@@ -18,52 +18,18 @@ from typing import Callable, Optional, Sequence, Union
 
 from .errors import (ConfigurationError, NothingToSolveError, ParameterError,
                      UndefinedRateError)
-from .ga import GaParams, run_ga
-from .hqm import HqmParams, RunHistory, run_hqm
+from .ga import run_ga
+from .hqm import GAMMA, TOL, RunHistory, run_hqm
 from .instance import GeneratorConfig, Instance, assign_customers, generate_instance
 from .routing import (AdjustmentPolicy, compute_delay, hold_can_apply, over_capacity_task,
-                      refuse_over_capacity, sum_in_order)
+                      sum_in_order)
+from .state import MAX_AGENTS, MAX_ITERATIONS, BudgetProfile  # noqa: F401  (re-exported)
 from .taskgen import TaskPool, build_tasks
-
-# The largest budget a solve accepts: 100 times the paper profile's agents and
-# iterations. A larger count would exhaust memory or run for days.
-MAX_AGENTS = 10_000
-MAX_ITERATIONS = 100_000
 
 SWEEP_FACTORS = (
     "T_s", "T_p", "Q", "V_l", "num_spaces", "locations_per_space", "rho_l", "rho_c",
 )
 COUNT_FACTORS = ("num_spaces", "locations_per_space")  # swept values must be whole numbers
-
-
-@dataclass(frozen=True)
-class BudgetProfile:
-    """Solver effort: agents doubles as GA population, iterations as generations."""
-
-    agents: int
-    iterations: int
-
-    def __post_init__(self) -> None:
-        if self.agents < 1 or self.iterations < 1:
-            raise ConfigurationError(f"budget agents and iterations must be >= 1: {self}")
-        if self.agents > MAX_AGENTS or self.iterations > MAX_ITERATIONS:
-            raise ConfigurationError(f"budget agents and iterations must be at most "
-                                     f"{MAX_AGENTS} and {MAX_ITERATIONS}: {self}")
-
-    @classmethod
-    def desk(cls) -> "BudgetProfile":
-        return cls(agents=20, iterations=200)
-
-    @classmethod
-    def paper(cls) -> "BudgetProfile":
-        return cls(agents=100, iterations=1000)
-
-    @classmethod
-    def named(cls, name: str) -> "BudgetProfile":
-        try:
-            return {"desk": cls.desk, "paper": cls.paper}[name]()
-        except KeyError:
-            raise ConfigurationError(f"unknown budget profile {name!r}; expected desk or paper")
 
 
 @dataclass(frozen=True)
@@ -84,11 +50,7 @@ class GridConfig:
         for solver in self.solvers:
             if solver not in ("hqm", "ga"):
                 raise ConfigurationError(f"unknown solver {solver!r}; expected hqm or ga")
-        for policy in self.policies:
-            try:
-                AdjustmentPolicy.parse(policy)
-            except ParameterError as exc:
-                raise ConfigurationError(str(exc)) from None
+        _check_policies(self.policies)
         _replication_seeds(self)
 
 
@@ -177,6 +139,7 @@ class SweepConfig:
         if self.factor in COUNT_FACTORS and not all(float(v).is_integer() for v in self.values):
             raise ConfigurationError(
                 f"sweep values of {self.factor} must be whole numbers, got {self.values}")
+        _check_policies((self.policy,))
         _replication_seeds(self)
 
 
@@ -201,6 +164,18 @@ def _stderr(values: Sequence[float]) -> float:
     m = _mean(values)
     var = sum_in_order((v - m) ** 2 for v in values) / (n - 1)
     return math.sqrt(var / n)
+
+
+def _check_policies(policies: Sequence[str]) -> None:
+    """Refuse, as a configuration error, a policy that ``AdjustmentPolicy.parse`` refuses.
+
+    ``_solve_pool`` parses a policy only on a pool where a hold can apply.
+    """
+    for policy in policies:
+        try:
+            AdjustmentPolicy.parse(policy)
+        except ParameterError as exc:
+            raise ConfigurationError(str(exc)) from None
 
 
 def _replication_seeds(config: Union[GridConfig, SweepConfig]) -> tuple[int, ...]:
@@ -236,12 +211,6 @@ def _map(fn: Callable, units: list, jobs: int) -> list:
     return [fn(u) for u in units]
 
 
-def _generated_pool(config: GeneratorConfig) -> tuple[Instance, TaskPool]:
-    """Generate an instance and build its task pool: (instance, pool)."""
-    instance = generate_instance(config)
-    return instance, build_tasks(instance, assign_customers(instance))
-
-
 # ---------------------------------------------------------------------------
 # Metrics
 # ---------------------------------------------------------------------------
@@ -267,36 +236,33 @@ def reward_gap(reward_btd: float, reward_hcps: float) -> float:
 
 
 def solve(pool: TaskPool, instance: Instance, solver: str, policy: AdjustmentPolicy,
-          budget: BudgetProfile, seed: int, gamma: float = HqmParams.gamma,
-          tol: float = HqmParams.tol):
+          budget: BudgetProfile, seed: int, gamma: float = GAMMA, tol: float = TOL):
     """Run HQM or the GA on one task pool; returns (best state, plan, history).
 
     The one entry point for either solver: ``mplq solve``, the grid and the
     factor sweeps all come through here. ``gamma`` and ``tol`` apply to HQM
     only. A pool with a task above the locker capacity is refused.
     """
-    refuse_over_capacity(pool, instance)
     if solver == "hqm":
-        params = HqmParams(agents=budget.agents, timesteps=budget.iterations, gamma=gamma,
-                           tol=tol, seed=seed)
-        return run_hqm(pool, instance, policy, params)
+        return run_hqm(pool, instance, policy, budget, seed, gamma, tol)
     if solver == "ga":
-        params = GaParams(population=budget.agents, generations=budget.iterations, seed=seed)
-        return run_ga(pool, instance, policy, params)
+        return run_ga(pool, instance, policy, budget, seed)
     raise ConfigurationError(f"unknown solver {solver!r}; expected hqm or ga")
 
 
-def _run_cell_replication(args: tuple) -> tuple[list[CellOutcome], bool, Optional[str]]:
-    """One (cell, replication): every solver x policy on the identical instance.
+def _solve_pool(args: tuple) -> tuple[list[CellOutcome], bool, Optional[str]]:
+    """Generate one pool and solve it with every solver x policy.
 
-    Also returns whether a hold can apply to the pool; if not, HCPS plans equal
-    BTD plans, so each solver runs once, under BTD, and its hcps rows reuse it.
-    A pool with no task, or with a task above the locker capacity, gives no
-    rows; the third item names why ("empty" or "over_capacity"), else None.
+    ``args`` is (generator config, replication index, solvers, policies,
+    budget); the config's seed seeds the solvers too. Also returns whether a
+    hold can apply to the pool; if not, HCPS plans equal BTD plans, so each
+    solver runs once, under BTD, and its hcps rows reuse it. A pool with no
+    task, or with a task above the locker capacity, gives no rows; the third
+    item names why ("empty" or "over_capacity"), else None.
     """
-    spaces, locations, rep, seed, base_config, solvers, policies, budget = args
-    instance, pool = _generated_pool(
-        replace(base_config, num_spaces=spaces, locations_per_space=locations, seed=seed))
+    config, rep, solvers, policies, budget = args
+    instance = generate_instance(config)
+    pool = build_tasks(instance, assign_customers(instance))
     if len(pool) == 0:
         return [], False, "empty"
     if over_capacity_task(pool, instance) is not None:
@@ -306,16 +272,14 @@ def _run_cell_replication(args: tuple) -> tuple[list[CellOutcome], bool, Optiona
     for solver in solvers:
         runs = {}
         for policy_name in policies:
-            policy = AdjustmentPolicy.parse(policy_name)
-            if not hold:
-                policy = AdjustmentPolicy.BTD
+            policy = AdjustmentPolicy.parse(policy_name) if hold else AdjustmentPolicy.BTD
             if policy not in runs:
-                runs[policy] = solve(pool, instance, solver, policy, budget, seed)
+                runs[policy] = solve(pool, instance, solver, policy, budget, config.seed)
             best, plan, history = runs[policy]
             _, avg_delay = compute_delay(plan)
             rows.append(CellOutcome(
-                spaces=spaces, locations=locations, solver=solver, policy=policy_name,
-                replication=rep, seed=seed,
+                spaces=config.num_spaces, locations=config.locations_per_space,
+                solver=solver, policy=policy_name, replication=rep, seed=config.seed,
                 lockers=plan.lockers_dispatched,
                 distance_km=plan.total_distance,
                 avg_delay_min=avg_delay,
@@ -333,13 +297,13 @@ def run_grid(grid: GridConfig, jobs: int = 1) -> GridResult:
     """
     seeds = _replication_seeds(grid)
     units = [
-        (spaces, locations, rep, seeds[rep], grid.base_config,
-         grid.solvers, grid.policies, grid.budget)
+        (replace(grid.base_config, num_spaces=spaces, locations_per_space=locations,
+                 seed=seeds[rep]), rep, grid.solvers, grid.policies, grid.budget)
         for spaces in grid.spaces_counts
         for locations in grid.locations_counts
         for rep in range(grid.replications)
     ]
-    outcomes = _map(_run_cell_replication, units, jobs)
+    outcomes = _map(_solve_pool, units, jobs)
     rows = [row for chunk, _, _ in outcomes for row in chunk]
     rows.sort(key=lambda r: (r.spaces, r.locations, r.replication, r.solver, r.policy))
     skipped = [skip for _, _, skip in outcomes]
@@ -379,39 +343,32 @@ def apply_factor(base: GeneratorConfig, factor: str, value: float) -> GeneratorC
     raise ConfigurationError(f"unknown sweep factor {factor!r}")
 
 
-def _run_sweep_point(args: tuple) -> SweepPoint:
-    """Mean delay over the replications whose pool holds tasks a locker can carry."""
-    factor, value, base_config, policy_name, budget, seeds = args
-    policy = AdjustmentPolicy.parse(policy_name)
-    delays = []
-    over_capacity = 0
-    for seed in seeds:
-        instance, pool = _generated_pool(apply_factor(replace(base_config, seed=seed),
-                                                      factor, value))
-        if len(pool) == 0:
-            continue
-        if over_capacity_task(pool, instance) is not None:
-            over_capacity += 1
-            continue
-        _, plan, _ = solve(pool, instance, "hqm", policy, budget, seed)
-        _, avg_delay = compute_delay(plan)
-        delays.append(avg_delay)
-    if not delays:
-        raise NothingToSolveError(f"sweep point {factor}={value}: every task pool is empty "
-                                  "or holds a task above the locker capacity")
-    return SweepPoint(factor=factor, value=value, mean_delay=_mean(delays),
-                      stderr=_stderr(delays), replications=len(delays),
-                      over_capacity_pools=over_capacity)
-
-
 def sweep_factor(sweep: SweepConfig, jobs: int = 1) -> list[SweepPoint]:
-    """Delay response of one factor across its axis values; seeds pair across values."""
+    """Delay response of one factor across its axis values; seeds pair across values.
+
+    Each point is HQM's mean delay over the replications whose pool holds
+    tasks a locker can carry.
+    """
     seeds = _replication_seeds(sweep)
     units = [
-        (sweep.factor, value, sweep.base_config, sweep.policy, sweep.budget, seeds)
+        (apply_factor(replace(sweep.base_config, seed=seed), sweep.factor, value), rep,
+         ("hqm",), (sweep.policy,), sweep.budget)
         for value in sweep.values
+        for rep, seed in enumerate(seeds)
     ]
-    return _map(_run_sweep_point, units, jobs)
+    outcomes = _map(_solve_pool, units, jobs)
+    points = []
+    for i, value in enumerate(sweep.values):
+        chunk = outcomes[i * len(seeds):(i + 1) * len(seeds)]
+        delays = [row.avg_delay_min for rows, _, _ in chunk for row in rows]
+        if not delays:
+            raise NothingToSolveError(f"sweep point {sweep.factor}={value}: every task pool "
+                                      "is empty or holds a task above the locker capacity")
+        points.append(SweepPoint(
+            factor=sweep.factor, value=value, mean_delay=_mean(delays),
+            stderr=_stderr(delays), replications=len(delays),
+            over_capacity_pools=[skip for _, _, skip in chunk].count("over_capacity")))
+    return points
 
 
 # ---------------------------------------------------------------------------

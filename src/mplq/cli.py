@@ -25,18 +25,18 @@ from typing import Optional, Sequence
 
 from . import bench
 from .errors import (ConfigurationError, InstanceFormatError, MplqError,
-                     SearchSpaceLimitError)
+                     ParameterError, SearchSpaceLimitError)
 # run_hqm and run_ga are called only through bench.solve; perfbench/layers.py
 # still wraps these two bindings by name, so they stay imported here.
 from .ga import run_ga  # noqa: F401
-from .hqm import HqmParams, run_hqm, write_history_csv  # noqa: F401
+from .hqm import GAMMA, TOL, run_hqm, write_history_csv  # noqa: F401
 from .instance import (GeneratorConfig, assign_customers, generate_instance,
                        load_instance, save_instance, validate_instance,
                        write_assignment_csv)
 from .oracle import brute_force_best
 from .routing import (AdjustmentPolicy, TravelNoise, check_feasibility,
                       compute_delay, evaluate_solution, write_plan_csv)
-from .state import SearchState, effective_locker_count
+from .state import BudgetProfile, SearchState, effective_locker_count
 from .taskgen import build_tasks, write_taskpool_csv
 
 EXIT_OK = 0
@@ -135,9 +135,9 @@ def _prepare(instance):
     return assignment, build_tasks(instance, assignment)
 
 
-# Solver config file keys and the type each value must convert to.
+# Solver config file keys and the conversion each value must pass.
 _SOLVER_CONFIG_KEYS = {"agents": int, "timesteps": int, "gamma": float, "tol": float,
-                       "seed": int, "policy": str}
+                       "seed": int, "policy": lambda v: AdjustmentPolicy.parse(str(v))}
 
 
 def _load_solver_config(path: Optional[str]) -> dict:
@@ -160,7 +160,7 @@ def _load_solver_config(path: Optional[str]) -> dict:
         raise InstanceFormatError(f"{path}: unknown solver config keys {unknown}")
     try:
         return {key: _SOLVER_CONFIG_KEYS[key](value) for key, value in data.items()}
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (TypeError, ValueError, OverflowError, ParameterError) as exc:
         raise InstanceFormatError(f"{path}: bad solver config value: {exc}")
 
 
@@ -175,17 +175,17 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     else:
         seed = _resolve_seed(args.seed)
     noise = TravelNoise(sigma=args.noise_sigma, seed=seed)  # refuses a bad sigma before solving
-    desk = bench.BudgetProfile.desk()
-    budget = bench.BudgetProfile(agents=pick(args.agents, "agents", desk.agents),
-                                 iterations=pick(args.iters, "timesteps", desk.iterations))
+    desk = BudgetProfile.desk()
+    budget = BudgetProfile(agents=pick(args.agents, "agents", desk.agents),
+                           iterations=pick(args.iters, "timesteps", desk.iterations))
+    policy = (AdjustmentPolicy.parse(args.policy) if args.policy is not None
+              else file_cfg.get("policy", AdjustmentPolicy.HCPS))
 
     instance = _load_valid_instance(args.instance)
     assignment, pool = _prepare(instance)
-    policy = AdjustmentPolicy.parse(pick(args.policy, "policy", "hcps"))
-
     best, plan, history = bench.solve(pool, instance, args.solver, policy, budget, seed,
-                                      gamma=pick(args.gamma, "gamma", HqmParams.gamma),
-                                      tol=pick(args.tol, "tol", HqmParams.tol))
+                                      gamma=pick(args.gamma, "gamma", GAMMA),
+                                      tol=pick(args.tol, "tol", TOL))
     if noise.sigma > 0:
         plan, _ = evaluate_solution(best, pool, instance, policy, noise=noise)
 
@@ -250,7 +250,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
             state = SearchState(x1=_int_vector(data["x1"], "x1"),
                                 x2=_int_vector(data["x2"], "x2"))
             policy = AdjustmentPolicy.parse(data.get("policy", "hcps"))
-        except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+        except (OSError, ValueError, KeyError, TypeError, AttributeError,
+                ParameterError) as exc:
             raise InstanceFormatError(f"cannot parse solution file {args.solution}: {exc}")
         _, pool = _prepare(instance)
         plan, cost = evaluate_solution(state, pool, instance, policy)
@@ -296,7 +297,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         solvers=args.solvers,
         replications=args.replications,
         base_config=replace(GeneratorConfig(), seed=seed),
-        budget=bench.BudgetProfile.named(args.budget),
+        budget=BudgetProfile.named(args.budget),
     )
     result = bench.run_grid(grid, jobs=args.jobs)
     out_dir = Path(args.out_dir)
@@ -320,7 +321,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         replications=args.replications,
         base_config=replace(GeneratorConfig(), seed=seed),
         policy=args.policy,
-        budget=bench.BudgetProfile.named(args.budget),
+        budget=BudgetProfile.named(args.budget),
     )
     points = bench.sweep_factor(sweep, jobs=args.jobs)
     out_dir = Path(args.out_dir)

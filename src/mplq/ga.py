@@ -9,38 +9,19 @@ position swap), and elitism.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import NothingToSolveError, ParameterError
 from .instance import Instance
-from .routing import AdjustmentPolicy, RoutePlan
+from .routing import AdjustmentPolicy, RoutePlan, refuse_over_capacity
 from .hqm import Evaluator, RunHistory, Stream, roulette_cdf
-from .state import SearchState, effective_locker_count, random_state
+from .state import BudgetProfile, SearchState, effective_locker_count, random_state
 from .taskgen import TaskPool
 
 CROSSOVER_PROB = 0.5  # chance that two parents are crossed rather than cloned
 MUTATION_RATE = 0.05  # per-gene chance of a locker reassignment or a position swap
-
-
-@dataclass
-class GaParams:
-    population: int = 100
-    generations: int = 1000
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.population < 2:
-            raise ParameterError("population must be >= 2")
-        if self.generations < 1:
-            raise ParameterError("generations must be >= 1")
-
-    @property
-    def elite_count(self) -> int:
-        """The top 5% of the population pass to the next generation, but at least one."""
-        return max(1, int(0.05 * self.population))
 
 
 def _uniform_crossover(a: Sequence[int], b: Sequence[int], rng: Stream) -> list[int]:
@@ -80,25 +61,26 @@ def _mutate(x1: list[int], x2: list[int], rate: float, max_lockers: int,
     return x1, x2
 
 
-def next_generation(population: list[SearchState], params: GaParams,
-                    rng: Stream, max_lockers: int) -> list[SearchState]:
+def next_generation(population: list[SearchState], rng: Stream,
+                    max_lockers: int) -> list[SearchState]:
     """Produce the next population from an evaluated one.
 
-    The top elite states pass through unchanged (rewards intact); the rest are
-    bred by selection, crossover, and mutation. Each parent is a fitness-
-    proportional pick through the generation's ``roulette_cdf``, uniform when
-    the rewards sum to zero. Children come back with ``reward=None`` and must
-    be evaluated by the caller.
+    The top 5% of the states, but at least one, pass through unchanged
+    (rewards intact); the rest are bred by selection, crossover, and
+    mutation. Each parent is a fitness-proportional pick through the
+    generation's ``roulette_cdf``, uniform when the rewards sum to zero.
+    Children come back with ``reward=None`` and must be evaluated by the
+    caller.
     """
-    if len(population) < 2:
+    size = len(population)
+    if size < 2:
         raise ParameterError("population must hold at least 2 individuals")
     rewards = [s.reward for s in population]
     if None in rewards:
         raise ParameterError("population must be evaluated before breeding")
 
     ranked = sorted(population, key=lambda s: s.reward, reverse=True)
-    out: list[SearchState] = ranked[:params.elite_count]
-    size = len(population)
+    out: list[SearchState] = ranked[:max(1, int(0.05 * size))]
     cdf = roulette_cdf(rewards)
     random, integers = rng.random, rng.integers
     crossover_prob, rate = CROSSOVER_PROB, MUTATION_RATE
@@ -120,20 +102,25 @@ def next_generation(population: list[SearchState], params: GaParams,
 
 
 def run_ga(pool: TaskPool, instance: Instance, policy: AdjustmentPolicy,
-           params: GaParams) -> tuple[SearchState, RoutePlan, RunHistory]:
-    """Full GA run on the shared encoding; deterministic per seed.
+           budget: BudgetProfile, seed: int) -> tuple[SearchState, RoutePlan, RunHistory]:
+    """Full GA run of ``budget.agents`` individuals for ``budget.iterations``
+    generations on the shared encoding; deterministic per seed.
 
     The initial population is the ``Generator``'s set-up draws; breeding
-    draws from the ``Stream`` that takes the generator over.
+    draws from the ``Stream`` that takes the generator over. A pool with a
+    task above the locker capacity is refused.
     """
+    refuse_over_capacity(pool, instance)
+    if budget.agents < 2:
+        raise ParameterError("population must be >= 2")
     n = len(pool)
     if n == 0:
         raise NothingToSolveError("task pool is empty")
     lockers = effective_locker_count(instance.fleet.max_lockers, n)
-    rng = np.random.default_rng(params.seed)
+    rng = np.random.default_rng(seed)
     evaluator = Evaluator(pool, instance, policy)
 
-    population = [random_state(rng, n, lockers) for _ in range(params.population)]
+    population = [random_state(rng, n, lockers) for _ in range(budget.agents)]
     stream = Stream(rng)
     for state in population:
         evaluator.reward(state)
@@ -141,8 +128,8 @@ def run_ga(pool: TaskPool, instance: Instance, policy: AdjustmentPolicy,
     best = max(population, key=lambda s: s.reward)
     history = RunHistory(initial_best=best.reward)
 
-    for _ in range(params.generations):
-        population = next_generation(population, params, stream, lockers)
+    for _ in range(budget.iterations):
+        population = next_generation(population, stream, lockers)
         for state in population:
             if state.reward is None:
                 evaluator.reward(state)
@@ -155,4 +142,4 @@ def run_ga(pool: TaskPool, instance: Instance, policy: AdjustmentPolicy,
     return best, plan, history
 
 
-__all__ = ["GaParams", "next_generation", "run_ga"]
+__all__ = ["next_generation", "run_ga"]

@@ -23,35 +23,14 @@ import numpy as np
 
 from .errors import NothingToSolveError, ParameterError, ShapeError
 from .instance import Instance
-from .routing import AdjustmentPolicy, RouteMemo, RoutePlan, evaluate_solution
-from .state import SearchState, effective_locker_count, random_state
+from .routing import (AdjustmentPolicy, RouteMemo, RoutePlan, evaluate_solution,
+                      refuse_over_capacity)
+from .state import BudgetProfile, SearchState, effective_locker_count, random_state
 from .taskgen import TaskPool
 
 
-@dataclass
-class HqmParams:
-    """Solver parameters. The greedy threshold is redrawn from U(0, 1) at every
-    selection; the learning rate follows alpha(t) = 0.9 * exp(-t / timesteps).
-    """
-
-    agents: int = 100
-    timesteps: int = 1000
-    gamma: float = 0.9
-    tol: float = 1e-8
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.agents < 1:
-            raise ParameterError("agents must be >= 1")
-        if self.timesteps < 1:
-            raise ParameterError("timesteps must be >= 1")
-        if not 0.0 <= self.gamma <= 1.0:
-            raise ParameterError(f"gamma must lie in [0, 1], got {self.gamma}")
-        if not self.tol > 0:
-            raise ParameterError(f"tol must be > 0, got {self.tol}")
-
-    def alpha(self, t: int) -> float:
-        return 0.9 * math.exp(-t / self.timesteps)
+GAMMA = 0.9  # discount of the next row's maximum in the value update
+TOL = 1e-8  # the run stops once no table entry moves by this much in a step
 
 
 @dataclass
@@ -151,7 +130,7 @@ class Evaluator:
 # ---------------------------------------------------------------------------
 
 
-def init_agents(pool: TaskPool, max_lockers: int, params: HqmParams,
+def init_agents(pool: TaskPool, max_lockers: int, agents: int, seed: int,
                 ) -> tuple[list[Agent], QMatrices]:
     """One uniformly random state per agent, plus all-zero value tables.
 
@@ -162,11 +141,11 @@ def init_agents(pool: TaskPool, max_lockers: int, params: HqmParams,
     if n == 0:
         raise NothingToSolveError("task pool is empty")
     lockers = effective_locker_count(max_lockers, n)
-    agents = []
-    for s in np.random.SeedSequence(params.seed).spawn(params.agents):
+    out = []
+    for s in np.random.SeedSequence(seed).spawn(agents):
         rng = np.random.default_rng(s)
-        agents.append(Agent(best=random_state(rng, n, lockers), rng=Stream(rng)))
-    return agents, QMatrices.zeros(lockers, n)
+        out.append(Agent(best=random_state(rng, n, lockers), rng=Stream(rng)))
+    return out, QMatrices.zeros(lockers, n)
 
 
 def normalize_q(q: list[list[float]]) -> list[list[float]]:
@@ -504,17 +483,25 @@ def has_converged(prev: QMatrices, cur: QMatrices, tol: float) -> bool:
 
 
 def run_hqm(pool: TaskPool, instance: Instance, policy: AdjustmentPolicy,
-            params: HqmParams) -> tuple[SearchState, RoutePlan, RunHistory]:
-    """Full solver run; deterministic per seed.
+            budget: BudgetProfile, seed: int, gamma: float = GAMMA, tol: float = TOL,
+            ) -> tuple[SearchState, RoutePlan, RunHistory]:
+    """Full solver run of ``budget.agents`` agents; deterministic per seed.
 
     Per timestep every agent proposes one globally constructed state and one
     local differential move (omega drawn from U(-1, 1)) against another agent's
     best, accepting each only on strict reward improvement; the tables are then
-    updated from every agent's current best and the loop stops at the step
-    budget or once the tables stop moving.
+    updated from every agent's current best with the learning rate
+    alpha(t) = 0.9 * exp(-t / budget.iterations), and the loop stops after
+    ``budget.iterations`` steps or once the tables stop moving. A pool with a
+    task above the locker capacity is refused.
     """
+    refuse_over_capacity(pool, instance)
+    if not 0.0 <= gamma <= 1.0:
+        raise ParameterError(f"gamma must lie in [0, 1], got {gamma}")
+    if not tol > 0:
+        raise ParameterError(f"tol must be > 0, got {tol}")
     evaluator = Evaluator(pool, instance, policy)
-    agents, qmats = init_agents(pool, instance.fleet.max_lockers, params)
+    agents, qmats = init_agents(pool, instance.fleet.max_lockers, budget.agents, seed)
     lockers = len(qmats.q1[0])
     for agent in agents:
         evaluator.reward(agent.best)
@@ -522,8 +509,8 @@ def run_hqm(pool: TaskPool, instance: Instance, policy: AdjustmentPolicy,
     history = RunHistory(initial_best=max(a.best.reward for a in agents))
     n_agents = len(agents)
 
-    for t in range(1, params.timesteps + 1):
-        alpha = params.alpha(t)
+    for t in range(1, budget.iterations + 1):
+        alpha = 0.9 * math.exp(-t / budget.iterations)
         snapshot = qmats.copy()
         q1, q2 = PickTable(normalize_q(qmats.q1)), normalize_q(qmats.q2)
 
@@ -546,11 +533,11 @@ def run_hqm(pool: TaskPool, instance: Instance, policy: AdjustmentPolicy,
                 agent.accept(moved)
 
         update_q(qmats, [a.best for a in agents], [a.best.reward for a in agents],
-                 alpha, params.gamma)
+                 alpha, gamma)
 
         best = max(a.best.reward for a in agents)
         history.best_per_step.append(best)
-        if has_converged(snapshot, qmats, params.tol):
+        if has_converged(snapshot, qmats, tol):
             history.convergence_step = t
             break
 
@@ -561,7 +548,8 @@ def run_hqm(pool: TaskPool, instance: Instance, policy: AdjustmentPolicy,
 
 
 __all__ = [
-    "HqmParams",
+    "GAMMA",
+    "TOL",
     "QMatrices",
     "Agent",
     "RunHistory",

@@ -119,19 +119,21 @@ class Instance:
         except KeyError:
             raise KeyError(f"unknown parking space id {space_id}") from None
 
+    def customer_by_id(self, customer_id: int) -> Customer:
+        try:
+            return self._customers_by_id[customer_id]
+        except KeyError:
+            raise KeyError(f"unknown customer id {customer_id}") from None
+
     @cached_property
     def _spaces_by_id(self) -> dict[int, ParkingSpace]:
         """Id -> space, built on first use; a duplicated id keeps its first space."""
-        index: dict[int, ParkingSpace] = {}
-        for sp in self.spaces:
-            index.setdefault(sp.id, sp)
-        return index
+        return {sp.id: sp for sp in reversed(self.spaces)}
 
-    def customer_by_id(self, customer_id: int) -> Customer:
-        for cust in self.customers:
-            if cust.id == customer_id:
-                return cust
-        raise KeyError(f"unknown customer id {customer_id}")
+    @cached_property
+    def _customers_by_id(self) -> dict[int, Customer]:
+        """Id -> customer, built on first use; a duplicated id keeps its first customer."""
+        return {cust.id: cust for cust in reversed(self.customers)}
 
 
 # Generator settings that no sweep or command varies: the standard comparison setup.

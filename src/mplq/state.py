@@ -1,4 +1,4 @@
-"""Candidate-solution encoding shared by every solver.
+"""Candidate-solution encoding and solver budget shared by every solver.
 
 A solution is a pair of tuples of Python ints over the task pool: ``x1[t]``
 names the locker that executes task ``t`` and ``x2`` is the global
@@ -12,7 +12,42 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .errors import ShapeError
+from .errors import ConfigurationError, ShapeError
+
+# The largest budget a solve accepts: 100 times the paper profile's agents and
+# iterations. A larger count would exhaust memory or run for days.
+MAX_AGENTS = 10_000
+MAX_ITERATIONS = 100_000
+
+
+@dataclass(frozen=True)
+class BudgetProfile:
+    """Solver effort: agents doubles as GA population, iterations as generations."""
+
+    agents: int
+    iterations: int
+
+    def __post_init__(self) -> None:
+        if self.agents < 1 or self.iterations < 1:
+            raise ConfigurationError(f"budget agents and iterations must be >= 1: {self}")
+        if self.agents > MAX_AGENTS or self.iterations > MAX_ITERATIONS:
+            raise ConfigurationError(f"budget agents and iterations must be at most "
+                                     f"{MAX_AGENTS} and {MAX_ITERATIONS}: {self}")
+
+    @classmethod
+    def desk(cls) -> "BudgetProfile":
+        return cls(agents=20, iterations=200)
+
+    @classmethod
+    def paper(cls) -> "BudgetProfile":
+        return cls(agents=100, iterations=1000)
+
+    @classmethod
+    def named(cls, name: str) -> "BudgetProfile":
+        try:
+            return {"desk": cls.desk, "paper": cls.paper}[name]()
+        except KeyError:
+            raise ConfigurationError(f"unknown budget profile {name!r}; expected desk or paper")
 
 
 @dataclass
@@ -52,4 +87,5 @@ def validate_state(state: SearchState, num_tasks: int, max_lockers: int) -> None
         raise ShapeError("x2 is not a permutation of the task ids")
 
 
-__all__ = ["SearchState", "effective_locker_count", "random_state", "validate_state"]
+__all__ = ["MAX_AGENTS", "MAX_ITERATIONS", "BudgetProfile", "SearchState",
+           "effective_locker_count", "random_state", "validate_state"]

@@ -10,13 +10,14 @@ import pytest
 
 from mplq.bench import improvement_rate, reward_gap
 from mplq.cli import run_cli
-from mplq.ga import GaParams, run_ga
-from mplq.hqm import HqmParams, QMatrices, has_converged, run_hqm, update_q
+from mplq.ga import run_ga
+from mplq.hqm import QMatrices, has_converged, run_hqm, update_q
 from mplq.instance import (GeneratorConfig, Position, assign_customers,
                            generate_instance)
 from mplq.oracle import brute_force_best
 from mplq.routing import (Adjustment, AdjustmentPolicy, check_feasibility,
                           compute_delay, evaluate_solution)
+from mplq.state import BudgetProfile
 from mplq.taskgen import build_tasks
 from helpers import (make_instance, make_pool, make_space, make_state, make_task,
                      schedule_tasks, travel_time)
@@ -52,13 +53,9 @@ def tiny_suite():
             continue
         policy = AdjustmentPolicy.HCPS
         oracle_state, oracle_reward = brute_force_best(pool, instance, policy)
-        hqm_best, hqm_plan, hqm_hist = run_hqm(
-            pool, instance, policy,
-            HqmParams(agents=DESK_AGENTS, timesteps=DESK_TIMESTEPS_TINY, seed=cfg.seed))
-        ga_best, ga_plan, ga_hist = run_ga(
-            pool, instance, policy,
-            GaParams(population=DESK_AGENTS, generations=DESK_TIMESTEPS_TINY,
-                     seed=cfg.seed))
+        budget = BudgetProfile(agents=DESK_AGENTS, iterations=DESK_TIMESTEPS_TINY)
+        hqm_best, hqm_plan, hqm_hist = run_hqm(pool, instance, policy, budget, cfg.seed)
+        ga_best, ga_plan, ga_hist = run_ga(pool, instance, policy, budget, cfg.seed)
         records.append(dict(
             instance=instance, pool=pool, policy=policy,
             oracle_state=oracle_state, oracle_reward=oracle_reward,
@@ -70,21 +67,17 @@ def tiny_suite():
 def cell_suite():
     """6 spaces x 10 locations, 20 seeded replications, both solvers x policies."""
     records = []
+    budget = BudgetProfile(agents=DESK_AGENTS, iterations=DESK_TIMESTEPS_CELL)
     for rep in range(20):
         cfg = GeneratorConfig(num_spaces=6, locations_per_space=10, seed=rep)
         instance = generate_instance(cfg)
         pool = build_tasks(instance, assign_customers(instance))
         for policy in (AdjustmentPolicy.BTD, AdjustmentPolicy.HCPS):
-            best, plan, hist = run_hqm(
-                pool, instance, policy,
-                HqmParams(agents=DESK_AGENTS, timesteps=DESK_TIMESTEPS_CELL, seed=rep))
+            best, plan, hist = run_hqm(pool, instance, policy, budget, rep)
             records.append(dict(rep=rep, solver="hqm", policy=policy.value,
                                 instance=instance, pool=pool, state=best, plan=plan,
                                 history=hist))
-            best, plan, hist = run_ga(
-                pool, instance, policy,
-                GaParams(population=DESK_AGENTS, generations=DESK_TIMESTEPS_CELL,
-                         seed=rep))
+            best, plan, hist = run_ga(pool, instance, policy, budget, rep)
             records.append(dict(rep=rep, solver="ga", policy=policy.value,
                                 instance=instance, pool=pool, state=best, plan=plan,
                                 history=hist))

@@ -11,9 +11,11 @@ from mplq.bench import (MAX_AGENTS, MAX_ITERATIONS, BudgetProfile, CellOutcome, 
                         write_sweep_csv)
 from mplq.errors import (ConfigurationError, NothingToSolveError, OverCapacityError,
                          ParameterError, UndefinedRateError)
-from mplq.hqm import RunHistory
-from mplq.instance import GeneratorConfig
+from mplq.ga import run_ga
+from mplq.hqm import RunHistory, run_hqm
+from mplq.instance import GeneratorConfig, assign_customers, generate_instance
 from mplq.routing import AdjustmentPolicy
+from mplq.taskgen import build_tasks
 
 
 def test_improvement_rate_formula():
@@ -43,6 +45,11 @@ def test_reward_gap_zero_and_positive():
 def test_reward_gap_requires_finite_inputs():
     with pytest.raises(ParameterError):
         reward_gap(float("nan"), 1.0)
+
+
+def _generated_pool(config):
+    instance = generate_instance(config)
+    return instance, build_tasks(instance, assign_customers(instance))
 
 
 def _tiny_grid(**overrides):
@@ -212,6 +219,13 @@ def test_grid_config_refuses_unknown_solvers_and_policies():
     assert GridConfig(policies=("BTD", "Hcps")).policies == ("BTD", "Hcps")
 
 
+def test_sweep_config_refuses_an_unknown_policy():
+    # generated pools admit no hold, so the sweep's solves never parse the policy
+    with pytest.raises(ConfigurationError, match="unknown adjustment policy 'foo'"):
+        SweepConfig(factor="Q", values=(20.0,), policy="foo")
+    assert SweepConfig(factor="Q", values=(20.0,), policy="BTD").policy == "BTD"
+
+
 def test_budget_profiles():
     assert BudgetProfile.named("desk") == BudgetProfile(agents=20, iterations=200)
     assert BudgetProfile.named("paper") == BudgetProfile(agents=100, iterations=1000)
@@ -297,11 +311,32 @@ def test_grid_skips_pools_with_a_task_above_capacity():
 
 def test_solve_refuses_a_pool_with_a_task_above_capacity():
     low = replace(GeneratorConfig(num_spaces=2, locations_per_space=3, seed=2), capacity=5.0)
-    instance, pool = bench._generated_pool(low)
+    instance, pool = _generated_pool(low)
     assert bench.over_capacity_task(pool, instance) == 0
     with pytest.raises(OverCapacityError, match="task 0 .* demands 8 parcels"):
         bench.solve(pool, instance, "ga", AdjustmentPolicy.BTD,
                     BudgetProfile(agents=2, iterations=1), seed=0)
+
+
+@pytest.mark.parametrize("run", [run_hqm, run_ga])
+def test_solvers_refuse_a_pool_with_a_task_above_capacity(run):
+    low = replace(GeneratorConfig(num_spaces=2, locations_per_space=3, seed=2), capacity=5.0)
+    instance, pool = _generated_pool(low)
+    with pytest.raises(OverCapacityError, match="task 0 .* demands 8 parcels"):
+        run(pool, instance, AdjustmentPolicy.BTD, BudgetProfile(agents=2, iterations=1), 0)
+
+
+def test_solve_dispatches_to_the_solvers():
+    instance, pool = _generated_pool(
+        GeneratorConfig(num_spaces=2, locations_per_space=3, seed=3))
+    budget, policy = BudgetProfile(agents=6, iterations=20), AdjustmentPolicy.HCPS
+    for solver, direct in (("hqm", run_hqm(pool, instance, policy, budget, 3, 0.8, 1e-6)),
+                           ("ga", run_ga(pool, instance, policy, budget, 3))):
+        best, plan, history = bench.solve(pool, instance, solver, policy, budget, 3,
+                                          gamma=0.8, tol=1e-6)
+        assert (best.x1, best.x2, best.reward) == \
+            (direct[0].x1, direct[0].x2, direct[0].reward)
+        assert (plan, history) == direct[1:]
 
 
 def test_sweep_skips_and_counts_pools_above_capacity():

@@ -120,6 +120,30 @@ def test_solve_rejects_a_config_integer_too_long_to_parse(instance_file, tmp_pat
     assert capsys.readouterr().err.startswith(f"error: {cfg}: invalid JSON: ")
 
 
+def test_solve_refuses_an_unknown_config_policy(instance_file, tmp_path, capsys):
+    cfg = tmp_path / "solver.json"
+    cfg.write_text(json.dumps({"policy": "foo", "agents": 2, "timesteps": 2}))
+    out_dir = tmp_path / "cfg"
+    code = run_cli(["solve", "--instance", str(instance_file),
+                    "--config", str(cfg), "--out-dir", str(out_dir)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.splitlines() == [
+        f"error: {cfg}: bad solver config value: "
+        "unknown adjustment policy 'foo'; expected btd or hcps"]
+    assert captured.out == "" and not out_dir.exists()
+
+
+def test_solve_ga_refuses_a_population_of_one(instance_file, tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    code = run_cli(["solve", "--instance", str(instance_file), "--solver", "ga",
+                    "--agents", "1", "--iters", "5", "--out-dir", str(out_dir)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == "error: population must be >= 2\n"
+    assert "RESULT" not in captured.out and not out_dir.exists()
+
+
 def test_solve_refuses_task_above_capacity(tmp_path, capsys):
     sp = make_space(1, 1.0, 0.0, window=(600, 660), service_time=60.0)
     cust = make_customer(0, 25, [(1.0, 0.1, (600, 660), 0.5)])
@@ -471,6 +495,24 @@ def test_validate_rejects_malformed_solution_file(instance_file, tmp_path, capsy
     code = run_cli(["validate", "--instance", str(instance_file), "--solution", str(sol_path)])
     assert code == 2
     assert capsys.readouterr().err.startswith("error: cannot parse solution file ")
+
+
+def test_validate_refuses_an_unknown_solution_policy(instance_file, tmp_path, capsys):
+    out_dir = tmp_path / "s"
+    assert run_cli(["solve", "--instance", str(instance_file), "--agents", "4",
+                    "--iters", "5", "--out-dir", str(out_dir)]) == 0
+    sol_path = out_dir / "solution.json"
+    solution = json.loads(sol_path.read_text())
+    solution["policy"] = "foo"
+    sol_path.write_text(json.dumps(solution))
+    capsys.readouterr()
+    code = run_cli(["validate", "--instance", str(instance_file), "--solution", str(sol_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.splitlines() == [
+        f"error: cannot parse solution file {sol_path}: "
+        "unknown adjustment policy 'foo'; expected btd or hcps"]
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("x1,x2", [

@@ -4,12 +4,12 @@ from hypothesis import given, settings, strategies as st
 
 from mplq import ga
 from mplq.errors import ParameterError
-from mplq.ga import GaParams, next_generation, run_ga, _order_crossover
+from mplq.ga import next_generation, run_ga, _order_crossover
 from mplq.hqm import Stream, roulette_cdf
 from mplq.instance import GeneratorConfig, assign_customers, generate_instance
 from mplq.routing import AdjustmentPolicy
 from mplq.taskgen import build_tasks
-from mplq.state import SearchState
+from mplq.state import BudgetProfile, SearchState
 from helpers import assert_same_continuation, make_state, stream_pair
 
 
@@ -50,9 +50,8 @@ def test_selection_draws_what_generator_choice_drew(monkeypatch):
         rewards = _rewards(maker, size, seed % 3)
         for state, reward in zip(pop, rewards):
             state.reward = float(reward)
-        params = GaParams(population=size, seed=seed)
         ours, ref = stream_pair(seed + 1000)
-        children = next_generation(pop, params, ours, max_lockers=3)[params.elite_count:]
+        children = [s for s in next_generation(pop, ours, max_lockers=3) if s.reward is None]
         for child in children:
             parent = pop[_choice_select(rewards, ref)]
             _choice_select(rewards, ref)
@@ -72,8 +71,7 @@ def test_select_index_refuses_non_finite_rewards_like_generator_choice(bad):
     pop = _evaluated_population(3, 4, 2)
     pop[1].reward = float(bad)
     with pytest.raises(ValueError):
-        next_generation(pop, GaParams(population=3), Stream(np.random.default_rng(0)),
-                        max_lockers=2)
+        next_generation(pop, Stream(np.random.default_rng(0)), max_lockers=2)
 
 
 def _np_uniform_crossover(a, b, rng):
@@ -113,10 +111,10 @@ def _np_mutate(x1, x2, rate, max_lockers, rng):
     return x1, x2
 
 
-def _choice_next_generation(population, params, rng, max_lockers):
+def _choice_next_generation(population, rng, max_lockers):
     """``next_generation`` on int64 arrays with ``_choice_select``: the reference stream."""
     ranked = sorted(population, key=lambda s: s.reward, reverse=True)
-    out = ranked[:params.elite_count]
+    out = ranked[:max(1, int(0.05 * len(population)))]
     rewards = np.array([s.reward for s in population])
     while len(out) < len(population):
         pa = population[_choice_select(rewards, rng)]
@@ -159,29 +157,31 @@ def test_next_generation_draws_what_choice_selection_drew():
         pop = _evaluated_population(size, n_tasks, lockers, seed=seed)
         for state, reward in zip(pop, _rewards(maker, size, seed % 3)):
             state.reward = float(reward)
-        params = GaParams(population=size, seed=seed)
         ours, ref = stream_pair(seed + 1000)
         for _ in range(2):
-            got = next_generation(pop, params, ours, max_lockers=lockers)
-            expected = _choice_next_generation(pop, params, ref, max_lockers=lockers)
+            got = next_generation(pop, ours, max_lockers=lockers)
+            expected = _choice_next_generation(pop, ref, max_lockers=lockers)
             assert [(list(s.x1), list(s.x2), s.reward) for s in got] == \
                 [(list(s.x1), list(s.x2), s.reward) for s in expected]
             assert_same_continuation(ours, ref)
 
 
 def test_params_validation():
-    with pytest.raises(ParameterError):
-        GaParams(population=1)
-    assert GaParams(population=100).elite_count == 5
-    assert GaParams(population=10).elite_count == 1  # 0.5 elite rounds up to one
+    pool, inst = _tiny_pool()
+    with pytest.raises(ParameterError, match="population must be >= 2"):
+        run_ga(pool, inst, AdjustmentPolicy.BTD, BudgetProfile(agents=1, iterations=1), 0)
+    # the elites keep their rewards; the children come back unevaluated
+    for size, elites in ((100, 5), (10, 1)):  # 0.5 elite rounds up to one
+        nxt = next_generation(_evaluated_population(size, 4, 2),
+                              Stream(np.random.default_rng(0)), max_lockers=2)
+        assert sum(s.reward is not None for s in nxt) == elites
 
 
 def test_elites_pass_through_unchanged():
     pop = _evaluated_population(100, 6, 3)
-    params = GaParams(population=100, seed=1)
-    nxt = next_generation(pop, params, Stream(np.random.default_rng(1)), max_lockers=3)
+    nxt = next_generation(pop, Stream(np.random.default_rng(1)), max_lockers=3)
     ranked = sorted(pop, key=lambda s: s.reward, reverse=True)
-    for k in range(params.elite_count):
+    for k in range(5):  # the top 5% of 100
         assert list(nxt[k].x1) == list(ranked[k].x1)
         assert list(nxt[k].x2) == list(ranked[k].x2)
         assert nxt[k].reward == ranked[k].reward
@@ -191,8 +191,7 @@ def test_no_variation_yields_parent_clones(monkeypatch):
     monkeypatch.setattr(ga, "CROSSOVER_PROB", 0.0)
     monkeypatch.setattr(ga, "MUTATION_RATE", 0.0)
     pop = _evaluated_population(20, 5, 2)
-    params = GaParams(population=20, seed=2)
-    nxt = next_generation(pop, params, Stream(np.random.default_rng(2)), max_lockers=2)
+    nxt = next_generation(pop, Stream(np.random.default_rng(2)), max_lockers=2)
     genotypes = {(tuple(s.x1), tuple(s.x2)) for s in pop}
     for child in nxt:
         assert (tuple(child.x1), tuple(child.x2)) in genotypes
@@ -200,8 +199,7 @@ def test_no_variation_yields_parent_clones(monkeypatch):
 
 def test_population_size_constant_and_children_valid():
     pop = _evaluated_population(30, 8, 4)
-    params = GaParams(population=30, seed=3)
-    nxt = next_generation(pop, params, Stream(np.random.default_rng(3)), max_lockers=4)
+    nxt = next_generation(pop, Stream(np.random.default_rng(3)), max_lockers=4)
     assert len(nxt) == 30
     for child in nxt:
         assert sorted(child.x2) == list(range(8))
@@ -211,16 +209,14 @@ def test_population_size_constant_and_children_valid():
 def test_next_generation_requires_two_individuals():
     pop = _evaluated_population(2, 3, 2)
     with pytest.raises(ParameterError):
-        next_generation(pop[:1], GaParams(population=2),
-                        Stream(np.random.default_rng(0)), max_lockers=2)
+        next_generation(pop[:1], Stream(np.random.default_rng(0)), max_lockers=2)
 
 
 def test_next_generation_requires_evaluated_population():
     pop = _evaluated_population(4, 3, 2)
     pop[2].reward = None
     with pytest.raises(ParameterError):
-        next_generation(pop, GaParams(population=4),
-                        Stream(np.random.default_rng(0)), max_lockers=2)
+        next_generation(pop, Stream(np.random.default_rng(0)), max_lockers=2)
 
 
 @settings(max_examples=50)
@@ -242,8 +238,8 @@ def _tiny_pool():
 
 def test_run_ga_elitism_monotone():
     pool, inst = _tiny_pool()
-    params = GaParams(population=12, generations=40, seed=5)
-    best, plan, history = run_ga(pool, inst, AdjustmentPolicy.HCPS, params)
+    best, plan, history = run_ga(pool, inst, AdjustmentPolicy.HCPS,
+                                 BudgetProfile(agents=12, iterations=40), 5)
     assert history.final_best >= history.initial_best
     assert all(y >= x for x, y in zip(history.best_per_step, history.best_per_step[1:]))
     assert best.reward == history.final_best
@@ -252,8 +248,8 @@ def test_run_ga_elitism_monotone():
 
 def test_run_ga_deterministic():
     pool, inst = _tiny_pool()
-    params = GaParams(population=10, generations=25, seed=9)
-    b1, _, h1 = run_ga(pool, inst, AdjustmentPolicy.BTD, params)
-    b2, _, h2 = run_ga(pool, inst, AdjustmentPolicy.BTD, params)
+    budget = BudgetProfile(agents=10, iterations=25)
+    b1, _, h1 = run_ga(pool, inst, AdjustmentPolicy.BTD, budget, 9)
+    b2, _, h2 = run_ga(pool, inst, AdjustmentPolicy.BTD, budget, 9)
     assert h1.best_per_step == h2.best_per_step
     assert list(b1.x1) == list(b2.x1) and list(b1.x2) == list(b2.x2)

@@ -3,14 +3,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mplq.errors import NothingToSolveError, ShapeError
-from mplq.hqm import (Agent, HqmParams, QMatrices, global_construct, has_converged,
+from mplq.hqm import (Agent, QMatrices, global_construct, has_converged,
                       init_agents, local_move, normalize_q, run_hqm, update_q,
                       write_history_csv)
 from mplq.hqm import PickTable, Stream, _pairwise_sum, roulette_cdf
 from mplq.instance import GeneratorConfig, assign_customers, generate_instance
 from mplq.oracle import brute_force_best
 from mplq.routing import AdjustmentPolicy
-from mplq.state import SearchState, effective_locker_count, random_state
+from mplq.state import BudgetProfile, SearchState, effective_locker_count, random_state
 from mplq.taskgen import TaskPool, build_tasks
 from helpers import (assert_same_continuation, make_pool, make_state, make_task,
                      stream_pair)
@@ -591,7 +591,7 @@ def _pool_and_instance(seed=3):
 
 def test_init_agents_shapes():
     pool = make_pool([make_task(1), make_task(1, a=2), make_task(1, a=3)])
-    agents, q = init_agents(pool, 2, HqmParams(agents=10, seed=0))
+    agents, q = init_agents(pool, 2, 10, 0)
     assert len(agents) == 10
     assert q.q1 == [[0.0] * 2] * 3 and q.q2 == [[0.0] * 3] * 4
     assert all(type(v) is float for table in (q.q1, q.q2) for row in table for v in row)
@@ -603,14 +603,14 @@ def test_init_agents_shapes():
 
 def test_init_agents_population_size_default():
     pool = make_pool([make_task(1)])
-    agents, _ = init_agents(pool, 1, HqmParams(seed=1))
+    agents, _ = init_agents(pool, 1, BudgetProfile.paper().agents, 1)
     assert len(agents) == 100
 
 
 def test_init_agents_deterministic():
     pool = make_pool([make_task(1), make_task(1, a=2)])
-    a1, _ = init_agents(pool, 2, HqmParams(agents=5, seed=7))
-    a2, _ = init_agents(pool, 2, HqmParams(agents=5, seed=7))
+    a1, _ = init_agents(pool, 2, 5, 7)
+    a2, _ = init_agents(pool, 2, 5, 7)
     for x, y in zip(a1, a2):
         assert list(x.best.x1) == list(y.best.x1)
         assert list(x.best.x2) == list(y.best.x2)
@@ -634,7 +634,7 @@ def test_random_state_is_the_old_set_up_draw():
 def test_init_agents_empty_pool():
     empty = TaskPool(tasks=(), unservable=())
     with pytest.raises(NothingToSolveError):
-        init_agents(empty, 2, HqmParams(agents=5))
+        init_agents(empty, 2, 5, 0)
 
 
 def test_effective_locker_count():
@@ -648,16 +648,16 @@ def test_run_hqm_reaches_oracle_on_tiny_instance():
     assert 1 <= len(pool) <= 5
     _, opt = brute_force_best(pool, inst, AdjustmentPolicy.HCPS)
     best, plan, history = run_hqm(pool, inst, AdjustmentPolicy.HCPS,
-                                  HqmParams(agents=15, timesteps=300, seed=5))
+                                  BudgetProfile(agents=15, iterations=300), 5)
     assert best.reward == pytest.approx(opt, rel=1e-12)
     assert history.final_best >= history.initial_best
 
 
 def test_run_hqm_history_monotone_and_deterministic():
     pool, inst = _pool_and_instance(seed=6)
-    params = HqmParams(agents=8, timesteps=60, seed=11)
-    b1, _, h1 = run_hqm(pool, inst, AdjustmentPolicy.BTD, params)
-    b2, _, h2 = run_hqm(pool, inst, AdjustmentPolicy.BTD, params)
+    budget = BudgetProfile(agents=8, iterations=60)
+    b1, _, h1 = run_hqm(pool, inst, AdjustmentPolicy.BTD, budget, 11)
+    b2, _, h2 = run_hqm(pool, inst, AdjustmentPolicy.BTD, budget, 11)
     assert h1.best_per_step == h2.best_per_step
     assert list(b1.x1) == list(b2.x1) and list(b1.x2) == list(b2.x2)
     assert all(y >= x for x, y in zip(h1.best_per_step, h1.best_per_step[1:]))
@@ -667,7 +667,7 @@ def test_run_hqm_history_monotone_and_deterministic():
 def test_history_csv(tmp_path):
     pool, inst = _pool_and_instance(seed=6)
     _, _, history = run_hqm(pool, inst, AdjustmentPolicy.BTD,
-                            HqmParams(agents=4, timesteps=10, seed=2))
+                            BudgetProfile(agents=4, iterations=10), 2)
     path = tmp_path / "history.csv"
     write_history_csv(history, path, header_comment="run")
     lines = path.read_text().strip().splitlines()

@@ -108,6 +108,17 @@ def test_assignment_respects_walk_and_is_deterministic(seed):
         assert d <= loc.max_walk
 
 
+def test_customer_by_id_keeps_the_first_of_a_duplicated_id():
+    first = make_customer(7, 1, [(0.1, 0.0, (600, 700), 1.0)])
+    second = make_customer(7, 2, [(0.2, 0.0, (650, 720), 1.0)])
+    other = make_customer(3, 4, [(0.3, 0.0, (600, 720), 1.0)])
+    inst = make_instance([make_space(1, 0.0, 0.0)], [first, other, second])
+    assert inst.customer_by_id(7) is first
+    assert inst.customer_by_id(3) is other
+    with pytest.raises(KeyError, match="^'unknown customer id 5'$"):
+        inst.customer_by_id(5)
+
+
 def test_validate_flags_overlapping_customer_windows():
     sp = make_space(1, 0.0, 0.0)
     cust = make_customer(0, 1, [(0.1, 0.0, (600, 700), 1.0), (0.2, 0.0, (650, 720), 1.0)])

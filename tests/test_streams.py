@@ -9,10 +9,11 @@ draw or a float fails here.
 
 import pytest
 
-from mplq.ga import GaParams, run_ga
-from mplq.hqm import HqmParams, run_hqm
+from mplq.ga import run_ga
+from mplq.hqm import run_hqm
 from mplq.instance import GeneratorConfig, assign_customers, generate_instance
 from mplq.routing import AdjustmentPolicy
+from mplq.state import BudgetProfile
 from mplq.taskgen import build_tasks
 
 # (spaces, locations per space, seed), policy, solver -> tasks, (reward, x1, x2, steps)
@@ -52,11 +53,8 @@ def test_solver_stream_is_pinned(cell, policy, solver):
     pool = build_tasks(instance, assign_customers(instance))
     tasks, (reward, x1, x2, steps) = PINNED[cell, policy, solver]
     assert len(pool) == tasks
-    if solver == "hqm":
-        best, _, history = run_hqm(pool, instance, AdjustmentPolicy(policy),
-                                   HqmParams(agents=10, timesteps=30, seed=seed))
-    else:
-        best, _, history = run_ga(pool, instance, AdjustmentPolicy(policy),
-                                  GaParams(population=10, generations=30, seed=seed))
+    run = run_hqm if solver == "hqm" else run_ga
+    best, _, history = run(pool, instance, AdjustmentPolicy(policy),
+                           BudgetProfile(agents=10, iterations=30), seed)
     assert (repr(best.reward), list(best.x1), list(best.x2),
             len(history.best_per_step)) == (repr(reward), x1, x2, steps)
