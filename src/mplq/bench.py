@@ -19,10 +19,10 @@ from typing import Callable, Optional, Sequence, Union
 from .errors import (ConfigurationError, NothingToSolveError, ParameterError,
                      UndefinedRateError)
 from .ga import run_ga
-from .hqm import GAMMA, TOL, RunHistory, run_hqm
+from .hqm import GAMMA, TOL, RunHistory, check_learning_settings, run_hqm
 from .instance import GeneratorConfig, Instance, assign_customers, generate_instance
 from .routing import (AdjustmentPolicy, compute_delay, hold_can_apply, over_capacity_task,
-                      sum_in_order)
+                      refuse_over_capacity, sum_in_order)
 from .state import MAX_AGENTS, MAX_ITERATIONS, BudgetProfile  # noqa: F401  (re-exported)
 from .taskgen import TaskPool, build_tasks
 
@@ -240,12 +240,15 @@ def solve(pool: TaskPool, instance: Instance, solver: str, policy: AdjustmentPol
     """Run HQM or the GA on one task pool; returns (best state, plan, history).
 
     The one entry point for either solver: ``mplq solve``, the grid and the
-    factor sweeps all come through here. ``gamma`` and ``tol`` apply to HQM
-    only. A pool with a task above the locker capacity is refused.
+    factor sweeps all come through here. ``gamma`` and ``tol`` steer HQM
+    alone, but either solver refuses a value out of range, after refusing a
+    pool with a task above the locker capacity.
     """
     if solver == "hqm":
         return run_hqm(pool, instance, policy, budget, seed, gamma, tol)
     if solver == "ga":
+        refuse_over_capacity(pool, instance)
+        check_learning_settings(gamma, tol)
         return run_ga(pool, instance, policy, budget, seed)
     raise ConfigurationError(f"unknown solver {solver!r}; expected hqm or ga")
 

@@ -107,8 +107,10 @@ def run_ga(pool: TaskPool, instance: Instance, policy: AdjustmentPolicy,
     generations on the shared encoding; deterministic per seed.
 
     The initial population is the ``Generator``'s set-up draws; breeding
-    draws from the ``Stream`` that takes the generator over. A pool with a
-    task above the locker capacity is refused.
+    draws from the ``Stream`` that takes the generator over. The evaluator
+    keys its state cache by the allocation alone on a pool without tied
+    starts, where ``x2`` changes no reward. A pool with a task above the
+    locker capacity is refused.
     """
     refuse_over_capacity(pool, instance)
     if budget.agents < 2:
@@ -118,7 +120,7 @@ def run_ga(pool: TaskPool, instance: Instance, policy: AdjustmentPolicy,
         raise NothingToSolveError("task pool is empty")
     lockers = effective_locker_count(instance.fleet.max_lockers, n)
     rng = np.random.default_rng(seed)
-    evaluator = Evaluator(pool, instance, policy)
+    evaluator = Evaluator(pool, instance, policy, key_by_allocation=True)
 
     population = [random_state(rng, n, lockers) for _ in range(budget.agents)]
     stream = Stream(rng)

@@ -94,19 +94,33 @@ def write_history_csv(history: RunHistory, path: Union[str, Path],
 
 
 class Evaluator:
-    """Caches rewards of previously scored (x1, x2) pairs and their routes (evaluation is pure)."""
+    """Caches the rewards of scored states and their routes (evaluation is pure).
+
+    The state cache is keyed on the pair ``(x1, x2)``. With
+    ``key_by_allocation`` and a pool whose window starts are all distinct
+    (``pool.start_order`` is not None), it is keyed on ``x1`` alone: every
+    state then deals its tasks in that one start order, so its reward does
+    not depend on ``x2``. On a pool with tied starts the pair key stays. A
+    state whose ``x1`` hits is not checked by ``validate_state``, so only a
+    caller whose every ``x2`` is a permutation, as the GA's are, passes the
+    keyword. HQM keeps the pair key, whose cache-hit count the benchmark's
+    traced reconcile and a Tier-1 test pin. ``plan`` always decodes the
+    state it is given.
+    """
 
     _CACHE_LIMIT = 150_000
 
-    def __init__(self, pool: TaskPool, instance: Instance, policy: AdjustmentPolicy):
+    def __init__(self, pool: TaskPool, instance: Instance, policy: AdjustmentPolicy,
+                 key_by_allocation: bool = False):
         self.pool = pool
         self.instance = instance
         self.policy = policy
-        self._cache: dict[tuple[tuple[int, ...], tuple[int, ...]], float] = {}
+        self._by_allocation = key_by_allocation and pool.start_order is not None
+        self._cache: dict[tuple, float] = {}
         self._routes = RouteMemo(pool, instance, policy)
 
     def reward(self, state: SearchState) -> float:
-        key = (state.x1, state.x2)
+        key = state.x1 if self._by_allocation else (state.x1, state.x2)
         hit = self._cache.get(key)
         if hit is not None:
             state.reward = hit
@@ -482,6 +496,14 @@ def has_converged(prev: QMatrices, cur: QMatrices, tol: float) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def check_learning_settings(gamma: float, tol: float) -> None:
+    """Refuse a discount ``gamma`` outside [0, 1] or a convergence ``tol`` that is not positive."""
+    if not 0.0 <= gamma <= 1.0:
+        raise ParameterError(f"gamma must lie in [0, 1], got {gamma}")
+    if not tol > 0:
+        raise ParameterError(f"tol must be > 0, got {tol}")
+
+
 def run_hqm(pool: TaskPool, instance: Instance, policy: AdjustmentPolicy,
             budget: BudgetProfile, seed: int, gamma: float = GAMMA, tol: float = TOL,
             ) -> tuple[SearchState, RoutePlan, RunHistory]:
@@ -496,10 +518,7 @@ def run_hqm(pool: TaskPool, instance: Instance, policy: AdjustmentPolicy,
     task above the locker capacity is refused.
     """
     refuse_over_capacity(pool, instance)
-    if not 0.0 <= gamma <= 1.0:
-        raise ParameterError(f"gamma must lie in [0, 1], got {gamma}")
-    if not tol > 0:
-        raise ParameterError(f"tol must be > 0, got {tol}")
+    check_learning_settings(gamma, tol)
     evaluator = Evaluator(pool, instance, policy)
     agents, qmats = init_agents(pool, instance.fleet.max_lockers, budget.agents, seed)
     lockers = len(qmats.q1[0])

@@ -72,6 +72,27 @@ def schedule_tasks(tasks: Sequence[Task], instance: Instance, policy: Adjustment
     return schedule_route(memo, task_ids=list(range(len(tasks))), timer=timer)
 
 
+def random_hold_pool(rng: np.random.Generator) -> tuple[Instance, TaskPool]:
+    """A three-locker pool whose windows outlast the service time by up to an hour.
+
+    Windows open on a 50-minute grid, so tasks at different spaces often open
+    together and the x2 priority orders them; holds and detours both occur.
+    """
+    spaces = [make_space(k + 1, float(rng.uniform(-8, 8)), float(rng.uniform(-8, 8)),
+                         service_time=float(rng.uniform(5, 25)))
+              for k in range(int(rng.integers(2, 5)))]
+    tasks = []
+    for _ in range(int(rng.integers(4, 10))):
+        sp = spaces[int(rng.integers(len(spaces)))]
+        start = 50.0 * int(rng.integers(0, 6))
+        end = start + sp.service_time + float(rng.uniform(0, 60))
+        tasks.append(make_task(sp.id, demand=int(rng.integers(1, 7)), window=(start, end),
+                               members=((0, float(rng.uniform(0, start + 20))),)))
+    inst = make_instance(spaces, capacity=float(rng.choice([8.0, 12.0, 1e9])),
+                         speed=float(rng.uniform(0.2, 1.0)), max_lockers=3)
+    return inst, make_pool(tasks)
+
+
 def make_state(x1: Sequence[int], x2: Sequence[int]) -> SearchState:
     return SearchState(x1=tuple(map(int, x1)), x2=tuple(map(int, x2)))
 

@@ -160,6 +160,18 @@ def test_solve_refuses_task_above_capacity(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("solver", ["hqm", "ga"])
+def test_solve_refuses_task_above_capacity_before_a_bad_gamma(tmp_path, capsys, solver):
+    sp = make_space(1, 1.0, 0.0, window=(600, 660), service_time=60.0)
+    cust = make_customer(0, 25, [(1.0, 0.1, (600, 660), 0.5)])
+    inst_path = tmp_path / "inst.json"
+    save_instance(make_instance([sp], [cust], capacity=20.0, max_lockers=2), inst_path)
+    code = run_cli(["solve", "--instance", str(inst_path), "--solver", solver,
+                    "--gamma", "50", "--out-dir", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: task 0 ")
+
+
+@pytest.mark.parametrize("solver", ["hqm", "ga"])
 def test_solve_reward_matches_grid_row(instance_file, tmp_path, capsys, solver):
     # instance_file is generator seed 3 at 2 spaces x 3 locations; solving it
     # with solver seed 3 at the desk budget is what the grid does for that cell
@@ -198,7 +210,10 @@ def test_solve_rejects_non_positive_budget_in_config(instance_file, tmp_path, ca
 @pytest.mark.parametrize("flags, message", [(["--tol", "0"], "tol"),
                                             (["--tol", "nan"], "tol"),
                                             (["--gamma", "50"], "gamma"),
-                                            (["--gamma", "-0.1"], "gamma")])
+                                            (["--gamma", "-0.1"], "gamma"),
+                                            # the GA uses neither, but refuses them alike
+                                            (["--solver", "ga", "--tol", "-1"], "tol"),
+                                            (["--solver", "ga", "--gamma", "50"], "gamma")])
 def test_solve_rejects_bad_hqm_parameters(instance_file, tmp_path, capsys, flags, message):
     out_dir = tmp_path / "out"
     code = run_cli(["solve", "--instance", str(instance_file), "--agents", "4",

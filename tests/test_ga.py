@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mplq import ga
+from mplq import ga, hqm
 from mplq.errors import ParameterError
 from mplq.ga import next_generation, run_ga, _order_crossover
 from mplq.hqm import Stream, roulette_cdf
@@ -10,7 +10,7 @@ from mplq.instance import GeneratorConfig, assign_customers, generate_instance
 from mplq.routing import AdjustmentPolicy
 from mplq.taskgen import build_tasks
 from mplq.state import BudgetProfile, SearchState
-from helpers import assert_same_continuation, make_state, stream_pair
+from helpers import assert_same_continuation, make_state, random_hold_pool, stream_pair
 
 
 def _evaluated_population(n_states, n_tasks, lockers, seed=0):
@@ -253,3 +253,49 @@ def test_run_ga_deterministic():
     b2, _, h2 = run_ga(pool, inst, AdjustmentPolicy.BTD, budget, 9)
     assert h1.best_per_step == h2.best_per_step
     assert list(b1.x1) == list(b2.x1) and list(b1.x2) == list(b2.x2)
+
+
+def _ga_run(monkeypatch, pool, inst, policy, seed, pair_keyed=False):
+    """One GA run's best (reward repr, x1, x2), plan and history, and its evaluation count.
+
+    ``pair_keyed`` gives the run an evaluator keyed on (x1, x2) whatever the
+    pool: the reference for the allocation key.
+    """
+    calls = []
+    evaluate = hqm.evaluate_solution
+    with monkeypatch.context() as m:
+        m.setattr(hqm, "evaluate_solution", lambda *a, **k: calls.append(1) or evaluate(*a, **k))
+        if pair_keyed:
+            m.setattr(ga, "Evaluator", lambda pool, instance, policy, **_:
+                      hqm.Evaluator(pool, instance, policy))
+        best, plan, history = run_ga(pool, inst, policy,
+                                     BudgetProfile(agents=20, iterations=60), seed)
+    run = ((repr(best.reward), best.x1, best.x2), plan,
+           [repr(r) for r in history.best_per_step])
+    return run, len(calls)
+
+
+@pytest.mark.parametrize("policy", [AdjustmentPolicy.BTD, AdjustmentPolicy.HCPS])
+def test_allocation_key_keeps_every_result_and_saves_evaluations(monkeypatch, policy):
+    for spaces, locations, seed in ((5, 5, 0), (6, 10, 1), (10, 20, 0)):
+        inst = generate_instance(GeneratorConfig(num_spaces=spaces,
+                                                 locations_per_space=locations, seed=seed))
+        pool = build_tasks(inst, assign_customers(inst))
+        assert pool.start_order is not None
+        run, calls = _ga_run(monkeypatch, pool, inst, policy, seed)
+        ref, ref_calls = _ga_run(monkeypatch, pool, inst, policy, seed, pair_keyed=True)
+        assert run == ref
+        assert calls < ref_calls
+
+
+@pytest.mark.parametrize("policy", [AdjustmentPolicy.BTD, AdjustmentPolicy.HCPS])
+def test_tied_starts_keep_the_pair_key(monkeypatch, policy):
+    rng = np.random.default_rng(41)
+    tied = 0
+    while tied < 4:
+        inst, pool = random_hold_pool(rng)
+        if pool.start_order is not None:
+            continue
+        tied += 1
+        run, calls = _ga_run(monkeypatch, pool, inst, policy, tied)
+        assert (run, calls) == _ga_run(monkeypatch, pool, inst, policy, tied, pair_keyed=True)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mplq import hqm, routing
 from mplq.errors import NothingToSolveError, ShapeError
 from mplq.hqm import (Agent, QMatrices, global_construct, has_converged,
                       init_agents, local_move, normalize_q, run_hqm, update_q,
@@ -674,3 +675,29 @@ def test_history_csv(tmp_path):
     assert lines[0] == "# run"
     assert lines[1] == "timestep,best_reward"
     assert float(lines[2].split(",")[1]) == history.initial_best
+
+
+def test_run_hqm_evaluation_counts_are_pinned(monkeypatch):
+    """The 10x20 seed-0 desk HCPS solve: evaluator calls, evaluations and route schedules.
+
+    These are the benchmark's traced solve-mid counts for that solve, so a
+    change to HQM's state cache or to its draws fails here: 8020 calls, of
+    which 1539 hit the pair-keyed cache, leave 6481 evaluations, and the
+    final plan decode makes the 6482nd.
+    """
+    counts = {"reward": 0, "evaluate": 0, "schedule": 0}
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(hqm.Evaluator, "reward", counted("reward", hqm.Evaluator.reward))
+    monkeypatch.setattr(hqm, "evaluate_solution", counted("evaluate", hqm.evaluate_solution))
+    monkeypatch.setattr(routing, "schedule_route", counted("schedule", routing.schedule_route))
+    instance = generate_instance(GeneratorConfig(num_spaces=10, locations_per_space=20, seed=0))
+    pool = build_tasks(instance, assign_customers(instance))
+    best, _, _ = run_hqm(pool, instance, AdjustmentPolicy.HCPS, BudgetProfile.desk(), 0)
+    assert repr(best.reward) == "0.01182376318627171"
+    assert counts == {"reward": 8020, "evaluate": 6482, "schedule": 40889}

@@ -16,7 +16,7 @@ from mplq.routing import _ROUTE_MEMO_LIMIT
 from mplq.state import effective_locker_count
 from mplq.taskgen import build_tasks
 from helpers import (make_instance, make_pool, make_space, make_state, make_task,
-                     schedule_tasks, travel_time)
+                     random_hold_pool, schedule_tasks, travel_time)
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +414,7 @@ def _reference_plan(state, pool, inst, policy, noise):
 @pytest.mark.parametrize("sigma", [0.0, 0.3])
 def test_scheduler_matches_the_reference_on_generated_pools(policy, sigma):
     rng = np.random.default_rng(31)
-    pools = list(_generated_pools()) + [_random_hold_pool(rng) for _ in range(12)]
+    pools = list(_generated_pools()) + [random_hold_pool(rng) for _ in range(12)]
     adjustments = set()
     for inst, pool in pools:
         n = len(pool)
@@ -439,7 +439,7 @@ DISTINCT_START_CELLS = ((3, 5), (5, 5), (5, 10), (6, 10), (8, 15), (10, 5), (10,
 def test_start_order_is_none_exactly_when_two_starts_are_equal():
     rng = np.random.default_rng(7)
     pools = [pool for _, pool in _generated_pools()]
-    pools += [_random_hold_pool(rng)[1] for _ in range(40)]
+    pools += [random_hold_pool(rng)[1] for _ in range(40)]
     tied = 0
     for pool in pools:
         starts = pool.starts
@@ -472,7 +472,7 @@ def test_x2_orders_only_tied_starts(policy):
     # with tied starts, x2 still orders them: plans match the sorted decode and move with x2
     tied = moved = 0
     for _ in range(30):
-        inst, pool = _random_hold_pool(rng)
+        inst, pool = random_hold_pool(rng)
         if pool.start_order is not None:
             continue
         tied += 1
@@ -674,27 +674,6 @@ def test_travel_noise_is_seeded_and_leaves_cost_geometric():
 # ---------------------------------------------------------------------------
 
 
-def _random_hold_pool(rng):
-    """A three-locker pool whose windows outlast the service time by up to an hour.
-
-    Windows open on a 50-minute grid, so tasks at different spaces often open
-    together and the x2 priority orders them; holds and detours both occur.
-    """
-    spaces = [make_space(k + 1, float(rng.uniform(-8, 8)), float(rng.uniform(-8, 8)),
-                         service_time=float(rng.uniform(5, 25)))
-              for k in range(int(rng.integers(2, 5)))]
-    tasks = []
-    for _ in range(int(rng.integers(4, 10))):
-        sp = spaces[int(rng.integers(len(spaces)))]
-        start = 50.0 * int(rng.integers(0, 6))
-        end = start + sp.service_time + float(rng.uniform(0, 60))
-        tasks.append(make_task(sp.id, demand=int(rng.integers(1, 7)), window=(start, end),
-                               members=((0, float(rng.uniform(0, start + 20))),)))
-    inst = make_instance(spaces, capacity=float(rng.choice([8.0, 12.0, 1e9])),
-                         speed=float(rng.uniform(0.2, 1.0)), max_lockers=3)
-    return inst, make_pool(tasks)
-
-
 def _next_state(rng, states, n, lockers):
     """A fresh random state, or an earlier one with one task moved or its lockers relabelled."""
     kind = int(rng.integers(3)) if states else 0
@@ -714,7 +693,7 @@ def test_route_memo_returns_the_memo_free_plan(policy):
     rng = np.random.default_rng(17)
     generated = list(_generated_pools())
     cases = [(inst, pool, 12) for inst, pool in generated]
-    cases += [(*_random_hold_pool(rng), 12) for _ in range(24)]
+    cases += [(*random_hold_pool(rng), 12) for _ in range(24)]
     # The largest pool schedules enough distinct routes to pass the memo's bound.
     cases.append((*max(generated, key=lambda case: len(case[1])), 800))
     evaluations = relabelled = evictions = 0
