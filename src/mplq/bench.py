@@ -5,24 +5,24 @@ with both solvers and both adjustment strategies, replicated over seeds, and
 reports lockers deployed, travel distance, average service delay, reward,
 improvement rate, and the per-cell reward gap between strategies. Sweeps vary
 one generator factor at a time and record the mean service delay it induces.
+Every CSV artifact, of a solve too, is written here through ``write_table``.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .errors import (ConfigurationError, NothingToSolveError, ParameterError,
                      UndefinedRateError)
 from .ga import run_ga
 from .hqm import GAMMA, TOL, RunHistory, check_learning_settings, run_hqm
-from .instance import GeneratorConfig, Instance, assign_customers, generate_instance
-from .routing import (AdjustmentPolicy, compute_delay, hold_can_apply, over_capacity_task,
-                      refuse_over_capacity, sum_in_order)
+from .instance import Assignment, GeneratorConfig, Instance, assign_customers, generate_instance
+from .routing import (Adjustment, AdjustmentPolicy, RoutePlan, compute_delay, hold_can_apply,
+                      over_capacity_task, refuse_over_capacity, sum_in_order)
 from .state import MAX_AGENTS, MAX_ITERATIONS, BudgetProfile  # noqa: F401  (re-exported)
 from .taskgen import TaskPool, build_tasks
 
@@ -50,7 +50,10 @@ class GridConfig:
         for solver in self.solvers:
             if solver not in ("hqm", "ga"):
                 raise ConfigurationError(f"unknown solver {solver!r}; expected hqm or ga")
-        _check_policies(self.policies)
+        object.__setattr__(self, "policies", _check_policies(self.policies))
+        for axis in (self.solvers, self.policies):
+            if len(set(axis)) < len(axis):
+                raise ConfigurationError(f"solvers and policies must not repeat, got {axis}")
         _replication_seeds(self)
 
 
@@ -139,7 +142,7 @@ class SweepConfig:
         if self.factor in COUNT_FACTORS and not all(float(v).is_integer() for v in self.values):
             raise ConfigurationError(
                 f"sweep values of {self.factor} must be whole numbers, got {self.values}")
-        _check_policies((self.policy,))
+        object.__setattr__(self, "policy", _check_policies((self.policy,))[0])
         _replication_seeds(self)
 
 
@@ -166,16 +169,14 @@ def _stderr(values: Sequence[float]) -> float:
     return math.sqrt(var / n)
 
 
-def _check_policies(policies: Sequence[str]) -> None:
-    """Refuse, as a configuration error, a policy that ``AdjustmentPolicy.parse`` refuses.
-
-    ``_solve_pool`` parses a policy only on a pool where a hold can apply.
+def _check_policies(policies: Sequence[str]) -> tuple[str, ...]:
+    """Each policy's lower-case name, the one rows and gaps use; a policy that
+    ``AdjustmentPolicy.parse`` refuses is a configuration error, found before any solve.
     """
-    for policy in policies:
-        try:
-            AdjustmentPolicy.parse(policy)
-        except ParameterError as exc:
-            raise ConfigurationError(str(exc)) from None
+    try:
+        return tuple(AdjustmentPolicy.parse(policy).value for policy in policies)
+    except ParameterError as exc:
+        raise ConfigurationError(str(exc)) from None
 
 
 def _replication_seeds(config: Union[GridConfig, SweepConfig]) -> tuple[int, ...]:
@@ -379,80 +380,117 @@ def sweep_factor(sweep: SweepConfig, jobs: int = 1) -> list[SweepPoint]:
 # ---------------------------------------------------------------------------
 
 
+def write_table(path: Union[str, Path], columns: Sequence[str], rows: Iterable[Sequence],
+                header_comment: Optional[str] = None) -> Path:
+    """Write the one CSV format of every artifact; returns the path.
+
+    An optional ``# comment`` line, the column line, then one comma-joined
+    line of ``str`` fields per row, every line ended by LF, in UTF-8. No
+    field holds a comma, a quote or a line break, so none is quoted.
+    """
+    lines = [f"# {header_comment}"] if header_comment else []
+    lines.append(",".join(columns))
+    lines.extend(",".join(map(str, row)) for row in rows)
+    path = Path(path)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+def write_plan_csv(plan: RoutePlan, pool: TaskPool, path: Union[str, Path],
+                   header_comment: Optional[str] = None) -> None:
+    """Leg-by-leg CSV of a plan, legs counted per locker; depot legs have blank visit columns."""
+    rows = []
+    for locker, route in zip(plan.lockers, plan.routes):
+        legs, prev_node = [], 0
+        for v in route.visits:
+            node = pool.tasks[v.task_id].space_id
+            if v.adjustment is Adjustment.BTD and legs:
+                legs.append((prev_node, 0, "", "", "", 0, "btd", ""))
+                prev_node = 0
+            legs.append((prev_node, node, repr(v.arrival), repr(v.service_start), repr(v.leave),
+                         repr(v.load_after), v.adjustment.value, repr(v.lateness)))
+            prev_node = node
+        legs.append((prev_node, 0, repr(route.depot_return), "", "", "", "none", ""))
+        rows += [(locker, leg, *fields) for leg, fields in enumerate(legs)]
+    write_table(path, ("locker_id", "leg_index", "from_node", "to_node", "arrive_min",
+                       "start_min", "leave_min", "load", "adjustment", "lateness_min"),
+                rows, header_comment)
+
+
+def write_history_csv(history: RunHistory, path: Union[str, Path],
+                      header_comment: Optional[str] = None) -> None:
+    best = [history.initial_best, *history.best_per_step]  # timestep 0 is the initial best
+    write_table(path, ("timestep", "best_reward"),
+                ((t, repr(r)) for t, r in enumerate(best)), header_comment)
+
+
+def write_taskpool_csv(pool: TaskPool, path: Union[str, Path]) -> None:
+    write_table(path, ("task_id", "space_id", "a", "e_min", "l_min", "q",
+                       "member_customer_ids"),
+                ((tid, t.space_id, t.sub_index, repr(t.window.start), repr(t.window.end),
+                  t.demand, ";".join(str(cid) for cid, _ in t.members))
+                 for tid, t in enumerate(pool.tasks)))
+
+
+def write_assignment_csv(instance: Instance, assignment: Assignment,
+                         path: Union[str, Path]) -> None:
+    """The assignment table (assigned customers only)."""
+    rows = []
+    for cid in sorted(assignment.assigned):
+        space_id, loc_idx = assignment.assigned[cid]
+        d = instance.customer_by_id(cid).locations[loc_idx].position.distance_to(
+            instance.space_by_id(space_id).position)
+        rows.append((cid, space_id, loc_idx, repr(d)))
+    write_table(path, ("customer_id", "space_id", "location_index", "distance_km"), rows)
+
+
 def write_grid_csv(result: GridResult, path: Union[str, Path],
                    header_comment: Optional[str] = None) -> None:
     """One row per replication record, then cell/gap/block aggregate rows."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["kind", "spaces", "locations", "solver", "policy", "replication",
-                         "seed", "lockers", "distance_km", "avg_delay_min", "reward",
-                         "improvement_pct", "reward_gap"])
-        for r in result.rows:
-            writer.writerow(["rep", r.spaces, r.locations, r.solver, r.policy,
-                             r.replication, r.seed, r.lockers, repr(r.distance_km),
-                             repr(r.avg_delay_min), repr(r.reward),
-                             repr(r.improvement_pct), ""])
-        for a in result.cell_aggregates():
-            writer.writerow(["cell_mean", a.spaces, a.locations, a.solver, a.policy, "",
-                             "", a.lockers_mean_rounded_up, repr(a.distance_mean),
-                             repr(a.delay_mean), repr(a.reward_mean),
-                             repr(a.improvement_mean), ""])
-        for g in result.reward_gaps():
-            writer.writerow(["gap", g.spaces, g.locations, g.solver, "", "", "", "", "",
-                             "", "", "", repr(g.reward_gap)])
-        for a in result.block_means():
-            writer.writerow(["block_mean", a.spaces, "", a.solver, a.policy, "", "",
-                             a.lockers_mean_rounded_up, repr(a.distance_mean),
-                             repr(a.delay_mean), repr(a.reward_mean),
-                             repr(a.improvement_mean), ""])
+    def means(kind: str, a: CellAggregate, locations) -> tuple:
+        return (kind, a.spaces, locations, a.solver, a.policy, "", "", a.lockers_mean_rounded_up,
+                *map(repr, (a.distance_mean, a.delay_mean, a.reward_mean, a.improvement_mean)), "")
+
+    rows = [("rep", r.spaces, r.locations, r.solver, r.policy, r.replication, r.seed, r.lockers,
+             *map(repr, (r.distance_km, r.avg_delay_min, r.reward, r.improvement_pct)), "")
+            for r in result.rows]
+    rows += [means("cell_mean", a, a.locations) for a in result.cell_aggregates()]
+    rows += [("gap", g.spaces, g.locations, g.solver, *[""] * 8, repr(g.reward_gap))
+             for g in result.reward_gaps()]
+    rows += [means("block_mean", a, "") for a in result.block_means()]
+    write_table(path, ("kind", "spaces", "locations", "solver", "policy", "replication",
+                       "seed", "lockers", "distance_km", "avg_delay_min", "reward",
+                       "improvement_pct", "reward_gap"), rows, header_comment)
 
 
 def write_sweep_csv(points: Sequence[SweepPoint], path: Union[str, Path],
                     header_comment: Optional[str] = None) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["factor", "value", "mean_delay_min", "stderr", "replications",
-                         "over_capacity_pools"])
-        for p in points:
-            writer.writerow([p.factor, repr(p.value), repr(p.mean_delay),
-                             repr(p.stderr), p.replications, p.over_capacity_pools])
+    write_table(path, ("factor", "value", "mean_delay_min", "stderr", "replications",
+                       "over_capacity_pools"),
+                ((p.factor, repr(p.value), repr(p.mean_delay), repr(p.stderr),
+                  p.replications, p.over_capacity_pools) for p in points),
+                header_comment)
 
 
 def write_plotdata(result_or_points, out_dir: Union[str, Path]) -> list[Path]:
     """Long-format (x, y, series) files, one per plotted metric."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    columns = ("x", "y", "series")
     written = []
     if isinstance(result_or_points, GridResult):
-        metrics = {
-            "lockers": lambda a: a.lockers_mean_rounded_up,
-            "distance": lambda a: a.distance_mean,
-            "delay": lambda a: a.delay_mean,
-            "reward": lambda a: a.reward_mean,
-        }
         aggregates = result_or_points.cell_aggregates()
-        for name, getter in metrics.items():
-            written.append(_write_series(out_dir / f"grid_{name}.csv", [
-                [a.locations, repr(float(getter(a))), f"{a.solver}-{a.policy}-spaces{a.spaces}"]
-                for a in aggregates]))
+        for name, attr in (("lockers", "lockers_mean_rounded_up"), ("distance", "distance_mean"),
+                           ("delay", "delay_mean"), ("reward", "reward_mean")):
+            written.append(write_table(out_dir / f"grid_{name}.csv", columns, [
+                (a.locations, repr(float(getattr(a, attr))),
+                 f"{a.solver}-{a.policy}-spaces{a.spaces}") for a in aggregates]))
     else:
         points = list(result_or_points)
         if points:
-            written.append(_write_series(out_dir / f"sweep_{points[0].factor}.csv", [
-                [repr(pt.value), repr(pt.mean_delay), pt.factor] for pt in points]))
+            written.append(write_table(out_dir / f"sweep_{points[0].factor}.csv", columns, [
+                (repr(pt.value), repr(pt.mean_delay), pt.factor) for pt in points]))
     return written
-
-
-def _write_series(path: Path, rows: Sequence[list]) -> Path:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "y", "series"])
-        writer.writerows(rows)
-    return path
 
 
 __all__ = [
@@ -472,6 +510,11 @@ __all__ = [
     "apply_factor",
     "run_grid",
     "sweep_factor",
+    "write_table",
+    "write_plan_csv",
+    "write_history_csv",
+    "write_taskpool_csv",
+    "write_assignment_csv",
     "write_grid_csv",
     "write_sweep_csv",
     "write_plotdata",

@@ -24,20 +24,20 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import bench
+from .bench import write_assignment_csv, write_history_csv, write_plan_csv, write_taskpool_csv
 from .errors import (ConfigurationError, InstanceFormatError, MplqError,
                      ParameterError, SearchSpaceLimitError)
 # run_hqm and run_ga are called only through bench.solve; perfbench/layers.py
 # still wraps these two bindings by name, so they stay imported here.
 from .ga import run_ga  # noqa: F401
-from .hqm import GAMMA, TOL, run_hqm, write_history_csv  # noqa: F401
+from .hqm import GAMMA, TOL, run_hqm  # noqa: F401
 from .instance import (GeneratorConfig, assign_customers, generate_instance,
-                       load_instance, save_instance, validate_instance,
-                       write_assignment_csv)
+                       load_instance, save_instance, validate_instance)
 from .oracle import brute_force_best
 from .routing import (AdjustmentPolicy, TravelNoise, check_feasibility,
-                      compute_delay, evaluate_solution, write_plan_csv)
+                      compute_delay, evaluate_solution)
 from .state import BudgetProfile, SearchState, effective_locker_count
-from .taskgen import build_tasks, write_taskpool_csv
+from .taskgen import build_tasks
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1

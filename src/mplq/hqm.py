@@ -16,8 +16,7 @@ import math
 import operator
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -74,18 +73,6 @@ class RunHistory:
     @property
     def final_best(self) -> float:
         return self.best_per_step[-1] if self.best_per_step else self.initial_best
-
-
-def write_history_csv(history: RunHistory, path: Union[str, Path],
-                      header_comment: Optional[str] = None) -> None:
-    lines = []
-    if header_comment:
-        lines.append(f"# {header_comment}")
-    lines.append("timestep,best_reward")
-    lines.append(f"0,{history.initial_best!r}")
-    for t, r in enumerate(history.best_per_step, start=1):
-        lines.append(f"{t},{r!r}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -583,5 +570,4 @@ __all__ = [
     "update_q",
     "has_converged",
     "run_hqm",
-    "write_history_csv",
 ]

@@ -368,17 +368,6 @@ def assign_customers(instance: Instance) -> Assignment:
     return Assignment(assigned=assigned, unassignable=tuple(unassignable))
 
 
-def write_assignment_csv(instance: Instance, assignment: Assignment, path: Union[str, Path]) -> None:
-    """Export the assignment table (assigned customers only)."""
-    lines = ["customer_id,space_id,location_index,distance_km"]
-    for cid in sorted(assignment.assigned):
-        space_id, loc_idx = assignment.assigned[cid]
-        cust = instance.customer_by_id(cid)
-        d = cust.locations[loc_idx].position.distance_to(instance.space_by_id(space_id).position)
-        lines.append(f"{cid},{space_id},{loc_idx},{d!r}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
 # ---------------------------------------------------------------------------
 # Validation
 # ---------------------------------------------------------------------------
@@ -696,7 +685,6 @@ __all__ = [
     "ValidationReport",
     "generate_instance",
     "assign_customers",
-    "write_assignment_csv",
     "validate_instance",
     "instance_to_dict",
     "instance_from_dict",

@@ -30,8 +30,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -482,38 +481,6 @@ def check_feasibility(plan: RoutePlan, state: SearchState, pool: TaskPool,
     return FeasibilityReport(tuple(out))
 
 
-# ---------------------------------------------------------------------------
-# Export
-# ---------------------------------------------------------------------------
-
-
-def write_plan_csv(plan: RoutePlan, pool: TaskPool, path: Union[str, Path],
-                   header_comment: Optional[str] = None) -> None:
-    """Leg-by-leg CSV of a plan. Depot-bound legs carry blank visit columns."""
-    lines = []
-    if header_comment:
-        lines.append(f"# {header_comment}")
-    lines.append("locker_id,leg_index,from_node,to_node,arrive_min,start_min,leave_min,"
-                 "load,adjustment,lateness_min")
-    for locker, route in zip(plan.lockers, plan.routes):
-        leg = 0
-        prev_node = 0
-        for v in route.visits:
-            node = pool.tasks[v.task_id].space_id
-            if v.adjustment is Adjustment.BTD and leg > 0:
-                lines.append(f"{locker},{leg},{prev_node},0,,,,0,btd,")
-                leg += 1
-                prev_node = 0
-            lines.append(
-                f"{locker},{leg},{prev_node},{node},{v.arrival!r},"
-                f"{v.service_start!r},{v.leave!r},{v.load_after!r},"
-                f"{v.adjustment.value},{v.lateness!r}")
-            leg += 1
-            prev_node = node
-        lines.append(f"{locker},{leg},{prev_node},0,{route.depot_return!r},,,,none,")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
 __all__ = [
     "AdjustmentPolicy",
     "Adjustment",
@@ -536,5 +503,4 @@ __all__ = [
     "sum_in_order",
     "compute_delay",
     "check_feasibility",
-    "write_plan_csv",
 ]

@@ -11,8 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .instance import MAX_SLICES_PER_SPACE, Assignment, Instance, ParkingSpace, TimeWindow
 
@@ -171,17 +170,6 @@ def build_tasks(instance: Instance, assignment: Assignment) -> TaskPool:
     return TaskPool(tasks=tuple(tasks), unservable=tuple(sorted(unservable)))
 
 
-def write_taskpool_csv(pool: TaskPool, path: Union[str, Path]) -> None:
-    lines = ["task_id,space_id,a,e_min,l_min,q,member_customer_ids"]
-    for tid, task in enumerate(pool.tasks):
-        members = ";".join(str(cid) for cid, _ in task.members)
-        lines.append(
-            f"{tid},{task.space_id},{task.sub_index},{task.window.start!r},"
-            f"{task.window.end!r},{task.demand},{members}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
 __all__ = [
     "SubInterval",
     "Task",
@@ -189,5 +177,4 @@ __all__ = [
     "reduce_availability",
     "partition_subintervals",
     "build_tasks",
-    "write_taskpool_csv",
 ]

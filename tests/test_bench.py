@@ -216,14 +216,32 @@ def test_grid_config_refuses_unknown_solvers_and_policies():
         with pytest.raises(ConfigurationError, match="unknown (solver|adjustment policy)"):
             GridConfig(**bad)
     # the policy names that AdjustmentPolicy.parse accepts, in any case
-    assert GridConfig(policies=("BTD", "Hcps")).policies == ("BTD", "Hcps")
+    assert GridConfig(policies=("BTD", "Hcps")).policies == ("btd", "hcps")
+
+
+def test_grid_config_refuses_a_repeated_solver_or_policy():
+    for bad in (dict(solvers=("hqm", "hqm")), dict(policies=("btd", "hcps", "btd")),
+                dict(policies=("btd", "BTD"))):
+        with pytest.raises(ConfigurationError, match="must not repeat"):
+            GridConfig(**bad)
+
+
+def test_upper_case_policies_keep_the_gap_rows():
+    # reward_gaps looks the two policies up by their lower-case names
+    grid = dict(spaces_counts=(5,), locations_counts=(5,), solvers=("ga",),
+                base_config=GeneratorConfig(seed=0))
+    upper, lower = (run_grid(GridConfig(policies=policies, **grid))
+                    for policies in (("BTD", "HCPS"), ("btd", "hcps")))
+    assert upper == lower
+    assert [r.policy for r in upper.rows] == ["btd", "hcps"]
+    assert len(upper.reward_gaps()) == 1
 
 
 def test_sweep_config_refuses_an_unknown_policy():
     # generated pools admit no hold, so the sweep's solves never parse the policy
     with pytest.raises(ConfigurationError, match="unknown adjustment policy 'foo'"):
         SweepConfig(factor="Q", values=(20.0,), policy="foo")
-    assert SweepConfig(factor="Q", values=(20.0,), policy="BTD").policy == "BTD"
+    assert SweepConfig(factor="Q", values=(20.0,), policy="BTD").policy == "btd"
 
 
 def test_budget_profiles():

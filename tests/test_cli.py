@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -118,6 +119,25 @@ def test_solve_rejects_a_config_integer_too_long_to_parse(instance_file, tmp_pat
                     "--config", str(cfg), "--out-dir", str(tmp_path / "cfg")])
     assert code == 2
     assert capsys.readouterr().err.startswith(f"error: {cfg}: invalid JSON: ")
+
+
+@pytest.mark.parametrize("text, message", [
+    (None, "cannot read solver config"),
+    ("{not json", "invalid JSON at line 1"),
+    ("[1, 2]", "solver config must be a JSON object"),
+], ids=["unreadable", "invalid-json", "not-an-object"])
+def test_solve_refuses_an_unusable_config_file(instance_file, tmp_path, capsys, text, message):
+    cfg = tmp_path / "solver.json"
+    if text is not None:
+        cfg.write_text(text)
+    out_dir = tmp_path / "cfg"
+    code = run_cli(["solve", "--instance", str(instance_file),
+                    "--config", str(cfg), "--out-dir", str(out_dir)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert captured.out == "" and not out_dir.exists()
 
 
 def test_solve_refuses_an_unknown_config_policy(instance_file, tmp_path, capsys):
@@ -383,7 +403,9 @@ def test_bench_command(tmp_path, capsys, instance_file):
     (["--policies", "foo"], "unknown adjustment policy 'foo'"),
     (["--policies", "btd,foo"], "unknown adjustment policy 'foo'"),
     (["--solvers", "foo"], "unknown solver 'foo'"),
-], ids=["policy", "policy-list", "solver"])
+    (["--solvers", "hqm,hqm"], "solvers and policies must not repeat"),
+    (["--policies", "btd,BTD"], "solvers and policies must not repeat"),
+], ids=["policy", "policy-list", "solver", "solver-twice", "policy-twice"])
 def test_bench_refuses_unknown_names_before_solving(tmp_path, capsys, monkeypatch,
                                                      spaces, flags, message):
     solves = []
@@ -395,6 +417,40 @@ def test_bench_refuses_unknown_names_before_solving(tmp_path, capsys, monkeypatc
     assert code == 2 and captured.err.startswith(f"error: {message}")
     assert len(captured.err.splitlines()) == 1
     assert not solves and "RESULT" not in captured.out and not out_dir.exists()
+
+
+# The files README names as starting with a "# config" line.
+_CONFIG_HEADED = {"plan.csv", "history.csv", "metrics.txt", "grid.csv", "sweep.csv"}
+
+
+def test_every_artifact_shares_one_line_format(tmp_path, capsys, instance_file):
+    """LF line ends everywhere, CSV rows as wide as their column line, and a
+    ``# config`` first line exactly where README says."""
+    out = tmp_path / "out"
+    for argv in (["solve", "--instance", str(instance_file), "--agents", "2", "--iters", "2",
+                  "--out-dir", str(out / "solve")],
+                 ["bench", "--spaces", "2", "--locations", "3", "--out-dir", str(out / "bench")],
+                 ["sweep", "--factor", "Q", "--values", "15,20", "--replications", "1",
+                  "--out-dir", str(out / "sweep")]):
+        assert run_cli(argv) == 0
+    files = sorted(p for p in out.rglob("*") if p.is_file())
+    assert sorted(p.name for p in files) == sorted([
+        "assignment.csv", "history.csv", "metrics.txt", "plan.csv", "solution.json",
+        "tasks.csv", "grid.csv", "grid_delay.csv", "grid_distance.csv", "grid_lockers.csv",
+        "grid_reward.csv", "sweep.csv", "sweep_Q.csv"])
+    for path in files:
+        data = path.read_bytes()
+        assert b"\r" not in data, path
+        text = data.decode("utf-8")
+        assert text.startswith("# config ") == (path.name in _CONFIG_HEADED), path
+        if path.suffix != ".csv":
+            continue
+        lines = [ln for ln in text.splitlines() if not ln.startswith("#")]
+        rows = list(csv.DictReader(lines))
+        assert rows, path
+        width = len(lines[0].split(","))
+        for row in rows:
+            assert len(row) == width and None not in row and None not in row.values(), path
 
 
 def test_sweep_command(tmp_path, capsys):

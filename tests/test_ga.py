@@ -3,12 +3,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mplq import ga, hqm
-from mplq.errors import ParameterError
+from mplq.errors import NothingToSolveError, ParameterError
 from mplq.ga import next_generation, run_ga, _order_crossover
 from mplq.hqm import Stream, roulette_cdf
 from mplq.instance import GeneratorConfig, assign_customers, generate_instance
 from mplq.routing import AdjustmentPolicy
-from mplq.taskgen import build_tasks
+from mplq.taskgen import TaskPool, build_tasks
 from mplq.state import BudgetProfile, SearchState
 from helpers import assert_same_continuation, make_state, random_hold_pool, stream_pair
 
@@ -234,6 +234,13 @@ def _tiny_pool():
                                              max_lockers=2, seed=4))
     pool = build_tasks(inst, assign_customers(inst))
     return pool, inst
+
+
+def test_run_ga_refuses_an_empty_pool():
+    _, inst = _tiny_pool()
+    with pytest.raises(NothingToSolveError, match="task pool is empty"):
+        run_ga(TaskPool(tasks=(), unservable=()), inst, AdjustmentPolicy.BTD,
+               BudgetProfile(agents=4, iterations=2), 0)
 
 
 def test_run_ga_elitism_monotone():

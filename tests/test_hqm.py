@@ -5,8 +5,8 @@ from hypothesis import given, settings, strategies as st
 from mplq import hqm, routing
 from mplq.errors import NothingToSolveError, ShapeError
 from mplq.hqm import (Agent, QMatrices, global_construct, has_converged,
-                      init_agents, local_move, normalize_q, run_hqm, update_q,
-                      write_history_csv)
+                      init_agents, local_move, normalize_q, run_hqm, update_q)
+from mplq.bench import write_history_csv
 from mplq.hqm import PickTable, Stream, _pairwise_sum, roulette_cdf
 from mplq.instance import GeneratorConfig, assign_customers, generate_instance
 from mplq.oracle import brute_force_best
@@ -663,6 +663,45 @@ def test_run_hqm_history_monotone_and_deterministic():
     assert list(b1.x1) == list(b2.x1) and list(b1.x2) == list(b2.x2)
     assert all(y >= x for x, y in zip(h1.best_per_step, h1.best_per_step[1:]))
     assert h1.best_per_step[0] >= h1.initial_best
+
+
+def test_run_hqm_with_one_agent_moves_against_its_own_best():
+    pool, inst = _pool_and_instance(seed=6)
+    budget = BudgetProfile(agents=1, iterations=40)
+    runs = [run_hqm(pool, inst, AdjustmentPolicy.HCPS, budget, 4) for _ in range(2)]
+    (b1, p1, h1), (b2, p2, h2) = runs
+    assert (b1.x1, b1.x2, repr(b1.reward), p1) == (b2.x1, b2.x2, repr(b2.reward), p2)
+    assert list(map(repr, h1.best_per_step)) == list(map(repr, h2.best_per_step))
+    assert all(y >= x for x, y in zip([h1.initial_best, *h1.best_per_step],
+                                      h1.best_per_step))
+    assert b1.reward == h1.final_best and p1.lockers_dispatched >= 1
+
+
+def test_state_cache_clearing_changes_no_result(monkeypatch):
+    """A full state cache is emptied and refilled; only the evaluation count moves."""
+    instance = generate_instance(GeneratorConfig(num_spaces=8, locations_per_space=10, seed=0))
+    pool = build_tasks(instance, assign_customers(instance))
+    evaluations = []
+
+    def solve():
+        evaluations.append(0)
+
+        def counted(*args, **kwargs):
+            evaluations[-1] += 1
+            return evaluate(*args, **kwargs)
+
+        with monkeypatch.context() as m:
+            m.setattr(hqm, "evaluate_solution", counted)
+            best, plan, history = run_hqm(pool, instance, AdjustmentPolicy.HCPS,
+                                          BudgetProfile.desk(), 0)
+        return (best.x1, best.x2, repr(best.reward), plan, repr(history.initial_best),
+                list(map(repr, history.best_per_step)), history.convergence_step)
+
+    evaluate = hqm.evaluate_solution
+    default = solve()
+    monkeypatch.setattr(hqm.Evaluator, "_CACHE_LIMIT", 8)
+    assert solve() == default
+    assert evaluations[1] > evaluations[0]  # the small cache was cleared and missed again
 
 
 def test_history_csv(tmp_path):

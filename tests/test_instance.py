@@ -8,8 +8,8 @@ import pytest
 from mplq.errors import ConfigurationError, InstanceFormatError
 from mplq.instance import (MAX_SLICES_PER_SPACE, WORKING_HOURS, GeneratorConfig,
                            assign_customers, generate_instance, instance_to_dict,
-                           load_instance, save_instance, validate_instance,
-                           write_assignment_csv)
+                           load_instance, save_instance, validate_instance)
+from mplq.bench import write_assignment_csv
 from helpers import make_customer, make_instance, make_space
 
 TABLE_CONFIG = GeneratorConfig(

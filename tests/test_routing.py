@@ -10,8 +10,8 @@ from mplq.instance import (GeneratorConfig, Position, assign_customers,
                            generate_instance)
 from mplq.routing import (Adjustment, AdjustmentPolicy, LockerRoute, RouteMemo, RoutePlan,
                           TravelNoise, TravelTimer, VisitRecord, check_feasibility,
-                          compute_delay, evaluate_solution, hold_can_apply, schedule_route,
-                          write_plan_csv)
+                          compute_delay, evaluate_solution, hold_can_apply, schedule_route)
+from mplq.bench import write_plan_csv
 from mplq.routing import _ROUTE_MEMO_LIMIT
 from mplq.state import effective_locker_count
 from mplq.taskgen import build_tasks
