@@ -884,4 +884,13 @@ def test_plan_csv_export(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "# config test"
     assert lines[1].startswith("locker_id,leg_index,from_node,to_node")
-    assert len(lines) > 3
+    legs = [ln.split(",") for ln in lines[2:]]
+    # the early arrival at space 2 detours via the depot on a leg of its own
+    assert [(f[0], f[1], f[2], f[3], f[8]) for f in legs] == [
+        ("0", "0", "0", "1", "none"), ("0", "1", "1", "0", "btd"),
+        ("0", "2", "0", "2", "btd"), ("0", "3", "2", "0", "none")]
+    # each locker's legs count from 0
+    plan, _ = evaluate_solution(make_state([0, 1], [0, 1]), pool, inst, AdjustmentPolicy.BTD)
+    write_plan_csv(plan, pool, path)
+    assert [ln.split(",")[:4] for ln in path.read_text().splitlines()[1:]] == [
+        ["0", "0", "0", "1"], ["0", "1", "1", "0"], ["1", "0", "0", "2"], ["1", "1", "2", "0"]]
