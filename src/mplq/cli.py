@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 from . import bench
 from .bench import write_assignment_csv, write_history_csv, write_plan_csv, write_taskpool_csv
 from .errors import (ConfigurationError, InstanceFormatError, MplqError,
-                     ParameterError, SearchSpaceLimitError)
+                     ParameterError, SearchSpaceLimitError, ShapeError)
 # run_hqm and run_ga are called only through bench.solve; perfbench/layers.py
 # still wraps these two bindings by name, so they stay imported here.
 from .ga import run_ga  # noqa: F401
@@ -36,7 +36,7 @@ from .instance import (GeneratorConfig, assign_customers, generate_instance,
 from .oracle import brute_force_best
 from .routing import (AdjustmentPolicy, TravelNoise, check_feasibility,
                       compute_delay, evaluate_solution)
-from .state import BudgetProfile, SearchState, effective_locker_count
+from .state import BudgetProfile, SearchState, effective_locker_count, validate_state
 from .taskgen import build_tasks
 
 EXIT_OK = 0
@@ -89,6 +89,26 @@ def _str_list(text: str) -> tuple[str, ...]:
     return tuple(v.strip() for v in text.split(",") if v.strip())
 
 
+def _output_path(path: str, is_dir: bool) -> Path:
+    """``path`` checked before any work: a usage error unless it can be written.
+
+    An existing ``path`` must be a directory exactly when ``is_dir``, and the
+    nearest existing directory above what is missing must be writable. Nothing
+    is created here, so a command refused later leaves nothing behind.
+    """
+    out = Path(path)
+    if out.exists() and out.is_dir() != is_dir:
+        raise ConfigurationError(
+            f"output path {path} {'is not a directory' if is_dir else 'is a directory'}")
+    base = out.absolute() if is_dir else out.absolute().parent
+    while not base.exists():
+        base = base.parent
+    if not base.is_dir() or not os.access(base, os.W_OK | os.X_OK):
+        raise ConfigurationError(f"cannot write output {path}: {base} is not a writable "
+                                 "directory")
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -96,6 +116,7 @@ def _str_list(text: str) -> tuple[str, ...]:
 
 def _cmd_generate(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args.seed)
+    out = _output_path(args.out, is_dir=False)
     config = GeneratorConfig(
         num_spaces=args.spaces,
         locations_per_space=args.locations,
@@ -113,7 +134,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         for v in report.violations:
             print(f"violation: {v.entity}: {v.rule}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    save_instance(instance, args.out)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    save_instance(instance, out)
     _print_result(command="generate", seed=seed, out=args.out,
                   spaces=len(instance.spaces), customers=len(instance.customers))
     return EXIT_OK
@@ -180,6 +202,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
                            iterations=pick(args.iters, "timesteps", desk.iterations))
     policy = (AdjustmentPolicy.parse(args.policy) if args.policy is not None
               else file_cfg.get("policy", AdjustmentPolicy.HCPS))
+    out_dir = _output_path(args.out_dir, is_dir=True)
 
     instance = _load_valid_instance(args.instance)
     assignment, pool = _prepare(instance)
@@ -193,7 +216,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     total_delay, avg_delay = compute_delay(plan)
     header = _config_line(args, seed)
 
-    out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_plan_csv(plan, pool, out_dir / "plan.csv", header_comment=header)
     write_history_csv(history, out_dir / "history.csv", header_comment=header)
@@ -254,6 +276,10 @@ def _cmd_validate(args: argparse.Namespace) -> int:
                 ParameterError) as exc:
             raise InstanceFormatError(f"cannot parse solution file {args.solution}: {exc}")
         _, pool = _prepare(instance)
+        try:
+            validate_state(state, len(pool), instance.fleet.max_lockers)
+        except ShapeError as exc:
+            raise InstanceFormatError(f"cannot parse solution file {args.solution}: {exc}")
         plan, cost = evaluate_solution(state, pool, instance, policy)
         feasibility = check_feasibility(plan, state, pool, instance)
         for v in feasibility.violations:
@@ -299,8 +325,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         base_config=replace(GeneratorConfig(), seed=seed),
         budget=BudgetProfile.named(args.budget),
     )
+    out_dir = _output_path(args.out_dir, is_dir=True)
     result = bench.run_grid(grid, jobs=args.jobs)
-    out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     header = _config_line(args, seed)
     bench.write_grid_csv(result, out_dir / "grid.csv", header_comment=header)
@@ -323,8 +349,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         policy=args.policy,
         budget=BudgetProfile.named(args.budget),
     )
+    out_dir = _output_path(args.out_dir, is_dir=True)
     points = bench.sweep_factor(sweep, jobs=args.jobs)
-    out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     header = _config_line(args, seed)
     bench.write_sweep_csv(points, out_dir / "sweep.csv", header_comment=header)
@@ -427,7 +453,7 @@ def run_cli(argv: Optional[Sequence[str]] = None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except (InstanceFormatError, ConfigurationError) as exc:
+    except (InstanceFormatError, ConfigurationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except MplqError as exc:

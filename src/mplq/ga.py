@@ -3,13 +3,14 @@
 Standard operators for a mixed allocation/permutation chromosome: fitness-
 proportional selection, uniform crossover on the allocation vector, order
 crossover on the permutation, per-gene mutation (random locker reassignment /
-position swap), and elitism.
+position swap), and elitism. Where no two window starts tie, the permutation
+orders nothing, so only the allocation is bred.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -41,17 +42,20 @@ def _order_crossover(a: Sequence[int], b: Sequence[int], rng: Stream) -> list[in
     return child
 
 
-def _mutate(x1: list[int], x2: list[int], rate: float, max_lockers: int,
-            rng: Stream) -> tuple[list[int], list[int]]:
+def _mutate(x1: list[int], x2: Optional[list[int]], rate: float, max_lockers: int,
+            rng: Stream) -> tuple[list[int], Optional[list[int]]]:
     """Mutate both lists in place: per-gene locker reassignments, then position swaps.
 
     Each pass draws one ``random()`` per gene, compared with ``rate``; a hit
     draws its reassignment or its swap partner before the next gene's double.
+    An ``x2`` of None skips the swap pass and its draws.
     """
     n = len(x1)
     integers = rng.integers
     for k in rng.hits(n, rate):
         x1[k] = integers(max_lockers)
+    if x2 is None:
+        return x1, x2
     for k in rng.hits(n, rate):
         if n > 1:
             j = integers(n - 1)
@@ -62,15 +66,16 @@ def _mutate(x1: list[int], x2: list[int], rate: float, max_lockers: int,
 
 
 def next_generation(population: list[SearchState], rng: Stream,
-                    max_lockers: int) -> list[SearchState]:
+                    max_lockers: int, *, breed_x2: bool = True) -> list[SearchState]:
     """Produce the next population from an evaluated one.
 
     The top 5% of the states, but at least one, pass through unchanged
     (rewards intact); the rest are bred by selection, crossover, and
     mutation. Each parent is a fitness-proportional pick through the
     generation's ``roulette_cdf``, uniform when the rewards sum to zero.
-    Children come back with ``reward=None`` and must be evaluated by the
-    caller.
+    Without ``breed_x2`` a child keeps its first parent's ``x2``, with no
+    order crossover and no swap pass drawn. Children come back with
+    ``reward=None`` and must be evaluated by the caller.
     """
     size = len(population)
     if size < 2:
@@ -93,11 +98,12 @@ def next_generation(population: list[SearchState], rng: Stream,
             pb = population[bisect_right(cdf, random())]
         if random() < crossover_prob:
             x1 = _uniform_crossover(pa.x1, pb.x1, rng)
-            x2 = _order_crossover(pa.x2, pb.x2, rng)
+            x2 = _order_crossover(pa.x2, pb.x2, rng) if breed_x2 else None
         else:
-            x1, x2 = list(pa.x1), list(pa.x2)
+            x1 = list(pa.x1)
+            x2 = list(pa.x2) if breed_x2 else None
         _mutate(x1, x2, rate, max_lockers, rng)
-        out.append(SearchState(tuple(x1), tuple(x2)))
+        out.append(SearchState(tuple(x1), pa.x2 if x2 is None else tuple(x2)))
     return out
 
 
@@ -107,10 +113,10 @@ def run_ga(pool: TaskPool, instance: Instance, policy: AdjustmentPolicy,
     generations on the shared encoding; deterministic per seed.
 
     The initial population is the ``Generator``'s set-up draws; breeding
-    draws from the ``Stream`` that takes the generator over. The evaluator
-    keys its state cache by the allocation alone on a pool without tied
-    starts, where ``x2`` changes no reward. A pool with a task above the
-    locker capacity is refused.
+    draws from the ``Stream`` that takes the generator over. On a pool
+    without tied starts ``x2`` changes no reward, so every state carries the
+    identity ``x2`` in place of its drawn one and only ``x1`` is bred. A
+    pool with a task above the locker capacity is refused.
     """
     refuse_over_capacity(pool, instance)
     if budget.agents < 2:
@@ -120,9 +126,13 @@ def run_ga(pool: TaskPool, instance: Instance, policy: AdjustmentPolicy,
         raise NothingToSolveError("task pool is empty")
     lockers = effective_locker_count(instance.fleet.max_lockers, n)
     rng = np.random.default_rng(seed)
-    evaluator = Evaluator(pool, instance, policy, key_by_allocation=True)
+    evaluator = Evaluator(pool, instance, policy)
 
     population = [random_state(rng, n, lockers) for _ in range(budget.agents)]
+    breed_x2 = pool.start_order is None
+    if not breed_x2:
+        identity = tuple(range(n))
+        population = [SearchState(s.x1, identity) for s in population]
     stream = Stream(rng)
     for state in population:
         evaluator.reward(state)
@@ -131,7 +141,7 @@ def run_ga(pool: TaskPool, instance: Instance, policy: AdjustmentPolicy,
     history = RunHistory(initial_best=best.reward)
 
     for _ in range(budget.iterations):
-        population = next_generation(population, stream, lockers)
+        population = next_generation(population, stream, lockers, breed_x2=breed_x2)
         for state in population:
             if state.reward is None:
                 evaluator.reward(state)

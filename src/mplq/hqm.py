@@ -83,31 +83,21 @@ class RunHistory:
 class Evaluator:
     """Caches the rewards of scored states and their routes (evaluation is pure).
 
-    The state cache is keyed on the pair ``(x1, x2)``. With
-    ``key_by_allocation`` and a pool whose window starts are all distinct
-    (``pool.start_order`` is not None), it is keyed on ``x1`` alone: every
-    state then deals its tasks in that one start order, so its reward does
-    not depend on ``x2``. On a pool with tied starts the pair key stays. A
-    state whose ``x1`` hits is not checked by ``validate_state``, so only a
-    caller whose every ``x2`` is a permutation, as the GA's are, passes the
-    keyword. HQM keeps the pair key, whose cache-hit count the benchmark's
-    traced reconcile and a Tier-1 test pin. ``plan`` always decodes the
-    state it is given.
+    The state cache is keyed on the pair ``(x1, x2)``. ``plan`` always
+    decodes the state it is given.
     """
 
     _CACHE_LIMIT = 150_000
 
-    def __init__(self, pool: TaskPool, instance: Instance, policy: AdjustmentPolicy,
-                 key_by_allocation: bool = False):
+    def __init__(self, pool: TaskPool, instance: Instance, policy: AdjustmentPolicy):
         self.pool = pool
         self.instance = instance
         self.policy = policy
-        self._by_allocation = key_by_allocation and pool.start_order is not None
         self._cache: dict[tuple, float] = {}
         self._routes = RouteMemo(pool, instance, policy)
 
     def reward(self, state: SearchState) -> float:
-        key = state.x1 if self._by_allocation else (state.x1, state.x2)
+        key = (state.x1, state.x2)
         hit = self._cache.get(key)
         if hit is not None:
             state.reward = hit

@@ -723,3 +723,72 @@ def test_sweep_with_no_solvable_pool_exits_cleanly(tmp_path, capsys):
     assert captured.err.startswith("error: sweep point num_spaces=0.0: ")
     assert "RESULT" not in captured.out
     assert not out_dir.exists()
+
+
+# Each command that writes files, with its output path in place of ``out``.
+_OUTPUT_COMMANDS = {
+    "generate": lambda inst, out: ["generate", "--out", out, "--spaces", "2",
+                                   "--locations", "3"],
+    "solve": lambda inst, out: ["solve", "--instance", inst, "--out-dir", out],
+    "bench": lambda inst, out: ["bench", "--spaces", "2", "--locations", "3",
+                                "--out-dir", out],
+    "sweep": lambda inst, out: ["sweep", "--factor", "Q", "--values", "10",
+                                "--out-dir", out],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_OUTPUT_COMMANDS))
+@pytest.mark.parametrize("kind", ["taken", "under a file"])
+def test_unwritable_output_is_refused_before_the_work(instance_file, tmp_path, capsys,
+                                                      monkeypatch, command, kind):
+    work = []
+    monkeypatch.setattr(cli, "generate_instance", lambda *args: work.append(args))
+    for name in ("solve", "run_grid", "sweep_factor"):
+        monkeypatch.setattr(bench, name, lambda *args, **kwargs: work.append(args))
+    (tmp_path / "file").write_text("x")
+    (tmp_path / "dir").mkdir()
+    # generate writes a file, so a directory takes its path; the others write into a directory
+    taken = "dir" if command == "generate" else "file"
+    out = tmp_path / (taken if kind == "taken" else "file/sub")
+    code = run_cli(_OUTPUT_COMMANDS[command](str(instance_file), str(out)))
+    captured = capsys.readouterr()
+    assert code == 2 and captured.err.startswith("error: ")
+    assert len(captured.err.splitlines()) == 1 and "Traceback" not in captured.err
+    assert "RESULT" not in captured.out and not work
+
+
+def test_generate_creates_missing_directories(tmp_path, capsys):
+    out = tmp_path / "a" / "b" / "inst.json"
+    assert run_cli(["generate", "--out", str(out), "--spaces", "2", "--locations", "3"]) == 0
+    assert load_instance(out).spaces
+
+
+def test_a_failed_write_is_one_error_line(instance_file, tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    (out_dir / "plan.csv").mkdir(parents=True)
+    code = run_cli(["solve", "--instance", str(instance_file), "--agents", "2", "--iters", "2",
+                    "--out-dir", str(out_dir)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.err.startswith("error: ") and "plan.csv" in captured.err
+    assert len(captured.err.splitlines()) == 1 and "RESULT" not in captured.out
+
+
+@pytest.mark.parametrize("x1,x2,message", [
+    ([0, 0, 0], [0, 1, 2, 3], "must both have length 4"),
+    ([0, 0, 0, 99], [0, 1, 2, 3], "x1 references lockers outside"),
+    ([0, 0, 0, -1], [0, 1, 2, 3], "x1 references lockers outside"),
+    ([0, 0, 0, 0], [0, 1, 1, 3], "x2 is not a permutation"),
+], ids=["short x1", "x1 too high", "negative x1", "repeated x2"])
+def test_validate_refuses_a_misshapen_solution_as_a_parse_error(tmp_path, capsys,
+                                                                x1, x2, message):
+    inst_path = tmp_path / "inst.json"
+    assert run_cli(["generate", "--out", str(inst_path), "--spaces", "3",
+                    "--locations", "4", "--seed", "3"]) == 0  # a 4-task pool
+    sol_path = tmp_path / "solution.json"
+    sol_path.write_text(json.dumps({"x1": x1, "x2": x2}))
+    capsys.readouterr()
+    code = run_cli(["validate", "--instance", str(inst_path), "--solution", str(sol_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(f"error: cannot parse solution file {sol_path}: ")
+    assert message in captured.err and "RESULT" not in captured.out

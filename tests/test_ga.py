@@ -262,37 +262,31 @@ def test_run_ga_deterministic():
     assert list(b1.x1) == list(b2.x1) and list(b1.x2) == list(b2.x2)
 
 
-def _ga_run(monkeypatch, pool, inst, policy, seed, pair_keyed=False):
-    """One GA run's best (reward repr, x1, x2), plan and history, and its evaluation count.
-
-    ``pair_keyed`` gives the run an evaluator keyed on (x1, x2) whatever the
-    pool: the reference for the allocation key.
-    """
-    calls = []
-    evaluate = hqm.evaluate_solution
+def _ga_evaluations(monkeypatch, pool, inst, policy, seed):
+    """Every state one GA run hands its evaluator, and the states it evaluated."""
+    states, evaluated = [], []
+    evaluate, reward = hqm.evaluate_solution, hqm.Evaluator.reward
     with monkeypatch.context() as m:
-        m.setattr(hqm, "evaluate_solution", lambda *a, **k: calls.append(1) or evaluate(*a, **k))
-        if pair_keyed:
-            m.setattr(ga, "Evaluator", lambda pool, instance, policy, **_:
-                      hqm.Evaluator(pool, instance, policy))
-        best, plan, history = run_ga(pool, inst, policy,
-                                     BudgetProfile(agents=20, iterations=60), seed)
-    run = ((repr(best.reward), best.x1, best.x2), plan,
-           [repr(r) for r in history.best_per_step])
-    return run, len(calls)
+        m.setattr(hqm, "evaluate_solution",
+                  lambda state, *a, **k: evaluated.append(state) or evaluate(state, *a, **k))
+        m.setattr(hqm.Evaluator, "reward",
+                  lambda self, state: states.append(state) or reward(self, state))
+        best, _, _ = run_ga(pool, inst, policy, BudgetProfile(agents=20, iterations=60), seed)
+    # the last evaluation decodes the best state's plan
+    assert evaluated.pop() is best
+    return states, evaluated
 
 
 @pytest.mark.parametrize("policy", [AdjustmentPolicy.BTD, AdjustmentPolicy.HCPS])
-def test_allocation_key_keeps_every_result_and_saves_evaluations(monkeypatch, policy):
+def test_generated_pools_breed_the_allocation_only(monkeypatch, policy):
     for spaces, locations, seed in ((5, 5, 0), (6, 10, 1), (10, 20, 0)):
         inst = generate_instance(GeneratorConfig(num_spaces=spaces,
                                                  locations_per_space=locations, seed=seed))
         pool = build_tasks(inst, assign_customers(inst))
         assert pool.start_order is not None
-        run, calls = _ga_run(monkeypatch, pool, inst, policy, seed)
-        ref, ref_calls = _ga_run(monkeypatch, pool, inst, policy, seed, pair_keyed=True)
-        assert run == ref
-        assert calls < ref_calls
+        states, evaluated = _ga_evaluations(monkeypatch, pool, inst, policy, seed)
+        assert {s.x2 for s in states} == {tuple(range(len(pool)))}
+        assert sorted(s.x1 for s in evaluated) == sorted({s.x1 for s in states})
 
 
 @pytest.mark.parametrize("policy", [AdjustmentPolicy.BTD, AdjustmentPolicy.HCPS])
@@ -304,5 +298,7 @@ def test_tied_starts_keep_the_pair_key(monkeypatch, policy):
         if pool.start_order is not None:
             continue
         tied += 1
-        run, calls = _ga_run(monkeypatch, pool, inst, policy, tied)
-        assert (run, calls) == _ga_run(monkeypatch, pool, inst, policy, tied, pair_keyed=True)
+        states, evaluated = _ga_evaluations(monkeypatch, pool, inst, policy, tied)
+        assert len({s.x2 for s in states}) > 1
+        pairs = sorted((s.x1, s.x2) for s in evaluated)
+        assert pairs == sorted({(s.x1, s.x2) for s in states})
