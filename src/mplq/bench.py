@@ -472,6 +472,12 @@ def write_sweep_csv(points: Sequence[SweepPoint], path: Union[str, Path],
                 header_comment)
 
 
+# The plotdata files: each grid plot with the ``CellAggregate`` field it plots, and a sweep's.
+GRID_PLOTS = {"grid_lockers.csv": "lockers_mean_rounded_up", "grid_distance.csv": "distance_mean",
+              "grid_delay.csv": "delay_mean", "grid_reward.csv": "reward_mean"}
+SWEEP_PLOT = "sweep_{}.csv"
+
+
 def write_plotdata(result_or_points, out_dir: Union[str, Path]) -> list[Path]:
     """Long-format (x, y, series) files, one per plotted metric."""
     out_dir = Path(out_dir)
@@ -480,15 +486,14 @@ def write_plotdata(result_or_points, out_dir: Union[str, Path]) -> list[Path]:
     written = []
     if isinstance(result_or_points, GridResult):
         aggregates = result_or_points.cell_aggregates()
-        for name, attr in (("lockers", "lockers_mean_rounded_up"), ("distance", "distance_mean"),
-                           ("delay", "delay_mean"), ("reward", "reward_mean")):
-            written.append(write_table(out_dir / f"grid_{name}.csv", columns, [
+        for name, attr in GRID_PLOTS.items():
+            written.append(write_table(out_dir / name, columns, [
                 (a.locations, repr(float(getattr(a, attr))),
                  f"{a.solver}-{a.policy}-spaces{a.spaces}") for a in aggregates]))
     else:
         points = list(result_or_points)
         if points:
-            written.append(write_table(out_dir / f"sweep_{points[0].factor}.csv", columns, [
+            written.append(write_table(out_dir / SWEEP_PLOT.format(points[0].factor), columns, [
                 (repr(pt.value), repr(pt.mean_delay), pt.factor) for pt in points]))
     return written
 

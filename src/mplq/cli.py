@@ -89,17 +89,20 @@ def _str_list(text: str) -> tuple[str, ...]:
     return tuple(v.strip() for v in text.split(",") if v.strip())
 
 
-def _output_path(path: str, is_dir: bool) -> Path:
+def _output_path(path: str, is_dir: bool, files: Sequence[str] = ()) -> Path:
     """``path`` checked before any work: a usage error unless it can be written.
 
     An existing ``path`` must be a directory exactly when ``is_dir``, and the
-    nearest existing directory above what is missing must be writable. Nothing
-    is created here, so a command refused later leaves nothing behind.
+    nearest existing directory above what is missing must be writable. Each
+    of the ``files`` written under a directory ``path`` is held to the same
+    rule, a directory exactly when its name ends in ``/``. Nothing is created
+    here, so a command refused later leaves nothing behind.
     """
     out = Path(path)
-    if out.exists() and out.is_dir() != is_dir:
-        raise ConfigurationError(
-            f"output path {path} {'is not a directory' if is_dir else 'is a directory'}")
+    for target, want_dir in [(out, is_dir), *((out / f, f.endswith("/")) for f in files)]:
+        if target.exists() and target.is_dir() != want_dir:
+            raise ConfigurationError(f"output path {target} "
+                                     f"{'is not a directory' if want_dir else 'is a directory'}")
     base = out.absolute() if is_dir else out.absolute().parent
     while not base.exists():
         base = base.parent
@@ -202,7 +205,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
                            iterations=pick(args.iters, "timesteps", desk.iterations))
     policy = (AdjustmentPolicy.parse(args.policy) if args.policy is not None
               else file_cfg.get("policy", AdjustmentPolicy.HCPS))
-    out_dir = _output_path(args.out_dir, is_dir=True)
+    out_dir = _output_path(args.out_dir, is_dir=True, files=(
+        "plan.csv", "history.csv", "tasks.csv", "assignment.csv", "solution.json", "metrics.txt"))
 
     instance = _load_valid_instance(args.instance)
     assignment, pool = _prepare(instance)
@@ -325,7 +329,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         base_config=replace(GeneratorConfig(), seed=seed),
         budget=BudgetProfile.named(args.budget),
     )
-    out_dir = _output_path(args.out_dir, is_dir=True)
+    out_dir = _output_path(args.out_dir, is_dir=True, files=(
+        "grid.csv", "plotdata/", *(f"plotdata/{name}" for name in bench.GRID_PLOTS)))
     result = bench.run_grid(grid, jobs=args.jobs)
     out_dir.mkdir(parents=True, exist_ok=True)
     header = _config_line(args, seed)
@@ -349,7 +354,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         policy=args.policy,
         budget=BudgetProfile.named(args.budget),
     )
-    out_dir = _output_path(args.out_dir, is_dir=True)
+    out_dir = _output_path(args.out_dir, is_dir=True, files=(
+        "sweep.csv", "plotdata/", "plotdata/" + bench.SWEEP_PLOT.format(args.factor)))
     points = bench.sweep_factor(sweep, jobs=args.jobs)
     out_dir.mkdir(parents=True, exist_ok=True)
     header = _config_line(args, seed)

@@ -9,7 +9,6 @@ orders nothing, so only the allocation is bred.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from typing import Optional, Sequence
 
 import numpy as np
@@ -17,7 +16,7 @@ import numpy as np
 from .errors import NothingToSolveError, ParameterError
 from .instance import Instance
 from .routing import AdjustmentPolicy, RoutePlan, refuse_over_capacity
-from .hqm import Evaluator, RunHistory, Stream, roulette_cdf
+from .hqm import Evaluator, RunHistory, Stream, roulette_cdf, roulette_pick
 from .state import BudgetProfile, SearchState, effective_locker_count, random_state
 from .taskgen import TaskPool
 
@@ -71,8 +70,8 @@ def next_generation(population: list[SearchState], rng: Stream,
 
     The top 5% of the states, but at least one, pass through unchanged
     (rewards intact); the rest are bred by selection, crossover, and
-    mutation. Each parent is a fitness-proportional pick through the
-    generation's ``roulette_cdf``, uniform when the rewards sum to zero.
+    mutation. Each parent is a ``roulette_pick`` through the generation's
+    ``roulette_cdf``: fitness-proportional, uniform when the rewards sum to zero.
     Without ``breed_x2`` a child keeps its first parent's ``x2``, with no
     order crossover and no swap pass drawn. Children come back with
     ``reward=None`` and must be evaluated by the caller.
@@ -87,16 +86,12 @@ def next_generation(population: list[SearchState], rng: Stream,
     ranked = sorted(population, key=lambda s: s.reward, reverse=True)
     out: list[SearchState] = ranked[:max(1, int(0.05 * size))]
     cdf = roulette_cdf(rewards)
-    random, integers = rng.random, rng.integers
     crossover_prob, rate = CROSSOVER_PROB, MUTATION_RATE
 
     while len(out) < size:
-        if cdf is None:
-            pa, pb = population[integers(size)], population[integers(size)]
-        else:
-            pa = population[bisect_right(cdf, random())]
-            pb = population[bisect_right(cdf, random())]
-        if random() < crossover_prob:
+        pa = population[roulette_pick(cdf, rng)]
+        pb = population[roulette_pick(cdf, rng)]
+        if rng.random() < crossover_prob:
             x1 = _uniform_crossover(pa.x1, pb.x1, rng)
             x2 = _order_crossover(pa.x2, pb.x2, rng) if breed_x2 else None
         else:

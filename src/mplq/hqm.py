@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import math
 import operator
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -155,62 +156,29 @@ def normalize_q(q: list[list[float]]) -> list[list[float]]:
     return out
 
 
-def _pairwise_sum(values: Sequence[float]) -> float:
-    """``np.add.reduce`` of a float64 vector, bit for bit, on Python floats.
+def roulette_cdf(scores: Sequence[float]) -> list[float]:
+    """The running sums of ``scores``: the roulette's CDF, unnormalized.
 
-    numpy sums by pairwise summation: a plain loop under 8 values; up to 128
-    values eight running accumulators, combined in a fixed tree, then the
-    remainder one by one; above that the two halves (split at a multiple of 8)
-    summed separately and added.
+    Like ``Generator.choice``, a non-finite total raises ``ValueError``.
     """
-    n = len(values)
-    if n < 8:
-        res = 0.0
-        for v in values:
-            res += v
-        return res
-    if n <= 128:
-        r0, r1, r2, r3, r4, r5, r6, r7 = values[:8]
-        stop = n - n % 8
-        for i in range(8, stop, 8):
-            r0 += values[i]
-            r1 += values[i + 1]
-            r2 += values[i + 2]
-            r3 += values[i + 3]
-            r4 += values[i + 4]
-            r5 += values[i + 5]
-            r6 += values[i + 6]
-            r7 += values[i + 7]
-        res = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
-        for v in values[stop:]:
-            res += v
-        return res
-    half = n // 2
-    half -= half % 8
-    return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
+    sums = list(accumulate(scores))
+    if not math.isfinite(sums[-1]):
+        raise ValueError(f"scores sum to {sums[-1]}, not a finite number")
+    return sums
 
 
-def roulette_cdf(scores: Sequence[float]) -> Optional[list[float]]:
-    """The roulette CDF of ``scores`` as a Python list, or None when they sum to at most 0.
+def roulette_pick(cdf: list[float], rng: Stream) -> int:
+    """An index drawn in proportion to its score from ``roulette_cdf``'s running sums.
 
-    The ops of the inverse-CDF draw that ``Generator.choice`` makes for a 1-D
-    ``p``: numpy's pairwise total, each score over the total, a running sum,
-    each entry over the last. ``bisect_right(cdf, rng.random())`` then
-    consumes the same double and returns the same index as choice, and like
-    choice a non-finite total raises ``ValueError``.
+    One ``random()`` double ``u`` picks the first sum above ``u`` times the
+    total, or the last nonzero score should that product round up to the
+    total. A total of at most 0 draws one uniform ``integers`` instead.
     """
-    total = _pairwise_sum(scores)
+    total = cdf[-1]
     if total <= 0.0:
-        return None
-    if not total < math.inf:  # NaN or infinity among the scores
-        raise ValueError(f"scores sum to {total}, not a finite number")
-    cdf = []
-    acc = 0.0  # cumsum starts at the first term; 0.0 + x differs from x only in a zero's sign
-    for s in scores:
-        acc += s / total
-        cdf.append(acc)
-    last = cdf[-1]
-    return [c / last for c in cdf]
+        return rng.integers(len(cdf))
+    k = bisect_right(cdf, rng.random() * total)
+    return k if k < len(cdf) else bisect_left(cdf, total)
 
 
 BLOCK = 64  # raw outputs a Stream pulls from its bit generator at a time
@@ -344,11 +312,10 @@ class Stream:
 class PickTable:
     """Epsilon-greedy picks over every column of a fixed table, precomputed per row.
 
-    Each row keeps its first argmax and its ``roulette_cdf`` (None when the
-    row sums to at most 0). A pick draws a threshold (when epsilon is None)
-    and one double from the agent's ``Stream``; with probability epsilon it
-    returns the argmax, otherwise a column sampled proportionally to its
-    score, uniformly (one ``Stream.integers``) on a row that sums to zero.
+    Each row keeps its first argmax and its ``roulette_cdf``. A pick draws a
+    threshold (when epsilon is None) and one double from the agent's
+    ``Stream``; with probability epsilon it returns the argmax, otherwise a
+    ``roulette_pick`` of the row.
     """
 
     def __init__(self, rows: list[list[float]]):
@@ -360,10 +327,7 @@ class PickTable:
         eps = rng.random() if epsilon is None else epsilon
         if rng.random() < eps:
             return self.argmax[r]
-        cdf = self.cdfs[r]
-        if cdf is None:
-            return rng.integers(self.width)
-        return bisect_right(cdf, rng.random())
+        return roulette_pick(self.cdfs[r], rng)
 
 
 def global_construct(agent: Agent, q1: PickTable, q2: list[list[float]],
@@ -375,8 +339,8 @@ def global_construct(agent: Agent, q1: PickTable, q2: list[list[float]],
     its predecessor (virtual start row first). The permutation is built the
     same way from ``q2``, the normalized task table as nested lists, over the
     unused tasks only: the same epsilon-greedy pick as ``PickTable.pick``,
-    with the roulette renormalized over the unused tasks' scores. Every draw
-    comes from the agent's ``Stream``.
+    with the roulette over the unused tasks' scores. Every draw comes from
+    the agent's ``Stream``.
     """
     rng = agent.rng
     n_tasks = len(q2) - 1
@@ -392,14 +356,10 @@ def global_construct(agent: Agent, q1: PickTable, q2: list[list[float]],
     prev = n_tasks  # virtual start row
     for _ in range(n_tasks):
         row = q2[prev]
-        scores = [row[c] for c in unused]
+        scores = list(map(row.__getitem__, unused))
         eps = rng.random() if epsilon is None else epsilon
-        if rng.random() < eps:
-            k = scores.index(max(scores))
-        else:
-            cdf = roulette_cdf(scores)
-            k = (rng.integers(len(unused)) if cdf is None
-                 else bisect_right(cdf, rng.random()))
+        k = (scores.index(max(scores)) if rng.random() < eps
+             else roulette_pick(roulette_cdf(scores), rng))
         prev = unused.pop(k)
         x2.append(prev)
 
@@ -553,6 +513,7 @@ __all__ = [
     "init_agents",
     "normalize_q",
     "roulette_cdf",
+    "roulette_pick",
     "Stream",
     "PickTable",
     "global_construct",

@@ -223,6 +223,8 @@ def _validate_config(config: GeneratorConfig) -> None:
         raise ConfigurationError("capacity and locker_speed must be > 0")
     if config.buffer_min < 0:
         raise ConfigurationError("buffer_min must be >= 0")
+    if config.max_lockers is not None and config.max_lockers < 1:
+        raise ConfigurationError("max_lockers must be >= 1")
 
 
 def _uniform_in_disk(rng: np.random.Generator, radius: float) -> tuple[float, float]:

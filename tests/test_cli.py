@@ -48,6 +48,17 @@ def test_generate_honors_env_seed(tmp_path, capsys, monkeypatch):
     assert a.read_text() == b.read_text()
 
 
+@pytest.mark.parametrize("setting", ["--max-lockers=0", "--max-lockers=-3", "--buffer=-1",
+                                     "--spaces=-1", "--capacity=0"])
+def test_a_bad_generator_setting_is_a_usage_error(tmp_path, capsys, setting):
+    out = tmp_path / "inst.json"
+    code = run_cli(["generate", "--out", str(out), setting])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.err.startswith("error: ")
+    assert len(captured.err.splitlines()) == 1
+    assert "RESULT" not in captured.out and not out.exists()
+
+
 def test_solve_is_reproducible(instance_file, tmp_path, capsys):
     out_dir = tmp_path / "out"
     args = ["solve", "--instance", str(instance_file), "--solver", "hqm",
@@ -757,15 +768,48 @@ def test_unwritable_output_is_refused_before_the_work(instance_file, tmp_path, c
     assert "RESULT" not in captured.out and not work
 
 
+# Each artifact a command writes under its --out-dir, and whether it is a directory.
+_ARTIFACTS = [("solve", name, False) for name in ("plan.csv", "history.csv", "tasks.csv",
+                                                  "assignment.csv", "solution.json",
+                                                  "metrics.txt")]
+_ARTIFACTS += [(command, "plotdata", True) for command in ("bench", "sweep")]
+_ARTIFACTS += [("bench", "grid.csv", False), ("sweep", "sweep.csv", False),
+               ("sweep", "plotdata/sweep_Q.csv", False)]
+_ARTIFACTS += [("bench", f"plotdata/{name}", False) for name in bench.GRID_PLOTS]
+
+
+@pytest.mark.parametrize("command,name,is_dir", _ARTIFACTS)
+def test_an_artifact_path_in_the_way_is_refused_before_the_work(
+        instance_file, tmp_path, capsys, monkeypatch, command, name, is_dir):
+    work = []
+    for attr in ("solve", "run_grid", "sweep_factor"):
+        monkeypatch.setattr(bench, attr, lambda *args, **kwargs: work.append(args))
+    out = tmp_path / "out"
+    in_the_way = out / name
+    if is_dir:  # a file where a directory goes
+        in_the_way.parent.mkdir(parents=True)
+        in_the_way.write_text("x")
+    else:
+        in_the_way.mkdir(parents=True)
+    code = run_cli(_OUTPUT_COMMANDS[command](str(instance_file), str(out)))
+    captured = capsys.readouterr()
+    assert code == 2 and captured.err == (
+        f"error: output path {in_the_way} is {'not ' if is_dir else ''}a directory\n")
+    assert "RESULT" not in captured.out and not work
+
+
 def test_generate_creates_missing_directories(tmp_path, capsys):
     out = tmp_path / "a" / "b" / "inst.json"
     assert run_cli(["generate", "--out", str(out), "--spaces", "2", "--locations", "3"]) == 0
     assert load_instance(out).spaces
 
 
-def test_a_failed_write_is_one_error_line(instance_file, tmp_path, capsys):
+def test_a_failed_write_is_one_error_line(instance_file, tmp_path, capsys, monkeypatch):
+    def full_disk(path, *args, **kwargs):
+        raise OSError(28, "No space left on device", str(path))
+
+    monkeypatch.setattr(bench, "write_table", full_disk)
     out_dir = tmp_path / "out"
-    (out_dir / "plan.csv").mkdir(parents=True)
     code = run_cli(["solve", "--instance", str(instance_file), "--agents", "2", "--iters", "2",
                     "--out-dir", str(out_dir)])
     captured = capsys.readouterr()

@@ -7,7 +7,7 @@ from mplq.errors import NothingToSolveError, ShapeError
 from mplq.hqm import (Agent, QMatrices, global_construct, has_converged,
                       init_agents, local_move, normalize_q, run_hqm, update_q)
 from mplq.bench import write_history_csv
-from mplq.hqm import PickTable, Stream, _pairwise_sum, roulette_cdf
+from mplq.hqm import PickTable, Stream, roulette_cdf, roulette_pick
 from mplq.instance import GeneratorConfig, assign_customers, generate_instance
 from mplq.oracle import brute_force_best
 from mplq.routing import AdjustmentPolicy
@@ -225,30 +225,16 @@ def test_pick_table_draws_what_generator_choice_drew(epsilon):
     assert kinds == {0, 1, 2, 3}
 
 
-def _np_pick_rows(rows):
-    """A ``PickTable`` on arrays: each row's first argmax and the CDF ``Generator.choice`` builds."""
-    cdfs = []
-    for row in rows:
-        total = row.sum()
-        if total <= 0.0:
-            cdfs.append(None)
-            continue
-        cdf = (row / total).cumsum()
-        cdf /= cdf[-1]
-        cdfs.append(_hex([cdf])[0])
-    return rows.argmax(axis=1).tolist(), cdfs
-
-
 def test_pick_table_matches_the_array_argmax_and_cdfs_bit_for_bit():
+    # each row's first argmax, and its running sums as np.cumsum adds them
     for seed in range(400):
         rng = np.random.default_rng(seed)
         raw = _raw_table(rng, int(rng.integers(1, 8)), int(rng.integers(1, 12)))
         for rows in (raw, _np_normalize_q(raw)):
             table = PickTable(rows.tolist())
-            argmax, cdfs = _np_pick_rows(rows)
             assert table.width == rows.shape[1]
-            assert table.argmax == argmax
-            assert [None if c is None else _hex([c])[0] for c in table.cdfs] == cdfs
+            assert table.argmax == rows.argmax(axis=1).tolist()
+            assert _hex(table.cdfs) == _hex(rows.cumsum(axis=1))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -265,30 +251,41 @@ def test_pick_refuses_non_finite_scores_like_generator_choice(bad):
                          [[0.0] * 3, [0.0] * 3, [0.0] * 3, row], epsilon=0.0)
 
 
-def test_pairwise_sum_is_numpy_add_reduce_bit_for_bit():
-    rng = np.random.default_rng(17)
-    for n in range(1, 1001):
-        for values in (rng.random(n),
-                       rng.choice([0.0, 0.25, 1 / 3], size=n),  # ties
+def test_roulette_cdf_is_numpy_cumsum_bit_for_bit():
+    rng = np.random.default_rng(23)
+    for n in range(1, 301):
+        for scores in (rng.random(n),
+                       rng.choice([0.0, 0.5, 1.0], size=n),  # ties and zeros
                        np.zeros(n),
                        rng.random(n) * 10.0 ** rng.integers(-300, 300, size=n)):
-            assert np.float64(_pairwise_sum(values.tolist())).tobytes() == \
-                np.add.reduce(values).tobytes(), n
+            assert _hex([roulette_cdf(scores.tolist())]) == _hex([np.cumsum(scores)]), n
 
 
-def test_roulette_cdf_is_the_choice_cdf_bit_for_bit():
-    # the CDF Generator.choice builds for p = scores / scores.sum()
-    rng = np.random.default_rng(23)
-    for n in range(1, 300):
-        for scores in (rng.random(n), rng.choice([0.0, 0.5, 1.0], size=n),
-                       rng.uniform(1e-3, 0.1, n)):
-            total = scores.sum()
-            if total <= 0.0:
-                assert roulette_cdf(scores.tolist()) is None
-                continue
-            cdf = (scores / total).cumsum()
-            cdf /= cdf[-1]
-            assert roulette_cdf(scores.tolist()) == cdf.tolist(), n
+class _FixedDraw:
+    """A stand-in ``Stream`` whose every ``random()`` is the same double."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+def test_roulette_pick_never_lands_on_a_zero_score():
+    # the largest double below 1 over trailing zeros, 0.0 over leading zeros; a
+    # subnormal total makes u * total round up to the total itself
+    top, bottom = _FixedDraw(1 - 2 ** -53), _FixedDraw(0.0)
+    rng = np.random.default_rng(5)
+    rows = [[0.3, 0.7], [1.0], [5e-324], [5e-324, 1e-323], [0.25, 0.25, 0.5]]
+    rows += [rng.random(int(rng.integers(1, 12))).tolist() for _ in range(200)]
+    rows += [(rng.random(int(rng.integers(1, 12))) * 1e-310).tolist() for _ in range(200)]
+    for row in rows:
+        for pad in (0, 1, 5):
+            scores = row + [0.0] * pad
+            assert roulette_pick(roulette_cdf(scores), top) == len(row) - 1
+            scores = [0.0] * pad + row
+            assert roulette_pick(roulette_cdf(scores), bottom) == pad
+    assert 5e-324 * (1 - 2 ** -53) == 5e-324  # the case the fallback serves
 
 
 def test_construct_reproduces_unique_chain_under_full_greed():
