@@ -23,7 +23,7 @@ from .hqm import GAMMA, TOL, RunHistory, check_learning_settings, run_hqm
 from .instance import Assignment, GeneratorConfig, Instance, assign_customers, generate_instance
 from .routing import (Adjustment, AdjustmentPolicy, RoutePlan, compute_delay, hold_can_apply,
                       over_capacity_task, refuse_over_capacity, sum_in_order)
-from .state import MAX_AGENTS, MAX_ITERATIONS, BudgetProfile  # noqa: F401  (re-exported)
+from .state import BudgetProfile
 from .taskgen import TaskPool, build_tasks
 
 SWEEP_FACTORS = (

@@ -35,7 +35,7 @@ def set_routes(memo: RouteMemo) -> list[tuple[float, tuple[int, ...]]]:
     (subset, order) pair it grows from. The return leg is added only to get a
     set's distance.
     """
-    n, starts, minutes = len(memo.pool), memo.pool.starts, memo.timer.minutes
+    n, starts = len(memo.pool), memo.pool.starts
     tied = [sum(1 << u for u in range(n) if starts[u] == starts[t]) for t in range(n)]
     last = [0] * (1 << n)  # a task of each set whose start is the set's latest
     opened = [[((), None)]]  # each set's (order, open end) pairs
@@ -52,7 +52,7 @@ def set_routes(memo: RouteMemo) -> list[tuple[float, tuple[int, ...]]]:
         while finals:  # each task that can close an order of the set
             u = (finals & -finals).bit_length() - 1
             finals &= finals - 1
-            ends += [(order + (u,), visit(memo, minutes, end, u)[0])
+            ends += [(order + (u,), visit(memo, end, u)[0])
                      for order, end in opened[group ^ (1 << u)]]
         opened.append(ends)
         routes.append(min((distance + depot_km, order)

@@ -3,7 +3,9 @@
 A locker's task list, sorted by window start, is scheduled by one visit rule.
 The locker starts at the depot with ``leave = 0``. Each visit measures the
 leg from the current position to its parking space once, turns it into
-``travel`` minutes, and takes its arrival from one of three cases:
+``travel`` minutes with its route memo's ``minutes`` (``km / speed``, times a
+seeded factor under travel noise), and takes its arrival from one of three
+cases:
 
 * plain: ``max(leave + travel, window.start)``. The first visit is always
   plain, so it waits at its space for the window to open.
@@ -30,7 +32,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -71,7 +73,8 @@ class TravelNoise:
 
     Shortened legs make the locker arrive before the next slice opens, which
     is exactly what forces the adjustment strategies to act. Sigma lies in
-    [0, 1]: above 1 a factor would be clipped to zero travel time.
+    [0, 1]: above 1 a factor would be clipped to zero travel time. Noise
+    affects travel *times* only; leg *distances*, and so cost, stay geometric.
     """
 
     sigma: float
@@ -80,28 +83,6 @@ class TravelNoise:
     def __post_init__(self) -> None:
         if not 0.0 <= self.sigma <= 1.0:  # also refuses NaN
             raise ParameterError(f"noise sigma must lie in [0, 1], got {self.sigma}")
-
-
-class TravelTimer:
-    """Turns leg distances into minutes, optionally perturbed by seeded noise.
-
-    Noise affects travel *times* only; leg *distances* (and therefore cost)
-    stay geometric.
-    """
-
-    def __init__(self, speed: float, noise: Optional[TravelNoise] = None):
-        if speed <= 0:
-            raise ParameterError(f"speed must be > 0, got {speed}")
-        self.speed = speed
-        self._sigma = noise.sigma if noise else 0.0
-        self._rng = np.random.default_rng(noise.seed) if noise and noise.sigma > 0 else None
-
-    def minutes(self, km: float) -> float:
-        t = km / self.speed
-        if self._rng is not None:
-            factor = 1.0 + float(self._rng.uniform(-self._sigma, self._sigma))
-            t *= max(0.0, factor)
-        return t
 
 
 class VisitRecord(NamedTuple):
@@ -169,21 +150,30 @@ class FeasibilityReport:
 
 
 class RouteMemo:
-    """One task pool's visit data and route memo, for one instance and policy.
+    """One task pool's visit data, leg timing and route memo, for one instance and policy.
 
     Built once per pool with one ``space_by_id`` per task: each task's space
     x and y, its km from the depot, its window start and end, ``ready``,
-    demand and service time. ``routes`` caches every route scheduled with the
-    memo's own noise-free timer by its ordered task-id tuple; a route names no
-    locker, so a hit is the stored route itself. It holds at most
-    ``_ROUTE_MEMO_LIMIT`` routes in least-recently-used order (a dict's
-    insertion order): a hit moves its route to the end, and a new route
-    evicts the first.
+    demand and service time. ``minutes`` times every leg of its routes:
+    ``km / speed``, times ``max(0, 1 + U(-sigma, sigma))`` drawn from a
+    ``Generator`` seeded with ``noise.seed`` once per leg, in leg order, when
+    ``noise`` has a sigma above 0. A sigma of 0 is no noise, and ``noise`` is
+    then None. Without noise, ``routes`` caches every route by its ordered
+    task-id tuple; a route names no locker, so a hit is the stored route
+    itself. It holds at most ``_ROUTE_MEMO_LIMIT`` routes in
+    least-recently-used order (a dict's insertion order): a hit moves its
+    route to the end, and a new route evicts the first. A noisy memo draws on
+    every leg, so its ``routes`` is None and every route is scheduled anew.
     """
 
-    __slots__ = ("pool", "instance", "policy", "visit_data", "capacity", "timer", "routes")
+    __slots__ = ("pool", "instance", "policy", "noise", "visit_data", "capacity", "minutes",
+                 "routes")
 
-    def __init__(self, pool: TaskPool, instance: Instance, policy: AdjustmentPolicy):
+    def __init__(self, pool: TaskPool, instance: Instance, policy: AdjustmentPolicy,
+                 noise: Optional[TravelNoise] = None):
+        speed = instance.fleet.speed
+        if not speed > 0:  # also refuses NaN
+            raise ParameterError(f"speed must be > 0, got {speed}")
         self.pool, self.instance, self.policy = pool, instance, policy
         dx, dy = instance.depot.x, instance.depot.y
         self.visit_data = []
@@ -193,8 +183,15 @@ class RouteMemo:
             self.visit_data.append((x, y, math.hypot(x - dx, y - dy), task.window.start,
                                     task.window.end, task.ready, task.demand, sp.service_time))
         self.capacity = instance.fleet.capacity + _EPS
-        self.timer = TravelTimer(instance.fleet.speed)
-        self.routes: dict[tuple[int, ...], LockerRoute] = {}
+        if noise is None or noise.sigma == 0:
+            self.noise = None
+            self.minutes = lambda km: km / speed
+            self.routes: Optional[dict[tuple[int, ...], LockerRoute]] = {}
+        else:
+            self.noise = noise
+            uniform, sigma = np.random.default_rng(noise.seed).uniform, noise.sigma
+            self.minutes = lambda km: km / speed * max(0.0, 1.0 + float(uniform(-sigma, sigma)))
+            self.routes = None
 
     def serves(self, pool: TaskPool, instance: Instance, policy: AdjustmentPolicy) -> bool:
         """Whether this memo's routes are the routes of ``pool``, ``instance`` and ``policy``."""
@@ -202,8 +199,7 @@ class RouteMemo:
                 and (instance is self.instance or instance == self.instance))
 
 
-def visit(memo: RouteMemo, minutes: Callable[[float], float], end: Optional[tuple],
-          task_id: int) -> tuple[tuple, VisitRecord]:
+def visit(memo: RouteMemo, end: Optional[tuple], task_id: int) -> tuple[tuple, VisitRecord]:
     """One visit of the module docstring's rule: task ``task_id`` served from the open end ``end``.
 
     An open end is where a route under construction stands after its last
@@ -211,9 +207,9 @@ def visit(memo: RouteMemo, minutes: Callable[[float], float], end: Optional[tupl
     depot_departure)``: the last leave, the load on board, the last space's x
     and y and its km from the depot, the last window's end, the km driven
     without the return leg, and the depot departure. ``end`` is None before
-    the first visit, which starts at the depot with ``leave = 0``. ``minutes``
-    times a leg's km (``TravelTimer.minutes``); it is called once per leg, in
-    leg order. Returns the open end after the visit and the visit's record.
+    the first visit, which starts at the depot with ``leave = 0``. Each leg
+    is timed once, in leg order, by ``memo.minutes``. Returns the open end
+    after the visit and the visit's record.
     """
     x, y, depot_km, start, window_end, ready, demand, service = memo.visit_data[task_id]
     if end is None:
@@ -223,6 +219,7 @@ def visit(memo: RouteMemo, minutes: Callable[[float], float], end: Optional[tupl
     else:
         leave, load, px, py, prev_depot_km, prev_end, distance, departure = end
     km = math.hypot(px - x, py - y)
+    minutes = memo.minutes
     travel = minutes(km)
     reach = leave + travel
     arrival = start if start > reach else reach  # max(reach, start)
@@ -252,36 +249,32 @@ def visit(memo: RouteMemo, minutes: Callable[[float], float], end: Optional[tupl
                         late if late > 0.0 else 0.0))
 
 
-def schedule_route(memo: RouteMemo, *, task_ids: Sequence[int],
-                   timer: Optional[TravelTimer] = None) -> Optional[LockerRoute]:
+def schedule_route(memo: RouteMemo, *, task_ids: Sequence[int]) -> Optional[LockerRoute]:
     """Schedule one locker's tasks of ``memo``'s pool, ``task_ids`` sorted by window start.
 
     Returns None for an empty list (the locker is not dispatched). The route
     starts and ends at the depot; distance covers every leg including depot
-    detours and the final return. Each task is one ``visit``. Without
-    ``timer`` the route is timed by the memo's noise-free timer and goes
-    through the memo's route cache; a noisy ``timer`` draws on every leg, so
-    its routes are never cached.
+    detours and the final return. Each task is one ``visit``, and every leg
+    is timed by ``memo.minutes``. A noise-free memo caches the route, so a
+    repeat of ``task_ids`` is a hit; a noisy one schedules every call anew.
     """
     if not task_ids:
         return None
-    routes = memo.routes if timer is None else None
+    routes = memo.routes
     if routes is not None:
         key = tuple(task_ids)
         route = routes.pop(key, None)
         if route is not None:
             routes[key] = route
             return route
-        timer = memo.timer
 
-    minutes = timer.minutes
     visits: list[VisitRecord] = []
     end = None
     for task_id in task_ids:
-        end, record = visit(memo, minutes, end, task_id)
+        end, record = visit(memo, end, task_id)
         visits.append(record)
     leave, _, _, _, depot_km, _, distance, departure = end
-    route = LockerRoute(tuple(visits), departure, leave + minutes(depot_km),
+    route = LockerRoute(tuple(visits), departure, leave + memo.minutes(depot_km),
                         distance + depot_km)
     if routes is not None:
         if len(routes) >= _ROUTE_MEMO_LIMIT:
@@ -307,18 +300,19 @@ def evaluate_solution(state: SearchState, pool: TaskPool, instance: Instance,
     Tasks are partitioned by ``x1``, each locker's list is ordered by window
     start with ``x2`` priority breaking ties, and every route is scheduled
     under ``policy``. Pure in (state, pool, instance, policy, noise seed).
-    ``memo`` is the ``RouteMemo`` of this pool, instance and policy; without
-    one, a memo is built for the call. A shared memo's route cache is mutated
-    by every call, so calls that share one must not run concurrently. A memo
-    built for another pool, instance or policy is refused, and so is any memo
-    with ``noise``, which draws on every leg.
+    ``memo`` is the noise-free ``RouteMemo`` of this pool, instance and
+    policy; without one, a memo is built for the call, a noisy one when
+    ``noise`` is given. A shared memo's route cache is mutated by every call,
+    so calls that share one must not run concurrently. A memo built for
+    another pool, instance or policy is refused, and so is a memo given with
+    ``noise`` or a noisy memo, whose draws would carry over from call to call.
     """
     if memo is None:
-        memo = RouteMemo(pool, instance, policy)
-    elif noise is not None:
-        raise ParameterError("a route memo cannot be used with travel noise")
+        memo = RouteMemo(pool, instance, policy, noise)
     elif not (isinstance(memo, RouteMemo) and memo.serves(pool, instance, policy)):
         raise ParameterError("the route memo was built for another pool, instance or policy")
+    elif noise is not None or memo.noise is not None:
+        raise ParameterError("a route memo cannot be used with travel noise")
     validate_state(state, len(pool.tasks), instance.fleet.max_lockers)
 
     # x2 lists the tasks in priority order, so a stable sort by window start
@@ -337,12 +331,11 @@ def evaluate_solution(state: SearchState, pool: TaskPool, instance: Instance,
         else:
             tasks.append(task_id)
 
-    timer = None if noise is None else TravelTimer(instance.fleet.speed, noise)
     lockers = tuple(sorted(by_locker))
     routes = []
     total_distance = 0.0  # added left to right: sum() compensates from Python 3.12 on
     for locker in lockers:
-        route = schedule_route(memo, task_ids=by_locker[locker], timer=timer)
+        route = schedule_route(memo, task_ids=by_locker[locker])
         routes.append(route)
         total_distance += route.distance_km
 
@@ -485,7 +478,6 @@ __all__ = [
     "AdjustmentPolicy",
     "Adjustment",
     "TravelNoise",
-    "TravelTimer",
     "VisitRecord",
     "LockerRoute",
     "RoutePlan",

@@ -10,7 +10,7 @@ from mplq.errors import ParameterError
 from mplq.hqm import Stream
 from mplq.instance import (Customer, CustomerLocation, FleetSpec, Instance,
                            ParkingSpace, Position, TimeWindow)
-from mplq.routing import AdjustmentPolicy, LockerRoute, RouteMemo, TravelTimer, schedule_route
+from mplq.routing import AdjustmentPolicy, LockerRoute, RouteMemo, TravelNoise, schedule_route
 from mplq.state import SearchState
 from mplq.taskgen import Task, TaskPool
 
@@ -62,14 +62,14 @@ def make_pool(tasks: Sequence[Task]) -> TaskPool:
 
 
 def schedule_tasks(tasks: Sequence[Task], instance: Instance, policy: AdjustmentPolicy,
-                   timer: Optional[TravelTimer] = None) -> Optional[LockerRoute]:
+                   noise: Optional[TravelNoise] = None) -> Optional[LockerRoute]:
     """One locker's route over a hand-built task list, in list order.
 
     The list becomes a pool of its own, so the route is that pool's task ids
-    0..n-1 scheduled through a fresh ``RouteMemo``.
+    0..n-1 scheduled through a fresh ``RouteMemo``, timed with ``noise``.
     """
-    memo = RouteMemo(make_pool(tasks), instance, policy)
-    return schedule_route(memo, task_ids=list(range(len(tasks))), timer=timer)
+    memo = RouteMemo(make_pool(tasks), instance, policy, noise)
+    return schedule_route(memo, task_ids=list(range(len(tasks))))
 
 
 def random_hold_pool(rng: np.random.Generator) -> tuple[Instance, TaskPool]:

@@ -5,16 +5,16 @@ from dataclasses import replace
 import pytest
 
 from mplq import bench
-from mplq.bench import (MAX_AGENTS, MAX_ITERATIONS, BudgetProfile, CellOutcome, GridConfig,
-                        SweepConfig, SweepPoint, apply_factor, improvement_rate, reward_gap,
-                        run_grid, sweep_factor, write_grid_csv, write_plotdata,
-                        write_sweep_csv)
+from mplq.bench import (BudgetProfile, CellOutcome, GridConfig, SweepConfig, SweepPoint,
+                        apply_factor, improvement_rate, reward_gap, run_grid, sweep_factor,
+                        write_grid_csv, write_plotdata, write_sweep_csv)
 from mplq.errors import (ConfigurationError, NothingToSolveError, OverCapacityError,
                          ParameterError, UndefinedRateError)
 from mplq.ga import run_ga
 from mplq.hqm import RunHistory, run_hqm
 from mplq.instance import GeneratorConfig, assign_customers, generate_instance
 from mplq.routing import AdjustmentPolicy
+from mplq.state import MAX_AGENTS, MAX_ITERATIONS
 from mplq.taskgen import build_tasks
 
 

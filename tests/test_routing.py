@@ -9,7 +9,7 @@ from mplq.errors import ParameterError, ShapeError
 from mplq.instance import (GeneratorConfig, Position, assign_customers,
                            generate_instance)
 from mplq.routing import (Adjustment, AdjustmentPolicy, LockerRoute, RouteMemo, RoutePlan,
-                          TravelNoise, TravelTimer, VisitRecord, check_feasibility,
+                          TravelNoise, VisitRecord, check_feasibility,
                           compute_delay, evaluate_solution, hold_can_apply, schedule_route)
 from mplq.bench import write_plan_csv
 from mplq.routing import _ROUTE_MEMO_LIMIT
@@ -349,9 +349,19 @@ class _RefRoute:
     distance_km: float
 
 
-def _reference_schedule(tasks, task_ids, instance, policy, timer):
+def _reference_minutes(speed, noise):
+    """The reference's leg timer: ``km / speed``, under noise times
+    ``max(0, 1 + uniform(-sigma, sigma))`` drawn from its own ``Generator(seed)``."""
+    if noise is None:
+        return lambda km: km / speed
+    rng = np.random.default_rng(noise.seed)
+    return lambda km: km / speed * max(0.0, 1.0 + float(rng.uniform(-noise.sigma, noise.sigma)))
+
+
+def _reference_schedule(tasks, task_ids, instance, policy, minutes):
     """The scheduler as it was before per-task visit data: ``space_by_id`` and
-    ``distance_to`` at every visit, frozen-dataclass records, no memo."""
+    ``distance_to`` at every visit, frozen-dataclass records, no memo, and
+    each leg timed by ``minutes`` in leg order."""
     depot = instance.depot
     capacity = instance.fleet.capacity
     visits = []
@@ -362,7 +372,7 @@ def _reference_schedule(tasks, task_ids, instance, policy, timer):
         sp = instance.space_by_id(task.space_id)
         window = task.window
         km = here.distance_to(sp.position)
-        travel = timer.minutes(km)
+        travel = minutes(km)
         arrival = max(leave + travel, window.start)
         adjustment = Adjustment.NONE
         if not visits:
@@ -377,7 +387,7 @@ def _reference_schedule(tasks, task_ids, instance, policy, timer):
             elif early or overflow:
                 to_depot, from_depot = here.distance_to(depot), depot.distance_to(sp.position)
                 km = to_depot + from_depot
-                arrival = leave + timer.minutes(to_depot) + timer.minutes(from_depot)
+                arrival = leave + minutes(to_depot) + minutes(from_depot)
                 adjustment = Adjustment.BTD
                 load = 0.0
         service_start = max(arrival, task.ready)
@@ -391,7 +401,7 @@ def _reference_schedule(tasks, task_ids, instance, policy, timer):
         here, prev_window = sp.position, window
     km = here.distance_to(depot)
     return _RefRoute(visits=tuple(visits), depot_departure=depot_departure,
-                     depot_return=leave + timer.minutes(km), distance_km=distance + km)
+                     depot_return=leave + minutes(km), distance_km=distance + km)
 
 
 def _reprs(route):
@@ -405,9 +415,9 @@ def _reference_plan(state, pool, inst, policy, noise):
     by_locker = {}
     for t in sorted(state.x2, key=pool.starts.__getitem__):
         by_locker.setdefault(state.x1[t], []).append(t)
-    timer = TravelTimer(inst.fleet.speed, noise)
+    minutes = _reference_minutes(inst.fleet.speed, noise)
     return [_reference_schedule([pool.tasks[t] for t in by_locker[k]], by_locker[k], inst,
-                                policy, timer) for k in sorted(by_locker)]
+                                policy, minutes) for k in sorted(by_locker)]
 
 
 @pytest.mark.parametrize("policy", [AdjustmentPolicy.BTD, AdjustmentPolicy.HCPS])
@@ -519,10 +529,9 @@ def test_scheduler_matches_the_reference_on_hand_built_routes(sigma):
     for case, inst, tasks in _hand_built_routes():
         for policy in AdjustmentPolicy:
             noise = TravelNoise(sigma=sigma, seed=3) if sigma else None
-            timer = TravelTimer(inst.fleet.speed, noise) if noise else None
-            route = schedule_tasks(tasks, inst, policy, timer=timer)
+            route = schedule_tasks(tasks, inst, policy, noise=noise)
             want = _reference_schedule(tasks, range(len(tasks)), inst, policy,
-                                       TravelTimer(inst.fleet.speed, noise))
+                                       _reference_minutes(inst.fleet.speed, noise))
             assert _reprs(route) == _reprs(want)
             if sigma:
                 continue
@@ -546,10 +555,9 @@ def test_scheduler_matches_the_reference_on_random_adjusted_lists():
         inst, tasks = _random_adjusted_case(rng)
         noise = TravelNoise(sigma=0.5, seed=k) if k % 2 else None
         for policy in AdjustmentPolicy:
-            timer = TravelTimer(inst.fleet.speed, noise) if noise else None
             want = _reference_schedule(tasks, range(len(tasks)), inst, policy,
-                                       TravelTimer(inst.fleet.speed, noise))
-            assert _reprs(schedule_tasks(tasks, inst, policy, timer=timer)) == _reprs(want)
+                                       _reference_minutes(inst.fleet.speed, noise))
+            assert _reprs(schedule_tasks(tasks, inst, policy, noise=noise)) == _reprs(want)
 
 
 # ---------------------------------------------------------------------------
@@ -761,6 +769,49 @@ def test_route_memo_is_refused_with_travel_noise():
         evaluate_solution(make_state([0, 0], [0, 1]), pool, inst, AdjustmentPolicy.HCPS,
                           noise=TravelNoise(sigma=0.5, seed=9),
                           memo=RouteMemo(pool, inst, AdjustmentPolicy.HCPS))
+
+
+def test_a_noisy_route_memo_is_refused():
+    inst, pool = _two_task_setup()
+    noisy = RouteMemo(pool, inst, AdjustmentPolicy.HCPS, TravelNoise(sigma=0.5, seed=9))
+    with pytest.raises(ParameterError, match="travel noise"):
+        evaluate_solution(make_state([0, 0], [0, 1]), pool, inst, AdjustmentPolicy.HCPS,
+                          memo=noisy)
+
+
+def test_a_noisy_route_memo_caches_no_route():
+    inst, pool = _two_task_setup()
+    memo = RouteMemo(pool, inst, AdjustmentPolicy.HCPS, TravelNoise(sigma=0.5, seed=9))
+    first = schedule_route(memo, task_ids=[0, 1])
+    second = schedule_route(memo, task_ids=[0, 1])
+    assert memo.routes is None
+    assert second is not first and second != first  # the second draws new factors
+    assert second.distance_km == first.distance_km
+
+
+@pytest.mark.parametrize("policy", [AdjustmentPolicy.BTD, AdjustmentPolicy.HCPS])
+def test_zero_sigma_noise_plans_the_noise_free_bits(policy):
+    rng = np.random.default_rng(41)
+    for inst, pool in [random_hold_pool(rng) for _ in range(12)]:
+        n = len(pool)
+        memo = RouteMemo(pool, inst, policy, TravelNoise(sigma=0.0, seed=3))
+        assert memo.noise is None and memo.routes == {}
+        for _ in range(4):
+            state = make_state(rng.integers(0, 3, size=n), rng.permutation(n))
+            plan, cost = evaluate_solution(state, pool, inst, policy,
+                                           noise=TravelNoise(sigma=0.0, seed=3))
+            want, want_cost = evaluate_solution(state, pool, inst, policy)
+            assert [_reprs(r) for r in plan.routes] == [_reprs(r) for r in want.routes]
+            assert repr(cost) == repr(want_cost)
+
+
+@pytest.mark.parametrize("speed", [0.0, -0.7, math.nan])
+def test_evaluate_refuses_a_speed_that_is_not_positive(speed):
+    _, pool = _two_task_setup()
+    spaces = [make_space(1, 1.0, 0.0), make_space(2, 0.0, 2.0)]
+    inst = make_instance(spaces, max_lockers=2, speed=speed)
+    with pytest.raises(ParameterError, match="speed"):
+        evaluate_solution(make_state([0, 1], [0, 1]), pool, inst, AdjustmentPolicy.BTD)
 
 
 def test_route_memo_of_another_pool_instance_or_policy_is_refused():
