@@ -11,7 +11,6 @@ Every CSV artifact, of a solve too, is written here through ``write_table``.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence, Union
@@ -207,6 +206,8 @@ def _group_means(rows: Sequence[CellOutcome], key: Callable) -> list[CellAggrega
 def _map(fn: Callable, units: list, jobs: int) -> list:
     """``fn`` over ``units`` in order, across ``jobs`` processes when there is more than one."""
     if jobs > 1 and len(units) > 1:
+        # imported here: multiprocessing would load on every mplq command otherwise
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as executor:
             return list(executor.map(fn, units))
     return [fn(u) for u in units]

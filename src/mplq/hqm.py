@@ -17,7 +17,7 @@ import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -156,7 +156,7 @@ def normalize_q(q: list[list[float]]) -> list[list[float]]:
     return out
 
 
-def roulette_cdf(scores: Sequence[float]) -> list[float]:
+def roulette_cdf(scores: Iterable[float]) -> list[float]:
     """The running sums of ``scores``: the roulette's CDF, unnormalized.
 
     Like ``Generator.choice``, a non-finite total raises ``ValueError``.
@@ -198,6 +198,8 @@ class Stream:
       output split low half first, the high half kept for the next word;
       ``high`` = 1 draws nothing.
     - ``uniform(low, high)``: ``low + (high - low) * random()``.
+    - ``greedy(epsilon)``: one epsilon-greedy decision, ``random() < epsilon``,
+      after a ``random()`` threshold when ``epsilon`` is None.
     - ``hits(n, rate)``: the k < n whose k-th of n ``random()`` draws falls
       below ``rate``, lazily, compared on the raw outputs.
     - ``mask(n)``: n draws of ``integers(2)``, as ``integers(0, 2, size=n)``,
@@ -235,6 +237,20 @@ class Stream:
     def random(self) -> float:
         raw = self._raw or self._refill()
         return (raw.pop() >> 11) * 2 ** -53
+
+    def greedy(self, epsilon: Optional[float]) -> bool:
+        """Whether an epsilon-greedy pick takes the greedy branch: ``random() < epsilon``.
+
+        With ``epsilon`` None the threshold is a ``random()`` draw first, so the
+        decision reads two outputs; two doubles compare as their top 53 bits
+        do, since both are those bits times 2**-53.
+        """
+        raw = self._raw or self._refill()
+        if epsilon is None:
+            threshold = raw.pop() >> 11
+            raw = raw or self._refill()
+            return raw.pop() >> 11 < threshold
+        return (raw.pop() >> 11) * 2 ** -53 < epsilon
 
     def integers(self, high: int) -> int:
         """A uniform int in [0, high), for ``high`` in [1, 2**32]."""
@@ -312,10 +328,9 @@ class Stream:
 class PickTable:
     """Epsilon-greedy picks over every column of a fixed table, precomputed per row.
 
-    Each row keeps its first argmax and its ``roulette_cdf``. A pick draws a
-    threshold (when epsilon is None) and one double from the agent's
-    ``Stream``; with probability epsilon it returns the argmax, otherwise a
-    ``roulette_pick`` of the row.
+    Each row keeps its first argmax and its ``roulette_cdf``. A pick makes one
+    ``Stream.greedy`` decision: on the greedy branch it returns the argmax,
+    otherwise a ``roulette_pick`` of the row.
     """
 
     def __init__(self, rows: list[list[float]]):
@@ -324,8 +339,7 @@ class PickTable:
         self.cdfs = [roulette_cdf(row) for row in rows]
 
     def pick(self, r: int, epsilon: Optional[float], rng: Stream) -> int:
-        eps = rng.random() if epsilon is None else epsilon
-        if rng.random() < eps:
+        if rng.greedy(epsilon):
             return self.argmax[r]
         return roulette_pick(self.cdfs[r], rng)
 
@@ -338,8 +352,9 @@ def global_construct(agent: Agent, q1: PickTable, q2: list[list[float]],
     ``q1``, the ``PickTable`` of the normalized locker table, from the row of
     its predecessor (virtual start row first). The permutation is built the
     same way from ``q2``, the normalized task table as nested lists, over the
-    unused tasks only: the same epsilon-greedy pick as ``PickTable.pick``,
-    with the roulette over the unused tasks' scores. Every draw comes from
+    unused tasks only, kept in ascending id order: the same ``Stream.greedy``
+    decision as ``PickTable.pick``, then the first unused task of highest
+    score or a roulette over the unused tasks' scores. Every draw comes from
     the agent's ``Stream``.
     """
     rng = agent.rng
@@ -356,11 +371,11 @@ def global_construct(agent: Agent, q1: PickTable, q2: list[list[float]],
     prev = n_tasks  # virtual start row
     for _ in range(n_tasks):
         row = q2[prev]
-        scores = list(map(row.__getitem__, unused))
-        eps = rng.random() if epsilon is None else epsilon
-        k = (scores.index(max(scores)) if rng.random() < eps
-             else roulette_pick(roulette_cdf(scores), rng))
-        prev = unused.pop(k)
+        if rng.greedy(epsilon):
+            prev = max(unused, key=row.__getitem__)  # the first maximum in id order
+            unused.remove(prev)
+        else:
+            prev = unused.pop(roulette_pick(roulette_cdf(map(row.__getitem__, unused)), rng))
         x2.append(prev)
 
     return SearchState(x1=tuple(x1), x2=tuple(x2))
@@ -378,14 +393,13 @@ def local_move(state: SearchState, neighbor: SearchState, omega: float, *,
     if len(state.x1) != len(neighbor.x1) or n != len(neighbor.x2):
         raise ShapeError("states come from different task pools")
 
-    x1 = tuple(round(a + omega * (a - b)) % max_lockers
-               for a, b in zip(state.x1, neighbor.x1))
+    x1 = [round(a + omega * (a - b)) % max_lockers for a, b in zip(state.x1, neighbor.x1)]
 
     raw2 = [a + omega * (a - b) for a, b in zip(state.x2, neighbor.x2)]
     x2 = [0] * n
     for rank, t in enumerate(sorted(range(n), key=raw2.__getitem__)):
         x2[t] = rank
-    return SearchState(x1=x1, x2=tuple(x2))
+    return SearchState(x1=tuple(x1), x2=tuple(x2))
 
 
 def update_q(qmats: QMatrices, states: Sequence[SearchState], rewards: Sequence[float],

@@ -299,21 +299,28 @@ def evaluate_solution(state: SearchState, pool: TaskPool, instance: Instance,
 
     Tasks are partitioned by ``x1``, each locker's list is ordered by window
     start with ``x2`` priority breaking ties, and every route is scheduled
-    under ``policy``. Pure in (state, pool, instance, policy, noise seed).
-    ``memo`` is the noise-free ``RouteMemo`` of this pool, instance and
-    policy; without one, a memo is built for the call, a noisy one when
-    ``noise`` is given. A shared memo's route cache is mutated by every call,
-    so calls that share one must not run concurrently. A memo built for
-    another pool, instance or policy is refused, and so is a memo given with
-    ``noise`` or a noisy memo, whose draws would carry over from call to call.
+    under ``policy``, in locker id order. Pure in (state, pool, instance,
+    policy, noise seed). ``memo`` is the noise-free ``RouteMemo`` of this
+    pool, instance and policy; without one, a memo is built for the call, a
+    noisy one when ``noise`` is given. A shared memo's route cache is mutated
+    by every call, so calls that share one must not run concurrently. A memo
+    built for another pool, instance or policy is refused, and so is a memo
+    given with ``noise`` or a noisy memo, whose draws would carry over from
+    call to call.
+
+    A call without a memo checks ``state`` with ``validate_state`` and raises
+    ``ShapeError`` on a malformed one. A call with a memo is a
+    solver's own (the ``hqm.Evaluator``, the oracle's re-score), whose states
+    are built well-formed, so it does not check them: a malformed state there
+    may raise another error or score a wrong plan.
     """
     if memo is None:
         memo = RouteMemo(pool, instance, policy, noise)
+        validate_state(state, len(pool.tasks), instance.fleet.max_lockers)
     elif not (isinstance(memo, RouteMemo) and memo.serves(pool, instance, policy)):
         raise ParameterError("the route memo was built for another pool, instance or policy")
     elif noise is not None or memo.noise is not None:
         raise ParameterError("a route memo cannot be used with travel noise")
-    validate_state(state, len(pool.tasks), instance.fleet.max_lockers)
 
     # x2 lists the tasks in priority order, so a stable sort by window start
     # breaks equal starts by priority; dealing in that order sorts every locker.
@@ -322,24 +329,21 @@ def evaluate_solution(state: SearchState, pool: TaskPool, instance: Instance,
     if order is None:
         order = sorted(state.x2, key=pool.starts.__getitem__)
     x1 = state.x1
-    by_locker: dict[int, list[int]] = {}
+    by_locker: list[list[int]] = [[] for _ in range(max(x1, default=-1) + 1)]
     for task_id in order:
-        locker = x1[task_id]
-        tasks = by_locker.get(locker)
-        if tasks is None:
-            by_locker[locker] = [task_id]
-        else:
-            tasks.append(task_id)
+        by_locker[x1[task_id]].append(task_id)
 
-    lockers = tuple(sorted(by_locker))
+    lockers = []
     routes = []
     total_distance = 0.0  # added left to right: sum() compensates from Python 3.12 on
-    for locker in lockers:
-        route = schedule_route(memo, task_ids=by_locker[locker])
-        routes.append(route)
-        total_distance += route.distance_km
+    for locker, tasks in enumerate(by_locker):
+        if tasks:
+            route = schedule_route(memo, task_ids=tasks)
+            lockers.append(locker)
+            routes.append(route)
+            total_distance += route.distance_km
 
-    plan = RoutePlan(lockers, tuple(routes), total_distance)
+    plan = RoutePlan(tuple(lockers), tuple(routes), total_distance)
     return plan, compute_cost(len(lockers), total_distance, instance)
 
 

@@ -170,6 +170,39 @@ def test_hits_threshold_is_exact_at_the_drawn_double():
             assert_same_continuation(stream, ref)
 
 
+@pytest.mark.parametrize("epsilon", [None, 0.0, 0.3, 1.0])
+def test_greedy_is_the_random_calls_it_replaces(epsilon):
+    # the threshold double when epsilon is None, then random() < threshold;
+    # other draws between decisions move the position and the 32-bit half,
+    # and three blocks put refills between and inside decisions
+    outcomes = set()
+    for seed in range(40):
+        stream, ref = stream_pair(seed)
+        maker = np.random.default_rng(seed + 700)
+        for _ in range(3 * BLOCK):
+            threshold = ref.random() if epsilon is None else epsilon
+            got = stream.greedy(epsilon)
+            assert got is (ref.random() < threshold), seed
+            outcomes.add(got)
+            if maker.random() < 0.25:
+                drawn, expected = _draw(maker, stream, ref)
+                assert drawn == expected
+        assert_same_continuation(stream, ref)
+    assert outcomes == ({False} if epsilon == 0.0 else {True} if epsilon == 1.0
+                        else {False, True})
+
+
+def test_greedy_compares_strictly_below_the_drawn_double():
+    for seed in range(200):
+        d = np.random.default_rng(seed).random()
+        for epsilon, expected in ((d, False), (np.nextafter(d, 1.0), True),
+                                  (np.nextafter(d, 0.0), False)):
+            stream, ref = stream_pair(seed)
+            assert stream.greedy(float(epsilon)) is expected
+            ref.random()
+            assert_same_continuation(stream, ref)
+
+
 @pytest.mark.parametrize("odd_words", [False, True])
 def test_bulk_mask_reads_whole_outputs(odd_words):
     for seed in range(20):

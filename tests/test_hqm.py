@@ -7,14 +7,16 @@ from mplq.errors import NothingToSolveError, ShapeError
 from mplq.hqm import (Agent, QMatrices, global_construct, has_converged,
                       init_agents, local_move, normalize_q, run_hqm, update_q)
 from mplq.bench import write_history_csv
+from mplq.ga import run_ga
 from mplq.hqm import PickTable, Stream, roulette_cdf, roulette_pick
 from mplq.instance import GeneratorConfig, assign_customers, generate_instance
 from mplq.oracle import brute_force_best
 from mplq.routing import AdjustmentPolicy
-from mplq.state import BudgetProfile, SearchState, effective_locker_count, random_state
+from mplq.state import (BudgetProfile, SearchState, effective_locker_count, random_state,
+                        validate_state)
 from mplq.taskgen import TaskPool, build_tasks
 from helpers import (assert_same_continuation, make_pool, make_state, make_task,
-                     stream_pair)
+                     random_hold_pool, stream_pair)
 
 
 # ---------------------------------------------------------------------------
@@ -310,6 +312,62 @@ def test_construct_always_yields_permutation():
         state = global_construct(agent, q1, q2, epsilon=None)
         assert sorted(state.x2) == list(range(6))
         assert all(0 <= v < 3 for v in state.x1)
+
+
+def _score_list_construct(agent, q1, q2, epsilon):
+    """``global_construct`` as written with two ``random()`` calls per pick and a score list
+    per q2 pick, its greedy pick ``scores.index(max(scores))``: the reference.
+
+    Returns the state and how many greedy q2 picks met a tied maximum.
+    """
+    rng = agent.rng
+    n_tasks = len(q2) - 1
+    x1, prev = [], q1.width
+    for _ in range(n_tasks):
+        eps = rng.random() if epsilon is None else epsilon
+        prev = q1.argmax[prev] if rng.random() < eps else roulette_pick(q1.cdfs[prev], rng)
+        x1.append(prev)
+    x2, unused, prev, tied = [], list(range(n_tasks)), n_tasks, 0
+    for _ in range(n_tasks):
+        row = q2[prev]
+        scores = list(map(row.__getitem__, unused))
+        eps = rng.random() if epsilon is None else epsilon
+        if rng.random() < eps:
+            k = scores.index(max(scores))
+            tied += scores.count(scores[k]) > 1
+        else:
+            k = roulette_pick(roulette_cdf(scores), rng)
+        prev = unused.pop(k)
+        x2.append(prev)
+    return make_state(x1, x2), tied
+
+
+def test_q2_greedy_picks_the_lowest_unused_id_of_tied_maxima():
+    # tables whose rows tie at their maximum, under full greed: the pick is
+    # the first maximum over the unused ids in ascending order, as the score
+    # list's was (the choice reference above covers the mixed branches)
+    epsilon, tied = 1.0, 0
+    for seed in range(150):
+        maker = np.random.default_rng(seed)
+        n_tasks = int(maker.integers(1, 16))
+        lockers = effective_locker_count(int(maker.integers(1, 5)), n_tasks)
+        table = PickTable(_random_table(maker, lockers + 1, lockers).tolist())
+        rows = _random_table(maker, n_tasks + 1, n_tasks).tolist()
+        agent, ref = _empty_pool_agent(seed + 2000), _empty_pool_agent(seed + 2000)
+        for _ in range(3):
+            state = global_construct(agent, table, rows, epsilon)
+            expected, ties = _score_list_construct(ref, table, rows, epsilon)
+            tied += ties
+            assert (state.x1, state.x2) == (expected.x1, expected.x2)
+            unused, prev = set(range(n_tasks)), n_tasks
+            for t in state.x2:
+                top = max(rows[prev][u] for u in unused)
+                assert t == min(u for u in unused if rows[prev][u] == top)
+                unused.remove(t)
+                prev = t
+        assert [agent.rng.random() for _ in range(8)] == [ref.rng.random() for _ in range(8)]
+        assert [agent.rng.integers(7) for _ in range(8)] == [ref.rng.integers(7) for _ in range(8)]
+    assert tied > 500
 
 
 # ---------------------------------------------------------------------------
@@ -699,6 +757,39 @@ def test_state_cache_clearing_changes_no_result(monkeypatch):
     monkeypatch.setattr(hqm.Evaluator, "_CACHE_LIMIT", 8)
     assert solve() == default
     assert evaluations[1] > evaluations[0]  # the small cache was cleared and missed again
+
+
+@pytest.mark.parametrize("policy", [AdjustmentPolicy.BTD, AdjustmentPolicy.HCPS])
+def test_solvers_hand_the_evaluator_only_valid_states(monkeypatch, policy):
+    """The evaluator's ``evaluate_solution`` calls pass a memo and skip ``validate_state``,
+    so every state either solver scores must pass it: on generated pools and on
+    pools with tied starts, where both solvers build ``x2``."""
+    reward = hqm.Evaluator.reward
+    seen = []
+
+    def checked(self, state):
+        validate_state(state, len(self.pool), self.instance.fleet.max_lockers)
+        seen.append(state)
+        return reward(self, state)
+
+    monkeypatch.setattr(hqm.Evaluator, "reward", checked)
+    cases = []
+    for spaces, locations, seed in ((5, 5, 0), (6, 10, 1)):
+        inst = generate_instance(GeneratorConfig(num_spaces=spaces,
+                                                 locations_per_space=locations, seed=seed))
+        cases.append((inst, build_tasks(inst, assign_customers(inst))))
+    rng = np.random.default_rng(29)
+    while len(cases) < 5:
+        inst, pool = random_hold_pool(rng)
+        if pool.start_order is None:
+            cases.append((inst, pool))
+    budget = BudgetProfile(agents=6, iterations=15)
+    for inst, pool in cases:
+        for solve in (run_hqm, run_ga):
+            before = len(seen)
+            solve(pool, inst, policy, budget, 1)
+            assert len(seen) > before
+    assert len({(s.x1, s.x2) for s in seen}) > 200
 
 
 def test_history_csv(tmp_path):

@@ -3,10 +3,14 @@
 No linter ships with the project, so this is its one lint rule: a name a
 module imports at module level must be read somewhere in that module, unless
 the import's line carries ``# noqa: F401``. ``__init__.py`` re-exports the
-package API and is not checked.
+package API and is not checked. Last, ``import mplq.cli`` must not load the
+process pool, which only ``mplq bench --jobs`` above 1 uses.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -58,3 +62,14 @@ def test_only_the_wrapped_solver_bindings_carry_noqa():
                for path in SOURCES for line in path.read_text(encoding="utf-8").splitlines()
                if "# noqa: F401" in line]
     assert flagged == [("cli.py", "run_ga"), ("cli.py", "GAMMA, TOL, run_hqm")]
+
+
+def test_importing_the_cli_leaves_the_process_pool_unloaded():
+    # bench._map imports ProcessPoolExecutor only when it runs jobs in parallel
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, mplq.cli; print('concurrent.futures.process' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert (proc.returncode, proc.stdout.strip()) == (0, "False"), proc.stderr

@@ -501,6 +501,38 @@ def test_x2_orders_only_tied_starts(policy):
     assert tied >= 15 and moved >= 20
 
 
+@pytest.mark.parametrize("memo", [False, True])
+def test_decode_schedules_each_dispatched_locker_once_in_id_order(monkeypatch, memo):
+    # sparse locker ids leave empty slots, which dispatch nothing
+    calls = []
+    schedule = routing.schedule_route
+
+    def recorded(route_memo, *, task_ids):
+        calls.append(tuple(task_ids))
+        return schedule(route_memo, task_ids=task_ids)
+
+    monkeypatch.setattr(routing, "schedule_route", recorded)
+    rng = np.random.default_rng(37)
+    cases = list(_generated_pools())[::3] + [random_hold_pool(rng) for _ in range(8)]
+    gaps = 0
+    for inst, pool in cases:
+        n = len(pool)
+        shared = RouteMemo(pool, inst, AdjustmentPolicy.HCPS) if memo else None
+        for _ in range(6):
+            lockers = effective_locker_count(inst.fleet.max_lockers, n)
+            state = make_state(rng.integers(0, lockers, size=n), rng.permutation(n))
+            calls.clear()
+            plan, cost = evaluate_solution(state, pool, inst, AdjustmentPolicy.HCPS, memo=shared)
+            by_locker = {}
+            for t in sorted(state.x2, key=pool.starts.__getitem__):
+                by_locker.setdefault(state.x1[t], []).append(t)
+            assert plan.lockers == tuple(sorted(by_locker))
+            assert calls == [tuple(by_locker[k]) for k in sorted(by_locker)]
+            assert cost == routing.compute_cost(len(by_locker), plan.total_distance, inst)
+            gaps += len(by_locker) <= max(state.x1)
+    assert gaps > 10
+
+
 def _hand_built_routes():
     """(case, instance, tasks) of two-visit routes, each showing one case of the visit rule."""
     hold_spaces = [make_space(1, 1.0, 0.0, window=(0, 200), service_time=10.0),
