@@ -36,7 +36,7 @@ from .instance import (GeneratorConfig, assign_customers, generate_instance,
 from .oracle import brute_force_best
 from .routing import (AdjustmentPolicy, TravelNoise, check_feasibility,
                       compute_delay, evaluate_solution)
-from .state import BudgetProfile, SearchState, effective_locker_count, validate_state
+from .state import BudgetProfile, SearchState, effective_locker_count
 from .taskgen import build_tasks
 
 EXIT_OK = 0
@@ -280,11 +280,10 @@ def _cmd_validate(args: argparse.Namespace) -> int:
                 ParameterError) as exc:
             raise InstanceFormatError(f"cannot parse solution file {args.solution}: {exc}")
         _, pool = _prepare(instance)
-        try:
-            validate_state(state, len(pool), instance.fleet.max_lockers)
+        try:  # without a memo, evaluate_solution checks the state's shape first
+            plan, cost = evaluate_solution(state, pool, instance, policy)
         except ShapeError as exc:
             raise InstanceFormatError(f"cannot parse solution file {args.solution}: {exc}")
-        plan, cost = evaluate_solution(state, pool, instance, policy)
         feasibility = check_feasibility(plan, state, pool, instance)
         for v in feasibility.violations:
             print(f"constraint ({v.constraint}) {v.severity}: {v.entity}: {v.description}")

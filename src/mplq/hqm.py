@@ -200,6 +200,9 @@ class Stream:
     - ``uniform(low, high)``: ``low + (high - low) * random()``.
     - ``greedy(epsilon)``: one epsilon-greedy decision, ``random() < epsilon``,
       after a ``random()`` threshold when ``epsilon`` is None.
+    - ``chain(argmax, cdfs, row, n, epsilon)``: n epsilon-greedy picks, each
+      from the row the one before it picked: a ``greedy(epsilon)`` decision,
+      then ``argmax[row]`` or a ``roulette_pick`` of ``cdfs[row]``.
     - ``hits(n, rate)``: the k < n whose k-th of n ``random()`` draws falls
       below ``rate``, lazily, compared on the raw outputs.
     - ``mask(n)``: n draws of ``integers(2)``, as ``integers(0, 2, size=n)``,
@@ -251,6 +254,43 @@ class Stream:
             raw = raw or self._refill()
             return raw.pop() >> 11 < threshold
         return (raw.pop() >> 11) * 2 ** -53 < epsilon
+
+    def chain(self, argmax: list[int], cdfs: list[list[float]], row: int, n: int,
+              epsilon: Optional[float]) -> list[int]:
+        """``n`` chained epsilon-greedy picks over a table's rows, the first from ``row``.
+
+        Each pick reads the outputs that ``greedy(epsilon)`` and then, off the
+        greedy branch, ``roulette_pick(cdfs[row], self)`` would read, in one
+        loop: ``argmax[row]`` on the greedy branch, else the roulette's index.
+        The next pick draws from the row this one picked.
+        """
+        out = []
+        raw = self._raw
+        for _ in range(n):
+            if not raw:
+                raw = self._refill()
+            if epsilon is None:
+                threshold = raw.pop() >> 11
+                if not raw:
+                    raw = self._refill()
+                greedy = raw.pop() >> 11 < threshold
+            else:
+                greedy = (raw.pop() >> 11) * 2 ** -53 < epsilon
+            if greedy:
+                row = argmax[row]
+            else:
+                cdf = cdfs[row]
+                total = cdf[-1]
+                if total <= 0.0:
+                    row = self.integers(len(cdf))
+                    raw = self._raw  # integers() may have refilled it
+                else:
+                    if not raw:
+                        raw = self._refill()
+                    k = bisect_right(cdf, (raw.pop() >> 11) * 2 ** -53 * total)
+                    row = k if k < len(cdf) else bisect_left(cdf, total)
+            out.append(row)
+        return out
 
     def integers(self, high: int) -> int:
         """A uniform int in [0, high), for ``high`` in [1, 2**32]."""
@@ -330,7 +370,8 @@ class PickTable:
 
     Each row keeps its first argmax and its ``roulette_cdf``. A pick makes one
     ``Stream.greedy`` decision: on the greedy branch it returns the argmax,
-    otherwise a ``roulette_pick`` of the row.
+    otherwise a ``roulette_pick`` of the row. ``Stream.chain`` makes the picks,
+    one or a chain of them.
     """
 
     def __init__(self, rows: list[list[float]]):
@@ -339,18 +380,17 @@ class PickTable:
         self.cdfs = [roulette_cdf(row) for row in rows]
 
     def pick(self, r: int, epsilon: Optional[float], rng: Stream) -> int:
-        if rng.greedy(epsilon):
-            return self.argmax[r]
-        return roulette_pick(self.cdfs[r], rng)
+        return rng.chain(self.argmax, self.cdfs, r, 1, epsilon)[0]
 
 
 def global_construct(agent: Agent, q1: PickTable, q2: list[list[float]],
                      epsilon: Optional[float] = None) -> SearchState:
     """Build a full state by walking both chains of the normalized tables.
 
-    The allocation vector is filled task by task, each locker drawn through
-    ``q1``, the ``PickTable`` of the normalized locker table, from the row of
-    its predecessor (virtual start row first). The permutation is built the
+    The allocation vector is one ``Stream.chain`` over ``q1``, the
+    ``PickTable`` of the normalized locker table: each task's locker is
+    picked from the row of its predecessor's (virtual start row first), as
+    ``PickTable.pick`` would pick it. The permutation is built the
     same way from ``q2``, the normalized task table as nested lists, over the
     unused tasks only, kept in ascending id order: the same ``Stream.greedy``
     decision as ``PickTable.pick``, then the first unused task of highest
@@ -360,18 +400,15 @@ def global_construct(agent: Agent, q1: PickTable, q2: list[list[float]],
     rng = agent.rng
     n_tasks = len(q2) - 1
 
-    x1 = []
-    prev = q1.width  # virtual start row
-    for _ in range(n_tasks):
-        prev = q1.pick(prev, epsilon, rng)
-        x1.append(prev)
+    x1 = rng.chain(q1.argmax, q1.cdfs, q1.width, n_tasks, epsilon)  # virtual start row first
 
     x2 = []
     unused = list(range(n_tasks))  # ascending task ids
     prev = n_tasks  # virtual start row
+    greedy = rng.greedy
     for _ in range(n_tasks):
         row = q2[prev]
-        if rng.greedy(epsilon):
+        if greedy(epsilon):
             prev = max(unused, key=row.__getitem__)  # the first maximum in id order
             unused.remove(prev)
         else:

@@ -673,6 +673,33 @@ def test_run_cli_reuses_one_parser(tmp_path, capsys, monkeypatch):
     assert reused[4][2].startswith("refused: the pool holds 14 tasks")
 
 
+def test_validate_checks_the_state_once_before_scoring_it(tmp_path, capsys, monkeypatch):
+    # evaluate_solution (no memo) checks it before scoring, check_feasibility
+    # as part of its audit; the CLI makes no check of its own
+    calls = []
+    original = mplq.routing.validate_state
+
+    def counted(*args):
+        calls.append(args[0])
+        return original(*args)
+
+    modules = [m for name, m in sorted(sys.modules.items())
+               if name.startswith("mplq.") and hasattr(m, "validate_state")]
+    for module in modules:
+        monkeypatch.setattr(module, "validate_state", counted)
+    inst_path, out_dir = tmp_path / "inst.json", tmp_path / "out"
+    assert run_cli(["generate", "--out", str(inst_path), "--spaces", "6",
+                    "--locations", "10", "--seed", "1"]) == 0
+    assert run_cli(["solve", "--instance", str(inst_path), "--agents", "2", "--iters", "2",
+                    "--out-dir", str(out_dir)]) == 0
+    calls.clear()
+    capsys.readouterr()
+    assert run_cli(["validate", "--instance", str(inst_path),
+                    "--solution", str(out_dir / "solution.json")]) == 0
+    assert "hard_violations=0" in _result_line(capsys)
+    assert len(calls) == 2 and calls[0] == calls[1]
+
+
 def test_validate_takes_no_seed(instance_file, capsys):
     assert run_cli(["validate", "--instance", str(instance_file), "--seed", "1"]) == 2
     assert capsys.readouterr().err.startswith("usage: mplq")

@@ -8,7 +8,7 @@ tests pin each against the ``Generator`` call it replaces.
 import numpy as np
 import pytest
 
-from mplq.hqm import BLOCK, Stream
+from mplq.hqm import BLOCK, Stream, roulette_cdf, roulette_pick
 from helpers import assert_same_continuation, stream_pair
 
 # bounds for integers(k): small, around the 32-bit half, and up to 2**32
@@ -214,3 +214,48 @@ def test_bulk_mask_reads_whole_outputs(odd_words):
             assert stream.mask(n) == ref.integers(0, 2, size=n).tolist(), (seed, n)
             assert stream.random() == ref.random()
         assert_same_continuation(stream, ref)
+
+
+def _reference_picks(ref, argmax, cdfs, row, n, epsilon):
+    """``Stream.chain`` made pick by pick on a ``Generator``: threshold, decision, roulette."""
+    out = []
+    for _ in range(n):
+        threshold = ref.random() if epsilon is None else epsilon
+        row = argmax[row] if ref.random() < threshold else int(roulette_pick(cdfs[row], ref))
+        out.append(row)
+    return out
+
+
+@pytest.mark.parametrize("epsilon", [None, 0.0, 0.3, 1.0])
+def test_chain_is_the_picks_it_replaces(epsilon):
+    # tables with all-zero rows (their roulette draws integers(width), which
+    # reads a 32-bit half), other draws between chains to move the position
+    # and the half, and chains long enough to refill inside a chain
+    class Counting(Stream):
+        __slots__ = ("bounded",)
+
+        def integers(self, high):
+            self.bounded += 1
+            return super().integers(high)
+
+    integer_draws = 0
+    for seed in range(40):
+        stream, ref = Counting(np.random.default_rng(seed)), np.random.default_rng(seed)
+        maker = np.random.default_rng(seed + 900)
+        width = int(maker.integers(1, 12))
+        rows = maker.random((width + 1, width)) * (maker.random((width + 1, width)) < 0.7)
+        rows[maker.random(width + 1) < 0.3] = 0.0
+        rows = rows.tolist()
+        argmax = [row.index(max(row)) for row in rows]
+        cdfs = [roulette_cdf(row) for row in rows]
+        for _ in range(6):
+            n = int(maker.integers(0, 2 * BLOCK))
+            expected = _reference_picks(ref, argmax, cdfs, width, n, epsilon)
+            stream.bounded = 0
+            assert stream.chain(argmax, cdfs, width, n, epsilon) == expected, seed
+            integer_draws += stream.bounded
+            if maker.random() < 0.5:
+                drawn, reference = _draw(maker, stream, ref)
+                assert drawn == reference
+        assert_same_continuation(stream, ref)
+    assert (integer_draws > 0) is (epsilon != 1.0)

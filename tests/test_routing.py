@@ -8,8 +8,8 @@ from mplq import routing
 from mplq.errors import ParameterError, ShapeError
 from mplq.instance import (GeneratorConfig, Position, assign_customers,
                            generate_instance)
-from mplq.routing import (Adjustment, AdjustmentPolicy, LockerRoute, RouteMemo, RoutePlan,
-                          TravelNoise, VisitRecord, check_feasibility,
+from mplq.routing import (Adjustment, AdjustmentPolicy, CostBreakdown, LockerRoute, RouteMemo,
+                          RoutePlan, TravelNoise, VisitRecord, check_feasibility,
                           compute_delay, evaluate_solution, hold_can_apply, schedule_route)
 from mplq.bench import write_plan_csv
 from mplq.routing import _ROUTE_MEMO_LIMIT
@@ -835,6 +835,52 @@ def test_zero_sigma_noise_plans_the_noise_free_bits(policy):
             want, want_cost = evaluate_solution(state, pool, inst, policy)
             assert [_reprs(r) for r in plan.routes] == [_reprs(r) for r in want.routes]
             assert repr(cost) == repr(want_cost)
+
+
+def _rebuilt_route(route):
+    """``route`` built anew through the class constructors, from the same fields."""
+    return LockerRoute(tuple(VisitRecord(*v) for v in route.visits), *route[1:])
+
+
+def _assert_built_as_by_the_class(got, rebuilt):
+    assert got._asdict() == rebuilt._asdict()
+    assert got == rebuilt and hash(got) == hash(rebuilt)
+
+
+@pytest.mark.parametrize("policy", [AdjustmentPolicy.BTD, AdjustmentPolicy.HCPS])
+@pytest.mark.parametrize("sigma", [0.0, 0.3])
+def test_the_hot_path_returns_real_records(policy, sigma):
+    # routing builds its records with tuple.__new__: they must be the class's
+    # own records, on memo hits and misses, with and without travel noise
+    rng = np.random.default_rng(59)
+    noise = TravelNoise(sigma=sigma, seed=5) if sigma else None
+    hits = 0
+    adjustments = set()
+    for inst, pool in [random_hold_pool(rng) for _ in range(16)]:
+        n = len(pool)
+        memo = RouteMemo(pool, inst, policy, noise)
+        for _ in range(6):
+            state = make_state(rng.integers(0, 3, size=n), rng.permutation(n))
+            plan, cost = evaluate_solution(state, pool, inst, policy, noise=noise)
+            assert type(plan) is RoutePlan and type(cost) is CostBreakdown
+            _assert_built_as_by_the_class(plan, RoutePlan(
+                plan.lockers, tuple(map(_rebuilt_route, plan.routes)), plan.total_distance))
+            _assert_built_as_by_the_class(cost, CostBreakdown(*cost))
+            for route in plan.routes:
+                # twice: the second call is a hit on a noise-free memo
+                for task_ids in [[v.task_id for v in route.visits]] * 2:
+                    cached = memo.routes is not None and tuple(task_ids) in memo.routes
+                    hits += cached
+                    got = schedule_route(memo, task_ids=task_ids)
+                    assert type(got) is LockerRoute
+                    assert all(type(v) is VisitRecord for v in got.visits)
+                    _assert_built_as_by_the_class(got, _rebuilt_route(got))
+                    for v in got.visits:
+                        _assert_built_as_by_the_class(v, VisitRecord(*v))
+                        adjustments.add(v.adjustment)
+    assert (hits > 0) is (noise is None)
+    assert adjustments == ({Adjustment.NONE, Adjustment.BTD} if policy is AdjustmentPolicy.BTD
+                           else set(Adjustment))
 
 
 @pytest.mark.parametrize("speed", [0.0, -0.7, math.nan])
