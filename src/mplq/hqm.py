@@ -5,7 +5,8 @@ which locker follows which in the allocation vector, one over task ids scoring
 which task follows which in the execution permutation. Each table carries one
 extra virtual start row used to pick the first element of its chain. A
 population of agents alternates a global construction step (epsilon-greedy
-sampling of both chains from the normalized tables) with a differential local
+sampling of both chains from the normalized tables, each pick greedy when one
+``random()`` draw falls below another) with a differential local
 move toward or away from another agent's best state; improvements are accepted
 greedily and the accepted states feed the table updates.
 """
@@ -198,11 +199,11 @@ class Stream:
       output split low half first, the high half kept for the next word;
       ``high`` = 1 draws nothing.
     - ``uniform(low, high)``: ``low + (high - low) * random()``.
-    - ``greedy(epsilon)``: one epsilon-greedy decision, ``random() < epsilon``,
-      after a ``random()`` threshold when ``epsilon`` is None.
-    - ``chain(argmax, cdfs, row, n, epsilon)``: n epsilon-greedy picks, each
-      from the row the one before it picked: a ``greedy(epsilon)`` decision,
-      then ``argmax[row]`` or a ``roulette_pick`` of ``cdfs[row]``.
+    - ``greedy()``: one epsilon-greedy decision with a fresh threshold, a
+      ``random()`` threshold first, then ``random() < threshold``.
+    - ``chain(argmax, cdfs, row, n)``: n epsilon-greedy picks, each from the
+      row the one before it picked: a ``greedy()`` decision, then
+      ``argmax[row]`` or a ``roulette_pick`` of ``cdfs[row]``.
     - ``hits(n, rate)``: the k < n whose k-th of n ``random()`` draws falls
       below ``rate``, lazily, compared on the raw outputs.
     - ``mask(n)``: n draws of ``integers(2)``, as ``integers(0, 2, size=n)``,
@@ -241,42 +242,35 @@ class Stream:
         raw = self._raw or self._refill()
         return (raw.pop() >> 11) * 2 ** -53
 
-    def greedy(self, epsilon: Optional[float]) -> bool:
-        """Whether an epsilon-greedy pick takes the greedy branch: ``random() < epsilon``.
+    def greedy(self) -> bool:
+        """Whether an epsilon-greedy pick takes the greedy branch: ``random() < random()``.
 
-        With ``epsilon`` None the threshold is a ``random()`` draw first, so the
-        decision reads two outputs; two doubles compare as their top 53 bits
-        do, since both are those bits times 2**-53.
+        The threshold is drawn first, so the decision reads two outputs; two
+        doubles compare as their top 53 bits do, since both are those bits
+        times 2**-53.
         """
         raw = self._raw or self._refill()
-        if epsilon is None:
-            threshold = raw.pop() >> 11
-            raw = raw or self._refill()
-            return raw.pop() >> 11 < threshold
-        return (raw.pop() >> 11) * 2 ** -53 < epsilon
+        threshold = raw.pop() >> 11
+        raw = raw or self._refill()
+        return raw.pop() >> 11 < threshold
 
-    def chain(self, argmax: list[int], cdfs: list[list[float]], row: int, n: int,
-              epsilon: Optional[float]) -> list[int]:
+    def chain(self, argmax: list[int], cdfs: list[list[float]], row: int, n: int) -> list[int]:
         """``n`` chained epsilon-greedy picks over a table's rows, the first from ``row``.
 
-        Each pick reads the outputs that ``greedy(epsilon)`` and then, off the
-        greedy branch, ``roulette_pick(cdfs[row], self)`` would read, in one
-        loop: ``argmax[row]`` on the greedy branch, else the roulette's index.
-        The next pick draws from the row this one picked.
+        Each pick reads the outputs that ``greedy()`` and then, off the greedy
+        branch, ``roulette_pick(cdfs[row], self)`` would read, in one loop:
+        ``argmax[row]`` on the greedy branch, else the roulette's index. The
+        next pick draws from the row this one picked.
         """
         out = []
         raw = self._raw
         for _ in range(n):
             if not raw:
                 raw = self._refill()
-            if epsilon is None:
-                threshold = raw.pop() >> 11
-                if not raw:
-                    raw = self._refill()
-                greedy = raw.pop() >> 11 < threshold
-            else:
-                greedy = (raw.pop() >> 11) * 2 ** -53 < epsilon
-            if greedy:
+            threshold = raw.pop() >> 11
+            if not raw:
+                raw = self._refill()
+            if raw.pop() >> 11 < threshold:
                 row = argmax[row]
             else:
                 cdf = cdfs[row]
@@ -366,12 +360,8 @@ class Stream:
 
 
 class PickTable:
-    """Epsilon-greedy picks over every column of a fixed table, precomputed per row.
-
-    Each row keeps its first argmax and its ``roulette_cdf``. A pick makes one
-    ``Stream.greedy`` decision: on the greedy branch it returns the argmax,
-    otherwise a ``roulette_pick`` of the row. ``Stream.chain`` makes the picks,
-    one or a chain of them.
+    """A fixed table's rows as ``Stream.chain`` picks from them: each row's first
+    argmax, for the greedy branch, and its ``roulette_cdf``, for the roulette.
     """
 
     def __init__(self, rows: list[list[float]]):
@@ -379,28 +369,23 @@ class PickTable:
         self.argmax = [row.index(max(row)) for row in rows]
         self.cdfs = [roulette_cdf(row) for row in rows]
 
-    def pick(self, r: int, epsilon: Optional[float], rng: Stream) -> int:
-        return rng.chain(self.argmax, self.cdfs, r, 1, epsilon)[0]
 
-
-def global_construct(agent: Agent, q1: PickTable, q2: list[list[float]],
-                     epsilon: Optional[float] = None) -> SearchState:
+def global_construct(agent: Agent, q1: PickTable, q2: list[list[float]]) -> SearchState:
     """Build a full state by walking both chains of the normalized tables.
 
     The allocation vector is one ``Stream.chain`` over ``q1``, the
     ``PickTable`` of the normalized locker table: each task's locker is
-    picked from the row of its predecessor's (virtual start row first), as
-    ``PickTable.pick`` would pick it. The permutation is built the
-    same way from ``q2``, the normalized task table as nested lists, over the
-    unused tasks only, kept in ascending id order: the same ``Stream.greedy``
-    decision as ``PickTable.pick``, then the first unused task of highest
-    score or a roulette over the unused tasks' scores. Every draw comes from
-    the agent's ``Stream``.
+    picked from the row of its predecessor's (virtual start row first). The
+    permutation is built the same way from ``q2``, the normalized task table
+    as nested lists, over the unused tasks only, kept in ascending id order:
+    one ``Stream.greedy`` decision per pick, then the first unused task of
+    highest score or a roulette over the unused tasks' scores. Every draw
+    comes from the agent's ``Stream``.
     """
     rng = agent.rng
     n_tasks = len(q2) - 1
 
-    x1 = rng.chain(q1.argmax, q1.cdfs, q1.width, n_tasks, epsilon)  # virtual start row first
+    x1 = rng.chain(q1.argmax, q1.cdfs, q1.width, n_tasks)  # virtual start row first
 
     x2 = []
     unused = list(range(n_tasks))  # ascending task ids
@@ -408,7 +393,7 @@ def global_construct(agent: Agent, q1: PickTable, q2: list[list[float]],
     greedy = rng.greedy
     for _ in range(n_tasks):
         row = q2[prev]
-        if greedy(epsilon):
+        if greedy():
             prev = max(unused, key=row.__getitem__)  # the first maximum in id order
             unused.remove(prev)
         else:

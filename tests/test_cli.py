@@ -776,7 +776,7 @@ _OUTPUT_COMMANDS = {
 
 
 @pytest.mark.parametrize("command", sorted(_OUTPUT_COMMANDS))
-@pytest.mark.parametrize("kind", ["taken", "under a file"])
+@pytest.mark.parametrize("kind", ["taken", "under a file", "no write permission"])
 def test_unwritable_output_is_refused_before_the_work(instance_file, tmp_path, capsys,
                                                       monkeypatch, command, kind):
     work = []
@@ -787,12 +787,16 @@ def test_unwritable_output_is_refused_before_the_work(instance_file, tmp_path, c
     (tmp_path / "dir").mkdir()
     # generate writes a file, so a directory takes its path; the others write into a directory
     taken = "dir" if command == "generate" else "file"
-    out = tmp_path / (taken if kind == "taken" else "file/sub")
+    out = tmp_path / {"taken": taken, "under a file": "file/sub"}.get(kind, "dir/out")
+    if kind == "no write permission":  # stubbed: os.access is always true for root
+        monkeypatch.setattr(cli.os, "access", lambda *args, **kwargs: False)
+    before = sorted(tmp_path.rglob("*"))
     code = run_cli(_OUTPUT_COMMANDS[command](str(instance_file), str(out)))
     captured = capsys.readouterr()
     assert code == 2 and captured.err.startswith("error: ")
     assert len(captured.err.splitlines()) == 1 and "Traceback" not in captured.err
     assert "RESULT" not in captured.out and not work
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 # Each artifact a command writes under its --out-dir, and whether it is a directory.

@@ -170,37 +170,46 @@ def test_hits_threshold_is_exact_at_the_drawn_double():
             assert_same_continuation(stream, ref)
 
 
-@pytest.mark.parametrize("epsilon", [None, 0.0, 0.3, 1.0])
+@pytest.mark.parametrize("epsilon", [None])  # None: a random() threshold per decision
 def test_greedy_is_the_random_calls_it_replaces(epsilon):
-    # the threshold double when epsilon is None, then random() < threshold;
-    # other draws between decisions move the position and the 32-bit half,
-    # and three blocks put refills between and inside decisions
+    # the threshold double, then random() < threshold; other draws between
+    # decisions move the position and the 32-bit half, and three blocks put
+    # refills between and inside decisions
     outcomes = set()
     for seed in range(40):
         stream, ref = stream_pair(seed)
         maker = np.random.default_rng(seed + 700)
         for _ in range(3 * BLOCK):
-            threshold = ref.random() if epsilon is None else epsilon
-            got = stream.greedy(epsilon)
+            threshold = ref.random()
+            got = stream.greedy()
             assert got is (ref.random() < threshold), seed
             outcomes.add(got)
             if maker.random() < 0.25:
                 drawn, expected = _draw(maker, stream, ref)
                 assert drawn == expected
         assert_same_continuation(stream, ref)
-    assert outcomes == ({False} if epsilon == 0.0 else {True} if epsilon == 1.0
-                        else {False, True})
+    assert outcomes == {False, True}
 
 
 def test_greedy_compares_strictly_below_the_drawn_double():
-    for seed in range(200):
-        d = np.random.default_rng(seed).random()
-        for epsilon, expected in ((d, False), (np.nextafter(d, 1.0), True),
-                                  (np.nextafter(d, 0.0), False)):
-            stream, ref = stream_pair(seed)
-            assert stream.greedy(float(epsilon)) is expected
-            ref.random()
-            assert_same_continuation(stream, ref)
+    # crafted outputs, the threshold's first: equal top 53 bits are not greedy
+    # whatever the 11 low bits hold, and a decision one unit lower is; chain
+    # makes the same decision, then the argmax (1) or, reading one more
+    # output, the roulette's pick at u = 0 (0)
+    argmax, cdfs = [1], [roulette_cdf([0.4, 0.6])]
+    for top in (1, 2, 12345, 2 ** 52, 2 ** 53 - 1):
+        for low, other in ((0, 0x7FF), (0x7FF, 0), (0x400, 0x400)):
+            threshold = top << 11 | low
+            for decision, expected in ((top << 11 | other, False),
+                                       ((top - 1) << 11 | other, True),
+                                       ((top - 1) << 11 | 0x7FF, True)):
+                stream = Stream(np.random.default_rng(0))
+                stream._raw = [7, decision, threshold]
+                assert stream.greedy() is expected
+                assert stream._raw == [7]
+                stream._raw = [7, 0, decision, threshold]
+                assert stream.chain(argmax, cdfs, 0, 1) == [1 if expected else 0]
+                assert stream._raw == ([7, 0] if expected else [7])
 
 
 @pytest.mark.parametrize("odd_words", [False, True])
@@ -216,17 +225,17 @@ def test_bulk_mask_reads_whole_outputs(odd_words):
         assert_same_continuation(stream, ref)
 
 
-def _reference_picks(ref, argmax, cdfs, row, n, epsilon):
+def _reference_picks(ref, argmax, cdfs, row, n):
     """``Stream.chain`` made pick by pick on a ``Generator``: threshold, decision, roulette."""
     out = []
     for _ in range(n):
-        threshold = ref.random() if epsilon is None else epsilon
+        threshold = ref.random()
         row = argmax[row] if ref.random() < threshold else int(roulette_pick(cdfs[row], ref))
         out.append(row)
     return out
 
 
-@pytest.mark.parametrize("epsilon", [None, 0.0, 0.3, 1.0])
+@pytest.mark.parametrize("epsilon", [None])  # None: a random() threshold per pick
 def test_chain_is_the_picks_it_replaces(epsilon):
     # tables with all-zero rows (their roulette draws integers(width), which
     # reads a 32-bit half), other draws between chains to move the position
@@ -250,12 +259,12 @@ def test_chain_is_the_picks_it_replaces(epsilon):
         cdfs = [roulette_cdf(row) for row in rows]
         for _ in range(6):
             n = int(maker.integers(0, 2 * BLOCK))
-            expected = _reference_picks(ref, argmax, cdfs, width, n, epsilon)
+            expected = _reference_picks(ref, argmax, cdfs, width, n)
             stream.bounded = 0
-            assert stream.chain(argmax, cdfs, width, n, epsilon) == expected, seed
+            assert stream.chain(argmax, cdfs, width, n) == expected, seed
             integer_draws += stream.bounded
             if maker.random() < 0.5:
                 drawn, reference = _draw(maker, stream, ref)
                 assert drawn == reference
         assert_same_continuation(stream, ref)
-    assert (integer_draws > 0) is (epsilon != 1.0)
+    assert integer_draws > 0

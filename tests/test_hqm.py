@@ -111,42 +111,53 @@ def _one_locker_table():
     return PickTable(normalize_q([[0.0], [0.0]]))
 
 
+def _greedy_outputs(picks):
+    """Raw outputs for ``Stream._raw`` that make the next ``picks`` decisions greedy:
+    each threshold the largest output, each decision 0."""
+    return [0, 2 ** 64 - 1] * picks
+
+
 def test_greedy_branch_follows_argmax():
     table = PickTable([[0.0, 1.0, 1.0]])
     rng = Stream(np.random.default_rng(0))
-    assert {table.pick(0, 1.0, rng) for _ in range(20)} == {1}  # first index on ties
-    # every unused task ties, so full greed walks them in id order
-    state = global_construct(_empty_pool_agent(), _one_locker_table(),
-                             [[0.25] * 4 for _ in range(5)], epsilon=1.0)
+    rng._raw = _greedy_outputs(20)  # the first index on ties
+    assert {rng.chain(table.argmax, table.cdfs, 0, 1)[0] for _ in range(20)} == {1}
+    # every unused task ties, so greedy picks walk them in id order
+    agent = _empty_pool_agent()
+    agent.rng._raw = _greedy_outputs(8)
+    state = global_construct(agent, _one_locker_table(), [[0.25] * 4 for _ in range(5)])
     assert list(state.x2) == [0, 1, 2, 3]
 
 
 def test_sampling_branch_renormalizes_masked_row():
     # the start row forces task 1 first; row 1's scores 0.2 / 0.6 over the
-    # unused tasks 0 and 2 renormalize to 0.25 / 0.75
+    # unused tasks 0 and 2 renormalize to 0.25 / 0.75 on the roulette branch,
+    # taken half the time, while the greedy branch always picks task 2
     q2 = [[0.0, 0.0, 0.0], [0.2, 0.9, 0.6], [0.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
     q1 = _one_locker_table()
     agent = _empty_pool_agent(seed=123)
-    draws = [global_construct(agent, q1, q2, epsilon=0.0).x2[1] for _ in range(4000)]
+    draws = [global_construct(agent, q1, q2).x2[1] for _ in range(4000)]
     freq0 = draws.count(0) / len(draws)
-    assert freq0 == pytest.approx(0.25, abs=0.02)
+    assert freq0 == pytest.approx(0.125, abs=0.02)
     assert set(draws) == {0, 2}
 
 
 def test_sampling_branch_uniform_on_zero_row():
+    # the roulette, taken half the time, is uniform over an all-zero row; the
+    # greedy branch takes the first index
     rng = Stream(np.random.default_rng(5))
     table = PickTable([[0.0] * 3])
     agent = _empty_pool_agent(seed=5)
-    for draws in ([table.pick(0, 0.0, rng) for _ in range(3000)],
-                  [global_construct(agent, _one_locker_table(), [[0.0] * 3 for _ in range(4)],
-                                    epsilon=0.0).x2[0] for _ in range(3000)]):
-        for k in range(3):
-            assert draws.count(k) / len(draws) == pytest.approx(1 / 3, abs=0.03)
+    for draws in ([rng.chain(table.argmax, table.cdfs, 0, 1)[0] for _ in range(3000)],
+                  [global_construct(agent, _one_locker_table(),
+                                    [[0.0] * 3 for _ in range(4)]).x2[0] for _ in range(3000)]):
+        for k, share in enumerate((2 / 3, 1 / 6, 1 / 6)):
+            assert draws.count(k) / len(draws) == pytest.approx(share, abs=0.03)
 
 
-def _choice_pick(row, candidates, epsilon, rng):
+def _choice_pick(row, candidates, rng):
     """The pick as written with ``Generator.choice``: the reference stream."""
-    eps = rng.uniform() if epsilon is None else epsilon
+    eps = rng.uniform()
     scores = row[candidates]
     if rng.uniform() < eps:
         return int(candidates[int(np.argmax(scores))])
@@ -156,7 +167,7 @@ def _choice_pick(row, candidates, epsilon, rng):
     return int(candidates[rng.choice(len(candidates), p=scores / total)])
 
 
-def _choice_construct(rng, q1, q2, epsilon):
+def _choice_construct(rng, q1, q2):
     """``global_construct`` as written with ``_choice_pick`` on arrays: the reference.
 
     Returns the state and the kinds of masked q2 rows it sampled from.
@@ -164,7 +175,7 @@ def _choice_construct(rng, q1, q2, epsilon):
     lockers, n_tasks = q1.shape[1], q2.shape[1]
     x1, prev = [], lockers
     for _ in range(n_tasks):
-        prev = _choice_pick(q1[prev], np.arange(lockers), epsilon, rng)
+        prev = _choice_pick(q1[prev], np.arange(lockers), rng)
         x1.append(prev)
     x2, kinds, unused, prev = [], set(), np.ones(n_tasks, dtype=bool), n_tasks
     for _ in range(n_tasks):
@@ -172,7 +183,7 @@ def _choice_construct(rng, q1, q2, epsilon):
         total = q2[prev][candidates].sum()
         kinds.add("single" if len(candidates) == 1 else "zero" if total == 0 else
                   "pairwise" if len(candidates) >= 8 else "spread")
-        prev = _choice_pick(q2[prev], candidates, epsilon, rng)
+        prev = _choice_pick(q2[prev], candidates, rng)
         x2.append(prev)
         unused[prev] = False
     return make_state(x1, x2), kinds
@@ -183,7 +194,7 @@ def _random_table(rng, rows, width):
     return _np_normalize_q(_raw_table(rng, rows, width))
 
 
-@pytest.mark.parametrize("epsilon", [None, 0.0, 0.3, 1.0])
+@pytest.mark.parametrize("epsilon", [None])  # None: a random() threshold per pick
 def test_pick_draws_what_generator_choice_drew(epsilon):
     # global_construct against the reference construct: same state, same stream
     kinds = set()
@@ -197,8 +208,8 @@ def test_pick_draws_what_generator_choice_drew(epsilon):
         ref = np.random.default_rng(seed + 1000)
         table, rows = PickTable(q1.tolist()), q2.tolist()
         for _ in range(3):
-            state = global_construct(agent, table, rows, epsilon)
-            expected, seen = _choice_construct(ref, q1, q2, epsilon)
+            state = global_construct(agent, table, rows)
+            expected, seen = _choice_construct(ref, q1, q2)
             kinds |= seen
             assert list(state.x1) == list(expected.x1)
             assert list(state.x2) == list(expected.x2)
@@ -206,8 +217,9 @@ def test_pick_draws_what_generator_choice_drew(epsilon):
     assert kinds == {"single", "zero", "spread", "pairwise"}
 
 
-@pytest.mark.parametrize("epsilon", [None, 0.0, 1.0])
+@pytest.mark.parametrize("epsilon", [None])  # None: a random() threshold per pick
 def test_pick_table_draws_what_generator_choice_drew(epsilon):
+    # one-pick chains from a PickTable's lists against the reference pick
     kinds = set()
     for seed in range(200):
         maker = np.random.default_rng(seed)
@@ -222,7 +234,8 @@ def test_pick_table_draws_what_generator_choice_drew(epsilon):
         for _ in range(10):
             r = int(maker.integers(len(rows)))
             kinds.add(r)
-            assert table.pick(r, epsilon, ours) == _choice_pick(rows[r], everyone, epsilon, ref)
+            picked = ours.chain(table.argmax, table.cdfs, r, 1)[0]
+            assert picked == _choice_pick(rows[r], everyone, ref)
             assert_same_continuation(ours, ref)
     assert kinds == {0, 1, 2, 3}
 
@@ -242,15 +255,17 @@ def test_pick_table_matches_the_array_argmax_and_cdfs_bit_for_bit():
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_pick_refuses_non_finite_scores_like_generator_choice(bad):
     row = [0.2, bad, 0.5]
+    ref = np.random.default_rng(1)  # its first decision is the roulette's: 0.95 >= 0.51
     with pytest.raises(ValueError), np.errstate(invalid="ignore"):
-        _choice_pick(np.array(row), np.arange(3), 0.0, np.random.default_rng(0))
+        _choice_pick(np.array(row), np.arange(3), ref)
     with pytest.raises(ValueError):
         roulette_cdf(row)
     with pytest.raises(ValueError):
         PickTable([row])
+    agent = _empty_pool_agent()  # three greedy q1 picks, then the q2 roulette
+    agent.rng._raw = [0, 0] + _greedy_outputs(3)
     with pytest.raises(ValueError):
-        global_construct(_empty_pool_agent(), _one_locker_table(),
-                         [[0.0] * 3, [0.0] * 3, [0.0] * 3, row], epsilon=0.0)
+        global_construct(agent, _one_locker_table(), [[0.0] * 3, [0.0] * 3, [0.0] * 3, row])
 
 
 def test_roulette_cdf_is_numpy_cumsum_bit_for_bit():
@@ -291,17 +306,20 @@ def test_roulette_pick_never_lands_on_a_zero_score():
 
 
 def test_construct_reproduces_unique_chain_under_full_greed():
-    # q2 encodes start->2->0->1; q1 start->1, then 1->0, 0->0
+    # q2 encodes start->2->0->1; q1 start->1, then 1->0, 0->0; every row on
+    # the chain is one-hot, so the roulette picks what the greedy branch does
     q = QMatrices.zeros(2, 3)
     q.q2[3][2] = 1.0
     q.q2[2][0] = 1.0
     q.q2[0][1] = 1.0
     q.q1[2][1] = 1.0
     q.q1[1][0] = 1.0
-    state = global_construct(_empty_pool_agent(), PickTable(normalize_q(q.q1)),
-                             normalize_q(q.q2), epsilon=1.0)
-    assert list(state.x2) == [2, 0, 1]
-    assert list(state.x1) == [1, 0, 0]
+    q.q1[0][0] = 1.0
+    agent = _empty_pool_agent()
+    for _ in range(20):
+        state = global_construct(agent, PickTable(normalize_q(q.q1)), normalize_q(q.q2))
+        assert list(state.x2) == [2, 0, 1]
+        assert list(state.x1) == [1, 0, 0]
 
 
 def test_construct_always_yields_permutation():
@@ -309,12 +327,12 @@ def test_construct_always_yields_permutation():
     q1, q2 = PickTable(normalize_q(q.q1)), normalize_q(q.q2)
     agent = _empty_pool_agent(seed=42)
     for _ in range(25):
-        state = global_construct(agent, q1, q2, epsilon=None)
+        state = global_construct(agent, q1, q2)
         assert sorted(state.x2) == list(range(6))
         assert all(0 <= v < 3 for v in state.x1)
 
 
-def _score_list_construct(agent, q1, q2, epsilon):
+def _score_list_construct(agent, q1, q2):
     """``global_construct`` as written with two ``random()`` calls per pick and a score list
     per q2 pick, its greedy pick ``scores.index(max(scores))``: the reference.
 
@@ -324,14 +342,14 @@ def _score_list_construct(agent, q1, q2, epsilon):
     n_tasks = len(q2) - 1
     x1, prev = [], q1.width
     for _ in range(n_tasks):
-        eps = rng.random() if epsilon is None else epsilon
+        eps = rng.random()
         prev = q1.argmax[prev] if rng.random() < eps else roulette_pick(q1.cdfs[prev], rng)
         x1.append(prev)
     x2, unused, prev, tied = [], list(range(n_tasks)), n_tasks, 0
     for _ in range(n_tasks):
         row = q2[prev]
         scores = list(map(row.__getitem__, unused))
-        eps = rng.random() if epsilon is None else epsilon
+        eps = rng.random()
         if rng.random() < eps:
             k = scores.index(max(scores))
             tied += scores.count(scores[k]) > 1
@@ -343,10 +361,10 @@ def _score_list_construct(agent, q1, q2, epsilon):
 
 
 def test_q2_greedy_picks_the_lowest_unused_id_of_tied_maxima():
-    # tables whose rows tie at their maximum, under full greed: the pick is
-    # the first maximum over the unused ids in ascending order, as the score
-    # list's was (the choice reference above covers the mixed branches)
-    epsilon, tied = 1.0, 0
+    # tables whose rows tie at their maximum: each greedy q2 pick is the first
+    # maximum over the unused ids in ascending order, as the score list's
+    # ``scores.index(max(scores))`` was, and many such picks meet a tie
+    tied = 0
     for seed in range(150):
         maker = np.random.default_rng(seed)
         n_tasks = int(maker.integers(1, 16))
@@ -355,16 +373,10 @@ def test_q2_greedy_picks_the_lowest_unused_id_of_tied_maxima():
         rows = _random_table(maker, n_tasks + 1, n_tasks).tolist()
         agent, ref = _empty_pool_agent(seed + 2000), _empty_pool_agent(seed + 2000)
         for _ in range(3):
-            state = global_construct(agent, table, rows, epsilon)
-            expected, ties = _score_list_construct(ref, table, rows, epsilon)
+            state = global_construct(agent, table, rows)
+            expected, ties = _score_list_construct(ref, table, rows)
             tied += ties
             assert (state.x1, state.x2) == (expected.x1, expected.x2)
-            unused, prev = set(range(n_tasks)), n_tasks
-            for t in state.x2:
-                top = max(rows[prev][u] for u in unused)
-                assert t == min(u for u in unused if rows[prev][u] == top)
-                unused.remove(t)
-                prev = t
         assert [agent.rng.random() for _ in range(8)] == [ref.rng.random() for _ in range(8)]
         assert [agent.rng.integers(7) for _ in range(8)] == [ref.rng.integers(7) for _ in range(8)]
     assert tied > 500
