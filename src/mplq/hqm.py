@@ -199,11 +199,11 @@ class Stream:
       output split low half first, the high half kept for the next word;
       ``high`` = 1 draws nothing.
     - ``uniform(low, high)``: ``low + (high - low) * random()``.
-    - ``greedy()``: one epsilon-greedy decision with a fresh threshold, a
-      ``random()`` threshold first, then ``random() < threshold``.
-    - ``chain(argmax, cdfs, row, n)``: n epsilon-greedy picks, each from the
-      row the one before it picked: a ``greedy()`` decision, then
-      ``argmax[row]`` or a ``roulette_pick`` of ``cdfs[row]``.
+    - ``chain(table, row, n, distinct=False)``: n epsilon-greedy picks over a
+      ``PickTable``, each from the row the one before it picked: a
+      ``random()`` threshold, then ``random() < threshold`` takes the row's
+      first (with ``distinct``, first unused) id by score, else a
+      ``roulette_pick`` over the row's (unused) ids.
     - ``hits(n, rate)``: the k < n whose k-th of n ``random()`` draws falls
       below ``rate``, lazily, compared on the raw outputs.
     - ``mask(n)``: n draws of ``integers(2)``, as ``integers(0, 2, size=n)``,
@@ -242,28 +242,23 @@ class Stream:
         raw = self._raw or self._refill()
         return (raw.pop() >> 11) * 2 ** -53
 
-    def greedy(self) -> bool:
-        """Whether an epsilon-greedy pick takes the greedy branch: ``random() < random()``.
+    def chain(self, table: PickTable, row: int, n: int, distinct: bool = False) -> list[int]:
+        """``n`` chained epsilon-greedy picks over ``table``'s rows, the first from ``row``.
 
-        The threshold is drawn first, so the decision reads two outputs; two
-        doubles compare as their top 53 bits do, since both are those bits
-        times 2**-53.
-        """
-        raw = self._raw or self._refill()
-        threshold = raw.pop() >> 11
-        raw = raw or self._refill()
-        return raw.pop() >> 11 < threshold
-
-    def chain(self, argmax: list[int], cdfs: list[list[float]], row: int, n: int) -> list[int]:
-        """``n`` chained epsilon-greedy picks over a table's rows, the first from ``row``.
-
-        Each pick reads the outputs that ``greedy()`` and then, off the greedy
-        branch, ``roulette_pick(cdfs[row], self)`` would read, in one loop:
-        ``argmax[row]`` on the greedy branch, else the roulette's index. The
-        next pick draws from the row this one picked.
+        Each pick draws a ``random()`` threshold, then a ``random()`` decision
+        (two doubles compare as their top 53 bits do, so it compares those).
+        Below the threshold it takes the first id of the row's order, else the
+        ``roulette_pick`` of the row's running sums, read inline; the next pick
+        draws from the row this one picked. With ``distinct`` it skips picked
+        ids: the roulette then sums the unused ids' scores in ascending id order.
         """
         out = []
         raw = self._raw
+        orders, cdfs = table.orders, table.cdfs
+        if distinct:
+            rows = table.rows
+            unused = list(range(table.width))  # ascending ids
+            fresh = [True] * table.width
         for _ in range(n):
             if not raw:
                 raw = self._refill()
@@ -271,18 +266,28 @@ class Stream:
             if not raw:
                 raw = self._refill()
             if raw.pop() >> 11 < threshold:
-                row = argmax[row]
+                if distinct:
+                    for row in orders[row]:  # stops at the first unused id
+                        if fresh[row]:
+                            break
+                    unused.remove(row)
+                else:
+                    row = orders[row][0]
             else:
-                cdf = cdfs[row]
+                cdf = roulette_cdf(map(rows[row].__getitem__, unused)) if distinct else cdfs[row]
                 total = cdf[-1]
                 if total <= 0.0:
-                    row = self.integers(len(cdf))
+                    k = self.integers(len(cdf))
                     raw = self._raw  # integers() may have refilled it
                 else:
                     if not raw:
                         raw = self._refill()
                     k = bisect_right(cdf, (raw.pop() >> 11) * 2 ** -53 * total)
-                    row = k if k < len(cdf) else bisect_left(cdf, total)
+                    if k == len(cdf):
+                        k = bisect_left(cdf, total)
+                row = unused.pop(k) if distinct else k
+            if distinct:
+                fresh[row] = False
             out.append(row)
         return out
 
@@ -360,46 +365,31 @@ class Stream:
 
 
 class PickTable:
-    """A fixed table's rows as ``Stream.chain`` picks from them: each row's first
-    argmax, for the greedy branch, and its ``roulette_cdf``, for the roulette.
+    """A fixed table's rows as ``Stream.chain`` picks from them: each row, its
+    ``roulette_cdf`` and its ids by descending score, ties in ascending id order.
     """
 
     def __init__(self, rows: list[list[float]]):
         self.width = len(rows[0])
-        self.argmax = [row.index(max(row)) for row in rows]
+        self.rows = rows
         self.cdfs = [roulette_cdf(row) for row in rows]
+        self.orders = [sorted(range(self.width), key=row.__getitem__, reverse=True)
+                       for row in rows]  # a stable sort, so equal scores keep id order
 
 
-def global_construct(agent: Agent, q1: PickTable, q2: list[list[float]]) -> SearchState:
+def global_construct(agent: Agent, q1: PickTable, q2: PickTable) -> SearchState:
     """Build a full state by walking both chains of the normalized tables.
 
-    The allocation vector is one ``Stream.chain`` over ``q1``, the
-    ``PickTable`` of the normalized locker table: each task's locker is
-    picked from the row of its predecessor's (virtual start row first). The
-    permutation is built the same way from ``q2``, the normalized task table
-    as nested lists, over the unused tasks only, kept in ascending id order:
-    one ``Stream.greedy`` decision per pick, then the first unused task of
-    highest score or a roulette over the unused tasks' scores. Every draw
-    comes from the agent's ``Stream``.
+    ``q1`` and ``q2`` are the ``PickTable``s of the normalized locker and task
+    tables, and each chain is one ``Stream.chain`` from its virtual start row
+    on the agent's ``Stream``. Each task's locker is picked from the row of
+    its predecessor's; the permutation is built the same way over the unused
+    tasks only (``distinct``).
     """
     rng = agent.rng
-    n_tasks = len(q2) - 1
-
-    x1 = rng.chain(q1.argmax, q1.cdfs, q1.width, n_tasks)  # virtual start row first
-
-    x2 = []
-    unused = list(range(n_tasks))  # ascending task ids
-    prev = n_tasks  # virtual start row
-    greedy = rng.greedy
-    for _ in range(n_tasks):
-        row = q2[prev]
-        if greedy():
-            prev = max(unused, key=row.__getitem__)  # the first maximum in id order
-            unused.remove(prev)
-        else:
-            prev = unused.pop(roulette_pick(roulette_cdf(map(row.__getitem__, unused)), rng))
-        x2.append(prev)
-
+    n_tasks = q2.width
+    x1 = rng.chain(q1, q1.width, n_tasks)
+    x2 = rng.chain(q2, n_tasks, n_tasks, distinct=True)
     return SearchState(x1=tuple(x1), x2=tuple(x2))
 
 
@@ -504,7 +494,7 @@ def run_hqm(pool: TaskPool, instance: Instance, policy: AdjustmentPolicy,
     for t in range(1, budget.iterations + 1):
         alpha = 0.9 * math.exp(-t / budget.iterations)
         snapshot = qmats.copy()
-        q1, q2 = PickTable(normalize_q(qmats.q1)), normalize_q(qmats.q2)
+        q1, q2 = PickTable(normalize_q(qmats.q1)), PickTable(normalize_q(qmats.q2))
 
         for agent in agents:
             candidate = global_construct(agent, q1, q2)

@@ -35,7 +35,7 @@ def set_routes(memo: RouteMemo) -> list[tuple[float, tuple[int, ...]]]:
     (subset, order) pair it grows from. The return leg is added only to get a
     set's distance.
     """
-    n, starts = len(memo.pool), memo.pool.starts
+    n, starts, depot_km = len(memo.pool), memo.pool.starts, memo.leg_km[-1]
     tied = [sum(1 << u for u in range(n) if starts[u] == starts[t]) for t in range(n)]
     last = [0] * (1 << n)  # a task of each set whose start is the set's latest
     opened = [[((), None)]]  # each set's (order, open end) pairs
@@ -55,8 +55,8 @@ def set_routes(memo: RouteMemo) -> list[tuple[float, tuple[int, ...]]]:
             ends += [(order + (u,), visit(memo, end, u)[0])
                      for order, end in opened[group ^ (1 << u)]]
         opened.append(ends)
-        routes.append(min((distance + depot_km, order)
-                          for order, (_, _, _, _, depot_km, _, distance, _) in ends))
+        routes.append(min((distance + depot_km[tail], order)
+                          for order, (_, _, tail, _, distance, _) in ends))
     return routes
 
 

@@ -1,11 +1,10 @@
 """Route construction, adjustment strategies, cost and feasibility checks.
 
 A locker's task list, sorted by window start, is scheduled by one visit rule.
-The locker starts at the depot with ``leave = 0``. Each visit measures the
-leg from the current position to its parking space once, turns it into
-``travel`` minutes with its route memo's ``minutes`` (``km / speed``, times a
-seeded factor under travel noise), and takes its arrival from one of three
-cases:
+The locker starts at the depot with ``leave = 0``. Each visit reads the leg
+from the current position to its parking space, its km and its ``travel``
+minutes (``km / speed``, times a seeded factor under travel noise), from its
+route memo's leg tables, and takes its arrival from one of three cases:
 
 * plain: ``max(leave + travel, window.start)``. The first visit is always
   plain, so it waits at its space for the window to open.
@@ -163,25 +162,28 @@ class FeasibilityReport:
 
 
 class RouteMemo:
-    """One task pool's visit data, leg timing and route memo, for one instance and policy.
+    """One task pool's visit data, leg tables and route memo, for one instance and policy.
 
-    Built once per pool with one ``space_by_id`` per task: each task's space
-    x and y, its km from the depot, its window start and end, ``ready``,
-    demand and service time. ``holds`` is whether the policy is HCPS, so
-    whether an early arrival may hold. ``minutes`` times every leg of its routes:
-    ``km / speed``, times ``max(0, 1 + U(-sigma, sigma))`` drawn from a
-    ``Generator`` seeded with ``noise.seed`` once per leg, in leg order, when
-    ``noise`` has a sigma above 0. A sigma of 0 is no noise, and ``noise`` is
-    then None. Without noise, ``routes`` caches every route by its ordered
-    task-id tuple; a route names no locker, so a hit is the stored route
-    itself. It holds at most ``_ROUTE_MEMO_LIMIT`` routes in
-    least-recently-used order (a dict's insertion order): a hit moves its
-    route to the end, and a new route evicts the first. A noisy memo draws on
-    every leg, so its ``routes`` is None and every route is scheduled anew.
+    Built once per pool with one ``space_by_id`` per task: each task's window
+    start and end, ``ready``, demand and service time. ``leg_km[i][j]`` and
+    ``leg_minutes[i][j]`` (``km / speed``) are the leg from task i's space to
+    task j's, n + 1 rows over n tasks; the last row, i = -1, leaves the depot
+    and serves the legs back to it too (exact: ``hypot`` ignores signs).
+    ``holds`` is whether the policy is HCPS, so whether an early arrival may
+    hold. With a sigma above 0, ``draw()`` is a leg's factor ``max(0, 1 +
+    U(-sigma, sigma))`` from a ``Generator`` seeded with ``noise.seed``,
+    drawn once per leg in leg order to multiply its table minutes; a sigma
+    of 0 is no noise, and ``noise`` and ``draw`` are then None. Without
+    noise, ``routes`` caches every route by its ordered task-id tuple; a
+    route names no locker, so a hit is the stored route itself. It holds at
+    most ``_ROUTE_MEMO_LIMIT`` routes in least-recently-used order (a dict's
+    insertion order): a hit moves its route to the end, and a new route
+    evicts the first. A noisy memo draws on every leg, so its ``routes`` is
+    None and every route is scheduled anew.
     """
 
-    __slots__ = ("pool", "instance", "policy", "holds", "noise", "visit_data", "capacity",
-                 "minutes", "routes")
+    __slots__ = ("pool", "instance", "policy", "holds", "noise", "draw", "visit_data",
+                 "leg_km", "leg_minutes", "capacity", "routes")
 
     def __init__(self, pool: TaskPool, instance: Instance, policy: AdjustmentPolicy,
                  noise: Optional[TravelNoise] = None):
@@ -190,22 +192,23 @@ class RouteMemo:
             raise ParameterError(f"speed must be > 0, got {speed}")
         self.pool, self.instance, self.policy = pool, instance, policy
         self.holds = policy is AdjustmentPolicy.HCPS
-        dx, dy = instance.depot.x, instance.depot.y
-        self.visit_data = []
+        self.visit_data, points = [], []  # points: each task's space x and y, then the depot's
         for task in pool.tasks:
             sp = instance.space_by_id(task.space_id)
-            x, y = sp.position.x, sp.position.y
-            self.visit_data.append((x, y, math.hypot(x - dx, y - dy), task.window.start,
-                                    task.window.end, task.ready, task.demand, sp.service_time))
+            points.append((sp.position.x, sp.position.y))
+            self.visit_data.append((task.window.start, task.window.end, task.ready,
+                                    task.demand, sp.service_time))
+        points.append((instance.depot.x, instance.depot.y))
+        self.leg_km = [[math.hypot(px - x, py - y) for x, y in points[:-1]] for px, py in points]
+        self.leg_minutes = [[km / speed for km in row] for row in self.leg_km]
         self.capacity = instance.fleet.capacity + _EPS
         if noise is None or noise.sigma == 0:
-            self.noise = None
-            self.minutes = lambda km: km / speed
+            self.noise = self.draw = None
             self.routes: Optional[dict[tuple[int, ...], LockerRoute]] = {}
         else:
             self.noise = noise
             uniform, sigma = np.random.default_rng(noise.seed).uniform, noise.sigma
-            self.minutes = lambda km: km / speed * max(0.0, 1.0 + float(uniform(-sigma, sigma)))
+            self.draw = lambda: max(0.0, 1.0 + float(uniform(-sigma, sigma)))
             self.routes = None
 
     def serves(self, pool: TaskPool, instance: Instance, policy: AdjustmentPolicy) -> bool:
@@ -218,24 +221,25 @@ def visit(memo: RouteMemo, end: Optional[tuple], task_id: int) -> tuple[tuple, V
     """One visit of the module docstring's rule: task ``task_id`` served from the open end ``end``.
 
     An open end is where a route under construction stands after its last
-    visit, as the tuple ``(leave, load, x, y, depot_km, window_end, distance,
-    depot_departure)``: the last leave, the load on board, the last space's x
-    and y and its km from the depot, the last window's end, the km driven
-    without the return leg, and the depot departure. ``end`` is None before
-    the first visit, which starts at the depot with ``leave = 0``. Each leg
-    is timed once, in leg order, by ``memo.minutes``. Returns the open end
+    visit, as the tuple ``(leave, load, last, window_end, distance,
+    depot_departure)``: the last leave, the load on board, the last task's
+    id, its window's end, the km driven without the return leg, and the
+    depot departure. ``end`` is None before the first visit, which starts at
+    the depot with ``leave = 0``. Legs are read from the memo's tables; a
+    noisy memo draws each leg's factor in leg order. Returns the open end
     after the visit and the visit's record.
     """
-    x, y, depot_km, start, window_end, ready, demand, service = memo.visit_data[task_id]
+    start, window_end, ready, demand, service = memo.visit_data[task_id]
     if end is None:
-        depot = memo.instance.depot
-        px, py = depot.x, depot.y
+        prev = -1  # the depot's row
         leave = load = distance = 0.0
     else:
-        leave, load, px, py, prev_depot_km, prev_end, distance, departure = end
-    km = math.hypot(px - x, py - y)
-    minutes = memo.minutes
-    travel = minutes(km)
+        leave, load, prev, prev_end, distance, departure = end
+    km = memo.leg_km[prev][task_id]
+    travel = memo.leg_minutes[prev][task_id]
+    draw = memo.draw
+    if draw is not None:
+        travel *= draw()
     reach = leave + travel
     arrival = start if start > reach else reach  # max(reach, start)
     adjustment = _NONE
@@ -248,17 +252,19 @@ def visit(memo: RouteMemo, end: Optional[tuple], task_id: int) -> tuple[tuple, V
             arrival = prev_end + travel
             adjustment = _HCPS
         elif early or overflow:
-            # The depot legs reuse each space's hypot(x - depot x, y - depot y):
-            # that is exact, since a - b == -(b - a) and hypot(-u, -v) == hypot(u, v).
-            km = prev_depot_km + depot_km
-            arrival = leave + minutes(prev_depot_km) + minutes(depot_km)
+            depot_km, depot_minutes = memo.leg_km[-1], memo.leg_minutes[-1]
+            km = depot_km[prev] + depot_km[task_id]
+            if draw is None:
+                arrival = leave + depot_minutes[prev] + depot_minutes[task_id]
+            else:  # the factors in leg order: out to the depot, then back
+                arrival = leave + depot_minutes[prev] * draw() + depot_minutes[task_id] * draw()
             adjustment = _BTD
             load = 0.0
     service_start = ready if ready > arrival else arrival  # max(arrival, ready)
     leave = service_start + service
     load += demand
     late = service_start - window_end
-    return ((leave, load, x, y, depot_km, window_end, distance + km, departure),
+    return ((leave, load, task_id, window_end, distance + km, departure),
             _record(VisitRecord, (task_id, arrival, service_start, leave, load, adjustment,
                                   late if late > 0.0 else 0.0)))
 
@@ -268,9 +274,10 @@ def schedule_route(memo: RouteMemo, *, task_ids: Sequence[int]) -> Optional[Lock
 
     Returns None for an empty list (the locker is not dispatched). The route
     starts and ends at the depot; distance covers every leg including depot
-    detours and the final return. Each task is one ``visit``, and every leg
-    is timed by ``memo.minutes``. A noise-free memo caches the route, so a
-    repeat of ``task_ids`` is a hit; a noisy one schedules every call anew.
+    detours and the final return. Each task is one ``visit``; the return leg,
+    the memo's depot row, draws the last factor under noise. A noise-free
+    memo caches the route, so a repeat of ``task_ids`` is a hit; a noisy one
+    schedules every call anew.
     """
     if not task_ids:
         return None
@@ -287,9 +294,12 @@ def schedule_route(memo: RouteMemo, *, task_ids: Sequence[int]) -> Optional[Lock
     for task_id in task_ids:
         end, record = visit(memo, end, task_id)
         visits.append(record)
-    leave, _, _, _, depot_km, _, distance, departure = end
-    route = _record(LockerRoute, (tuple(visits), departure, leave + memo.minutes(depot_km),
-                                  distance + depot_km))
+    leave, _, last, _, distance, departure = end
+    back = memo.leg_minutes[-1][last]
+    if memo.draw is not None:
+        back *= memo.draw()
+    route = _record(LockerRoute, (tuple(visits), departure, leave + back,
+                                  distance + memo.leg_km[-1][last]))
     if routes is not None:
         if len(routes) >= _ROUTE_MEMO_LIMIT:
             del routes[next(iter(routes))]

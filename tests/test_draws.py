@@ -8,7 +8,7 @@ tests pin each against the ``Generator`` call it replaces.
 import numpy as np
 import pytest
 
-from mplq.hqm import BLOCK, Stream, roulette_cdf, roulette_pick
+from mplq.hqm import BLOCK, PickTable, Stream, roulette_cdf, roulette_pick
 from helpers import assert_same_continuation, stream_pair
 
 # bounds for integers(k): small, around the 32-bit half, and up to 2**32
@@ -172,44 +172,45 @@ def test_hits_threshold_is_exact_at_the_drawn_double():
 
 @pytest.mark.parametrize("epsilon", [None])  # None: a random() threshold per decision
 def test_greedy_is_the_random_calls_it_replaces(epsilon):
-    # the threshold double, then random() < threshold; other draws between
-    # decisions move the position and the 32-bit half, and three blocks put
-    # refills between and inside decisions
+    # one-pick chains: the threshold double, then random() < threshold, then
+    # on the roulette branch one more double; other draws between decisions
+    # move the position and the 32-bit half, and three blocks put refills
+    # between and inside decisions
+    table = PickTable([[0.25, 0.75]])
     outcomes = set()
     for seed in range(40):
         stream, ref = stream_pair(seed)
         maker = np.random.default_rng(seed + 700)
         for _ in range(3 * BLOCK):
             threshold = ref.random()
-            got = stream.greedy()
-            assert got is (ref.random() < threshold), seed
-            outcomes.add(got)
+            greedy = ref.random() < threshold
+            expected = 1 if greedy else roulette_pick(table.cdfs[0], ref)
+            assert stream.chain(table, 0, 1) == [expected], seed
+            outcomes.add(greedy)
             if maker.random() < 0.25:
-                drawn, expected = _draw(maker, stream, ref)
-                assert drawn == expected
+                drawn, reference = _draw(maker, stream, ref)
+                assert drawn == reference
         assert_same_continuation(stream, ref)
     assert outcomes == {False, True}
 
 
 def test_greedy_compares_strictly_below_the_drawn_double():
     # crafted outputs, the threshold's first: equal top 53 bits are not greedy
-    # whatever the 11 low bits hold, and a decision one unit lower is; chain
-    # makes the same decision, then the argmax (1) or, reading one more
-    # output, the roulette's pick at u = 0 (0)
-    argmax, cdfs = [1], [roulette_cdf([0.4, 0.6])]
+    # whatever the 11 low bits hold, and a decision one unit lower is; the
+    # greedy pick is the row's best id (1) and the roulette's, reading one
+    # more output, its pick at u = 0 (0), with and without distinct
+    table = PickTable([[0.4, 0.6]])
     for top in (1, 2, 12345, 2 ** 52, 2 ** 53 - 1):
         for low, other in ((0, 0x7FF), (0x7FF, 0), (0x400, 0x400)):
             threshold = top << 11 | low
             for decision, expected in ((top << 11 | other, False),
                                        ((top - 1) << 11 | other, True),
                                        ((top - 1) << 11 | 0x7FF, True)):
-                stream = Stream(np.random.default_rng(0))
-                stream._raw = [7, decision, threshold]
-                assert stream.greedy() is expected
-                assert stream._raw == [7]
-                stream._raw = [7, 0, decision, threshold]
-                assert stream.chain(argmax, cdfs, 0, 1) == [1 if expected else 0]
-                assert stream._raw == ([7, 0] if expected else [7])
+                for distinct in (False, True):
+                    stream = Stream(np.random.default_rng(0))
+                    stream._raw = [7, 0, decision, threshold]
+                    assert stream.chain(table, 0, 1, distinct) == [1 if expected else 0]
+                    assert stream._raw == ([7, 0] if expected else [7])
 
 
 @pytest.mark.parametrize("odd_words", [False, True])
@@ -257,11 +258,12 @@ def test_chain_is_the_picks_it_replaces(epsilon):
         rows = rows.tolist()
         argmax = [row.index(max(row)) for row in rows]
         cdfs = [roulette_cdf(row) for row in rows]
+        table = PickTable(rows)
         for _ in range(6):
             n = int(maker.integers(0, 2 * BLOCK))
             expected = _reference_picks(ref, argmax, cdfs, width, n)
             stream.bounded = 0
-            assert stream.chain(argmax, cdfs, width, n) == expected, seed
+            assert stream.chain(table, width, n) == expected, seed
             integer_draws += stream.bounded
             if maker.random() < 0.5:
                 drawn, reference = _draw(maker, stream, ref)

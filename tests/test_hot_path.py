@@ -1,12 +1,16 @@
-"""The route hot path reads nothing through an enum class and calls no record class.
+"""The route hot path reads nothing through an enum class, calls no record class
+and measures or times no leg.
 
 A route-memo miss makes one ``routing.visit`` per task, and every evaluation
 passes through ``schedule_route``, ``evaluate_solution`` and
 ``compute_cost``. On CPython 3.11 reading ``Adjustment.NONE`` through the
 class costs about 0.2 us, and a ``NamedTuple`` class call about 0.3 us more
 than ``tuple.__new__``; so these four functions read the members from
-module-level names and build their records with ``routing._record``. This
-``ast`` check keeps both costs from coming back unseen.
+module-level names and build their records with ``routing._record``. A
+route memo measures and times every leg of its pool once, so these
+functions read legs from its tables and call no ``hypot`` and no
+``minutes``. This ``ast`` check keeps all three costs from coming back
+unseen.
 """
 
 import ast
@@ -16,11 +20,13 @@ ROUTING = Path(__file__).resolve().parents[1] / "src" / "mplq" / "routing.py"
 HOT_FUNCTIONS = ("visit", "schedule_route", "evaluate_solution", "compute_cost")
 ENUMS = ("Adjustment", "AdjustmentPolicy")
 RECORDS = ("VisitRecord", "LockerRoute", "RoutePlan", "CostBreakdown")
+LEG_MEASURES = ("hypot", "minutes")
 
 
 def hot_path_costs(source: str) -> list[tuple[str, int, str]]:
-    """(function, line, expression) of each attribute read through an enum class and each
-    record class call in the hot functions of ``source``, all defined at module level."""
+    """(function, line, expression) of each attribute read through an enum class, each
+    record class call and each ``hypot`` or ``minutes`` call in the hot functions of
+    ``source``, all defined at module level."""
     functions = {node.name: node for node in ast.parse(source).body
                  if isinstance(node, ast.FunctionDef)}
     found = []
@@ -32,6 +38,10 @@ def hot_path_costs(source: str) -> list[tuple[str, int, str]]:
             elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                   and node.func.id in RECORDS):
                 found.append((name, node.lineno, f"{node.func.id}(...)"))
+            elif isinstance(node, ast.Call) and (
+                    isinstance(node.func, ast.Attribute) and node.func.attr in LEG_MEASURES
+                    or isinstance(node.func, ast.Name) and node.func.id in LEG_MEASURES):
+                found.append((name, node.lineno, f"{ast.unparse(node.func)}(...)"))
     return found
 
 
@@ -49,6 +59,10 @@ def test_the_check_finds_each_cost_in_a_mutated_source():
         ("_record(LockerRoute, (", "LockerRoute(*(", ("schedule_route", "LockerRoute(...)")),
         ("_record(RoutePlan, (", "RoutePlan(*(", ("evaluate_solution", "RoutePlan(...)")),
         ("_record(CostBreakdown, (", "CostBreakdown(*(", ("compute_cost", "CostBreakdown(...)")),
+        ("km = memo.leg_km[prev][task_id]", "km = math.hypot(x - px, y - py)",
+         ("visit", "math.hypot(...)")),
+        ("back = memo.leg_minutes[-1][last]", "back = memo.minutes(memo.leg_km[-1][last])",
+         ("schedule_route", "memo.minutes(...)")),
     ]
     for old, new, (function, expression) in mutations:
         assert source.count(old) == 1, old
@@ -67,5 +81,5 @@ def test_the_check_reads_only_the_hot_functions():
               "def compute_cost():\n"
               "    return AdjustmentPolicy.parse('btd')\n"
               "def elsewhere():\n"
-              "    return VisitRecord(1), Adjustment.BTD\n")
+              "    return VisitRecord(1), Adjustment.BTD, math.hypot(1, 2), memo.minutes(3)\n")
     assert hot_path_costs(source) == [("compute_cost", 9, "AdjustmentPolicy.parse")]

@@ -8,7 +8,7 @@ from mplq.hqm import (Agent, QMatrices, global_construct, has_converged,
                       init_agents, local_move, normalize_q, run_hqm, update_q)
 from mplq.bench import write_history_csv
 from mplq.ga import run_ga
-from mplq.hqm import PickTable, Stream, roulette_cdf, roulette_pick
+from mplq.hqm import BLOCK, PickTable, Stream, roulette_cdf, roulette_pick
 from mplq.instance import GeneratorConfig, assign_customers, generate_instance
 from mplq.oracle import brute_force_best
 from mplq.routing import AdjustmentPolicy
@@ -121,11 +121,11 @@ def test_greedy_branch_follows_argmax():
     table = PickTable([[0.0, 1.0, 1.0]])
     rng = Stream(np.random.default_rng(0))
     rng._raw = _greedy_outputs(20)  # the first index on ties
-    assert {rng.chain(table.argmax, table.cdfs, 0, 1)[0] for _ in range(20)} == {1}
+    assert {rng.chain(table, 0, 1)[0] for _ in range(20)} == {1}
     # every unused task ties, so greedy picks walk them in id order
     agent = _empty_pool_agent()
     agent.rng._raw = _greedy_outputs(8)
-    state = global_construct(agent, _one_locker_table(), [[0.25] * 4 for _ in range(5)])
+    state = global_construct(agent, _one_locker_table(), PickTable([[0.25] * 4] * 5))
     assert list(state.x2) == [0, 1, 2, 3]
 
 
@@ -133,7 +133,7 @@ def test_sampling_branch_renormalizes_masked_row():
     # the start row forces task 1 first; row 1's scores 0.2 / 0.6 over the
     # unused tasks 0 and 2 renormalize to 0.25 / 0.75 on the roulette branch,
     # taken half the time, while the greedy branch always picks task 2
-    q2 = [[0.0, 0.0, 0.0], [0.2, 0.9, 0.6], [0.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
+    q2 = PickTable([[0.0, 0.0, 0.0], [0.2, 0.9, 0.6], [0.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
     q1 = _one_locker_table()
     agent = _empty_pool_agent(seed=123)
     draws = [global_construct(agent, q1, q2).x2[1] for _ in range(4000)]
@@ -148,9 +148,9 @@ def test_sampling_branch_uniform_on_zero_row():
     rng = Stream(np.random.default_rng(5))
     table = PickTable([[0.0] * 3])
     agent = _empty_pool_agent(seed=5)
-    for draws in ([rng.chain(table.argmax, table.cdfs, 0, 1)[0] for _ in range(3000)],
+    for draws in ([rng.chain(table, 0, 1)[0] for _ in range(3000)],
                   [global_construct(agent, _one_locker_table(),
-                                    [[0.0] * 3 for _ in range(4)]).x2[0] for _ in range(3000)]):
+                                    PickTable([[0.0] * 3] * 4)).x2[0] for _ in range(3000)]):
         for k, share in enumerate((2 / 3, 1 / 6, 1 / 6)):
             assert draws.count(k) / len(draws) == pytest.approx(share, abs=0.03)
 
@@ -206,9 +206,9 @@ def test_pick_draws_what_generator_choice_drew(epsilon):
         q2 = _random_table(maker, n_tasks + 1, n_tasks)
         agent = _empty_pool_agent(seed + 1000)
         ref = np.random.default_rng(seed + 1000)
-        table, rows = PickTable(q1.tolist()), q2.tolist()
+        tables = PickTable(q1.tolist()), PickTable(q2.tolist())
         for _ in range(3):
-            state = global_construct(agent, table, rows)
+            state = global_construct(agent, *tables)
             expected, seen = _choice_construct(ref, q1, q2)
             kinds |= seen
             assert list(state.x1) == list(expected.x1)
@@ -234,21 +234,25 @@ def test_pick_table_draws_what_generator_choice_drew(epsilon):
         for _ in range(10):
             r = int(maker.integers(len(rows)))
             kinds.add(r)
-            picked = ours.chain(table.argmax, table.cdfs, r, 1)[0]
+            picked = ours.chain(table, r, 1)[0]
             assert picked == _choice_pick(rows[r], everyone, ref)
             assert_same_continuation(ours, ref)
     assert kinds == {0, 1, 2, 3}
 
 
 def test_pick_table_matches_the_array_argmax_and_cdfs_bit_for_bit():
-    # each row's first argmax, and its running sums as np.cumsum adds them
+    # each row's ids by descending score, ties in id order as a stable argsort
+    # of the negated row puts them, so its first id is the first argmax; and
+    # its running sums as np.cumsum adds them
     for seed in range(400):
         rng = np.random.default_rng(seed)
         raw = _raw_table(rng, int(rng.integers(1, 8)), int(rng.integers(1, 12)))
         for rows in (raw, _np_normalize_q(raw)):
             table = PickTable(rows.tolist())
             assert table.width == rows.shape[1]
-            assert table.argmax == rows.argmax(axis=1).tolist()
+            assert table.rows == rows.tolist()
+            assert table.orders == np.argsort(-rows, axis=1, kind="stable").tolist()
+            assert [order[0] for order in table.orders] == rows.argmax(axis=1).tolist()
             assert _hex(table.cdfs) == _hex(rows.cumsum(axis=1))
 
 
@@ -262,10 +266,15 @@ def test_pick_refuses_non_finite_scores_like_generator_choice(bad):
         roulette_cdf(row)
     with pytest.raises(ValueError):
         PickTable([row])
-    agent = _empty_pool_agent()  # three greedy q1 picks, then the q2 roulette
-    agent.rng._raw = [0, 0] + _greedy_outputs(3)
-    with pytest.raises(ValueError):
-        global_construct(agent, _one_locker_table(), [[0.0] * 3, [0.0] * 3, [0.0] * 3, row])
+    # every entry finite and every row's total too, but the unused scores of
+    # row 1 overflow: three greedy q1 picks, a greedy q2 pick of task 1 from
+    # the start row, then the masked q2 roulette, here and in the reference
+    rows = [[0.0] * 3, [1e308, -1e308, 1e308], [0.0] * 3, [0.0, 1.0, 0.0]]
+    for construct in (global_construct, _masked_q2_construct):
+        agent = _empty_pool_agent()
+        agent.rng._raw = [0, 0] + _greedy_outputs(4)
+        with pytest.raises(ValueError):
+            construct(agent, _one_locker_table(), PickTable(rows))
 
 
 def test_roulette_cdf_is_numpy_cumsum_bit_for_bit():
@@ -317,14 +326,15 @@ def test_construct_reproduces_unique_chain_under_full_greed():
     q.q1[0][0] = 1.0
     agent = _empty_pool_agent()
     for _ in range(20):
-        state = global_construct(agent, PickTable(normalize_q(q.q1)), normalize_q(q.q2))
+        state = global_construct(agent, PickTable(normalize_q(q.q1)),
+                                 PickTable(normalize_q(q.q2)))
         assert list(state.x2) == [2, 0, 1]
         assert list(state.x1) == [1, 0, 0]
 
 
 def test_construct_always_yields_permutation():
     q = QMatrices.zeros(3, 6)
-    q1, q2 = PickTable(normalize_q(q.q1)), normalize_q(q.q2)
+    q1, q2 = PickTable(normalize_q(q.q1)), PickTable(normalize_q(q.q2))
     agent = _empty_pool_agent(seed=42)
     for _ in range(25):
         state = global_construct(agent, q1, q2)
@@ -340,10 +350,11 @@ def _score_list_construct(agent, q1, q2):
     """
     rng = agent.rng
     n_tasks = len(q2) - 1
-    x1, prev = [], q1.width
+    argmax = [row.index(max(row)) for row in q1]
+    x1, prev = [], len(q1) - 1
     for _ in range(n_tasks):
         eps = rng.random()
-        prev = q1.argmax[prev] if rng.random() < eps else roulette_pick(q1.cdfs[prev], rng)
+        prev = argmax[prev] if rng.random() < eps else roulette_pick(roulette_cdf(q1[prev]), rng)
         x1.append(prev)
     x2, unused, prev, tied = [], list(range(n_tasks)), n_tasks, 0
     for _ in range(n_tasks):
@@ -369,17 +380,92 @@ def test_q2_greedy_picks_the_lowest_unused_id_of_tied_maxima():
         maker = np.random.default_rng(seed)
         n_tasks = int(maker.integers(1, 16))
         lockers = effective_locker_count(int(maker.integers(1, 5)), n_tasks)
-        table = PickTable(_random_table(maker, lockers + 1, lockers).tolist())
-        rows = _random_table(maker, n_tasks + 1, n_tasks).tolist()
+        q1 = _random_table(maker, lockers + 1, lockers).tolist()
+        q2 = _random_table(maker, n_tasks + 1, n_tasks).tolist()
+        tables = PickTable(q1), PickTable(q2)
         agent, ref = _empty_pool_agent(seed + 2000), _empty_pool_agent(seed + 2000)
         for _ in range(3):
-            state = global_construct(agent, table, rows)
-            expected, ties = _score_list_construct(ref, table, rows)
+            state = global_construct(agent, *tables)
+            expected, ties = _score_list_construct(ref, q1, q2)
             tied += ties
             assert (state.x1, state.x2) == (expected.x1, expected.x2)
         assert [agent.rng.random() for _ in range(8)] == [ref.rng.random() for _ in range(8)]
         assert [agent.rng.integers(7) for _ in range(8)] == [ref.rng.integers(7) for _ in range(8)]
     assert tied > 500
+
+
+def _greedy(rng):
+    """One epsilon-greedy decision as ``Stream.greedy`` made it: a ``random()``
+    threshold, then ``random() < threshold``."""
+    threshold = rng.random()
+    return rng.random() < threshold
+
+
+def _masked_q2_construct(agent, q1, q2):
+    """``global_construct`` as written before one ``Stream.chain`` walked both chains:
+    the q1 chain pick by pick over each row's first argmax, ``row.index(max(row))``,
+    and running sums, then the masked q2 loop verbatim. The reference."""
+    rng = agent.rng
+    n_tasks = q2.width
+    argmax = [row.index(max(row)) for row in q1.rows]
+    cdfs = [roulette_cdf(row) for row in q1.rows]
+    x1, prev = [], q1.width  # virtual start row first
+    for _ in range(n_tasks):
+        prev = argmax[prev] if _greedy(rng) else roulette_pick(cdfs[prev], rng)
+        x1.append(prev)
+
+    q2 = q2.rows
+    x2 = []
+    unused = list(range(n_tasks))  # ascending task ids
+    prev = n_tasks  # virtual start row
+    for _ in range(n_tasks):
+        row = q2[prev]
+        if _greedy(rng):
+            prev = max(unused, key=row.__getitem__)  # the first maximum in id order
+            unused.remove(prev)
+        else:
+            prev = unused.pop(roulette_pick(roulette_cdf(map(row.__getitem__, unused)), rng))
+        x2.append(prev)
+
+    return make_state(x1, x2)
+
+
+def test_construct_is_the_masked_q2_loop_it_replaces():
+    # random tables with tied maxima and one-hot rows, whose masked rows turn
+    # all-zero and draw integers; chains of up to 40 tasks refill the block
+    # inside a chain; same state and same continuation as the reference
+    class Counting(Stream):
+        __slots__ = ("bounded", "refills")
+
+        def integers(self, high):
+            self.bounded += 1
+            return super().integers(high)
+
+        def _refill(self):
+            self.refills += 1
+            return super()._refill()
+
+    bounded = long_refills = 0
+    for seed in range(150):
+        maker = np.random.default_rng(seed)
+        n_tasks = int(maker.integers(1, 41))
+        lockers = effective_locker_count(int(maker.integers(1, 6)), n_tasks)
+        q1 = PickTable(_random_table(maker, lockers + 1, lockers).tolist())
+        q2 = PickTable(_random_table(maker, n_tasks + 1, n_tasks).tolist())
+        agent = Agent(best=make_state([], []), rng=Counting(np.random.default_rng(seed + 3000)))
+        agent.rng.bounded = agent.rng.refills = 0
+        ref = _empty_pool_agent(seed + 3000)
+        for _ in range(3):
+            refills = agent.rng.refills
+            state = global_construct(agent, q1, q2)
+            expected = _masked_q2_construct(ref, q1, q2)
+            assert (state.x1, state.x2) == (expected.x1, expected.x2), seed
+            # over BLOCK / 2 tasks, the q2 chain alone reads more than a block
+            long_refills += n_tasks > BLOCK // 2 and agent.rng.refills > refills
+        bounded += agent.rng.bounded
+        assert [agent.rng.random() for _ in range(8)] == [ref.rng.random() for _ in range(8)]
+        assert [agent.rng.integers(7) for _ in range(8)] == [ref.rng.integers(7) for _ in range(8)]
+    assert bounded > 0 and long_refills > 0
 
 
 # ---------------------------------------------------------------------------

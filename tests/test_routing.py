@@ -822,6 +822,52 @@ def test_a_noisy_route_memo_caches_no_route():
 
 
 @pytest.mark.parametrize("policy", [AdjustmentPolicy.BTD, AdjustmentPolicy.HCPS])
+def test_a_built_memo_measures_no_leg(monkeypatch, policy):
+    # every leg, the depot legs of detours and returns included, comes from
+    # the tables the memo built: scheduling calls no hypot
+    rng = np.random.default_rng(43)
+    cases = [_random_adjusted_case(rng) for _ in range(80)]
+    memos = [RouteMemo(make_pool(tasks), inst, policy) for inst, tasks in cases]
+    want = [_reference_schedule(tasks, range(len(tasks)), inst, policy,
+                                _reference_minutes(inst.fleet.speed, None))
+            for inst, tasks in cases]
+
+    def refuse(*args):
+        raise AssertionError("a leg was measured after the memo was built")
+
+    monkeypatch.setattr(routing.math, "hypot", refuse)
+    adjustments = set()
+    for memo, route in zip(memos, want):
+        got = schedule_route(memo, task_ids=list(range(len(memo.pool))))
+        assert _reprs(got) == _reprs(route)
+        adjustments |= {v.adjustment for v in got.visits}
+    assert Adjustment.BTD in adjustments
+    assert (Adjustment.HCPS in adjustments) is (policy is AdjustmentPolicy.HCPS)
+
+
+def test_a_noisy_memo_draws_one_factor_per_leg():
+    # each visit's direct leg, each detour's two depot legs and the return
+    rng = np.random.default_rng(47)
+    detours = 0
+    for k in range(100):
+        inst, tasks = _random_adjusted_case(rng)
+        for policy in AdjustmentPolicy:
+            memo = RouteMemo(make_pool(tasks), inst, policy, TravelNoise(sigma=0.5, seed=k))
+            factors = []
+
+            def counted(draw=memo.draw):
+                factors.append(draw())
+                return factors[-1]
+
+            memo.draw = counted
+            route = schedule_route(memo, task_ids=list(range(len(tasks))))
+            btd = sum(v.adjustment is Adjustment.BTD for v in route.visits)
+            assert len(factors) == len(route.visits) + 2 * btd + 1
+            detours += btd
+    assert detours > 0
+
+
+@pytest.mark.parametrize("policy", [AdjustmentPolicy.BTD, AdjustmentPolicy.HCPS])
 def test_zero_sigma_noise_plans_the_noise_free_bits(policy):
     rng = np.random.default_rng(41)
     for inst, pool in [random_hold_pool(rng) for _ in range(12)]:
