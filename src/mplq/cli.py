@@ -31,12 +31,12 @@ from .errors import (ConfigurationError, InstanceFormatError, MplqError,
 # still wraps these two bindings by name, so they stay imported here.
 from .ga import run_ga  # noqa: F401
 from .hqm import GAMMA, TOL, run_hqm  # noqa: F401
-from .instance import (GeneratorConfig, assign_customers, generate_instance,
-                       load_instance, save_instance, validate_instance)
+from .instance import (GeneratorConfig, assign_customers, generate_instance, json_float,
+                       json_int, load_instance, save_instance, validate_instance)
 from .oracle import brute_force_best
-from .routing import (AdjustmentPolicy, TravelNoise, check_feasibility,
+from .routing import (AdjustmentPolicy, RouteMemo, TravelNoise, check_feasibility,
                       compute_delay, evaluate_solution)
-from .state import BudgetProfile, SearchState, effective_locker_count
+from .state import BudgetProfile, SearchState, effective_locker_count, validate_state
 from .taskgen import build_tasks
 
 EXIT_OK = 0
@@ -160,9 +160,10 @@ def _prepare(instance):
     return assignment, build_tasks(instance, assignment)
 
 
-# Solver config file keys and the conversion each value must pass.
-_SOLVER_CONFIG_KEYS = {"agents": int, "timesteps": int, "gamma": float, "tol": float,
-                       "seed": int, "policy": lambda v: AdjustmentPolicy.parse(str(v))}
+# Solver config file keys and the reading each value must pass, given the value and its key.
+_SOLVER_CONFIG_KEYS = {"agents": json_int, "timesteps": json_int, "gamma": json_float,
+                       "tol": json_float, "seed": json_int,
+                       "policy": lambda v, _: AdjustmentPolicy.parse(str(v))}
 
 
 def _load_solver_config(path: Optional[str]) -> dict:
@@ -184,8 +185,8 @@ def _load_solver_config(path: Optional[str]) -> dict:
     if unknown:
         raise InstanceFormatError(f"{path}: unknown solver config keys {unknown}")
     try:
-        return {key: _SOLVER_CONFIG_KEYS[key](value) for key, value in data.items()}
-    except (TypeError, ValueError, OverflowError, ParameterError) as exc:
+        return {key: _SOLVER_CONFIG_KEYS[key](value, key) for key, value in data.items()}
+    except (TypeError, ParameterError) as exc:
         raise InstanceFormatError(f"{path}: bad solver config value: {exc}")
 
 
@@ -214,7 +215,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
                                       gamma=pick(args.gamma, "gamma", GAMMA),
                                       tol=pick(args.tol, "tol", TOL))
     if noise.sigma > 0:
-        plan, _ = evaluate_solution(best, pool, instance, policy, noise=noise)
+        plan, _ = evaluate_solution(best, RouteMemo(pool, instance, policy, noise))
 
     feasibility = check_feasibility(plan, best, pool, instance)
     total_delay, avg_delay = compute_delay(plan)
@@ -280,10 +281,11 @@ def _cmd_validate(args: argparse.Namespace) -> int:
                 ParameterError) as exc:
             raise InstanceFormatError(f"cannot parse solution file {args.solution}: {exc}")
         _, pool = _prepare(instance)
-        try:  # without a memo, evaluate_solution checks the state's shape first
-            plan, cost = evaluate_solution(state, pool, instance, policy)
+        try:  # the state enters from outside here: check its shape before scoring it
+            validate_state(state, len(pool), instance.fleet.max_lockers)
         except ShapeError as exc:
             raise InstanceFormatError(f"cannot parse solution file {args.solution}: {exc}")
+        plan, cost = evaluate_solution(state, RouteMemo(pool, instance, policy))
         feasibility = check_feasibility(plan, state, pool, instance)
         for v in feasibility.violations:
             print(f"constraint ({v.constraint}) {v.severity}: {v.entity}: {v.description}")

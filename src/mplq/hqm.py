@@ -85,16 +85,14 @@ class RunHistory:
 class Evaluator:
     """Caches the rewards of scored states and their routes (evaluation is pure).
 
-    The state cache is keyed on the pair ``(x1, x2)``. ``plan`` always
-    decodes the state it is given.
+    Holds only the state cache, keyed on the pair ``(x1, x2)``, and the
+    ``RouteMemo`` every state is scored through. ``plan`` always decodes the
+    state it is given.
     """
 
     _CACHE_LIMIT = 150_000
 
     def __init__(self, pool: TaskPool, instance: Instance, policy: AdjustmentPolicy):
-        self.pool = pool
-        self.instance = instance
-        self.policy = policy
         self._cache: dict[tuple, float] = {}
         self._routes = RouteMemo(pool, instance, policy)
 
@@ -104,8 +102,7 @@ class Evaluator:
         if hit is not None:
             state.reward = hit
             return hit
-        _, cost = evaluate_solution(state, self.pool, self.instance, self.policy,
-                                    memo=self._routes)
+        _, cost = evaluate_solution(state, self._routes)
         if len(self._cache) >= self._CACHE_LIMIT:
             self._cache.clear()
         self._cache[key] = cost.reward
@@ -113,9 +110,7 @@ class Evaluator:
         return cost.reward
 
     def plan(self, state: SearchState) -> RoutePlan:
-        plan, _ = evaluate_solution(state, self.pool, self.instance, self.policy,
-                                    memo=self._routes)
-        return plan
+        return evaluate_solution(state, self._routes)[0]
 
 
 # ---------------------------------------------------------------------------

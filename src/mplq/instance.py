@@ -548,20 +548,35 @@ def save_instance(instance: Instance, path: Union[str, Path]) -> None:
     Path(path).write_text(text + "\n", encoding="utf-8")
 
 
-_NOT_A_NUMBER = (TypeError, ValueError, OverflowError)
+def json_int(value, name: str) -> int:
+    """``value``, the JSON integer ``name``: never a bool, float or string."""
+    if type(value) is not int:
+        raise TypeError(f"{name} must be an integer, got {value!r:.80}")
+    return value
+
+
+def json_float(value, name: str) -> float:
+    """``value``, the JSON number ``name``, as a float: never a bool, string or overflow."""
+    if type(value) is float:
+        return value
+    if type(value) is int:
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise TypeError(f"{name} must be a number, got {value!r:.80}")
 
 
 def _require(mapping: dict, key: str, context: str, kind=None):
-    """``mapping[key]``, converted by ``kind`` (int or float) when one is given."""
+    """``mapping[key]``, read by ``kind`` (``json_int`` or ``json_float``) when one is given."""
     if key not in mapping:
         raise InstanceFormatError(f"{context}: missing required field '{key}'")
     if kind is None:
         return mapping[key]
     try:
-        return kind(mapping[key])
-    except _NOT_A_NUMBER as exc:
-        raise InstanceFormatError(
-            f"{context}: field '{key}' must be a number, got {mapping[key]!r}") from exc
+        return kind(mapping[key], f"field '{key}'")
+    except TypeError as exc:
+        raise InstanceFormatError(f"{context}: {exc}") from exc
 
 
 def _objects(mapping: dict, key: str, context: str) -> list[dict]:
@@ -576,8 +591,8 @@ def _as_pair(value, context: str) -> tuple[float, float]:
     if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise InstanceFormatError(f"{context}: expected a [a, b] pair, got {value!r}")
     try:
-        return float(value[0]), float(value[1])
-    except _NOT_A_NUMBER as exc:
+        return json_float(value[0], "pair"), json_float(value[1], "pair")
+    except TypeError as exc:
         raise InstanceFormatError(f"{context}: non-numeric pair {value!r}") from exc
 
 
@@ -602,10 +617,10 @@ def instance_from_dict(data: dict) -> Instance:
         ws, we = _as_pair(_require(raw, "window", ctx), f"{ctx}.window")
         spaces.append(
             ParkingSpace(
-                id=_require(raw, "id", ctx, int),
+                id=_require(raw, "id", ctx, json_int),
                 position=Position(px, py),
                 window=TimeWindow(ws, we),
-                service_time=_require(raw, "service_time", ctx, float),
+                service_time=_require(raw, "service_time", ctx, json_float),
             )
         )
 
@@ -623,13 +638,13 @@ def instance_from_dict(data: dict) -> Instance:
                 CustomerLocation(
                     position=Position(lx, ly),
                     window=TimeWindow(ls, le),
-                    max_walk=_require(lraw, "max_walk", lctx, float),
+                    max_walk=_require(lraw, "max_walk", lctx, json_float),
                 )
             )
         customers.append(
             Customer(
-                id=_require(raw, "id", ctx, int),
-                demand=_require(raw, "demand", ctx, int),
+                id=_require(raw, "id", ctx, json_int),
+                demand=_require(raw, "demand", ctx, json_int),
                 locations=tuple(locations),
             )
         )
@@ -639,11 +654,11 @@ def instance_from_dict(data: dict) -> Instance:
         raise InstanceFormatError("instance: field 'fleet' must be an object")
     _warn_unknown(fraw, {"max_lockers", "capacity", "speed", "fixed_cost", "unit_travel_cost"}, "fleet")
     fleet = FleetSpec(
-        max_lockers=_require(fraw, "max_lockers", "fleet", int),
-        capacity=_require(fraw, "capacity", "fleet", float),
-        speed=_require(fraw, "speed", "fleet", float),
-        fixed_cost=_require(fraw, "fixed_cost", "fleet", float),
-        unit_travel_cost=_require(fraw, "unit_travel_cost", "fleet", float),
+        max_lockers=_require(fraw, "max_lockers", "fleet", json_int),
+        capacity=_require(fraw, "capacity", "fleet", json_float),
+        speed=_require(fraw, "speed", "fleet", json_float),
+        fixed_cost=_require(fraw, "fixed_cost", "fleet", json_float),
+        unit_travel_cost=_require(fraw, "unit_travel_cost", "fleet", json_float),
     )
 
     w1, w2 = _as_pair(_require(data, "weights", "instance"), "weights")
@@ -652,7 +667,7 @@ def instance_from_dict(data: dict) -> Instance:
         spaces=tuple(spaces),
         customers=tuple(customers),
         fleet=fleet,
-        buffer=_require(data, "buffer_min", "instance", float),
+        buffer=_require(data, "buffer_min", "instance", json_float),
         weights=(w1, w2),
     )
 
@@ -692,4 +707,6 @@ __all__ = [
     "instance_from_dict",
     "save_instance",
     "load_instance",
+    "json_int",
+    "json_float",
 ]

@@ -114,7 +114,7 @@ def brute_force_best(pool: TaskPool, instance: Instance,
     for slot, t in zip(by_start, sorted(by_start, key=lambda t: (pool.starts[t], served[t]))):
         x2[slot] = t
     state = SearchState(x1=x1, x2=tuple(x2))
-    state.reward = evaluate_solution(state, pool, instance, policy, memo=memo)[1].reward
+    state.reward = evaluate_solution(state, memo)[1].reward
     return state, state.reward
 
 

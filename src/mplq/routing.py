@@ -1,5 +1,8 @@
 """Route construction, adjustment strategies, cost and feasibility checks.
 
+``evaluate_solution(state, memo)`` scores a state through a ``RouteMemo``,
+which holds the pool, instance, policy, leg tables, noise draws and routes.
+
 A locker's task list, sorted by window start, is scheduled by one visit rule.
 The locker starts at the depot with ``leave = 0``. Each visit reads the leg
 from the current position to its parking space, its km and its ``travel``
@@ -162,27 +165,27 @@ class FeasibilityReport:
 
 
 class RouteMemo:
-    """One task pool's visit data, leg tables and route memo, for one instance and policy.
+    """What ``evaluate_solution`` scores: one task pool's visit data, leg tables and routes.
 
-    Built once per pool with one ``space_by_id`` per task: each task's window
-    start and end, ``ready``, demand and service time. ``leg_km[i][j]`` and
-    ``leg_minutes[i][j]`` (``km / speed``) are the leg from task i's space to
-    task j's, n + 1 rows over n tasks; the last row, i = -1, leaves the depot
-    and serves the legs back to it too (exact: ``hypot`` ignores signs).
-    ``holds`` is whether the policy is HCPS, so whether an early arrival may
-    hold. With a sigma above 0, ``draw()`` is a leg's factor ``max(0, 1 +
-    U(-sigma, sigma))`` from a ``Generator`` seeded with ``noise.seed``,
-    drawn once per leg in leg order to multiply its table minutes; a sigma
-    of 0 is no noise, and ``noise`` and ``draw`` are then None. Without
+    Built once per pool, instance and policy, with one ``space_by_id`` per
+    task: each task's window start and end, ``ready``, demand and service
+    time. ``leg_km[i][j]`` and ``leg_minutes[i][j]`` (``km / speed``) are the
+    leg from task i's space to task j's, n + 1 rows over n tasks; the last
+    row, i = -1, leaves the depot and serves the legs back to it too (exact:
+    ``hypot`` ignores signs). ``holds`` is whether the policy is HCPS, so
+    whether an early arrival may hold. With a sigma above 0, ``draw()`` is a
+    leg's factor ``max(0, 1 + U(-sigma, sigma))`` from a ``Generator`` seeded
+    with ``noise.seed``, drawn once per leg in leg order to multiply its table
+    minutes; a sigma of 0 is no noise, and ``draw`` is then None. Without
     noise, ``routes`` caches every route by its ordered task-id tuple; a
     route names no locker, so a hit is the stored route itself. It holds at
     most ``_ROUTE_MEMO_LIMIT`` routes in least-recently-used order (a dict's
     insertion order): a hit moves its route to the end, and a new route
-    evicts the first. A noisy memo draws on every leg, so its ``routes`` is
-    None and every route is scheduled anew.
+    evicts the first. A noisy memo draws on every leg, on from route to
+    route, so its ``routes`` is None and every route is scheduled anew.
     """
 
-    __slots__ = ("pool", "instance", "policy", "holds", "noise", "draw", "visit_data",
+    __slots__ = ("pool", "instance", "holds", "draw", "visit_data",
                  "leg_km", "leg_minutes", "capacity", "routes")
 
     def __init__(self, pool: TaskPool, instance: Instance, policy: AdjustmentPolicy,
@@ -190,7 +193,7 @@ class RouteMemo:
         speed = instance.fleet.speed
         if not speed > 0:  # also refuses NaN
             raise ParameterError(f"speed must be > 0, got {speed}")
-        self.pool, self.instance, self.policy = pool, instance, policy
+        self.pool, self.instance = pool, instance
         self.holds = policy is AdjustmentPolicy.HCPS
         self.visit_data, points = [], []  # points: each task's space x and y, then the depot's
         for task in pool.tasks:
@@ -203,18 +206,12 @@ class RouteMemo:
         self.leg_minutes = [[km / speed for km in row] for row in self.leg_km]
         self.capacity = instance.fleet.capacity + _EPS
         if noise is None or noise.sigma == 0:
-            self.noise = self.draw = None
+            self.draw = None
             self.routes: Optional[dict[tuple[int, ...], LockerRoute]] = {}
         else:
-            self.noise = noise
             uniform, sigma = np.random.default_rng(noise.seed).uniform, noise.sigma
             self.draw = lambda: max(0.0, 1.0 + float(uniform(-sigma, sigma)))
             self.routes = None
-
-    def serves(self, pool: TaskPool, instance: Instance, policy: AdjustmentPolicy) -> bool:
-        """Whether this memo's routes are the routes of ``pool``, ``instance`` and ``policy``."""
-        return (policy is self.policy and (pool is self.pool or pool == self.pool)
-                and (instance is self.instance or instance == self.instance))
 
 
 def visit(memo: RouteMemo, end: Optional[tuple], task_id: int) -> tuple[tuple, VisitRecord]:
@@ -316,36 +313,18 @@ def compute_cost(lockers_dispatched: int, total_distance: float, instance: Insta
     return _record(CostBreakdown, (objective, reward))
 
 
-def evaluate_solution(state: SearchState, pool: TaskPool, instance: Instance,
-                      policy: AdjustmentPolicy, noise: Optional[TravelNoise] = None,
-                      memo: Optional[RouteMemo] = None) -> tuple[RoutePlan, CostBreakdown]:
-    """Score one candidate solution.
+def evaluate_solution(state: SearchState, memo: RouteMemo) -> tuple[RoutePlan, CostBreakdown]:
+    """Score one candidate solution of ``memo``'s pool, instance and policy.
 
     Tasks are partitioned by ``x1``, each locker's list is ordered by window
     start with ``x2`` priority breaking ties, and every route is scheduled
-    under ``policy``, in locker id order. Pure in (state, pool, instance,
-    policy, noise seed). ``memo`` is the noise-free ``RouteMemo`` of this
-    pool, instance and policy; without one, a memo is built for the call, a
-    noisy one when ``noise`` is given. A shared memo's route cache is mutated
-    by every call, so calls that share one must not run concurrently. A memo
-    built for another pool, instance or policy is refused, and so is a memo
-    given with ``noise`` or a noisy memo, whose draws would carry over from
-    call to call.
-
-    A call without a memo checks ``state`` with ``validate_state`` and raises
-    ``ShapeError`` on a malformed one. A call with a memo is a
-    solver's own (the ``hqm.Evaluator``, the oracle's re-score), whose states
-    are built well-formed, so it does not check them: a malformed state there
-    may raise another error or score a wrong plan.
+    through ``memo``, in locker id order. Every call changes the memo's route
+    cache, or a noisy memo's draws, which go on from call to call; calls that
+    share a memo must not run concurrently. ``state`` is not checked: check a
+    state from outside with ``state.validate_state`` first, as ``mplq
+    validate`` does, since a malformed one may raise or score a wrong plan.
     """
-    if memo is None:
-        memo = RouteMemo(pool, instance, policy, noise)
-        validate_state(state, len(pool.tasks), instance.fleet.max_lockers)
-    elif not (isinstance(memo, RouteMemo) and memo.serves(pool, instance, policy)):
-        raise ParameterError("the route memo was built for another pool, instance or policy")
-    elif noise is not None or memo.noise is not None:
-        raise ParameterError("a route memo cannot be used with travel noise")
-
+    pool = memo.pool
     # x2 lists the tasks in priority order, so a stable sort by window start
     # breaks equal starts by priority; dealing in that order sorts every locker.
     # Without equal starts that sort is the pool's one start order, whatever x2.
@@ -368,7 +347,7 @@ def evaluate_solution(state: SearchState, pool: TaskPool, instance: Instance,
             total_distance += route.distance_km
 
     plan = _record(RoutePlan, (tuple(lockers), tuple(routes), total_distance))
-    return plan, compute_cost(len(lockers), total_distance, instance)
+    return plan, compute_cost(len(lockers), total_distance, memo.instance)
 
 
 def hold_can_apply(pool: TaskPool, instance: Instance) -> bool:

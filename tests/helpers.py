@@ -10,7 +10,8 @@ from mplq.errors import ParameterError
 from mplq.hqm import Stream
 from mplq.instance import (Customer, CustomerLocation, FleetSpec, Instance,
                            ParkingSpace, Position, TimeWindow)
-from mplq.routing import AdjustmentPolicy, LockerRoute, RouteMemo, TravelNoise, schedule_route
+from mplq.routing import (AdjustmentPolicy, CostBreakdown, LockerRoute, RouteMemo, RoutePlan,
+                          TravelNoise, evaluate_solution, schedule_route)
 from mplq.state import SearchState
 from mplq.taskgen import Task, TaskPool
 
@@ -70,6 +71,12 @@ def schedule_tasks(tasks: Sequence[Task], instance: Instance, policy: Adjustment
     """
     memo = RouteMemo(make_pool(tasks), instance, policy, noise)
     return schedule_route(memo, task_ids=list(range(len(tasks))))
+
+
+def evaluate(state: SearchState, pool: TaskPool, inst: Instance, policy: AdjustmentPolicy,
+             noise: Optional[TravelNoise] = None) -> tuple[RoutePlan, CostBreakdown]:
+    """``state`` scored through a fresh ``RouteMemo(pool, inst, policy, noise)``."""
+    return evaluate_solution(state, RouteMemo(pool, inst, policy, noise))
 
 
 def random_hold_pool(rng: np.random.Generator) -> tuple[Instance, TaskPool]:

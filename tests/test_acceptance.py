@@ -15,11 +15,10 @@ from mplq.hqm import QMatrices, has_converged, run_hqm, update_q
 from mplq.instance import (GeneratorConfig, Position, assign_customers,
                            generate_instance)
 from mplq.oracle import brute_force_best
-from mplq.routing import (Adjustment, AdjustmentPolicy, check_feasibility,
-                          compute_delay, evaluate_solution)
+from mplq.routing import Adjustment, AdjustmentPolicy, check_feasibility, compute_delay
 from mplq.state import BudgetProfile
 from mplq.taskgen import build_tasks
-from helpers import (make_instance, make_pool, make_space, make_state, make_task,
+from helpers import (evaluate, make_instance, make_pool, make_space, make_state, make_task,
                      schedule_tasks, travel_time)
 
 DESK_AGENTS = 20
@@ -94,8 +93,8 @@ def _nine_locker_reward(total_distance: float) -> float:
     spaces = [make_space(k, d, 0.0, service_time=5.0) for k in range(1, 10)]
     inst = make_instance(spaces, max_lockers=9)
     pool = make_pool([make_task(k, window=(0, 1440)) for k in range(1, 10)])
-    plan, cost = evaluate_solution(make_state(list(range(9)), list(range(9))),
-                                   pool, inst, AdjustmentPolicy.HCPS)
+    plan, cost = evaluate(make_state(list(range(9)), list(range(9))),
+                          pool, inst, AdjustmentPolicy.HCPS)
     assert plan.lockers_dispatched == 9
     assert plan.total_distance == pytest.approx(total_distance, abs=1e-9)
     return cost.reward
@@ -283,8 +282,7 @@ def test_criterion_7_feasibility(tiny_suite, cell_suite):
             best, plan, _ = r[key]
             soft_total += _assert_feasible(best, plan, r["pool"], r["instance"])
             checked += 1
-        oracle_plan, _ = evaluate_solution(r["oracle_state"], r["pool"], r["instance"],
-                                           r["policy"])
+        oracle_plan, _ = evaluate(r["oracle_state"], r["pool"], r["instance"], r["policy"])
         soft_total += _assert_feasible(r["oracle_state"], oracle_plan, r["pool"],
                                        r["instance"])
         checked += 1

@@ -105,6 +105,27 @@ def test_solve_reads_solver_config_file(instance_file, tmp_path, capsys):
     assert "policy=hcps" in line and "seed=9" in line
 
 
+@pytest.mark.parametrize("config, message", [
+    ({"agents": 2.9}, "agents must be an integer, got 2.9"),
+    ({"timesteps": "3"}, "timesteps must be an integer, got '3'"),
+    ({"seed": True}, "seed must be an integer, got True"),
+    ({"agents": 2.9, "timesteps": "3", "seed": True}, "agents must be an integer, got 2.9"),
+    ({"gamma": "0.9"}, "gamma must be a number, got '0.9'"),
+    ({"tol": False}, "tol must be a number, got False"),
+], ids=["fractional agents", "string timesteps", "bool seed", "all three", "string gamma",
+        "bool tol"])
+def test_solve_refuses_a_config_number_of_the_wrong_kind(instance_file, tmp_path, capsys,
+                                                          config, message):
+    cfg, out_dir = tmp_path / "solver.json", tmp_path / "cfg"
+    cfg.write_text(json.dumps({"agents": 2, "timesteps": 2, **config}))
+    code = run_cli(["solve", "--instance", str(instance_file), "--config", str(cfg),
+                    "--out-dir", str(out_dir)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.splitlines() == [f"error: {cfg}: bad solver config value: {message}"]
+    assert captured.out == "" and not out_dir.exists()
+
+
 def test_solve_rejects_unknown_config_keys(instance_file, tmp_path, capsys):
     cfg = tmp_path / "solver.json"
     cfg.write_text(json.dumps({"agents": 6, "learning": "deep"}))
@@ -501,6 +522,10 @@ _INVALID_INSTANCES = {
     "space id 0": _set("spaces", 0, "id", 0),
     "crawling speed": _set("fleet", "speed", 1e-300),
     "tiny service time": _set("spaces", 0, "service_time", 1e-300),
+    "fractional demand": _set("customers", 0, "demand", 2.7),
+    "bool locker count": _set("fleet", "max_lockers", True),
+    "string capacity": _set("fleet", "capacity", "20"),
+    "string window end": _set("spaces", 0, "window", [600.0, "700"]),
 }
 
 
@@ -674,8 +699,8 @@ def test_run_cli_reuses_one_parser(tmp_path, capsys, monkeypatch):
 
 
 def test_validate_checks_the_state_once_before_scoring_it(tmp_path, capsys, monkeypatch):
-    # evaluate_solution (no memo) checks it before scoring, check_feasibility
-    # as part of its audit; the CLI makes no check of its own
+    # the CLI checks it where it enters, before scoring it, and check_feasibility
+    # as part of its audit; evaluate_solution makes no check of its own
     calls = []
     original = mplq.routing.validate_state
 

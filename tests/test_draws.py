@@ -170,8 +170,7 @@ def test_hits_threshold_is_exact_at_the_drawn_double():
             assert_same_continuation(stream, ref)
 
 
-@pytest.mark.parametrize("epsilon", [None])  # None: a random() threshold per decision
-def test_greedy_is_the_random_calls_it_replaces(epsilon):
+def test_greedy_is_the_random_calls_it_replaces():
     # one-pick chains: the threshold double, then random() < threshold, then
     # on the roulette branch one more double; other draws between decisions
     # move the position and the 32-bit half, and three blocks put refills
@@ -236,8 +235,7 @@ def _reference_picks(ref, argmax, cdfs, row, n):
     return out
 
 
-@pytest.mark.parametrize("epsilon", [None])  # None: a random() threshold per pick
-def test_chain_is_the_picks_it_replaces(epsilon):
+def test_chain_is_the_picks_it_replaces():
     # tables with all-zero rows (their roulette draws integers(width), which
     # reads a 32-bit half), other draws between chains to move the position
     # and the half, and chains long enough to refill inside a chain

@@ -194,8 +194,7 @@ def _random_table(rng, rows, width):
     return _np_normalize_q(_raw_table(rng, rows, width))
 
 
-@pytest.mark.parametrize("epsilon", [None])  # None: a random() threshold per pick
-def test_pick_draws_what_generator_choice_drew(epsilon):
+def test_pick_draws_what_generator_choice_drew():
     # global_construct against the reference construct: same state, same stream
     kinds = set()
     for seed in range(120):
@@ -217,8 +216,7 @@ def test_pick_draws_what_generator_choice_drew(epsilon):
     assert kinds == {"single", "zero", "spread", "pairwise"}
 
 
-@pytest.mark.parametrize("epsilon", [None])  # None: a random() threshold per pick
-def test_pick_table_draws_what_generator_choice_drew(epsilon):
+def test_pick_table_draws_what_generator_choice_drew():
     # one-pick chains from a PickTable's lists against the reference pick
     kinds = set()
     for seed in range(200):
@@ -859,14 +857,14 @@ def test_state_cache_clearing_changes_no_result(monkeypatch):
 
 @pytest.mark.parametrize("policy", [AdjustmentPolicy.BTD, AdjustmentPolicy.HCPS])
 def test_solvers_hand_the_evaluator_only_valid_states(monkeypatch, policy):
-    """The evaluator's ``evaluate_solution`` calls pass a memo and skip ``validate_state``,
-    so every state either solver scores must pass it: on generated pools and on
-    pools with tied starts, where both solvers build ``x2``."""
+    """``evaluate_solution`` does not check states, so every state either solver
+    scores must pass ``validate_state``: on generated pools and on pools with
+    tied starts, where both solvers build ``x2``."""
     reward = hqm.Evaluator.reward
     seen = []
 
-    def checked(self, state):
-        validate_state(state, len(self.pool), self.instance.fleet.max_lockers)
+    def checked(self, state):  # inst and pool: the case the loop below solves
+        validate_state(state, len(pool), inst.fleet.max_lockers)
         seen.append(state)
         return reward(self, state)
 

@@ -225,6 +225,47 @@ def test_load_refuses_an_integer_too_long_to_parse(tmp_path):
         load_instance(path)
 
 
+# (field path, value, the parse error): an integer field takes only a JSON
+# integer, a number field a JSON integer or float; never a bool or a string.
+_WRONG_KIND = [
+    (("customers", 0, "demand"), 2.7, "customers[0]: field 'demand' must be an integer, got 2.7"),
+    (("spaces", 0, "id"), True, "spaces[0]: field 'id' must be an integer, got True"),
+    (("spaces", 0, "id"), 1.0, "spaces[0]: field 'id' must be an integer, got 1.0"),
+    (("fleet", "max_lockers"), "3", "fleet: field 'max_lockers' must be an integer, got '3'"),
+    (("fleet", "capacity"), "20", "fleet: field 'capacity' must be a number, got '20'"),
+    (("fleet", "speed"), True, "fleet: field 'speed' must be a number, got True"),
+    (("buffer_min",), "10", "instance: field 'buffer_min' must be a number, got '10'"),
+    (("depot",), ["0", 0], "depot: non-numeric pair ['0', 0]"),
+    (("spaces", 0, "window"), [True, 700], "spaces[0].window: non-numeric pair [True, 700]"),
+    (("weights",), [5, False], "weights: non-numeric pair [5, False]"),
+]
+
+
+@pytest.mark.parametrize("path, value, message", _WRONG_KIND, ids=[
+    f"{'.'.join(map(str, path))}={value!r:.12}" for path, value, _ in _WRONG_KIND])
+def test_load_refuses_a_number_of_the_wrong_kind(tmp_path, path, value, message):
+    data = instance_to_dict(generate_instance(TABLE_CONFIG))
+    parent = data
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    inst_path = tmp_path / "inst.json"
+    inst_path.write_text(json.dumps(data))
+    with pytest.raises(InstanceFormatError) as err:
+        load_instance(inst_path)
+    assert str(err.value).startswith(message)
+
+
+def test_load_reads_an_integer_in_a_number_field_as_a_float(tmp_path):
+    data = instance_to_dict(generate_instance(TABLE_CONFIG))
+    data["fleet"]["capacity"], data["depot"] = 20, [0, 1]
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(data))
+    inst = load_instance(path)
+    assert type(inst.fleet.capacity) is float and inst.fleet.capacity == 20.0
+    assert type(inst.depot.y) is float and inst.depot.y == 1.0
+
+
 def test_validate_clean_instance():
     inst = generate_instance(TABLE_CONFIG)
     assert validate_instance(inst).violations == ()

@@ -13,7 +13,7 @@ from mplq.routing import (Adjustment, AdjustmentPolicy, RouteMemo, evaluate_solu
                           schedule_route)
 from mplq.state import effective_locker_count
 from mplq.taskgen import TaskPool, build_tasks
-from helpers import make_instance, make_pool, make_space, make_state, make_task
+from helpers import evaluate, make_instance, make_pool, make_space, make_state, make_task
 
 
 def test_single_task_single_locker():
@@ -35,12 +35,11 @@ def test_oracle_accepts_max_tasks():
     inst, pool = _generated(8, 10, 3)
     assert len(pool) == oracle.MAX_TASKS
     best, reward = brute_force_best(pool, inst, AdjustmentPolicy.HCPS)
-    _, cost = evaluate_solution(best, pool, inst, AdjustmentPolicy.HCPS)
+    _, cost = evaluate(best, pool, inst, AdjustmentPolicy.HCPS)
     assert best.reward == reward == cost.reward
     n = len(pool)
     for x1 in ([0] * n, list(range(n))):  # one locker, and one locker per task
-        _, other = evaluate_solution(make_state(x1, range(n)), pool, inst,
-                                     AdjustmentPolicy.HCPS)
+        _, other = evaluate(make_state(x1, range(n)), pool, inst, AdjustmentPolicy.HCPS)
         assert other.reward <= reward
 
 
@@ -90,7 +89,7 @@ def test_tie_break_is_lexicographically_smallest():
     for x1 in itertools.product(range(2), repeat=2):
         for x2 in itertools.permutations(range(2)):
             state = make_state(list(x1), list(x2))
-            _, cost = evaluate_solution(state, pool, inst, AdjustmentPolicy.HCPS)
+            _, cost = evaluate(state, pool, inst, AdjustmentPolicy.HCPS)
             if cost.reward == reward:
                 equal.append((x1, tuple(x2)))
     assert (tuple(best.x1), tuple(best.x2)) == min(equal)
@@ -105,8 +104,7 @@ def test_oracle_dominates_any_state():
     import itertools
     for x1 in itertools.product(range(2), repeat=3):
         for x2 in itertools.permutations(range(3)):
-            _, cost = evaluate_solution(make_state(list(x1), list(x2)), pool, inst,
-                                        AdjustmentPolicy.BTD)
+            _, cost = evaluate(make_state(list(x1), list(x2)), pool, inst, AdjustmentPolicy.BTD)
             assert cost.reward <= opt + 1e-15
 
 
@@ -130,7 +128,7 @@ def _reference_best(pool, inst, policy, orders=None):
     memo = RouteMemo(pool, inst, policy)
     for x1 in itertools.product(range(lockers), repeat=n):
         for x2 in orders or itertools.permutations(range(n)):
-            _, cost = evaluate_solution(make_state(x1, x2), pool, inst, policy, memo=memo)
+            _, cost = evaluate_solution(make_state(x1, x2), memo)
             if cost.reward > best_reward:
                 best, best_reward = (x1, tuple(x2)), cost.reward
     return best, best_reward
@@ -155,7 +153,7 @@ def _first_use_enumeration(pool, inst, policy):
         if any(x1[t] > max(x1[:t], default=-1) + 1 for t in range(n)):
             continue  # renames the lockers of a first-use allocation
         for x2 in orders:
-            _, cost = evaluate_solution(make_state(x1, x2), pool, inst, policy, memo=memo)
+            _, cost = evaluate_solution(make_state(x1, x2), memo)
             if cost.reward > best_reward:
                 best, best_reward = (x1, x2), cost.reward
     return best, best_reward

@@ -13,9 +13,9 @@ from mplq.routing import (Adjustment, AdjustmentPolicy, CostBreakdown, LockerRou
                           compute_delay, evaluate_solution, hold_can_apply, schedule_route)
 from mplq.bench import write_plan_csv
 from mplq.routing import _ROUTE_MEMO_LIMIT
-from mplq.state import effective_locker_count
+from mplq.state import effective_locker_count, validate_state
 from mplq.taskgen import build_tasks
-from helpers import (make_instance, make_pool, make_space, make_state, make_task,
+from helpers import (evaluate, make_instance, make_pool, make_space, make_state, make_task,
                      random_hold_pool, schedule_tasks, travel_time)
 
 
@@ -59,7 +59,7 @@ def test_single_task_route_cost():
     inst = make_instance([sp], max_lockers=1)
     pool = make_pool([make_task(1, window=(0, 1440), members=((0, 0.0),))])
     state = make_state([0], [0])
-    plan, cost = evaluate_solution(state, pool, inst, AdjustmentPolicy.BTD)
+    plan, cost = evaluate(state, pool, inst, AdjustmentPolicy.BTD)
     assert plan.lockers_dispatched == 1
     assert plan.total_distance == pytest.approx(10.0)
     assert cost.objective == pytest.approx(15.0)
@@ -70,8 +70,7 @@ def test_zero_distance_route_pays_fleet_cost_only():
     sp = make_space(1, 0.0, 0.0, window=(0, 1440), service_time=30.0)
     inst = make_instance([sp], max_lockers=1)
     pool = make_pool([make_task(1, window=(0, 1440))])
-    plan, cost = evaluate_solution(make_state([0], [0]), pool, inst,
-                                   AdjustmentPolicy.HCPS)
+    plan, cost = evaluate(make_state([0], [0]), pool, inst, AdjustmentPolicy.HCPS)
     assert plan.total_distance == 0.0
     assert cost.objective == pytest.approx(5.0)
     assert cost.reward == pytest.approx(0.2)
@@ -132,8 +131,8 @@ def test_hold_can_apply_when_a_window_outlasts_its_service_time():
     pool = make_pool([make_task(1, window=(0, 200)), make_task(2, window=(150, 350))])
     assert hold_can_apply(pool, inst)
     state = make_state([0, 0], [0, 1])
-    hold, _ = evaluate_solution(state, pool, inst, AdjustmentPolicy.HCPS)
-    detour, _ = evaluate_solution(state, pool, inst, AdjustmentPolicy.BTD)
+    hold, _ = evaluate(state, pool, inst, AdjustmentPolicy.HCPS)
+    detour, _ = evaluate(state, pool, inst, AdjustmentPolicy.BTD)
     assert hold != detour
 
 
@@ -163,8 +162,8 @@ def test_generated_pools_plan_identically_under_both_policies(sigma):
         noise = TravelNoise(sigma=sigma, seed=1) if sigma else None
         for _ in range(5):
             state = make_state(rng.integers(0, lockers, size=n), rng.permutation(n))
-            btd = evaluate_solution(state, pool, inst, AdjustmentPolicy.BTD, noise=noise)
-            hcps = evaluate_solution(state, pool, inst, AdjustmentPolicy.HCPS, noise=noise)
+            btd = evaluate(state, pool, inst, AdjustmentPolicy.BTD, noise=noise)
+            hcps = evaluate(state, pool, inst, AdjustmentPolicy.HCPS, noise=noise)
             assert hcps == btd
             detours += sum(v.adjustment is Adjustment.BTD for v in btd[0].all_visits())
     assert detours > 0
@@ -430,10 +429,11 @@ def test_scheduler_matches_the_reference_on_generated_pools(policy, sigma):
         n = len(pool)
         lockers = min(3, effective_locker_count(inst.fleet.max_lockers, n))
         noise = TravelNoise(sigma=sigma, seed=5) if sigma else None
-        memo = None if noise else RouteMemo(pool, inst, policy)  # shared: hits included
+        shared = RouteMemo(pool, inst, policy)  # noise-free: hits included
         for _ in range(8):
             state = make_state(rng.integers(0, lockers, size=n), rng.permutation(n))
-            plan, _ = evaluate_solution(state, pool, inst, policy, noise=noise, memo=memo)
+            memo = RouteMemo(pool, inst, policy, noise) if noise else shared
+            plan, _ = evaluate_solution(state, memo)
             want = _reference_plan(state, pool, inst, policy, noise)
             assert [_reprs(r) for r in plan.routes] == [_reprs(r) for r in want]
             adjustments.update(v.adjustment for r in want for v in r.visits)
@@ -475,10 +475,10 @@ def test_x2_orders_only_tied_starts(policy):
         lockers = min(3, effective_locker_count(inst.fleet.max_lockers, n))
         for _ in range(6):
             x1 = rng.integers(0, lockers, size=n)
-            first = evaluate_solution(make_state(x1, rng.permutation(n)), pool, inst, policy)
+            first = evaluate(make_state(x1, rng.permutation(n)), pool, inst, policy)
             for _ in range(3):
                 state = make_state(x1, rng.permutation(n))
-                assert evaluate_solution(state, pool, inst, policy) == first
+                assert evaluate(state, pool, inst, policy) == first
     # with tied starts, x2 still orders them: plans match the sorted decode and move with x2
     tied = moved = 0
     for _ in range(30):
@@ -493,7 +493,7 @@ def test_x2_orders_only_tied_starts(policy):
             plans = []
             for _ in range(2):
                 state = make_state(x1, rng.permutation(n))
-                plan, _ = evaluate_solution(state, pool, inst, policy, memo=memo)
+                plan, _ = evaluate_solution(state, memo)
                 want = _reference_plan(state, pool, inst, policy, None)
                 assert [_reprs(r) for r in plan.routes] == [_reprs(r) for r in want]
                 plans.append(plan)
@@ -517,12 +517,13 @@ def test_decode_schedules_each_dispatched_locker_once_in_id_order(monkeypatch, m
     gaps = 0
     for inst, pool in cases:
         n = len(pool)
-        shared = RouteMemo(pool, inst, AdjustmentPolicy.HCPS) if memo else None
+        shared = RouteMemo(pool, inst, AdjustmentPolicy.HCPS)
         for _ in range(6):
             lockers = effective_locker_count(inst.fleet.max_lockers, n)
             state = make_state(rng.integers(0, lockers, size=n), rng.permutation(n))
             calls.clear()
-            plan, cost = evaluate_solution(state, pool, inst, AdjustmentPolicy.HCPS, memo=shared)
+            plan, cost = evaluate_solution(
+                state, shared if memo else RouteMemo(pool, inst, AdjustmentPolicy.HCPS))
             by_locker = {}
             for t in sorted(state.x2, key=pool.starts.__getitem__):
                 by_locker.setdefault(state.x1[t], []).append(t)
@@ -608,8 +609,7 @@ def _two_task_setup():
 
 def test_evaluate_partitions_by_allocation():
     inst, pool = _two_task_setup()
-    plan, cost = evaluate_solution(make_state([0, 1], [0, 1]), pool, inst,
-                                   AdjustmentPolicy.HCPS)
+    plan, cost = evaluate(make_state([0, 1], [0, 1]), pool, inst, AdjustmentPolicy.HCPS)
     assert plan.lockers_dispatched == 2
     assert plan.lockers == (0, 1)
     assert plan.total_distance == pytest.approx(2.0 + 4.0)
@@ -619,8 +619,7 @@ def test_evaluate_partitions_by_allocation():
 def test_evaluate_orders_by_priority_then_window_start():
     inst, pool = _two_task_setup()
     # Both tasks on one locker; x2 puts task 1 first, but window sort restores 0, 1.
-    plan, _ = evaluate_solution(make_state([0, 0], [1, 0]), pool, inst,
-                                AdjustmentPolicy.HCPS)
+    plan, _ = evaluate(make_state([0, 0], [1, 0]), pool, inst, AdjustmentPolicy.HCPS)
     assert [v.task_id for v in plan.routes[0].visits] == [0, 1]
 
 
@@ -629,33 +628,27 @@ def test_evaluate_x2_breaks_ties_between_equal_window_starts():
               make_space(2, 0.0, 1.0, service_time=20.0)]
     inst = make_instance(spaces, max_lockers=2)
     pool = make_pool([make_task(1, window=(0, 20)), make_task(2, window=(0, 20))])
-    plan, _ = evaluate_solution(make_state([0, 0], [1, 0]), pool, inst,
-                                AdjustmentPolicy.HCPS)
+    plan, _ = evaluate(make_state([0, 0], [1, 0]), pool, inst, AdjustmentPolicy.HCPS)
     assert [v.task_id for v in plan.routes[0].visits] == [1, 0]
 
 
 def test_evaluate_rejects_malformed_states():
     inst, pool = _two_task_setup()
-    with pytest.raises(ShapeError):
-        evaluate_solution(make_state([0], [0]), pool, inst, AdjustmentPolicy.BTD)
-    with pytest.raises(ShapeError):
-        evaluate_solution(make_state([0, 99], [0, 1]), pool, inst, AdjustmentPolicy.BTD)
-    with pytest.raises(ShapeError):
-        evaluate_solution(make_state([0, 0], [0, 0]), pool, inst, AdjustmentPolicy.BTD)
+    for state in (make_state([0], [0]), make_state([0, 99], [0, 1]), make_state([0, 0], [0, 0])):
+        with pytest.raises(ShapeError):
+            validate_state(state, len(pool), inst.fleet.max_lockers)
 
 
 def test_reward_objective_reciprocal():
     inst, pool = _two_task_setup()
     for x1 in ([0, 0], [0, 1], [1, 1]):
-        _, cost = evaluate_solution(make_state(x1, [0, 1]), pool, inst,
-                                    AdjustmentPolicy.BTD)
+        _, cost = evaluate(make_state(x1, [0, 1]), pool, inst, AdjustmentPolicy.BTD)
         assert cost.reward * cost.objective == pytest.approx(1.0, rel=1e-12)
 
 
 def test_total_distance_matches_independent_recompute():
     inst, pool = _two_task_setup()
-    plan, _ = evaluate_solution(make_state([0, 0], [0, 1]), pool, inst,
-                                AdjustmentPolicy.HCPS)
+    plan, _ = evaluate(make_state([0, 0], [0, 1]), pool, inst, AdjustmentPolicy.HCPS)
     total = 0.0
     for route in plan.routes:
         prev = inst.depot
@@ -675,8 +668,7 @@ def test_load_never_exceeds_capacity_after_adjustment():
     inst = make_instance(spaces, capacity=10.0, max_lockers=1)
     pool = make_pool([make_task(k, window=(10.0 * k, 10.0 * k + 5.0), demand=6)
                       for k in range(1, 6)])
-    plan, _ = evaluate_solution(make_state([0] * 5, list(range(5))), pool, inst,
-                                AdjustmentPolicy.BTD)
+    plan, _ = evaluate(make_state([0] * 5, list(range(5))), pool, inst, AdjustmentPolicy.BTD)
     for v in plan.routes[0].visits:
         assert v.load_after <= 10.0
 
@@ -688,8 +680,8 @@ def test_table_reward_values():
         spaces = [make_space(k, d, 0.0, service_time=5.0) for k in range(1, 10)]
         inst = make_instance(spaces, max_lockers=9)
         pool = make_pool([make_task(k, window=(0, 1440)) for k in range(1, 10)])
-        plan, cost = evaluate_solution(make_state(list(range(9)), list(range(9))),
-                                       pool, inst, AdjustmentPolicy.HCPS)
+        plan, cost = evaluate(make_state(list(range(9)), list(range(9))),
+                              pool, inst, AdjustmentPolicy.HCPS)
         assert plan.lockers_dispatched == 9
         assert plan.total_distance == pytest.approx(distance)
         assert abs(cost.reward - printed) <= 2e-6
@@ -698,11 +690,11 @@ def test_table_reward_values():
 def test_travel_noise_is_seeded_and_leaves_cost_geometric():
     inst, pool = _two_task_setup()
     state = make_state([0, 0], [0, 1])
-    base, base_cost = evaluate_solution(state, pool, inst, AdjustmentPolicy.HCPS)
-    noisy1, cost1 = evaluate_solution(state, pool, inst, AdjustmentPolicy.HCPS,
-                                      noise=TravelNoise(sigma=0.5, seed=9))
-    noisy2, _ = evaluate_solution(state, pool, inst, AdjustmentPolicy.HCPS,
-                                  noise=TravelNoise(sigma=0.5, seed=9))
+    base, base_cost = evaluate(state, pool, inst, AdjustmentPolicy.HCPS)
+    noisy1, cost1 = evaluate(state, pool, inst, AdjustmentPolicy.HCPS,
+                             noise=TravelNoise(sigma=0.5, seed=9))
+    noisy2, _ = evaluate(state, pool, inst, AdjustmentPolicy.HCPS,
+                         noise=TravelNoise(sigma=0.5, seed=9))
     assert noisy1 == noisy2
     assert noisy1.total_distance == base.total_distance  # cost is geometric
     assert cost1.reward == base_cost.reward
@@ -748,8 +740,8 @@ def test_route_memo_returns_the_memo_free_plan(policy):
             state = _next_state(rng, states, n, lockers)
             states.append(state)
             before = dict(memo.routes)
-            got = evaluate_solution(state, pool, inst, policy, memo=memo)
-            assert got == evaluate_solution(state, pool, inst, policy)
+            got = evaluate_solution(state, memo)
+            assert got == evaluate(state, pool, inst, policy)
             evaluations += 1
             assert len(memo.routes) <= _ROUTE_MEMO_LIMIT
             evicted = sum(memo.routes.get(key) is not route for key, route in before.items())
@@ -795,20 +787,16 @@ def test_route_memo_evicts_the_least_recently_used_route(monkeypatch):
     assert schedule([1]) == routes[(1,)]  # an evicted route is scheduled again, equal
 
 
-def test_route_memo_is_refused_with_travel_noise():
+def test_a_noisy_memo_draws_go_on_from_call_to_call():
+    # a noisy memo's draws continue from one evaluation to the next; a fresh
+    # memo per call scores a state as the first call on a shared one did
     inst, pool = _two_task_setup()
-    with pytest.raises(ParameterError):
-        evaluate_solution(make_state([0, 0], [0, 1]), pool, inst, AdjustmentPolicy.HCPS,
-                          noise=TravelNoise(sigma=0.5, seed=9),
-                          memo=RouteMemo(pool, inst, AdjustmentPolicy.HCPS))
-
-
-def test_a_noisy_route_memo_is_refused():
-    inst, pool = _two_task_setup()
-    noisy = RouteMemo(pool, inst, AdjustmentPolicy.HCPS, TravelNoise(sigma=0.5, seed=9))
-    with pytest.raises(ParameterError, match="travel noise"):
-        evaluate_solution(make_state([0, 0], [0, 1]), pool, inst, AdjustmentPolicy.HCPS,
-                          memo=noisy)
+    state, noise = make_state([0, 0], [0, 1]), TravelNoise(sigma=0.5, seed=9)
+    shared = RouteMemo(pool, inst, AdjustmentPolicy.HCPS, noise)
+    first, second = evaluate_solution(state, shared), evaluate_solution(state, shared)
+    assert first != second
+    assert evaluate(state, pool, inst, AdjustmentPolicy.HCPS, noise) == first
+    assert evaluate(state, pool, inst, AdjustmentPolicy.HCPS, noise) == first
 
 
 def test_a_noisy_route_memo_caches_no_route():
@@ -873,12 +861,12 @@ def test_zero_sigma_noise_plans_the_noise_free_bits(policy):
     for inst, pool in [random_hold_pool(rng) for _ in range(12)]:
         n = len(pool)
         memo = RouteMemo(pool, inst, policy, TravelNoise(sigma=0.0, seed=3))
-        assert memo.noise is None and memo.routes == {}
+        assert memo.draw is None and memo.routes == {}
         for _ in range(4):
             state = make_state(rng.integers(0, 3, size=n), rng.permutation(n))
-            plan, cost = evaluate_solution(state, pool, inst, policy,
-                                           noise=TravelNoise(sigma=0.0, seed=3))
-            want, want_cost = evaluate_solution(state, pool, inst, policy)
+            plan, cost = evaluate(state, pool, inst, policy,
+                                  noise=TravelNoise(sigma=0.0, seed=3))
+            want, want_cost = evaluate(state, pool, inst, policy)
             assert [_reprs(r) for r in plan.routes] == [_reprs(r) for r in want.routes]
             assert repr(cost) == repr(want_cost)
 
@@ -907,7 +895,7 @@ def test_the_hot_path_returns_real_records(policy, sigma):
         memo = RouteMemo(pool, inst, policy, noise)
         for _ in range(6):
             state = make_state(rng.integers(0, 3, size=n), rng.permutation(n))
-            plan, cost = evaluate_solution(state, pool, inst, policy, noise=noise)
+            plan, cost = evaluate(state, pool, inst, policy, noise=noise)
             assert type(plan) is RoutePlan and type(cost) is CostBreakdown
             _assert_built_as_by_the_class(plan, RoutePlan(
                 plan.lockers, tuple(map(_rebuilt_route, plan.routes)), plan.total_distance))
@@ -935,28 +923,7 @@ def test_evaluate_refuses_a_speed_that_is_not_positive(speed):
     spaces = [make_space(1, 1.0, 0.0), make_space(2, 0.0, 2.0)]
     inst = make_instance(spaces, max_lockers=2, speed=speed)
     with pytest.raises(ParameterError, match="speed"):
-        evaluate_solution(make_state([0, 1], [0, 1]), pool, inst, AdjustmentPolicy.BTD)
-
-
-def test_route_memo_of_another_pool_instance_or_policy_is_refused():
-    inst, pool = _two_task_setup()
-    state = make_state([0, 0], [0, 1])
-    other_pool = make_pool([make_task(2, window=(0, 20)), make_task(1, window=(100, 120))])
-    other_inst = make_instance(inst.spaces, max_lockers=2, speed=0.5)
-    hcps = AdjustmentPolicy.HCPS
-    # A memo filled on another pool holds a different route under the same key.
-    shared = RouteMemo(other_pool, inst, hcps)
-    evaluate_solution(state, other_pool, inst, hcps, memo=shared)
-    assert shared.routes[(0, 1)] != evaluate_solution(state, pool, inst, hcps)[0].routes[0]
-    for memo in (shared, RouteMemo(pool, other_inst, hcps),
-                 RouteMemo(pool, inst, AdjustmentPolicy.BTD), {}):
-        with pytest.raises(ParameterError, match="route memo"):
-            evaluate_solution(state, pool, inst, hcps, memo=memo)
-    # An equal pool built anew is the same pool: its memo serves it.
-    twin = _two_task_setup()[1]
-    assert twin is not pool
-    assert (evaluate_solution(state, pool, inst, hcps, memo=RouteMemo(twin, inst, hcps))
-            == evaluate_solution(state, pool, inst, hcps))
+        RouteMemo(pool, inst, AdjustmentPolicy.BTD)
 
 
 # ---------------------------------------------------------------------------
@@ -1002,7 +969,7 @@ def test_compute_delay_adds_left_to_right():
 def test_feasibility_clean_plan():
     inst, pool = _two_task_setup()
     state = make_state([0, 1], [0, 1])
-    plan, _ = evaluate_solution(state, pool, inst, AdjustmentPolicy.HCPS)
+    plan, _ = evaluate(state, pool, inst, AdjustmentPolicy.HCPS)
     assert check_feasibility(plan, state, pool, inst).ok
 
 
@@ -1011,7 +978,7 @@ def test_feasibility_flags_capacity_violation():
     inst = make_instance([sp], capacity=20.0, max_lockers=1)
     pool = make_pool([make_task(1, demand=21, window=(0, 20))])
     state = make_state([0], [0])
-    plan, _ = evaluate_solution(state, pool, inst, AdjustmentPolicy.BTD)
+    plan, _ = evaluate(state, pool, inst, AdjustmentPolicy.BTD)
     report = check_feasibility(plan, state, pool, inst)
     assert any(v.constraint == "6" and v.severity == "hard" for v in report.violations)
 
@@ -1019,7 +986,7 @@ def test_feasibility_flags_capacity_violation():
 def test_feasibility_flags_duplicate_sequence_entries():
     inst, pool = _two_task_setup()
     state = make_state([0, 1], [0, 1])
-    plan, _ = evaluate_solution(state, pool, inst, AdjustmentPolicy.HCPS)
+    plan, _ = evaluate(state, pool, inst, AdjustmentPolicy.HCPS)
     bad = make_state([0, 1], [0, 0])  # task 0 twice, task 1 missing
     report = check_feasibility(plan, bad, pool, inst)
     assert any(v.constraint == "2-3" for v in report.violations)
@@ -1028,7 +995,7 @@ def test_feasibility_flags_duplicate_sequence_entries():
 def test_feasibility_reports_malformed_state_once():
     inst, pool = _two_task_setup()
     state = make_state([0, 1], [0, 1])
-    plan, _ = evaluate_solution(state, pool, inst, AdjustmentPolicy.HCPS)
+    plan, _ = evaluate(state, pool, inst, AdjustmentPolicy.HCPS)
     for bad in (make_state([0], [0]), make_state([0, 99], [0, 1])):
         report = check_feasibility(plan, bad, pool, inst)
         assert [(v.constraint, v.entity, v.severity) for v in report.violations] \
@@ -1041,7 +1008,7 @@ def test_feasibility_soft_lateness_matches_recorded():
     inst = make_instance(spaces, speed=0.7, max_lockers=1)
     pool = make_pool([make_task(1, window=(0, 10)), make_task(2, window=(10, 20))])
     state = make_state([0, 0], [0, 1])
-    plan, _ = evaluate_solution(state, pool, inst, AdjustmentPolicy.HCPS)
+    plan, _ = evaluate(state, pool, inst, AdjustmentPolicy.HCPS)
     assert compute_delay(plan)[0] > 0
     report = check_feasibility(plan, state, pool, inst)
     assert not report.hard()
@@ -1053,7 +1020,7 @@ def test_feasibility_soft_lateness_matches_recorded():
 def test_plan_csv_export(tmp_path):
     inst, pool = _two_task_setup()
     state = make_state([0, 0], [0, 1])
-    plan, _ = evaluate_solution(state, pool, inst, AdjustmentPolicy.BTD)
+    plan, _ = evaluate(state, pool, inst, AdjustmentPolicy.BTD)
     path = tmp_path / "plan.csv"
     write_plan_csv(plan, pool, path, header_comment="config test")
     lines = path.read_text().strip().splitlines()
@@ -1065,7 +1032,7 @@ def test_plan_csv_export(tmp_path):
         ("0", "0", "0", "1", "none"), ("0", "1", "1", "0", "btd"),
         ("0", "2", "0", "2", "btd"), ("0", "3", "2", "0", "none")]
     # each locker's legs count from 0
-    plan, _ = evaluate_solution(make_state([0, 1], [0, 1]), pool, inst, AdjustmentPolicy.BTD)
+    plan, _ = evaluate(make_state([0, 1], [0, 1]), pool, inst, AdjustmentPolicy.BTD)
     write_plan_csv(plan, pool, path)
     assert [ln.split(",")[:4] for ln in path.read_text().splitlines()[1:]] == [
         ["0", "0", "0", "1"], ["0", "1", "1", "0"], ["1", "0", "0", "2"], ["1", "1", "2", "0"]]
