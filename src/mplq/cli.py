@@ -1,12 +1,13 @@
 """Command-line driver: generate, solve, validate, oracle, bench, sweep.
 
-generate, solve, bench and sweep take a non-negative --seed (falling back to
-the MPLQ_SEED environment variable, then 0); the other two commands draw no
-random numbers.
+Each setting has one source, its flag, and each default is set once, in the
+parser. generate, solve, bench and sweep take a non-negative --seed (default
+0); the other two commands draw no random numbers.
 solve's plan.csv, history.csv, metrics.txt and solution.json, bench's
-grid.csv and sweep's sweep.csv record the resolved configuration, so any run
-can be reproduced from its artifacts. A final machine-readable RESULT line of
-key=value pairs is printed on success.
+grid.csv and sweep's sweep.csv start with a ``config`` line of every
+setting the run used, defaults included, so any run can be reproduced from
+its artifacts. A final machine-readable RESULT line of key=value pairs is
+printed on success.
 
 Exit codes: 0 success, 1 infeasible result or refused computation, 2 usage,
 file-parse or invalid-instance error.
@@ -19,7 +20,6 @@ import functools
 import json
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -31,8 +31,8 @@ from .errors import (ConfigurationError, InstanceFormatError, MplqError,
 # still wraps these two bindings by name, so they stay imported here.
 from .ga import run_ga  # noqa: F401
 from .hqm import GAMMA, TOL, run_hqm  # noqa: F401
-from .instance import (GeneratorConfig, assign_customers, generate_instance, json_float,
-                       json_int, load_instance, save_instance, validate_instance)
+from .instance import (GeneratorConfig, assign_customers, generate_instance, load_instance,
+                       save_instance, validate_instance)
 from .oracle import brute_force_best
 from .routing import (AdjustmentPolicy, RouteMemo, TravelNoise, check_feasibility,
                       compute_delay, evaluate_solution)
@@ -44,26 +44,15 @@ EXIT_INFEASIBLE = 1
 EXIT_USAGE = 2
 
 
-def _resolve_seed(value: Optional[int], source: str = "--seed") -> int:
-    """``value`` (named ``source`` in errors), else MPLQ_SEED, else 0."""
-    if value is None:
-        env = os.environ.get("MPLQ_SEED")
-        if env is None:
-            return 0
-        source = "MPLQ_SEED"
-        try:
-            value = int(env)
-        except ValueError:
-            raise ConfigurationError(f"MPLQ_SEED must be an integer, got {env!r}")
-    if value < 0:
-        raise ConfigurationError(f"{source} must be a non-negative integer, got {value}")
-    return value
+def _check_seed(seed: int) -> int:
+    if seed < 0:
+        raise ConfigurationError(f"--seed must be a non-negative integer, got {seed}")
+    return seed
 
 
-def _config_line(args: argparse.Namespace, seed: int) -> str:
-    pairs = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
-    pairs["seed"] = seed
-    return "config " + " ".join(f"{k}={v}" for k, v in pairs.items())
+def _config_line(args: argparse.Namespace) -> str:
+    return "config " + " ".join(f"{k}={v}" for k, v in sorted(vars(args).items())
+                                if k != "func")
 
 
 def _print_result(**pairs) -> None:
@@ -118,20 +107,18 @@ def _output_path(path: str, is_dir: bool, files: Sequence[str] = ()) -> Path:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    seed = _resolve_seed(args.seed)
+    seed = _check_seed(args.seed)
     out = _output_path(args.out, is_dir=False)
-    config = GeneratorConfig(
+    instance = generate_instance(GeneratorConfig(
         num_spaces=args.spaces,
         locations_per_space=args.locations,
         service_radius=args.service_radius,
         seed=seed,
         capacity=args.capacity,
         locker_speed=args.speed,
+        max_lockers=args.max_lockers,
         buffer_min=args.buffer,
-    )
-    if args.max_lockers is not None:
-        config = replace(config, max_lockers=args.max_lockers)
-    instance = generate_instance(config)
+    ))
     report = validate_instance(instance)
     if not report.ok:
         for v in report.violations:
@@ -160,66 +147,24 @@ def _prepare(instance):
     return assignment, build_tasks(instance, assignment)
 
 
-# Solver config file keys and the reading each value must pass, given the value and its key.
-_SOLVER_CONFIG_KEYS = {"agents": json_int, "timesteps": json_int, "gamma": json_float,
-                       "tol": json_float, "seed": json_int,
-                       "policy": lambda v, _: AdjustmentPolicy.parse(str(v))}
-
-
-def _load_solver_config(path: Optional[str]) -> dict:
-    """Solver config file: JSON with keys agents, timesteps, gamma, tol, seed, policy."""
-    if path is None:
-        return {}
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise InstanceFormatError(f"cannot read solver config {path}: {exc}")
-    except json.JSONDecodeError as exc:
-        raise InstanceFormatError(
-            f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}")
-    except ValueError as exc:  # an integer literal too long to convert
-        raise InstanceFormatError(f"{path}: invalid JSON: {exc}")
-    if not isinstance(data, dict):
-        raise InstanceFormatError(f"{path}: solver config must be a JSON object")
-    unknown = sorted(set(data) - set(_SOLVER_CONFIG_KEYS))
-    if unknown:
-        raise InstanceFormatError(f"{path}: unknown solver config keys {unknown}")
-    try:
-        return {key: _SOLVER_CONFIG_KEYS[key](value, key) for key, value in data.items()}
-    except (TypeError, ParameterError) as exc:
-        raise InstanceFormatError(f"{path}: bad solver config value: {exc}")
-
-
 def _cmd_solve(args: argparse.Namespace) -> int:
-    file_cfg = _load_solver_config(args.config)
-
-    def pick(flag, key, default):  # explicit flag, else config file, else default
-        return flag if flag is not None else file_cfg.get(key, default)
-
-    if args.seed is None and "seed" in file_cfg:
-        seed = _resolve_seed(file_cfg["seed"], f"{args.config}: seed")
-    else:
-        seed = _resolve_seed(args.seed)
+    seed = _check_seed(args.seed)
     noise = TravelNoise(sigma=args.noise_sigma, seed=seed)  # refuses a bad sigma before solving
-    desk = BudgetProfile.desk()
-    budget = BudgetProfile(agents=pick(args.agents, "agents", desk.agents),
-                           iterations=pick(args.iters, "timesteps", desk.iterations))
-    policy = (AdjustmentPolicy.parse(args.policy) if args.policy is not None
-              else file_cfg.get("policy", AdjustmentPolicy.HCPS))
+    budget = BudgetProfile(agents=args.agents, iterations=args.iters)
+    policy = AdjustmentPolicy.parse(args.policy)
     out_dir = _output_path(args.out_dir, is_dir=True, files=(
         "plan.csv", "history.csv", "tasks.csv", "assignment.csv", "solution.json", "metrics.txt"))
 
     instance = _load_valid_instance(args.instance)
     assignment, pool = _prepare(instance)
     best, plan, history = bench.solve(pool, instance, args.solver, policy, budget, seed,
-                                      gamma=pick(args.gamma, "gamma", GAMMA),
-                                      tol=pick(args.tol, "tol", TOL))
+                                      gamma=args.gamma, tol=args.tol)
     if noise.sigma > 0:
         plan, _ = evaluate_solution(best, RouteMemo(pool, instance, policy, noise))
 
     feasibility = check_feasibility(plan, best, pool, instance)
     total_delay, avg_delay = compute_delay(plan)
-    header = _config_line(args, seed)
+    header = _config_line(args)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     write_plan_csv(plan, pool, out_dir / "plan.csv", header_comment=header)
@@ -320,21 +265,21 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    seed = _resolve_seed(args.seed)
+    seed = _check_seed(args.seed)
     grid = bench.GridConfig(
         spaces_counts=args.spaces,
         locations_counts=args.locations,
         policies=args.policies,
         solvers=args.solvers,
         replications=args.replications,
-        base_config=replace(GeneratorConfig(), seed=seed),
+        base_config=GeneratorConfig(seed=seed),
         budget=BudgetProfile.named(args.budget),
     )
     out_dir = _output_path(args.out_dir, is_dir=True, files=(
         "grid.csv", "plotdata/", *(f"plotdata/{name}" for name in bench.GRID_PLOTS)))
     result = bench.run_grid(grid, jobs=args.jobs)
     out_dir.mkdir(parents=True, exist_ok=True)
-    header = _config_line(args, seed)
+    header = _config_line(args)
     bench.write_grid_csv(result, out_dir / "grid.csv", header_comment=header)
     bench.write_plotdata(result, out_dir / "plotdata")
     _print_result(command="bench", seed=seed, cells=len(args.spaces) * len(args.locations),
@@ -346,12 +291,12 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    seed = _resolve_seed(args.seed)
+    seed = _check_seed(args.seed)
     sweep = bench.SweepConfig(
         factor=args.factor,
         values=args.values,
         replications=args.replications,
-        base_config=replace(GeneratorConfig(), seed=seed),
+        base_config=GeneratorConfig(seed=seed),
         policy=args.policy,
         budget=BudgetProfile.named(args.budget),
     )
@@ -359,7 +304,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         "sweep.csv", "plotdata/", "plotdata/" + bench.SWEEP_PLOT.format(args.factor)))
     points = bench.sweep_factor(sweep, jobs=args.jobs)
     out_dir.mkdir(parents=True, exist_ok=True)
-    header = _config_line(args, seed)
+    header = _config_line(args)
     bench.write_sweep_csv(points, out_dir / "sweep.csv", header_comment=header)
     bench.write_plotdata(points, out_dir / "plotdata")
     _print_result(command="sweep", seed=seed, factor=args.factor, points=len(points),
@@ -380,30 +325,30 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    gen, desk = GeneratorConfig(), BudgetProfile.desk()
+
     p = sub.add_parser("generate", help="generate a random instance file")
     p.add_argument("--out", required=True)
-    p.add_argument("--spaces", type=int, default=5)
-    p.add_argument("--locations", type=int, default=5)
-    p.add_argument("--service-radius", type=float, default=5.0)
-    p.add_argument("--capacity", type=float, default=20.0)
-    p.add_argument("--speed", type=float, default=0.7)
-    p.add_argument("--buffer", type=float, default=10.0)
-    p.add_argument("--max-lockers", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--spaces", type=int, default=gen.num_spaces)
+    p.add_argument("--locations", type=int, default=gen.locations_per_space)
+    p.add_argument("--service-radius", type=float, default=gen.service_radius)
+    p.add_argument("--capacity", type=float, default=gen.capacity)
+    p.add_argument("--speed", type=float, default=gen.locker_speed)
+    p.add_argument("--buffer", type=float, default=gen.buffer_min)
+    p.add_argument("--max-lockers", type=int, default=gen.max_lockers)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("solve", help="solve an instance with hqm or ga")
     p.add_argument("--instance", required=True)
     p.add_argument("--solver", choices=("hqm", "ga"), default="hqm")
-    p.add_argument("--policy", choices=("btd", "hcps"), default=None)
-    p.add_argument("--agents", type=int, default=None)
-    p.add_argument("--iters", type=int, default=None)
-    p.add_argument("--gamma", type=float, default=None)
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--config", default=None,
-                   help="JSON solver config (agents, timesteps, gamma, tol, seed, policy)")
+    p.add_argument("--policy", choices=("btd", "hcps"), default="hcps")
+    p.add_argument("--agents", type=int, default=desk.agents)
+    p.add_argument("--iters", type=int, default=desk.iterations)
+    p.add_argument("--gamma", type=float, default=GAMMA)
+    p.add_argument("--tol", type=float, default=TOL)
     p.add_argument("--noise-sigma", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-dir", default="out")
     p.set_defaults(func=_cmd_solve)
 
@@ -425,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--replications", type=int, default=1)
     p.add_argument("--budget", choices=("desk", "paper"), default="desk")
     p.add_argument("--jobs", type=_positive_int, default=1)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-dir", default="bench_out")
     p.set_defaults(func=_cmd_bench)
 
@@ -436,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--policy", choices=("btd", "hcps"), default="hcps")
     p.add_argument("--budget", choices=("desk", "paper"), default="desk")
     p.add_argument("--jobs", type=_positive_int, default=1)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-dir", default="sweep_out")
     p.set_defaults(func=_cmd_sweep)
 

@@ -455,11 +455,11 @@ def has_converged(prev: QMatrices, cur: QMatrices, tol: float) -> bool:
 
 
 def check_learning_settings(gamma: float, tol: float) -> None:
-    """Refuse a discount ``gamma`` outside [0, 1] or a convergence ``tol`` that is not positive."""
+    """Refuse a discount ``gamma`` outside [0, 1] or a convergence ``tol`` outside (0, inf)."""
     if not 0.0 <= gamma <= 1.0:
         raise ParameterError(f"gamma must lie in [0, 1], got {gamma}")
-    if not tol > 0:
-        raise ParameterError(f"tol must be > 0, got {tol}")
+    if not 0 < tol < math.inf:
+        raise ParameterError(f"tol must be positive and finite, got {tol}")
 
 
 def run_hqm(pool: TaskPool, instance: Instance, policy: AdjustmentPolicy,

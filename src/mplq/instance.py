@@ -548,14 +548,14 @@ def save_instance(instance: Instance, path: Union[str, Path]) -> None:
     Path(path).write_text(text + "\n", encoding="utf-8")
 
 
-def json_int(value, name: str) -> int:
+def _json_int(value, name: str) -> int:
     """``value``, the JSON integer ``name``: never a bool, float or string."""
     if type(value) is not int:
         raise TypeError(f"{name} must be an integer, got {value!r:.80}")
     return value
 
 
-def json_float(value, name: str) -> float:
+def _json_float(value, name: str) -> float:
     """``value``, the JSON number ``name``, as a float: never a bool, string or overflow."""
     if type(value) is float:
         return value
@@ -568,7 +568,7 @@ def json_float(value, name: str) -> float:
 
 
 def _require(mapping: dict, key: str, context: str, kind=None):
-    """``mapping[key]``, read by ``kind`` (``json_int`` or ``json_float``) when one is given."""
+    """``mapping[key]``, read by ``kind`` (``_json_int`` or ``_json_float``) when one is given."""
     if key not in mapping:
         raise InstanceFormatError(f"{context}: missing required field '{key}'")
     if kind is None:
@@ -591,7 +591,7 @@ def _as_pair(value, context: str) -> tuple[float, float]:
     if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise InstanceFormatError(f"{context}: expected a [a, b] pair, got {value!r}")
     try:
-        return json_float(value[0], "pair"), json_float(value[1], "pair")
+        return _json_float(value[0], "pair"), _json_float(value[1], "pair")
     except TypeError as exc:
         raise InstanceFormatError(f"{context}: non-numeric pair {value!r}") from exc
 
@@ -617,10 +617,10 @@ def instance_from_dict(data: dict) -> Instance:
         ws, we = _as_pair(_require(raw, "window", ctx), f"{ctx}.window")
         spaces.append(
             ParkingSpace(
-                id=_require(raw, "id", ctx, json_int),
+                id=_require(raw, "id", ctx, _json_int),
                 position=Position(px, py),
                 window=TimeWindow(ws, we),
-                service_time=_require(raw, "service_time", ctx, json_float),
+                service_time=_require(raw, "service_time", ctx, _json_float),
             )
         )
 
@@ -638,13 +638,13 @@ def instance_from_dict(data: dict) -> Instance:
                 CustomerLocation(
                     position=Position(lx, ly),
                     window=TimeWindow(ls, le),
-                    max_walk=_require(lraw, "max_walk", lctx, json_float),
+                    max_walk=_require(lraw, "max_walk", lctx, _json_float),
                 )
             )
         customers.append(
             Customer(
-                id=_require(raw, "id", ctx, json_int),
-                demand=_require(raw, "demand", ctx, json_int),
+                id=_require(raw, "id", ctx, _json_int),
+                demand=_require(raw, "demand", ctx, _json_int),
                 locations=tuple(locations),
             )
         )
@@ -654,11 +654,11 @@ def instance_from_dict(data: dict) -> Instance:
         raise InstanceFormatError("instance: field 'fleet' must be an object")
     _warn_unknown(fraw, {"max_lockers", "capacity", "speed", "fixed_cost", "unit_travel_cost"}, "fleet")
     fleet = FleetSpec(
-        max_lockers=_require(fraw, "max_lockers", "fleet", json_int),
-        capacity=_require(fraw, "capacity", "fleet", json_float),
-        speed=_require(fraw, "speed", "fleet", json_float),
-        fixed_cost=_require(fraw, "fixed_cost", "fleet", json_float),
-        unit_travel_cost=_require(fraw, "unit_travel_cost", "fleet", json_float),
+        max_lockers=_require(fraw, "max_lockers", "fleet", _json_int),
+        capacity=_require(fraw, "capacity", "fleet", _json_float),
+        speed=_require(fraw, "speed", "fleet", _json_float),
+        fixed_cost=_require(fraw, "fixed_cost", "fleet", _json_float),
+        unit_travel_cost=_require(fraw, "unit_travel_cost", "fleet", _json_float),
     )
 
     w1, w2 = _as_pair(_require(data, "weights", "instance"), "weights")
@@ -667,7 +667,7 @@ def instance_from_dict(data: dict) -> Instance:
         spaces=tuple(spaces),
         customers=tuple(customers),
         fleet=fleet,
-        buffer=_require(data, "buffer_min", "instance", json_float),
+        buffer=_require(data, "buffer_min", "instance", _json_float),
         weights=(w1, w2),
     )
 
@@ -707,6 +707,4 @@ __all__ = [
     "instance_from_dict",
     "save_instance",
     "load_instance",
-    "json_int",
-    "json_float",
 ]

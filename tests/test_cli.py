@@ -38,16 +38,6 @@ def test_generate_writes_instance(instance_file):
     assert sum(len(c.locations) for c in inst.customers) == 6
 
 
-def test_generate_honors_env_seed(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("MPLQ_SEED", "5")
-    a = tmp_path / "a.json"
-    assert run_cli(["generate", "--out", str(a), "--spaces", "2", "--locations", "3"]) == 0
-    b = tmp_path / "b.json"
-    assert run_cli(["generate", "--out", str(b), "--spaces", "2", "--locations", "3",
-                    "--seed", "5"]) == 0
-    assert a.read_text() == b.read_text()
-
-
 @pytest.mark.parametrize("setting", ["--max-lockers=0", "--max-lockers=-3", "--buffer=-1",
                                      "--spaces=-1", "--capacity=0"])
 def test_a_bad_generator_setting_is_a_usage_error(tmp_path, capsys, setting):
@@ -79,111 +69,34 @@ def test_solve_is_reproducible(instance_file, tmp_path, capsys):
     assert (out_dir / "plan.csv").read_text().startswith("# config ")
 
 
+def test_a_solve_can_be_rerun_from_its_header(instance_file, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(["solve", "--instance", str(instance_file)]) == 0
+    out_dir = tmp_path / "out"
+    names = ("plan.csv", "history.csv", "solution.json", "tasks.csv",
+             "assignment.csv", "metrics.txt")
+    first = {name: (out_dir / name).read_bytes() for name in names}
+    header = (out_dir / "plan.csv").read_text().splitlines()[0]
+    pairs = dict(pair.split("=", 1) for pair in header.split()[2:])
+    assert "None" not in pairs.values() and "config" not in pairs
+    for pair in ("agents=20", "iters=200", "gamma=0.9", "tol=1e-08", "policy=hcps", "seed=0"):
+        assert pair in header.split()
+    argv = [pairs.pop("command")]
+    for key, value in pairs.items():
+        argv += [f"--{key.replace('_', '-')}", value]
+    for name in names:
+        (out_dir / name).unlink()
+    assert run_cli(argv) == 0
+    for name in names:
+        assert (out_dir / name).read_bytes() == first[name], name
+
+
 def test_solve_with_ga(instance_file, tmp_path, capsys):
     code = run_cli(["solve", "--instance", str(instance_file), "--solver", "ga",
                     "--agents", "6", "--iters", "20", "--seed", "3",
                     "--out-dir", str(tmp_path / "ga")])
     assert code == 0
     assert "solver=ga" in _result_line(capsys)
-
-
-def test_solve_reads_solver_config_file(instance_file, tmp_path, capsys):
-    cfg = tmp_path / "solver.json"
-    cfg.write_text(json.dumps({"agents": 6, "timesteps": 25, "gamma": 0.9,
-                               "tol": 1e-8, "seed": 7, "policy": "btd"}))
-    code = run_cli(["solve", "--instance", str(instance_file),
-                    "--config", str(cfg), "--out-dir", str(tmp_path / "cfg")])
-    assert code == 0
-    line = _result_line(capsys)
-    assert "policy=btd" in line and "seed=7" in line
-    # explicit flags override the file
-    code = run_cli(["solve", "--instance", str(instance_file),
-                    "--config", str(cfg), "--policy", "hcps", "--seed", "9",
-                    "--out-dir", str(tmp_path / "cfg2")])
-    assert code == 0
-    line = _result_line(capsys)
-    assert "policy=hcps" in line and "seed=9" in line
-
-
-@pytest.mark.parametrize("config, message", [
-    ({"agents": 2.9}, "agents must be an integer, got 2.9"),
-    ({"timesteps": "3"}, "timesteps must be an integer, got '3'"),
-    ({"seed": True}, "seed must be an integer, got True"),
-    ({"agents": 2.9, "timesteps": "3", "seed": True}, "agents must be an integer, got 2.9"),
-    ({"gamma": "0.9"}, "gamma must be a number, got '0.9'"),
-    ({"tol": False}, "tol must be a number, got False"),
-], ids=["fractional agents", "string timesteps", "bool seed", "all three", "string gamma",
-        "bool tol"])
-def test_solve_refuses_a_config_number_of_the_wrong_kind(instance_file, tmp_path, capsys,
-                                                          config, message):
-    cfg, out_dir = tmp_path / "solver.json", tmp_path / "cfg"
-    cfg.write_text(json.dumps({"agents": 2, "timesteps": 2, **config}))
-    code = run_cli(["solve", "--instance", str(instance_file), "--config", str(cfg),
-                    "--out-dir", str(out_dir)])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.err.splitlines() == [f"error: {cfg}: bad solver config value: {message}"]
-    assert captured.out == "" and not out_dir.exists()
-
-
-def test_solve_rejects_unknown_config_keys(instance_file, tmp_path, capsys):
-    cfg = tmp_path / "solver.json"
-    cfg.write_text(json.dumps({"agents": 6, "learning": "deep"}))
-    code = run_cli(["solve", "--instance", str(instance_file),
-                    "--config", str(cfg), "--out-dir", str(tmp_path / "cfg")])
-    assert code == 2
-
-
-def test_solve_rejects_non_numeric_config_values(instance_file, tmp_path, capsys):
-    cfg = tmp_path / "solver.json"
-    cfg.write_text(json.dumps({"agents": "many"}))
-    code = run_cli(["solve", "--instance", str(instance_file),
-                    "--config", str(cfg), "--out-dir", str(tmp_path / "cfg")])
-    assert code == 2
-    assert capsys.readouterr().err.startswith("error: ")
-    assert not (tmp_path / "cfg").exists()
-
-
-def test_solve_rejects_a_config_integer_too_long_to_parse(instance_file, tmp_path, capsys):
-    cfg = tmp_path / "solver.json"
-    cfg.write_text('{"agents": 1' + "0" * 5000 + "}")
-    code = run_cli(["solve", "--instance", str(instance_file),
-                    "--config", str(cfg), "--out-dir", str(tmp_path / "cfg")])
-    assert code == 2
-    assert capsys.readouterr().err.startswith(f"error: {cfg}: invalid JSON: ")
-
-
-@pytest.mark.parametrize("text, message", [
-    (None, "cannot read solver config"),
-    ("{not json", "invalid JSON at line 1"),
-    ("[1, 2]", "solver config must be a JSON object"),
-], ids=["unreadable", "invalid-json", "not-an-object"])
-def test_solve_refuses_an_unusable_config_file(instance_file, tmp_path, capsys, text, message):
-    cfg = tmp_path / "solver.json"
-    if text is not None:
-        cfg.write_text(text)
-    out_dir = tmp_path / "cfg"
-    code = run_cli(["solve", "--instance", str(instance_file),
-                    "--config", str(cfg), "--out-dir", str(out_dir)])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert len(captured.err.splitlines()) == 1
-    assert captured.err.startswith("error: ") and message in captured.err
-    assert captured.out == "" and not out_dir.exists()
-
-
-def test_solve_refuses_an_unknown_config_policy(instance_file, tmp_path, capsys):
-    cfg = tmp_path / "solver.json"
-    cfg.write_text(json.dumps({"policy": "foo", "agents": 2, "timesteps": 2}))
-    out_dir = tmp_path / "cfg"
-    code = run_cli(["solve", "--instance", str(instance_file),
-                    "--config", str(cfg), "--out-dir", str(out_dir)])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.err.splitlines() == [
-        f"error: {cfg}: bad solver config value: "
-        "unknown adjustment policy 'foo'; expected btd or hcps"]
-    assert captured.out == "" and not out_dir.exists()
 
 
 def test_solve_ga_refuses_a_population_of_one(instance_file, tmp_path, capsys):
@@ -250,22 +163,15 @@ def test_solve_rejects_non_positive_budget(instance_file, tmp_path, capsys, flag
     assert not out_dir.exists()
 
 
-def test_solve_rejects_non_positive_budget_in_config(instance_file, tmp_path, capsys):
-    cfg = tmp_path / "solver.json"
-    cfg.write_text(json.dumps({"agents": 0}))
-    code = run_cli(["solve", "--instance", str(instance_file), "--config", str(cfg),
-                    "--out-dir", str(tmp_path / "out")])
-    assert code == 2
-    assert capsys.readouterr().err.startswith("error: budget ")
-
-
 @pytest.mark.parametrize("flags, message", [(["--tol", "0"], "tol"),
                                             (["--tol", "nan"], "tol"),
                                             (["--gamma", "50"], "gamma"),
                                             (["--gamma", "-0.1"], "gamma"),
                                             # the GA uses neither, but refuses them alike
                                             (["--solver", "ga", "--tol", "-1"], "tol"),
-                                            (["--solver", "ga", "--gamma", "50"], "gamma")])
+                                            (["--solver", "ga", "--gamma", "50"], "gamma"),
+                                            (["--tol", "inf"], "tol"),
+                                            (["--solver", "ga", "--tol", "inf"], "tol")])
 def test_solve_rejects_bad_hqm_parameters(instance_file, tmp_path, capsys, flags, message):
     out_dir = tmp_path / "out"
     code = run_cli(["solve", "--instance", str(instance_file), "--agents", "4",
@@ -375,27 +281,13 @@ _SEEDED_COMMANDS = {
 }
 
 
-@pytest.mark.parametrize("command, source",
-                         [(c, s) for c in sorted(_SEEDED_COMMANDS) for s in ("flag", "env")]
-                         + [("solve", "config")])
-def test_negative_seed_is_refused(instance_file, tmp_path, capsys, monkeypatch,
-                                  command, source):
-    argv = _SEEDED_COMMANDS[command](tmp_path, instance_file)
-    if source == "flag":
-        argv += ["--seed", "-1"]
-        named = "--seed"
-    elif source == "env":
-        monkeypatch.setenv("MPLQ_SEED", "-1")
-        named = "MPLQ_SEED"
-    else:
-        config = tmp_path / "solver.json"
-        config.write_text(json.dumps({"seed": -1}))
-        argv += ["--config", str(config)]
-        named = f"{config}: seed"
-    code = run_cli(argv)
+# --seed is the seed's only source; the ids keep the name of that source.
+@pytest.mark.parametrize("command", sorted(_SEEDED_COMMANDS), ids="{}-flag".format)
+def test_negative_seed_is_refused(instance_file, tmp_path, capsys, command):
+    code = run_cli([*_SEEDED_COMMANDS[command](tmp_path, instance_file), "--seed", "-1"])
     captured = capsys.readouterr()
     assert code == 2 and "RESULT" not in captured.out
-    assert captured.err == f"error: {named} must be a non-negative integer, got -1\n"
+    assert captured.err == "error: --seed must be a non-negative integer, got -1\n"
     assert not (tmp_path / "out").exists()
 
 
