@@ -15,13 +15,13 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence, Union
 
-from .errors import (ConfigurationError, NothingToSolveError, ParameterError,
-                     UndefinedRateError)
+from .errors import (ConfigurationError, NothingToSolveError, OverCapacityError,
+                     ParameterError, UndefinedRateError)
 from .ga import run_ga
 from .hqm import GAMMA, TOL, RunHistory, check_learning_settings, run_hqm
 from .instance import Assignment, GeneratorConfig, Instance, assign_customers, generate_instance
-from .routing import (Adjustment, AdjustmentPolicy, RoutePlan, compute_delay, hold_can_apply,
-                      over_capacity_task, refuse_over_capacity, sum_in_order)
+from .routing import (Adjustment, AdjustmentPolicy, RoutePlan, check_pool, compute_delay,
+                      hold_can_apply, sum_in_order)
 from .state import BudgetProfile
 from .taskgen import TaskPool, build_tasks
 
@@ -243,13 +243,12 @@ def solve(pool: TaskPool, instance: Instance, solver: str, policy: AdjustmentPol
 
     The one entry point for either solver: ``mplq solve``, the grid and the
     factor sweeps all come through here. ``gamma`` and ``tol`` steer HQM
-    alone, but either solver refuses a value out of range, after refusing a
-    pool with a task above the locker capacity.
+    alone, but either solver refuses a value out of range, before refusing a
+    pool that ``routing.check_pool`` refuses.
     """
     if solver == "hqm":
         return run_hqm(pool, instance, policy, budget, seed, gamma, tol)
     if solver == "ga":
-        refuse_over_capacity(pool, instance)
         check_learning_settings(gamma, tol)
         return run_ga(pool, instance, policy, budget, seed)
     raise ConfigurationError(f"unknown solver {solver!r}; expected hqm or ga")
@@ -261,16 +260,18 @@ def _solve_pool(args: tuple) -> tuple[list[CellOutcome], bool, Optional[str]]:
     ``args`` is (generator config, replication index, solvers, policies,
     budget); the config's seed seeds the solvers too. Also returns whether a
     hold can apply to the pool; if not, HCPS plans equal BTD plans, so each
-    solver runs once, under BTD, and its hcps rows reuse it. A pool with no
-    task, or with a task above the locker capacity, gives no rows; the third
-    item names why ("empty" or "over_capacity"), else None.
+    solver runs once, under BTD, and its hcps rows reuse it. A pool that
+    ``routing.check_pool`` refuses gives no rows; the third item names why
+    ("empty" or "over_capacity"), else None.
     """
     config, rep, solvers, policies, budget = args
     instance = generate_instance(config)
     pool = build_tasks(instance, assign_customers(instance))
-    if len(pool) == 0:
+    try:
+        check_pool(pool, instance)
+    except NothingToSolveError:
         return [], False, "empty"
-    if over_capacity_task(pool, instance) is not None:
+    except OverCapacityError:
         return [], False, "over_capacity"
     hold = hold_can_apply(pool, instance)
     rows = []

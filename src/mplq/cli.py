@@ -5,9 +5,9 @@ parser. generate, solve, bench and sweep take a non-negative --seed (default
 0); the other two commands draw no random numbers.
 solve's plan.csv, history.csv, metrics.txt and solution.json, bench's
 grid.csv and sweep's sweep.csv start with a ``config`` line of every
-setting the run used, defaults included, so any run can be reproduced from
-its artifacts. A final machine-readable RESULT line of key=value pairs is
-printed on success.
+setting the run used, defaults included, a list as its comma-joined flag
+text, so any run can be reproduced from its artifacts. A final
+machine-readable RESULT line of key=value pairs is printed on success.
 
 Exit codes: 0 success, 1 infeasible result or refused computation, 2 usage,
 file-parse or invalid-instance error.
@@ -51,8 +51,9 @@ def _check_seed(seed: int) -> int:
 
 
 def _config_line(args: argparse.Namespace) -> str:
-    return "config " + " ".join(f"{k}={v}" for k, v in sorted(vars(args).items())
-                                if k != "func")
+    """Every setting as ``key=value``; a list setting as its comma-joined flag text."""
+    return "config " + " ".join(f"{k}={','.join(map(str, v)) if isinstance(v, tuple) else v}"
+                                for k, v in sorted(vars(args).items()) if k != "func")
 
 
 def _print_result(**pairs) -> None:

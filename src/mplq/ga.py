@@ -13,11 +13,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import NothingToSolveError, ParameterError
+from .errors import ParameterError
 from .instance import Instance
-from .routing import AdjustmentPolicy, RoutePlan, refuse_over_capacity
+from .routing import AdjustmentPolicy, RoutePlan, check_pool
 from .hqm import Evaluator, RunHistory, Stream, roulette_cdf, roulette_pick
-from .state import BudgetProfile, SearchState, effective_locker_count, random_state
+from .state import BudgetProfile, SearchState, random_state
 from .taskgen import TaskPool
 
 CROSSOVER_PROB = 0.5  # chance that two parents are crossed rather than cloned
@@ -111,15 +111,13 @@ def run_ga(pool: TaskPool, instance: Instance, policy: AdjustmentPolicy,
     draws from the ``Stream`` that takes the generator over. On a pool
     without tied starts ``x2`` changes no reward, so every state carries the
     identity ``x2`` in place of its drawn one and only ``x1`` is bred. A
-    pool with a task above the locker capacity is refused.
+    population below 2 is refused first, then a pool ``routing.check_pool``
+    refuses.
     """
-    refuse_over_capacity(pool, instance)
     if budget.agents < 2:
         raise ParameterError("population must be >= 2")
+    lockers = check_pool(pool, instance)
     n = len(pool)
-    if n == 0:
-        raise NothingToSolveError("task pool is empty")
-    lockers = effective_locker_count(instance.fleet.max_lockers, n)
     rng = np.random.default_rng(seed)
     evaluator = Evaluator(pool, instance, policy)
 

@@ -22,11 +22,10 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .errors import NothingToSolveError, ParameterError, ShapeError
+from .errors import ParameterError, ShapeError
 from .instance import Instance
-from .routing import (AdjustmentPolicy, RouteMemo, RoutePlan, evaluate_solution,
-                      refuse_over_capacity)
-from .state import BudgetProfile, SearchState, effective_locker_count, random_state
+from .routing import AdjustmentPolicy, RouteMemo, RoutePlan, check_pool, evaluate_solution
+from .state import BudgetProfile, SearchState, random_state
 from .taskgen import TaskPool
 
 
@@ -118,17 +117,15 @@ class Evaluator:
 # ---------------------------------------------------------------------------
 
 
-def init_agents(pool: TaskPool, max_lockers: int, agents: int, seed: int,
+def init_agents(pool: TaskPool, lockers: int, agents: int, seed: int,
                 ) -> tuple[list[Agent], QMatrices]:
     """One uniformly random state per agent, plus all-zero value tables.
 
-    Each agent's state is its ``Generator``'s set-up draws; every later draw
-    comes from the ``Stream`` that takes the generator over.
+    ``lockers`` is the pool's locker range, as ``routing.check_pool`` returns
+    it. Each agent's state is its ``Generator``'s set-up draws; every later
+    draw comes from the ``Stream`` that takes the generator over.
     """
     n = len(pool)
-    if n == 0:
-        raise NothingToSolveError("task pool is empty")
-    lockers = effective_locker_count(max_lockers, n)
     out = []
     for s in np.random.SeedSequence(seed).spawn(agents):
         rng = np.random.default_rng(s)
@@ -472,14 +469,14 @@ def run_hqm(pool: TaskPool, instance: Instance, policy: AdjustmentPolicy,
     best, accepting each only on strict reward improvement; the tables are then
     updated from every agent's current best with the learning rate
     alpha(t) = 0.9 * exp(-t / budget.iterations), and the loop stops after
-    ``budget.iterations`` steps or once the tables stop moving. A pool with a
-    task above the locker capacity is refused.
+    ``budget.iterations`` steps or once the tables stop moving. A bad
+    ``gamma`` or ``tol`` is refused first, then a pool ``routing.check_pool``
+    refuses.
     """
-    refuse_over_capacity(pool, instance)
     check_learning_settings(gamma, tol)
+    lockers = check_pool(pool, instance)
     evaluator = Evaluator(pool, instance, policy)
-    agents, qmats = init_agents(pool, instance.fleet.max_lockers, budget.agents, seed)
-    lockers = len(qmats.q1[0])
+    agents, qmats = init_agents(pool, lockers, budget.agents, seed)
     for agent in agents:
         evaluator.reward(agent.best)
 

@@ -4,8 +4,8 @@ An instance bundles a depot, a set of candidate parking spaces with
 availability windows and service times, customers that move between several
 locations during the day (each location carrying its own presence window and
 maximum walking range), and the locker fleet parameters. This module defines
-the data model, a seeded random generator, the customer-to-space assignment
-pass, validation, and JSON persistence.
+the data model, a seeded random generator with a self-checking config, the
+customer-to-space assignment pass, validation, and JSON persistence.
 
 Units: planar coordinates in km, times in minutes since midnight, demand in
 parcel units, speed in km per minute.
@@ -149,7 +149,9 @@ WEIGHTS = (5.0, 1.0)               # objective weights of fleet and travel cost
 @dataclass(frozen=True)
 class GeneratorConfig:
     """Knobs for the seeded instance generator: the settings the sweeps and
-    ``mplq generate`` vary. The rest of the setup is the constants above."""
+    ``mplq generate`` vary, checked as it is built (``replace`` too), so a
+    grid or sweep refuses a bad setting before its first solve. The rest of
+    the setup is the constants above."""
 
     num_spaces: int = 5
     locations_per_space: int = 5
@@ -162,6 +164,9 @@ class GeneratorConfig:
     locker_speed: float = 0.7
     max_lockers: Optional[int] = None
     buffer_min: float = 10.0
+
+    def __post_init__(self) -> None:
+        _validate_config(self)
 
 
 @dataclass(frozen=True)
@@ -270,7 +275,6 @@ def generate_instance(config: GeneratorConfig) -> Instance:
     ``LOCATIONS_PER_CUSTOMER[1]`` of the points with pairwise-disjoint
     presence windows inside working hours.
     """
-    _validate_config(config)
     rng = np.random.default_rng(config.seed)
     depot = Position(0.0, 0.0)
 

@@ -10,11 +10,11 @@ from __future__ import annotations
 import itertools
 import math
 
-from .errors import NothingToSolveError, SearchSpaceLimitError
+from .errors import SearchSpaceLimitError
 from .instance import Instance
-from .routing import (AdjustmentPolicy, RouteMemo, compute_cost, evaluate_solution,
-                      refuse_over_capacity, visit)
-from .state import SearchState, effective_locker_count
+from .routing import (AdjustmentPolicy, RouteMemo, check_pool, compute_cost,
+                      evaluate_solution, visit)
+from .state import SearchState
 from .taskgen import TaskPool
 
 # The oracle schedules each of a pool's 2^n task sets once per order of its tied
@@ -72,18 +72,15 @@ def brute_force_best(pool: TaskPool, instance: Instance,
     the lexicographically smallest first-use ``x1``; ``x2`` is the identity,
     except that tied tasks take their slots in the order their locker serves
     them. Refuses a pool that needs more than 2 ** ``MAX_TASKS`` route
-    schedules.
+    schedules, then a pool ``routing.check_pool`` refuses.
     """
     n = len(pool)
-    if n == 0:
-        raise NothingToSolveError("task pool is empty")
     runs = [len(list(run)) for _, run in itertools.groupby(sorted(pool.starts))]
     schedules = math.prod(sum(math.perm(r, j) for j in range(r + 1)) for r in runs)
     if schedules > 2 ** MAX_TASKS:
         raise SearchSpaceLimitError(f"the pool holds {n} tasks, whose sets need {schedules} "
                                     f"route schedules, above the limit of {2 ** MAX_TASKS}")
-    refuse_over_capacity(pool, instance)
-    lockers = effective_locker_count(instance.fleet.max_lockers, n)
+    lockers = check_pool(pool, instance)
     memo = RouteMemo(pool, instance, policy)
     routes = set_routes(memo)
 

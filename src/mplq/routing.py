@@ -1,7 +1,8 @@
 """Route construction, adjustment strategies, cost and feasibility checks.
 
-``evaluate_solution(state, memo)`` scores a state through a ``RouteMemo``,
-which holds the pool, instance, policy, leg tables, noise draws and routes.
+``check_pool`` is every solver's gate on its pool. ``evaluate_solution(state,
+memo)`` scores a state through a ``RouteMemo``, which holds the pool,
+instance, policy, leg tables, noise draws and routes.
 
 A locker's task list, sorted by window start, is scheduled by one visit rule.
 The locker starts at the depot with ``leave = 0``. Each visit reads the leg
@@ -38,9 +39,9 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import OverCapacityError, ParameterError, ShapeError
+from .errors import NothingToSolveError, OverCapacityError, ParameterError, ShapeError
 from .instance import Instance
-from .state import SearchState, validate_state
+from .state import SearchState, effective_locker_count, validate_state
 from .taskgen import TaskPool
 
 _EPS = 1e-9
@@ -367,24 +368,22 @@ def hold_can_apply(pool: TaskPool, instance: Instance) -> bool:
                for task in pool.tasks)
 
 
-def over_capacity_task(pool: TaskPool, instance: Instance) -> Optional[int]:
-    """The first task whose demand exceeds the locker capacity, or None.
+def check_pool(pool: TaskPool, instance: Instance) -> int:
+    """The locker range of a pool that can be solved: the one gate of every solver.
 
-    No plan serves such a task: every solve path refuses its pool through
-    ``refuse_over_capacity``, and the grid and the sweeps skip it and count it.
+    Raises NothingToSolveError for an empty pool and OverCapacityError naming
+    the first task above the locker capacity, which no plan can serve; the
+    grid and the sweeps skip such a pool and count it.
     """
+    if len(pool) == 0:
+        raise NothingToSolveError("task pool is empty")
     capacity = instance.fleet.capacity
-    return next((t for t, task in enumerate(pool.tasks) if task.demand > capacity), None)
-
-
-def refuse_over_capacity(pool: TaskPool, instance: Instance) -> None:
-    """Raise OverCapacityError naming the first task above the locker capacity, if any."""
-    task_id = over_capacity_task(pool, instance)
-    if task_id is not None:
-        task = pool.tasks[task_id]
-        raise OverCapacityError(
-            f"task {task_id} (space {task.space_id}) demands {task.demand} parcels, above "
-            f"the locker capacity {instance.fleet.capacity}; no plan can serve it")
+    for task_id, task in enumerate(pool.tasks):
+        if task.demand > capacity:
+            raise OverCapacityError(
+                f"task {task_id} (space {task.space_id}) demands {task.demand} parcels, above "
+                f"the locker capacity {capacity}; no plan can serve it")
+    return effective_locker_count(instance.fleet.max_lockers, len(pool))
 
 
 def sum_in_order(values: Iterable[float]) -> float:
@@ -497,8 +496,7 @@ __all__ = [
     "compute_cost",
     "evaluate_solution",
     "hold_can_apply",
-    "over_capacity_task",
-    "refuse_over_capacity",
+    "check_pool",
     "sum_in_order",
     "compute_delay",
     "check_feasibility",

@@ -8,14 +8,15 @@ from mplq import bench
 from mplq.bench import (BudgetProfile, CellOutcome, GridConfig, SweepConfig, SweepPoint,
                         apply_factor, improvement_rate, reward_gap, run_grid, sweep_factor,
                         write_grid_csv, write_plotdata, write_sweep_csv)
-from mplq.errors import (ConfigurationError, NothingToSolveError, OverCapacityError,
-                         ParameterError, UndefinedRateError)
+from mplq.errors import (ConfigurationError, MplqError, NothingToSolveError,
+                         OverCapacityError, ParameterError, UndefinedRateError)
 from mplq.ga import run_ga
 from mplq.hqm import RunHistory, run_hqm
 from mplq.instance import GeneratorConfig, assign_customers, generate_instance
-from mplq.routing import AdjustmentPolicy
+from mplq.oracle import brute_force_best
+from mplq.routing import AdjustmentPolicy, check_pool
 from mplq.state import MAX_AGENTS, MAX_ITERATIONS
-from mplq.taskgen import build_tasks
+from mplq.taskgen import TaskPool, build_tasks
 
 
 def test_improvement_rate_formula():
@@ -330,18 +331,51 @@ def test_grid_skips_pools_with_a_task_above_capacity():
 def test_solve_refuses_a_pool_with_a_task_above_capacity():
     low = replace(GeneratorConfig(num_spaces=2, locations_per_space=3, seed=2), capacity=5.0)
     instance, pool = _generated_pool(low)
-    assert bench.over_capacity_task(pool, instance) == 0
+    with pytest.raises(OverCapacityError, match="task 0 .* demands 8 parcels"):
+        check_pool(pool, instance)
     with pytest.raises(OverCapacityError, match="task 0 .* demands 8 parcels"):
         bench.solve(pool, instance, "ga", AdjustmentPolicy.BTD,
                     BudgetProfile(agents=2, iterations=1), seed=0)
 
 
-@pytest.mark.parametrize("run", [run_hqm, run_ga])
-def test_solvers_refuse_a_pool_with_a_task_above_capacity(run):
+def _refusal(call):
+    with pytest.raises(MplqError) as info:
+        call()
+    return type(info.value), str(info.value)
+
+
+# Every consumer of routing.check_pool, as a call on (pool, instance).
+_SOLVES = {
+    "run_hqm": lambda pool, instance: run_hqm(pool, instance, AdjustmentPolicy.BTD,
+                                              BudgetProfile(agents=2, iterations=1), 0),
+    "run_ga": lambda pool, instance: run_ga(pool, instance, AdjustmentPolicy.BTD,
+                                            BudgetProfile(agents=2, iterations=1), 0),
+    "solve-hqm": lambda pool, instance: bench.solve(pool, instance, "hqm", AdjustmentPolicy.BTD,
+                                                    BudgetProfile(agents=2, iterations=1), 0),
+    "solve-ga": lambda pool, instance: bench.solve(pool, instance, "ga", AdjustmentPolicy.BTD,
+                                                   BudgetProfile(agents=2, iterations=1), 0),
+    "brute_force_best": lambda pool, instance: brute_force_best(pool, instance,
+                                                                AdjustmentPolicy.BTD),
+}
+
+
+_REFUSALS = {
+    "over_capacity": (OverCapacityError, "task 0 (space 2) demands 8 parcels, above the "
+                                         "locker capacity 5.0; no plan can serve it"),
+    "empty": (NothingToSolveError, "task pool is empty"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_REFUSALS))
+@pytest.mark.parametrize("consumer", sorted(_SOLVES))
+def test_solvers_refuse_a_pool_with_a_task_above_capacity(consumer, kind):
+    # the over-capacity pool and an empty one, each refused by check_pool alone
     low = replace(GeneratorConfig(num_spaces=2, locations_per_space=3, seed=2), capacity=5.0)
     instance, pool = _generated_pool(low)
-    with pytest.raises(OverCapacityError, match="task 0 .* demands 8 parcels"):
-        run(pool, instance, AdjustmentPolicy.BTD, BudgetProfile(agents=2, iterations=1), 0)
+    if kind == "empty":
+        pool = TaskPool(tasks=(), unservable=())
+    assert _refusal(lambda: check_pool(pool, instance)) == _REFUSALS[kind]
+    assert _refusal(lambda: _SOLVES[consumer](pool, instance)) == _REFUSALS[kind]
 
 
 def test_solve_dispatches_to_the_solvers():

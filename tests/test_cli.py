@@ -91,6 +91,29 @@ def test_a_solve_can_be_rerun_from_its_header(instance_file, tmp_path, capsys, m
         assert (out_dir / name).read_bytes() == first[name], name
 
 
+@pytest.mark.parametrize("argv", [
+    ["bench", "--spaces", "2,3", "--locations", "3", "--policies", "btd,hcps"],
+    ["sweep", "--factor", "T_s", "--values", "30,70", "--replications", "2"]],
+    ids=["bench", "sweep"])
+def test_a_bench_or_sweep_can_be_rerun_from_its_header(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    out_dir = tmp_path / "out"
+    assert run_cli([*argv, "--out-dir", "out"]) == 0
+    first = {p.relative_to(out_dir): p.read_bytes() for p in out_dir.rglob("*") if p.is_file()}
+    table = out_dir / ("grid.csv" if argv[0] == "bench" else "sweep.csv")
+    assert len(first) >= 2 and table.relative_to(out_dir) in first
+    header = table.read_text().splitlines()[0]
+    pairs = dict(pair.split("=", 1) for pair in header.split()[2:])
+    argv = [pairs.pop("command")]
+    for key, value in pairs.items():
+        argv += [f"--{key.replace('_', '-')}", value]
+    for path in first:
+        (out_dir / path).unlink()
+    assert run_cli(argv) == 0
+    again = {p.relative_to(out_dir): p.read_bytes() for p in out_dir.rglob("*") if p.is_file()}
+    assert again == first
+
+
 def test_solve_with_ga(instance_file, tmp_path, capsys):
     code = run_cli(["solve", "--instance", str(instance_file), "--solver", "ga",
                     "--agents", "6", "--iters", "20", "--seed", "3",
@@ -125,7 +148,8 @@ def test_solve_refuses_task_above_capacity(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("solver", ["hqm", "ga"])
-def test_solve_refuses_task_above_capacity_before_a_bad_gamma(tmp_path, capsys, solver):
+def test_solve_refuses_a_bad_gamma_before_a_task_above_capacity(tmp_path, capsys, solver):
+    # settings are checked before the pool, by either solver, so both give one error
     sp = make_space(1, 1.0, 0.0, window=(600, 660), service_time=60.0)
     cust = make_customer(0, 25, [(1.0, 0.1, (600, 660), 0.5)])
     inst_path = tmp_path / "inst.json"
@@ -133,7 +157,7 @@ def test_solve_refuses_task_above_capacity_before_a_bad_gamma(tmp_path, capsys, 
     code = run_cli(["solve", "--instance", str(inst_path), "--solver", solver,
                     "--gamma", "50", "--out-dir", str(tmp_path / "out")])
     assert code == 1
-    assert capsys.readouterr().err.startswith("error: task 0 ")
+    assert capsys.readouterr().err == "error: gamma must lie in [0, 1], got 50.0\n"
 
 
 @pytest.mark.parametrize("solver", ["hqm", "ga"])
@@ -667,6 +691,26 @@ def test_jobs_below_one_is_a_usage_error(tmp_path, capsys, command, jobs):
     captured = capsys.readouterr()
     assert code == 2 and captured.err.startswith("usage: mplq")
     assert "RESULT" not in captured.out and not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["bench", "--spaces", "5,-1", "--replications", "3"],
+    ["sweep", "--factor", "Q", "--values", "20,-1", "--replications", "10"],
+    ["sweep", "--factor", "T_p", "--values", "50,600", "--replications", "3"]],
+    ids=["bench-spaces", "sweep-Q", "sweep-T_p"])
+def test_a_bad_generator_setting_is_refused_before_the_first_solve(tmp_path, capsys,
+                                                                    monkeypatch, argv):
+    # each grid or sweep unit's config checks itself as it is built, before any unit is solved
+    solves, solve = [], bench.solve
+    monkeypatch.setattr(bench, "solve",
+                        lambda *args, **kwargs: solves.append(args) or solve(*args, **kwargs))
+    out_dir = tmp_path / "out"
+    code = run_cli([*argv, "--seed", "0", "--out-dir", str(out_dir)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.err.startswith("error: ")
+    assert len(captured.err.splitlines()) == 1
+    assert "RESULT" not in captured.out and not out_dir.exists()
+    assert len(solves) == 0
 
 
 def test_sweep_with_no_solvable_pool_exits_cleanly(tmp_path, capsys):

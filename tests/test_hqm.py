@@ -783,10 +783,11 @@ def test_random_state_is_the_old_set_up_draw():
         assert ours.bit_generator.random_raw() == old.bit_generator.random_raw()
 
 
-def test_init_agents_empty_pool():
-    empty = TaskPool(tasks=(), unservable=())
-    with pytest.raises(NothingToSolveError):
-        init_agents(empty, 2, 5, 0)
+def test_run_hqm_refuses_an_empty_pool():
+    _, inst = _pool_and_instance()
+    with pytest.raises(NothingToSolveError, match="task pool is empty"):
+        run_hqm(TaskPool(tasks=(), unservable=()), inst, AdjustmentPolicy.BTD,
+                BudgetProfile(agents=2, iterations=1), 0)
 
 
 def test_effective_locker_count():
