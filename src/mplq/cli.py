@@ -36,7 +36,7 @@ from .instance import (GeneratorConfig, assign_customers, generate_instance, loa
 from .oracle import brute_force_best
 from .routing import (AdjustmentPolicy, RouteMemo, TravelNoise, check_feasibility,
                       compute_delay, evaluate_solution)
-from .state import BudgetProfile, SearchState, effective_locker_count, validate_state
+from .state import BudgetProfile, SearchState, validate_state
 from .taskgen import build_tasks
 
 EXIT_OK = 0
@@ -253,9 +253,8 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     instance = _load_valid_instance(args.instance)
     _, pool = _prepare(instance)
     policy = AdjustmentPolicy.parse(args.policy)
-    lockers = effective_locker_count(instance.fleet.max_lockers, len(pool))
     try:
-        best, reward = brute_force_best(pool, instance, policy)
+        best, reward, lockers = brute_force_best(pool, instance, policy)
     except SearchSpaceLimitError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE

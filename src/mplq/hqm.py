@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import operator
+from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
@@ -81,22 +82,33 @@ class RunHistory:
 # ---------------------------------------------------------------------------
 
 
+def _pack_wide(ids: tuple[int, ...]) -> bytes:
+    """``ids`` as four bytes each: the state cache's key above 256 tasks."""
+    return array("I", ids).tobytes()
+
+
 class Evaluator:
     """Caches the rewards of scored states and their routes (evaluation is pure).
 
-    Holds only the state cache, keyed on the pair ``(x1, x2)``, and the
-    ``RouteMemo`` every state is scored through. ``plan`` always decodes the
-    state it is given.
+    Holds only the state cache and the ``RouteMemo`` every state is scored
+    through. The cache's key is ``x1 + x2`` packed into one ``bytes``: one
+    byte per id when the pool has at most 256 tasks (every id of ``x1`` and
+    ``x2`` is then below 256), four above that. Both halves have the pool's
+    length, so the packing is one-to-one. A key keeps no state tuple alive and
+    is not tracked by the garbage collector: an entry of a 19-task pool takes
+    about 135 bytes, against about 435 with a key of the two tuples. ``plan``
+    always decodes the state it is given.
     """
 
     _CACHE_LIMIT = 150_000
 
     def __init__(self, pool: TaskPool, instance: Instance, policy: AdjustmentPolicy):
-        self._cache: dict[tuple, float] = {}
+        self._cache: dict[bytes, float] = {}
         self._routes = RouteMemo(pool, instance, policy)
+        self._pack = bytes if len(pool) <= 256 else _pack_wide
 
     def reward(self, state: SearchState) -> float:
-        key = (state.x1, state.x2)
+        key = self._pack(state.x1 + state.x2)
         hit = self._cache.get(key)
         if hit is not None:
             state.reward = hit

@@ -61,9 +61,10 @@ def set_routes(memo: RouteMemo) -> list[tuple[float, tuple[int, ...]]]:
 
 
 def brute_force_best(pool: TaskPool, instance: Instance,
-                     policy: AdjustmentPolicy) -> tuple[SearchState, float]:
-    """Return the best state and its reward, by an exact split of the pool into task sets.
+                     policy: AdjustmentPolicy) -> tuple[SearchState, float, int]:
+    """Return the best state, its reward and the pool's locker range.
 
+    The best state comes from an exact split of the pool into task sets.
     Each set's route comes from ``set_routes``. The split is built over the
     tasks left, taking the set that holds the lowest remaining task next
     (Held and Karp, 1962). That is the order in which ``evaluate_solution``
@@ -71,8 +72,9 @@ def brute_force_best(pool: TaskPool, instance: Instance,
     each locker count, and the reward, are exact. Equal sums break toward
     the lexicographically smallest first-use ``x1``; ``x2`` is the identity,
     except that tied tasks take their slots in the order their locker serves
-    them. Refuses a pool that needs more than 2 ** ``MAX_TASKS`` route
-    schedules, then a pool ``routing.check_pool`` refuses.
+    them. The locker range is the one ``routing.check_pool`` returns: the
+    most routes a split may use. Refuses a pool that needs more than 2 **
+    ``MAX_TASKS`` route schedules, then a pool ``routing.check_pool`` refuses.
     """
     n = len(pool)
     runs = [len(list(run)) for _, run in itertools.groupby(sorted(pool.starts))]
@@ -112,7 +114,7 @@ def brute_force_best(pool: TaskPool, instance: Instance,
         x2[slot] = t
     state = SearchState(x1=x1, x2=tuple(x2))
     state.reward = evaluate_solution(state, memo)[1].reward
-    return state, state.reward
+    return state, state.reward, lockers
 
 
 __all__ = ["MAX_TASKS", "set_routes", "brute_force_best"]

@@ -3,8 +3,10 @@
 A solution is a pair of tuples of Python ints over the task pool: ``x1[t]``
 names the locker that executes task ``t`` and ``x2`` is the global
 execution-priority permutation of task ids. Both solvers and the exact oracle
-search over this encoding, so their rewards are directly comparable, and the
-pair itself is the key of a solver's state cache.
+search over this encoding, so their rewards are directly comparable. A
+solver's state cache (``hqm.Evaluator``) keys a state on ``x1 + x2`` packed
+into one ``bytes``, one byte per id up to 256 tasks and four above, so it
+keeps neither tuple alive: about 135 bytes an entry on a 19-task pool.
 """
 
 from __future__ import annotations

@@ -51,7 +51,7 @@ def tiny_suite():
         if not (1 <= len(pool) <= 4):
             continue
         policy = AdjustmentPolicy.HCPS
-        oracle_state, oracle_reward = brute_force_best(pool, instance, policy)
+        oracle_state, oracle_reward, _ = brute_force_best(pool, instance, policy)
         budget = BudgetProfile(agents=DESK_AGENTS, iterations=DESK_TIMESTEPS_TINY)
         hqm_best, hqm_plan, hqm_hist = run_hqm(pool, instance, policy, budget, cfg.seed)
         ga_best, ga_plan, ga_hist = run_ga(pool, instance, policy, budget, cfg.seed)

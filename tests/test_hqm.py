@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,7 +13,7 @@ from mplq.ga import run_ga
 from mplq.hqm import BLOCK, PickTable, Stream, roulette_cdf, roulette_pick
 from mplq.instance import GeneratorConfig, assign_customers, generate_instance
 from mplq.oracle import brute_force_best
-from mplq.routing import AdjustmentPolicy
+from mplq.routing import AdjustmentPolicy, check_pool
 from mplq.state import (BudgetProfile, SearchState, effective_locker_count, random_state,
                         validate_state)
 from mplq.taskgen import TaskPool, build_tasks
@@ -799,7 +801,7 @@ def test_effective_locker_count():
 def test_run_hqm_reaches_oracle_on_tiny_instance():
     pool, inst = _pool_and_instance(seed=3)
     assert 1 <= len(pool) <= 5
-    _, opt = brute_force_best(pool, inst, AdjustmentPolicy.HCPS)
+    _, opt, _ = brute_force_best(pool, inst, AdjustmentPolicy.HCPS)
     best, plan, history = run_hqm(pool, inst, AdjustmentPolicy.HCPS,
                                   BudgetProfile(agents=15, iterations=300), 5)
     assert best.reward == pytest.approx(opt, rel=1e-12)
@@ -854,6 +856,55 @@ def test_state_cache_clearing_changes_no_result(monkeypatch):
     monkeypatch.setattr(hqm.Evaluator, "_CACHE_LIMIT", 8)
     assert solve() == default
     assert evaluations[1] > evaluations[0]  # the small cache was cleared and missed again
+
+
+def _counted_evaluator(monkeypatch, pool, instance):
+    """An ``Evaluator`` of ``pool`` and the list that counts its ``evaluate_solution`` calls."""
+    evaluate, calls = hqm.evaluate_solution, []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(hqm, "evaluate_solution", counted)
+    return hqm.Evaluator(pool, instance, AdjustmentPolicy.HCPS), calls
+
+
+def test_state_cache_hits_an_equal_pair_and_misses_another_x2(monkeypatch):
+    instance = generate_instance(GeneratorConfig(num_spaces=8, locations_per_space=10, seed=0))
+    pool = build_tasks(instance, assign_customers(instance))
+    evaluator, calls = _counted_evaluator(monkeypatch, pool, instance)
+    state = random_state(np.random.default_rng(4), len(pool), check_pool(pool, instance))
+    first = evaluator.reward(state)
+    equal = SearchState(tuple(list(state.x1)), tuple(list(state.x2)))
+    assert evaluator.reward(equal) == first == equal.reward and len(calls) == 1
+    swapped = SearchState(state.x1, state.x2[1:] + state.x2[:1])
+    evaluator.reward(swapped)
+    assert len(calls) == 2
+
+
+def test_state_cache_keeps_no_state_tuple_alive():
+    pool, instance = _pool_and_instance(seed=6)
+    evaluator = hqm.Evaluator(pool, instance, AdjustmentPolicy.BTD)
+    state = random_state(np.random.default_rng(0), len(pool), check_pool(pool, instance))
+    before = sys.getrefcount(state.x1), sys.getrefcount(state.x2)
+    evaluator.reward(state)
+    evaluator.reward(state)
+    assert (sys.getrefcount(state.x1), sys.getrefcount(state.x2)) == before
+
+
+def test_state_cache_keys_a_pool_above_256_tasks(monkeypatch):
+    # ids above 255 take the wide packing; a repeat still hits and the reward is exact
+    config = GeneratorConfig(num_spaces=160, locations_per_space=20, seed=0, capacity=40.0)
+    instance = generate_instance(config)
+    pool = build_tasks(instance, assign_customers(instance))
+    assert len(pool) == 277
+    evaluator, calls = _counted_evaluator(monkeypatch, pool, instance)
+    state = random_state(np.random.default_rng(0), len(pool), check_pool(pool, instance))
+    reward = evaluator.reward(state)
+    assert evaluator.reward(SearchState(state.x1, state.x2)) == reward and len(calls) == 1
+    memo = routing.RouteMemo(pool, instance, AdjustmentPolicy.HCPS)
+    assert reward == routing.evaluate_solution(state, memo)[1].reward
 
 
 @pytest.mark.parametrize("policy", [AdjustmentPolicy.BTD, AdjustmentPolicy.HCPS])

@@ -20,7 +20,7 @@ def test_single_task_single_locker():
     sp = make_space(1, 3.0, 4.0)
     inst = make_instance([sp], max_lockers=1)
     pool = make_pool([make_task(1, window=(0, 1440))])
-    best, reward = brute_force_best(pool, inst, AdjustmentPolicy.HCPS)
+    best, reward, _ = brute_force_best(pool, inst, AdjustmentPolicy.HCPS)
     assert list(best.x1) == [0] and list(best.x2) == [0]
     assert reward == pytest.approx(1 / (5 + 2 * 5.0))
 
@@ -34,7 +34,7 @@ def _generated(spaces, locations, seed, **overrides):
 def test_oracle_accepts_max_tasks():
     inst, pool = _generated(8, 10, 3)
     assert len(pool) == oracle.MAX_TASKS
-    best, reward = brute_force_best(pool, inst, AdjustmentPolicy.HCPS)
+    best, reward, _ = brute_force_best(pool, inst, AdjustmentPolicy.HCPS)
     _, cost = evaluate(best, pool, inst, AdjustmentPolicy.HCPS)
     assert best.reward == reward == cost.reward
     n = len(pool)
@@ -58,7 +58,7 @@ def test_oracle_counts_the_orders_of_tied_starts():
     with pytest.raises(SearchSpaceLimitError, match="holds 7 tasks, whose sets need 13700 "):
         brute_force_best(tied, inst, AdjustmentPolicy.BTD)
     six = make_pool(tied.tasks[:6])
-    best, reward = brute_force_best(six, inst, AdjustmentPolicy.BTD)
+    best, reward, _ = brute_force_best(six, inst, AdjustmentPolicy.BTD)
     assert reward == _first_use_enumeration(six, inst, AdjustmentPolicy.BTD)[1]
 
 
@@ -72,7 +72,7 @@ def test_line_instance_prefers_single_locker():
     spaces = [make_space(k, float(k), 0.0) for k in (1, 2, 3)]
     inst = make_instance(spaces, max_lockers=2)
     pool = make_pool([make_task(k, window=(0, 1440)) for k in (1, 2, 3)])
-    best, reward = brute_force_best(pool, inst, AdjustmentPolicy.HCPS)
+    best, reward, _ = brute_force_best(pool, inst, AdjustmentPolicy.HCPS)
     assert len(set(best.x1)) == 1
     # one locker sweeping 0 -> 1 -> 2 -> 3 -> 0 travels 6 km
     assert reward == pytest.approx(1 / (5 + 6.0))
@@ -83,7 +83,7 @@ def test_tie_break_is_lexicographically_smallest():
     spaces = [make_space(1, 1.0, 0.0), make_space(2, 1.0, 0.0)]
     inst = make_instance(spaces, max_lockers=2)
     pool = make_pool([make_task(1, window=(0, 700)), make_task(2, window=(700, 1440))])
-    best, reward = brute_force_best(pool, inst, AdjustmentPolicy.HCPS)
+    best, reward, _ = brute_force_best(pool, inst, AdjustmentPolicy.HCPS)
     equal = []
     import itertools
     for x1 in itertools.product(range(2), repeat=2):
@@ -100,7 +100,7 @@ def test_oracle_dominates_any_state():
     inst = make_instance(spaces, max_lockers=2)
     pool = make_pool([make_task(1, window=(0, 400)), make_task(2, window=(500, 900)),
                       make_task(1, a=2, window=(400, 500))])
-    _, opt = brute_force_best(pool, inst, AdjustmentPolicy.BTD)
+    _, opt, _ = brute_force_best(pool, inst, AdjustmentPolicy.BTD)
     import itertools
     for x1 in itertools.product(range(2), repeat=3):
         for x2 in itertools.permutations(range(3)):
@@ -216,9 +216,10 @@ def test_oracle_matches_the_full_enumeration():
     cases = list(_generated_pools()) + [_hand_built_pool(rng) for _ in range(70)]
     for inst, pool in cases:
         for policy in AdjustmentPolicy:
-            best, reward = brute_force_best(pool, inst, policy)
+            best, reward, lockers = brute_force_best(pool, inst, policy)
             pair, ref_reward = _reference_best(pool, inst, policy)
             assert reward == ref_reward
+            assert lockers == effective_locker_count(inst.fleet.max_lockers, len(pool))
             if not _tied(pool):
                 assert (tuple(best.x1), tuple(best.x2)) == pair
     tied = sum(_tied(pool) for _, pool in cases)
@@ -235,7 +236,7 @@ def test_oracle_matches_the_first_use_enumeration():
     cases += [_hand_built_pool(rng, sizes=(5, 7)) for _ in range(20)]
     for inst, pool in cases:
         for policy in AdjustmentPolicy:
-            best, reward = brute_force_best(pool, inst, policy)
+            best, reward, _ = brute_force_best(pool, inst, policy)
             pair, ref_reward = _first_use_enumeration(pool, inst, policy)
             assert reward == ref_reward and best.x1 == pair[0]
             if not _tied(pool):
@@ -292,7 +293,7 @@ def test_tied_starts_are_ordered_by_the_oracle():
     inst = make_instance(spaces, max_lockers=1)
     pool = make_pool([make_task(2, window=(0, 1440)), make_task(1, window=(0, 1440)),
                       make_task(2, a=2, window=(0, 1440))])
-    best, reward = brute_force_best(pool, inst, AdjustmentPolicy.BTD)
+    best, reward, _ = brute_force_best(pool, inst, AdjustmentPolicy.BTD)
     _, full = _reference_best(pool, inst, AdjustmentPolicy.BTD)
     _, identity_only = _reference_best(pool, inst, AdjustmentPolicy.BTD, orders=[(0, 1, 2)])
     assert identity_only < reward == full
