@@ -22,7 +22,7 @@ class ShapeError(MplqError):
 
 
 class NothingToSolveError(MplqError):
-    """The task pool is empty, so there is no allocation/sequencing problem."""
+    """The task pool is empty or every plan of it costs nothing: there is nothing to optimize."""
 
 
 class OverCapacityError(MplqError):

@@ -9,14 +9,14 @@ orders nothing, so only the allocation is bred.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import ParameterError
 from .instance import Instance
 from .routing import AdjustmentPolicy, RoutePlan, check_pool
-from .hqm import Evaluator, RunHistory, Stream, roulette_cdf, roulette_pick
+from .hqm import Evaluator, RunHistory, Stream, roulette_cdf
 from .state import BudgetProfile, SearchState, random_state
 from .taskgen import TaskPool
 
@@ -24,44 +24,14 @@ CROSSOVER_PROB = 0.5  # chance that two parents are crossed rather than cloned
 MUTATION_RATE = 0.05  # per-gene chance of a locker reassignment or a position swap
 
 
-def _uniform_crossover(a: Sequence[int], b: Sequence[int], rng: Stream) -> list[int]:
-    return [x if m else y for x, y, m in zip(a, b, rng.mask(len(a)))]
-
-
-def _order_crossover(a: Sequence[int], b: Sequence[int], rng: Stream) -> list[int]:
-    """Keep a slice of ``a`` in place, fill the rest in ``b``'s order."""
-    n = len(a)
-    if n == 1:
-        return list(a)
-    c1, c2 = sorted(rng.two_of(n + 1))
+def _order_crossover(a: Sequence[int], b: Sequence[int], cuts: tuple[int, int]) -> list[int]:
+    """Keep ``a``'s slice between the two cut points in place, fill the rest in ``b``'s order."""
+    c1, c2 = sorted(cuts)
     kept = a[c1:c2]
     used = set(kept)
     child = [v for v in b if v not in used]
     child[c1:c1] = kept
     return child
-
-
-def _mutate(x1: list[int], x2: Optional[list[int]], rate: float, max_lockers: int,
-            rng: Stream) -> tuple[list[int], Optional[list[int]]]:
-    """Mutate both lists in place: per-gene locker reassignments, then position swaps.
-
-    Each pass draws one ``random()`` per gene, compared with ``rate``; a hit
-    draws its reassignment or its swap partner before the next gene's double.
-    An ``x2`` of None skips the swap pass and its draws.
-    """
-    n = len(x1)
-    integers = rng.integers
-    for k in rng.hits(n, rate):
-        x1[k] = integers(max_lockers)
-    if x2 is None:
-        return x1, x2
-    for k in rng.hits(n, rate):
-        if n > 1:
-            j = integers(n - 1)
-            if j >= k:
-                j += 1
-            x2[k], x2[j] = x2[j], x2[k]
-    return x1, x2
 
 
 def next_generation(population: list[SearchState], rng: Stream,
@@ -70,10 +40,13 @@ def next_generation(population: list[SearchState], rng: Stream,
 
     The top 5% of the states, but at least one, pass through unchanged
     (rewards intact); the rest are bred by selection, crossover, and
-    mutation. Each parent is a ``roulette_pick`` through the generation's
-    ``roulette_cdf``: fitness-proportional, uniform when the rewards sum to zero.
-    Without ``breed_x2`` a child keeps its first parent's ``x2``, with no
-    order crossover and no swap pass drawn. Children come back with
+    mutation, each child's ``x1`` by one ``Stream.breed`` over the
+    generation's ``roulette_cdf``: fitness-proportional parents, uniform when
+    the rewards sum to zero. With ``breed_x2`` a crossed child of over one
+    task also takes the order crossover at the cut pair ``breed`` drew, then
+    a swap pass of one ``random()`` per gene, each below ``MUTATION_RATE``
+    swapping it with a uniform other position; without it a child keeps its
+    first parent's ``x2`` and draws neither. Children come back with
     ``reward=None`` and must be evaluated by the caller.
     """
     size = len(population)
@@ -86,19 +59,24 @@ def next_generation(population: list[SearchState], rng: Stream,
     ranked = sorted(population, key=lambda s: s.reward, reverse=True)
     out: list[SearchState] = ranked[:max(1, int(0.05 * size))]
     cdf = roulette_cdf(rewards)
+    x1s = [s.x1 for s in population]
     crossover_prob, rate = CROSSOVER_PROB, MUTATION_RATE
 
     while len(out) < size:
-        pa = population[roulette_pick(cdf, rng)]
-        pb = population[roulette_pick(cdf, rng)]
-        if rng.random() < crossover_prob:
-            x1 = _uniform_crossover(pa.x1, pb.x1, rng)
-            x2 = _order_crossover(pa.x2, pb.x2, rng) if breed_x2 else None
-        else:
-            x1 = list(pa.x1)
-            x2 = list(pa.x2) if breed_x2 else None
-        _mutate(x1, x2, rate, max_lockers, rng)
-        out.append(SearchState(tuple(x1), pa.x2 if x2 is None else tuple(x2)))
+        a, b, cuts, x1 = rng.breed(cdf, x1s, crossover_prob, rate, max_lockers, breed_x2)
+        pa = population[a]
+        if not breed_x2:
+            out.append(SearchState(tuple(x1), pa.x2))
+            continue
+        x2 = list(pa.x2) if cuts is None else _order_crossover(pa.x2, population[b].x2, cuts)
+        n = len(x2)
+        for k in range(n):
+            if rng.random() < rate and n > 1:
+                j = rng.integers(n - 1)
+                if j >= k:
+                    j += 1
+                x2[k], x2[j] = x2[j], x2[k]
+        out.append(SearchState(tuple(x1), tuple(x2)))
     return out
 
 

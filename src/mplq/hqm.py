@@ -19,7 +19,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -172,20 +172,6 @@ def roulette_cdf(scores: Iterable[float]) -> list[float]:
     return sums
 
 
-def roulette_pick(cdf: list[float], rng: Stream) -> int:
-    """An index drawn in proportion to its score from ``roulette_cdf``'s running sums.
-
-    One ``random()`` double ``u`` picks the first sum above ``u`` times the
-    total, or the last nonzero score should that product round up to the
-    total. A total of at most 0 draws one uniform ``integers`` instead.
-    """
-    total = cdf[-1]
-    if total <= 0.0:
-        return rng.integers(len(cdf))
-    k = bisect_right(cdf, rng.random() * total)
-    return k if k < len(cdf) else bisect_left(cdf, total)
-
-
 BLOCK = 64  # raw outputs a Stream pulls from its bit generator at a time
 
 
@@ -203,17 +189,24 @@ class Stream:
       output split low half first, the high half kept for the next word;
       ``high`` = 1 draws nothing.
     - ``uniform(low, high)``: ``low + (high - low) * random()``.
-    - ``chain(table, row, n, distinct=False)``: n epsilon-greedy picks over a
-      ``PickTable``, each from the row the one before it picked: a
-      ``random()`` threshold, then ``random() < threshold`` takes the row's
-      first (with ``distinct``, first unused) id by score, else a
-      ``roulette_pick`` over the row's (unused) ids.
-    - ``hits(n, rate)``: the k < n whose k-th of n ``random()`` draws falls
-      below ``rate``, lazily, compared on the raw outputs.
-    - ``mask(n)``: n draws of ``integers(2)``, as ``integers(0, 2, size=n)``,
-      read from whole outputs.
+    - ``chain(table, row, n)``: n epsilon-greedy picks over a ``PickTable``,
+      each from the row the one before it picked: a ``random()`` threshold,
+      then ``random() < threshold`` takes the row's first (for a ``distinct``
+      table, first unused) id by score, else a roulette pick over the row's
+      (unused) ids.
+    - ``breed(cdf, x1s, crossover_prob, rate, high, cut=False)``: one GA
+      child's draws: two roulette picks, a ``random()`` crossover decision,
+      if crossed one ``integers(2)`` per gene as ``integers(0, 2, size=n)``
+      (read from whole outputs) and with ``cut`` a ``two_of(n + 1)``, then a
+      ``random()`` per gene, each below ``rate`` followed by its
+      ``integers(high)``.
     - ``two_of(m)``: ``choice(m, size=2, replace=False)``, Floyd's algorithm
       followed by a shuffle of the pair.
+
+    A roulette pick over running sums ``cdf`` (``roulette_cdf``) draws one
+    ``random()`` ``u`` and takes the first sum above ``u`` times the total, or
+    the last nonzero score should that product round up to the total; a
+    total of at most 0 draws one ``integers(len(cdf))`` instead.
     """
 
     __slots__ = ("_pull", "_raw", "_half")
@@ -246,23 +239,26 @@ class Stream:
         raw = self._raw or self._refill()
         return (raw.pop() >> 11) * 2 ** -53
 
-    def chain(self, table: PickTable, row: int, n: int, distinct: bool = False) -> list[int]:
+    def chain(self, table: PickTable, row: int, n: int) -> list[int]:
         """``n`` chained epsilon-greedy picks over ``table``'s rows, the first from ``row``.
 
         Each pick draws a ``random()`` threshold, then a ``random()`` decision
         (two doubles compare as their top 53 bits do, so it compares those).
-        Below the threshold it takes the first id of the row's order, else the
-        ``roulette_pick`` of the row's running sums, read inline; the next pick
-        draws from the row this one picked. With ``distinct`` it skips picked
-        ids: the roulette then sums the unused ids' scores in ascending id order.
+        Below the threshold it takes the row's first argmax, else the roulette
+        pick of the row's running sums, read inline; the next pick draws from
+        the row this one picked. Over a ``distinct`` table it skips picked ids:
+        the greedy branch takes the first unused id of the row's order, and the
+        roulette sums the unused ids' scores in ascending id order.
         """
         out = []
         raw = self._raw
-        orders, cdfs = table.orders, table.cdfs
+        distinct = table.distinct
         if distinct:
-            rows = table.rows
+            rows, orders = table.rows, table.orders
             unused = list(range(table.width))  # ascending ids
             fresh = [True] * table.width
+        else:
+            argmax, cdfs = table.argmax, table.cdfs
         for _ in range(n):
             if not raw:
                 raw = self._refill()
@@ -276,7 +272,7 @@ class Stream:
                             break
                     unused.remove(row)
                 else:
-                    row = orders[row][0]
+                    row = argmax[row]
             else:
                 cdf = roulette_cdf(map(rows[row].__getitem__, unused)) if distinct else cdfs[row]
                 total = cdf[-1]
@@ -294,6 +290,70 @@ class Stream:
                 fresh[row] = False
             out.append(row)
         return out
+
+    def breed(self, cdf: list[float], x1s: Sequence[tuple[int, ...]], crossover_prob: float,
+              rate: float, high: int, cut: bool = False,
+              ) -> tuple[int, int, Optional[tuple[int, int]], list[int]]:
+        """One GA child's draws, as ``next_generation`` makes them, and its bred ``x1``.
+
+        Parents ``a`` and ``b`` are roulette picks over ``cdf``. A ``random()``
+        below ``crossover_prob`` (compared on the raw output as
+        ``raw < ceil(p * 2**53) << 11``, which is exact) crosses them: a fair
+        bit per gene keeps ``x1s[a]``'s gene or takes ``x1s[b]``'s, a buffered
+        half first, then bit 31 and bit 63 of each output, an odd last word
+        buffering its high half; with ``cut`` and over one gene it then draws
+        the order crossover's ``two_of(n + 1)``. Then each gene whose
+        ``random()`` falls below ``rate`` is reassigned to ``integers(high)``.
+        Returns ``(a, b, cut pair or None, x1)``.
+        """
+        raw = self._raw
+        total = cdf[-1]
+        picks = []
+        for _ in range(2):
+            if total <= 0.0:
+                picks.append(self.integers(len(cdf)))
+                raw = self._raw  # integers() may have refilled it
+                continue
+            if not raw:
+                raw = self._refill()
+            k = bisect_right(cdf, (raw.pop() >> 11) * 2 ** -53 * total)
+            picks.append(k if k < len(cdf) else bisect_left(cdf, total))
+        a, b = picks
+        x1 = list(x1s[a])
+        n = len(x1)
+        pair = None
+        if not raw:
+            raw = self._refill()
+        if raw.pop() < math.ceil(crossover_prob * 2 ** 53) << 11:
+            other = x1s[b]
+            k = 0
+            if n and self._half is not None:
+                if not self._half >> 31:
+                    x1[0] = other[0]
+                self._half = None
+                k = 1
+            while k < n:
+                if not raw:
+                    raw = self._refill()
+                word = raw.pop()
+                if not word >> 31 & 1:
+                    x1[k] = other[k]
+                if k + 1 == n:
+                    self._half = word >> 32
+                elif not word >> 63:
+                    x1[k + 1] = other[k + 1]
+                k += 2
+            if cut and n > 1:
+                pair = self.two_of(n + 1)
+                raw = self._raw
+        below = math.ceil(rate * 2 ** 53) << 11
+        for k in range(n):
+            if not raw:
+                raw = self._refill()
+            if raw.pop() < below:
+                x1[k] = self.integers(high)
+                raw = self._raw
+        return a, b, pair, x1
 
     def integers(self, high: int) -> int:
         """A uniform int in [0, high), for ``high`` in [1, 2**32]."""
@@ -317,48 +377,6 @@ class Stream:
     def uniform(self, low: float, high: float) -> float:
         return low + (high - low) * self.random()
 
-    def hits(self, n: int, rate: float) -> Iterator[int]:
-        """Each k < n whose k-th ``random()`` draw falls below ``rate``, as a lazy generator.
-
-        A double is an output's top 53 bits over 2**53, so it falls below
-        ``rate`` exactly when the output falls below ``ceil(rate * 2**53) << 11``.
-        The k-th output is read only when the generator is advanced past k - 1,
-        so a draw the caller makes between yields lands where it would between
-        ``random()`` calls.
-        """
-        below = math.ceil(rate * 2 ** 53) << 11
-        raw = self._raw
-        for k in range(n):
-            if not raw:  # a caller's draw may have refilled self._raw between yields
-                raw = self._raw or self._refill()
-            if raw.pop() < below:
-                yield k
-
-    def mask(self, n: int) -> list[int]:
-        """n fair bits: ``integers(2)`` never rejects, so each is a 32-bit word's top bit.
-
-        A buffered half comes first; then each output gives its low half's top
-        bit (bit 31) and its high half's (bit 63). An odd last word leaves its
-        output's high half buffered.
-        """
-        out = []
-        if n and self._half is not None:
-            out.append(self._half >> 31)
-            self._half = None
-            n -= 1
-        raw = self._raw
-        for _ in range(n >> 1):
-            if not raw:
-                raw = self._refill()
-            word = raw.pop()
-            out.append((word >> 31) & 1)
-            out.append(word >> 63)
-        if n & 1:
-            word = (raw or self._refill()).pop()
-            out.append((word >> 31) & 1)
-            self._half = word >> 32
-        return out
-
     def two_of(self, m: int) -> tuple[int, int]:
         """Two distinct ints of [0, m), in the order ``choice`` returns them."""
         a = self.integers(m - 1)
@@ -369,31 +387,38 @@ class Stream:
 
 
 class PickTable:
-    """A fixed table's rows as ``Stream.chain`` picks from them: each row, its
-    ``roulette_cdf`` and its ids by descending score, ties in ascending id order.
+    """A fixed table's rows as ``Stream.chain`` picks from them.
+
+    A plain table keeps each row's first argmax and its ``roulette_cdf``. A
+    ``distinct`` table, whose chain skips picked ids, keeps each row and its
+    ids by descending score, ties in ascending id order.
     """
 
-    def __init__(self, rows: list[list[float]]):
+    def __init__(self, rows: list[list[float]], distinct: bool = False):
         self.width = len(rows[0])
-        self.rows = rows
-        self.cdfs = [roulette_cdf(row) for row in rows]
-        self.orders = [sorted(range(self.width), key=row.__getitem__, reverse=True)
-                       for row in rows]  # a stable sort, so equal scores keep id order
+        self.distinct = distinct
+        if distinct:
+            self.rows = rows
+            self.orders = [sorted(range(self.width), key=row.__getitem__, reverse=True)
+                           for row in rows]  # a stable sort, so equal scores keep id order
+        else:
+            self.argmax = [row.index(max(row)) for row in rows]
+            self.cdfs = [roulette_cdf(row) for row in rows]
 
 
 def global_construct(agent: Agent, q1: PickTable, q2: PickTable) -> SearchState:
     """Build a full state by walking both chains of the normalized tables.
 
     ``q1`` and ``q2`` are the ``PickTable``s of the normalized locker and task
-    tables, and each chain is one ``Stream.chain`` from its virtual start row
-    on the agent's ``Stream``. Each task's locker is picked from the row of
-    its predecessor's; the permutation is built the same way over the unused
-    tasks only (``distinct``).
+    tables, the second ``distinct``, and each chain is one ``Stream.chain``
+    from its virtual start row on the agent's ``Stream``. Each task's locker
+    is picked from the row of its predecessor's; the permutation is built the
+    same way over the unused tasks only.
     """
     rng = agent.rng
     n_tasks = q2.width
     x1 = rng.chain(q1, q1.width, n_tasks)
-    x2 = rng.chain(q2, n_tasks, n_tasks, distinct=True)
+    x2 = rng.chain(q2, n_tasks, n_tasks)
     return SearchState(x1=tuple(x1), x2=tuple(x2))
 
 
@@ -498,7 +523,8 @@ def run_hqm(pool: TaskPool, instance: Instance, policy: AdjustmentPolicy,
     for t in range(1, budget.iterations + 1):
         alpha = 0.9 * math.exp(-t / budget.iterations)
         snapshot = qmats.copy()
-        q1, q2 = PickTable(normalize_q(qmats.q1)), PickTable(normalize_q(qmats.q2))
+        q1 = PickTable(normalize_q(qmats.q1))
+        q2 = PickTable(normalize_q(qmats.q2), distinct=True)
 
         for agent in agents:
             candidate = global_construct(agent, q1, q2)
@@ -543,7 +569,6 @@ __all__ = [
     "init_agents",
     "normalize_q",
     "roulette_cdf",
-    "roulette_pick",
     "Stream",
     "PickTable",
     "global_construct",

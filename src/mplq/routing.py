@@ -373,7 +373,10 @@ def check_pool(pool: TaskPool, instance: Instance) -> int:
 
     Raises NothingToSolveError for an empty pool and OverCapacityError naming
     the first task above the locker capacity, which no plan can serve; the
-    grid and the sweeps skip such a pool and count it.
+    grid and the sweeps skip such a pool and count it. Then raises
+    NothingToSolveError when every plan costs 0 (a fixed cost of 0 and every
+    task's space at the depot), whose reward would be infinite; no generated
+    instance has a fixed cost of 0.
     """
     if len(pool) == 0:
         raise NothingToSolveError("task pool is empty")
@@ -383,6 +386,10 @@ def check_pool(pool: TaskPool, instance: Instance) -> int:
             raise OverCapacityError(
                 f"task {task_id} (space {task.space_id}) demands {task.demand} parcels, above "
                 f"the locker capacity {capacity}; no plan can serve it")
+    if instance.fleet.fixed_cost == 0 and all(instance.space_by_id(task.space_id).position
+                                              == instance.depot for task in pool.tasks):
+        raise NothingToSolveError("every plan costs nothing: the fixed cost is 0 and every "
+                                  "task's space sits at the depot")
     return effective_locker_count(instance.fleet.max_lockers, len(pool))
 
 

@@ -1,7 +1,9 @@
-"""Factories for hand-built instances, tasks, and states used across tests."""
+"""Factories for hand-built instances, tasks, and states used across tests, and the
+reference draws the streams are checked against."""
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from typing import Optional, Sequence
 
 import numpy as np
@@ -118,3 +120,18 @@ def assert_same_continuation(stream: Stream, rng: np.random.Generator) -> None:
     """
     assert [stream.random() for _ in range(8)] == [rng.random() for _ in range(8)]
     assert [stream.integers(7) for _ in range(8)] == [int(rng.integers(7)) for _ in range(8)]
+
+
+def roulette_pick(cdf: list[float], rng) -> int:
+    """The roulette pick ``Stream.chain`` and ``Stream.breed`` read inline, one call at a
+    time on a ``Generator`` or a ``Stream``: the reference for both.
+
+    One ``random()`` double ``u`` picks the first running sum above ``u`` times
+    the total, or the last nonzero score should that product round up to the
+    total; a total of at most 0 draws one ``integers(len(cdf))`` instead.
+    """
+    total = cdf[-1]
+    if total <= 0.0:
+        return int(rng.integers(len(cdf)))
+    k = bisect_right(cdf, rng.random() * total)
+    return k if k < len(cdf) else bisect_left(cdf, total)

@@ -363,17 +363,32 @@ _REFUSALS = {
     "over_capacity": (OverCapacityError, "task 0 (space 2) demands 8 parcels, above the "
                                          "locker capacity 5.0; no plan can serve it"),
     "empty": (NothingToSolveError, "task pool is empty"),
+    "zero_cost": (NothingToSolveError, "every plan costs nothing: the fixed cost is 0 and "
+                                       "every task's space sits at the depot"),
 }
 
 
 @pytest.mark.parametrize("kind", sorted(_REFUSALS))
 @pytest.mark.parametrize("consumer", sorted(_SOLVES))
 def test_solvers_refuse_a_pool_with_a_task_above_capacity(consumer, kind):
-    # the over-capacity pool and an empty one, each refused by check_pool alone
+    # the over-capacity pool, an empty one and one whose every plan costs 0,
+    # each refused by check_pool alone
     low = replace(GeneratorConfig(num_spaces=2, locations_per_space=3, seed=2), capacity=5.0)
     instance, pool = _generated_pool(low)
     if kind == "empty":
         pool = TaskPool(tasks=(), unservable=())
+    elif kind == "zero_cost":
+        instance, pool = _generated_pool(replace(low, capacity=20.0))
+        free = replace(instance, fleet=replace(instance.fleet, fixed_cost=0.0))
+
+        def at_depot(keep):
+            return replace(free, spaces=tuple(sp if sp.id == keep else
+                                              replace(sp, position=free.depot)
+                                              for sp in free.spaces))
+
+        # one task's space off the depot is enough for every plan to cost more than 0
+        assert check_pool(pool, at_depot(pool.tasks[0].space_id)) >= 1
+        instance = at_depot(None)
     assert _refusal(lambda: check_pool(pool, instance)) == _REFUSALS[kind]
     assert _refusal(lambda: _SOLVES[consumer](pool, instance)) == _REFUSALS[kind]
 

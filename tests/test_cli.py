@@ -284,6 +284,33 @@ def test_oracle_refuses_a_task_above_capacity(tmp_path, capsys):
     assert captured.err.startswith("error: task 0 (space ") and "demands 8 parcels" in captured.err
 
 
+@pytest.mark.parametrize("command", [["solve", "--solver", "hqm"], ["solve", "--solver", "ga"],
+                                     ["oracle"]])
+def test_a_pool_whose_every_plan_costs_nothing_is_refused(tmp_path, capsys, command):
+    # a fixed cost of 0 and every space and customer location at the depot:
+    # the instance is valid, but every plan's objective is 0 and its reward inf
+    path = tmp_path / "inst.json"
+    assert run_cli(["generate", "--out", str(path), "--spaces", "3", "--locations", "5",
+                    "--seed", "0"]) == 0
+    data = json.loads(path.read_text())
+    data["fleet"]["fixed_cost"] = 0
+    for space in data["spaces"]:
+        space["position"] = data["depot"]
+    for customer in data["customers"]:
+        for location in customer["locations"]:
+            location["position"] = data["depot"]
+    path.write_text(json.dumps(data))
+    assert run_cli(["validate", "--instance", str(path)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "out"
+    argv = [*command, "--instance", str(path)]
+    code = run_cli(argv + ["--out-dir", str(out)] if command[0] == "solve" else argv)
+    captured = capsys.readouterr()
+    assert code == 1 and "RESULT" not in captured.out and not out.exists()
+    assert captured.err == ("error: every plan costs nothing: the fixed cost is 0 and every "
+                            "task's space sits at the depot\n")
+
+
 @pytest.mark.parametrize("flags", [["--limit", "0"], ["--limit", "-5"],
                                    ["--limit", "many"], ["--max-lockers", "2"],
                                    ["--seed", "1"]])

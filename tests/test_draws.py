@@ -8,8 +8,11 @@ tests pin each against the ``Generator`` call it replaces.
 import numpy as np
 import pytest
 
-from mplq.hqm import BLOCK, PickTable, Stream, roulette_cdf, roulette_pick
-from helpers import assert_same_continuation, stream_pair
+from mplq import ga
+from mplq.ga import next_generation
+from mplq.hqm import BLOCK, PickTable, Stream, roulette_cdf
+from mplq.state import SearchState
+from helpers import assert_same_continuation, roulette_pick, stream_pair
 
 # bounds for integers(k): small, around the 32-bit half, and up to 2**32
 HIGHS = (1, 2, 3, 7, 10, 29, 100, 2 ** 16 + 1, 2 ** 31 - 1, 2 ** 31, 2 ** 31 + 1,
@@ -34,10 +37,40 @@ def _draw(maker, stream, ref):
     if kind == 2:
         return stream.uniform(-1.0, 1.0), float(ref.uniform(-1.0, 1.0))
     if kind == 3:
-        n = int(maker.integers(0, 20))
-        return stream.mask(n), ref.integers(0, 2, size=n).tolist()
+        args = _breed_args(maker)
+        return stream.breed(*args), _reference_breed(ref, *args)
     m = int(maker.integers(2, 30))
     return stream.two_of(m), tuple(ref.choice(m, size=2, replace=False).tolist())
+
+
+def _breed_args(maker, n=None):
+    """Random arguments of one ``Stream.breed``: running sums (a zero total among them),
+    parents' ``x1`` of ``n`` genes (random lengths 1 to 20 by default), the two rates,
+    a bound and ``cut``."""
+    size = int(maker.integers(1, 8))
+    scores = maker.random(size) * (maker.random() < 0.85)
+    n = int(maker.integers(1, 21)) if n is None else n
+    high = HIGHS[int(maker.integers(len(HIGHS)))]
+    x1s = [tuple(maker.integers(0, min(high, 50), size=n).tolist()) for _ in range(size)]
+    return (roulette_cdf(scores.tolist()), x1s, float(maker.choice([0.0, 0.5, 1.0])),
+            float(maker.choice([0.0, 0.05, 0.5, 1.0])), high, bool(maker.integers(2)))
+
+
+def _reference_breed(ref, cdf, x1s, crossover_prob, rate, high, cut=False):
+    """``Stream.breed`` call by call on a ``Generator``: two roulette picks, the
+    crossover double, the mask and (with ``cut``, over one gene) the cut pair, then a
+    double per gene, each below ``rate`` followed by its reassignment."""
+    a, b = roulette_pick(cdf, ref), roulette_pick(cdf, ref)
+    x1, n, pair = list(x1s[a]), len(x1s[a]), None
+    if ref.random() < crossover_prob:
+        mask = ref.integers(0, 2, size=n).tolist()
+        x1 = [x if m else y for x, y, m in zip(x1s[a], x1s[b], mask)]
+        if cut and n > 1:
+            pair = tuple(ref.choice(n + 1, size=2, replace=False).tolist())
+    for k in range(n):
+        if ref.random() < rate:
+            x1[k] = int(ref.integers(high))
+    return a, b, pair, x1
 
 
 def test_long_mixes_draw_what_generator_drew():
@@ -141,33 +174,105 @@ def test_integers_takes_numpy_ints():
     assert_same_continuation(stream, ref)
 
 
-@pytest.mark.parametrize("rate", [0.0, 0.05, 0.5, 1.0])
-def test_hits_are_the_draws_below_rate(rate):
-    # each hit draws integers(k) before the next double, as the GA's mutation
-    # does; n runs past two blocks, so refills fall inside a call
-    for seed in range(8):
+@pytest.mark.parametrize("odd_words", [False, True])
+@pytest.mark.parametrize("n", [1, 2, 7, 8])
+def test_breed_draws_what_generator_drew(odd_words, n):
+    # every crossover and mutation rate at 0, 0.05 or 0.5 and 1, with and
+    # without the cut pair, and a buffered half on entry or not; 3 * BLOCK
+    # children of up to 8 genes put refills inside children
+    for seed in range(12):
         stream, ref = stream_pair(seed)
-        maker = np.random.default_rng(seed + 300)
-        for n in range(2 * BLOCK + 4):
-            bound = int(maker.integers(1, 12))
-            got = [(k, stream.integers(bound)) for k in stream.hits(n, rate)]
-            expected = [(k, int(ref.integers(bound))) for k in range(n) if ref.random() < rate]
-            assert got == expected, (seed, n)
+        maker = np.random.default_rng(seed + 1100)
+        for _ in range(3 * BLOCK):
+            if odd_words:  # one 32-bit word: its output's high half stays buffered
+                assert stream.integers(5) == int(ref.integers(5))
+            args = _breed_args(maker, n)
+            assert stream.breed(*args) == _reference_breed(ref, *args), (seed, n)
         assert_same_continuation(stream, ref)
 
 
-def test_hits_threshold_is_exact_at_the_drawn_double():
-    # the raw-output comparison is random() < rate: not <=, and exact for a
-    # rate between two multiples of 2**-53; the first output of seeds 4769
-    # and 4811 has its 11 low bits zero, so it equals the threshold for rate d
+def test_breed_reassignment_runs_lemire_rejection():
+    # every gene mutated to integers(2**31 + 1), which rejects about half its
+    # words; children of 2 * BLOCK + 3 genes refill inside the crossover mask
+    # and inside the reassignment pass
+    class Counting(Stream):
+        __slots__ = ("words", "refills")
+
+        def _uint32(self):
+            self.words += 1
+            return super()._uint32()
+
+        def _refill(self):
+            self.refills += 1
+            return super()._refill()
+
+    high, n = 2 ** 31 + 1, 2 * BLOCK + 3
+    for seed in range(6):
+        stream, ref = Counting(np.random.default_rng(seed)), np.random.default_rng(seed)
+        stream.words = stream.refills = 0
+        maker = np.random.default_rng(seed)
+        x1s = [tuple(maker.integers(0, 9, size=n).tolist()) for _ in range(3)]
+        cdf = roulette_cdf([0.2, 0.3, 0.5])
+        for crossover_prob in (1.0, 0.0, 1.0):
+            got = stream.breed(cdf, x1s, crossover_prob, 1.0, high)
+            assert got == _reference_breed(ref, cdf, x1s, crossover_prob, 1.0, high)
+        assert stream.words > 3 * n * 1.5 and stream.refills >= 9
+        assert_same_continuation(stream, ref)
+
+
+def test_breed_thresholds_are_exact_at_the_drawn_double():
+    # the crossover and mutation decisions compare random() < rate on the raw
+    # output: not <=, and exact for a rate between two multiples of 2**-53;
+    # the first output of seeds 4769 and 4811 has its 11 low bits zero. One
+    # gene, parents 0 (gene 0) and 1 (gene 1) picked at u = 0 and u near 1, a
+    # mask word that takes the second parent's gene, and a reassignment to
+    # integers(2**32), which returns the top half of the word it reads
+    cdf = [1.0, 2.0]
+    x1s = [(0,), (1,)]
+    top = 2 ** 64 - 1
     for seed in [*range(200), 4769, 4811]:
-        d = np.random.default_rng(seed).random()
-        for rate, expected in ((d, []), (np.nextafter(d, 1.0), [0]),
-                               (np.nextafter(d, 0.0), [])):
-            stream, ref = stream_pair(seed)
-            assert list(stream.hits(1, float(rate))) == expected
-            ref.random()
-            assert_same_continuation(stream, ref)
+        out = int(np.random.default_rng(seed).bit_generator.random_raw())
+        d = (out >> 11) * 2 ** -53
+        assert d == np.random.default_rng(seed).random()
+        for rate, below in ((d, False), (float(np.nextafter(d, 1.0)), True),
+                            (float(np.nextafter(d, 0.0)), False)):
+            # the decision is the crossover's: crossed takes gene 1 by mask, no mutation
+            stream = Stream(np.random.default_rng(0))
+            stream._raw = [7, top, 0, out, top, 0]
+            expected = (0, 1, None, [1]) if below else (0, 1, None, [0])
+            assert stream.breed(cdf, x1s, rate, 0.0, 2) == expected
+            assert stream._raw == ([7] if below else [7, top])
+            # the decision is the gene's: a hit reassigns it to the next word's top half
+            stream = Stream(np.random.default_rng(0))
+            stream._raw = [7, 5 << 32 | 9, out, top, top, 0]
+            expected = (0, 1, None, [9 if below else 0])
+            assert stream.breed(cdf, x1s, 0.0, rate, 2 ** 32) == expected
+            assert stream._raw == ([7] if below else [7, 5 << 32 | 9])
+            assert stream._half == (5 if below else None)
+
+
+@pytest.mark.parametrize("crossover_prob", [0.0, 1.0])
+@pytest.mark.parametrize("rate", [0.0, 1.0])
+def test_next_generation_reads_its_rates_at_call_time(monkeypatch, crossover_prob, rate):
+    # each child of a generated pool's generation (x1 bred, x2 kept) against
+    # its reference draws at the patched rates
+    monkeypatch.setattr(ga, "CROSSOVER_PROB", crossover_prob)
+    monkeypatch.setattr(ga, "MUTATION_RATE", rate)
+    for seed in range(30):
+        maker = np.random.default_rng(seed)
+        size, n, lockers = int(maker.integers(2, 30)), int(maker.integers(1, 9)), 3
+        pop = [SearchState(tuple(maker.integers(0, lockers, size=n).tolist()),
+                           tuple(maker.permutation(n).tolist())) for _ in range(size)]
+        for state in pop:
+            state.reward = float(maker.uniform(0.1, 1.0))
+        cdf = roulette_cdf([s.reward for s in pop])
+        x1s = [s.x1 for s in pop]
+        stream, ref = stream_pair(seed + 40)
+        children = next_generation(pop, stream, lockers, breed_x2=False)
+        for child in children[max(1, int(0.05 * size)):]:
+            a, _, _, x1 = _reference_breed(ref, cdf, x1s, crossover_prob, rate, lockers)
+            assert (child.x1, child.x2) == (tuple(x1), pop[a].x2), seed
+        assert_same_continuation(stream, ref)
 
 
 def test_greedy_is_the_random_calls_it_replaces():
@@ -198,7 +303,7 @@ def test_greedy_compares_strictly_below_the_drawn_double():
     # whatever the 11 low bits hold, and a decision one unit lower is; the
     # greedy pick is the row's best id (1) and the roulette's, reading one
     # more output, its pick at u = 0 (0), with and without distinct
-    table = PickTable([[0.4, 0.6]])
+    tables = {distinct: PickTable([[0.4, 0.6]], distinct) for distinct in (False, True)}
     for top in (1, 2, 12345, 2 ** 52, 2 ** 53 - 1):
         for low, other in ((0, 0x7FF), (0x7FF, 0), (0x400, 0x400)):
             threshold = top << 11 | low
@@ -208,21 +313,8 @@ def test_greedy_compares_strictly_below_the_drawn_double():
                 for distinct in (False, True):
                     stream = Stream(np.random.default_rng(0))
                     stream._raw = [7, 0, decision, threshold]
-                    assert stream.chain(table, 0, 1, distinct) == [1 if expected else 0]
+                    assert stream.chain(tables[distinct], 0, 1) == [1 if expected else 0]
                     assert stream._raw == ([7, 0] if expected else [7])
-
-
-@pytest.mark.parametrize("odd_words", [False, True])
-def test_bulk_mask_reads_whole_outputs(odd_words):
-    for seed in range(20):
-        stream, ref = stream_pair(seed)
-        if odd_words:  # one 32-bit word: its output's high half stays buffered
-            assert stream.integers(5) == int(ref.integers(5))
-        # odd and even lengths, past a block, with doubles moving the position
-        for n in (0, 1, 2, 3, 6, 7, 2 * BLOCK + 1, 2 * BLOCK + 2, 5, 4):
-            assert stream.mask(n) == ref.integers(0, 2, size=n).tolist(), (seed, n)
-            assert stream.random() == ref.random()
-        assert_same_continuation(stream, ref)
 
 
 def _reference_picks(ref, argmax, cdfs, row, n):

@@ -130,22 +130,20 @@ def _choice_next_generation(population, rng, max_lockers):
     return out
 
 
-def test_list_operators_match_the_array_operators():
+def test_list_operators_match_the_array_operators(monkeypatch):
+    # every child crossed: its mask, its cut pair (over one task) and both
+    # mutation passes, against the int64 array operators
+    monkeypatch.setattr(ga, "CROSSOVER_PROB", 1.0)
     for seed in range(400):
         maker = np.random.default_rng(seed)
         n, lockers = int(maker.integers(1, 20)), int(maker.integers(1, 6))
-        a1, b1 = (maker.integers(0, lockers, size=n) for _ in range(2))
-        a2, b2 = maker.permutation(n), maker.permutation(n)
-        rate = (0.05, 0.5, 1.0)[seed % 3]
+        pop = _evaluated_population(int(maker.integers(2, 5)), n, lockers, seed=seed)
+        monkeypatch.setattr(ga, "MUTATION_RATE", (0.05, 0.5, 1.0)[seed % 3])
         ours, ref = stream_pair(seed + 1000)
-        assert ga._uniform_crossover(a1.tolist(), b1.tolist(), ours) == \
-            _np_uniform_crossover(a1, b1, ref).tolist()
-        assert ga._order_crossover(tuple(a2.tolist()), tuple(b2.tolist()), ours) == \
-            _np_order_crossover(a2, b2, ref).tolist()
-        got = ga._mutate(a1.tolist(), a2.tolist(), rate, lockers, ours)
-        expected = _np_mutate(a1.copy(), a2.copy(), rate, lockers, ref)
-        assert got == tuple(v.tolist() for v in expected)
-        assert all(type(v) is int for v in got[0] + got[1])
+        got = next_generation(pop, ours, max_lockers=lockers)
+        expected = _choice_next_generation(pop, ref, max_lockers=lockers)
+        assert [(s.x1, s.x2) for s in got] == [(s.x1, s.x2) for s in expected]
+        assert all(type(v) is int for s in got for v in s.x1 + s.x2)
         assert_same_continuation(ours, ref)
 
 
@@ -225,7 +223,7 @@ def test_order_crossover_yields_permutation(data, n):
     a = data.draw(st.permutations(range(n)))
     b = data.draw(st.permutations(range(n)))
     rng = Stream(np.random.default_rng(data.draw(st.integers(0, 999))))
-    child = _order_crossover(a, b, rng)
+    child = _order_crossover(a, b, rng.two_of(n + 1))
     assert sorted(child) == list(range(n))
 
 

@@ -10,7 +10,7 @@ from mplq.hqm import (Agent, QMatrices, global_construct, has_converged,
                       init_agents, local_move, normalize_q, run_hqm, update_q)
 from mplq.bench import write_history_csv
 from mplq.ga import run_ga
-from mplq.hqm import BLOCK, PickTable, Stream, roulette_cdf, roulette_pick
+from mplq.hqm import BLOCK, PickTable, Stream, roulette_cdf
 from mplq.instance import GeneratorConfig, assign_customers, generate_instance
 from mplq.oracle import brute_force_best
 from mplq.routing import AdjustmentPolicy, check_pool
@@ -18,7 +18,7 @@ from mplq.state import (BudgetProfile, SearchState, effective_locker_count, rand
                         validate_state)
 from mplq.taskgen import TaskPool, build_tasks
 from helpers import (assert_same_continuation, make_pool, make_state, make_task,
-                     random_hold_pool, stream_pair)
+                     random_hold_pool, roulette_pick, stream_pair)
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +127,7 @@ def test_greedy_branch_follows_argmax():
     # every unused task ties, so greedy picks walk them in id order
     agent = _empty_pool_agent()
     agent.rng._raw = _greedy_outputs(8)
-    state = global_construct(agent, _one_locker_table(), PickTable([[0.25] * 4] * 5))
+    state = global_construct(agent, _one_locker_table(), PickTable([[0.25] * 4] * 5, True))
     assert list(state.x2) == [0, 1, 2, 3]
 
 
@@ -135,7 +135,7 @@ def test_sampling_branch_renormalizes_masked_row():
     # the start row forces task 1 first; row 1's scores 0.2 / 0.6 over the
     # unused tasks 0 and 2 renormalize to 0.25 / 0.75 on the roulette branch,
     # taken half the time, while the greedy branch always picks task 2
-    q2 = PickTable([[0.0, 0.0, 0.0], [0.2, 0.9, 0.6], [0.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    q2 = PickTable([[0.0, 0.0, 0.0], [0.2, 0.9, 0.6], [0.0, 0.0, 0.0], [0.0, 1.0, 0.0]], True)
     q1 = _one_locker_table()
     agent = _empty_pool_agent(seed=123)
     draws = [global_construct(agent, q1, q2).x2[1] for _ in range(4000)]
@@ -152,7 +152,7 @@ def test_sampling_branch_uniform_on_zero_row():
     agent = _empty_pool_agent(seed=5)
     for draws in ([rng.chain(table, 0, 1)[0] for _ in range(3000)],
                   [global_construct(agent, _one_locker_table(),
-                                    PickTable([[0.0] * 3] * 4)).x2[0] for _ in range(3000)]):
+                                    PickTable([[0.0] * 3] * 4, True)).x2[0] for _ in range(3000)]):
         for k, share in enumerate((2 / 3, 1 / 6, 1 / 6)):
             assert draws.count(k) / len(draws) == pytest.approx(share, abs=0.03)
 
@@ -207,7 +207,7 @@ def test_pick_draws_what_generator_choice_drew():
         q2 = _random_table(maker, n_tasks + 1, n_tasks)
         agent = _empty_pool_agent(seed + 1000)
         ref = np.random.default_rng(seed + 1000)
-        tables = PickTable(q1.tolist()), PickTable(q2.tolist())
+        tables = PickTable(q1.tolist()), PickTable(q2.tolist(), True)
         for _ in range(3):
             state = global_construct(agent, *tables)
             expected, seen = _choice_construct(ref, q1, q2)
@@ -241,19 +241,21 @@ def test_pick_table_draws_what_generator_choice_drew():
 
 
 def test_pick_table_matches_the_array_argmax_and_cdfs_bit_for_bit():
-    # each row's ids by descending score, ties in id order as a stable argsort
-    # of the negated row puts them, so its first id is the first argmax; and
-    # its running sums as np.cumsum adds them
+    # a plain table: each row's first argmax, and its running sums as
+    # np.cumsum adds them; a distinct table: each row and its ids by
+    # descending score, ties in id order as a stable argsort of the negated
+    # row puts them, so its first id is the first argmax too
     for seed in range(400):
         rng = np.random.default_rng(seed)
         raw = _raw_table(rng, int(rng.integers(1, 8)), int(rng.integers(1, 12)))
         for rows in (raw, _np_normalize_q(raw)):
-            table = PickTable(rows.tolist())
-            assert table.width == rows.shape[1]
-            assert table.rows == rows.tolist()
-            assert table.orders == np.argsort(-rows, axis=1, kind="stable").tolist()
-            assert [order[0] for order in table.orders] == rows.argmax(axis=1).tolist()
-            assert _hex(table.cdfs) == _hex(rows.cumsum(axis=1))
+            plain, distinct = PickTable(rows.tolist()), PickTable(rows.tolist(), True)
+            assert plain.width == distinct.width == rows.shape[1]
+            assert plain.argmax == rows.argmax(axis=1).tolist()
+            assert _hex(plain.cdfs) == _hex(rows.cumsum(axis=1))
+            assert distinct.rows == rows.tolist()
+            assert distinct.orders == np.argsort(-rows, axis=1, kind="stable").tolist()
+            assert [order[0] for order in distinct.orders] == plain.argmax
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -270,11 +272,13 @@ def test_pick_refuses_non_finite_scores_like_generator_choice(bad):
     # row 1 overflow: three greedy q1 picks, a greedy q2 pick of task 1 from
     # the start row, then the masked q2 roulette, here and in the reference
     rows = [[0.0] * 3, [1e308, -1e308, 1e308], [0.0] * 3, [0.0, 1.0, 0.0]]
-    for construct in (global_construct, _masked_q2_construct):
+    for construct in (lambda agent: global_construct(agent, _one_locker_table(),
+                                                     PickTable(rows, True)),
+                      lambda agent: _masked_q2_construct(agent, normalize_q([[0.0], [0.0]]), rows)):
         agent = _empty_pool_agent()
         agent.rng._raw = [0, 0] + _greedy_outputs(4)
         with pytest.raises(ValueError):
-            construct(agent, _one_locker_table(), PickTable(rows))
+            construct(agent)
 
 
 def test_roulette_cdf_is_numpy_cumsum_bit_for_bit():
@@ -287,30 +291,26 @@ def test_roulette_cdf_is_numpy_cumsum_bit_for_bit():
             assert _hex([roulette_cdf(scores.tolist())]) == _hex([np.cumsum(scores)]), n
 
 
-class _FixedDraw:
-    """A stand-in ``Stream`` whose every ``random()`` is the same double."""
-
-    def __init__(self, u):
-        self.u = u
-
-    def random(self):
-        return self.u
-
-
 def test_roulette_pick_never_lands_on_a_zero_score():
     # the largest double below 1 over trailing zeros, 0.0 over leading zeros; a
-    # subnormal total makes u * total round up to the total itself
-    top, bottom = _FixedDraw(1 - 2 ** -53), _FixedDraw(0.0)
+    # subnormal total makes u * total round up to the total itself. Both
+    # parents of one Stream.breed are picked at u, then its crossover and its
+    # one gene's mutation draw a double each, at rates of 0
+    top, bottom = (2 ** 53 - 1) << 11, 0  # the outputs of u = 1 - 2**-53 and u = 0
     rng = np.random.default_rng(5)
     rows = [[0.3, 0.7], [1.0], [5e-324], [5e-324, 1e-323], [0.25, 0.25, 0.5]]
     rows += [rng.random(int(rng.integers(1, 12))).tolist() for _ in range(200)]
     rows += [(rng.random(int(rng.integers(1, 12))) * 1e-310).tolist() for _ in range(200)]
     for row in rows:
         for pad in (0, 1, 5):
-            scores = row + [0.0] * pad
-            assert roulette_pick(roulette_cdf(scores), top) == len(row) - 1
-            scores = [0.0] * pad + row
-            assert roulette_pick(roulette_cdf(scores), bottom) == pad
+            for scores, u, expected in ((row + [0.0] * pad, top, len(row) - 1),
+                                        ([0.0] * pad + row, bottom, pad)):
+                stream = Stream(np.random.default_rng(0))
+                stream._raw = [0, 0, u, u]
+                x1s = [(k,) for k in range(len(scores))]
+                assert stream.breed(roulette_cdf(scores), x1s, 0.0, 0.0, 1) == \
+                    (expected, expected, None, [expected])
+                assert stream._raw == []
     assert 5e-324 * (1 - 2 ** -53) == 5e-324  # the case the fallback serves
 
 
@@ -327,14 +327,14 @@ def test_construct_reproduces_unique_chain_under_full_greed():
     agent = _empty_pool_agent()
     for _ in range(20):
         state = global_construct(agent, PickTable(normalize_q(q.q1)),
-                                 PickTable(normalize_q(q.q2)))
+                                 PickTable(normalize_q(q.q2), True))
         assert list(state.x2) == [2, 0, 1]
         assert list(state.x1) == [1, 0, 0]
 
 
 def test_construct_always_yields_permutation():
     q = QMatrices.zeros(3, 6)
-    q1, q2 = PickTable(normalize_q(q.q1)), PickTable(normalize_q(q.q2))
+    q1, q2 = PickTable(normalize_q(q.q1)), PickTable(normalize_q(q.q2), True)
     agent = _empty_pool_agent(seed=42)
     for _ in range(25):
         state = global_construct(agent, q1, q2)
@@ -382,7 +382,7 @@ def test_q2_greedy_picks_the_lowest_unused_id_of_tied_maxima():
         lockers = effective_locker_count(int(maker.integers(1, 5)), n_tasks)
         q1 = _random_table(maker, lockers + 1, lockers).tolist()
         q2 = _random_table(maker, n_tasks + 1, n_tasks).tolist()
-        tables = PickTable(q1), PickTable(q2)
+        tables = PickTable(q1), PickTable(q2, True)
         agent, ref = _empty_pool_agent(seed + 2000), _empty_pool_agent(seed + 2000)
         for _ in range(3):
             state = global_construct(agent, *tables)
@@ -402,19 +402,19 @@ def _greedy(rng):
 
 
 def _masked_q2_construct(agent, q1, q2):
-    """``global_construct`` as written before one ``Stream.chain`` walked both chains:
-    the q1 chain pick by pick over each row's first argmax, ``row.index(max(row))``,
-    and running sums, then the masked q2 loop verbatim. The reference."""
+    """``global_construct`` as written before one ``Stream.chain`` walked both chains,
+    over the tables' rows: the q1 chain pick by pick over each row's first argmax,
+    ``row.index(max(row))``, and running sums, then the masked q2 loop verbatim. The
+    reference."""
     rng = agent.rng
-    n_tasks = q2.width
-    argmax = [row.index(max(row)) for row in q1.rows]
-    cdfs = [roulette_cdf(row) for row in q1.rows]
-    x1, prev = [], q1.width  # virtual start row first
+    n_tasks = len(q2[0])
+    argmax = [row.index(max(row)) for row in q1]
+    cdfs = [roulette_cdf(row) for row in q1]
+    x1, prev = [], len(q1[0])  # virtual start row first
     for _ in range(n_tasks):
         prev = argmax[prev] if _greedy(rng) else roulette_pick(cdfs[prev], rng)
         x1.append(prev)
 
-    q2 = q2.rows
     x2 = []
     unused = list(range(n_tasks))  # ascending task ids
     prev = n_tasks  # virtual start row
@@ -450,14 +450,15 @@ def test_construct_is_the_masked_q2_loop_it_replaces():
         maker = np.random.default_rng(seed)
         n_tasks = int(maker.integers(1, 41))
         lockers = effective_locker_count(int(maker.integers(1, 6)), n_tasks)
-        q1 = PickTable(_random_table(maker, lockers + 1, lockers).tolist())
-        q2 = PickTable(_random_table(maker, n_tasks + 1, n_tasks).tolist())
+        q1 = _random_table(maker, lockers + 1, lockers).tolist()
+        q2 = _random_table(maker, n_tasks + 1, n_tasks).tolist()
+        tables = PickTable(q1), PickTable(q2, True)
         agent = Agent(best=make_state([], []), rng=Counting(np.random.default_rng(seed + 3000)))
         agent.rng.bounded = agent.rng.refills = 0
         ref = _empty_pool_agent(seed + 3000)
         for _ in range(3):
             refills = agent.rng.refills
-            state = global_construct(agent, q1, q2)
+            state = global_construct(agent, *tables)
             expected = _masked_q2_construct(ref, q1, q2)
             assert (state.x1, state.x2) == (expected.x1, expected.x2), seed
             # over BLOCK / 2 tasks, the q2 chain alone reads more than a block
