@@ -25,8 +25,8 @@ from typing import Optional, Sequence
 
 from . import bench
 from .bench import write_assignment_csv, write_history_csv, write_plan_csv, write_taskpool_csv
-from .errors import (ConfigurationError, InstanceFormatError, MplqError,
-                     ParameterError, SearchSpaceLimitError, ShapeError)
+from .errors import (ConfigurationError, InstanceFormatError, MplqError, NothingToSolveError,
+                     OverCapacityError, ParameterError, SearchSpaceLimitError, ShapeError)
 # run_hqm and run_ga are called only through bench.solve; perfbench/layers.py
 # still wraps these two bindings by name, so they stay imported here.
 from .ga import run_ga  # noqa: F401
@@ -34,7 +34,7 @@ from .hqm import GAMMA, TOL, run_hqm  # noqa: F401
 from .instance import (GeneratorConfig, assign_customers, generate_instance, load_instance,
                        save_instance, validate_instance)
 from .oracle import brute_force_best
-from .routing import (AdjustmentPolicy, RouteMemo, TravelNoise, check_feasibility,
+from .routing import (AdjustmentPolicy, RouteMemo, TravelNoise, check_feasibility, check_pool,
                       compute_delay, evaluate_solution)
 from .state import BudgetProfile, SearchState, validate_state
 from .taskgen import build_tasks
@@ -216,6 +216,14 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     for v in report.violations:
         print(f"instance violation: {v.entity}: {v.rule}")
         violations += 1
+    solvable = 0  # the solvers refuse an instance with violations, or a pool check_pool refuses
+    if report.ok:
+        _, pool = _prepare(instance)
+        try:
+            check_pool(pool, instance)
+            solvable = 1
+        except (NothingToSolveError, OverCapacityError) as exc:
+            print(f"pool refused: {exc}")
 
     if args.solution and report.ok:
         try:
@@ -226,7 +234,6 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         except (OSError, ValueError, KeyError, TypeError, AttributeError,
                 ParameterError) as exc:
             raise InstanceFormatError(f"cannot parse solution file {args.solution}: {exc}")
-        _, pool = _prepare(instance)
         try:  # the state enters from outside here: check its shape before scoring it
             validate_state(state, len(pool), instance.fleet.max_lockers)
         except ShapeError as exc:
@@ -237,13 +244,13 @@ def _cmd_validate(args: argparse.Namespace) -> int:
             print(f"constraint ({v.constraint}) {v.severity}: {v.entity}: {v.description}")
         violations += len(feasibility.hard())
         _print_result(command="validate", instance=args.instance,
-                      solution=args.solution, reward=repr(cost.reward),
+                      solution=args.solution, solvable=solvable, reward=repr(cost.reward),
                       hard_violations=len(feasibility.hard()),
                       soft_violations=len(feasibility.soft()))
     else:
         if args.solution:
             print("solution not audited: the instance has violations")
-        _print_result(command="validate", instance=args.instance,
+        _print_result(command="validate", instance=args.instance, solvable=solvable,
                       instance_violations=len(report.violations))
 
     return EXIT_OK if violations == 0 else EXIT_INFEASIBLE

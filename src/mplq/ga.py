@@ -16,8 +16,8 @@ import numpy as np
 from .errors import ParameterError
 from .instance import Instance
 from .routing import AdjustmentPolicy, RoutePlan, check_pool
-from .hqm import Evaluator, RunHistory, Stream, roulette_cdf
-from .state import BudgetProfile, SearchState, random_state
+from .hqm import Evaluator, RunHistory
+from .state import BudgetProfile, SearchState, Stream, random_state, roulette_cdf
 from .taskgen import TaskPool
 
 CROSSOVER_PROB = 0.5  # chance that two parents are crossed rather than cloned

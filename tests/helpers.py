@@ -9,7 +9,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from mplq.errors import ParameterError
-from mplq.hqm import Stream
+from mplq.state import Stream
 from mplq.instance import (Customer, CustomerLocation, FleetSpec, Instance,
                            ParkingSpace, Position, TimeWindow)
 from mplq.routing import (AdjustmentPolicy, CostBreakdown, LockerRoute, RouteMemo, RoutePlan,

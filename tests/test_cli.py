@@ -311,6 +311,47 @@ def test_a_pool_whose_every_plan_costs_nothing_is_refused(tmp_path, capsys, comm
                             "task's space sits at the depot\n")
 
 
+_REFUSED_POOLS = {
+    # fixed cost 0, every position at the depot: every plan costs nothing
+    "zero cost": ["--spaces", "3", "--locations", "5", "--seed", "0"],
+    # task 0 demands 8 parcels, above the capacity of 5
+    "over capacity": ["--spaces", "2", "--locations", "3", "--seed", "2", "--capacity", "5"],
+    "clean": ["--spaces", "2", "--locations", "3", "--seed", "3"],
+}
+
+
+@pytest.mark.parametrize("case", list(_REFUSED_POOLS))
+def test_validate_says_whether_the_solvers_take_the_pool(tmp_path, capsys, case):
+    path = tmp_path / "inst.json"
+    assert run_cli(["generate", "--out", str(path), *_REFUSED_POOLS[case]]) == 0
+    if case == "zero cost":
+        data = json.loads(path.read_text())
+        data["fleet"]["fixed_cost"] = 0
+        for space in data["spaces"]:
+            space["position"] = data["depot"]
+        for customer in data["customers"]:
+            for location in customer["locations"]:
+                location["position"] = data["depot"]
+        path.write_text(json.dumps(data))
+    capsys.readouterr()
+    out_dir = tmp_path / "out"
+    code = run_cli(["solve", "--instance", str(path), "--agents", "2", "--iters", "2",
+                    "--out-dir", str(out_dir)])
+    refusal = capsys.readouterr().err
+    assert code == (0 if case == "clean" else 1)
+    assert run_cli(["validate", "--instance", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    result = f"RESULT command=validate instance={path} solvable=%d instance_violations=0"
+    if case == "clean":
+        assert lines == [result % 1]
+        assert run_cli(["validate", "--instance", str(path),
+                        "--solution", str(out_dir / "solution.json")]) == 0
+        assert f"solution={out_dir / 'solution.json'} solvable=1 reward=" in _result_line(capsys)
+    else:
+        assert refusal.startswith("error: ")
+        assert lines == [f"pool refused: {refusal[len('error: '):].rstrip()}", result % 0]
+
+
 @pytest.mark.parametrize("flags", [["--limit", "0"], ["--limit", "-5"],
                                    ["--limit", "many"], ["--max-lockers", "2"],
                                    ["--seed", "1"]])

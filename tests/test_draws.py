@@ -9,10 +9,13 @@ import numpy as np
 import pytest
 
 from mplq import ga
-from mplq.ga import next_generation
-from mplq.hqm import BLOCK, PickTable, Stream, roulette_cdf
-from mplq.state import SearchState
-from helpers import assert_same_continuation, roulette_pick, stream_pair
+from mplq.ga import next_generation, run_ga
+from mplq.hqm import run_hqm
+from mplq.instance import GeneratorConfig, assign_customers, generate_instance
+from mplq.routing import AdjustmentPolicy
+from mplq.state import BLOCK, BudgetProfile, PickTable, SearchState, Stream, roulette_cdf
+from mplq.taskgen import build_tasks
+from helpers import assert_same_continuation, random_hold_pool, roulette_pick, stream_pair
 
 # bounds for integers(k): small, around the 32-bit half, and up to 2**32
 HIGHS = (1, 2, 3, 7, 10, 29, 100, 2 ** 16 + 1, 2 ** 31 - 1, 2 ** 31, 2 ** 31 + 1,
@@ -360,3 +363,55 @@ def test_chain_is_the_picks_it_replaces():
                 assert drawn == reference
         assert_same_continuation(stream, ref)
     assert integer_draws > 0
+
+
+def _every_kind_of_draw(stream):
+    """Every draw a solver makes, forty times over, each checked to keep the
+    stream's block list: both kinds of chain (all-zero rows among them, whose
+    roulette calls ``integers()``), ``breed`` with and without ``cut`` (a zero
+    total, a cross and a reassignment among them), and the four plain draws."""
+    rows = [[0.1, 0.5, 0.4], [0.0, 0.0, 0.0], [0.3, 0.3, 0.4], [0.2, 0.0, 0.6]]
+    plain, distinct = PickTable(rows), PickTable(rows, distinct=True)
+    cdfs = roulette_cdf([0.2, 0.0, 0.5, 0.3]), roulette_cdf([0.0] * 4)
+    x1s = [tuple(range(k, k + 9)) for k in range(4)]
+    calls = [lambda: stream.chain(plain, 3, 12), lambda: stream.chain(distinct, 3, 3),
+             lambda: stream.chain(distinct, 1, 3), stream.random,
+             lambda: stream.integers(2 ** 31 + 1), lambda: stream.uniform(-1.0, 1.0),
+             lambda: stream.two_of(7)]
+    calls += [lambda cdf=cdf, cut=cut: stream.breed(cdf, x1s, 0.5, 0.3, 5, cut)
+              for cdf in cdfs for cut in (False, True)]
+    out = []
+    for _ in range(40):
+        for call in calls:
+            raw = stream._raw
+            out.append(call())
+            assert stream._raw is raw
+    return out
+
+
+@pytest.mark.parametrize("block", [1, 3])
+def test_a_streams_block_is_one_list_for_its_life(monkeypatch, block):
+    # a block of 1 refills before every output, also inside the integers() and
+    # two_of() calls that chain and breed make; the draws must not move
+    inst = generate_instance(GeneratorConfig(num_spaces=3, locations_per_space=5, seed=0))
+    pool = build_tasks(inst, assign_customers(inst))
+    hold_inst, hold_pool = random_hold_pool(np.random.default_rng(4))
+    assert hold_pool.start_order is None  # the GA breeds x2 too: cut pairs and swaps
+
+    def runs():
+        budget = BudgetProfile(agents=4, iterations=6)
+        solves = (run_hqm(pool, inst, AdjustmentPolicy.HCPS, budget, seed=1),
+                  run_ga(hold_pool, hold_inst, AdjustmentPolicy.BTD, budget, seed=1))
+        return [(s.x1, s.x2, s.reward, h.best_per_step) for s, _, h in solves]
+
+    expected = _every_kind_of_draw(Stream(np.random.default_rng(8))), runs()
+    monkeypatch.setattr("mplq.state.BLOCK", block)
+    original = Stream._refill
+
+    def refill_in_place(self):
+        raw = self._raw
+        assert original(self) is raw and self._raw is raw and len(raw) == block
+        return raw
+
+    monkeypatch.setattr(Stream, "_refill", refill_in_place)
+    assert (_every_kind_of_draw(Stream(np.random.default_rng(8))), runs()) == expected

@@ -5,11 +5,10 @@ from hypothesis import given, settings, strategies as st
 from mplq import ga, hqm
 from mplq.errors import NothingToSolveError, ParameterError
 from mplq.ga import next_generation, run_ga, _order_crossover
-from mplq.hqm import Stream, roulette_cdf
 from mplq.instance import GeneratorConfig, assign_customers, generate_instance
 from mplq.routing import AdjustmentPolicy
 from mplq.taskgen import TaskPool, build_tasks
-from mplq.state import BudgetProfile, SearchState
+from mplq.state import BudgetProfile, SearchState, Stream, roulette_cdf
 from helpers import assert_same_continuation, make_state, random_hold_pool, stream_pair
 
 

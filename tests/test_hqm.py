@@ -10,12 +10,11 @@ from mplq.hqm import (Agent, QMatrices, global_construct, has_converged,
                       init_agents, local_move, normalize_q, run_hqm, update_q)
 from mplq.bench import write_history_csv
 from mplq.ga import run_ga
-from mplq.hqm import BLOCK, PickTable, Stream, roulette_cdf
 from mplq.instance import GeneratorConfig, assign_customers, generate_instance
 from mplq.oracle import brute_force_best
 from mplq.routing import AdjustmentPolicy, check_pool
-from mplq.state import (BudgetProfile, SearchState, effective_locker_count, random_state,
-                        validate_state)
+from mplq.state import (BLOCK, BudgetProfile, PickTable, SearchState, Stream,
+                        effective_locker_count, random_state, roulette_cdf, validate_state)
 from mplq.taskgen import TaskPool, build_tasks
 from helpers import (assert_same_continuation, make_pool, make_state, make_task,
                      random_hold_pool, roulette_pick, stream_pair)

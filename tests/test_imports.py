@@ -73,3 +73,30 @@ def test_importing_the_cli_leaves_the_process_pool_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=60)
     assert (proc.returncode, proc.stdout.strip()) == (0, "False"), proc.stderr
+
+
+DRAW_LAYER = {"BLOCK", "Stream", "roulette_cdf", "PickTable"}
+
+
+def _defined(tree: ast.Module) -> set[str]:
+    """Names a module binds at module level by ``def``, ``class`` or assignment."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+def test_the_draw_layer_is_defined_once_in_state():
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in SOURCES}
+    for name, tree in trees.items():
+        assert _defined(tree) & DRAW_LAYER == (DRAW_LAYER if name == "state.py" else set()), name
+    import mplq.hqm
+    assert not DRAW_LAYER & set(mplq.hqm.__all__)
+    from_hqm = [alias.name for node in trees["ga.py"].body
+                if isinstance(node, ast.ImportFrom) and node.module == "hqm"
+                for alias in node.names]
+    assert from_hqm == ["Evaluator", "RunHistory"]
