@@ -5,6 +5,7 @@ with both solvers and both adjustment strategies, replicated over seeds, and
 reports lockers deployed, travel distance, average service delay, reward,
 improvement rate, and the per-cell reward gap between strategies. Sweeps vary
 one generator factor at a time and record the mean service delay it induces.
+Both generate, and so check, every unit's instance before the first solve.
 Every CSV artifact, of a solve too, is written here through ``write_table``.
 """
 
@@ -13,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Collection, Iterable, Optional, Sequence, Union
 
 from .errors import (ConfigurationError, NothingToSolveError, OverCapacityError,
                      ParameterError, UndefinedRateError)
@@ -25,18 +26,46 @@ from .routing import (Adjustment, AdjustmentPolicy, RoutePlan, check_pool, compu
 from .state import BudgetProfile
 from .taskgen import TaskPool, build_tasks
 
-SWEEP_FACTORS = (
-    "T_s", "T_p", "Q", "V_l", "num_spaces", "locations_per_space", "rho_l", "rho_c",
-)
-COUNT_FACTORS = ("num_spaces", "locations_per_space")  # swept values must be whole numbers
+# The name tables, with BudgetProfile.NAMED; every name a run reads is looked up
+# by ``spelling``. SOLVERS holds names only: ``solve`` calls each solver through
+# this module's run_hqm or run_ga binding, which perfbench wraps.
+SOLVERS = ("hqm", "ga")
+POLICIES = tuple(policy.value for policy in AdjustmentPolicy)
+# Each sweep factor: the ``GeneratorConfig`` field it sets, and that field's value
+# at a swept value v; a span or walking range is centred on v.
+SWEEP_FACTORS: dict[str, tuple[str, Callable[[float], object]]] = {
+    "T_s": ("customer_span_range", lambda v: (max(1.0, v - 20.0), v + 20.0)),
+    "T_p": ("parking_span_range", lambda v: (max(1.0, v - 20.0), v + 20.0)),
+    "Q": ("capacity", float),
+    "V_l": ("locker_speed", float),
+    "num_spaces": ("num_spaces", int),
+    "locations_per_space": ("locations_per_space", int),
+    "rho_l": ("service_radius", float),
+    "rho_c": ("walk_range", lambda v: (max(0.05, v - 0.1), v + 0.1)),
+}
+# The factors whose swept values must be whole numbers.
+COUNT_FACTORS = tuple(name for name, (_, setting) in SWEEP_FACTORS.items() if setting is int)
+
+
+def spelling(table: Collection[str], name: str) -> str:
+    """``name`` as ``table`` spells it when it names an entry in any case, else unchanged."""
+    return next((entry for entry in table if entry.lower() == name.lower()), name)
+
+
+def _name(table: Collection[str], name: str, kind: str) -> str:
+    """``name`` as ``table`` spells it; one matching no entry in any case is refused."""
+    entry = spelling(table, name)
+    if entry not in table:
+        raise ConfigurationError(f"unknown {kind} {name!r}; expected {' or '.join(table)}")
+    return entry
 
 
 @dataclass(frozen=True)
 class GridConfig:
     spaces_counts: tuple[int, ...] = (5, 6, 7, 8, 9, 10)
     locations_counts: tuple[int, ...] = (5, 10, 15, 20)
-    policies: tuple[str, ...] = ("btd", "hcps")
-    solvers: tuple[str, ...] = ("hqm", "ga")
+    policies: tuple[str, ...] = POLICIES
+    solvers: tuple[str, ...] = SOLVERS
     replications: int = 1
     base_config: GeneratorConfig = field(default_factory=GeneratorConfig)
     budget: BudgetProfile = field(default_factory=BudgetProfile.desk)
@@ -46,10 +75,10 @@ class GridConfig:
             raise ConfigurationError("grid axes must be non-empty")
         if not self.policies or not self.solvers:
             raise ConfigurationError("policies and solvers must be non-empty")
-        for solver in self.solvers:
-            if solver not in ("hqm", "ga"):
-                raise ConfigurationError(f"unknown solver {solver!r}; expected hqm or ga")
-        object.__setattr__(self, "policies", _check_policies(self.policies))
+        object.__setattr__(self, "solvers", tuple(_name(SOLVERS, s, "solver")
+                                                  for s in self.solvers))
+        object.__setattr__(self, "policies", tuple(_name(POLICIES, p, "adjustment policy")
+                                                   for p in self.policies))
         for axis in (self.solvers, self.policies):
             if len(set(axis)) < len(axis):
                 raise ConfigurationError(f"solvers and policies must not repeat, got {axis}")
@@ -131,9 +160,7 @@ class SweepConfig:
     budget: BudgetProfile = field(default_factory=BudgetProfile.desk)
 
     def __post_init__(self) -> None:
-        if self.factor not in SWEEP_FACTORS:
-            raise ConfigurationError(
-                f"unknown sweep factor {self.factor!r}; expected one of {SWEEP_FACTORS}")
+        object.__setattr__(self, "factor", _name(SWEEP_FACTORS, self.factor, "sweep factor"))
         if not self.values:
             raise ConfigurationError("sweep values must be non-empty")
         if not all(map(math.isfinite, self.values)):
@@ -141,7 +168,7 @@ class SweepConfig:
         if self.factor in COUNT_FACTORS and not all(float(v).is_integer() for v in self.values):
             raise ConfigurationError(
                 f"sweep values of {self.factor} must be whole numbers, got {self.values}")
-        object.__setattr__(self, "policy", _check_policies((self.policy,))[0])
+        object.__setattr__(self, "policy", _name(POLICIES, self.policy, "adjustment policy"))
         _replication_seeds(self)
 
 
@@ -166,16 +193,6 @@ def _stderr(values: Sequence[float]) -> float:
     m = _mean(values)
     var = sum_in_order((v - m) ** 2 for v in values) / (n - 1)
     return math.sqrt(var / n)
-
-
-def _check_policies(policies: Sequence[str]) -> tuple[str, ...]:
-    """Each policy's lower-case name, the one rows and gaps use; a policy that
-    ``AdjustmentPolicy.parse`` refuses is a configuration error, found before any solve.
-    """
-    try:
-        return tuple(AdjustmentPolicy.parse(policy).value for policy in policies)
-    except ParameterError as exc:
-        raise ConfigurationError(str(exc)) from None
 
 
 def _replication_seeds(config: Union[GridConfig, SweepConfig]) -> tuple[int, ...]:
@@ -203,14 +220,17 @@ def _group_means(rows: Sequence[CellOutcome], key: Callable) -> list[CellAggrega
     return out
 
 
-def _map(fn: Callable, units: list, jobs: int) -> list:
-    """``fn`` over ``units`` in order, across ``jobs`` processes when there is more than one."""
+def _solve_pools(units: list[tuple], jobs: int) -> list:
+    """``_solve_pool`` over ``units`` of (generator config, ...) in order, across ``jobs``
+    processes when there is more than one, each unit handed its config's instance.
+    Every instance is generated, and so checked, before the first solve."""
+    units = [(generate_instance(config), config, *rest) for config, *rest in units]
     if jobs > 1 and len(units) > 1:
         # imported here: multiprocessing would load on every mplq command otherwise
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as executor:
-            return list(executor.map(fn, units))
-    return [fn(u) for u in units]
+            return list(executor.map(_solve_pool, units))
+    return [_solve_pool(u) for u in units]
 
 
 # ---------------------------------------------------------------------------
@@ -251,21 +271,20 @@ def solve(pool: TaskPool, instance: Instance, solver: str, policy: AdjustmentPol
     if solver == "ga":
         check_learning_settings(gamma, tol)
         return run_ga(pool, instance, policy, budget, seed)
-    raise ConfigurationError(f"unknown solver {solver!r}; expected hqm or ga")
+    raise ConfigurationError(f"unknown solver {solver!r}; expected {' or '.join(SOLVERS)}")
 
 
 def _solve_pool(args: tuple) -> tuple[list[CellOutcome], bool, Optional[str]]:
-    """Generate one pool and solve it with every solver x policy.
+    """Solve one generated pool with every solver x policy.
 
-    ``args`` is (generator config, replication index, solvers, policies,
-    budget); the config's seed seeds the solvers too. Also returns whether a
-    hold can apply to the pool; if not, HCPS plans equal BTD plans, so each
-    solver runs once, under BTD, and its hcps rows reuse it. A pool that
-    ``routing.check_pool`` refuses gives no rows; the third item names why
-    ("empty" or "over_capacity"), else None.
+    ``args`` is (instance, the generator config that made it, replication
+    index, solvers, policies, budget); the config's seed seeds the solvers
+    too. Also returns whether a hold can apply to the pool; if not, HCPS plans
+    equal BTD plans, so each solver runs once, under BTD, and its hcps rows
+    reuse it. A pool that ``routing.check_pool`` refuses gives no rows; the
+    third item names why ("empty" or "over_capacity"), else None.
     """
-    config, rep, solvers, policies, budget = args
-    instance = generate_instance(config)
+    instance, config, rep, solvers, policies, budget = args
     pool = build_tasks(instance, assign_customers(instance))
     try:
         check_pool(pool, instance)
@@ -278,7 +297,7 @@ def _solve_pool(args: tuple) -> tuple[list[CellOutcome], bool, Optional[str]]:
     for solver in solvers:
         runs = {}
         for policy_name in policies:
-            policy = AdjustmentPolicy.parse(policy_name) if hold else AdjustmentPolicy.BTD
+            policy = AdjustmentPolicy(policy_name) if hold else AdjustmentPolicy.BTD
             if policy not in runs:
                 runs[policy] = solve(pool, instance, solver, policy, budget, config.seed)
             best, plan, history = runs[policy]
@@ -309,7 +328,7 @@ def run_grid(grid: GridConfig, jobs: int = 1) -> GridResult:
         for locations in grid.locations_counts
         for rep in range(grid.replications)
     ]
-    outcomes = _map(_solve_pool, units, jobs)
+    outcomes = _solve_pools(units, jobs)
     rows = [row for chunk, _, _ in outcomes for row in chunk]
     rows.sort(key=lambda r: (r.spaces, r.locations, r.replication, r.solver, r.policy))
     skipped = [skip for _, _, skip in outcomes]
@@ -324,29 +343,10 @@ def run_grid(grid: GridConfig, jobs: int = 1) -> GridResult:
 
 
 def apply_factor(base: GeneratorConfig, factor: str, value: float) -> GeneratorConfig:
-    """Rebuild a generator config with one swept factor pinned to ``value``.
-
-    The two time-window factors set the span range to [value - 20, value + 20]
-    (floored at 1 minute); the walking-range factor spreads +-0.1 km around the
-    value.
-    """
-    if factor == "T_s":
-        return replace(base, customer_span_range=(max(1.0, value - 20.0), value + 20.0))
-    if factor == "T_p":
-        return replace(base, parking_span_range=(max(1.0, value - 20.0), value + 20.0))
-    if factor == "Q":
-        return replace(base, capacity=value)
-    if factor == "V_l":
-        return replace(base, locker_speed=value)
-    if factor == "num_spaces":
-        return replace(base, num_spaces=int(value))
-    if factor == "locations_per_space":
-        return replace(base, locations_per_space=int(value))
-    if factor == "rho_l":
-        return replace(base, service_radius=value)
-    if factor == "rho_c":
-        return replace(base, walk_range=(max(0.05, value - 0.1), value + 0.1))
-    raise ConfigurationError(f"unknown sweep factor {factor!r}")
+    """Rebuild a generator config with one swept factor pinned to ``value``, as
+    ``SWEEP_FACTORS`` maps it."""
+    setting, of = SWEEP_FACTORS[_name(SWEEP_FACTORS, factor, "sweep factor")]
+    return replace(base, **{setting: of(value)})
 
 
 def sweep_factor(sweep: SweepConfig, jobs: int = 1) -> list[SweepPoint]:
@@ -362,7 +362,7 @@ def sweep_factor(sweep: SweepConfig, jobs: int = 1) -> list[SweepPoint]:
         for value in sweep.values
         for rep, seed in enumerate(seeds)
     ]
-    outcomes = _map(_solve_pool, units, jobs)
+    outcomes = _solve_pools(units, jobs)
     points = []
     for i, value in enumerate(sweep.values):
         chunk = outcomes[i * len(seeds):(i + 1) * len(seeds)]
@@ -500,29 +500,9 @@ def write_plotdata(result_or_points, out_dir: Union[str, Path]) -> list[Path]:
     return written
 
 
-__all__ = [
-    "SWEEP_FACTORS",
-    "COUNT_FACTORS",
-    "BudgetProfile",
-    "GridConfig",
-    "CellOutcome",
-    "CellAggregate",
-    "GapEntry",
-    "GridResult",
-    "SweepConfig",
-    "SweepPoint",
-    "improvement_rate",
-    "reward_gap",
-    "solve",
-    "apply_factor",
-    "run_grid",
-    "sweep_factor",
-    "write_table",
-    "write_plan_csv",
-    "write_history_csv",
-    "write_taskpool_csv",
-    "write_assignment_csv",
-    "write_grid_csv",
-    "write_sweep_csv",
-    "write_plotdata",
-]
+__all__ = ["SOLVERS", "POLICIES", "SWEEP_FACTORS", "COUNT_FACTORS", "spelling", "BudgetProfile",
+           "GridConfig", "CellOutcome", "CellAggregate", "GapEntry", "GridResult", "SweepConfig",
+           "SweepPoint", "improvement_rate", "reward_gap", "solve", "apply_factor", "run_grid",
+           "sweep_factor", "write_table", "write_plan_csv", "write_history_csv",
+           "write_taskpool_csv", "write_assignment_csv", "write_grid_csv", "write_sweep_csv",
+           "write_plotdata"]

@@ -10,7 +10,9 @@ text, so any run can be reproduced from its artifacts. A final
 machine-readable RESULT line of key=value pairs is printed on success.
 
 Exit codes: 0 success, 1 infeasible result or refused computation, 2 usage,
-file-parse or invalid-instance error.
+file-parse or invalid-instance error; a generated instance is checked as a
+loaded one is, so generate, bench and sweep refuse an invalid one with exit 2.
+Every command takes solver, policy, budget and sweep-factor names in any case.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import bench
 from .bench import write_assignment_csv, write_history_csv, write_plan_csv, write_taskpool_csv
@@ -75,8 +77,15 @@ def _float_list(text: str) -> tuple[float, ...]:
     return tuple(float(v) for v in text.split(","))
 
 
-def _str_list(text: str) -> tuple[str, ...]:
-    return tuple(v.strip() for v in text.split(",") if v.strip())
+def _one_of(table) -> dict:
+    """A name flag's type and choices: a name of ``table`` in any case, as ``table`` spells it."""
+    return dict(type=functools.partial(bench.spelling, table), choices=table)
+
+
+def _names_in(table) -> Callable[[str], tuple[str, ...]]:
+    """A list flag's type: comma-separated names, each as ``table`` spells it in any case."""
+    return lambda text: tuple(bench.spelling(table, v)
+                              for v in map(str.strip, text.split(",")) if v)
 
 
 def _output_path(path: str, is_dir: bool, files: Sequence[str] = ()) -> Path:
@@ -120,11 +129,6 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         max_lockers=args.max_lockers,
         buffer_min=args.buffer,
     ))
-    report = validate_instance(instance)
-    if not report.ok:
-        for v in report.violations:
-            print(f"violation: {v.entity}: {v.rule}", file=sys.stderr)
-        return EXIT_INFEASIBLE
     out.parent.mkdir(parents=True, exist_ok=True)
     save_instance(instance, out)
     _print_result(command="generate", seed=seed, out=args.out,
@@ -135,10 +139,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 def _load_valid_instance(path: str):
     """Load an instance and refuse it, naming every violation, unless it is sound."""
     instance = load_instance(path)
-    report = validate_instance(instance)
-    if not report.ok:
-        raise InstanceFormatError(f"{path}: invalid instance: " + "; ".join(
-            f"{v.entity}: {v.rule}" for v in report.violations))
+    validate_instance(instance).refuse(InstanceFormatError, path)
     return instance
 
 
@@ -348,8 +349,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="solve an instance with hqm or ga")
     p.add_argument("--instance", required=True)
-    p.add_argument("--solver", choices=("hqm", "ga"), default="hqm")
-    p.add_argument("--policy", choices=("btd", "hcps"), default="hcps")
+    p.add_argument("--solver", **_one_of(bench.SOLVERS), default="hqm")
+    p.add_argument("--policy", **_one_of(bench.POLICIES), default="hcps")
     p.add_argument("--agents", type=int, default=desk.agents)
     p.add_argument("--iters", type=int, default=desk.iterations)
     p.add_argument("--gamma", type=float, default=GAMMA)
@@ -366,27 +367,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="exact optimum of a small instance")
     p.add_argument("--instance", required=True)
-    p.add_argument("--policy", choices=("btd", "hcps"), default="hcps")
+    p.add_argument("--policy", **_one_of(bench.POLICIES), default="hcps")
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("bench", help="run the experiment grid")
     p.add_argument("--spaces", type=_int_list, default=(5,))
     p.add_argument("--locations", type=_int_list, default=(5,))
-    p.add_argument("--solvers", type=_str_list, default=("hqm", "ga"))
-    p.add_argument("--policies", type=_str_list, default=("btd", "hcps"))
+    p.add_argument("--solvers", type=_names_in(bench.SOLVERS), default=bench.SOLVERS)
+    p.add_argument("--policies", type=_names_in(bench.POLICIES), default=bench.POLICIES)
     p.add_argument("--replications", type=int, default=1)
-    p.add_argument("--budget", choices=("desk", "paper"), default="desk")
+    p.add_argument("--budget", **_one_of(BudgetProfile.NAMED), default="desk")
     p.add_argument("--jobs", type=_positive_int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-dir", default="bench_out")
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("sweep", help="sweep one critical factor against delay")
-    p.add_argument("--factor", choices=bench.SWEEP_FACTORS, required=True)
+    p.add_argument("--factor", **_one_of(bench.SWEEP_FACTORS), required=True)
     p.add_argument("--values", type=_float_list, required=True)
     p.add_argument("--replications", type=int, default=10)
-    p.add_argument("--policy", choices=("btd", "hcps"), default="hcps")
-    p.add_argument("--budget", choices=("desk", "paper"), default="desk")
+    p.add_argument("--policy", **_one_of(bench.POLICIES), default="hcps")
+    p.add_argument("--budget", **_one_of(BudgetProfile.NAMED), default="desk")
     p.add_argument("--jobs", type=_positive_int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-dir", default="sweep_out")

@@ -195,6 +195,12 @@ class ValidationReport:
     def ok(self) -> bool:
         return not self.violations
 
+    def refuse(self, error: type[Exception], source: str) -> None:
+        """Raise ``error`` naming ``source`` and every violation, unless the report is clean."""
+        if self.violations:
+            raise error(f"{source}: invalid instance: " + "; ".join(
+                f"{v.entity}: {v.rule}" for v in self.violations))
+
 
 # ---------------------------------------------------------------------------
 # Generation
@@ -273,7 +279,8 @@ def generate_instance(config: GeneratorConfig) -> Instance:
     points inside the walking reach of that space. The location pool is then
     grouped into customers, each visiting between 1 and
     ``LOCATIONS_PER_CUSTOMER[1]`` of the points with pairwise-disjoint
-    presence windows inside working hours.
+    presence windows inside working hours. An instance with violations raises
+    ``ConfigurationError`` naming the config and each ``validate_instance`` finds.
     """
     rng = np.random.default_rng(config.seed)
     depot = Position(0.0, 0.0)
@@ -333,7 +340,7 @@ def generate_instance(config: GeneratorConfig) -> Instance:
         fixed_cost=FIXED_COST,
         unit_travel_cost=UNIT_TRAVEL_COST,
     )
-    return Instance(
+    instance = Instance(
         depot=depot,
         spaces=tuple(spaces),
         customers=tuple(customers),
@@ -341,6 +348,8 @@ def generate_instance(config: GeneratorConfig) -> Instance:
         buffer=config.buffer_min,
         weights=WEIGHTS,
     )
+    validate_instance(instance).refuse(ConfigurationError, repr(config))
+    return instance
 
 
 # ---------------------------------------------------------------------------

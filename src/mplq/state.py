@@ -21,7 +21,7 @@ import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Iterable, Optional, Sequence
+from typing import ClassVar, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -39,6 +39,8 @@ class BudgetProfile:
 
     agents: int
     iterations: int
+    # The named profiles, each as (agents, iterations): the names --budget takes.
+    NAMED: ClassVar[dict[str, tuple[int, int]]] = {"desk": (20, 200), "paper": (100, 1000)}
 
     def __post_init__(self) -> None:
         if self.agents < 1 or self.iterations < 1:
@@ -49,18 +51,20 @@ class BudgetProfile:
 
     @classmethod
     def desk(cls) -> "BudgetProfile":
-        return cls(agents=20, iterations=200)
+        return cls.named("desk")
 
     @classmethod
     def paper(cls) -> "BudgetProfile":
-        return cls(agents=100, iterations=1000)
+        return cls.named("paper")
 
     @classmethod
     def named(cls, name: str) -> "BudgetProfile":
+        """The profile ``name`` names in any case."""
         try:
-            return {"desk": cls.desk, "paper": cls.paper}[name]()
+            return cls(*cls.NAMED[name.lower()])
         except KeyError:
-            raise ConfigurationError(f"unknown budget profile {name!r}; expected desk or paper")
+            raise ConfigurationError(f"unknown budget profile {name!r}; expected "
+                                     + " or ".join(cls.NAMED)) from None
 
 
 @dataclass

@@ -212,17 +212,18 @@ def test_grid_config_validation():
 
 
 def test_grid_config_refuses_unknown_solvers_and_policies():
-    for bad in (dict(solvers=("foo",)), dict(solvers=("hqm", "HQM")),
+    for bad in (dict(solvers=("foo",)), dict(solvers=("hqm", "foo")),
                 dict(policies=("foo",)), dict(policies=("btd", "foo"))):
         with pytest.raises(ConfigurationError, match="unknown (solver|adjustment policy)"):
             GridConfig(**bad)
-    # the policy names that AdjustmentPolicy.parse accepts, in any case
+    # solver and policy names are taken in any case and kept in lower case
     assert GridConfig(policies=("BTD", "Hcps")).policies == ("btd", "hcps")
+    assert GridConfig(solvers=("GA", "Hqm")).solvers == ("ga", "hqm")
 
 
 def test_grid_config_refuses_a_repeated_solver_or_policy():
-    for bad in (dict(solvers=("hqm", "hqm")), dict(policies=("btd", "hcps", "btd")),
-                dict(policies=("btd", "BTD"))):
+    for bad in (dict(solvers=("hqm", "hqm")), dict(solvers=("hqm", "HQM")),
+                dict(policies=("btd", "hcps", "btd")), dict(policies=("btd", "BTD"))):
         with pytest.raises(ConfigurationError, match="must not repeat"):
             GridConfig(**bad)
 

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -779,6 +780,56 @@ def test_a_bad_generator_setting_is_refused_before_the_first_solve(tmp_path, cap
     assert len(captured.err.splitlines()) == 1
     assert "RESULT" not in captured.out and not out_dir.exists()
     assert len(solves) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--factor", "V_l", "--values", "1e-9", "--replications", "2"],
+    ["sweep", "--factor", "V_l", "--values", "0.7,1e-9", "--replications", "2"],
+    ["sweep", "--factor", "rho_l", "--values", "1e200", "--replications", "2"],
+    ["generate", "--speed", "1e-9"]], ids=["slow", "sane-then-slow", "wide", "generate"])
+def test_an_invalid_generated_instance_is_refused_before_the_first_solve(tmp_path, capsys,
+                                                                         monkeypatch, argv):
+    # generate_instance checks what it makes, and a sweep generates every unit's instance
+    # before it solves any, so no plan of a run past 2**30 minutes is ever scored
+    solves, solve = [], bench.solve
+    monkeypatch.setattr(bench, "solve",
+                        lambda *args, **kwargs: solves.append(args) or solve(*args, **kwargs))
+    out = tmp_path / "out"
+    code = run_cli([*argv, "--seed", "0", "--out" if argv[0] == "generate" else "--out-dir",
+                    str(out)])
+    captured = capsys.readouterr()
+    assert code == 2 and len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: GeneratorConfig(")
+    assert "invalid instance: fleet: some plan runs past 1073741824 minutes" in captured.err
+    assert "RESULT" not in captured.out and not out.exists()
+    assert len(solves) == 0
+
+
+# Names a run reads, each spelled in a case other than its table's; each run must give
+# what its twin with these names in lower case gives.
+_MIXED_CASE = {"GA", "BTD", "HQM,ga", "PAPER", "V_L", "HCPS"}
+
+
+@pytest.mark.parametrize("argv", [
+    "solve --instance inst.json --solver GA --policy BTD --agents 4 --iters 5 --out-dir out",
+    "oracle --instance inst.json --policy BTD",
+    "sweep --factor V_L --values 15 --replications 1 --policy BTD --out-dir out",
+    "bench --spaces 2 --locations 3 --solvers HQM,ga --out-dir out",
+    "bench --spaces 2 --locations 3 --solvers hqm --policies btd --budget PAPER --out-dir out",
+    "validate --instance inst.json --solution solution.json"],
+    ids=["solve", "oracle", "sweep", "bench", "budget", "validate"])
+def test_every_command_takes_names_in_any_case(instance_file, tmp_path, capsys, monkeypatch,
+                                               argv):
+    monkeypatch.chdir(tmp_path)  # where instance_file is inst.json
+    runs = []
+    for case in (str, str.lower):
+        Path("solution.json").write_text(json.dumps(
+            {"x1": [0, 0, 0], "x2": [0, 1, 2], "policy": case("HCPS")}))
+        shutil.rmtree("out", ignore_errors=True)
+        code = run_cli([case(a) if a in _MIXED_CASE else a for a in argv.split()])
+        files = {p.as_posix(): p.read_bytes() for p in Path("out").rglob("*") if p.is_file()}
+        runs.append((code, capsys.readouterr(), files))
+    assert runs[0] == runs[1] and runs[0][0] == 0 and "RESULT" in runs[0][1].out
 
 
 def test_sweep_with_no_solvable_pool_exits_cleanly(tmp_path, capsys):

@@ -65,7 +65,7 @@ def test_only_the_wrapped_solver_bindings_carry_noqa():
 
 
 def test_importing_the_cli_leaves_the_process_pool_unloaded():
-    # bench._map imports ProcessPoolExecutor only when it runs jobs in parallel
+    # bench._solve_pools imports ProcessPoolExecutor only when it runs jobs in parallel
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
