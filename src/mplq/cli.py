@@ -28,7 +28,7 @@ from typing import Callable, Optional, Sequence
 from . import bench
 from .bench import write_assignment_csv, write_history_csv, write_plan_csv, write_taskpool_csv
 from .errors import (ConfigurationError, InstanceFormatError, MplqError, NothingToSolveError,
-                     OverCapacityError, ParameterError, SearchSpaceLimitError, ShapeError)
+                     OverCapacityError, SearchSpaceLimitError, ShapeError)
 # run_hqm and run_ga are called only through bench.solve; perfbench/layers.py
 # still wraps these two bindings by name, so they stay imported here.
 from .ga import run_ga  # noqa: F401
@@ -153,7 +153,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     seed = _check_seed(args.seed)
     noise = TravelNoise(sigma=args.noise_sigma, seed=seed)  # refuses a bad sigma before solving
     budget = BudgetProfile(agents=args.agents, iterations=args.iters)
-    policy = AdjustmentPolicy.parse(args.policy)
+    policy = AdjustmentPolicy(args.policy)
     out_dir = _output_path(args.out_dir, is_dir=True, files=(
         "plan.csv", "history.csv", "tasks.csv", "assignment.csv", "solution.json", "metrics.txt"))
 
@@ -203,11 +203,30 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     return EXIT_OK if not feasibility.hard() else EXIT_INFEASIBLE
 
 
-def _int_vector(values, name: str) -> tuple[int, ...]:
-    """A solution vector: a JSON list of integers, never a bool, float or string."""
+def _int_vector(data: dict, key: str) -> tuple[int, ...]:
+    """``data[key]``, a solution vector: a JSON list of integers, never a bool, float or string."""
+    if key not in data:
+        raise ValueError(f"missing required field '{key}'")
+    values = data[key]
     if not isinstance(values, list) or any(type(v) is not int for v in values):
-        raise ValueError(f"{name} must be a list of integers, got {values!r:.80}")
+        raise ValueError(f"field '{key}' must be a list of integers, got {values!r:.80}")
     return tuple(values)
+
+
+def _read_solution(path: str) -> tuple[SearchState, AdjustmentPolicy]:
+    """The state and policy of a solution file; any fault is a parse error naming its field."""
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        if not isinstance(data, dict):
+            raise ValueError("solution document root must be a JSON object")
+        x1, x2 = _int_vector(data, "x1"), _int_vector(data, "x2")
+        name = data.get("policy", "hcps")
+        if type(name) is not str:
+            raise ValueError(f"field 'policy' must be a string, got {name!r:.80}")
+        policy = AdjustmentPolicy(bench._name(bench.POLICIES, name, "adjustment policy"))
+    except (OSError, ValueError, ConfigurationError) as exc:
+        raise InstanceFormatError(f"cannot parse solution file {path}: {exc}") from exc
+    return SearchState(x1=x1, x2=x2), policy
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
@@ -227,14 +246,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
             print(f"pool refused: {exc}")
 
     if args.solution and report.ok:
-        try:
-            data = json.loads(Path(args.solution).read_text(encoding="utf-8"))
-            state = SearchState(x1=_int_vector(data["x1"], "x1"),
-                                x2=_int_vector(data["x2"], "x2"))
-            policy = AdjustmentPolicy.parse(data.get("policy", "hcps"))
-        except (OSError, ValueError, KeyError, TypeError, AttributeError,
-                ParameterError) as exc:
-            raise InstanceFormatError(f"cannot parse solution file {args.solution}: {exc}")
+        state, policy = _read_solution(args.solution)
         try:  # the state enters from outside here: check its shape before scoring it
             validate_state(state, len(pool), instance.fleet.max_lockers)
         except ShapeError as exc:
@@ -260,7 +272,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 def _cmd_oracle(args: argparse.Namespace) -> int:
     instance = _load_valid_instance(args.instance)
     _, pool = _prepare(instance)
-    policy = AdjustmentPolicy.parse(args.policy)
+    policy = AdjustmentPolicy(args.policy)
     try:
         best, reward, lockers = brute_force_best(pool, instance, policy)
     except SearchSpaceLimitError as exc:

@@ -5,7 +5,9 @@ availability windows and service times, customers that move between several
 locations during the day (each location carrying its own presence window and
 maximum walking range), and the locker fleet parameters. This module defines
 the data model, a seeded random generator with a self-checking config, the
-customer-to-space assignment pass, validation, and JSON persistence.
+customer-to-space assignment pass, validation, and JSON persistence, whose
+file format the writer, the reader and its unknown-field warning all read
+from one table, ``_FORMAT``.
 
 Units: planar coordinates in km, times in minutes since midnight, demand in
 parcel units, speed in km per minute.
@@ -16,8 +18,9 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
+from operator import attrgetter
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -514,46 +517,42 @@ def _time_bound(instance: Instance) -> float:
 # Persistence (JSON)
 # ---------------------------------------------------------------------------
 
-_KNOWN_TOP_KEYS = {"depot", "spaces", "customers", "fleet", "buffer_min", "weights"}
+# Each record's JSON keys in file order, which is its dataclass's field order,
+# with each key's kind: int (a JSON integer), float (any JSON number, read as a
+# float), a pair class (an [a, b] list of numbers: Position, TimeWindow or a
+# plain tuple), a record, or [record], a list of records.
+_FORMAT: dict[type, dict[str, object]] = {
+    Instance: {"depot": Position, "spaces": [ParkingSpace], "customers": [Customer],
+               "fleet": FleetSpec, "buffer_min": float, "weights": tuple},
+    ParkingSpace: {"id": int, "position": Position, "window": TimeWindow, "service_time": float},
+    Customer: {"id": int, "demand": int, "locations": [CustomerLocation]},
+    CustomerLocation: {"position": Position, "window": TimeWindow, "max_walk": float},
+    FleetSpec: {"max_lockers": int, "capacity": float, "speed": float, "fixed_cost": float,
+                "unit_travel_cost": float},
+}
+# Each record's and pair class's field values, in field order.
+_FIELDS = {cls: attrgetter(*(f.name for f in fields(cls)))
+           for cls in (*_FORMAT, Position, TimeWindow)}
+
+
+def _dump(record) -> dict:
+    """``record`` as the JSON object ``_FORMAT`` spells it."""
+    out = {}
+    for (key, kind), value in zip(_FORMAT[type(record)].items(), _FIELDS[type(record)](record)):
+        if kind is Position or kind is TimeWindow:
+            value = list(_FIELDS[kind](value))
+        elif kind is tuple:
+            value = list(value)
+        elif type(kind) is list:
+            value = [_dump(item) for item in value]
+        elif kind in _FORMAT:
+            value = _dump(value)
+        out[key] = value
+    return out
 
 
 def instance_to_dict(instance: Instance) -> dict:
-    return {
-        "depot": [instance.depot.x, instance.depot.y],
-        "spaces": [
-            {
-                "id": sp.id,
-                "position": [sp.position.x, sp.position.y],
-                "window": [sp.window.start, sp.window.end],
-                "service_time": sp.service_time,
-            }
-            for sp in instance.spaces
-        ],
-        "customers": [
-            {
-                "id": cust.id,
-                "demand": cust.demand,
-                "locations": [
-                    {
-                        "position": [loc.position.x, loc.position.y],
-                        "window": [loc.window.start, loc.window.end],
-                        "max_walk": loc.max_walk,
-                    }
-                    for loc in cust.locations
-                ],
-            }
-            for cust in instance.customers
-        ],
-        "fleet": {
-            "max_lockers": instance.fleet.max_lockers,
-            "capacity": instance.fleet.capacity,
-            "speed": instance.fleet.speed,
-            "fixed_cost": instance.fleet.fixed_cost,
-            "unit_travel_cost": instance.fleet.unit_travel_cost,
-        },
-        "buffer_min": instance.buffer,
-        "weights": [instance.weights[0], instance.weights[1]],
-    }
+    return _dump(instance)
 
 
 def save_instance(instance: Instance, path: Union[str, Path]) -> None:
@@ -561,15 +560,8 @@ def save_instance(instance: Instance, path: Union[str, Path]) -> None:
     Path(path).write_text(text + "\n", encoding="utf-8")
 
 
-def _json_int(value, name: str) -> int:
-    """``value``, the JSON integer ``name``: never a bool, float or string."""
-    if type(value) is not int:
-        raise TypeError(f"{name} must be an integer, got {value!r:.80}")
-    return value
-
-
-def _json_float(value, name: str) -> float:
-    """``value``, the JSON number ``name``, as a float: never a bool, string or overflow."""
+def _number(value) -> Optional[float]:
+    """``value`` as a float if it is a JSON number, else None: never a bool, string or overflow."""
     if type(value) is float:
         return value
     if type(value) is int:
@@ -577,112 +569,61 @@ def _json_float(value, name: str) -> float:
             return float(value)
         except OverflowError:
             pass
-    raise TypeError(f"{name} must be a number, got {value!r:.80}")
+    return None
 
 
-def _require(mapping: dict, key: str, context: str, kind=None):
-    """``mapping[key]``, read by ``kind`` (``_json_int`` or ``_json_float``) when one is given."""
-    if key not in mapping:
-        raise InstanceFormatError(f"{context}: missing required field '{key}'")
-    if kind is None:
-        return mapping[key]
-    try:
-        return kind(mapping[key], f"field '{key}'")
-    except TypeError as exc:
-        raise InstanceFormatError(f"{context}: {exc}") from exc
+def _load(cls: type, raw: dict, path: str):
+    """The ``cls`` record that ``raw`` spells at ``path`` ('' for the document root).
 
-
-def _objects(mapping: dict, key: str, context: str) -> list[dict]:
-    """``mapping[key]``, which must be a list of JSON objects."""
-    value = _require(mapping, key, context)
-    if not isinstance(value, list) or not all(isinstance(v, dict) for v in value):
-        raise InstanceFormatError(f"{context}: field '{key}' must be a list of objects")
-    return value
-
-
-def _as_pair(value, context: str) -> tuple[float, float]:
-    if not isinstance(value, (list, tuple)) or len(value) != 2:
-        raise InstanceFormatError(f"{context}: expected a [a, b] pair, got {value!r}")
-    try:
-        return _json_float(value[0], "pair"), _json_float(value[1], "pair")
-    except TypeError as exc:
-        raise InstanceFormatError(f"{context}: non-numeric pair {value!r}") from exc
-
-
-def _warn_unknown(mapping: dict, known: set, context: str) -> None:
-    extras = sorted(set(mapping) - known)
-    if extras:
-        logger.warning("%s: ignoring unknown fields %s", context, extras)
+    Fields are read in file order, so an error names the first fault there.
+    """
+    spec = _FORMAT[cls]
+    context = path or "instance"
+    if not raw.keys() <= spec.keys():
+        logger.warning("%s: ignoring unknown fields %s", context, sorted(raw.keys() - spec.keys()))
+    prefix = f"{path}." if path else ""
+    values = []
+    for key, kind in spec.items():
+        if key not in raw:
+            raise InstanceFormatError(f"{context}: missing required field '{key}'")
+        value = raw[key]
+        if kind is Position or kind is TimeWindow or kind is tuple:  # an [a, b] pair
+            if not isinstance(value, (list, tuple)) or len(value) != 2:
+                raise InstanceFormatError(
+                    f"{prefix}{key}: expected a [a, b] pair, got {value!r:.80}")
+            a, b = value
+            if type(a) is not float or type(b) is not float:
+                a, b = _number(a), _number(b)
+                if a is None or b is None:
+                    raise InstanceFormatError(f"{prefix}{key}: non-numeric pair {value!r:.80}")
+            value = (a, b) if kind is tuple else kind(a, b)
+        elif kind is float:
+            number = _number(value)
+            if number is None:
+                raise InstanceFormatError(
+                    f"{context}: field '{key}' must be a number, got {value!r:.80}")
+            value = number
+        elif kind is int:
+            if type(value) is not int:
+                raise InstanceFormatError(
+                    f"{context}: field '{key}' must be an integer, got {value!r:.80}")
+        elif type(kind) is list:
+            if not isinstance(value, list) or not all(isinstance(v, dict) for v in value):
+                raise InstanceFormatError(f"{context}: field '{key}' must be a list of objects")
+            value = tuple([_load(kind[0], item, f"{prefix}{key}[{n}]")
+                           for n, item in enumerate(value)])
+        else:
+            if not isinstance(value, dict):
+                raise InstanceFormatError(f"{context}: field '{key}' must be an object")
+            value = _load(kind, value, prefix + key)
+        values.append(value)
+    return cls(*values)
 
 
 def instance_from_dict(data: dict) -> Instance:
     if not isinstance(data, dict):
         raise InstanceFormatError("instance document root must be a JSON object")
-    _warn_unknown(data, _KNOWN_TOP_KEYS, "instance")
-
-    dx, dy = _as_pair(_require(data, "depot", "instance"), "depot")
-
-    spaces = []
-    for n, raw in enumerate(_objects(data, "spaces", "instance")):
-        ctx = f"spaces[{n}]"
-        _warn_unknown(raw, {"id", "position", "window", "service_time"}, ctx)
-        px, py = _as_pair(_require(raw, "position", ctx), f"{ctx}.position")
-        ws, we = _as_pair(_require(raw, "window", ctx), f"{ctx}.window")
-        spaces.append(
-            ParkingSpace(
-                id=_require(raw, "id", ctx, _json_int),
-                position=Position(px, py),
-                window=TimeWindow(ws, we),
-                service_time=_require(raw, "service_time", ctx, _json_float),
-            )
-        )
-
-    customers = []
-    for n, raw in enumerate(_objects(data, "customers", "instance")):
-        ctx = f"customers[{n}]"
-        _warn_unknown(raw, {"id", "demand", "locations"}, ctx)
-        locations = []
-        for k, lraw in enumerate(_objects(raw, "locations", ctx)):
-            lctx = f"{ctx}.locations[{k}]"
-            _warn_unknown(lraw, {"position", "window", "max_walk"}, lctx)
-            lx, ly = _as_pair(_require(lraw, "position", lctx), f"{lctx}.position")
-            ls, le = _as_pair(_require(lraw, "window", lctx), f"{lctx}.window")
-            locations.append(
-                CustomerLocation(
-                    position=Position(lx, ly),
-                    window=TimeWindow(ls, le),
-                    max_walk=_require(lraw, "max_walk", lctx, _json_float),
-                )
-            )
-        customers.append(
-            Customer(
-                id=_require(raw, "id", ctx, _json_int),
-                demand=_require(raw, "demand", ctx, _json_int),
-                locations=tuple(locations),
-            )
-        )
-
-    fraw = _require(data, "fleet", "instance")
-    if not isinstance(fraw, dict):
-        raise InstanceFormatError("instance: field 'fleet' must be an object")
-    _warn_unknown(fraw, {"max_lockers", "capacity", "speed", "fixed_cost", "unit_travel_cost"}, "fleet")
-    fleet = FleetSpec(
-        max_lockers=_require(fraw, "max_lockers", "fleet", _json_int),
-        capacity=_require(fraw, "capacity", "fleet", _json_float),
-        speed=_require(fraw, "speed", "fleet", _json_float),
-        fixed_cost=_require(fraw, "fixed_cost", "fleet", _json_float),
-        unit_travel_cost=_require(fraw, "unit_travel_cost", "fleet", _json_float),
-    )
-
-    w1, w2 = _as_pair(_require(data, "weights", "instance"), "weights")
-    return Instance(
-        depot=Position(dx, dy),
-        spaces=tuple(spaces),
-        customers=tuple(customers),
-        fleet=fleet,
-        buffer=_require(data, "buffer_min", "instance", _json_float),
-        weights=(w1, w2),
-    )
+    return _load(Instance, data, "")
 
 
 def load_instance(path: Union[str, Path]) -> Instance:

@@ -56,13 +56,6 @@ class AdjustmentPolicy(enum.Enum):
     BTD = "btd"
     HCPS = "hcps"
 
-    @classmethod
-    def parse(cls, name: str) -> "AdjustmentPolicy":
-        try:
-            return cls(name.lower())
-        except ValueError:
-            raise ParameterError(f"unknown adjustment policy {name!r}; expected btd or hcps")
-
 
 class Adjustment(enum.Enum):
     NONE = "none"

@@ -580,13 +580,19 @@ def test_validate_reports_invalid_instance_without_auditing_the_solution(instanc
     assert out.splitlines()[-1].endswith("instance_violations=1")
 
 
-@pytest.mark.parametrize("solution", ["[1, 2]", '{"x1": [0], "x2": [0], "policy": 5}'])
-def test_validate_rejects_malformed_solution_file(instance_file, tmp_path, capsys, solution):
+@pytest.mark.parametrize("solution, message", [
+    ("[1, 2]", "solution document root must be a JSON object"),
+    ('{"x2": [0]}', "missing required field 'x1'"),
+    ('{"x1": [0], "x2": [0], "policy": 5}', "field 'policy' must be a string, got 5"),
+])
+def test_validate_rejects_malformed_solution_file(instance_file, tmp_path, capsys,
+                                                  solution, message):
     sol_path = tmp_path / "solution.json"
     sol_path.write_text(solution)
     code = run_cli(["validate", "--instance", str(instance_file), "--solution", str(sol_path)])
     assert code == 2
-    assert capsys.readouterr().err.startswith("error: cannot parse solution file ")
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: cannot parse solution file {sol_path}: {message}"]
 
 
 def test_validate_refuses_an_unknown_solution_policy(instance_file, tmp_path, capsys):

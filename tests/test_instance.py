@@ -225,8 +225,9 @@ def test_load_refuses_an_integer_too_long_to_parse(tmp_path):
         load_instance(path)
 
 
-# (field path, value, the parse error): an integer field takes only a JSON
-# integer, a number field a JSON integer or float; never a bool or a string.
+# (field path, value, the parse error): each field takes only its kind. An
+# integer field takes only a JSON integer, a number field a JSON integer or
+# float; never a bool or a string.
 _WRONG_KIND = [
     (("customers", 0, "demand"), 2.7, "customers[0]: field 'demand' must be an integer, got 2.7"),
     (("spaces", 0, "id"), True, "spaces[0]: field 'id' must be an integer, got True"),
@@ -238,22 +239,56 @@ _WRONG_KIND = [
     (("depot",), ["0", 0], "depot: non-numeric pair ['0', 0]"),
     (("spaces", 0, "window"), [True, 700], "spaces[0].window: non-numeric pair [True, 700]"),
     (("weights",), [5, False], "weights: non-numeric pair [5, False]"),
+    (("customers", 0, "locations", 0, "max_walk"), "1",
+     "customers[0].locations[0]: field 'max_walk' must be a number, got '1'"),
+    (("customers", 0, "locations"), {},
+     "customers[0]: field 'locations' must be a list of objects"),
+    (("spaces",), [{}, 5], "instance: field 'spaces' must be a list of objects"),
+    (("fleet",), [], "instance: field 'fleet' must be an object"),
+    # an error repeats at most 80 characters of a value
+    (("depot",), list(range(100_000)), "depot: expected a [a, b] pair, got [0, 1, 2, 3,"),
+    (("depot", 0), "1" * 100_000, "depot: non-numeric pair ['1111"),
+]
+# A record with several faults: the error names the first in file order, which
+# is the order of the record's keys in a saved file.
+_FIRST_FAULT = [
+    ((), {"depot": [0, 0]}, "instance: missing required field 'spaces'"),
+    (("spaces", 0), {}, "spaces[0]: missing required field 'id'"),
+    (("spaces", 0), {"id": "1", "position": 3}, "spaces[0]: field 'id' must be an integer"),
+    (("customers", 0), {}, "customers[0]: missing required field 'id'"),
+    (("customers", 0, "locations", 0), {"window": 1},
+     "customers[0].locations[0]: missing required field 'position'"),
+    (("fleet",), {"speed": "fast"}, "fleet: missing required field 'max_lockers'"),
 ]
 
+_DELETE = object()
 
-@pytest.mark.parametrize("path, value, message", _WRONG_KIND, ids=[
-    f"{'.'.join(map(str, path))}={value!r:.12}" for path, value, _ in _WRONG_KIND])
-def test_load_refuses_a_number_of_the_wrong_kind(tmp_path, path, value, message):
+
+def _mutated(path: tuple, value) -> dict:
+    """The ``TABLE_CONFIG`` instance document with ``value`` at ``path`` (the
+    whole document when ``path`` is empty), or without it when ``value`` is ``_DELETE``."""
+    if not path:
+        return value
     data = instance_to_dict(generate_instance(TABLE_CONFIG))
     parent = data
     for key in path[:-1]:
         parent = parent[key]
-    parent[path[-1]] = value
+    if value is _DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return data
+
+
+@pytest.mark.parametrize("path, value, message", _WRONG_KIND + _FIRST_FAULT, ids=[
+    f"{'.'.join(map(str, path))}={value!r:.12}" for path, value, _ in _WRONG_KIND + _FIRST_FAULT])
+def test_load_refuses_a_number_of_the_wrong_kind(tmp_path, path, value, message):
     inst_path = tmp_path / "inst.json"
-    inst_path.write_text(json.dumps(data))
+    inst_path.write_text(json.dumps(_mutated(path, value)))
     with pytest.raises(InstanceFormatError) as err:
         load_instance(inst_path)
     assert str(err.value).startswith(message)
+    assert len(str(err.value).encode()) < 300
 
 
 def test_load_reads_an_integer_in_a_number_field_as_a_float(tmp_path):
@@ -288,27 +323,50 @@ def test_load_truncated_file_raises(tmp_path):
     assert "line" in str(err.value)
 
 
-def test_load_missing_field_names_context(tmp_path):
-    inst = generate_instance(TABLE_CONFIG)
-    data = instance_to_dict(inst)
-    del data["spaces"][0]["service_time"]
-    path = tmp_path / "inst.json"
-    path.write_text(json.dumps(data))
+@pytest.mark.parametrize("path, message", [
+    (("weights",), "instance: missing required field 'weights'"),
+    (("spaces", 0, "service_time"), "spaces[0]: missing required field 'service_time'"),
+    (("customers", 1, "demand"), "customers[1]: missing required field 'demand'"),
+    (("customers", 0, "locations", 0, "window"),
+     "customers[0].locations[0]: missing required field 'window'"),
+    (("fleet", "unit_travel_cost"), "fleet: missing required field 'unit_travel_cost'"),
+], ids=["Instance", "ParkingSpace", "Customer", "CustomerLocation", "FleetSpec"])
+def test_load_missing_field_names_context(tmp_path, path, message):
+    inst_path = tmp_path / "inst.json"
+    inst_path.write_text(json.dumps(_mutated(path, _DELETE)))
     with pytest.raises(InstanceFormatError) as err:
-        load_instance(path)
-    assert "spaces[0]" in str(err.value) and "service_time" in str(err.value)
+        load_instance(inst_path)
+    assert str(err.value) == message
 
 
-def test_load_ignores_unknown_fields_with_warning(tmp_path, caplog):
-    inst = generate_instance(TABLE_CONFIG)
-    data = instance_to_dict(inst)
-    data["comment"] = "added by a future version"
-    path = tmp_path / "inst.json"
-    path.write_text(json.dumps(data))
+@pytest.mark.parametrize("path, context", [
+    ((), "instance"), (("spaces", 0), "spaces[0]"),
+    (("customers", 0, "locations", 0), "customers[0].locations[0]"), (("fleet",), "fleet"),
+], ids=["instance", "space", "location", "fleet"])
+def test_load_ignores_unknown_fields_with_warning(tmp_path, caplog, path, context):
+    inst_path = tmp_path / "inst.json"
+    inst_path.write_text(json.dumps(_mutated((*path, "comment"), "added by a future version")))
     with caplog.at_level(logging.WARNING, logger="mplq.instance"):
-        back = load_instance(path)
-    assert back == inst
-    assert any("unknown fields" in rec.message for rec in caplog.records)
+        back = load_instance(inst_path)
+    assert back == generate_instance(TABLE_CONFIG)
+    assert [rec.getMessage() for rec in caplog.records] == [
+        f"{context}: ignoring unknown fields ['comment']"]
+
+
+@pytest.mark.parametrize("path, keys", [
+    ((), ["depot", "spaces", "customers", "fleet", "buffer_min", "weights"]),
+    (("spaces", 0), ["id", "position", "window", "service_time"]),
+    (("customers", 0), ["id", "demand", "locations"]),
+    (("customers", 0, "locations", 0), ["position", "window", "max_walk"]),
+    (("fleet",), ["max_lockers", "capacity", "speed", "fixed_cost", "unit_travel_cost"]),
+], ids=["Instance", "ParkingSpace", "Customer", "CustomerLocation", "FleetSpec"])
+def test_a_saved_file_spells_each_record_with_its_keys_in_order(tmp_path, path, keys):
+    inst_path = tmp_path / "inst.json"
+    save_instance(generate_instance(TABLE_CONFIG), inst_path)
+    record = json.loads(inst_path.read_text())
+    for key in path:
+        record = record[key]
+    assert list(record) == keys
 
 
 def test_assignment_csv(tmp_path):
