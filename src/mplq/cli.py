@@ -194,7 +194,10 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         avg_delay_min=repr(avg_delay), reward=repr(best.reward),
         improvement_pct=repr(improvement),
         converged_step=history.convergence_step,
-        hard_violations=len(feasibility.hard()),
+        hard_violations=len(feasibility.hard()), evaluator_calls=history.evaluator_calls,
+        cache_hits=history.cache_hits, evaluations=history.evaluations,
+        routes_scheduled=history.routes_scheduled, route_misses=history.route_misses,
+        accepts=history.accepts,
     )
     (out_dir / "metrics.txt").write_text(
         f"# {header}\n" + "\n".join(f"{k}={v}" for k, v in metrics.items()) + "\n",
@@ -224,7 +227,7 @@ def _read_solution(path: str) -> tuple[SearchState, AdjustmentPolicy]:
         if type(name) is not str:
             raise ValueError(f"field 'policy' must be a string, got {name!r:.80}")
         policy = AdjustmentPolicy(bench._name(bench.POLICIES, name, "adjustment policy"))
-    except (OSError, ValueError, ConfigurationError) as exc:
+    except (OSError, ValueError, RecursionError, ConfigurationError) as exc:
         raise InstanceFormatError(f"cannot parse solution file {path}: {exc}") from exc
     return SearchState(x1=x1, x2=x2), policy
 

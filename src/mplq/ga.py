@@ -121,7 +121,7 @@ def run_ga(pool: TaskPool, instance: Instance, policy: AdjustmentPolicy,
             best = gen_best
         history.best_per_step.append(best.reward)
 
-    plan = evaluator.plan(best)
+    plan = evaluator.plan(best, history)
     return best, plan, history
 
 

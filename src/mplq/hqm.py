@@ -67,9 +67,25 @@ class Agent:
 
 @dataclass
 class RunHistory:
+    """A solve's best reward per step (HQM step or GA generation), HQM's
+    convergence step (None while its tables move), and its work, copied from
+    the ``Evaluator`` with the final plan: evaluator calls, state-cache hits,
+    evaluations (the final decode included), routes scheduled, the route memo's
+    misses, and HQM's accepts (the GA's stays 0). What can be worked out is not
+    stored: steps are ``len(best_per_step)``, HQM's proposals ``2 * agents *
+    steps``, route-memo hits ``routes_scheduled - route_misses``, and
+    evictions ``route_misses`` less the memo's final size.
+    """
+
     initial_best: float
     best_per_step: list[float] = field(default_factory=list)
     convergence_step: Optional[int] = None
+    evaluator_calls: int = 0
+    cache_hits: int = 0
+    evaluations: int = 0
+    routes_scheduled: int = 0
+    route_misses: int = 0
+    accepts: int = 0
 
     @property
     def final_best(self) -> float:
@@ -96,7 +112,11 @@ class Evaluator:
     length, so the packing is one-to-one. A key keeps no state tuple alive and
     is not tracked by the garbage collector: an entry of a 19-task pool takes
     about 135 bytes, against about 435 with a key of the two tuples. ``plan``
-    always decodes the state it is given.
+    always decodes the state it is given. It counts its work with one add per
+    ``reward`` call: a hit to its hits, a miss its plan's routes to the routes
+    scheduled. A miss is the one way into the cache, so its evaluations are
+    the cache's size plus what clearing it dropped. ``plan`` copies the totals
+    onto the solve's ``RunHistory``.
     """
 
     _CACHE_LIMIT = 150_000
@@ -105,22 +125,34 @@ class Evaluator:
         self._cache: dict[bytes, float] = {}
         self._routes = RouteMemo(pool, instance, policy)
         self._pack = bytes if len(pool) <= 256 else _pack_wide
+        self._hits = self._scheduled = self._dropped = 0
 
     def reward(self, state: SearchState) -> float:
         key = self._pack(state.x1 + state.x2)
         hit = self._cache.get(key)
         if hit is not None:
+            self._hits += 1
             state.reward = hit
             return hit
-        _, cost = evaluate_solution(state, self._routes)
+        plan, cost = evaluate_solution(state, self._routes)
+        self._scheduled += len(plan.routes)
         if len(self._cache) >= self._CACHE_LIMIT:
+            self._dropped += len(self._cache)
             self._cache.clear()
         self._cache[key] = cost.reward
         state.reward = cost.reward
         return cost.reward
 
-    def plan(self, state: SearchState) -> RoutePlan:
-        return evaluate_solution(state, self._routes)[0]
+    def plan(self, state: SearchState, history: RunHistory) -> RoutePlan:
+        """``state``'s plan; copies this evaluator's counts, the decode included, onto ``history``."""
+        plan = evaluate_solution(state, self._routes)[0]
+        misses = len(self._cache) + self._dropped
+        history.evaluator_calls = self._hits + misses
+        history.cache_hits = self._hits
+        history.evaluations = misses + 1
+        history.routes_scheduled = self._scheduled + len(plan.routes)
+        history.route_misses = self._routes.misses
+        return plan
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +316,7 @@ def run_hqm(pool: TaskPool, instance: Instance, policy: AdjustmentPolicy,
             candidate = global_construct(agent, q1, q2)
             if evaluator.reward(candidate) > agent.best.reward:
                 agent.accept(candidate)
+                history.accepts += 1
 
         for idx, agent in enumerate(agents):
             if n_agents > 1:
@@ -297,6 +330,7 @@ def run_hqm(pool: TaskPool, instance: Instance, policy: AdjustmentPolicy,
             moved = local_move(agent.best, neighbor, omega, max_lockers=lockers)
             if evaluator.reward(moved) > agent.best.reward:
                 agent.accept(moved)
+                history.accepts += 1
 
         update_q(qmats, [a.best for a in agents], [a.best.reward for a in agents],
                  alpha, gamma)
@@ -309,7 +343,7 @@ def run_hqm(pool: TaskPool, instance: Instance, policy: AdjustmentPolicy,
 
     best_agent = max(agents, key=lambda a: a.best.reward)
     best_state = best_agent.best
-    plan = evaluator.plan(best_state)
+    plan = evaluator.plan(best_state, history)
     return best_state, plan, history
 
 

@@ -637,7 +637,7 @@ def load_instance(path: Union[str, Path]) -> Instance:
         raise InstanceFormatError(
             f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
-    except ValueError as exc:  # an integer literal too long to convert
+    except (ValueError, RecursionError) as exc:  # an integer literal too long, nesting too deep
         raise InstanceFormatError(f"{path}: invalid JSON: {exc}") from exc
     return instance_from_dict(data)
 

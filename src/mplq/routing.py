@@ -177,10 +177,11 @@ class RouteMemo:
     insertion order): a hit moves its route to the end, and a new route
     evicts the first. A noisy memo draws on every leg, on from route to
     route, so its ``routes`` is None and every route is scheduled anew.
+    ``misses`` counts the routes scheduled anew, hits not included.
     """
 
     __slots__ = ("pool", "instance", "holds", "draw", "visit_data",
-                 "leg_km", "leg_minutes", "capacity", "routes")
+                 "leg_km", "leg_minutes", "capacity", "routes", "misses")
 
     def __init__(self, pool: TaskPool, instance: Instance, policy: AdjustmentPolicy,
                  noise: Optional[TravelNoise] = None):
@@ -206,6 +207,7 @@ class RouteMemo:
             uniform, sigma = np.random.default_rng(noise.seed).uniform, noise.sigma
             self.draw = lambda: max(0.0, 1.0 + float(uniform(-sigma, sigma)))
             self.routes = None
+        self.misses = 0
 
 
 def visit(memo: RouteMemo, end: Optional[tuple], task_id: int) -> tuple[tuple, VisitRecord]:
@@ -280,6 +282,7 @@ def schedule_route(memo: RouteMemo, *, task_ids: Sequence[int]) -> Optional[Lock
             routes[key] = route
             return route
 
+    memo.misses += 1
     visits: list[VisitRecord] = []
     end = None
     for task_id in task_ids:

@@ -226,6 +226,19 @@ def test_solve_with_travel_noise_is_reproducible(instance_file, tmp_path, capsys
     assert _result_line(capsys) == first
 
 
+def test_solve_reports_its_counts_whatever_the_noise(instance_file, tmp_path, capsys):
+    # the counts describe the solve, not the noisy replay of its plan
+    want = ("evaluator_calls=246 cache_hits=226 evaluations=21 routes_scheduled=31 "
+            "route_misses=7 accepts=6")
+    for sigma in ("0", "0.3"):
+        out_dir = tmp_path / sigma
+        assert run_cli(["solve", "--instance", str(instance_file), "--agents", "6",
+                        "--iters", "20", "--seed", "2", "--noise-sigma", sigma,
+                        "--out-dir", str(out_dir)]) == 0
+        assert _result_line(capsys).endswith(" " + want)
+        assert (out_dir / "metrics.txt").read_text().splitlines()[-6:] == want.split()
+
+
 def test_validate_clean_instance(instance_file, capsys):
     assert run_cli(["validate", "--instance", str(instance_file)]) == 0
     assert "instance_violations=0" in _result_line(capsys)
@@ -593,6 +606,21 @@ def test_validate_rejects_malformed_solution_file(instance_file, tmp_path, capsy
     assert code == 2
     assert capsys.readouterr().err.splitlines() == [
         f"error: cannot parse solution file {sol_path}: {message}"]
+
+
+@pytest.mark.parametrize("flag, prefix", [("--instance", "{}: invalid JSON: "),
+                                          ("--solution", "cannot parse solution file {}: ")],
+                         ids=["instance", "solution"])
+def test_validate_refuses_a_deeply_nested_file_in_one_line(instance_file, tmp_path, capsys,
+                                                            flag, prefix):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)  # deeper than json.loads can recurse
+    files = {"--instance": str(instance_file), flag: str(deep)}
+    code = run_cli(["validate", *(arg for pair in files.items() for arg in pair)])
+    captured = capsys.readouterr()
+    assert code == 2 and "RESULT" not in captured.out
+    [line] = captured.err.splitlines()
+    assert line.startswith("error: " + prefix.format(deep) + "maximum recursion depth")
 
 
 def test_validate_refuses_an_unknown_solution_policy(instance_file, tmp_path, capsys):

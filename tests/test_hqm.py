@@ -1,4 +1,5 @@
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from mplq import hqm, routing
 from mplq.errors import NothingToSolveError, ShapeError
-from mplq.hqm import (Agent, QMatrices, global_construct, has_converged,
+from mplq.hqm import (Agent, QMatrices, RunHistory, global_construct, has_converged,
                       init_agents, local_move, normalize_q, run_hqm, update_q)
 from mplq.bench import write_history_csv
 from mplq.ga import run_ga
@@ -835,52 +836,39 @@ def test_state_cache_clearing_changes_no_result(monkeypatch):
     """A full state cache is emptied and refilled; only the evaluation count moves."""
     instance = generate_instance(GeneratorConfig(num_spaces=8, locations_per_space=10, seed=0))
     pool = build_tasks(instance, assign_customers(instance))
-    evaluations = []
 
     def solve():
-        evaluations.append(0)
-
-        def counted(*args, **kwargs):
-            evaluations[-1] += 1
-            return evaluate(*args, **kwargs)
-
-        with monkeypatch.context() as m:
-            m.setattr(hqm, "evaluate_solution", counted)
-            best, plan, history = run_hqm(pool, instance, AdjustmentPolicy.HCPS,
-                                          BudgetProfile.desk(), 0)
+        best, plan, history = run_hqm(pool, instance, AdjustmentPolicy.HCPS,
+                                      BudgetProfile.desk(), 0)
         return (best.x1, best.x2, repr(best.reward), plan, repr(history.initial_best),
-                list(map(repr, history.best_per_step)), history.convergence_step)
+                list(map(repr, history.best_per_step)), history.convergence_step), history
 
-    evaluate = hqm.evaluate_solution
-    default = solve()
+    default, history = solve()
     monkeypatch.setattr(hqm.Evaluator, "_CACHE_LIMIT", 8)
-    assert solve() == default
-    assert evaluations[1] > evaluations[0]  # the small cache was cleared and missed again
+    result, small = solve()
+    assert result == default
+    assert small.evaluations > history.evaluations  # the small cache was cleared and missed again
 
 
-def _counted_evaluator(monkeypatch, pool, instance):
-    """An ``Evaluator`` of ``pool`` and the list that counts its ``evaluate_solution`` calls."""
-    evaluate, calls = hqm.evaluate_solution, []
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return evaluate(*args, **kwargs)
-
-    monkeypatch.setattr(hqm, "evaluate_solution", counted)
-    return hqm.Evaluator(pool, instance, AdjustmentPolicy.HCPS), calls
+def _calls_and_hits(evaluator, state):
+    """``evaluator``'s calls and cache hits so far, as its ``plan`` reports them."""
+    history = RunHistory(initial_best=0.0)
+    evaluator.plan(state, history)
+    return history.evaluator_calls, history.cache_hits
 
 
-def test_state_cache_hits_an_equal_pair_and_misses_another_x2(monkeypatch):
+def test_state_cache_hits_an_equal_pair_and_misses_another_x2():
     instance = generate_instance(GeneratorConfig(num_spaces=8, locations_per_space=10, seed=0))
     pool = build_tasks(instance, assign_customers(instance))
-    evaluator, calls = _counted_evaluator(monkeypatch, pool, instance)
+    evaluator = hqm.Evaluator(pool, instance, AdjustmentPolicy.HCPS)
     state = random_state(np.random.default_rng(4), len(pool), check_pool(pool, instance))
     first = evaluator.reward(state)
     equal = SearchState(tuple(list(state.x1)), tuple(list(state.x2)))
-    assert evaluator.reward(equal) == first == equal.reward and len(calls) == 1
+    assert evaluator.reward(equal) == first == equal.reward
+    assert _calls_and_hits(evaluator, state) == (2, 1)
     swapped = SearchState(state.x1, state.x2[1:] + state.x2[:1])
     evaluator.reward(swapped)
-    assert len(calls) == 2
+    assert _calls_and_hits(evaluator, state) == (3, 1)
 
 
 def test_state_cache_keeps_no_state_tuple_alive():
@@ -893,50 +881,72 @@ def test_state_cache_keeps_no_state_tuple_alive():
     assert (sys.getrefcount(state.x1), sys.getrefcount(state.x2)) == before
 
 
-def test_state_cache_keys_a_pool_above_256_tasks(monkeypatch):
+def test_state_cache_keys_a_pool_above_256_tasks():
     # ids above 255 take the wide packing; a repeat still hits and the reward is exact
     config = GeneratorConfig(num_spaces=160, locations_per_space=20, seed=0, capacity=40.0)
     instance = generate_instance(config)
     pool = build_tasks(instance, assign_customers(instance))
     assert len(pool) == 277
-    evaluator, calls = _counted_evaluator(monkeypatch, pool, instance)
+    evaluator = hqm.Evaluator(pool, instance, AdjustmentPolicy.HCPS)
     state = random_state(np.random.default_rng(0), len(pool), check_pool(pool, instance))
     reward = evaluator.reward(state)
-    assert evaluator.reward(SearchState(state.x1, state.x2)) == reward and len(calls) == 1
+    assert evaluator.reward(SearchState(state.x1, state.x2)) == reward
+    assert _calls_and_hits(evaluator, state) == (2, 1)
     memo = routing.RouteMemo(pool, instance, AdjustmentPolicy.HCPS)
     assert reward == routing.evaluate_solution(state, memo)[1].reward
 
 
+_COUNTS = ("evaluator_calls", "cache_hits", "evaluations", "routes_scheduled",
+           "route_misses", "accepts")
+
+
 @pytest.mark.parametrize("policy", [AdjustmentPolicy.BTD, AdjustmentPolicy.HCPS])
-def test_solvers_hand_the_evaluator_only_valid_states(monkeypatch, policy):
-    """``evaluate_solution`` does not check states, so every state either solver
-    scores must pass ``validate_state``: on generated pools and on pools with
-    tied starts, where both solvers build ``x2``."""
-    reward = hqm.Evaluator.reward
-    seen = []
+def test_solvers_score_only_valid_states_and_count_as_outside_wrappers_do(monkeypatch, policy):
+    """The one test that counts a solve from outside: each ``RunHistory`` reports
+    what wrappers count, a hit being a call that evaluates nothing, also with a
+    state cache of 8. ``evaluate_solution`` checks no state, so every state
+    either solver scores, on generated and on tied-start pools, must be valid."""
+    reward, evaluate = hqm.Evaluator.reward, hqm.evaluate_solution
+    schedule, accept = routing.schedule_route, Agent.accept
+    seen, counts = [], Counter()
 
     def checked(self, state):  # inst and pool: the case the loop below solves
         validate_state(state, len(pool), inst.fleet.max_lockers)
         seen.append(state)
-        return reward(self, state)
+        evaluations = counts["evaluations"]
+        out = reward(self, state)
+        counts.update(evaluator_calls=1, cache_hits=counts["evaluations"] == evaluations)
+        return out
+
+    def scheduled(memo, *, task_ids):
+        counts.update(routes_scheduled=1, route_misses=tuple(task_ids) not in memo.routes)
+        return schedule(memo, task_ids=task_ids)
 
     monkeypatch.setattr(hqm.Evaluator, "reward", checked)
-    cases = []
+    monkeypatch.setattr(hqm, "evaluate_solution",
+                        lambda *args: counts.update(evaluations=1) or evaluate(*args))
+    monkeypatch.setattr(routing, "schedule_route", scheduled)
+    monkeypatch.setattr(Agent, "accept", lambda *args: counts.update(accepts=1) or accept(*args))
+    limit, cases = hqm.Evaluator._CACHE_LIMIT, []
     for spaces, locations, seed in ((5, 5, 0), (6, 10, 1)):
         inst = generate_instance(GeneratorConfig(num_spaces=spaces,
                                                  locations_per_space=locations, seed=seed))
-        cases.append((inst, build_tasks(inst, assign_customers(inst))))
+        cases.append((limit, inst, build_tasks(inst, assign_customers(inst))))
+    cases.append((8, *cases[-1][1:]))  # that pool again, its cache cleared every 8 misses
     rng = np.random.default_rng(29)
-    while len(cases) < 5:
+    while len(cases) < 6:
         inst, pool = random_hold_pool(rng)
         if pool.start_order is None:
-            cases.append((inst, pool))
-    budget = BudgetProfile(agents=6, iterations=15)
-    for inst, pool in cases:
+            cases.append((limit, inst, pool))
+    for limit, inst, pool in cases:
+        monkeypatch.setattr(hqm.Evaluator, "_CACHE_LIMIT", limit)
         for solve in (run_hqm, run_ga):
-            before = len(seen)
-            solve(pool, inst, policy, budget, 1)
-            assert len(seen) > before
+            counts.clear()
+            _, _, history = solve(pool, inst, policy, BudgetProfile(agents=6, iterations=15), 1)
+            got = {name: getattr(history, name) for name in _COUNTS}
+            assert got == {name: counts[name] for name in _COUNTS}
+            assert history.evaluator_calls == history.cache_hits + history.evaluations - 1
+            assert 0 < history.route_misses <= history.routes_scheduled
     assert len({(s.x1, s.x2) for s in seen}) > 200
 
 
@@ -952,27 +962,14 @@ def test_history_csv(tmp_path):
     assert float(lines[2].split(",")[1]) == history.initial_best
 
 
-def test_run_hqm_evaluation_counts_are_pinned(monkeypatch):
-    """The 10x20 seed-0 desk HCPS solve: evaluator calls, evaluations and route schedules.
-
-    These are the benchmark's traced solve-mid counts for that solve, so a
-    change to HQM's state cache or to its draws fails here: 8020 calls, of
-    which 1539 hit the pair-keyed cache, leave 6481 evaluations, and the
-    final plan decode makes the 6482nd.
-    """
-    counts = {"reward": 0, "evaluate": 0, "schedule": 0}
-
-    def counted(name, fn):
-        def call(*args, **kwargs):
-            counts[name] += 1
-            return fn(*args, **kwargs)
-        return call
-
-    monkeypatch.setattr(hqm.Evaluator, "reward", counted("reward", hqm.Evaluator.reward))
-    monkeypatch.setattr(hqm, "evaluate_solution", counted("evaluate", hqm.evaluate_solution))
-    monkeypatch.setattr(routing, "schedule_route", counted("schedule", routing.schedule_route))
+def test_run_hqm_evaluation_counts_are_pinned():
+    """The 10x20 seed-0 desk HCPS solve's counts. HQM's are the benchmark's traced
+    solve-mid counts, so a change to HQM's state cache or its draws fails here."""
     instance = generate_instance(GeneratorConfig(num_spaces=10, locations_per_space=20, seed=0))
     pool = build_tasks(instance, assign_customers(instance))
-    best, _, _ = run_hqm(pool, instance, AdjustmentPolicy.HCPS, BudgetProfile.desk(), 0)
+    best, _, history = run_hqm(pool, instance, AdjustmentPolicy.HCPS, BudgetProfile.desk(), 0)
     assert repr(best.reward) == "0.01182376318627171"
-    assert counts == {"reward": 8020, "evaluate": 6482, "schedule": 40889}
+    assert [getattr(history, name) for name in _COUNTS] == [8020, 1539, 6482, 40889, 4565, 188]
+    assert 2 * 20 * len(history.best_per_step) == 8000  # proposals: two per agent and step
+    _, _, history = run_ga(pool, instance, AdjustmentPolicy.HCPS, BudgetProfile.desk(), 0)
+    assert [getattr(history, name) for name in _COUNTS] == [3820, 1061, 2760, 21567, 877, 0]
