@@ -73,8 +73,8 @@ class RunHistory:
     evaluations (the final decode included), routes scheduled, the route memo's
     misses, and HQM's accepts (the GA's stays 0). What can be worked out is not
     stored: steps are ``len(best_per_step)``, HQM's proposals ``2 * agents *
-    steps``, route-memo hits ``routes_scheduled - route_misses``, and
-    evictions ``route_misses`` less the memo's final size.
+    steps``, route-memo hits ``routes_scheduled - route_misses``, evictions
+    ``route_misses`` less the memo's final size (not reported).
     """
 
     initial_best: float
@@ -112,11 +112,10 @@ class Evaluator:
     length, so the packing is one-to-one. A key keeps no state tuple alive and
     is not tracked by the garbage collector: an entry of a 19-task pool takes
     about 135 bytes, against about 435 with a key of the two tuples. ``plan``
-    always decodes the state it is given. It counts its work with one add per
-    ``reward`` call: a hit to its hits, a miss its plan's routes to the routes
-    scheduled. A miss is the one way into the cache, so its evaluations are
-    the cache's size plus what clearing it dropped. ``plan`` copies the totals
-    onto the solve's ``RunHistory``.
+    always decodes the state it is given. ``reward`` counts a hit or a miss's
+    routes with one add, and ``plan`` copies the totals onto a ``RunHistory``.
+    A miss is the one way into the cache, so misses are its size plus what
+    clearing it dropped.
     """
 
     _CACHE_LIMIT = 150_000
@@ -125,7 +124,7 @@ class Evaluator:
         self._cache: dict[bytes, float] = {}
         self._routes = RouteMemo(pool, instance, policy)
         self._pack = bytes if len(pool) <= 256 else _pack_wide
-        self._hits = self._scheduled = self._dropped = 0
+        self._hits = self._scheduled = self._dropped = self._decodes = 0
 
     def reward(self, state: SearchState) -> float:
         key = self._pack(state.x1 + state.x2)
@@ -144,13 +143,14 @@ class Evaluator:
         return cost.reward
 
     def plan(self, state: SearchState, history: RunHistory) -> RoutePlan:
-        """``state``'s plan; copies this evaluator's counts, the decode included, onto ``history``."""
+        """``state``'s plan; copies the counts so far, every decode included, onto ``history``."""
         plan = evaluate_solution(state, self._routes)[0]
-        misses = len(self._cache) + self._dropped
-        history.evaluator_calls = self._hits + misses
+        self._scheduled += len(plan.routes)
+        self._decodes += 1
+        history.evaluator_calls = self._hits + len(self._cache) + self._dropped
         history.cache_hits = self._hits
-        history.evaluations = misses + 1
-        history.routes_scheduled = self._scheduled + len(plan.routes)
+        history.evaluations = history.evaluator_calls - self._hits + self._decodes
+        history.routes_scheduled = self._scheduled
         history.route_misses = self._routes.misses
         return plan
 

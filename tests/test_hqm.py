@@ -850,11 +850,11 @@ def test_state_cache_clearing_changes_no_result(monkeypatch):
     assert small.evaluations > history.evaluations  # the small cache was cleared and missed again
 
 
-def _calls_and_hits(evaluator, state):
-    """``evaluator``'s calls and cache hits so far, as its ``plan`` reports them."""
+def _calls_hits_evaluations(evaluator, state):
+    """``evaluator``'s calls, hits and evaluations, read by a ``plan`` that decodes ``state``."""
     history = RunHistory(initial_best=0.0)
     evaluator.plan(state, history)
-    return history.evaluator_calls, history.cache_hits
+    return history.evaluator_calls, history.cache_hits, history.evaluations
 
 
 def test_state_cache_hits_an_equal_pair_and_misses_another_x2():
@@ -865,10 +865,10 @@ def test_state_cache_hits_an_equal_pair_and_misses_another_x2():
     first = evaluator.reward(state)
     equal = SearchState(tuple(list(state.x1)), tuple(list(state.x2)))
     assert evaluator.reward(equal) == first == equal.reward
-    assert _calls_and_hits(evaluator, state) == (2, 1)
+    assert _calls_hits_evaluations(evaluator, state) == (2, 1, 2)
     swapped = SearchState(state.x1, state.x2[1:] + state.x2[:1])
     evaluator.reward(swapped)
-    assert _calls_and_hits(evaluator, state) == (3, 1)
+    assert _calls_hits_evaluations(evaluator, state) == (3, 1, 4)  # two misses, two decodes
 
 
 def test_state_cache_keeps_no_state_tuple_alive():
@@ -891,7 +891,7 @@ def test_state_cache_keys_a_pool_above_256_tasks():
     state = random_state(np.random.default_rng(0), len(pool), check_pool(pool, instance))
     reward = evaluator.reward(state)
     assert evaluator.reward(SearchState(state.x1, state.x2)) == reward
-    assert _calls_and_hits(evaluator, state) == (2, 1)
+    assert _calls_hits_evaluations(evaluator, state) == (2, 1, 2)
     memo = routing.RouteMemo(pool, instance, AdjustmentPolicy.HCPS)
     assert reward == routing.evaluate_solution(state, memo)[1].reward
 
@@ -942,9 +942,10 @@ def test_solvers_score_only_valid_states_and_count_as_outside_wrappers_do(monkey
         monkeypatch.setattr(hqm.Evaluator, "_CACHE_LIMIT", limit)
         for solve in (run_hqm, run_ga):
             counts.clear()
+            before = len(seen)
             _, _, history = solve(pool, inst, policy, BudgetProfile(agents=6, iterations=15), 1)
-            got = {name: getattr(history, name) for name in _COUNTS}
-            assert got == {name: counts[name] for name in _COUNTS}
+            assert len(seen) > before
+            assert [getattr(history, name) for name in _COUNTS] == [counts[n] for n in _COUNTS]
             assert history.evaluator_calls == history.cache_hits + history.evaluations - 1
             assert 0 < history.route_misses <= history.routes_scheduled
     assert len({(s.x1, s.x2) for s in seen}) > 200
